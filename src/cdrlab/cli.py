@@ -5,6 +5,9 @@ the effective-config hash, and the seed, and every file is written to a
 temp name and renamed only after the whole command succeeds, so a failed
 run leaves no partial artifacts.  Exit codes: 0 success, 1 usage error,
 2 data/config error.
+
+Each handler imports its own analysis modules (and numpy), so a subcommand
+pays at start-up only for what it runs.
 """
 
 from __future__ import annotations
@@ -17,9 +20,7 @@ import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-import numpy as np
-
-from . import __version__, adoption, anomaly, features, ingest, mlkit, socialgraph, spatial, synthgen
+from . import __version__, ingest
 from .config import CONFIG_ENV_VAR, ConfigError, config_hash, load_config
 from .records import SECONDS_PER_DAY, day_start, parse_timestamp
 
@@ -190,6 +191,8 @@ def _load_dataset(args, cfg):
 
 
 def _build_graph(ds, cfg):
+    from . import socialgraph
+
     g = cfg["graph"]
     return socialgraph.build_graph(
         ds,
@@ -200,6 +203,8 @@ def _build_graph(ds, cfg):
 
 def _adopter_set(args, ds, graph, ctx) -> tuple[dict[str, int | None], str]:
     """Adopters from --adopters file, or simulated per the adoption config."""
+    from . import synthgen
+
     if getattr(args, "adopters", None):
         table = _read_adopters(args.adopters)
         unknown = set(table) - graph.nodes
@@ -230,7 +235,9 @@ def _write_adopters_csv(table: dict[str, int | None], path: str, header: str) ->
             writer.writerow([sub, "" if table[sub] is None else table[sub]])
 
 
-def _synth_config(args, cfg) -> synthgen.SynthConfig:
+def _synth_config(args, cfg):
+    from . import synthgen
+
     s = cfg["synth"]
     if s["graph_model"] != "small_world":
         raise ValueError("the cli drives the small_world model; others are library-only")
@@ -257,6 +264,8 @@ def _synth_config(args, cfg) -> synthgen.SynthConfig:
 
 
 def _cmd_synth(args, ctx: RunContext) -> dict:
+    from . import synthgen
+
     scfg = _synth_config(args, ctx.cfg)
     graph, gt = synthgen.generate_population(scfg)
     ds = synthgen.generate_events(scfg, graph, gt)
@@ -300,22 +309,24 @@ def _cmd_ingest_check(args, ctx: RunContext) -> dict:
 
 
 def _cmd_features(args, ctx: RunContext) -> dict:
-    ds, _, _ = _load_dataset(args, ctx.cfg)
-    denoms = tuple(float(x) for x in args.denominations.split(",")) if args.denominations else None
-    subs = ds.subscribers()
-    ds.cdrs_by_caller(), ds.cdrs_by_callee(), ds.topups_by_buyer()  # prime caches before threading
-    from .parallel import parallel_map
+    from . import features
 
-    vectors = parallel_map(
-        lambda s: features.extract_features(ds, s, denominations=denoms),
-        subs, threads=ctx.threads,
-    )
+    ds, _, _ = _load_dataset(args, ctx.cfg)
+    if args.denominations:
+        denoms = tuple(float(x) for x in args.denominations.split(","))
+    else:
+        denoms = features.dataset_denominations(ds)
+    # Serial on purpose: the per-subscriber work holds the GIL, so threads
+    # only add overhead.  --threads is accepted and changes nothing here.
+    vectors = [features.extract_features(ds, s, denominations=denoms) for s in ds.subscribers()]
     features.write_features_csv(vectors, ctx.outputs.stage("features.csv"), header_comment=ctx.header)
     print(f"features: {len(vectors)} subscribers x {len(features.FEATURE_ORDER)} features")
     return {"subscribers": len(vectors), "columns": len(features.FEATURE_ORDER)}
 
 
 def _cmd_graph(args, ctx: RunContext) -> dict:
+    from . import socialgraph
+
     ds, _, _ = _load_dataset(args, ctx.cfg)
     g = _build_graph(ds, ctx.cfg)
     report = socialgraph.connected_components(g)
@@ -338,6 +349,8 @@ def _cmd_graph(args, ctx: RunContext) -> dict:
 
 
 def _cmd_adoption(args, ctx: RunContext) -> dict:
+    from . import adoption
+
     ds, _, _ = _load_dataset(args, ctx.cfg)
     g = _build_graph(ds, ctx.cfg)
     table, source = _adopter_set(args, ds, g, ctx)
@@ -362,6 +375,8 @@ def _cmd_adoption(args, ctx: RunContext) -> dict:
 
 
 def _cmd_kappa(args, ctx: RunContext) -> dict:
+    from . import adoption
+
     ds, _, _ = _load_dataset(args, ctx.cfg)
     g = _build_graph(ds, ctx.cfg)
     table, source = _adopter_set(args, ds, g, ctx)
@@ -390,6 +405,8 @@ def _cmd_kappa(args, ctx: RunContext) -> dict:
 
 
 def _cmd_pk(args, ctx: RunContext) -> dict:
+    from . import adoption
+
     ds, _, _ = _load_dataset(args, ctx.cfg)
     g = _build_graph(ds, ctx.cfg)
     table, source = _adopter_set(args, ds, g, ctx)
@@ -414,6 +431,8 @@ def _parse_entity(text: str) -> tuple:
 
 
 def _cmd_anomaly(args, ctx: RunContext) -> dict:
+    from . import anomaly
+
     ds, _, _ = _load_dataset(args, ctx.cfg)
     a = ctx.cfg["anomaly"]
     area_map = _read_area_map(args.areas) if args.areas else None
@@ -430,6 +449,8 @@ def _cmd_anomaly(args, ctx: RunContext) -> dict:
                                 header_comment=ctx.header)
     flagged_total = sum(len(r.flags) for r in reports)
     if args.geojson:
+        from . import spatial
+
         flagged = {
             r.entity[1]: {"flags": len(r.flags)}
             for r in reports if r.entity[0] == "tower" and r.flags
@@ -448,6 +469,8 @@ def _cmd_anomaly(args, ctx: RunContext) -> dict:
 
 
 def _cmd_flows(args, ctx: RunContext) -> dict:
+    from . import anomaly
+
     ds, _, _ = _load_dataset(args, ctx.cfg)
     f = ctx.cfg["flows"]
     area_map = _read_area_map(args.areas) if args.areas else {t: t for t in ds.towers}
@@ -490,6 +513,8 @@ def _cmd_flows(args, ctx: RunContext) -> dict:
 
 
 def _cmd_rank_curves(args, ctx: RunContext) -> dict:
+    from . import anomaly
+
     ds, _, _ = _load_dataset(args, ctx.cfg)
     rc = ctx.cfg["rank_curves"]
     comparison = [
@@ -513,6 +538,10 @@ def _cmd_rank_curves(args, ctx: RunContext) -> dict:
 
 
 def _cmd_distance_matrix(args, ctx: RunContext) -> dict:
+    import numpy as np
+
+    from . import anomaly
+
     ds, _, _ = _load_dataset(args, ctx.cfg)
     lon, lat = (float(x) for x in args.epicenter.split(","))
     edges = [float(x) for x in args.bins.split(",")]
@@ -531,6 +560,8 @@ def _cmd_distance_matrix(args, ctx: RunContext) -> dict:
 
 
 def _cmd_voronoi(args, ctx: RunContext) -> dict:
+    from . import spatial
+
     paths = _dataset_paths(args, ctx.cfg)
     if not paths["towers"]:
         raise ValueError("need --towers (or [dataset] config entry)")
@@ -554,6 +585,8 @@ def _cmd_voronoi(args, ctx: RunContext) -> dict:
 
 
 def _cmd_idw(args, ctx: RunContext) -> dict:
+    from . import spatial
+
     paths = _dataset_paths(args, ctx.cfg)
     if not paths["towers"]:
         raise ValueError("need --towers (or [dataset] config entry)")
@@ -578,12 +611,16 @@ def _cmd_idw(args, ctx: RunContext) -> dict:
 
 
 def _load_correlate_input(path: str):
+    from . import spatial
+
     if path.endswith((".txt", ".grid")):
         return spatial.read_grid(path)
     return _read_area_values(path)
 
 
 def _cmd_correlate(args, ctx: RunContext) -> dict:
+    from . import spatial
+
     a = _load_correlate_input(args.a)
     b = _load_correlate_input(args.b)
     if isinstance(a, spatial.GridRaster) != isinstance(b, spatial.GridRaster):
@@ -601,11 +638,13 @@ def _cmd_correlate(args, ctx: RunContext) -> dict:
     return {"r": r, "n": n}
 
 
-def _model_table(args, ctx: RunContext) -> mlkit.LabeledTable:
+def _model_table(args, ctx: RunContext):
+    from . import mlkit
+
     ids, columns, rows = _read_feature_table(args.features)
-    labels = ingest.parse_labels_file(args.labels) if args.labels else None
-    if labels is None:
+    if not args.labels:
         raise ValueError("need --labels")
+    labels, _ = ingest.parse_labels_file(args.labels)
     pos = args.positive_label
     keep = [i for i, sid in enumerate(ids) if sid in labels]
     if not keep:
@@ -633,6 +672,8 @@ def _hyperparameters(cfg, family: str) -> dict:
 
 
 def _cmd_train(args, ctx: RunContext) -> dict:
+    from . import mlkit
+
     table = _model_table(args, ctx)
     family = args.family or ctx.cfg["model"]["family"]
     train_tab, test_tab = mlkit.split_train_test(table, fraction=args.split_fraction,
@@ -654,6 +695,8 @@ def _cmd_train(args, ctx: RunContext) -> dict:
 
 
 def _cmd_eval(args, ctx: RunContext) -> dict:
+    from . import mlkit
+
     model = mlkit.load_model(args.model)
     table = _model_table(args, ctx)
     if list(table.columns) != list(model.columns):
@@ -674,6 +717,10 @@ def _cmd_eval(args, ctx: RunContext) -> dict:
 
 
 def _cmd_select_covariates(args, ctx: RunContext) -> dict:
+    import numpy as np
+
+    from . import mlkit
+
     rows = list(_data_rows(args.table))
     if not rows:
         raise ValueError(f"{args.table}: empty file")
@@ -723,6 +770,8 @@ def _cmd_select_covariates(args, ctx: RunContext) -> dict:
 
 
 def _cmd_campaign(args, ctx: RunContext) -> dict:
+    from . import mlkit
+
     model = mlkit.load_model(args.model)
     ids, columns, rows = _read_feature_table(args.features)
     if list(columns) != list(model.columns):

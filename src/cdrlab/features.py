@@ -151,6 +151,18 @@ def spending_speed(topups) -> float | None:
     return total / span_days
 
 
+def dataset_denominations(ds: Dataset) -> tuple[float, float] | None:
+    """Dataset-wide (min, max) top-up amounts; None when there are no top-ups.
+
+    They stand in for the market's denominations when none are given.  A
+    caller looping over subscribers computes them once and passes them on.
+    """
+    if not ds.topups:
+        return None
+    amounts = [r.amount for r in ds.topups]
+    return min(amounts), max(amounts)
+
+
 def extract_features(
     ds: Dataset,
     subscriber: str,
@@ -161,7 +173,7 @@ def extract_features(
 
     `denominations` names the market's recharge amounts for the
     lowest/highest-denomination fractions; when omitted, the dataset-wide
-    minimum and maximum top-up amounts stand in.
+    minimum and maximum top-up amounts stand in (`dataset_denominations`).
     """
     if window is None:
         window = ds.window
@@ -234,11 +246,8 @@ def extract_features(
         else:
             values["recharge_amount_cv"] = None
         values["spending_speed"] = spending_speed(tops)
-        if denominations:
-            low, high = min(denominations), max(denominations)
-        else:
-            all_amounts = [r.amount for r in ds.topups]
-            low, high = min(all_amounts), max(all_amounts)
+        bounds = denominations or dataset_denominations(ds)
+        low, high = min(bounds), max(bounds)
         values["fraction_lowest_denomination"] = sum(1 for a in amounts if a == low) / n
         values["fraction_highest_denomination"] = sum(1 for a in amounts if a == high) / n
         if n >= 2:

@@ -4,6 +4,13 @@ All parsers are line-oriented: well-formed lines become records, malformed
 lines land in a reject report carrying the physical line number and a
 reason.  Crossing the reject-fraction cap aborts with a summary, since a
 dirty file is more likely a schema mismatch than real data.
+
+Files are streamed one physical line at a time.  A line without a double
+quote is split on the delimiter; a line with one goes through ``csv.reader``
+on its own, so quoted fields may hold the delimiter or doubled quotes but
+never a line break.  An unbalanced quote therefore damages only its own line,
+which usually ends as a "wrong field count" reject, and never swallows the
+lines after it.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ import csv
 import gzip
 import io
 import logging
+import math
 from dataclasses import dataclass
 
 from .records import (
@@ -59,20 +67,21 @@ def open_text(path: str, mode: str = "rt"):
     return io.open(path, mode, encoding="utf-8", newline="")
 
 
-def _numbered_rows(fh, delimiter: str) -> list[tuple[int, list[str]]]:
-    """CSV rows with their physical line numbers; '#' lines and blanks skipped.
+def _numbered_rows(fh, delimiter: str):
+    """Yield (physical line number, fields) per data line of fh.
 
-    Fields never contain embedded newlines in this toolkit, so per-line csv
-    parsing is safe and keeps line numbers exact.
+    Blank, whitespace-only and '#' comment lines are skipped.  A line is
+    split on its own (see the module docstring), so line numbers stay exact
+    and one stray quote cannot pull later lines into a field.
     """
-    numbered: list[tuple[int, str]] = []
     for physical, raw in enumerate(fh, start=1):
         stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
+        if not stripped or stripped[0] == "#":
             continue
-        numbered.append((physical, raw))
-    rows = csv.reader((text for _, text in numbered), delimiter=delimiter)
-    return [(num, row) for (num, _), row in zip(numbered, rows)]
+        if '"' in raw:
+            yield physical, next(csv.reader((raw,), delimiter=delimiter))
+        else:
+            yield physical, raw.rstrip("\r\n").split(delimiter)
 
 
 def write_rejects_csv(report: RejectReport, path: str, header_comment: str | None = None) -> None:
@@ -105,6 +114,14 @@ def _check_cap(report: RejectReport, cap: float) -> None:
         )
 
 
+def _warn_unknown_towers(path: str, lines: list[int]) -> None:
+    """Log one warning that sums up a file's unknown-tower rejects."""
+    if lines:
+        first = ", ".join(str(n) for n in lines[:5])
+        more = ", ..." if len(lines) > 5 else ""
+        log.warning("%s: %d rows rejected for an unknown tower (lines %s%s)", path, len(lines), first, more)
+
+
 def parse_cdr_file(
     path: str,
     schema: dict[str, str] | None = None,
@@ -123,26 +140,30 @@ def parse_cdr_file(
     required = ("caller", "callee", "tower", "timestamp", "kind", "magnitude")
     records: list[CdrRecord] = []
     rejects: list[tuple[int, str]] = []
+    unknown: list[int] = []
     total = 0
     with open_text(path) as fh:
-        numbered = _numbered_rows(fh, delimiter)
-        if not numbered:
+        rows = _numbered_rows(fh, delimiter)
+        first = next(rows, None)
+        if first is None:
             return [], RejectReport(str(path), [], 0)
-        header = numbered[0][1]
-        pos = _header_positions(header, schema, required, str(path))
-        attr_fields = sorted(k for k in pos if k not in CDR_FIELDS)
-        for line_no, row in numbered[1:]:
+        pos = _header_positions(first[1], schema, required, str(path))
+        attr_pos = [(f, pos[f]) for f in sorted(k for k in pos if k not in CDR_FIELDS)]
+        width = max(pos.values())
+        i_caller, i_callee, i_tower = pos["caller"], pos["callee"], pos["tower"]
+        i_ts, i_kind, i_mag = pos["timestamp"], pos["kind"], pos["magnitude"]
+        for line_no, row in rows:
             total += 1
             reason = None
-            if max(pos.values()) >= len(row):
+            if width >= len(row):
                 rejects.append((line_no, "wrong field count"))
                 continue
-            caller = row[pos["caller"]].strip()
-            callee = row[pos["callee"]].strip() or None
-            tower = row[pos["tower"]].strip()
-            kind = row[pos["kind"]].strip().lower()
-            raw_ts = row[pos["timestamp"]].strip()
-            raw_mag = row[pos["magnitude"]].strip()
+            caller = row[i_caller].strip()
+            callee = row[i_callee].strip() or None
+            tower = row[i_tower].strip()
+            kind = row[i_kind].strip().lower()
+            raw_ts = row[i_ts].strip()
+            raw_mag = row[i_mag].strip()
             if not caller:
                 reason = "missing caller"
             elif not tower:
@@ -172,16 +193,19 @@ def parse_cdr_file(
                     except ValueError:
                         reason = "bad magnitude"
                     else:
-                        if magnitude < 0:
+                        if not math.isfinite(magnitude):
+                            reason = "non-finite magnitude"
+                        elif magnitude < 0:
                             reason = "negative magnitude"
             if reason is None and known_towers is not None and tower not in known_towers:
-                log.warning("%s line %d: unknown tower %r", path, line_no, tower)
+                unknown.append(line_no)
                 reason = f"unknown tower {tower!r}"
             if reason is not None:
                 rejects.append((line_no, reason))
                 continue
-            attrs = tuple((f, row[pos[f]].strip()) for f in attr_fields)
+            attrs = tuple((f, row[j].strip()) for f, j in attr_pos) if attr_pos else ()
             records.append(CdrRecord(caller, callee, tower, ts, kind, magnitude, attrs))
+    _warn_unknown_towers(path, unknown)
     report = RejectReport(str(path), rejects, total)
     _check_cap(report, reject_cap)
     return records, report
@@ -199,49 +223,55 @@ def parse_topup_file(
     required = ("buyer", "retailer", "timestamp", "amount")
     records: list[TopUpRecord] = []
     rejects: list[tuple[int, str]] = []
+    unknown: list[int] = []
     total = 0
     with open_text(path) as fh:
-        numbered = _numbered_rows(fh, delimiter)
-        if not numbered:
+        rows = _numbered_rows(fh, delimiter)
+        first = next(rows, None)
+        if first is None:
             return [], RejectReport(str(path), [], 0)
-        header = numbered[0][1]
-        pos = _header_positions(header, schema, required, str(path))
-        has_tower = "retailer_tower" in pos
-        for line_no, row in numbered[1:]:
+        pos = _header_positions(first[1], schema, required, str(path))
+        width = max(pos.values())
+        i_buyer, i_retailer, i_ts, i_amount = pos["buyer"], pos["retailer"], pos["timestamp"], pos["amount"]
+        i_tower = pos.get("retailer_tower")
+        for line_no, row in rows:
             total += 1
             reason = None
-            if max(pos.values()) >= len(row):
+            if width >= len(row):
                 rejects.append((line_no, "wrong field count"))
                 continue
-            buyer = row[pos["buyer"]].strip()
-            retailer = row[pos["retailer"]].strip()
-            tower = row[pos["retailer_tower"]].strip() or None if has_tower else None
+            buyer = row[i_buyer].strip()
+            retailer = row[i_retailer].strip()
+            tower = row[i_tower].strip() or None if i_tower is not None else None
             if not buyer:
                 reason = "missing buyer"
             elif not retailer:
                 reason = "missing retailer"
             if reason is None:
                 try:
-                    ts = parse_timestamp(row[pos["timestamp"]].strip())
+                    ts = parse_timestamp(row[i_ts].strip())
                 except ValueError:
                     reason = "bad timestamp"
             if reason is None and window is not None and not (window[0] <= ts < window[1]):
                 reason = "timestamp outside window"
             if reason is None:
                 try:
-                    amount = float(row[pos["amount"]].strip())
+                    amount = float(row[i_amount].strip())
                 except ValueError:
                     reason = "bad amount"
                 else:
-                    if amount <= 0:
+                    if not math.isfinite(amount):
+                        reason = "non-finite amount"
+                    elif amount <= 0:
                         reason = "non-positive amount"
             if reason is None and tower is not None and known_towers is not None and tower not in known_towers:
-                log.warning("%s line %d: unknown tower %r", path, line_no, tower)
+                unknown.append(line_no)
                 reason = f"unknown tower {tower!r}"
             if reason is not None:
                 rejects.append((line_no, reason))
                 continue
             records.append(TopUpRecord(buyer, retailer, tower, ts, amount))
+    _warn_unknown_towers(path, unknown)
     report = RejectReport(str(path), rejects, total)
     _check_cap(report, reject_cap)
     return records, report
@@ -257,14 +287,15 @@ def parse_tower_file(
     rejects: list[tuple[int, str]] = []
     total = 0
     with open_text(path) as fh:
-        numbered = _numbered_rows(fh, delimiter)
-        if not numbered:
+        rows = _numbered_rows(fh, delimiter)
+        first = next(rows, None)
+        if first is None:
             return {}, RejectReport(str(path), [], 0)
-        header = numbered[0][1]
-        pos = _header_positions(header, {"id": "id", "lon": "lon", "lat": "lat"}, ("id", "lon", "lat"), str(path))
-        for line_no, row in numbered[1:]:
+        pos = _header_positions(first[1], {"id": "id", "lon": "lon", "lat": "lat"}, ("id", "lon", "lat"), str(path))
+        width = max(pos.values())
+        for line_no, row in rows:
             total += 1
-            if max(pos.values()) >= len(row):
+            if width >= len(row):
                 rejects.append((line_no, "wrong field count"))
                 continue
             tid = row[pos["id"]].strip()
@@ -291,18 +322,31 @@ def parse_tower_file(
     return towers, report
 
 
-def parse_labels_file(path: str, delimiter: str = ",") -> dict[str, str]:
-    """CSV of subscriber,label."""
+def parse_labels_file(
+    path: str,
+    delimiter: str = ",",
+    reject_cap: float = DEFAULT_REJECT_CAP,
+) -> tuple[dict[str, str], RejectReport]:
+    """CSV of subscriber,label.  A later row for a subscriber wins."""
     labels: dict[str, str] = {}
+    rejects: list[tuple[int, str]] = []
+    total = 0
     with open_text(path) as fh:
-        numbered = _numbered_rows(fh, delimiter)
-        if not numbered:
-            return {}
-        header = numbered[0][1]
-        pos = _header_positions(header, {"subscriber": "subscriber", "label": "label"}, ("subscriber", "label"), str(path))
-        for _, row in numbered[1:]:
+        rows = _numbered_rows(fh, delimiter)
+        first = next(rows, None)
+        if first is None:
+            return {}, RejectReport(str(path), [], 0)
+        pos = _header_positions(first[1], {"subscriber": "subscriber", "label": "label"}, ("subscriber", "label"), str(path))
+        width = max(pos.values())
+        for line_no, row in rows:
+            total += 1
+            if width >= len(row):
+                rejects.append((line_no, "wrong field count"))
+                continue
             labels[row[pos["subscriber"]].strip()] = row[pos["label"]].strip()
-    return labels
+    report = RejectReport(str(path), rejects, total)
+    _check_cap(report, reject_cap)
+    return labels, report
 
 
 def load_dataset(
@@ -319,7 +363,8 @@ def load_dataset(
     """Parse all inputs and assemble a validated Dataset.
 
     Events referencing unknown towers are rejected during parsing.  When no
-    window is given it is derived as [min ts, max ts + 1).
+    window is given it is derived as [min ts, max ts + 1).  The reports are
+    keyed "towers", "cdr", and "topup" / "labels" when those files are given.
     """
     towers, tower_report = parse_tower_file(towers_path, delimiter, reject_cap)
     known = set(towers)
@@ -336,7 +381,9 @@ def load_dataset(
     if window is None:
         stamps = [r.timestamp for r in cdrs] + [r.timestamp for r in topups]
         window = (min(stamps), max(stamps) + 1) if stamps else (0, 1)
-    labels = parse_labels_file(labels_path, delimiter) if labels_path else None
+    labels = None
+    if labels_path:
+        labels, reports["labels"] = parse_labels_file(labels_path, delimiter, reject_cap)
     ds = Dataset(cdrs=tuple(cdrs), topups=tuple(topups), towers=towers, window=window, labels=labels)
     return ds, reports
 

@@ -383,6 +383,23 @@ def test_error_exit_codes_and_clean_outdir(synth_dir, tmp_path, capsys):
     assert cli.main(["synth", "--outdir", str(outdir), "--threads", "0"]) == 2
 
 
+def test_label_rows_are_checked_like_other_inputs(synth_dir, features_dir, tmp_path, capsys):
+    rc = cli.main(["ingest-check", *dataset_args(synth_dir), "--outdir", str(tmp_path / "check")])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "check" / "manifest_ingest_check.json").read_text())
+    assert manifest["params"]["labels"] == {"rows": 60, "rejects": 0}
+    assert (tmp_path / "check" / "rejects_labels.csv").exists()
+    # a short label row is a line-numbered reject; past the cap it is exit 2
+    labels = tmp_path / "labels.csv"
+    labels.write_text((synth_dir / "labels.csv").read_text() + "S_short\n")
+    outdir = tmp_path / "train"
+    rc = cli.main(["train", "--features", str(features_dir / "features.csv"),
+                   "--labels", str(labels), "--outdir", str(outdir)])
+    assert rc == 2
+    assert "wrong field count" in capsys.readouterr().err
+    assert list(outdir.iterdir()) == []
+
+
 def test_config_env_var_is_honored(monkeypatch, tmp_path):
     cfg = tmp_path / "env.ini"
     cfg.write_text("[synth]\nsubscribers = 30\ntowers = 8\ndays = 3\nevent_rate = 1.0\n")

@@ -148,6 +148,14 @@ def test_extract_features_explicit_denominations(rich_ds):
     assert v["fraction_highest_denomination"] == 0.5
 
 
+def test_dataset_denominations_are_the_fallback(rich_ds):
+    assert feat.dataset_denominations(rich_ds) == (100.0, 500.0)
+    assert feat.dataset_denominations(make_dataset([voice("A", "B", "T1", T0)])) is None
+    for sub in rich_ds.subscribers():
+        assert feat.extract_features(rich_ds, sub) == feat.extract_features(
+            rich_ds, sub, denominations=feat.dataset_denominations(rich_ds))
+
+
 def test_extract_features_absent_not_zero(rich_ds):
     # C only texts and receives: no voice, no data, no topups, no nocturnal comm
     v = feat.extract_features(rich_ds, "C").values

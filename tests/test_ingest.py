@@ -1,6 +1,11 @@
+import csv
 import gzip
+import io
+import logging
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdrlab import ingest
 from cdrlab.records import Tower
@@ -175,7 +180,9 @@ def test_writers_round_trip(tmp_path):
 def test_labels_round_trip(tmp_path):
     p = tmp_path / "labels.csv"
     ingest.write_labels_csv({"A": "low", "B": "high"}, str(p), header_comment="# x")
-    assert ingest.parse_labels_file(str(p)) == {"A": "low", "B": "high"}
+    labels, report = ingest.parse_labels_file(str(p))
+    assert labels == {"A": "low", "B": "high"}
+    assert report.rejects == [] and report.total_rows == 2
 
 
 def test_activity_filter():
@@ -196,3 +203,156 @@ def test_activity_filter_validates_windows():
     ds = make_dataset([voice("A", "B", "T1", T0 + 100)], window=(T0, T0 + DAY))
     with pytest.raises(ValueError):
         ingest.apply_activity_filter(ds, pre_cut=T0 - 5, tail_window=(T0, T0 + DAY))
+
+
+# -- streaming row reader ----------------------------------------------------------
+
+
+def oracle_rows(fh, delimiter):
+    """The former row reader: the whole file's data lines through one csv.reader."""
+    numbered = []
+    for physical, raw in enumerate(fh, start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        numbered.append((physical, raw))
+    rows = csv.reader((text for _, text in numbered), delimiter=delimiter)
+    return [(num, row) for (num, _), row in zip(numbered, rows)]
+
+
+def render_field(text, delimiter, quote, pad):
+    """A field as it appears in a file; text holding a quote or the delimiter
+    is always quoted (with its quotes doubled), so every line stays balanced."""
+    if quote or '"' in text or delimiter in text:
+        return '"' + text.replace('"', '""') + '"'
+    return " " * pad + text + " " * pad
+
+
+FIELD = st.tuples(
+    st.text(alphabet='ab1 .,;"\t#', max_size=6), st.booleans(), st.integers(0, 2),
+)
+LINE = st.one_of(
+    st.tuples(st.just("row"), st.lists(FIELD, min_size=1, max_size=5)),
+    st.tuples(st.just("blank"), st.sampled_from(["", " ", "\t", "  \t "])),
+    st.tuples(st.just("comment"), st.sampled_from(["#", "# note", "  # indented", "\t#x,y"])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    delimiter=st.sampled_from([",", ";", "\t"]),
+    lines=st.lists(st.tuples(LINE, st.sampled_from(["\n", "\r\n"])), min_size=1, max_size=8),
+    final_newline=st.booleans(),
+)
+def test_streaming_reader_matches_csv_oracle(delimiter, lines, final_newline):
+    parts = []
+    for (kind, body), ending in lines:
+        if kind == "row":
+            body = delimiter.join(render_field(t, delimiter, q, pad) for t, q, pad in body)
+        parts.append(body + ending)
+    if not final_newline:
+        parts[-1] = parts[-1].rstrip("\r\n")
+    text = "".join(parts)
+    got = list(ingest._numbered_rows(io.StringIO(text, newline=""), delimiter))
+    assert got == oracle_rows(io.StringIO(text, newline=""), delimiter)
+
+
+def test_stray_quote_stays_on_its_line_cdr(tmp_path):
+    p = write(tmp_path / "c.csv", [
+        CDR_HEADER,
+        "A,B,T1,2016-05-01T00:10:00Z,voice,10",
+        '"B,A,T1,2016-05-01T00:11:00Z,voice,10',
+        "C,A,T1,2016-05-01T00:12:00Z,voice,10",
+        "D,A,T1,2016-05-01T00:13:00Z,voice,10",
+    ])
+    recs, report = ingest.parse_cdr_file(p, reject_cap=1.0)
+    assert [r.caller for r in recs] == ["A", "C", "D"]
+    assert report.rejects == [(3, "wrong field count")] and report.total_rows == 4
+
+
+def test_stray_quote_stays_on_its_line_topup(tmp_path):
+    p = write(tmp_path / "t.csv", [
+        "buyer,retailer,retailer_tower,timestamp,amount",
+        "A,R1,T1,2016-05-01T01:00:00Z,50",
+        'B,"R1,T1,2016-05-01T01:00:00Z,50',
+        "C,R1,T1,2016-05-01T01:00:00Z,50",
+        "D,R1,T1,2016-05-01T01:00:00Z,50",
+    ])
+    recs, report = ingest.parse_topup_file(p, reject_cap=1.0)
+    assert [r.buyer for r in recs] == ["A", "C", "D"]
+    assert report.rejects == [(3, "wrong field count")] and report.total_rows == 4
+
+
+def test_stray_quote_stays_on_its_line_tower(tmp_path):
+    p = write(tmp_path / "towers.csv", ["id,lon,lat", "T1,90,23", '"T2,91,23', "T3,92,23", "T4,93,23"])
+    towers, report = ingest.parse_tower_file(p, reject_cap=1.0)
+    assert sorted(towers) == ["T1", "T3", "T4"]
+    assert report.rejects == [(3, "wrong field count")] and report.total_rows == 4
+
+
+def test_quoted_fields_hold_delimiters_and_quotes(tmp_path):
+    p = write(tmp_path / "c.csv", [
+        CDR_HEADER,
+        '"A,1","B ""x""",T1,2016-05-01T00:10:00Z,voice,10',
+    ])
+    recs, report = ingest.parse_cdr_file(p)
+    assert (recs[0].caller, recs[0].callee) == ("A,1", 'B "x"') and report.rejects == []
+
+
+# -- input boundary ------------------------------------------------------------------
+
+
+def test_non_finite_magnitude_rejected(tmp_path):
+    p = write(tmp_path / "c.csv", [CDR_HEADER] + [
+        f"A,B,T1,2016-05-01T00:10:00Z,voice,{m}" for m in ("nan", "inf", "-inf", "NaN", "Infinity", "60")
+    ])
+    recs, report = ingest.parse_cdr_file(p, reject_cap=1.0)
+    assert [r.magnitude for r in recs] == [60.0]
+    assert report.rejects == [(n, "non-finite magnitude") for n in range(2, 7)]
+
+
+def test_non_finite_amount_rejected(tmp_path):
+    p = write(tmp_path / "t.csv", ["buyer,retailer,retailer_tower,timestamp,amount"] + [
+        f"A,R1,T1,2016-05-01T01:00:00Z,{a}" for a in ("nan", "inf", "-inf", "50")
+    ])
+    recs, report = ingest.parse_topup_file(p, reject_cap=1.0)
+    assert [r.amount for r in recs] == [50.0]
+    assert report.rejects == [(n, "non-finite amount") for n in range(2, 5)]
+
+
+def test_short_label_row_is_a_line_numbered_reject(tmp_path):
+    p = write(tmp_path / "labels.csv", ["subscriber,label", "A,low", "B", "C,high"])
+    with pytest.raises(ingest.IngestError, match="line 3: wrong field count"):
+        ingest.parse_labels_file(p)
+    labels, report = ingest.parse_labels_file(p, reject_cap=1.0)
+    assert labels == {"A": "low", "C": "high"}
+    assert report.rejects == [(3, "wrong field count")] and report.total_rows == 3
+
+
+def test_load_dataset_reports_label_rejects(tmp_path):
+    c = write(tmp_path / "c.csv", [CDR_HEADER, "A,B,T1,2016-05-01T00:10:00Z,voice,10"])
+    w = write(tmp_path / "w.csv", ["id,lon,lat", "T1,90,23"])
+    lab = write(tmp_path / "l.csv", ["subscriber,label", "A,low", "B"])
+    ds, reports = ingest.load_dataset(c, None, w, labels_path=lab, reject_cap=1.0)
+    assert ds.labels == {"A": "low"}
+    assert reports["labels"].rejects == [(3, "wrong field count")]
+
+
+def test_unknown_towers_warn_once_per_file(tmp_path, caplog):
+    cdr = write(tmp_path / "c.csv", [CDR_HEADER] + [
+        f"A,B,TX,2016-05-01T00:1{i}:00Z,voice,10" for i in range(7)
+    ] + ["A,B,T1,2016-05-01T00:20:00Z,voice,10"])
+    top = write(tmp_path / "t.csv", [
+        "buyer,retailer,retailer_tower,timestamp,amount",
+        "A,R1,TX,2016-05-01T01:00:00Z,50",
+        "A,R1,T1,2016-05-01T01:00:00Z,50",
+    ])
+    with caplog.at_level(logging.WARNING, logger="cdrlab.ingest"):
+        recs, report = ingest.parse_cdr_file(cdr, known_towers={"T1"}, reject_cap=1.0)
+        tops, _ = ingest.parse_topup_file(top, known_towers={"T1"}, reject_cap=1.0)
+    assert len(recs) == 1 and len(report.rejects) == 7 and len(tops) == 1
+    messages = [r.getMessage() for r in caplog.records if r.name == "cdrlab.ingest"]
+    assert messages == [
+        f"{cdr}: 7 rows rejected for an unknown tower (lines 2, 3, 4, 5, 6, ...)",
+        f"{top}: 1 rows rejected for an unknown tower (lines 2)",
+    ]
