@@ -10,12 +10,11 @@ Carlo error, so under the null it covers 1 at roughly the nominal rate.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import open_text
+from .ingest import write_csv
 from .parallel import parallel_map
 from .rng import derive_rng
 from .socialgraph import (
@@ -65,40 +64,13 @@ class PkCurve:
     uplift: dict[int, float]
 
 
-def adoption_network(
-    g: SocialGraph,
-    adopters=None,
-    link_mode: str = "node_attribute",
-    transactional_edges=None,
-) -> AdoptionNetwork:
-    """Induce the network of adopters.
-
-    node_attribute mode induces g on the given adopter set; transactional
-    mode takes the transaction edge set itself and derives adopters as its
-    endpoints (so nobody is isolated by construction).
-    """
-    if link_mode == "node_attribute":
-        if adopters is None:
-            raise ValueError("node_attribute mode needs an adopter set")
-        adopters = frozenset(adopters)
-        missing = adopters - g.nodes
-        if missing:
-            raise ValueError(f"adopters not in graph: {sorted(missing)[:5]}")
-        induced = tuple(
-            (u, v) for u, v, _ in g.edges() if u in adopters and v in adopters
-        )
-    elif link_mode == "transactional_links":
-        if transactional_edges is None:
-            raise ValueError("transactional_links mode needs an edge set")
-        canon = set()
-        for u, v in transactional_edges:
-            if not g.has_edge(u, v):
-                raise ValueError(f"transactional edge {(u, v)!r} not in graph")
-            canon.add((min(u, v), max(u, v)))
-        induced = tuple(sorted(canon))
-        adopters = frozenset(x for e in induced for x in e)
-    else:
-        raise ValueError(f"unknown link_mode {link_mode!r}")
+def adoption_network(g: SocialGraph, adopters) -> AdoptionNetwork:
+    """Induce the network of adopters: g restricted to the adopter set."""
+    adopters = frozenset(adopters)
+    missing = adopters - g.nodes
+    if missing:
+        raise ValueError(f"adopters not in graph: {sorted(missing)[:5]}")
+    induced = tuple((u, v) for u, v, _ in g.edges() if u in adopters and v in adopters)
     touched = {x for e in induced for x in e}
     isolates = frozenset(adopters - touched)
     return AdoptionNetwork(g, adopters, induced, isolates)
@@ -154,6 +126,33 @@ def _ci(empirical: float, mean: float, std: float, replicates: int) -> tuple[flo
     return (float(lo), float(hi))
 
 
+def _kappa_result(empirical: float, values) -> KappaResult:
+    """Kappa of an empirical statistic against its null replicates.
+
+    A nan replicate (a random subgraph with no adjacent pairs, in the
+    clustering test) carries no value: it is left out of the mean and
+    counted as excluded.
+    """
+    values = np.asarray(values, dtype=float)
+    valid = values[~np.isnan(values)]
+    if len(valid) == 0:
+        what = "no replicate produced adjacent pairs" if len(values) else "no replicates"
+        raise ValueError(f"reference degenerate: {what}")
+    random_mean = float(valid.mean())
+    if random_mean == 0.0:
+        raise ValueError("reference degenerate: random_mean is zero across all replicates")
+    random_std = float(valid.std(ddof=1)) if len(valid) > 1 else 0.0
+    return KappaResult(
+        kappa=empirical / random_mean,
+        empirical_count=empirical,
+        random_mean=random_mean,
+        random_std=random_std,
+        replicates=len(valid),
+        ci95=_ci(empirical, random_mean, random_std, len(valid)),
+        excluded_replicates=len(values) - len(valid),
+    )
+
+
 def node_kappa(
     g: SocialGraph,
     adopters,
@@ -194,19 +193,7 @@ def node_kappa(
         mask[rng.choice(n, size=m, replace=False)] = True
         return int(np.count_nonzero(mask[ui] & mask[vi])) if len(ui) else 0
 
-    counts = np.asarray(parallel_map(one, range(replicates), threads), dtype=float)
-    random_mean = float(counts.mean())
-    if random_mean == 0.0:
-        raise ValueError("reference degenerate: random_mean is zero across all replicates")
-    random_std = float(counts.std(ddof=1)) if replicates > 1 else 0.0
-    return KappaResult(
-        kappa=empirical / random_mean,
-        empirical_count=empirical,
-        random_mean=random_mean,
-        random_std=random_std,
-        replicates=replicates,
-        ci95=_ci(empirical, random_mean, random_std, replicates),
-    )
+    return _kappa_result(empirical, parallel_map(one, range(replicates), threads))
 
 
 def _adjacent_pairs_from_degrees(deg: np.ndarray) -> int:
@@ -258,19 +245,7 @@ def link_kappa(
         d = np.bincount(ui[pick], minlength=n) + np.bincount(vi[pick], minlength=n)
         return _adjacent_pairs_from_degrees(d)
 
-    counts = np.asarray(parallel_map(one, range(replicates), threads), dtype=float)
-    random_mean = float(counts.mean())
-    if random_mean == 0.0:
-        raise ValueError("reference degenerate: random_mean is zero across all replicates")
-    random_std = float(counts.std(ddof=1)) if replicates > 1 else 0.0
-    return KappaResult(
-        kappa=empirical / random_mean,
-        empirical_count=empirical,
-        random_mean=random_mean,
-        random_std=random_std,
-        replicates=replicates,
-        ci95=_ci(empirical, random_mean, random_std, replicates),
-    )
+    return _kappa_result(empirical, parallel_map(one, range(replicates), threads))
 
 
 def _subgraph_clustering(pairs: list[tuple[int, int]]) -> tuple[float, int]:
@@ -323,24 +298,7 @@ def clustering_kappa(
         coeff, adjacent = _subgraph_clustering(list(zip(ui[pick].tolist(), vi[pick].tolist())))
         return coeff if adjacent else np.nan
 
-    values = np.asarray(parallel_map(one, range(replicates), threads), dtype=float)
-    valid = values[~np.isnan(values)]
-    excluded = int(np.isnan(values).sum())
-    if len(valid) == 0:
-        raise ValueError("reference degenerate: no replicate produced adjacent pairs")
-    random_mean = float(valid.mean())
-    if random_mean == 0.0:
-        raise ValueError("reference degenerate: random_mean is zero across all replicates")
-    random_std = float(valid.std(ddof=1)) if len(valid) > 1 else 0.0
-    return KappaResult(
-        kappa=c_emp / random_mean,
-        empirical_count=c_emp,
-        random_mean=random_mean,
-        random_std=random_std,
-        replicates=int(len(valid)),
-        ci95=_ci(c_emp, random_mean, random_std, max(1, len(valid))),
-        excluded_replicates=excluded,
-    )
+    return _kappa_result(c_emp, parallel_map(one, range(replicates), threads))
 
 
 def adoption_probability_curve(
@@ -382,51 +340,31 @@ def adoption_probability_curve(
 
 
 def write_kappa_csv(results: dict[str, KappaResult], path: str, header_comment: str | None = None) -> None:
-    with open_text(path, "wt") as fh:
-        if header_comment:
-            fh.write(header_comment.rstrip("\n") + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["test", "kappa", "ci_lo", "ci_hi", "empirical", "random_mean", "replicates"])
-        for name in sorted(results):
-            r = results[name]
-            writer.writerow(
-                [name, repr(r.kappa), repr(r.ci95[0]), repr(r.ci95[1]), repr(float(r.empirical_count)), repr(r.random_mean), r.replicates]
-            )
+    rows = (
+        [name, repr(r.kappa), repr(r.ci95[0]), repr(r.ci95[1]), repr(float(r.empirical_count)),
+         repr(r.random_mean), r.replicates]
+        for name, r in sorted(results.items())
+    )
+    write_csv(path, ["test", "kappa", "ci_lo", "ci_hi", "empirical", "random_mean", "replicates"],
+              rows, header_comment)
 
 
 def write_pk_csv(curve: PkCurve, path: str, header_comment: str | None = None) -> None:
-    with open_text(path, "wt") as fh:
-        if header_comment:
-            fh.write(header_comment.rstrip("\n") + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["k", "n_k", "a_k", "p_k", "uplift", "reliable"])
-        for pt in curve.points:
-            writer.writerow(
-                [
-                    pt.k,
-                    pt.n_k,
-                    pt.a_k,
-                    "" if pt.p_k is None else repr(pt.p_k),
-                    "" if pt.k not in curve.uplift else repr(curve.uplift[pt.k]),
-                    int(pt.reliable),
-                ]
-            )
+    rows = (
+        [
+            pt.k,
+            pt.n_k,
+            pt.a_k,
+            "" if pt.p_k is None else repr(pt.p_k),
+            "" if pt.k not in curve.uplift else repr(curve.uplift[pt.k]),
+            int(pt.reliable),
+        ]
+        for pt in curve.points
+    )
+    write_csv(path, ["k", "n_k", "a_k", "p_k", "uplift", "reliable"], rows, header_comment)
 
 
 def write_component_evolution_csv(rows: list[dict], path: str, header_comment: str | None = None) -> None:
-    with open_text(path, "wt") as fh:
-        if header_comment:
-            fh.write(header_comment.rstrip("\n") + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["snapshot", "adopters", "frac_isolates", "frac_pairs", "frac_mid", "frac_monster"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row["snapshot"],
-                    row["adopters"],
-                    repr(row["frac_isolates"]),
-                    repr(row["frac_pairs"]),
-                    repr(row["frac_mid"]),
-                    repr(row["frac_monster"]),
-                ]
-            )
+    columns = ["snapshot", "adopters", "frac_isolates", "frac_pairs", "frac_mid", "frac_monster"]
+    cells = ([row["snapshot"], row["adopters"]] + [repr(row[c]) for c in columns[2:]] for row in rows)
+    write_csv(path, columns, cells, header_comment)

@@ -10,7 +10,6 @@ the minutes after an event.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ import numpy as np
 
 from .features import home_tower
 from .geo import haversine_km
-from .ingest import open_text
+from .ingest import write_csv
 from .records import SECONDS_PER_DAY, Dataset, day_start
 
 DEFAULT_THRESHOLD_SIGMA = 3.0
@@ -37,9 +36,6 @@ class TimeSeries:
     def bin_start(self, index: int) -> int:
         return self.start + index * self.bin_width
 
-    def bins(self) -> list[tuple[int, float]]:
-        return [(self.bin_start(i), float(v)) for i, v in enumerate(self.values)]
-
 
 @dataclass
 class AnomalyFlag:
@@ -51,6 +47,23 @@ class AnomalyFlag:
     z: float | None  # None when the baseline cell is degenerate (zero variance)
     direction: str  # "increase" or "decrease"
     degenerate: bool
+
+
+def _flag(index: int, start: int, value: float, mean: float, sigma: float,
+          threshold_sigma: float) -> AnomalyFlag | None:
+    """The flag for one value against its baseline, or None when it is normal.
+
+    A zero sigma is a degenerate baseline: any value off its mean flags,
+    with no z-score.  Every number is stored as a plain Python float.
+    """
+    value, mean, sigma = float(value), float(mean), float(sigma)
+    direction = "increase" if value > mean else "decrease"
+    if sigma == 0.0:
+        if value != mean:
+            return AnomalyFlag(index, start, value, mean, sigma, None, direction, True)
+    elif abs(value - mean) > threshold_sigma * sigma:
+        return AnomalyFlag(index, start, value, mean, sigma, (value - mean) / sigma, direction, False)
+    return None
 
 
 @dataclass
@@ -166,34 +179,10 @@ def detect_anomalies(
         stats[key] = (mu, sigma)
         if sigma == 0.0:
             degenerate_cells.append(key)
-    flags = []
-    for i, v in enumerate(ts.values):
-        key = _baseline_cell_key(ts, baseline, i)
-        mu, sigma = stats[key]
-        v = float(v)
-        if sigma == 0.0:
-            if v != mu:
-                flags.append(
-                    AnomalyFlag(i, ts.bin_start(i), v, mu, sigma, None,
-                                "increase" if v > mu else "decrease", True)
-                )
-        elif abs(v - mu) > threshold_sigma * sigma:
-            flags.append(
-                AnomalyFlag(i, ts.bin_start(i), v, mu, sigma, (v - mu) / sigma,
-                            "increase" if v > mu else "decrease", False)
-            )
-    return AnomalyReport(ts.entity, baseline, threshold_sigma, flags, sorted(degenerate_cells, key=str))
-
-
-def minmax_normalize(ts: TimeSeries) -> TimeSeries:
-    """Scale values to [0,1]; a constant series maps to all zeros."""
-    lo = float(ts.values.min()) if len(ts.values) else 0.0
-    hi = float(ts.values.max()) if len(ts.values) else 0.0
-    if hi == lo:
-        scaled = np.zeros_like(ts.values, dtype=float)
-    else:
-        scaled = (ts.values - lo) / (hi - lo)
-    return TimeSeries(ts.entity, ts.bin_width, ts.start, scaled)
+    flags = [_flag(i, ts.bin_start(i), v, *stats[_baseline_cell_key(ts, baseline, i)], threshold_sigma)
+             for i, v in enumerate(ts.values)]
+    return AnomalyReport(ts.entity, baseline, threshold_sigma, [f for f in flags if f is not None],
+                         sorted(degenerate_cells, key=str))
 
 
 def area_centroids(towers, area_map: dict[str, str]) -> dict[str, tuple[float, float]]:
@@ -330,24 +319,14 @@ def detect_flow_anomalies(
             mu[w] = float(series[members].mean())
         resid_sq = sum((series[i] - mu[weekdays[i]]) ** 2 for i in baseline)
         sigma = math.sqrt(resid_sq / dof)
-        flags = []
-        degenerate = sigma == 0.0
-        for i in range(len(flows)):
-            m = mu[weekdays[i]]
-            v = series[i]
-            if degenerate:
-                if v != m:
-                    flags.append(AnomalyFlag(i, days[i], v, m, sigma, None,
-                                             "increase" if v > m else "decrease", True))
-            elif abs(v - m) > threshold_sigma * sigma:
-                flags.append(AnomalyFlag(i, days[i], v, m, sigma, (v - m) / sigma,
-                                         "increase" if v > m else "decrease", False))
+        flags = [_flag(i, days[i], series[i], mu[weekdays[i]], sigma, threshold_sigma)
+                 for i in range(len(flows))]
         reports[pair] = AnomalyReport(
             entity=("pair",) + pair,
             baseline="weekday",
             threshold_sigma=threshold_sigma,
-            flags=flags,
-            degenerate_cells=(["all"] if degenerate else []),
+            flags=[f for f in flags if f is not None],
+            degenerate_cells=(["all"] if sigma == 0.0 else []),
         )
     return reports
 
@@ -522,53 +501,37 @@ def distance_activation_matrix(
 
 def write_anomalies_csv(reports, path: str, header_comment: str | None = None) -> None:
     """reports: iterable of AnomalyReport."""
-    with open_text(path, "wt") as fh:
-        if header_comment:
-            fh.write(header_comment.rstrip("\n") + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["entity", "bin_start", "value", "baseline_mean", "baseline_std", "z", "direction"])
-        for report in reports:
-            name = ":".join(str(p) for p in report.entity)
-            for f in report.flags:
-                writer.writerow(
-                    [name, f.start, repr(f.value), repr(f.baseline_mean), repr(f.baseline_std),
-                     "" if f.z is None else repr(f.z), f.direction]
-                )
+    rows = (
+        [":".join(str(p) for p in report.entity), f.start, repr(f.value), repr(f.baseline_mean),
+         repr(f.baseline_std), "" if f.z is None else repr(f.z), f.direction]
+        for report in reports
+        for f in report.flags
+    )
+    write_csv(path, ["entity", "bin_start", "value", "baseline_mean", "baseline_std", "z", "direction"],
+              rows, header_comment)
 
 
 def write_flows_csv(fn: FlowNetwork, path: str, header_comment: str | None = None) -> None:
-    with open_text(path, "wt") as fh:
-        if header_comment:
-            fh.write(header_comment.rstrip("\n") + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["origin", "dest", "count"])
-        for (a, b) in sorted(fn.od):
-            writer.writerow([a, b, fn.od[(a, b)]])
+    write_csv(path, ["origin", "dest", "count"], ([a, b, fn.od[(a, b)]] for a, b in sorted(fn.od)),
+              header_comment)
 
 
 def write_rank_curves_csv(curves: RankCurves, path: str, header_comment: str | None = None) -> None:
-    with open_text(path, "wt") as fh:
-        if header_comment:
-            fh.write(header_comment.rstrip("\n") + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "offset_seconds", "event_fraction", "comparison_mean", "ratio"])
-        for k in sorted(curves.ratio):
-            for i, off in enumerate(curves.offsets):
-                r = curves.ratio[k][i]
-                writer.writerow(
-                    [k, off, repr(curves.event_fraction[k][i]), repr(curves.comparison_mean[k][i]),
-                     "" if r is None else repr(r)]
-                )
+    rows = (
+        [k, off, repr(curves.event_fraction[k][i]), repr(curves.comparison_mean[k][i]),
+         "" if curves.ratio[k][i] is None else repr(curves.ratio[k][i])]
+        for k in sorted(curves.ratio)
+        for i, off in enumerate(curves.offsets)
+    )
+    write_csv(path, ["rank", "offset_seconds", "event_fraction", "comparison_mean", "ratio"],
+              rows, header_comment)
 
 
 def write_distance_matrix_csv(ratio: np.ndarray, path: str, header_comment: str | None = None) -> None:
-    with open_text(path, "wt") as fh:
-        if header_comment:
-            fh.write(header_comment.rstrip("\n") + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["caller_bin", "callee_bin", "ratio"])
-        n = ratio.shape[0]
-        for i in range(n):
-            for j in range(n):
-                v = ratio[i, j]
-                writer.writerow([i, j, "" if np.isnan(v) else repr(float(v))])
+    n = ratio.shape[0]
+    rows = (
+        [i, j, "" if np.isnan(ratio[i, j]) else repr(float(ratio[i, j]))]
+        for i in range(n)
+        for j in range(n)
+    )
+    write_csv(path, ["caller_bin", "callee_bin", "ratio"], rows, header_comment)

@@ -13,7 +13,6 @@ pays at start-up only for what it runs.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -96,78 +95,70 @@ def _day_label(ts: int) -> str:
     return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y%m%d")
 
 
-def _data_rows(path: str):
-    """CSV rows skipping comment and blank lines; first row is the header."""
+def _side_rows(path: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """A side file's stripped header cells and its (line, fields) data rows."""
     with ingest.open_text(path) as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            yield row
+        rows = list(ingest.numbered_rows(fh))
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    return [c.strip() for c in rows[0][1]], rows[1:]
+
+
+def _number(path: str, line: int, text: str, kind=float):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{path}:{line}: bad number {text!r}") from None
 
 
 def _read_area_map(path: str) -> dict[str, str]:
-    rows = list(_data_rows(path))
-    if not rows or [c.strip() for c in rows[0][:2]] != ["tower", "area"]:
+    header, rows = _side_rows(path)
+    if header[:2] != ["tower", "area"]:
         raise ValueError(f"{path}: expected header tower,area")
-    return {r[0]: r[1] for r in rows[1:] if len(r) >= 2}
+    return {r[0]: r[1] for _, r in rows if len(r) >= 2}
 
 
 def _read_area_values(path: str) -> dict[str, float]:
-    rows = list(_data_rows(path))
-    if not rows or [c.strip() for c in rows[0][:2]] != ["area", "value"]:
+    header, rows = _side_rows(path)
+    if header[:2] != ["area", "value"]:
         raise ValueError(f"{path}: expected header area,value")
-    return {r[0]: float(r[1]) for r in rows[1:] if len(r) >= 2 and r[1] != ""}
+    return {r[0]: _number(path, n, r[1]) for n, r in rows if len(r) >= 2 and r[1] != ""}
 
 
 def _read_id_list(path: str, column: str = "subscriber") -> list[str]:
-    rows = list(_data_rows(path))
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
+    header, rows = _side_rows(path)
     if column not in header:
         raise ValueError(f"{path}: expected a {column!r} column")
     j = header.index(column)
-    return [r[j] for r in rows[1:] if len(r) > j and r[j]]
+    return [r[j] for _, r in rows if len(r) > j and r[j]]
 
 
 def _read_adopters(path: str) -> dict[str, int | None]:
-    rows = list(_data_rows(path))
-    if not rows or rows[0][0].strip() != "subscriber":
+    header, rows = _side_rows(path)
+    if header[0] != "subscriber":
         raise ValueError(f"{path}: expected header subscriber[,day]")
-    has_day = len(rows[0]) > 1 and rows[0][1].strip() == "day"
+    has_day = header[1:2] == ["day"]
     out: dict[str, int | None] = {}
-    for r in rows[1:]:
-        if not r or not r[0]:
-            continue
-        out[r[0]] = int(r[1]) if has_day and len(r) > 1 and r[1] != "" else None
+    for n, r in rows:
+        if r[0]:
+            out[r[0]] = _number(path, n, r[1], int) if has_day and len(r) > 1 and r[1] != "" else None
     return out
 
 
 def _read_feature_table(path: str) -> tuple[list[str], list[str], list[list]]:
     """features.csv -> (ids, numeric column names, rows with None absents)."""
-    rows = list(_data_rows(path))
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
+    header, rows = _side_rows(path)
     if "subscriber" not in header:
         raise ValueError(f"{path}: expected a subscriber column")
     id_j = header.index("subscriber")
-    skip = {id_j}
-    numeric_cols = []
-    for j, name in enumerate(header):
-        if j == id_j:
-            continue
-        if name == "home_tower":
-            skip.add(j)
-        else:
-            numeric_cols.append((j, name))
+    numeric_cols = [(j, name) for j, name in enumerate(header) if j != id_j and name != "home_tower"]
     ids, data = [], []
-    for r in rows[1:]:
-        if not r or not r[id_j]:
+    for n, r in rows:
+        if len(r) <= id_j or not r[id_j]:
             continue
         ids.append(r[id_j])
-        data.append([None if (j >= len(r) or r[j] == "") else float(r[j]) for j, _ in numeric_cols])
-    return ids, [n for _, n in numeric_cols], data
+        data.append([None if (j >= len(r) or r[j] == "") else _number(path, n, r[j]) for j, _ in numeric_cols])
+    return ids, [name for _, name in numeric_cols], data
 
 
 def _dataset_paths(args, cfg) -> dict[str, str | None]:
@@ -226,21 +217,12 @@ def _adopter_set(args, ds, graph, ctx) -> tuple[dict[str, int | None], str]:
     return first, f"simulated:{a['mechanism']}"
 
 
-def _write_adopters_csv(table: dict[str, int | None], path: str, header: str) -> None:
-    with ingest.open_text(path, "wt") as fh:
-        fh.write(header + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["subscriber", "day"])
-        for sub in sorted(table):
-            writer.writerow([sub, "" if table[sub] is None else table[sub]])
-
-
 def _synth_config(args, cfg):
     from . import synthgen
 
     s = cfg["synth"]
     if s["graph_model"] != "small_world":
-        raise ValueError("the cli drives the small_world model; others are library-only")
+        raise ValueError("synth.graph_model: small_world is the only model")
     return synthgen.SynthConfig(
         seed=args.effective_seed,
         n_subscribers=s["subscribers"],
@@ -337,12 +319,8 @@ def _cmd_graph(args, ctx: RunContext) -> dict:
               "components": len(report.components), "isolates": report.isolate_count}
     if args.evc:
         scores = socialgraph.eigenvector_centrality(g)
-        with ingest.open_text(ctx.outputs.stage("evc.csv"), "wt") as fh:
-            fh.write(ctx.header + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(["subscriber", "score"])
-            for sub in sorted(scores):
-                writer.writerow([sub, repr(scores[sub])])
+        ingest.write_csv(ctx.outputs.stage("evc.csv"), ["subscriber", "score"],
+                         ([sub, repr(scores[sub])] for sub in sorted(scores)), ctx.header)
     print(f"graph: {params['nodes']} nodes, {params['edges']} edges, "
           f"{params['components']} components")
     return params
@@ -354,7 +332,8 @@ def _cmd_adoption(args, ctx: RunContext) -> dict:
     ds, _, _ = _load_dataset(args, ctx.cfg)
     g = _build_graph(ds, ctx.cfg)
     table, source = _adopter_set(args, ds, g, ctx)
-    _write_adopters_csv(table, ctx.outputs.stage("adopters.csv"), ctx.header)
+    ingest.write_csv(ctx.outputs.stage("adopters.csv"), ["subscriber", "day"],
+                     ([sub, "" if table[sub] is None else table[sub]] for sub in sorted(table)), ctx.header)
     days = sorted({d for d in table.values() if d is not None})
     if days:
         snapshots = [
@@ -629,11 +608,7 @@ def _cmd_correlate(args, ctx: RunContext) -> dict:
         r, n = spatial.raster_correlation(a, b)
     else:
         r, n = spatial.pearson_correlation(a, b)
-    with ingest.open_text(ctx.outputs.stage("correlate.csv"), "wt") as fh:
-        fh.write(ctx.header + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["r", "n"])
-        writer.writerow([repr(r), n])
+    ingest.write_csv(ctx.outputs.stage("correlate.csv"), ["r", "n"], [[repr(r), n]], ctx.header)
     print(f"correlate: r={r:.4f} over n={n}")
     return {"r": r, "n": n}
 
@@ -682,12 +657,8 @@ def _cmd_train(args, ctx: RunContext) -> dict:
         train_tab = mlkit.upsample_minority(train_tab, seed=ctx.seed)
     model = mlkit.train(train_tab, family, _hyperparameters(ctx.cfg, family), seed=ctx.seed)
     mlkit.save_model(model, ctx.outputs.stage("model.json"))
-    with ingest.open_text(ctx.outputs.stage("test_ids.csv"), "wt") as fh:
-        fh.write(ctx.header + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["subscriber"])
-        for sid in test_tab.ids:
-            writer.writerow([sid])
+    ingest.write_csv(ctx.outputs.stage("test_ids.csv"), ["subscriber"],
+                     ([sid] for sid in test_tab.ids), ctx.header)
     print(f"train: {family} on {len(train_tab)} rows "
           f"({len(table)} labeled, {len(test_tab)} held out)")
     return {"family": family, "train_rows": len(train_tab), "test_rows": len(test_tab),
@@ -721,10 +692,8 @@ def _cmd_select_covariates(args, ctx: RunContext) -> dict:
 
     from . import mlkit
 
-    rows = list(_data_rows(args.table))
-    if not rows:
-        raise ValueError(f"{args.table}: empty file")
-    header = [c.strip() for c in rows[0]]
+    path = args.table
+    header, rows = _side_rows(path)
     if args.response not in header:
         raise ValueError(f"response column {args.response!r} not in table")
     skip = {args.response, "id", "subscriber", "area", "home_tower"}
@@ -733,15 +702,17 @@ def _cmd_select_covariates(args, ctx: RunContext) -> dict:
     col_j = [header.index(c) for c in columns]
     X, y = [], []
     incomplete = 0
-    for r in rows[1:]:
-        if not r or all(not c for c in r):
+    for n, r in rows:
+        if all(not c for c in r):
             continue
+        if len(r) <= max(col_j + [resp_j]):
+            raise ValueError(f"{path}:{n}: wrong field count")
         cells = [r[j] for j in col_j] + [r[resp_j]]
         if any(c.strip() == "" for c in cells):
             incomplete += 1     # absent feature: drop the row, like na_policy=drop
             continue
-        X.append([float(r[j]) for j in col_j])
-        y.append(float(r[resp_j]))
+        X.append([_number(path, n, r[j]) for j in col_j])
+        y.append(_number(path, n, r[resp_j]))
     if not X:
         raise ValueError(f"{args.table}: no complete rows for the requested columns")
     sel = ctx.cfg["select"]
@@ -751,17 +722,13 @@ def _cmd_select_covariates(args, ctx: RunContext) -> dict:
         priority=list(sel["priority"]) or None,
         exhaustive=sel["exhaustive"] or args.exhaustive,
     )
-    with ingest.open_text(ctx.outputs.stage("selection.csv"), "wt") as fh:
-        fh.write(ctx.header + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["record", "feature", "value", "detail"])
-        for dropped, partner, r in result.dropped_by_pruning:
-            writer.writerow(["pruned", dropped, repr(r), f"correlated_with={partner}"])
-        for i, feat in enumerate(result.selected):
-            writer.writerow(["selected", feat, repr(float(result.model.coef[i])), f"order={i}"])
-        writer.writerow(["model", "intercept", repr(result.model.intercept), ""])
-        writer.writerow(["model", "aic", repr(result.model.aic), ""])
-        writer.writerow(["model", "r2", repr(result.model.r2), ""])
+    records = [["pruned", dropped, repr(r), f"correlated_with={partner}"]
+               for dropped, partner, r in result.dropped_by_pruning]
+    records += [["selected", feat, repr(float(result.model.coef[i])), f"order={i}"]
+                for i, feat in enumerate(result.selected)]
+    records += [["model", name, repr(getattr(result.model, name)), ""] for name in ("intercept", "aic", "r2")]
+    ingest.write_csv(ctx.outputs.stage("selection.csv"), ["record", "feature", "value", "detail"],
+                     records, ctx.header)
     print(f"select-covariates: kept {len(result.kept_after_pruning)}/{len(columns)} "
           f"after pruning; selected {result.selected}")
     return {"candidates": len(columns), "rows": len(y), "incomplete_rows": incomplete,
@@ -781,10 +748,10 @@ def _cmd_campaign(args, ctx: RunContext) -> dict:
     )
     control = _read_id_list(args.control)
     outcomes: dict[str, dict] = {}
-    orows = list(_data_rows(args.outcomes))
-    if not orows or [c.strip() for c in orows[0][:3]] != ["subscriber", "converted", "renewed"]:
+    header, orows = _side_rows(args.outcomes)
+    if header[:3] != ["subscriber", "converted", "renewed"]:
         raise ValueError(f"{args.outcomes}: expected header subscriber,converted,renewed")
-    for r in orows[1:]:
+    for _, r in orows:
         if len(r) >= 3 and r[0]:
             outcomes[r[0]] = {"converted": r[1] == "1", "renewed": r[2] == "1"}
     size = args.treatment_size or ctx.cfg["campaign"]["treatment_size"]

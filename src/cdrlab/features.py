@@ -7,17 +7,14 @@ with 0 currency/day would poison any downstream model.
 
 from __future__ import annotations
 
-import csv
 import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .geo import haversine_km
-from .ingest import open_text
+from .ingest import write_csv
 from .records import COMM_KINDS, SECONDS_PER_DAY, Dataset
 
 NOCTURNAL_START_HOUR = 22
@@ -57,13 +54,6 @@ class FeatureVector:
     window: tuple[int, int]
     family: dict[str, str]
     home_tower: str | None
-
-
-@dataclass
-class TowerActivityVector:
-    subscriber: str
-    counts: np.ndarray
-    normalized: bool
 
 
 def entropy(distribution) -> float:
@@ -118,23 +108,6 @@ def home_tower(ds: Dataset, subscriber: str, window: tuple[int, int] | None = No
         return None
     top = max(counts.values())
     return min(t for t, c in counts.items() if c == top)
-
-
-def tower_activity_vector(
-    ds: Dataset,
-    subscriber: str,
-    tower_index: Mapping[str, int],
-    normalize: bool = False,
-) -> TowerActivityVector:
-    """Located-event counts per tower ordinal; optionally unit-sum normalized."""
-    counts = np.zeros(len(tower_index), dtype=float)
-    for rec in ds.cdrs_by_caller().get(subscriber, ()):
-        counts[tower_index[rec.tower]] += 1
-    if normalize:
-        total = counts.sum()
-        if total > 0:
-            counts = counts / total
-    return TowerActivityVector(subscriber, counts, normalize)
 
 
 def spending_speed(topups) -> float | None:
@@ -275,14 +248,8 @@ def extract_features(
 
 def write_features_csv(vectors: Iterable[FeatureVector], path: str, header_comment: str | None = None) -> None:
     """One row per subscriber, fixed column order, absent values as empty cells."""
-    with open_text(path, "wt") as fh:
-        if header_comment:
-            fh.write(header_comment.rstrip("\n") + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["subscriber", "home_tower"] + FEATURE_ORDER)
-        for vec in vectors:
-            row = [vec.subscriber, vec.home_tower or ""]
-            for name in FEATURE_ORDER:
-                v = vec.values.get(name)
-                row.append("" if v is None else repr(float(v)))
-            writer.writerow(row)
+    def row(vec: FeatureVector) -> list[str]:
+        values = (vec.values.get(name) for name in FEATURE_ORDER)
+        return [vec.subscriber, vec.home_tower or ""] + ["" if v is None else repr(float(v)) for v in values]
+
+    write_csv(path, ["subscriber", "home_tower"] + FEATURE_ORDER, map(row, vectors), header_comment)

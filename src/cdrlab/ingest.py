@@ -5,12 +5,13 @@ lines land in a reject report carrying the physical line number and a
 reason.  Crossing the reject-fraction cap aborts with a summary, since a
 dirty file is more likely a schema mismatch than real data.
 
-Files are streamed one physical line at a time.  A line without a double
-quote is split on the delimiter; a line with one goes through ``csv.reader``
-on its own, so quoted fields may hold the delimiter or doubled quotes but
-never a line break.  An unbalanced quote therefore damages only its own line,
-which usually ends as a "wrong field count" reject, and never swallows the
-lines after it.
+Every file is comma-separated.  Files are streamed one physical line at a
+time by ``numbered_rows``, the one reader for inputs and side files alike.  A
+line without a double quote is split on commas; a line with one goes through
+``csv.reader`` on its own, so quoted fields may hold commas or doubled quotes
+but never a line break.  An unbalanced quote therefore damages only its own
+line, which usually ends as a "wrong field count" reject, and never swallows
+the lines after it.  ``write_csv`` is the one writer of output tables.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def open_text(path: str, mode: str = "rt"):
     return io.open(path, mode, encoding="utf-8", newline="")
 
 
-def _numbered_rows(fh, delimiter: str):
+def numbered_rows(fh):
     """Yield (physical line number, fields) per data line of fh.
 
     Blank, whitespace-only and '#' comment lines are skipped.  A line is
@@ -79,19 +80,26 @@ def _numbered_rows(fh, delimiter: str):
         if not stripped or stripped[0] == "#":
             continue
         if '"' in raw:
-            yield physical, next(csv.reader((raw,), delimiter=delimiter))
+            yield physical, next(csv.reader((raw,)))
         else:
-            yield physical, raw.rstrip("\r\n").split(delimiter)
+            yield physical, raw.rstrip("\r\n").split(",")
 
 
-def write_rejects_csv(report: RejectReport, path: str, header_comment: str | None = None) -> None:
+def write_csv(path: str, columns, rows, header_comment: str | None = None) -> None:
+    """Write an output table: the optional comment line, the header, the rows.
+
+    Rows end in CRLF, the csv module's default; the comment line ends in LF.
+    """
     with open_text(path, "wt") as fh:
         if header_comment:
             fh.write(header_comment.rstrip("\n") + "\n")
         writer = csv.writer(fh)
-        writer.writerow(["line", "reason"])
-        for line_no, reason in report.rejects:
-            writer.writerow([line_no, reason])
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def write_rejects_csv(report: RejectReport, path: str, header_comment: str | None = None) -> None:
+    write_csv(path, ["line", "reason"], report.rejects, header_comment)
 
 
 def _header_positions(header: list[str], schema: dict[str, str], required: tuple[str, ...], source: str) -> dict[str, int]:
@@ -125,7 +133,6 @@ def _warn_unknown_towers(path: str, lines: list[int]) -> None:
 def parse_cdr_file(
     path: str,
     schema: dict[str, str] | None = None,
-    delimiter: str = ",",
     known_towers: set[str] | None = None,
     window: tuple[int, int] | None = None,
     reject_cap: float = DEFAULT_REJECT_CAP,
@@ -143,7 +150,7 @@ def parse_cdr_file(
     unknown: list[int] = []
     total = 0
     with open_text(path) as fh:
-        rows = _numbered_rows(fh, delimiter)
+        rows = numbered_rows(fh)
         first = next(rows, None)
         if first is None:
             return [], RejectReport(str(path), [], 0)
@@ -214,7 +221,6 @@ def parse_cdr_file(
 def parse_topup_file(
     path: str,
     schema: dict[str, str] | None = None,
-    delimiter: str = ",",
     known_towers: set[str] | None = None,
     window: tuple[int, int] | None = None,
     reject_cap: float = DEFAULT_REJECT_CAP,
@@ -226,7 +232,7 @@ def parse_topup_file(
     unknown: list[int] = []
     total = 0
     with open_text(path) as fh:
-        rows = _numbered_rows(fh, delimiter)
+        rows = numbered_rows(fh)
         first = next(rows, None)
         if first is None:
             return [], RejectReport(str(path), [], 0)
@@ -279,7 +285,6 @@ def parse_topup_file(
 
 def parse_tower_file(
     path: str,
-    delimiter: str = ",",
     reject_cap: float = DEFAULT_REJECT_CAP,
 ) -> tuple[dict[str, Tower], RejectReport]:
     """CSV of id,lon,lat.  Duplicate ids are fatal; bad coordinates reject."""
@@ -287,7 +292,7 @@ def parse_tower_file(
     rejects: list[tuple[int, str]] = []
     total = 0
     with open_text(path) as fh:
-        rows = _numbered_rows(fh, delimiter)
+        rows = numbered_rows(fh)
         first = next(rows, None)
         if first is None:
             return {}, RejectReport(str(path), [], 0)
@@ -324,7 +329,6 @@ def parse_tower_file(
 
 def parse_labels_file(
     path: str,
-    delimiter: str = ",",
     reject_cap: float = DEFAULT_REJECT_CAP,
 ) -> tuple[dict[str, str], RejectReport]:
     """CSV of subscriber,label.  A later row for a subscriber wins."""
@@ -332,7 +336,7 @@ def parse_labels_file(
     rejects: list[tuple[int, str]] = []
     total = 0
     with open_text(path) as fh:
-        rows = _numbered_rows(fh, delimiter)
+        rows = numbered_rows(fh)
         first = next(rows, None)
         if first is None:
             return {}, RejectReport(str(path), [], 0)
@@ -356,7 +360,6 @@ def load_dataset(
     labels_path: str | None = None,
     cdr_schema: dict[str, str] | None = None,
     topup_schema: dict[str, str] | None = None,
-    delimiter: str = ",",
     window: tuple[int, int] | None = None,
     reject_cap: float = DEFAULT_REJECT_CAP,
 ) -> tuple[Dataset, dict[str, RejectReport]]:
@@ -366,16 +369,16 @@ def load_dataset(
     window is given it is derived as [min ts, max ts + 1).  The reports are
     keyed "towers", "cdr", and "topup" / "labels" when those files are given.
     """
-    towers, tower_report = parse_tower_file(towers_path, delimiter, reject_cap)
+    towers, tower_report = parse_tower_file(towers_path, reject_cap)
     known = set(towers)
     cdrs, cdr_report = parse_cdr_file(
-        cdr_path, cdr_schema, delimiter, known_towers=known, window=window, reject_cap=reject_cap
+        cdr_path, cdr_schema, known_towers=known, window=window, reject_cap=reject_cap
     )
     reports = {"towers": tower_report, "cdr": cdr_report}
     topups: list[TopUpRecord] = []
     if topup_path is not None:
         topups, topup_report = parse_topup_file(
-            topup_path, topup_schema, delimiter, known_towers=known, window=window, reject_cap=reject_cap
+            topup_path, topup_schema, known_towers=known, window=window, reject_cap=reject_cap
         )
         reports["topup"] = topup_report
     if window is None:
@@ -383,43 +386,9 @@ def load_dataset(
         window = (min(stamps), max(stamps) + 1) if stamps else (0, 1)
     labels = None
     if labels_path:
-        labels, reports["labels"] = parse_labels_file(labels_path, delimiter, reject_cap)
+        labels, reports["labels"] = parse_labels_file(labels_path, reject_cap)
     ds = Dataset(cdrs=tuple(cdrs), topups=tuple(topups), towers=towers, window=window, labels=labels)
     return ds, reports
-
-
-def apply_activity_filter(ds: Dataset, pre_cut: int, tail_window: tuple[int, int]) -> Dataset:
-    """Keep subscribers with an event before pre_cut and one inside tail_window.
-
-    A subscriber's events are the ones it originates (CDR caller or top-up
-    buyer); being called does not count as activity.  All events of retained
-    subscribers are kept.
-    """
-    start, end = ds.window
-    if not (start <= pre_cut <= end):
-        raise ValueError(f"pre_cut {pre_cut} outside dataset window {ds.window}")
-    if not (start <= tail_window[0] <= tail_window[1] <= end):
-        raise ValueError(f"tail window {tail_window} outside dataset window {ds.window}")
-    before: set[str] = set()
-    inside: set[str] = set()
-
-    def note(actor: str, ts: int) -> None:
-        if ts < pre_cut:
-            before.add(actor)
-        if tail_window[0] <= ts < tail_window[1]:
-            inside.add(actor)
-
-    for rec in ds.cdrs:
-        note(rec.caller, rec.timestamp)
-    for rec in ds.topups:
-        note(rec.buyer, rec.timestamp)
-    keep = before & inside
-    cdrs = tuple(r for r in ds.cdrs if r.caller in keep)
-    topups = tuple(r for r in ds.topups if r.buyer in keep)
-    labels = None
-    if ds.labels is not None:
-        labels = {s: v for s, v in ds.labels.items() if s in keep}
-    return Dataset(cdrs=cdrs, topups=topups, towers=ds.towers, window=ds.window, labels=labels)
 
 
 def _format_number(value: float) -> str:
@@ -428,62 +397,42 @@ def _format_number(value: float) -> str:
     return repr(float(value))
 
 
-def write_cdr_csv(records, path: str, delimiter: str = ",", header_comment: str | None = None) -> None:
+def write_cdr_csv(records, path: str, header_comment: str | None = None) -> None:
     attr_fields: list[str] = sorted({k for rec in records for k, _ in rec.attrs})
-    with open_text(path, "wt") as fh:
-        if header_comment:
-            fh.write(header_comment.rstrip("\n") + "\n")
-        writer = csv.writer(fh, delimiter=delimiter)
-        writer.writerow(list(CDR_FIELDS) + attr_fields)
-        for rec in records:
-            bag = dict(rec.attrs)
-            writer.writerow(
-                [
-                    rec.caller,
-                    rec.callee or "",
-                    rec.tower,
-                    format_timestamp(rec.timestamp),
-                    rec.kind,
-                    _format_number(rec.magnitude),
-                ]
-                + [bag.get(f, "") for f in attr_fields]
-            )
+
+    def row(rec) -> list:
+        bag = dict(rec.attrs)
+        return [
+            rec.caller,
+            rec.callee or "",
+            rec.tower,
+            format_timestamp(rec.timestamp),
+            rec.kind,
+            _format_number(rec.magnitude),
+        ] + [bag.get(f, "") for f in attr_fields]
+
+    write_csv(path, list(CDR_FIELDS) + attr_fields, map(row, records), header_comment)
 
 
-def write_topup_csv(records, path: str, delimiter: str = ",", header_comment: str | None = None) -> None:
-    with open_text(path, "wt") as fh:
-        if header_comment:
-            fh.write(header_comment.rstrip("\n") + "\n")
-        writer = csv.writer(fh, delimiter=delimiter)
-        writer.writerow(list(TOPUP_FIELDS))
-        for rec in records:
-            writer.writerow(
-                [
-                    rec.buyer,
-                    rec.retailer,
-                    rec.retailer_tower or "",
-                    format_timestamp(rec.timestamp),
-                    _format_number(rec.amount),
-                ]
-            )
+def write_topup_csv(records, path: str, header_comment: str | None = None) -> None:
+    rows = (
+        [
+            rec.buyer,
+            rec.retailer,
+            rec.retailer_tower or "",
+            format_timestamp(rec.timestamp),
+            _format_number(rec.amount),
+        ]
+        for rec in records
+    )
+    write_csv(path, TOPUP_FIELDS, rows, header_comment)
 
 
-def write_towers_csv(towers: dict[str, Tower], path: str, delimiter: str = ",", header_comment: str | None = None) -> None:
-    with open_text(path, "wt") as fh:
-        if header_comment:
-            fh.write(header_comment.rstrip("\n") + "\n")
-        writer = csv.writer(fh, delimiter=delimiter)
-        writer.writerow(["id", "lon", "lat"])
-        for tid in sorted(towers):
-            t = towers[tid]
-            writer.writerow([t.id, repr(float(t.lon)), repr(float(t.lat))])
+def write_towers_csv(towers: dict[str, Tower], path: str, header_comment: str | None = None) -> None:
+    ordered = (towers[tid] for tid in sorted(towers))
+    rows = ([t.id, repr(float(t.lon)), repr(float(t.lat))] for t in ordered)
+    write_csv(path, ["id", "lon", "lat"], rows, header_comment)
 
 
-def write_labels_csv(labels: dict[str, str], path: str, delimiter: str = ",", header_comment: str | None = None) -> None:
-    with open_text(path, "wt") as fh:
-        if header_comment:
-            fh.write(header_comment.rstrip("\n") + "\n")
-        writer = csv.writer(fh, delimiter=delimiter)
-        writer.writerow(["subscriber", "label"])
-        for sub in sorted(labels):
-            writer.writerow([sub, labels[sub]])
+def write_labels_csv(labels: dict[str, str], path: str, header_comment: str | None = None) -> None:
+    write_csv(path, ["subscriber", "label"], ([sub, labels[sub]] for sub in sorted(labels)), header_comment)

@@ -9,8 +9,6 @@ from .metrics import (
     auc_score,
     cross_validate,
     evaluate,
-    permutation_importance,
-    regression_report,
 )
 from .models import (
     BaggedStumpsModel,
@@ -37,8 +35,6 @@ __all__ = [
     "evaluate",
     "fit_ols",
     "load_model",
-    "permutation_importance",
-    "regression_report",
     "run_campaign",
     "save_model",
     "select_covariates",

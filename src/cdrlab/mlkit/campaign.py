@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
-from ..ingest import open_text
+from ..ingest import write_csv
 
 
 def two_proportion_z(x1: int, n1: int, x2: int, n2: int) -> tuple[float, float]:
@@ -105,17 +104,15 @@ def run_campaign(
 
 
 def write_campaign_csv(outcome: CampaignOutcome, path: str, header_comment: str | None = None) -> None:
-    with open_text(path, "wt") as fh:
-        if header_comment:
-            fh.write(header_comment.rstrip("\n") + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "treatment", "control"])
-        writer.writerow(["size", len(outcome.treatment_ids), len(outcome.control_ids)])
-        writer.writerow(["conversions", outcome.treatment_conversions, outcome.control_conversions])
-        writer.writerow(["conversion_rate", repr(outcome.treatment_rate), repr(outcome.control_rate)])
-        writer.writerow(["renewals", outcome.treatment_renewals, outcome.control_renewals])
-        tr = outcome.treatment_renewal_rate
-        cr = outcome.control_renewal_rate
-        writer.writerow(["renewal_rate", "" if tr is None else repr(tr), "" if cr is None else repr(cr)])
-        writer.writerow(["z", repr(outcome.z), ""])
-        writer.writerow(["p_value", repr(outcome.p_value), ""])
+    tr = outcome.treatment_renewal_rate
+    cr = outcome.control_renewal_rate
+    rows = [
+        ["size", len(outcome.treatment_ids), len(outcome.control_ids)],
+        ["conversions", outcome.treatment_conversions, outcome.control_conversions],
+        ["conversion_rate", repr(outcome.treatment_rate), repr(outcome.control_rate)],
+        ["renewals", outcome.treatment_renewals, outcome.control_renewals],
+        ["renewal_rate", "" if tr is None else repr(tr), "" if cr is None else repr(cr)],
+        ["z", repr(outcome.z), ""],
+        ["p_value", repr(outcome.p_value), ""],
+    ]
+    write_csv(path, ["metric", "treatment", "control"], rows, header_comment)

@@ -1,14 +1,13 @@
 """Evaluation protocols: threshold metrics, rank-statistic AUC, decile
-lift, stratified cross-validation, and permutation importance."""
+lift, and stratified cross-validation."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..ingest import open_text
+from ..ingest import write_csv
 from ..rng import derive_rng, derive_seed
 
 
@@ -51,9 +50,6 @@ class EvalReport:
     # (decile 1-based, population, positives, lift); decile 1 = highest scores
     lift: list[tuple[int, int, int, float]]
 
-    def confusion_total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
 
 def decile_lift(y_true, scores) -> list[tuple[int, int, int, float]]:
     """Positive-rate lift per descending-score decile.
@@ -72,7 +68,7 @@ def decile_lift(y_true, scores) -> list[tuple[int, int, int, float]]:
         pos = int(y[chunk].sum())
         n = len(chunk)
         rate = pos / n if n else 0.0
-        rows.append((d, n, pos, rate / overall))
+        rows.append((d, n, pos, float(rate / overall)))
     return rows
 
 
@@ -104,21 +100,6 @@ def evaluate(model, test, threshold: float = 0.5) -> EvalReport:
         base_rate=float(y.mean()),
         lift=decile_lift(y, scores),
     )
-
-
-def regression_report(y_true, y_pred) -> dict[str, float]:
-    y = np.asarray(y_true, dtype=float)
-    p = np.asarray(y_pred, dtype=float)
-    if len(y) < 2:
-        raise ValueError("need at least 2 points")
-    resid = y - p
-    ss_res = float((resid**2).sum())
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    return {
-        "r2": 1.0 - ss_res / ss_tot if ss_tot > 0 else float("nan"),
-        "rmse": float(np.sqrt((resid**2).mean())),
-        "mae": float(np.abs(resid).mean()),
-    }
 
 
 def stratified_folds(y, folds: int, seed: int = 0) -> list[np.ndarray]:
@@ -187,54 +168,22 @@ def cross_validate(table, family: str, hyperparameters: dict | None = None,
     return CrossValReport(folds=folds, per_fold=per_fold, mean=mean, std=std)
 
 
-def permutation_importance(model, test, metric: str = "auc",
-                           repeats: int = 5, seed: int = 0) -> dict[str, float]:
-    """Mean drop in a metric when one feature column is shuffled.
-
-    A column the model never reads scores exactly 0.
-    """
-    def score(X) -> float:
-        s = model.predict_proba(X)
-        if metric == "auc":
-            return auc_score(test.y, s)
-        if metric == "accuracy":
-            return float(((s >= 0.5).astype(float) == test.y).mean())
-        raise ValueError(f"unknown metric {metric!r}")
-
-    baseline = score(test.X)
-    out = {}
-    for j, col in enumerate(test.columns):
-        drops = []
-        for r in range(repeats):
-            rng = derive_rng(seed, "perm", col, str(r))
-            Xp = test.X.copy()
-            Xp[:, j] = Xp[rng.permutation(len(Xp)), j]
-            drops.append(baseline - score(Xp))
-        out[col] = float(np.mean(drops))
-    return out
-
-
 def write_eval_csv(report: EvalReport, path: str, header_comment: str | None = None) -> None:
-    with open_text(path, "wt") as fh:
-        if header_comment:
-            fh.write(header_comment.rstrip("\n") + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "value"])
-        writer.writerow(["accuracy", repr(report.accuracy)])
-        writer.writerow(["sensitivity", repr(report.sensitivity)])
-        writer.writerow(["specificity", repr(report.specificity)])
-        writer.writerow(["precision", "" if report.precision is None else repr(report.precision)])
-        writer.writerow(["auc", repr(report.auc)])
-        writer.writerow(["base_rate", repr(report.base_rate)])
-        for name, v in (("tp", report.tp), ("fp", report.fp), ("tn", report.tn), ("fn", report.fn)):
-            writer.writerow([name, v])
+    rows = [
+        ["accuracy", repr(report.accuracy)],
+        ["sensitivity", repr(report.sensitivity)],
+        ["specificity", repr(report.specificity)],
+        ["precision", "" if report.precision is None else repr(report.precision)],
+        ["auc", repr(report.auc)],
+        ["base_rate", repr(report.base_rate)],
+        ["tp", report.tp],
+        ["fp", report.fp],
+        ["tn", report.tn],
+        ["fn", report.fn],
+    ]
+    write_csv(path, ["metric", "value"], rows, header_comment)
 
 
 def write_lift_csv(report: EvalReport, path: str, header_comment: str | None = None) -> None:
-    with open_text(path, "wt") as fh:
-        if header_comment:
-            fh.write(header_comment.rstrip("\n") + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["decile", "population", "positives", "lift"])
-        for d, n, pos, lift in report.lift:
-            writer.writerow([d, n, pos, repr(lift)])
+    rows = ([d, n, pos, repr(lift)] for d, n, pos, lift in report.lift)
+    write_csv(path, ["decile", "population", "positives", "lift"], rows, header_comment)

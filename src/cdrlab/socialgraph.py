@@ -7,13 +7,12 @@ voice per second of duration and one text as 60 (one text, one minute).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
-from .ingest import open_text
+from .ingest import write_csv
 from .records import Dataset
 
 DEFAULT_WEIGHT_SPEC = {"voice_unit": "per-second", "sms_weight": 60.0}
@@ -292,20 +291,9 @@ def adjacent_link_count(g: SocialGraph) -> int:
 
 
 def write_edges_csv(g: SocialGraph, path: str, header_comment: str | None = None) -> None:
-    with open_text(path, "wt") as fh:
-        if header_comment:
-            fh.write(header_comment.rstrip("\n") + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["u", "v", "w"])
-        for u, v, w in g.edges():
-            writer.writerow([u, v, repr(float(w))])
+    write_csv(path, ["u", "v", "w"], ([u, v, repr(float(w))] for u, v, w in g.edges()), header_comment)
 
 
 def write_components_csv(report: ComponentReport, path: str, header_comment: str | None = None) -> None:
-    with open_text(path, "wt") as fh:
-        if header_comment:
-            fh.write(header_comment.rstrip("\n") + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["component_rank", "size"])
-        for rank, comp in enumerate(report.components, start=1):
-            writer.writerow([rank, len(comp)])
+    rows = ([rank, len(comp)] for rank, comp in enumerate(report.components, start=1))
+    write_csv(path, ["component_rank", "size"], rows, header_comment)

@@ -7,7 +7,6 @@ below tower-spacing, and the arithmetic stays deterministic.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -57,11 +56,6 @@ class GridRaster:
     @property
     def ncols(self) -> int:
         return self.values.shape[1]
-
-    def cell_center(self, row: int, col: int) -> tuple[float, float]:
-        lon = self.xllcorner + (col + 0.5) * self.cellsize
-        lat = self.yllcorner + (self.nrows - row - 0.5) * self.cellsize
-        return lon, lat
 
     def data_mask(self) -> np.ndarray:
         return self.values != self.nodata
@@ -143,18 +137,6 @@ def voronoi_partition(
         poly = _dedupe_ring(poly)
         cells[tid] = [proj.to_lonlat(x, y) for x, y in poly]
     return VoronoiPartition(towers=positions, cells=cells, clip=list(clip))
-
-
-def assign_to_cells(partition: VoronoiPartition, points) -> list[str | None]:
-    """Nearest-site assignment for (lon, lat) points (ties break by id order)."""
-    ids = sorted(partition.towers)
-    lons = np.array([partition.towers[t][0] for t in ids])
-    lats = np.array([partition.towers[t][1] for t in ids])
-    out = []
-    for lon, lat in points:
-        d = haversine_km(lons, lats, lon, lat)
-        out.append(ids[int(np.argmin(d))])
-    return out
 
 
 def aggregate_to_areas(
@@ -345,12 +327,3 @@ def points_geojson(points: dict[str, tuple[float, float]], properties: dict[str,
         )
     return {"type": "FeatureCollection", "features": features}
 
-
-def write_areas_csv(values: dict[str, float], path: str, header_comment: str | None = None) -> None:
-    with open_text(path, "wt") as fh:
-        if header_comment:
-            fh.write(header_comment.rstrip("\n") + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["area", "value"])
-        for area in sorted(values):
-            writer.writerow([area, repr(float(values[area]))])

@@ -29,11 +29,6 @@ class SmallWorld:
 
 
 @dataclass(frozen=True)
-class Configuration:
-    degree_sequence: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class RandomAdoption:
     p: float
 
@@ -50,7 +45,7 @@ class SynthConfig:
     n_subscribers: int
     n_towers: int
     grid: tuple[float, float, float, float]  # lon_min, lat_min, lon_max, lat_max
-    graph_model: SmallWorld | Configuration
+    graph_model: SmallWorld
     days: int
     daily_cycle: tuple[float, ...] = tuple([1.0] * 24)
     weekly_cycle: tuple[float, ...] = tuple([1.0] * 7)
@@ -113,19 +108,6 @@ class GroundTruth:
         }
         return json.dumps(payload, indent=0, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "GroundTruth":
-        payload = json.loads(text)
-        return cls(
-            adopters_by_day={int(d): frozenset(s) for d, s in payload.get("adopters_by_day", {}).items()},
-            shock_intervals=[
-                (tuple(item["entity"]), tuple(item["interval"]), item["multiplier"])
-                for item in payload.get("shock_intervals", [])
-            ],
-            home_tower=dict(payload.get("home_tower", {})),
-            label=dict(payload.get("label", {})),
-        )
-
 
 def subscriber_ids(n: int) -> list[str]:
     width = max(4, len(str(n - 1)))
@@ -145,20 +127,6 @@ def towers_for(cfg: SynthConfig) -> dict[str, Tower]:
     lats = rng.uniform(lat_min, lat_max, cfg.n_towers)
     ids = tower_ids(cfg.n_towers)
     return {tid: Tower(tid, float(lon), float(lat)) for tid, lon, lat in zip(ids, lons, lats)}
-
-
-def _erdos_gallai(seq: list[int]) -> bool:
-    d = sorted(seq, reverse=True)
-    n = len(d)
-    if sum(d) % 2 != 0 or (d and (d[0] >= n or d[-1] < 0)):
-        return False
-    prefix = 0
-    for k in range(1, n + 1):
-        prefix += d[k - 1]
-        tail = sum(min(x, k) for x in d[k:])
-        if prefix > k * (k - 1) + tail:
-            return False
-    return True
 
 
 def _small_world_edges(n: int, k: int, rewire_p: float, rng) -> set[tuple[int, int]]:
@@ -191,50 +159,16 @@ def _small_world_edges(n: int, k: int, rewire_p: float, rng) -> set[tuple[int, i
     return edges
 
 
-def _configuration_edges(seq: tuple[int, ...], rng, attempts: int = 1000) -> set[tuple[int, int]]:
-    if not _erdos_gallai(list(seq)):
-        raise ValueError("non-graphical degree sequence")
-    stubs = np.repeat(np.arange(len(seq)), seq)
-    for _ in range(attempts):
-        perm = rng.permutation(stubs)
-        pairs = perm.reshape(-1, 2)
-        edges = set()
-        ok = True
-        for a, b in pairs:
-            a, b = int(a), int(b)
-            if a == b:
-                ok = False
-                break
-            edge = (min(a, b), max(a, b))
-            if edge in edges:
-                ok = False
-                break
-            edges.add(edge)
-        if ok:
-            return edges
-    raise RuntimeError(f"no simple pairing found in {attempts} attempts")
-
-
 def generate_population(cfg: SynthConfig) -> tuple[SocialGraph, GroundTruth]:
     """Build the social graph skeleton, home towers, and planted labels.
 
     Homes follow each node's ring position around an ellipse inside the
     grid, so lattice neighbors live near each other; labels follow a planted
-    west-to-east gradient over home-tower longitude (west poorer).  For the
-    configuration model ring positions are arbitrary, so only the label
-    gradient carries spatial meaning.
+    west-to-east gradient over home-tower longitude (west poorer).
     """
     subs = subscriber_ids(cfg.n_subscribers)
     rng = derive_rng(cfg.seed, "graph")
-    if isinstance(cfg.graph_model, SmallWorld):
-        edges = _small_world_edges(cfg.n_subscribers, cfg.graph_model.k, cfg.graph_model.rewire_p, rng)
-    elif isinstance(cfg.graph_model, Configuration):
-        seq = tuple(cfg.graph_model.degree_sequence)
-        if len(seq) != cfg.n_subscribers:
-            raise ValueError("degree sequence length must equal n_subscribers")
-        edges = _configuration_edges(seq, rng)
-    else:
-        raise TypeError(f"unknown graph model {cfg.graph_model!r}")
+    edges = _small_world_edges(cfg.n_subscribers, cfg.graph_model.k, cfg.graph_model.rewire_p, rng)
 
     g = SocialGraph()
     for s in subs:

@@ -24,20 +24,6 @@ def test_adoption_network_node_attribute():
     assert net.adopters == frozenset({"a", "b", "d"})
     with pytest.raises(ValueError, match="adopters not in graph"):
         ad.adoption_network(g, adopters={"zzz"})
-    with pytest.raises(ValueError, match="needs an adopter set"):
-        ad.adoption_network(g)
-
-
-def test_adoption_network_transactional():
-    g = graph_from([("a", "b"), ("b", "c")])
-    net = ad.adoption_network(g, link_mode="transactional_links", transactional_edges=[("b", "a")])
-    assert net.induced_edges == (("a", "b"),)
-    assert net.adopters == frozenset({"a", "b"})
-    assert net.isolates == frozenset()
-    with pytest.raises(ValueError, match="not in graph"):
-        ad.adoption_network(g, link_mode="transactional_links", transactional_edges=[("a", "c")])
-    with pytest.raises(ValueError, match="link_mode"):
-        ad.adoption_network(g, adopters={"a"}, link_mode="mystery")
 
 
 def test_component_report_and_evolution_buckets():

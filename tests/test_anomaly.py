@@ -139,13 +139,6 @@ def test_detect_anomalies_affine_invariance():
             assert f.z == g.z and f.direction == g.direction
 
 
-def test_minmax_normalize():
-    ts = an.minmax_normalize(series([2.0, 4.0, 6.0]))
-    assert list(ts.values) == [0.0, 0.5, 1.0]
-    flat = an.minmax_normalize(series([5.0, 5.0]))
-    assert list(flat.values) == [0.0, 0.0]
-
-
 # -- flows -------------------------------------------------------------------------
 
 AREA_TOWERS = {

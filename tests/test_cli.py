@@ -7,6 +7,7 @@ observable without spawning a shell.
 
 import json
 import os
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -408,3 +409,86 @@ def test_config_env_var_is_honored(monkeypatch, tmp_path):
     assert cli.main(["synth", "--outdir", str(outdir), "--seed", "9"]) == 0
     manifest = json.loads((outdir / "manifest_synth.json").read_text())
     assert manifest["params"]["subscribers"] == 30
+
+
+def _flow_extract(d):
+    """28 days of commuters from T1 to T2 (12-14 a day, 40 on day 20)."""
+    d.mkdir()
+    (d / "towers.csv").write_text("id,lon,lat\nT1,90.0,23.0\nT2,90.5,23.0\n")
+    rows = ["caller,callee,tower,timestamp,kind,magnitude"]
+    for day in range(28):
+        for s in range(40 if day == 20 else 12 + day % 3):
+            for tower, hour in (("T1", 8), ("T2", 18)):
+                ts = datetime.fromtimestamp(T0 + day * DAY + hour * 3600, tz=timezone.utc)
+                rows.append(f"S{s:02d},S99,{tower},{ts:%Y-%m-%dT%H:%M:%SZ},voice,60")
+    (d / "cdr.csv").write_text("\n".join(rows) + "\n")
+    return ["--cdr", str(d / "cdr.csv"), "--towers", str(d / "towers.csv")]
+
+
+def test_outputs_hold_no_numpy_reprs(synth_dir, features_dir, tmp_path):
+    model_io = ["--features", str(features_dir / "features.csv"), "--labels", str(synth_dir / "labels.csv")]
+    assert cli.main(["train", *model_io, "--outdir", str(tmp_path / "train")]) == 0
+    assert cli.main(["eval", *model_io, "--model", str(tmp_path / "train" / "model.json"),
+                     "--outdir", str(tmp_path / "eval")]) == 0
+    # the tiny synth has no pair with flow on every day, so flows runs on an
+    # extract with one planted spike, which it must flag
+    flows = tmp_path / "flows"
+    assert cli.main(["flows", *_flow_extract(tmp_path / "commute"), "--outdir", str(flows)]) == 0
+    assert "40.0" in (flows / "flow_anomalies.csv").read_text()
+    written = [synth_dir, features_dir, tmp_path / "train", tmp_path / "eval", flows]
+    tables = [p for d in written for p in sorted(d.glob("*.csv"))]
+    cells = [c for p in tables for ln in data_lines(p) for c in ln.split(",")]
+    assert cells and not [c for c in cells if "np." in c]
+
+
+def test_side_file_stray_quote_damages_only_its_line(synth_dir, tmp_path, capsys):
+    ids = subscriber_ids(synth_dir)
+    adopters = tmp_path / "adopters.csv"
+    adopters.write_text(f'subscriber,day\n"{ids[1]},3\n{ids[2]},4\n{ids[3]},5\n')
+    rc = cli.main(["adoption", *dataset_args(synth_dir), "--adopters", str(adopters),
+                   "--outdir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"adopters not in graph: ['{ids[1]},3\\n']" in err
+    assert ids[2] not in err and ids[3] not in err
+
+
+def test_side_file_blank_lines_are_skipped(synth_dir, tmp_path):
+    ids = subscriber_ids(synth_dir)
+    adopters = tmp_path / "adopters.csv"
+    adopters.write_text(f"subscriber,day\n{ids[1]},3\n   \n\t\n{ids[2]},4\n")
+    rc = cli.main(["adoption", *dataset_args(synth_dir), "--adopters", str(adopters),
+                   "--outdir", str(tmp_path / "out")])
+    assert rc == 0
+    assert data_lines(tmp_path / "out" / "adopters.csv")[1:] == [f"{ids[1]},3", f"{ids[2]},4"]
+
+
+def test_side_file_bad_number_names_its_line(synth_dir, features_dir, tmp_path, capsys):
+    ids = subscriber_ids(synth_dir)
+    adopters = tmp_path / "adopters.csv"
+    adopters.write_text(f"subscriber,day\n{ids[1]},3\n{ids[2]},soon\n")
+    assert cli.main(["adoption", *dataset_args(synth_dir), "--adopters", str(adopters),
+                     "--outdir", str(tmp_path / "adopt")]) == 2
+    assert f"{adopters}:3: bad number 'soon'" in capsys.readouterr().err
+
+    samples = tmp_path / "samples.csv"
+    samples.write_text(f"# values\narea,value\n{tower_ids(synth_dir)[0]},1.0\n{tower_ids(synth_dir)[1]},n/a\n")
+    assert cli.main(["idw", "--towers", str(synth_dir / "towers.csv"), "--samples", str(samples),
+                     "--outdir", str(tmp_path / "idw")]) == 2
+    assert f"{samples}:4: bad number 'n/a'" in capsys.readouterr().err
+
+    lines = (features_dir / "features.csv").read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",x"
+    features = tmp_path / "features.csv"
+    features.write_text("\n".join(lines) + "\n")
+    assert cli.main(["train", "--features", str(features), "--labels", str(synth_dir / "labels.csv"),
+                     "--outdir", str(tmp_path / "train")]) == 2
+    assert f"{features}:4: bad number 'x'" in capsys.readouterr().err
+
+
+def test_select_covariates_short_row_names_its_line(tmp_path, capsys):
+    table = tmp_path / "table.csv"
+    table.write_text("id,resp,x1\nr0,1.0,2.0\nr1,3.0\n")
+    assert cli.main(["select-covariates", "--table", str(table), "--response", "resp",
+                     "--outdir", str(tmp_path / "sel")]) == 2
+    assert f"{table}:3: wrong field count" in capsys.readouterr().err

@@ -71,21 +71,6 @@ def test_home_tower_fallback_and_ties():
     assert feat.home_tower(ds, "B") is None  # callee only, no located events
 
 
-def test_tower_activity_vector():
-    ds = make_dataset([
-        voice("A", "B", "T1", T0 + 100),
-        voice("A", "B", "T1", T0 + 200),
-        sms("A", "B", "T2", T0 + 300),
-    ])
-    index = {"T1": 0, "T2": 1}
-    vec = feat.tower_activity_vector(ds, "A", index)
-    assert list(vec.counts) == [2.0, 1.0] and not vec.normalized
-    norm = feat.tower_activity_vector(ds, "A", index, normalize=True)
-    assert list(norm.counts) == pytest.approx([2 / 3, 1 / 3])
-    empty = feat.tower_activity_vector(ds, "B", index, normalize=True)
-    assert list(empty.counts) == [0.0, 0.0]
-
-
 def test_spending_speed_inclusive_span():
     tops = [topup("A", T0, 100.0), topup("A", T0 + 10 * DAY, 500.0)]
     assert feat.spending_speed(tops) == pytest.approx(600 / 11, abs=1e-12)

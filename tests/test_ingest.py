@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cdrlab import ingest
 from cdrlab.records import Tower
 
-from conftest import T0, DAY, make_dataset, sms, topup, voice
+from conftest import T0, DAY, sms, topup, voice
 
 CDR_HEADER = "caller,callee,tower,timestamp,kind,magnitude"
 
@@ -185,30 +185,10 @@ def test_labels_round_trip(tmp_path):
     assert report.rejects == [] and report.total_rows == 2
 
 
-def test_activity_filter():
-    # keep subscribers active both before the cut and inside the tail window
-    cdrs = [
-        voice("A", "B", "T1", T0 + 100),            # A early
-        voice("A", "B", "T1", T0 + 5 * DAY + 100),  # A in tail
-        voice("C", "B", "T1", T0 + 100),            # C early only
-        voice("D", "B", "T1", T0 + 5 * DAY + 200),  # D tail only
-    ]
-    ds = make_dataset(cdrs, window=(T0, T0 + 6 * DAY))
-    out = ingest.apply_activity_filter(ds, pre_cut=T0 + DAY, tail_window=(T0 + 5 * DAY, T0 + 6 * DAY))
-    callers = {r.caller for r in out.cdrs}
-    assert callers == {"A"}
-
-
-def test_activity_filter_validates_windows():
-    ds = make_dataset([voice("A", "B", "T1", T0 + 100)], window=(T0, T0 + DAY))
-    with pytest.raises(ValueError):
-        ingest.apply_activity_filter(ds, pre_cut=T0 - 5, tail_window=(T0, T0 + DAY))
-
-
 # -- streaming row reader ----------------------------------------------------------
 
 
-def oracle_rows(fh, delimiter):
+def oracle_rows(fh):
     """The former row reader: the whole file's data lines through one csv.reader."""
     numbered = []
     for physical, raw in enumerate(fh, start=1):
@@ -216,14 +196,14 @@ def oracle_rows(fh, delimiter):
         if not stripped or stripped.startswith("#"):
             continue
         numbered.append((physical, raw))
-    rows = csv.reader((text for _, text in numbered), delimiter=delimiter)
+    rows = csv.reader(text for _, text in numbered)
     return [(num, row) for (num, _), row in zip(numbered, rows)]
 
 
-def render_field(text, delimiter, quote, pad):
-    """A field as it appears in a file; text holding a quote or the delimiter
-    is always quoted (with its quotes doubled), so every line stays balanced."""
-    if quote or '"' in text or delimiter in text:
+def render_field(text, quote, pad):
+    """A field as it appears in a file; text holding a quote or a comma is
+    always quoted (with its quotes doubled), so every line stays balanced."""
+    if quote or '"' in text or "," in text:
         return '"' + text.replace('"', '""') + '"'
     return " " * pad + text + " " * pad
 
@@ -240,21 +220,20 @@ LINE = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(
-    delimiter=st.sampled_from([",", ";", "\t"]),
     lines=st.lists(st.tuples(LINE, st.sampled_from(["\n", "\r\n"])), min_size=1, max_size=8),
     final_newline=st.booleans(),
 )
-def test_streaming_reader_matches_csv_oracle(delimiter, lines, final_newline):
+def test_streaming_reader_matches_csv_oracle(lines, final_newline):
     parts = []
     for (kind, body), ending in lines:
         if kind == "row":
-            body = delimiter.join(render_field(t, delimiter, q, pad) for t, q, pad in body)
+            body = ",".join(render_field(t, q, pad) for t, q, pad in body)
         parts.append(body + ending)
     if not final_newline:
         parts[-1] = parts[-1].rstrip("\r\n")
     text = "".join(parts)
-    got = list(ingest._numbered_rows(io.StringIO(text, newline=""), delimiter))
-    assert got == oracle_rows(io.StringIO(text, newline=""), delimiter)
+    got = list(ingest.numbered_rows(io.StringIO(text, newline="")))
+    assert got == oracle_rows(io.StringIO(text, newline=""))
 
 
 def test_stray_quote_stays_on_its_line_cdr(tmp_path):

@@ -448,7 +448,6 @@ def test_evaluate_confusion_counts():
     )
     rep = mt.evaluate(_ScoreColumn(0), tab)
     assert (rep.tp, rep.fp, rep.tn, rep.fn) == (2, 1, 2, 1)
-    assert rep.confusion_total() == 6
     assert rep.accuracy == 4 / 6
     assert rep.sensitivity == 2 / 3
     assert rep.specificity == 2 / 3
@@ -466,16 +465,6 @@ def test_evaluate_no_predicted_positives_and_single_class():
     ones = LabeledTable(["a", "b"], ["score"], [[0.2], [0.4]], [1.0, 1.0])
     with pytest.raises(ValueError, match="single class"):
         mt.evaluate(_ScoreColumn(0), ones)
-
-
-def test_regression_report():
-    perfect = mt.regression_report([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-    assert perfect == {"r2": 1.0, "rmse": 0.0, "mae": 0.0}
-    rep = mt.regression_report([0.0, 2.0], [1.0, 1.0])
-    assert rep["r2"] == 0.0 and rep["rmse"] == 1.0 and rep["mae"] == 1.0
-    assert math.isnan(mt.regression_report([3.0, 3.0], [3.0, 4.0])["r2"])
-    with pytest.raises(ValueError, match="at least 2"):
-        mt.regression_report([1.0], [1.0])
 
 
 def test_stratified_folds_partition_and_balance():
@@ -517,23 +506,6 @@ def test_cross_validate_deterministic_and_skips_undefined():
     with_auc = [d for d in rep.per_fold if "auc" in d]
     assert len(with_auc) == 2
     assert "auc" in rep.mean and "accuracy" in rep.mean
-
-
-def test_permutation_importance_zero_for_unused_feature():
-    rng = np.random.default_rng(17)
-    X = rng.normal(size=(40, 2))
-    y = (X[:, 0] > 0).astype(float)
-    tab = LabeledTable([f"s{i}" for i in range(40)], ["used", "ignored"], X, y)
-    model = md.LogisticModel(columns=["used", "ignored"], mean=np.zeros(2),
-                             scale=np.ones(2), coef=np.array([2.0, 0.0]),
-                             bias=0.0, seed=0)
-    imp = mt.permutation_importance(model, tab, seed=1)
-    assert imp["ignored"] == 0.0
-    assert imp["used"] > 0.1
-    acc = mt.permutation_importance(model, tab, metric="accuracy", seed=1)
-    assert acc["ignored"] == 0.0
-    with pytest.raises(ValueError, match="unknown metric"):
-        mt.permutation_importance(model, tab, metric="f1")
 
 
 def test_eval_and_lift_writers(tmp_path):

@@ -41,8 +41,6 @@ def contains(poly, pt, eps=1e-12):
 def test_grid_raster_geometry():
     g = sp.GridRaster(0.0, 0.0, 1.0, np.zeros((2, 3)))
     assert (g.nrows, g.ncols) == (2, 3)
-    assert g.cell_center(0, 0) == (0.5, 1.5)  # row 0 is the north row
-    assert g.cell_center(1, 2) == (2.5, 0.5)
     g.values[0, 1] = g.nodata
     assert g.data_mask().sum() == 5
     with pytest.raises(ValueError, match="2-D"):
@@ -125,12 +123,6 @@ def test_voronoi_validation():
         sp.voronoi_partition({}, CLIP)
     with pytest.raises(ValueError, match="3 vertices"):
         sp.voronoi_partition({"A": (90.5, 23.5)}, CLIP[:2])
-
-
-def test_assign_to_cells_ties_break_by_id():
-    part = sp.VoronoiPartition(towers={"b": (0.0, 0.0), "a": (2.0, 0.0)}, cells={}, clip=[])
-    got = sp.assign_to_cells(part, [(1.0, 0.0), (0.1, 0.0), (1.9, 0.0)])
-    assert got == ["a", "b", "a"]  # exact midpoint tie goes to the smaller id
 
 
 # -- aggregation --------------------------------------------------------------------------
@@ -289,8 +281,3 @@ def test_geojson_outputs():
     assert feat["geometry"]["coordinates"] == [90.0, 23.0]
     assert feat["properties"]["v"] == 1
 
-
-def test_write_areas_csv(tmp_path):
-    p = tmp_path / "areas.csv"
-    sp.write_areas_csv({"b": 2.0, "a": 1.5}, str(p), header_comment="# va")
-    assert p.read_text().splitlines() == ["# va", "area,value", "a,1.5", "b,2.0"]
