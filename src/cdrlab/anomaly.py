@@ -82,7 +82,6 @@ class AnomalyReport:
 class FlowNetwork:
     day: int  # UTC day start, epoch seconds
     od: dict[tuple[str, str], int]
-    level: str = "union"
 
 
 def _weekday(ts: int) -> int:
@@ -92,51 +91,59 @@ def _weekday(ts: int) -> int:
 
 def bin_series(
     ds: Dataset,
-    entity: tuple,
+    entities: list[tuple],
     bin_width: int,
     measure: str = "call_count",
     area_map: dict[str, str] | None = None,
-) -> TimeSeries:
-    """Aggregate one entity's events into contiguous bins over the window.
+) -> list[TimeSeries]:
+    """Aggregate each entity's events into contiguous bins over the window.
 
-    entity is ("global",), ("tower", id), or ("district", id) with an
+    An entity is ("global",), ("tower", id), or ("district", id) with an
     area_map; call_count counts voice events, the recharge measures use
-    top-ups located at the retailer tower.
+    top-ups located at the retailer tower.  One pass over the events fills
+    every series; they come back in the order given.
     """
     if measure not in ("call_count", "recharge_amount", "recharge_count"):
         raise ValueError(f"unknown measure {measure!r}")
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
-    kind = entity[0]
-    if kind not in ("global", "tower", "district"):
-        raise ValueError(f"unknown entity kind {kind!r}")
-    if kind == "district" and area_map is None:
-        raise ValueError("district entity needs an area_map")
+    for entity in entities:
+        kind = entity[0]
+        if kind not in ("global", "tower", "district"):
+            raise ValueError(f"unknown entity kind {kind!r}")
+        if kind == "district" and area_map is None:
+            raise ValueError("district entity needs an area_map")
+        if kind == "tower" and entity[1] not in ds.towers:
+            raise ValueError(f"unknown tower {entity[1]!r}")
+        if kind == "district" and entity[1] not in area_map.values():
+            raise ValueError(f"unknown district {entity[1]!r}")
+    districts = any(entity[0] == "district" for entity in entities)
 
     start, end = ds.window
     n_bins = max(1, math.ceil((end - start) / bin_width))
-    values = np.zeros(n_bins, dtype=float)
-
-    def matches(tower: str | None) -> bool:
-        if kind == "global":
-            return True
-        if tower is None:
-            return False
-        if kind == "tower":
-            return tower == entity[1]
-        if tower not in area_map:
-            raise ValueError(f"tower {tower!r} missing from area_map")
-        return area_map[tower] == entity[1]
-
     if measure == "call_count":
-        for rec in ds.cdrs:
-            if rec.kind == "voice" and matches(rec.tower):
-                values[(rec.timestamp - start) // bin_width] += 1
+        events = ((rec.tower, rec.timestamp, 1.0) for rec in ds.cdrs if rec.kind == "voice")
     else:
-        for rec in ds.topups:
-            if matches(rec.retailer_tower):
-                values[(rec.timestamp - start) // bin_width] += rec.amount if measure == "recharge_amount" else 1
-    return TimeSeries(entity=tuple(entity), bin_width=bin_width, start=start, values=values)
+        events = ((rec.retailer_tower, rec.timestamp, rec.amount if measure == "recharge_amount" else 1.0)
+                  for rec in ds.topups)
+    # Each event bumps every entity it feeds; adding in dataset order keeps the sums stable.
+    sums: dict[tuple, list[float]] = {}
+    for tower, ts, amount in events:
+        keys = [("global",)]
+        if tower is not None:
+            keys.append(("tower", tower))
+            if districts:
+                if tower not in area_map:
+                    raise ValueError(f"tower {tower!r} missing from area_map")
+                keys.append(("district", area_map[tower]))
+        i = (ts - start) // bin_width
+        for key in keys:
+            row = sums.get(key)
+            if row is None:
+                row = sums[key] = [0.0] * n_bins
+            row[i] += amount
+    return [TimeSeries(tuple(e), bin_width, start, np.array(sums.get(tuple(e), [0.0] * n_bins)))
+            for e in entities]
 
 
 def _baseline_cell_key(ts: TimeSeries, baseline: str, index: int):
@@ -218,11 +225,8 @@ def build_flow_network(
     if mode not in ("first_last", "per_transition"):
         raise ValueError(f"unknown mode {mode!r}")
     day = day_start(day)
-    lo, hi = day, day + SECONDS_PER_DAY
     sequences: dict[str, list[str]] = {}
-    for rec in ds.cdrs:
-        if not (lo <= rec.timestamp < hi):
-            continue
+    for rec in ds.cdrs_between(day, day + SECONDS_PER_DAY):
         if rec.tower not in area_map:
             raise ValueError(f"tower {rec.tower!r} missing from area_map")
         sequences.setdefault(rec.caller, []).append(area_map[rec.tower])
@@ -372,21 +376,16 @@ def _day_fraction_curves(
 ) -> dict[int, np.ndarray]:
     """Per rank: fraction of that day's active subscribers calling their
     rank-k contact in each bin."""
-    lo, hi = day, day + SECONDS_PER_DAY
     n_bins = SECONDS_PER_DAY // bin_width
     active: set[str] = set()
-    for rec in ds.cdrs:
-        if lo <= rec.timestamp < hi:
-            active.add(rec.caller)
     hits = {k: [set() for _ in range(n_bins)] for k in ranks}
-    for rec in ds.cdrs:
-        if not (lo <= rec.timestamp < hi) or rec.kind != "voice" or rec.callee is None:
-            continue
-        if rec.caller not in active:
+    for rec in ds.cdrs_between(day, day + SECONDS_PER_DAY):
+        active.add(rec.caller)
+        if rec.kind != "voice" or rec.callee is None:
             continue
         k = rank_of.get(rec.caller, {}).get(rec.callee)
         if k in hits:
-            hits[k][(rec.timestamp - lo) // bin_width].add(rec.caller)
+            hits[k][(rec.timestamp - day) // bin_width].add(rec.caller)
     denom = max(1, len(active))
     return {k: np.array([len(s) / denom for s in sets]) for k, sets in hits.items()}
 
@@ -477,13 +476,9 @@ def distance_activation_matrix(
         dist_bin[sub] = int(np.searchsorted(edges, d, side="right"))
 
     def day_matrix(day: int) -> np.ndarray:
-        lo = day_start(day) + hour_window[0]
-        hi = day_start(day) + hour_window[1]
-        ties = set()
-        for rec in ds.cdrs:
-            if rec.callee is None or not (lo <= rec.timestamp < hi):
-                continue
-            ties.add((rec.caller, rec.callee))
+        day = day_start(day)
+        window = ds.cdrs_between(day + hour_window[0], day + hour_window[1])
+        ties = {(rec.caller, rec.callee) for rec in window if rec.callee is not None}
         counts = np.zeros((n_bins, n_bins))
         for caller, callee in ties:
             bx = dist_bin.get(caller)

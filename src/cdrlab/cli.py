@@ -104,13 +104,6 @@ def _side_rows(path: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
     return [c.strip() for c in rows[0][1]], rows[1:]
 
 
-def _number(path: str, line: int, text: str, kind=float):
-    try:
-        return kind(text)
-    except ValueError:
-        raise ValueError(f"{path}:{line}: bad number {text!r}") from None
-
-
 def _read_area_map(path: str) -> dict[str, str]:
     header, rows = _side_rows(path)
     if header[:2] != ["tower", "area"]:
@@ -122,7 +115,7 @@ def _read_area_values(path: str) -> dict[str, float]:
     header, rows = _side_rows(path)
     if header[:2] != ["area", "value"]:
         raise ValueError(f"{path}: expected header area,value")
-    return {r[0]: _number(path, n, r[1]) for n, r in rows if len(r) >= 2 and r[1] != ""}
+    return {r[0]: ingest.number(path, n, r[1]) for n, r in rows if len(r) >= 2 and r[1] != ""}
 
 
 def _read_id_list(path: str, column: str = "subscriber") -> list[str]:
@@ -141,7 +134,7 @@ def _read_adopters(path: str) -> dict[str, int | None]:
     out: dict[str, int | None] = {}
     for n, r in rows:
         if r[0]:
-            out[r[0]] = _number(path, n, r[1], int) if has_day and len(r) > 1 and r[1] != "" else None
+            out[r[0]] = ingest.number(path, n, r[1], int) if has_day and len(r) > 1 and r[1] != "" else None
     return out
 
 
@@ -157,7 +150,7 @@ def _read_feature_table(path: str) -> tuple[list[str], list[str], list[list]]:
         if len(r) <= id_j or not r[id_j]:
             continue
         ids.append(r[id_j])
-        data.append([None if (j >= len(r) or r[j] == "") else _number(path, n, r[j]) for j, _ in numeric_cols])
+        data.append([None if (j >= len(r) or r[j] == "") else ingest.number(path, n, r[j]) for j, _ in numeric_cols])
     return ids, [name for _, name in numeric_cols], data
 
 
@@ -419,11 +412,9 @@ def _cmd_anomaly(args, ctx: RunContext) -> dict:
         entities = [("tower", t) for t in sorted(ds.towers)]
     else:
         entities = [_parse_entity(args.entity)]
-    reports = []
-    for entity in entities:
-        ts = anomaly.bin_series(ds, entity, a["bin_width"], measure=a["measure"], area_map=area_map)
-        reports.append(anomaly.detect_anomalies(ts, baseline=a["baseline"],
-                                                threshold_sigma=a["threshold_sigma"]))
+    series = anomaly.bin_series(ds, entities, a["bin_width"], measure=a["measure"], area_map=area_map)
+    reports = [anomaly.detect_anomalies(ts, baseline=a["baseline"], threshold_sigma=a["threshold_sigma"])
+               for ts in series]
     anomaly.write_anomalies_csv(reports, ctx.outputs.stage("anomalies.csv"),
                                 header_comment=ctx.header)
     flagged_total = sum(len(r.flags) for r in reports)
@@ -711,8 +702,8 @@ def _cmd_select_covariates(args, ctx: RunContext) -> dict:
         if any(c.strip() == "" for c in cells):
             incomplete += 1     # absent feature: drop the row, like na_policy=drop
             continue
-        X.append([_number(path, n, r[j]) for j in col_j])
-        y.append(_number(path, n, r[resp_j]))
+        X.append([ingest.number(path, n, r[j]) for j in col_j])
+        y.append(ingest.number(path, n, r[resp_j]))
     if not X:
         raise ValueError(f"{args.table}: no complete rows for the requested columns")
     sel = ctx.cfg["select"]

@@ -51,8 +51,6 @@ FEATURE_ORDER = list(FEATURE_FAMILY)
 class FeatureVector:
     subscriber: str
     values: dict[str, float | None]
-    window: tuple[int, int]
-    family: dict[str, str]
     home_tower: str | None
 
 
@@ -88,18 +86,15 @@ def _is_nocturnal(ts: int) -> bool:
     return hour >= NOCTURNAL_START_HOUR or hour < NOCTURNAL_END_HOUR
 
 
-def home_tower(ds: Dataset, subscriber: str, window: tuple[int, int] | None = None) -> str | None:
+def home_tower(ds: Dataset, subscriber: str) -> str | None:
     """Most frequent tower over 22:00-06:00 events; all-hours fallback.
 
     Ties resolve to the lexicographically smallest tower id; a subscriber
     with no located events has no home (None).
     """
-    start, end = window if window is not None else ds.window
     nocturnal: Counter = Counter()
     allhours: Counter = Counter()
     for rec in ds.cdrs_by_caller().get(subscriber, ()):
-        if not (start <= rec.timestamp < end):
-            continue
         allhours[rec.tower] += 1
         if _is_nocturnal(rec.timestamp):
             nocturnal[rec.tower] += 1
@@ -139,26 +134,22 @@ def dataset_denominations(ds: Dataset) -> tuple[float, float] | None:
 def extract_features(
     ds: Dataset,
     subscriber: str,
-    window: tuple[int, int] | None = None,
     denominations: tuple[float, ...] | None = None,
 ) -> FeatureVector:
-    """Full feature vector for one subscriber over the window.
+    """Full feature vector for one subscriber over the dataset's window.
 
     `denominations` names the market's recharge amounts for the
     lowest/highest-denomination fractions; when omitted, the dataset-wide
     minimum and maximum top-up amounts stand in (`dataset_denominations`).
     """
-    if window is None:
-        window = ds.window
-    start, end = window
-    out_events = [r for r in ds.cdrs_by_caller().get(subscriber, ()) if start <= r.timestamp < end]
-    in_events = [r for r in ds.cdrs_by_callee().get(subscriber, ()) if start <= r.timestamp < end]
-    tops = [r for r in ds.topups_by_buyer().get(subscriber, ()) if start <= r.timestamp < end]
+    out_events = ds.cdrs_by_caller().get(subscriber, ())
+    in_events = ds.cdrs_by_callee().get(subscriber, ())
+    tops = ds.topups_by_buyer().get(subscriber, ())
     if not out_events and not in_events and not tops:
         if subscriber not in ds.subscribers():
             raise ValueError(f"subscriber {subscriber!r} not present in dataset")
         values = {name: None for name in FEATURE_ORDER}
-        return FeatureVector(subscriber, values, window, dict(FEATURE_FAMILY), None)
+        return FeatureVector(subscriber, values, None)
 
     values: dict[str, float | None] = {}
     out_comm = [r for r in out_events if r.kind in COMM_KINDS and r.callee is not None]
@@ -188,13 +179,12 @@ def extract_features(
         values["interactions_per_contact"] = None
         values["entropy_of_contacts"] = None
 
-    located = out_events
-    home = home_tower(ds, subscriber, window)
-    if located:
-        place_counts = Counter(r.tower for r in located)
+    home = home_tower(ds, subscriber)
+    if out_events:
+        place_counts = Counter(r.tower for r in out_events)
         values["number_of_places"] = len(place_counts)
         values["entropy_of_places"] = entropy(place_counts)
-        visits = [(ds.towers[r.tower].lon, ds.towers[r.tower].lat) for r in located]
+        visits = [(ds.towers[r.tower].lon, ds.towers[r.tower].lat) for r in out_events]
         values["radius_of_gyration"] = radius_of_gyration(visits)
     else:
         values["number_of_places"] = None
@@ -243,7 +233,7 @@ def extract_features(
             values[name] = None
 
     ordered = {name: values[name] for name in FEATURE_ORDER}
-    return FeatureVector(subscriber, ordered, window, dict(FEATURE_FAMILY), home)
+    return FeatureVector(subscriber, ordered, home)
 
 
 def write_features_csv(vectors: Iterable[FeatureVector], path: str, header_comment: str | None = None) -> None:

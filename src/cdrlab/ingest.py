@@ -85,17 +85,28 @@ def numbered_rows(fh):
             yield physical, raw.rstrip("\r\n").split(",")
 
 
+def number(path: str, line: int, text: str, kind=float):
+    """text as a number; a bad one is a ValueError naming path:line."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{path}:{line}: bad number {text!r}") from None
+
+
 def write_csv(path: str, columns, rows, header_comment: str | None = None) -> None:
     """Write an output table: the optional comment line, the header, the rows.
 
     Rows end in CRLF, the csv module's default; the comment line ends in LF.
+    A row whose first cell starts with '#' is written fully quoted, so it
+    does not read back as a comment line.
     """
     with open_text(path, "wt") as fh:
         if header_comment:
             fh.write(header_comment.rstrip("\n") + "\n")
-        writer = csv.writer(fh)
+        writer, quoted = csv.writer(fh), csv.writer(fh, quoting=csv.QUOTE_ALL)
         writer.writerow(columns)
-        writer.writerows(rows)
+        for row in rows:
+            (quoted if row and str(row[0]).lstrip().startswith("#") else writer).writerow(row)
 
 
 def write_rejects_csv(report: RejectReport, path: str, header_comment: str | None = None) -> None:

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 EVENT_KINDS = ("voice", "sms", "data", "video", "mms")
@@ -17,7 +18,8 @@ def parse_timestamp(text: str) -> int:
     """ISO-8601 UTC text to integer epoch seconds.
 
     Accepts a trailing 'Z' or an explicit offset; a naive timestamp is taken
-    as UTC.  Fractional seconds are rejected: files carry whole seconds.
+    as UTC.  Fractional seconds are rejected: files carry whole seconds.  So
+    is an instant whose UTC year leaves 1..9999, which no file could carry.
     """
     raw = text.strip()
     if raw.endswith(("Z", "z")):
@@ -27,11 +29,14 @@ def parse_timestamp(text: str) -> int:
         dt = dt.replace(tzinfo=timezone.utc)
     if dt.microsecond != 0:
         raise ValueError(f"fractional seconds not supported: {text!r}")
-    return int(dt.timestamp())
+    ts = int(dt.timestamp())
+    if not -62135596800 <= ts <= 253402300799:  # 0001-01-01 .. 9999-12-31T23:59:59Z
+        raise ValueError(f"UTC year out of range: {text!r}")
+    return ts
 
 
 def format_timestamp(ts: int) -> str:
-    return datetime.fromtimestamp(int(ts), tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return datetime.fromtimestamp(int(ts), tz=timezone.utc).isoformat().replace("+00:00", "Z")
 
 
 def day_start(ts: int) -> int:
@@ -74,7 +79,8 @@ class Dataset:
 
     Sequences are kept sorted by timestamp (stable, so equal-timestamp rows
     keep their input order).  The window is half-open [start, end) in epoch
-    seconds.
+    seconds, and every event lies inside it: analysing a sub-window means
+    building a Dataset for that window.
     """
 
     cdrs: tuple[CdrRecord, ...]
@@ -86,6 +92,7 @@ class Dataset:
     _callee_index: dict | None = field(default=None, repr=False, compare=False)
     _buyer_index: dict | None = field(default=None, repr=False, compare=False)
     _subscriber_cache: list | None = field(default=None, repr=False, compare=False)
+    _cdr_times: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -94,20 +101,29 @@ class Dataset:
         object.__setattr__(
             self, "topups", tuple(sorted(self.topups, key=lambda r: r.timestamp))
         )
+        start, end = self.window
+        for name, events in (("cdr", self.cdrs), ("top-up", self.topups)):
+            if events and not (start <= events[0].timestamp and events[-1].timestamp < end):
+                raise ValueError(f"{name} timestamps outside window [{start}, {end})")
 
     def with_events(
         self,
         cdrs=None,
         topups=None,
-        window: tuple[int, int] | None = None,
     ) -> "Dataset":
         return Dataset(
             cdrs=tuple(cdrs) if cdrs is not None else self.cdrs,
             topups=tuple(topups) if topups is not None else self.topups,
             towers=self.towers,
-            window=window if window is not None else self.window,
+            window=self.window,
             labels=self.labels,
         )
+
+    def cdrs_between(self, lo: int, hi: int) -> tuple[CdrRecord, ...]:
+        """The CDRs with lo <= timestamp < hi, in dataset order."""
+        if self._cdr_times is None:
+            object.__setattr__(self, "_cdr_times", [rec.timestamp for rec in self.cdrs])
+        return self.cdrs[bisect_left(self._cdr_times, lo):bisect_left(self._cdr_times, hi)]
 
     def cdrs_by_caller(self) -> dict[str, list[CdrRecord]]:
         if self._caller_index is None:
@@ -159,5 +175,4 @@ __all__ = [
     "parse_timestamp",
     "format_timestamp",
     "day_start",
-    "replace",
 ]

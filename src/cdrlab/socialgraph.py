@@ -135,7 +135,6 @@ def _month_index(ts: int) -> int:
 
 def build_graph(
     ds: Dataset,
-    window: tuple[int, int] | None = None,
     weight_spec: dict | None = None,
     min_monthly_interactions: int = 3,
 ) -> SocialGraph:
@@ -143,7 +142,7 @@ def build_graph(
 
     An edge survives only when the pair's combined two-direction interaction
     count is strictly greater than `min_monthly_interactions` in every
-    calendar month the window touches.  Threshold 0 disables the monthly
+    calendar month `ds.window` touches.  Threshold 0 disables the monthly
     test entirely: any communicating pair becomes an edge.
     """
     spec = dict(DEFAULT_WEIGHT_SPEC)
@@ -151,22 +150,13 @@ def build_graph(
         spec.update(weight_spec)
     if spec["voice_unit"] not in ("per-call", "per-second"):
         raise ValueError(f"unknown voice_unit {spec['voice_unit']!r}")
-    if window is None:
-        window = ds.window
-    start, end = window
-    if start >= end:
-        raise ValueError("empty window")
-    if start < ds.window[0] or end > ds.window[1]:
-        raise ValueError(f"window {window} outside dataset window {ds.window}")
-
+    start, end = ds.window
     months_required = set(range(_month_index(start), _month_index(end - 1) + 1))
     per_month: dict[tuple[str, str], dict[int, int]] = {}
     weights: dict[tuple[str, str], float] = {}
     nodes: set[str] = set()
     for rec in ds.cdrs:
         if rec.kind not in ("voice", "sms") or rec.callee is None:
-            continue
-        if not (start <= rec.timestamp < end):
             continue
         if rec.caller == rec.callee:
             continue

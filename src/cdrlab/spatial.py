@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geo import LocalProjection, haversine_km
-from .ingest import open_text
+from .ingest import number, open_text
 from .parallel import parallel_map
 
 log = logging.getLogger(__name__)
@@ -274,9 +274,9 @@ def write_grid(raster: GridRaster, path: str, header_comment: str | None = None)
 
 def read_grid(path: str) -> GridRaster:
     with open_text(path, "rt") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+        lines = [(n, ln.strip()) for n, ln in enumerate(fh, start=1) if ln.strip() and not ln.startswith("#")]
     header = {}
-    for ln in lines[:6]:
+    for _, ln in lines[:6]:
         key, _, val = ln.partition(" ")
         header[key.lower()] = val.strip()
     try:
@@ -288,7 +288,13 @@ def read_grid(path: str) -> GridRaster:
         nodata = float(header["nodata"])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"bad grid header in {path}: {exc}") from exc
-    values = np.array([[float(v) for v in ln.split()] for ln in lines[6:]])
+    rows = []
+    for n, ln in lines[6:]:
+        cells = ln.split()
+        if len(cells) != ncols:
+            raise ValueError(f"{path}:{n}: expected {ncols} values")
+        rows.append([number(path, n, v) for v in cells])
+    values = np.array(rows)
     if values.shape != (nrows, ncols):
         raise ValueError(f"grid body {values.shape} does not match header ({nrows}, {ncols})")
     return GridRaster(xll, yll, cellsize, values, nodata)

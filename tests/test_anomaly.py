@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdrlab import anomaly as an
 from cdrlab.records import Tower
@@ -25,10 +27,10 @@ def test_bin_series_counts_voice_only():
         voice("A", "B", "T1", T0 + 3700),        # second bin
     ]
     ds = make_dataset(cdrs, window=(T0, T0 + 2 * 3600))
-    ts = an.bin_series(ds, ("global",), 3600)
+    ts, tower = an.bin_series(ds, [("global",), ("tower", "T1")], 3600)
     assert list(ts.values) == [2.0, 1.0]
     assert ts.bin_start(1) == T0 + 3600
-    tower = an.bin_series(ds, ("tower", "T1"), 3600)
+    assert tower.entity == ("tower", "T1")
     assert list(tower.values) == [1.0, 1.0]
 
 
@@ -41,31 +43,102 @@ def test_bin_series_district_and_recharges():
     ]
     ds = make_dataset(cdrs, tops, window=(T0, T0 + 3600))
     area_map = {"T1": "D1", "T2": "D2"}
-    d1 = an.bin_series(ds, ("district", "D1"), 3600, area_map=area_map)
+    d1, = an.bin_series(ds, [("district", "D1")], 3600, area_map=area_map)
     assert list(d1.values) == [1.0]
-    amt = an.bin_series(ds, ("district", "D1"), 3600, measure="recharge_amount", area_map=area_map)
+    amt, = an.bin_series(ds, [("district", "D1")], 3600, measure="recharge_amount", area_map=area_map)
     assert list(amt.values) == [50.0]
     # unlocated top-ups count globally but belong to no tower or district
-    g = an.bin_series(ds, ("global",), 3600, measure="recharge_count")
+    g, cnt = an.bin_series(ds, [("global",), ("tower", "T2")], 3600, measure="recharge_count")
     assert list(g.values) == [3.0]
-    cnt = an.bin_series(ds, ("tower", "T2"), 3600, measure="recharge_count")
     assert list(cnt.values) == [1.0]
 
 
 def test_bin_series_validation():
     ds = make_dataset([voice("A", "B", "T1", T0 + 100)], window=(T0, T0 + 5400))
     with pytest.raises(ValueError, match="measure"):
-        an.bin_series(ds, ("global",), 3600, measure="sms_count")
+        an.bin_series(ds, [("global",)], 3600, measure="sms_count")
     with pytest.raises(ValueError, match="bin_width"):
-        an.bin_series(ds, ("global",), 0)
+        an.bin_series(ds, [("global",)], 0)
     with pytest.raises(ValueError, match="entity kind"):
-        an.bin_series(ds, ("region", "x"), 3600)
+        an.bin_series(ds, [("region", "x")], 3600)
     with pytest.raises(ValueError, match="area_map"):
-        an.bin_series(ds, ("district", "D1"), 3600)
+        an.bin_series(ds, [("district", "D1")], 3600)
     with pytest.raises(ValueError, match="missing from area_map"):
-        an.bin_series(ds, ("district", "D1"), 3600, area_map={"TX": "D1"})
+        an.bin_series(ds, [("district", "D1")], 3600, area_map={"TX": "D1"})
     # ragged tail still gets its own bin
-    assert len(an.bin_series(ds, ("global",), 3600).values) == 2
+    assert len(an.bin_series(ds, [("global",)], 3600)[0].values) == 2
+
+
+def test_bin_series_rejects_unknown_entities():
+    ds = make_dataset([voice("A", "B", "T1", T0 + 100)], window=(T0, T0 + 3600))
+    with pytest.raises(ValueError, match="unknown tower 'NOPE'"):
+        an.bin_series(ds, [("global",), ("tower", "NOPE")], 3600)
+    with pytest.raises(ValueError, match="unknown district 'NOPE'"):
+        an.bin_series(ds, [("district", "NOPE")], 3600, area_map={"T1": "D1"})
+
+
+def per_entity_series(ds, entity, bin_width, measure, area_map):
+    """The former bin_series: one scan over the events per entity."""
+    start, end = ds.window
+    values = np.zeros(max(1, math.ceil((end - start) / bin_width)), dtype=float)
+    kind = entity[0]
+
+    def matches(tower):
+        if kind == "global":
+            return True
+        if tower is None:
+            return False
+        if kind == "tower":
+            return tower == entity[1]
+        if tower not in area_map:
+            raise ValueError(f"tower {tower!r} missing from area_map")
+        return area_map[tower] == entity[1]
+
+    if measure == "call_count":
+        for rec in ds.cdrs:
+            if rec.kind == "voice" and matches(rec.tower):
+                values[(rec.timestamp - start) // bin_width] += 1
+    else:
+        for rec in ds.topups:
+            if matches(rec.retailer_tower):
+                values[(rec.timestamp - start) // bin_width] += rec.amount if measure == "recharge_amount" else 1
+    return values
+
+
+TOWERS = ("T1", "T2", "T3")
+SPAN = 2 * DAY
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    calls=st.lists(st.tuples(st.sampled_from(TOWERS), st.integers(0, SPAN - 1),
+                             st.sampled_from(["voice", "voice", "sms"])), max_size=40),
+    tops=st.lists(st.tuples(st.sampled_from(TOWERS + (None,)), st.integers(0, SPAN - 1),
+                            st.floats(0.01, 1e6)), max_size=40),
+    bin_width=st.one_of(st.sampled_from([600, 3600, 7 * 3600]), st.integers(1, SPAN + 10)),
+    measure=st.sampled_from(["call_count", "recharge_amount", "recharge_count"]),
+    areas=st.lists(st.sampled_from(["D1", "D2"]), min_size=3, max_size=3),
+    mapped=st.booleans(),
+)
+def test_grouped_bin_series_matches_per_entity_loop(calls, tops, bin_width, measure, areas, mapped):
+    cdrs = [voice("A", "B", t, T0 + off) if kind == "voice" else sms("A", "B", t, T0 + off)
+            for t, off, kind in calls]
+    ds = make_dataset(cdrs, [topup("A", T0 + off, amt, retailer_tower=t) for t, off, amt in tops],
+                      towers={t: Tower(t, 90.0, 23.0) for t in TOWERS}, window=(T0, T0 + SPAN))
+    # unmapped: T3 is missing from the area map, which district series reject
+    area_map = dict(zip(TOWERS if mapped else TOWERS[:2], areas))
+    entities = [("global",)] + [("tower", t) for t in TOWERS]
+    districts = [("district", a) for a in sorted(set(area_map.values()))]
+    try:
+        expected = [per_entity_series(ds, e, bin_width, measure, area_map) for e in entities + districts]
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            an.bin_series(ds, entities + districts, bin_width, measure, area_map)
+        expected = [per_entity_series(ds, e, bin_width, measure, area_map) for e in entities]
+        districts = []
+    got = an.bin_series(ds, entities + districts, bin_width, measure, area_map)
+    assert [ts.entity for ts in got] == entities + districts
+    assert [ts.values.tobytes() for ts in got] == [v.tobytes() for v in expected]
 
 
 # -- sigma rule ----------------------------------------------------------------------

@@ -248,6 +248,23 @@ def test_anomaly_and_flows(synth_dir, tmp_path):
     assert len(day_files) == 7 and day_files[0] == "flows_20160501.csv"
 
 
+def test_anomaly_unknown_entity_exits_2(synth_dir, tmp_path, capsys):
+    rc = cli.main(["anomaly", *dataset_args(synth_dir), "--entity", "tower:NOPE",
+                   "--outdir", str(tmp_path / "t")])
+    assert rc == 2 and "unknown tower 'NOPE'" in capsys.readouterr().err
+    assert not (tmp_path / "t" / "anomalies.csv").exists()
+    areas = tmp_path / "areas.csv"
+    towers = [ln.split(",")[0] for ln in (synth_dir / "towers.csv").read_text().splitlines()[2:]]
+    areas.write_text("tower,area\n" + "".join(f"{t},D{i % 2}\n" for i, t in enumerate(towers)))
+    rc = cli.main(["anomaly", *dataset_args(synth_dir), "--entity", "district:NOPE",
+                   "--areas", str(areas), "--outdir", str(tmp_path / "d")])
+    assert rc == 2 and "unknown district 'NOPE'" in capsys.readouterr().err
+    assert not (tmp_path / "d" / "anomalies.csv").exists()
+    rc = cli.main(["anomaly", *dataset_args(synth_dir), "--entity", "district:D1",
+                   "--areas", str(areas), "--outdir", str(tmp_path / "ok")])
+    assert rc == 0
+
+
 def test_rank_curves_and_distance_matrix(synth_dir, tmp_path):
     rc = cli.main(["rank-curves", *dataset_args(synth_dir),
                    "--event-time", str(T0 + 3 * DAY + 8 * 3600),

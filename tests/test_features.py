@@ -163,9 +163,7 @@ def test_extract_features_callee_only_subscriber():
     assert v.values["degree"] == 1  # the inbound contact still counts
 
 
-def test_extract_features_window_restriction(rich_ds):
-    vec = feat.extract_features(rich_ds, "A", window=(T0 + 20 * DAY, T0 + 28 * DAY))
-    assert all(value is None for value in vec.values.values())
+def test_extract_features_unknown_subscriber(rich_ds):
     with pytest.raises(ValueError, match="not present"):
         feat.extract_features(rich_ds, "ZZZ")
 

@@ -2,6 +2,7 @@ import csv
 import gzip
 import io
 import logging
+from datetime import timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -335,3 +336,118 @@ def test_unknown_towers_warn_once_per_file(tmp_path, caplog):
         f"{cdr}: 7 rows rejected for an unknown tower (lines 2, 3, 4, 5, 6, ...)",
         f"{top}: 1 rows rejected for an unknown tower (lines 2)",
     ]
+
+
+# -- per-parser fuzz ----------------------------------------------------------------
+#
+# Any text without a line break, in any field.  Each file is a fixed header
+# plus generated lines; a data line is one that is neither blank nor a '#'
+# comment.  Every data line must end as exactly one record or one reject
+# carrying its physical line number, and what was parsed must survive
+# write -> parse unchanged.
+
+ANY = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"), max_size=6)
+OFFSETS = st.one_of(st.none(), st.integers(-1439, 1439).map(lambda m: timezone(timedelta(minutes=m))))
+STAMP = st.one_of(
+    ANY,
+    st.builds(lambda dt, tz: dt.replace(tzinfo=tz).isoformat(), st.datetimes(), OFFSETS),
+    st.sampled_from(["2016-05-01T00:10:00Z", "0099-01-01T00:00:00Z", "0001-01-01T00:00:00+01:00"]),
+)
+NUMBER = st.one_of(
+    ANY,
+    st.floats().map(repr),
+    st.sampled_from(["", "0", "-0", "12.5", " 7 ", "-3", "1e400", "1_0", "nan", "inf"]),
+)
+ID = st.one_of(ANY, st.sampled_from(["A", " B ", "#C", '"D"', "E,F", 'G"H', ""]))
+
+
+def fuzz_line(fields, extra, quote):
+    """One generated line: fields plus extras, as text or each field quoted."""
+    cells = list(fields) + extra
+    if quote:
+        return ",".join('"' + c.replace('"', '""') + '"' for c in cells)
+    return ",".join(cells)
+
+
+def fuzz_lines(*fields):
+    line = st.builds(fuzz_line, st.tuples(*fields), st.lists(ANY, max_size=1), st.booleans())
+    short = st.lists(ANY, max_size=len(fields) - 1).map(",".join)
+    return st.lists(st.one_of(line, short, ANY), max_size=8)
+
+
+def write_fuzz(directory, name, header, lines):
+    path = directory / name
+    path.write_text("\n".join([header] + lines) + "\n", encoding="utf-8", newline="")
+    data = [n for n, line in enumerate(lines, start=2) if line.strip() and not line.strip().startswith("#")]
+    return str(path), data
+
+
+def assert_one_outcome_per_line(report, accepted, data):
+    numbers = [n for n, _ in report.rejects]
+    assert report.total_rows == len(data)
+    assert numbers == sorted(set(numbers)) and set(numbers) <= set(data)
+    assert accepted + len(numbers) == len(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=fuzz_lines(ID, ID, ID, STAMP, st.one_of(ANY, st.sampled_from(["voice", " SMS", "data", "fax"])), NUMBER))
+def test_cdr_parser_fuzz_and_round_trip(tmp_path_factory, lines):
+    d = tmp_path_factory.mktemp("cdr")
+    path, data = write_fuzz(d, "c.csv", CDR_HEADER, lines)
+    recs, report = ingest.parse_cdr_file(path, reject_cap=1.0)
+    assert_one_outcome_per_line(report, len(recs), data)
+    ingest.write_cdr_csv(recs, str(d / "back.csv"))
+    back, again = ingest.parse_cdr_file(str(d / "back.csv"), reject_cap=1.0)
+    assert back == recs and again.rejects == [] and again.total_rows == len(recs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=fuzz_lines(ID, ID, ID, STAMP, NUMBER))
+def test_topup_parser_fuzz_and_round_trip(tmp_path_factory, lines):
+    d = tmp_path_factory.mktemp("topup")
+    path, data = write_fuzz(d, "t.csv", "buyer,retailer,retailer_tower,timestamp,amount", lines)
+    recs, report = ingest.parse_topup_file(path, reject_cap=1.0)
+    assert_one_outcome_per_line(report, len(recs), data)
+    ingest.write_topup_csv(recs, str(d / "back.csv"))
+    back, again = ingest.parse_topup_file(str(d / "back.csv"), reject_cap=1.0)
+    assert back == recs and again.rejects == [] and again.total_rows == len(recs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=fuzz_lines(ID, NUMBER, NUMBER))
+def test_tower_parser_fuzz_and_round_trip(tmp_path_factory, lines):
+    d = tmp_path_factory.mktemp("tower")
+    path, data = write_fuzz(d, "w.csv", "id,lon,lat", lines)
+    try:
+        towers, report = ingest.parse_tower_file(path, reject_cap=1.0)
+    except ingest.IngestError as exc:
+        assert "duplicate tower id" in str(exc)  # fatal by contract
+        return
+    assert_one_outcome_per_line(report, len(towers), data)
+    ingest.write_towers_csv(towers, str(d / "back.csv"))
+    back, again = ingest.parse_tower_file(str(d / "back.csv"), reject_cap=1.0)
+    assert back == towers and again.rejects == [] and again.total_rows == len(towers)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=fuzz_lines(ID, ID))
+def test_labels_parser_fuzz_and_round_trip(tmp_path_factory, lines):
+    d = tmp_path_factory.mktemp("labels")
+    path, data = write_fuzz(d, "l.csv", "subscriber,label", lines)
+    labels, report = ingest.parse_labels_file(path, reject_cap=1.0)
+    # a later row for a subscriber wins, so count the rows, not the labels
+    assert_one_outcome_per_line(report, len(data) - len(report.rejects), data)
+    assert len(labels) <= len(data) - len(report.rejects)
+    ingest.write_labels_csv(labels, str(d / "back.csv"))
+    back, again = ingest.parse_labels_file(str(d / "back.csv"), reject_cap=1.0)
+    assert back == labels and again.rejects == [] and again.total_rows == len(labels)
+
+
+def test_leading_hash_id_survives_a_round_trip(tmp_path):
+    p = write(tmp_path / "c.csv", [CDR_HEADER, '"#A1",B,T1,2016-05-01T00:00:00Z,voice,30',
+                                   "A2,B,T1,2016-05-01T00:00:00Z,voice,30"])
+    recs, _ = ingest.parse_cdr_file(p)
+    assert recs[0].caller == "#A1"
+    ingest.write_cdr_csv(recs, str(tmp_path / "back.csv"))
+    back, report = ingest.parse_cdr_file(str(tmp_path / "back.csv"))
+    assert back == recs and report.total_rows == 2

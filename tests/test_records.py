@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdrlab.records import (
     Dataset,
@@ -71,3 +73,23 @@ def test_dataset_is_frozen():
     ds = make_dataset([voice("A", "B", "T1", T0 + 1)], window=(T0, T0 + DAY))
     with pytest.raises(Exception):
         ds.window = (0, 1)
+
+
+def test_dataset_rejects_events_outside_its_window():
+    window = (T0, T0 + DAY)
+    make_dataset([voice("A", "B", "T1", T0), voice("A", "B", "T1", T0 + DAY - 1)], window=window)
+    with pytest.raises(ValueError, match="outside window"):
+        make_dataset([voice("A", "B", "T1", T0 - 100)], window=window)
+    with pytest.raises(ValueError, match="outside window"):
+        make_dataset([voice("A", "B", "T1", T0 + DAY)], window=window)
+    with pytest.raises(ValueError, match="top-up timestamps"):
+        make_dataset([voice("A", "B", "T1", T0)], [topup("A", T0 + DAY, 5.0)], window=window)
+
+
+@settings(max_examples=100, deadline=None)
+@given(offsets=st.lists(st.integers(0, 99), max_size=30), lo=st.integers(-5, 105), width=st.integers(-5, 110))
+def test_cdrs_between_matches_the_filter(offsets, lo, width):
+    ds = make_dataset([voice(f"S{i}", "B", "T1", T0 + off) for i, off in enumerate(offsets)],
+                      window=(T0, T0 + 100))
+    lo, hi = T0 + lo, T0 + lo + width
+    assert ds.cdrs_between(lo, hi) == tuple(r for r in ds.cdrs if lo <= r.timestamp < hi)

@@ -270,6 +270,23 @@ def test_read_grid_errors(tmp_path):
         sp.read_grid(str(p2))
 
 
+GRID_HEAD = "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\nnodata -9999\n"
+
+
+def test_read_grid_bad_number_names_its_line(tmp_path):
+    p = tmp_path / "bad.txt"
+    p.write_text(GRID_HEAD + "1 2\n3 x\n")
+    with pytest.raises(ValueError, match=f"^{p}:8: bad number 'x'$"):
+        sp.read_grid(str(p))
+
+
+def test_read_grid_short_row_names_its_line(tmp_path):
+    p = tmp_path / "short.txt"
+    p.write_text(GRID_HEAD + "# note\n1\n3 4\n")
+    with pytest.raises(ValueError, match=f"^{p}:8: expected 2 values$"):
+        sp.read_grid(str(p))
+
+
 def test_geojson_outputs():
     part = sp.voronoi_partition({"W": (90.25, 23.5), "E": (90.75, 23.5)}, CLIP)
     gj = sp.voronoi_geojson(part)
