@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import home_tower
 from .geo import haversine_km
 from .ingest import write_csv
-from .records import SECONDS_PER_DAY, Dataset, day_start
+from .records import SECONDS_PER_DAY, VOICE, Dataset, day_start
 
 DEFAULT_THRESHOLD_SIGMA = 3.0
 
@@ -117,33 +116,35 @@ def bin_series(
             raise ValueError(f"unknown tower {entity[1]!r}")
         if kind == "district" and entity[1] not in area_map.values():
             raise ValueError(f"unknown district {entity[1]!r}")
-    districts = any(entity[0] == "district" for entity in entities)
-
     start, end = ds.window
     n_bins = max(1, math.ceil((end - start) / bin_width))
     if measure == "call_count":
-        events = ((rec.tower, rec.timestamp, 1.0) for rec in ds.cdrs if rec.kind == "voice")
+        voice = ds.cdrs.kind == VOICE
+        tower, ts, amount = ds.cdrs.tower[voice], ds.cdrs.ts[voice], np.ones(int(voice.sum()))
     else:
-        events = ((rec.retailer_tower, rec.timestamp, rec.amount if measure == "recharge_amount" else 1.0)
-                  for rec in ds.topups)
-    # Each event bumps every entity it feeds; adding in dataset order keeps the sums stable.
-    sums: dict[tuple, list[float]] = {}
-    for tower, ts, amount in events:
-        keys = [("global",)]
-        if tower is not None:
-            keys.append(("tower", tower))
-            if districts:
-                if tower not in area_map:
-                    raise ValueError(f"tower {tower!r} missing from area_map")
-                keys.append(("district", area_map[tower]))
-        i = (ts - start) // bin_width
-        for key in keys:
-            row = sums.get(key)
-            if row is None:
-                row = sums[key] = [0.0] * n_bins
-            row[i] += amount
-    return [TimeSeries(tuple(e), bin_width, start, np.array(sums.get(tuple(e), [0.0] * n_bins)))
-            for e in entities]
+        t = ds.topups
+        tower, ts = t.tower, t.ts
+        amount = t.amount if measure == "recharge_amount" else np.ones(len(t))
+    tower_ids = ds.cdrs.tower_ids
+    bins = (ts - start) // bin_width
+    # Each cell adds its events in dataset order, so the sums are stable.
+    series = {("global",): np.bincount(bins, weights=amount, minlength=n_bins)}
+    located = tower >= 0
+    if any(entity[0] == "tower" for entity in entities):
+        cells = np.bincount(tower[located].astype(np.int64) * n_bins + bins[located],
+                            weights=amount[located], minlength=len(tower_ids) * n_bins)
+        series.update((("tower", tid), row) for tid, row in zip(tower_ids, cells.reshape(-1, n_bins)))
+    if any(entity[0] == "district" for entity in entities):
+        districts = sorted(set(area_map.values()))
+        index = {d: i for i, d in enumerate(districts)}
+        area_of = np.array([index.get(area_map.get(tid), -1) for tid in tower_ids] + [-1])
+        missing = np.flatnonzero(located & (area_of[tower] < 0))
+        if len(missing):
+            raise ValueError(f"tower {tower_ids[tower[missing[0]]]!r} missing from area_map")
+        cells = np.bincount(area_of[tower[located]] * n_bins + bins[located],
+                            weights=amount[located], minlength=len(districts) * n_bins)
+        series.update((("district", d), row) for d, row in zip(districts, cells.reshape(-1, n_bins)))
+    return [TimeSeries(tuple(e), bin_width, start, series[tuple(e)]) for e in entities]
 
 
 def _baseline_cell_key(ts: TimeSeries, baseline: str, index: int):
@@ -225,31 +226,41 @@ def build_flow_network(
     if mode not in ("first_last", "per_transition"):
         raise ValueError(f"unknown mode {mode!r}")
     day = day_start(day)
-    sequences: dict[str, list[str]] = {}
-    for rec in ds.cdrs_between(day, day + SECONDS_PER_DAY):
-        if rec.tower not in area_map:
-            raise ValueError(f"tower {rec.tower!r} missing from area_map")
-        sequences.setdefault(rec.caller, []).append(area_map[rec.tower])
-    counts: Counter = Counter()
-    for areas in sequences.values():
-        if mode == "first_last":
-            if areas[0] != areas[-1]:
-                counts[(areas[0], areas[-1])] += 1
-        else:
-            for a, b in zip(areas, areas[1:]):
-                if a != b:
-                    counts[(a, b)] += 1
+    c = ds.cdrs
+    rows = ds.cdrs_between(day, day + SECONDS_PER_DAY)
+    areas = sorted(set(area_map.values()))
+    index = {a: i for i, a in enumerate(areas)}
+    area_of = np.array([index.get(area_map.get(tid), -1) for tid in c.tower_ids], dtype=np.int64)
+    area = area_of[c.tower[rows]]
+    if np.any(area < 0):
+        raise ValueError(f"tower {c.tower_ids[c.tower[rows][np.argmax(area < 0)]]!r} missing from area_map")
+    # Each SIM's areas in time order, SIM after SIM.
+    caller = c.caller[rows]
+    order = np.argsort(caller, kind="stable")
+    caller, area = caller[order], area[order]
+    same = caller[1:] == caller[:-1]
+    if mode == "first_last":
+        first = np.ones(len(caller), dtype=bool)
+        first[1:] = ~same
+        last = np.ones(len(caller), dtype=bool)
+        last[:-1] = ~same
+        origin, dest = area[first], area[last]
+    else:
+        origin, dest = area[:-1][same], area[1:][same]
+    moved = origin != dest
+    pairs, counts = np.unique(origin[moved] * len(areas) + dest[moved], return_counts=True)
     centroids = area_centroids(ds.towers, area_map)
     od = {}
-    for (a, b), c in counts.items():
-        if c < min_count:
+    for pair, count in zip(pairs.tolist(), counts.tolist()):
+        a, b = areas[pair // len(areas)], areas[pair % len(areas)]
+        if count < min_count:
             continue
         ca, cb = centroids.get(a), centroids.get(b)
         if ca is None or cb is None:
             continue
         if haversine_km(ca[0], ca[1], cb[0], cb[1]) < min_distance_km:
             continue
-        od[(a, b)] = int(c)
+        od[(a, b)] = int(count)
     return FlowNetwork(day=day, od=od)
 
 
@@ -335,24 +346,31 @@ def detect_flow_anomalies(
     return reports
 
 
+def _ranked_contacts(ds: Dataset, code: int, window: tuple[int, int]) -> np.ndarray:
+    """rank_contacts on subscriber codes."""
+    start, end = window
+    c = ds.cdrs
+    n = len(c.subscriber_ids)
+    out = ds.cdrs_by_caller().of(code)
+    out = out[(c.ts[out] >= start) & (c.ts[out] < end) & (c.callee[out] >= 0)]
+    inn = ds.cdrs_by_callee().of(code)
+    inn = inn[(c.ts[inn] >= start) & (c.ts[inn] < end)]
+    calls = np.bincount(c.callee[out[c.kind[out] == VOICE]], minlength=n)
+    two_way = np.bincount(c.callee[out], minlength=n) + np.bincount(c.caller[inn], minlength=n)
+    contacts = np.flatnonzero(calls)
+    return contacts[np.lexsort((contacts, -two_way[contacts], -calls[contacts]))]
+
+
 def rank_contacts(ds: Dataset, subscriber: str, window: tuple[int, int]) -> list[str]:
     """Contacts ordered by outgoing voice-call count, descending.
 
     Ties break by the pair's total two-way communication count in the
     window, then by lexicographic contact id.
     """
-    start, end = window
-    out_calls: Counter = Counter()
-    two_way: Counter = Counter()
-    for rec in ds.cdrs_by_caller().get(subscriber, ()):
-        if start <= rec.timestamp < end and rec.callee is not None:
-            if rec.kind == "voice":
-                out_calls[rec.callee] += 1
-            two_way[rec.callee] += 1
-    for rec in ds.cdrs_by_callee().get(subscriber, ()):
-        if start <= rec.timestamp < end:
-            two_way[rec.caller] += 1
-    return sorted(out_calls, key=lambda c: (-out_calls[c], -two_way[c], c))
+    code = ds.subscriber_code(subscriber)
+    if code is None:
+        return []
+    return [ds.cdrs.subscriber_ids[i] for i in _ranked_contacts(ds, code, window).tolist()]
 
 
 @dataclass
@@ -370,24 +388,29 @@ class RankCurves:
 def _day_fraction_curves(
     ds: Dataset,
     day: int,
-    rank_of: dict[str, dict[str, int]],
+    rank_keys: np.ndarray,
+    rank_values: np.ndarray,
     ranks: tuple[int, ...],
     bin_width: int,
 ) -> dict[int, np.ndarray]:
     """Per rank: fraction of that day's active subscribers calling their
-    rank-k contact in each bin."""
+    rank-k contact in each bin.  rank_keys (sorted) are caller * n + contact
+    codes, rank_values their ranks."""
     n_bins = SECONDS_PER_DAY // bin_width
-    active: set[str] = set()
-    hits = {k: [set() for _ in range(n_bins)] for k in ranks}
-    for rec in ds.cdrs_between(day, day + SECONDS_PER_DAY):
-        active.add(rec.caller)
-        if rec.kind != "voice" or rec.callee is None:
-            continue
-        k = rank_of.get(rec.caller, {}).get(rec.callee)
-        if k in hits:
-            hits[k][(rec.timestamp - day) // bin_width].add(rec.caller)
-    denom = max(1, len(active))
-    return {k: np.array([len(s) / denom for s in sets]) for k, sets in hits.items()}
+    c = ds.cdrs
+    n = len(c.subscriber_ids)
+    rows = ds.cdrs_between(day, day + SECONDS_PER_DAY)
+    caller = c.caller[rows]
+    denom = max(1, int(np.count_nonzero(np.bincount(caller, minlength=n))))
+    voice = (c.kind[rows] == VOICE) & (c.callee[rows] >= 0)
+    caller, bins = caller[voice], (c.ts[rows][voice] - day) // bin_width
+    key = caller.astype(np.int64) * n + c.callee[rows][voice]
+    at = np.minimum(np.searchsorted(rank_keys, key), max(len(rank_keys) - 1, 0))
+    hit = rank_keys[at] == key if len(rank_keys) else np.zeros(len(key), dtype=bool)
+    # a caller counts once per (rank, bin)
+    hits = np.unique((rank_values[at[hit]] * n_bins + bins[hit]) * n + caller[hit])
+    counts = np.bincount(hits // n, minlength=(max(ranks) + 1) * n_bins).reshape(-1, n_bins)
+    return {k: counts[k] / denom for k in ranks}
 
 
 def rank_activation_curves(
@@ -412,16 +435,19 @@ def rank_activation_curves(
         rank_window = (ds.window[0], event_day)
     if rank_window[0] >= rank_window[1]:
         raise ValueError("empty rank window")
-    rank_of: dict[str, dict[str, int]] = {}
-    max_rank = max(ranks)
-    for sub in {rec.caller for rec in ds.cdrs}:
-        ordered = rank_contacts(ds, sub, rank_window)
-        if ordered:
-            rank_of[sub] = {c: i + 1 for i, c in enumerate(ordered[:max_rank])}
+    n = len(ds.cdrs.subscriber_ids)
+    keys, values = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for code in np.flatnonzero(np.bincount(ds.cdrs.caller, minlength=n)).tolist():
+        top = _ranked_contacts(ds, code, rank_window)[:max(ranks)]
+        keys.append(code * n + top)
+        values.append(np.arange(1, len(top) + 1))
+    rank_keys, rank_values = np.concatenate(keys), np.concatenate(values)
+    order = np.argsort(rank_keys)
+    rank_keys, rank_values = rank_keys[order], rank_values[order]
 
-    event_curves = _day_fraction_curves(ds, event_day, rank_of, tuple(ranks), bin_width)
+    event_curves = _day_fraction_curves(ds, event_day, rank_keys, rank_values, tuple(ranks), bin_width)
     comp_curves = [
-        _day_fraction_curves(ds, day_start(d), rank_of, tuple(ranks), bin_width)
+        _day_fraction_curves(ds, day_start(d), rank_keys, rank_values, tuple(ranks), bin_width)
         for d in comparison_days
     ]
     n_bins = SECONDS_PER_DAY // bin_width
@@ -459,33 +485,33 @@ def distance_activation_matrix(
         raise ValueError("need at least one comparison day")
     if sorted(distance_bins) != list(distance_bins) or not distance_bins:
         raise ValueError("distance_bins must be ascending edges")
+    c = ds.cdrs
+    n = len(c.subscriber_ids)
     if homes is None:
-        homes = {}
-        for sub in ds.subscribers():
-            h = home_tower(ds, sub)
-            if h is not None:
-                homes[sub] = h
+        homes = {c.subscriber_ids[i]: c.tower_ids[h]
+                 for i, h in enumerate(ds.home_towers().tolist()) if h >= 0}
     edges = np.asarray(distance_bins, dtype=float)
     n_bins = len(edges) + 1
-    dist_bin: dict[str, int] = {}
-    for sub, tid in homes.items():
-        t = ds.towers.get(tid)
-        if t is None:
-            continue
+    tower_bin: dict[str, int] = {}
+    for tid, t in ds.towers.items():
         d = haversine_km(t.lon, t.lat, epicenter[0], epicenter[1])
-        dist_bin[sub] = int(np.searchsorted(edges, d, side="right"))
+        tower_bin[tid] = int(np.searchsorted(edges, d, side="right"))
+    dist_bin = np.full(n, -1, dtype=np.int64)  # by subscriber code; -1: no located home
+    for sub, tid in homes.items():
+        code = ds.subscriber_code(sub)
+        if code is not None and tid in tower_bin:
+            dist_bin[code] = tower_bin[tid]
 
     def day_matrix(day: int) -> np.ndarray:
         day = day_start(day)
-        window = ds.cdrs_between(day + hour_window[0], day + hour_window[1])
-        ties = {(rec.caller, rec.callee) for rec in window if rec.callee is not None}
-        counts = np.zeros((n_bins, n_bins))
-        for caller, callee in ties:
-            bx = dist_bin.get(caller)
-            by = dist_bin.get(callee)
-            if bx is not None and by is not None:
-                counts[bx, by] += 1
-        return counts
+        rows = ds.cdrs_between(day + hour_window[0], day + hour_window[1])
+        caller, callee = c.caller[rows], c.callee[rows]
+        has = callee >= 0
+        ties = np.unique(caller[has].astype(np.int64) * n + callee[has])
+        bx, by = dist_bin[ties // n], dist_bin[ties % n]
+        both = (bx >= 0) & (by >= 0)
+        counts = np.bincount(bx[both] * n_bins + by[both], minlength=n_bins * n_bins)
+        return counts.reshape(n_bins, n_bins).astype(float)
 
     event = day_matrix(event_day)
     comp = np.mean([day_matrix(d) for d in comparison_days], axis=0)

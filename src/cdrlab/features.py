@@ -13,12 +13,13 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .geo import haversine_km
-from .ingest import write_csv
-from .records import COMM_KINDS, SECONDS_PER_DAY, Dataset
+import numpy as np
 
-NOCTURNAL_START_HOUR = 22
-NOCTURNAL_END_HOUR = 6
+from .geo import haversine_km_to
+from .ingest import write_csv
+from .records import COMM_KINDS, DATA, EVENT_KINDS, SECONDS_PER_DAY, SMS, VOICE, Dataset, is_nocturnal
+
+_IS_COMM = np.array([kind in COMM_KINDS for kind in EVENT_KINDS])
 
 FEATURE_FAMILY = {
     "out_voice_duration": "basic",
@@ -59,64 +60,64 @@ def entropy(distribution) -> float:
     if isinstance(distribution, Mapping):
         counts = [c for c in distribution.values() if c > 0]
     else:
-        counts = [c for c in Counter(distribution).values() if c > 0]
+        counts = list(Counter(distribution).values())
+    return _count_entropy(counts)
+
+
+def _count_entropy(counts: list[int]) -> float:
+    """Entropy of positive counts, summed in the order given; 0.0, never -0.0."""
     if not counts:
         raise ValueError("entropy of an empty distribution is undefined")
     total = float(sum(counts))
-    return -sum((c / total) * math.log(c / total) for c in counts)
+    return 0.0 - sum((c / total) * math.log(c / total) for c in counts)
 
 
-def radius_of_gyration(visits: Iterable[tuple[float, float]]) -> float:
+def _first_seen_counts(codes: np.ndarray) -> list[int]:
+    """How often each code occurs, in the order the codes first occur."""
+    _, first, counts = np.unique(codes, return_index=True, return_counts=True)
+    return counts[np.argsort(first)].tolist()
+
+
+def radius_of_gyration(visits) -> float:
     """Root mean squared great-circle distance from the visit-weighted centroid.
 
-    The centroid is the arithmetic mean of (lon, lat) over the visit
-    multiset, adequate at the tens-of-km scale this measures.
+    visits are (lon, lat) pairs, or an (n, 2) array.  The centroid is the
+    arithmetic mean of (lon, lat) over the visit multiset, adequate at the
+    tens-of-km scale this measures.  Sums run left to right over the visits.
     """
-    pts = list(visits)
-    if not pts:
+    pts = np.asarray(visits, dtype=np.float64).reshape(-1, 2)
+    if not len(pts):
         raise ValueError("radius of gyration of an empty visit set is undefined")
-    lon0 = sum(p[0] for p in pts) / len(pts)
-    lat0 = sum(p[1] for p in pts) / len(pts)
-    mean_sq = sum(haversine_km(lon, lat, lon0, lat0) ** 2 for lon, lat in pts) / len(pts)
-    return math.sqrt(mean_sq)
-
-
-def _is_nocturnal(ts: int) -> bool:
-    hour = (ts % SECONDS_PER_DAY) // 3600
-    return hour >= NOCTURNAL_START_HOUR or hour < NOCTURNAL_END_HOUR
+    n = len(pts)
+    lon0 = sum(pts[:, 0].tolist()) / n
+    lat0 = sum(pts[:, 1].tolist()) / n
+    distances = haversine_km_to(pts[:, 0], pts[:, 1], lon0, lat0).tolist()
+    return math.sqrt(sum(d ** 2 for d in distances) / n)
 
 
 def home_tower(ds: Dataset, subscriber: str) -> str | None:
     """Most frequent tower over 22:00-06:00 events; all-hours fallback.
 
     Ties resolve to the lexicographically smallest tower id; a subscriber
-    with no located events has no home (None).
+    with no located events has no home (None).  A lookup into
+    `Dataset.home_towers`, which computes every home in one pass.
     """
-    nocturnal: Counter = Counter()
-    allhours: Counter = Counter()
-    for rec in ds.cdrs_by_caller().get(subscriber, ()):
-        allhours[rec.tower] += 1
-        if _is_nocturnal(rec.timestamp):
-            nocturnal[rec.tower] += 1
-    counts = nocturnal or allhours
-    if not counts:
-        return None
-    top = max(counts.values())
-    return min(t for t, c in counts.items() if c == top)
+    code = ds.subscriber_code(subscriber)
+    home = -1 if code is None else int(ds.home_towers()[code])
+    return None if home < 0 else ds.cdrs.tower_ids[home]
 
 
-def spending_speed(topups) -> float | None:
+def spending_speed(amounts: list[float], stamps: list[int]) -> float | None:
     """Total recharge per day over the inclusive first-to-last span.
 
-    The span in days is (last - first)/86400 + 1, so a single recharge
-    spends over one day and two recharges ten days apart spend over eleven.
+    amounts and stamps describe the top-ups in time order.  The span in
+    days is (last - first)/86400 + 1, so a single recharge spends over one
+    day and two recharges ten days apart spend over eleven.
     """
-    recs = sorted(topups, key=lambda r: r.timestamp)
-    if not recs:
+    if not amounts:
         return None
-    total = sum(r.amount for r in recs)
-    span_days = (recs[-1].timestamp - recs[0].timestamp) / SECONDS_PER_DAY + 1.0
-    return total / span_days
+    span_days = (stamps[-1] - stamps[0]) / SECONDS_PER_DAY + 1.0
+    return sum(amounts) / span_days
 
 
 def dataset_denominations(ds: Dataset) -> tuple[float, float] | None:
@@ -125,10 +126,9 @@ def dataset_denominations(ds: Dataset) -> tuple[float, float] | None:
     They stand in for the market's denominations when none are given.  A
     caller looping over subscribers computes them once and passes them on.
     """
-    if not ds.topups:
+    if not len(ds.topups):
         return None
-    amounts = [r.amount for r in ds.topups]
-    return min(amounts), max(amounts)
+    return float(ds.topups.amount.min()), float(ds.topups.amount.max())
 
 
 def extract_features(
@@ -141,64 +141,61 @@ def extract_features(
     `denominations` names the market's recharge amounts for the
     lowest/highest-denomination fractions; when omitted, the dataset-wide
     minimum and maximum top-up amounts stand in (`dataset_denominations`).
+    Every sum adds the subscriber's events left to right in dataset order.
     """
-    out_events = ds.cdrs_by_caller().get(subscriber, ())
-    in_events = ds.cdrs_by_callee().get(subscriber, ())
-    tops = ds.topups_by_buyer().get(subscriber, ())
-    if not out_events and not in_events and not tops:
-        if subscriber not in ds.subscribers():
-            raise ValueError(f"subscriber {subscriber!r} not present in dataset")
-        values = {name: None for name in FEATURE_ORDER}
-        return FeatureVector(subscriber, values, None)
+    code = ds.subscriber_code(subscriber)
+    if code is None:
+        raise ValueError(f"subscriber {subscriber!r} not present in dataset")
+    c = ds.cdrs
+    out = ds.cdrs_by_caller().of(code)
+    inn = ds.cdrs_by_callee().of(code)
+    tops = ds.topups_by_buyer().of(code)
+    out_kind, in_kind = c.kind[out], c.kind[inn]
+    out_comm = out[_IS_COMM[out_kind] & (c.callee[out] >= 0)]
+    in_comm = inn[_IS_COMM[in_kind]]
 
     values: dict[str, float | None] = {}
-    out_comm = [r for r in out_events if r.kind in COMM_KINDS and r.callee is not None]
-    in_comm = [r for r in in_events if r.kind in COMM_KINDS]
-
-    values["out_voice_duration"] = sum(r.magnitude for r in out_events if r.kind == "voice")
-    values["in_voice_duration"] = sum(r.magnitude for r in in_events if r.kind == "voice")
-    values["sms_out_count"] = sum(1 for r in out_events if r.kind == "sms")
-    values["sms_in_count"] = sum(1 for r in in_events if r.kind == "sms")
-    values["internet_volume"] = sum(r.magnitude for r in out_events if r.kind == "data")
-    if out_comm:
-        values["percent_nocturnal_calls"] = sum(1 for r in out_comm if _is_nocturnal(r.timestamp)) / len(out_comm)
+    values["out_voice_duration"] = sum(c.magnitude[out[out_kind == VOICE]].tolist())
+    values["in_voice_duration"] = sum(c.magnitude[inn[in_kind == VOICE]].tolist())
+    values["sms_out_count"] = int(np.count_nonzero(out_kind == SMS))
+    values["sms_in_count"] = int(np.count_nonzero(in_kind == SMS))
+    values["internet_volume"] = sum(c.magnitude[out[out_kind == DATA]].tolist())
+    if len(out_comm):
+        nocturnal = int(np.count_nonzero(is_nocturnal(c.ts[out_comm])))
+        values["percent_nocturnal_calls"] = nocturnal / len(out_comm)
     else:
         values["percent_nocturnal_calls"] = None
 
-    contact_counts: Counter = Counter()
-    for r in out_comm:
-        contact_counts[r.callee] += 1
-    for r in in_comm:
-        contact_counts[r.caller] += 1
-    if contact_counts:
-        values["degree"] = len(contact_counts)
-        values["interactions_per_contact"] = sum(contact_counts.values()) / len(contact_counts)
-        values["entropy_of_contacts"] = entropy(contact_counts)
+    contacts = _first_seen_counts(np.concatenate((c.callee[out_comm], c.caller[in_comm])))
+    if contacts:
+        values["degree"] = len(contacts)
+        values["interactions_per_contact"] = sum(contacts) / len(contacts)
+        values["entropy_of_contacts"] = _count_entropy(contacts)
     else:
         values["degree"] = None
         values["interactions_per_contact"] = None
         values["entropy_of_contacts"] = None
 
-    home = home_tower(ds, subscriber)
-    if out_events:
-        place_counts = Counter(r.tower for r in out_events)
-        values["number_of_places"] = len(place_counts)
-        values["entropy_of_places"] = entropy(place_counts)
-        visits = [(ds.towers[r.tower].lon, ds.towers[r.tower].lat) for r in out_events]
-        values["radius_of_gyration"] = radius_of_gyration(visits)
+    if len(out):
+        places = _first_seen_counts(c.tower[out])
+        values["number_of_places"] = len(places)
+        values["entropy_of_places"] = _count_entropy(places)
+        values["radius_of_gyration"] = radius_of_gyration(ds.tower_coords[c.tower[out]])
     else:
         values["number_of_places"] = None
         values["entropy_of_places"] = None
         values["radius_of_gyration"] = None
-    if home is not None and home in ds.towers:
+    home = home_tower(ds, subscriber)
+    if home is not None:
         values["home_tower_lon"] = ds.towers[home].lon
         values["home_tower_lat"] = ds.towers[home].lat
     else:
         values["home_tower_lon"] = None
         values["home_tower_lat"] = None
 
-    if tops:
-        amounts = [r.amount for r in tops]
+    if len(tops):
+        amounts = ds.topups.amount[tops].tolist()
+        stamps = ds.topups.ts[tops].tolist()
         n = len(amounts)
         mean = sum(amounts) / n
         values["recharge_count"] = n
@@ -208,13 +205,12 @@ def extract_features(
             values["recharge_amount_cv"] = statistics.stdev(amounts) / mean
         else:
             values["recharge_amount_cv"] = None
-        values["spending_speed"] = spending_speed(tops)
+        values["spending_speed"] = spending_speed(amounts, stamps)
         bounds = denominations or dataset_denominations(ds)
         low, high = min(bounds), max(bounds)
         values["fraction_lowest_denomination"] = sum(1 for a in amounts if a == low) / n
         values["fraction_highest_denomination"] = sum(1 for a in amounts if a == high) / n
         if n >= 2:
-            stamps = sorted(r.timestamp for r in tops)
             gaps = [(b - a) / SECONDS_PER_DAY for a, b in zip(stamps, stamps[1:])]
             values["median_days_between_refills"] = statistics.median(gaps)
         else:

@@ -24,6 +24,24 @@ def haversine_km(lon1, lat1, lon2, lat2):
     return float(d) if np.ndim(d) == 0 else d
 
 
+def haversine_km_to(lons, lats, lon0: float, lat0: float) -> np.ndarray:
+    """haversine_km(lon, lat, lon0, lat0) for each point, bit for bit.
+
+    A scalar's ``** 2`` calls pow(), which can round the last bit
+    differently from the multiplication numpy squares an array with, so the
+    two squares are taken one value at a time; every other step is the
+    array form of the same operation in haversine_km.
+    """
+    phi1 = np.radians(lats)
+    phi2 = np.radians(lat0)
+    dphi = phi2 - phi1
+    dlam = np.radians(np.subtract(lon0, lons))
+    sin_dphi_sq = np.array([s ** 2 for s in np.sin(dphi / 2.0).tolist()])
+    sin_dlam_sq = np.array([s ** 2 for s in np.sin(dlam / 2.0).tolist()])
+    a = sin_dphi_sq + np.cos(phi1) * np.cos(phi2) * sin_dlam_sq
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(a)))
+
+
 class LocalProjection:
     """Equirectangular projection about a reference point, in km.
 

@@ -8,12 +8,11 @@ voice per second of duration and one text as 60 (one text, one minute).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime, timezone
 
 import numpy as np
 
 from .ingest import write_csv
-from .records import Dataset
+from .records import SMS, VOICE, Dataset, month_index
 
 DEFAULT_WEIGHT_SPEC = {"voice_unit": "per-second", "sms_weight": 60.0}
 
@@ -128,11 +127,6 @@ class ComponentReport:
     universe_size: int
 
 
-def _month_index(ts: int) -> int:
-    dt = datetime.fromtimestamp(int(ts), tz=timezone.utc)
-    return dt.year * 12 + (dt.month - 1)
-
-
 def build_graph(
     ds: Dataset,
     weight_spec: dict | None = None,
@@ -143,45 +137,36 @@ def build_graph(
     An edge survives only when the pair's combined two-direction interaction
     count is strictly greater than `min_monthly_interactions` in every
     calendar month `ds.window` touches.  Threshold 0 disables the monthly
-    test entirely: any communicating pair becomes an edge.
+    test entirely: any communicating pair becomes an edge.  A pair's weight
+    adds its events in dataset order.
     """
     spec = dict(DEFAULT_WEIGHT_SPEC)
     if weight_spec:
         spec.update(weight_spec)
     if spec["voice_unit"] not in ("per-call", "per-second"):
         raise ValueError(f"unknown voice_unit {spec['voice_unit']!r}")
-    start, end = ds.window
-    months_required = set(range(_month_index(start), _month_index(end - 1) + 1))
-    per_month: dict[tuple[str, str], dict[int, int]] = {}
-    weights: dict[tuple[str, str], float] = {}
-    nodes: set[str] = set()
-    for rec in ds.cdrs:
-        if rec.kind not in ("voice", "sms") or rec.callee is None:
-            continue
-        if rec.caller == rec.callee:
-            continue
-        nodes.add(rec.caller)
-        nodes.add(rec.callee)
-        pair = (rec.caller, rec.callee) if rec.caller < rec.callee else (rec.callee, rec.caller)
-        month = _month_index(rec.timestamp)
-        counts = per_month.setdefault(pair, {})
-        counts[month] = counts.get(month, 0) + 1
-        if rec.kind == "voice":
-            w = rec.magnitude if spec["voice_unit"] == "per-second" else 1.0
-        else:
-            w = float(spec["sms_weight"])
-        weights[pair] = weights.get(pair, 0.0) + w
+    c = ds.cdrs
+    ids = c.subscriber_ids
+    rows = ((c.kind == VOICE) | (c.kind == SMS)) & (c.callee >= 0) & (c.caller != c.callee)
+    caller, callee, kind = c.caller[rows], c.callee[rows], c.kind[rows]
+    # Codes sort like ids, so (low code, high code) is the pair in id order.
+    key = np.minimum(caller, callee).astype(np.int64) * len(ids) + np.maximum(caller, callee)
+    pairs, pair = np.unique(key, return_inverse=True)
+    voice_w = c.magnitude[rows] if spec["voice_unit"] == "per-second" else 1.0
+    weights = np.bincount(pair, weights=np.where(kind == VOICE, voice_w, float(spec["sms_weight"])),
+                          minlength=len(pairs))
+    first_month, last_month = month_index(np.array(ds.window) - (0, 1)).tolist()
+    months = last_month - first_month + 1
+    per_month = np.bincount(pair * months + (month_index(c.ts[rows]) - first_month),
+                            minlength=len(pairs) * months).reshape(len(pairs), months)
+    threshold = int(min_monthly_interactions)
+    keep = (weights > 0) & ((per_month > threshold).all(axis=1) if threshold > 0 else True)
 
     g = SocialGraph()
-    for n in sorted(nodes):
-        g.add_node(n)
-    threshold = int(min_monthly_interactions)
-    for pair in sorted(per_month):
-        counts = per_month[pair]
-        if threshold > 0 and any(counts.get(m, 0) <= threshold for m in months_required):
-            continue
-        if weights[pair] > 0:
-            g.add_edge(pair[0], pair[1], weights[pair])
+    for node in np.flatnonzero(np.bincount(np.concatenate((caller, callee)), minlength=len(ids))).tolist():
+        g.add_node(ids[node])
+    for k, w in zip(pairs[keep].tolist(), weights[keep].tolist()):
+        g.add_edge(ids[k // len(ids)], ids[k % len(ids)], w)
     return g.freeze()
 
 

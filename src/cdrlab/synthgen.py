@@ -15,7 +15,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .geo import haversine_km
-from .records import SECONDS_PER_DAY, CdrRecord, Dataset, TopUpRecord, Tower, day_start
+from .records import (
+    DATA,
+    EVENT_KINDS,
+    SECONDS_PER_DAY,
+    SMS,
+    VOICE,
+    CdrTable,
+    Dataset,
+    TopUpTable,
+    Tower,
+)
 from .rng import derive_rng
 from .socialgraph import SocialGraph
 
@@ -227,12 +237,13 @@ def generate_events(cfg: SynthConfig, graph: SocialGraph, gt: GroundTruth) -> Da
     hour_cdf = np.cumsum(hour_weights / hour_weights.sum())
 
     denoms = np.asarray(cfg.recharge_denominations, dtype=float)
-    retailers = [f"R{i:03d}" for i in range(max(5, cfg.n_towers // 2))]
+    drawn_retailers = [f"R{i:03d}" for i in range(max(5, cfg.n_towers // 2))]
+    retailers = tuple(sorted(drawn_retailers))
 
+    sub_code = {s: i for i, s in enumerate(subs)}
     visit_cache: dict[tuple[str, float], np.ndarray] = {}
-    cdrs: list[CdrRecord] = []
-    topups: list[TopUpRecord] = []
-    for s in subs:
+    callers, cdr_cols, top_rows = [], [], []
+    for code, s in enumerate(subs):
         is_low = gt.label.get(s) == "low" and cfg.label_effect > 0
         rate_mult = 1.0 - 0.5 * cfg.label_effect if is_low else 1.0
         concentration = (
@@ -246,29 +257,20 @@ def generate_events(cfg: SynthConfig, graph: SocialGraph, gt: GroundTruth) -> Da
         cdf = visit_cache[key]
 
         rng = derive_rng(cfg.seed, "events", s)
-        neighbors = sorted(graph.neighbors(s)) if graph.has_node(s) else []
-        n_comm = int(rng.poisson(cfg.event_rate * cfg.days * rate_mult)) if neighbors else 0
+        neighbors = np.array(sorted(sub_code[v] for v in graph.neighbors(s)) if graph.has_node(s) else [],
+                             dtype=np.int64)
+        n_comm = int(rng.poisson(cfg.event_rate * cfg.days * rate_mult)) if len(neighbors) else 0
         if n_comm:
             days = np.searchsorted(day_cdf, rng.random(n_comm))
             hours = np.searchsorted(hour_cdf, rng.random(n_comm))
             secs = rng.integers(0, 3600, n_comm)
             stamps = cfg.start + days * SECONDS_PER_DAY + hours * 3600 + secs
-            kinds = np.where(rng.random(n_comm) < cfg.sms_fraction, "sms", "voice")
-            callees = rng.integers(0, len(neighbors), n_comm)
+            kinds = np.where(rng.random(n_comm) < cfg.sms_fraction, SMS, VOICE)
+            callees = neighbors[rng.integers(0, len(neighbors), n_comm)]
             tower_idx = np.searchsorted(cdf, rng.random(n_comm))
             durations = np.maximum(1, np.rint(rng.lognormal(math.log(120.0), 0.7, n_comm)))
-            for j in range(n_comm):
-                kind = str(kinds[j])
-                cdrs.append(
-                    CdrRecord(
-                        caller=s,
-                        callee=neighbors[int(callees[j])],
-                        tower=tower_order[int(tower_idx[j])],
-                        timestamp=int(stamps[j]),
-                        kind=kind,
-                        magnitude=float(durations[j]) if kind == "voice" else 1.0,
-                    )
-                )
+            callers.append(np.full(n_comm, code))
+            cdr_cols.append((stamps, callees, tower_idx, kinds, np.where(kinds == VOICE, durations, 1.0)))
         n_data = int(rng.poisson(cfg.data_rate * cfg.days * rate_mult)) if cfg.data_rate > 0 else 0
         if n_data:
             days = np.searchsorted(day_cdf, rng.random(n_data))
@@ -277,17 +279,8 @@ def generate_events(cfg: SynthConfig, graph: SocialGraph, gt: GroundTruth) -> Da
             stamps = cfg.start + days * SECONDS_PER_DAY + hours * 3600 + secs
             tower_idx = np.searchsorted(cdf, rng.random(n_data))
             volumes = np.rint(rng.lognormal(math.log(5e6), 1.0, n_data))
-            for j in range(n_data):
-                cdrs.append(
-                    CdrRecord(
-                        caller=s,
-                        callee=None,
-                        tower=tower_order[int(tower_idx[j])],
-                        timestamp=int(stamps[j]),
-                        kind="data",
-                        magnitude=float(volumes[j]),
-                    )
-                )
+            callers.append(np.full(n_data, code))
+            cdr_cols.append((stamps, np.full(n_data, -1), tower_idx, np.full(n_data, DATA), volumes))
 
         trng = derive_rng(cfg.seed, "topups", s)
         gap_days = float(trng.lognormal(math.log(cfg.topup_gap_days), 0.5))
@@ -300,13 +293,28 @@ def generate_events(cfg: SynthConfig, graph: SocialGraph, gt: GroundTruth) -> Da
             if t >= window[1]:
                 break
             amount = float(denoms[int(np.searchsorted(denom_cdf, trng.random()))])
-            retailer = retailers[int(trng.integers(0, len(retailers)))]
-            retailer_tower = tower_order[int(np.searchsorted(cdf, trng.random()))]
-            topups.append(TopUpRecord(s, retailer, retailer_tower, int(t), amount))
+            retailer = retailers.index(drawn_retailers[int(trng.integers(0, len(retailers)))])
+            retailer_tower = int(np.searchsorted(cdf, trng.random()))
+            top_rows.append((int(t), code, retailer, retailer_tower, amount))
 
-    cdrs.sort(key=lambda r: (r.timestamp, r.caller, r.kind, r.callee or "", r.tower))
-    topups.sort(key=lambda r: (r.timestamp, r.buyer, r.amount))
-    return Dataset(cdrs=tuple(cdrs), topups=tuple(topups), towers=towers, window=window)
+    caller = np.concatenate(callers) if callers else np.zeros(0, dtype=np.int64)
+    ts, callee, tower, kind, magnitude = (
+        [np.concatenate(col) for col in zip(*cdr_cols)] if cdr_cols else [np.zeros(0, dtype=np.int64)] * 5
+    )
+    # Order by (timestamp, caller, kind, callee or "", tower): codes sort like
+    # ids, kinds by their names, and -1 (no callee) before every id.
+    kind_rank = np.argsort(np.argsort(EVENT_KINDS))[kind]
+    order = np.lexsort((tower, callee, kind_rank, caller, ts))
+    cdrs = CdrTable(ts[order].astype(np.int64), caller[order].astype(np.int32),
+                    callee[order].astype(np.int32), tower[order].astype(np.int32), kind[order].astype(np.int8),
+                    magnitude[order].astype(np.float64), tuple(subs), tuple(tower_order))
+    top = np.array(top_rows, dtype=np.float64).reshape(-1, 5)
+    ts, buyer, retailer, tower = (top[:, j].astype(np.int64) for j in range(4))
+    order = np.lexsort((top[:, 4], buyer, ts))
+    topups = TopUpTable(ts[order], buyer[order].astype(np.int32), retailer[order].astype(np.int32),
+                        tower[order].astype(np.int32), top[order, 4],
+                        tuple(subs), retailers, tuple(tower_order))
+    return Dataset(cdrs=cdrs, topups=topups, towers=towers, window=window)
 
 
 def inject_shock(
@@ -321,7 +329,10 @@ def inject_shock(
     """Scale event counts inside the interval by thinning or duplication.
 
     entity is ("tower", id), ("towers", (ids...)) for a district, or
-    ("global",).  Events outside the entity/interval are untouched.
+    ("global",).  Events outside the entity/interval are untouched.  Each
+    hit event draws once, in dataset order (calls before recharges), and
+    keeps int(multiplier) copies plus one more when the draw falls below
+    the fractional part.
     """
     if multiplier < 0:
         raise ValueError("multiplier must be >= 0")
@@ -340,29 +351,17 @@ def inject_shock(
     rng = derive_rng(seed, "shock", entity, interval, multiplier, stream)
     lo, hi = interval
 
-    def hit(tower: str | None, ts: int) -> bool:
-        if not (lo <= ts < hi):
-            return False
-        return members is None or tower in members
+    def rescale(table):
+        hit = (table.ts >= lo) & (table.ts < hi)
+        if members is not None:
+            hit &= np.isin(table.tower, [i for i, t in enumerate(table.tower_ids) if t in members])
+        copies = np.ones(len(table), dtype=np.int64)
+        draws = rng.random(int(hit.sum()))
+        copies[hit] = int(multiplier) + (draws < multiplier - int(multiplier))
+        return table.take(np.repeat(np.arange(len(table)), copies))
 
-    def rescale(records, tower_of):
-        out = []
-        for rec in records:
-            if not hit(tower_of(rec), rec.timestamp):
-                out.append(rec)
-                continue
-            copies = int(multiplier)
-            if rng.random() < multiplier - copies:
-                copies += 1
-            out.extend([rec] * copies)
-        return out
-
-    new_cdrs = ds.cdrs
-    new_topups = ds.topups
-    if stream in ("calls", "both"):
-        new_cdrs = rescale(ds.cdrs, lambda r: r.tower)
-    if stream in ("recharges", "both"):
-        new_topups = rescale(ds.topups, lambda r: r.retailer_tower)
+    new_cdrs = rescale(ds.cdrs) if stream in ("calls", "both") else ds.cdrs
+    new_topups = rescale(ds.topups) if stream in ("recharges", "both") else ds.topups
     new_gt = replace(gt, shock_intervals=gt.shock_intervals + [(entity, tuple(interval), multiplier)])
     return ds.with_events(cdrs=new_cdrs, topups=new_topups), new_gt
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cdrlab.records import CdrRecord, Dataset, TopUpRecord, Tower
+from cdrlab.records import EVENT_KINDS, CdrRecord, Dataset, TopUpRecord, Tower
 from cdrlab.socialgraph import SocialGraph
 
 T0 = 1462060800  # 2016-05-01T00:00:00Z, a Sunday
@@ -41,8 +41,23 @@ def make_dataset(cdrs=(), topups=(), towers=None, window=None, labels=None) -> D
     if window is None:
         stamps = [r.timestamp for r in cdrs] + [t.timestamp for t in topups]
         window = (min(stamps), max(stamps) + 1) if stamps else (T0, T0 + DAY)
-    return Dataset(cdrs=tuple(cdrs), topups=tuple(topups), towers=dict(towers),
-                   window=window, labels=labels)
+    return Dataset.from_records(cdrs, topups, towers, window, labels)
+
+
+def cdr_rows(table) -> list[CdrRecord]:
+    """A CdrTable's rows as records, in table order."""
+    ids = list(table.subscriber_ids) + [None]
+    return [CdrRecord(ids[a], ids[b], table.tower_ids[t], ts, EVENT_KINDS[k], m)
+            for a, b, t, ts, k, m in zip(table.caller.tolist(), table.callee.tolist(), table.tower.tolist(),
+                                         table.ts.tolist(), table.kind.tolist(), table.magnitude.tolist())]
+
+
+def topup_rows(table) -> list[TopUpRecord]:
+    """A TopUpTable's rows as records, in table order."""
+    towers = list(table.tower_ids) + [None]
+    return [TopUpRecord(table.subscriber_ids[b], table.retailer_ids[r], towers[t], ts, a)
+            for b, r, t, ts, a in zip(table.buyer.tolist(), table.retailer.tolist(), table.tower.tolist(),
+                                      table.ts.tolist(), table.amount.tolist())]
 
 
 def graph_from(edges, nodes=()) -> SocialGraph:

@@ -1,0 +1,165 @@
+"""The former per-row CDR and top-up parsers, kept as the oracle of the columnar ones.
+
+They read a file one row at a time into CdrRecord / TopUpRecord lists; the
+columnar parsers in ``cdrlab.ingest`` must give the same events (as a
+Dataset), the same (line, reason) rejects and the same row count.
+"""
+
+from __future__ import annotations
+
+import math
+
+from cdrlab.ingest import (
+    DEFAULT_CDR_SCHEMA,
+    DEFAULT_REJECT_CAP,
+    DEFAULT_TOPUP_SCHEMA,
+    RejectReport,
+    _check_cap,
+    _header_positions,
+    _warn_unknown_towers,
+    numbered_rows,
+    open_text,
+)
+from cdrlab.records import EVENT_KINDS, CdrRecord, TopUpRecord, parse_timestamp
+
+
+def parse_cdr_file(
+    path: str,
+    schema: dict[str, str] | None = None,
+    known_towers: set[str] | None = None,
+    reject_cap: float = DEFAULT_REJECT_CAP,
+) -> tuple[list[CdrRecord], RejectReport]:
+    """Read one CDR CSV, one row at a time, into records in file order."""
+    schema = dict(schema or DEFAULT_CDR_SCHEMA)
+    # Required in the header; callee/magnitude may still be blank per row.
+    required = ("caller", "callee", "tower", "timestamp", "kind", "magnitude")
+    records: list[CdrRecord] = []
+    rejects: list[tuple[int, str]] = []
+    unknown: list[int] = []
+    total = 0
+    with open_text(path) as fh:
+        rows = numbered_rows(fh)
+        first = next(rows, None)
+        if first is None:
+            return [], RejectReport(str(path), [], 0)
+        pos = _header_positions(first[1], schema, required, str(path))
+        width = max(pos.values())
+        i_caller, i_callee, i_tower = pos["caller"], pos["callee"], pos["tower"]
+        i_ts, i_kind, i_mag = pos["timestamp"], pos["kind"], pos["magnitude"]
+        for line_no, row in rows:
+            total += 1
+            reason = None
+            if width >= len(row):
+                rejects.append((line_no, "wrong field count"))
+                continue
+            caller = row[i_caller].strip()
+            callee = row[i_callee].strip() or None
+            tower = row[i_tower].strip()
+            kind = row[i_kind].strip().lower()
+            raw_ts = row[i_ts].strip()
+            raw_mag = row[i_mag].strip()
+            if not caller:
+                reason = "missing caller"
+            elif not tower:
+                reason = "missing tower"
+            elif kind not in EVENT_KINDS:
+                reason = f"unknown kind {kind!r}"
+            elif kind == "voice" and callee is None:
+                reason = "voice missing callee"
+            if reason is None:
+                try:
+                    ts = parse_timestamp(raw_ts)
+                except ValueError:
+                    reason = "bad timestamp"
+            if reason is None:
+                if raw_mag == "":
+                    if kind in ("sms", "mms"):
+                        magnitude = 1.0
+                    elif kind == "data":
+                        magnitude = 0.0
+                    else:
+                        reason = "missing magnitude"
+                else:
+                    try:
+                        magnitude = float(raw_mag)
+                    except ValueError:
+                        reason = "bad magnitude"
+                    else:
+                        if not math.isfinite(magnitude):
+                            reason = "non-finite magnitude"
+                        elif magnitude < 0:
+                            reason = "negative magnitude"
+            if reason is None and known_towers is not None and tower not in known_towers:
+                unknown.append(line_no)
+                reason = f"unknown tower {tower!r}"
+            if reason is not None:
+                rejects.append((line_no, reason))
+                continue
+            records.append(CdrRecord(caller, callee, tower, ts, kind, magnitude))
+    _warn_unknown_towers(path, unknown)
+    report = RejectReport(str(path), rejects, total)
+    _check_cap(report, reject_cap)
+    return records, report
+
+
+def parse_topup_file(
+    path: str,
+    schema: dict[str, str] | None = None,
+    known_towers: set[str] | None = None,
+    reject_cap: float = DEFAULT_REJECT_CAP,
+) -> tuple[list[TopUpRecord], RejectReport]:
+    """Read one top-up CSV, one row at a time, into records in file order."""
+    schema = dict(schema or DEFAULT_TOPUP_SCHEMA)
+    required = ("buyer", "retailer", "timestamp", "amount")
+    records: list[TopUpRecord] = []
+    rejects: list[tuple[int, str]] = []
+    unknown: list[int] = []
+    total = 0
+    with open_text(path) as fh:
+        rows = numbered_rows(fh)
+        first = next(rows, None)
+        if first is None:
+            return [], RejectReport(str(path), [], 0)
+        pos = _header_positions(first[1], schema, required, str(path))
+        width = max(pos.values())
+        i_buyer, i_retailer, i_ts, i_amount = pos["buyer"], pos["retailer"], pos["timestamp"], pos["amount"]
+        i_tower = pos.get("retailer_tower")
+        for line_no, row in rows:
+            total += 1
+            reason = None
+            if width >= len(row):
+                rejects.append((line_no, "wrong field count"))
+                continue
+            buyer = row[i_buyer].strip()
+            retailer = row[i_retailer].strip()
+            tower = row[i_tower].strip() or None if i_tower is not None else None
+            if not buyer:
+                reason = "missing buyer"
+            elif not retailer:
+                reason = "missing retailer"
+            if reason is None:
+                try:
+                    ts = parse_timestamp(row[i_ts].strip())
+                except ValueError:
+                    reason = "bad timestamp"
+            if reason is None:
+                try:
+                    amount = float(row[i_amount].strip())
+                except ValueError:
+                    reason = "bad amount"
+                else:
+                    if not math.isfinite(amount):
+                        reason = "non-finite amount"
+                    elif amount <= 0:
+                        reason = "non-positive amount"
+            if reason is None and tower is not None and known_towers is not None and tower not in known_towers:
+                unknown.append(line_no)
+                reason = f"unknown tower {tower!r}"
+            if reason is not None:
+                rejects.append((line_no, reason))
+                continue
+            records.append(TopUpRecord(buyer, retailer, tower, ts, amount))
+    _warn_unknown_towers(path, unknown)
+    report = RejectReport(str(path), rejects, total)
+    _check_cap(report, reject_cap)
+    return records, report

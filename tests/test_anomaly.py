@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cdrlab import anomaly as an
 from cdrlab.records import Tower
 
-from conftest import T0, DAY, data, make_dataset, sms, topup, voice
+from conftest import T0, DAY, cdr_rows, data, make_dataset, sms, topup, topup_rows, voice
 
 
 def series(values, bin_width=3600, start=T0, entity=("global",)):
@@ -95,11 +95,11 @@ def per_entity_series(ds, entity, bin_width, measure, area_map):
         return area_map[tower] == entity[1]
 
     if measure == "call_count":
-        for rec in ds.cdrs:
+        for rec in cdr_rows(ds.cdrs):
             if rec.kind == "voice" and matches(rec.tower):
                 values[(rec.timestamp - start) // bin_width] += 1
     else:
-        for rec in ds.topups:
+        for rec in topup_rows(ds.topups):
             if matches(rec.retailer_tower):
                 values[(rec.timestamp - start) // bin_width] += rec.amount if measure == "recharge_amount" else 1
     return values

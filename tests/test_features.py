@@ -1,13 +1,16 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdrlab import features as feat
-from cdrlab.geo import EARTH_RADIUS_KM
+from cdrlab.geo import EARTH_RADIUS_KM, haversine_km, haversine_km_to
 from cdrlab.records import Tower
 
-from conftest import T0, DAY, data, make_dataset, sms, topup, voice
+from conftest import T0, DAY, cdr_rows, data, make_dataset, sms, topup, voice
 
 LN2 = math.log(2.0)
 
@@ -19,6 +22,7 @@ def test_entropy_known_values():
     # probabilities 1/2, 1/4, 1/4
     assert feat.entropy({"a": 2, "b": 1, "c": 1}) == pytest.approx(1.0397207708399179, abs=1e-12)
     assert feat.entropy(["x", "x", "x"]) == 0.0
+    assert math.copysign(1.0, feat.entropy(["x"])) == 1.0  # 0.0, not -0.0
     assert feat.entropy({"a": 3, "b": 0}) == 0.0  # zero counts ignored
     assert feat.entropy(["a", "a", "b", "b"]) == feat.entropy({"a": 2, "b": 2})
     with pytest.raises(ValueError):
@@ -43,10 +47,12 @@ def test_radius_of_gyration_equator_pair():
 
 
 def test_nocturnal_window_boundaries():
-    assert feat._is_nocturnal(T0 + 22 * 3600)
-    assert not feat._is_nocturnal(T0 + 22 * 3600 - 1)
-    assert feat._is_nocturnal(T0 + 6 * 3600 - 1)
-    assert not feat._is_nocturnal(T0 + 6 * 3600)
+    assert feat.is_nocturnal(T0 + 22 * 3600)
+    assert not feat.is_nocturnal(T0 + 22 * 3600 - 1)
+    assert feat.is_nocturnal(T0 + 6 * 3600 - 1)
+    assert not feat.is_nocturnal(T0 + 6 * 3600)
+    stamps = np.array([T0 + 22 * 3600, T0 + 22 * 3600 - 1, T0 + 6 * 3600 - 1, T0 + 6 * 3600])
+    assert feat.is_nocturnal(stamps).tolist() == [True, False, True, False]
 
 
 def test_home_tower_prefers_nocturnal_majority():
@@ -72,10 +78,9 @@ def test_home_tower_fallback_and_ties():
 
 
 def test_spending_speed_inclusive_span():
-    tops = [topup("A", T0, 100.0), topup("A", T0 + 10 * DAY, 500.0)]
-    assert feat.spending_speed(tops) == pytest.approx(600 / 11, abs=1e-12)
-    assert feat.spending_speed([topup("A", T0, 50.0)]) == 50.0
-    assert feat.spending_speed([]) is None
+    assert feat.spending_speed([100.0, 500.0], [T0, T0 + 10 * DAY]) == pytest.approx(600 / 11, abs=1e-12)
+    assert feat.spending_speed([50.0], [T0]) == 50.0
+    assert feat.spending_speed([], []) is None
 
 
 # -- full vectors -------------------------------------------------------------------
@@ -150,6 +155,8 @@ def test_extract_features_absent_not_zero(rich_ds):
     assert v["recharge_count"] is None
     assert v["spending_speed"] is None
     assert v["recharge_amount_cv"] is None
+    # one place: zero entropy, written as 0.0, never -0.0
+    assert v["number_of_places"] == 1 and math.copysign(1.0, v["entropy_of_places"]) == 1.0
 
 
 def test_extract_features_callee_only_subscriber():
@@ -187,3 +194,63 @@ def test_write_features_csv(tmp_path, rich_ds):
 def test_feature_families_cover_four_groups():
     assert set(feat.FEATURE_FAMILY.values()) == {"basic", "social", "mobility", "financial"}
     assert len(feat.FEATURE_ORDER) == 22
+
+
+# -- grouped and vectorised passes against the per-subscriber oracles ------------------
+
+
+def scalar_radius_of_gyration(visits):
+    """The former radius of gyration: one scalar haversine call per visit."""
+    pts = list(visits)
+    lon0 = sum(p[0] for p in pts) / len(pts)
+    lat0 = sum(p[1] for p in pts) / len(pts)
+    mean_sq = sum(haversine_km(lon, lat, lon0, lat0) ** 2 for lon, lat in pts) / len(pts)
+    return math.sqrt(mean_sq)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(-180, 180), st.floats(-90, 90)), min_size=1, max_size=60),
+       st.integers(0, 2**32 - 1), st.integers(1, 400))
+def test_radius_of_gyration_is_bitwise_the_scalar_form(visits, seed, n):
+    # drawn points, and towers over a city-sized box as the features see them
+    rng = np.random.default_rng(seed)
+    city = np.column_stack((rng.uniform(90.0, 92.5, n), rng.uniform(22.0, 26.0, n)))
+    for pts in (visits, city.tolist()):
+        want = scalar_radius_of_gyration(pts)
+        assert feat.radius_of_gyration(pts).hex() == want.hex()
+        assert feat.radius_of_gyration(np.array(pts)).hex() == want.hex()
+    # each distance too, where a last-bit slip rarely survives into the radius
+    lon0, lat0 = city.mean(axis=0).tolist()
+    got = haversine_km_to(city[:, 0], city[:, 1], lon0, lat0).tolist()
+    assert [d.hex() for d in got] == [haversine_km(lon, lat, lon0, lat0).hex() for lon, lat in city.tolist()]
+
+
+def per_subscriber_home_tower(ds, subscriber):
+    """The former home_tower: one scan over the subscriber's outgoing events."""
+    nocturnal: Counter = Counter()
+    allhours: Counter = Counter()
+    for rec in cdr_rows(ds.cdrs):
+        if rec.caller != subscriber:
+            continue
+        allhours[rec.tower] += 1
+        if feat.is_nocturnal(rec.timestamp):
+            nocturnal[rec.tower] += 1
+    counts = nocturnal or allhours
+    if not counts:
+        return None
+    top = max(counts.values())
+    return min(t for t, c in counts.items() if c == top)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["A", "B", "C"]), st.sampled_from(["A", "B", "D"]),
+                          st.sampled_from(["T1", "T2", "T10", "T3"]), st.integers(0, 2 * DAY - 1)),
+                max_size=40))
+def test_grouped_home_towers_match_per_subscriber_scan(events):
+    ds = make_dataset([voice(a, b, t, T0 + off) for a, b, t, off in events],
+                      towers={t: Tower(t, 90.0, 23.0) for t in ("T1", "T2", "T10", "T3")},
+                      window=(T0, T0 + 2 * DAY))
+    for sub in ds.subscribers():
+        want = per_subscriber_home_tower(ds, sub)
+        assert feat.home_tower(ds, sub) == want
+        assert feat.extract_features(ds, sub).home_tower == want

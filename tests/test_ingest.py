@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdrlab import ingest
-from cdrlab.records import Tower
+from cdrlab.records import EVENT_KINDS, CdrTable, Dataset, Tower, TopUpTable
 
-from conftest import T0, DAY, sms, topup, voice
+import ingest_oracle
+from conftest import T0, cdr_rows, make_dataset, sms, topup, topup_rows, voice
 
 CDR_HEADER = "caller,callee,tower,timestamp,kind,magnitude"
 
@@ -28,7 +29,8 @@ def test_parse_cdr_happy_path(tmp_path):
         "B,A,T1,2016-05-01T00:20:00Z,sms,",
         "C,,T1,2016-05-01T00:30:00Z,data,",
     ])
-    recs, report = ingest.parse_cdr_file(p)
+    table, report = ingest.parse_cdr_file(p)
+    recs = cdr_rows(table)
     assert report.rejects == [] and report.total_rows == 3
     assert recs[0].magnitude == 120.0
     assert recs[1].magnitude == 1.0  # blank sms magnitude defaults to one message
@@ -47,8 +49,8 @@ def test_parse_cdr_reject_reasons(tmp_path):
         "A,B,T1,2016-05-01T00:10:00Z,voice",           # wrong field count
         "A,B,T1,2016-05-01T00:10:00Z,voice,60",        # good
     ])
-    recs, report = ingest.parse_cdr_file(p, reject_cap=1.0)
-    assert len(recs) == 1
+    table, report = ingest.parse_cdr_file(p, reject_cap=1.0)
+    assert len(table) == 1
     reasons = [r for _, r in report.rejects]
     assert reasons == [
         "missing caller", "voice missing callee", "unknown kind 'fax'",
@@ -66,21 +68,10 @@ def test_parse_cdr_window_and_unknown_tower(tmp_path):
         "A,B,TX,2016-05-01T00:10:00Z,voice,10",
         "A,B,T1,2016-05-01T00:10:00Z,voice,10",
     ])
-    recs, report = ingest.parse_cdr_file(
-        p, known_towers={"T1"}, window=(T0, T0 + DAY), reject_cap=1.0
-    )
-    assert len(recs) == 1
-    assert [r for _, r in report.rejects] == ["timestamp outside window", "unknown tower 'TX'"]
-
-
-def test_parse_cdr_attr_passthrough(tmp_path):
-    p = write(tmp_path / "c.csv", [
-        CDR_HEADER + ",imsi",
-        "A,B,T1,2016-05-01T00:10:00Z,voice,10,123456",
-    ])
-    schema = dict(ingest.DEFAULT_CDR_SCHEMA, imsi="imsi")
-    recs, _ = ingest.parse_cdr_file(p, schema=schema)
-    assert recs[0].attrs == (("imsi", "123456"),)
+    table, report = ingest.parse_cdr_file(p, known_towers={"T1"}, reject_cap=1.0)
+    # the parser selects no time range: the row before the day is an event
+    assert [r.timestamp for r in cdr_rows(table)] == [T0 - 1, T0 + 600]
+    assert report.rejects == [(3, "unknown tower 'TX'")]
 
 
 def test_parse_cdr_schema_remap_and_missing_column(tmp_path):
@@ -90,8 +81,8 @@ def test_parse_cdr_schema_remap_and_missing_column(tmp_path):
     ])
     schema = {"caller": "a_party", "callee": "b_party", "tower": "cell",
               "timestamp": "ts", "kind": "type", "magnitude": "dur"}
-    recs, _ = ingest.parse_cdr_file(p, schema=schema)
-    assert recs[0].caller == "A"
+    table, _ = ingest.parse_cdr_file(p, schema=schema)
+    assert cdr_rows(table)[0].caller == "A"
     with pytest.raises(ingest.IngestError, match="schema columns not found"):
         ingest.parse_cdr_file(p)
 
@@ -103,8 +94,8 @@ def test_reject_cap_aborts(tmp_path):
     p = write(tmp_path / "c.csv", lines)
     with pytest.raises(ingest.IngestError, match="rejected"):
         ingest.parse_cdr_file(p, reject_cap=0.01)
-    recs, _ = ingest.parse_cdr_file(p, reject_cap=0.10)
-    assert len(recs) == 95
+    table, _ = ingest.parse_cdr_file(p, reject_cap=0.10)
+    assert len(table) == 95
 
 
 def test_comment_and_blank_lines_skipped_with_line_numbers(tmp_path):
@@ -114,8 +105,8 @@ def test_comment_and_blank_lines_skipped_with_line_numbers(tmp_path):
         "",
         "A,B,T1,bad,voice,10",
     ])
-    recs, report = ingest.parse_cdr_file(p, reject_cap=1.0)
-    assert recs == []
+    table, report = ingest.parse_cdr_file(p, reject_cap=1.0)
+    assert len(table) == 0
     assert report.rejects == [(4, "bad timestamp")]
 
 
@@ -128,7 +119,8 @@ def test_parse_topup_rules(tmp_path):
         "A,R1,T1,2016-05-01T01:00:00Z,-5",
         ",R1,T1,2016-05-01T01:00:00Z,50",
     ])
-    recs, report = ingest.parse_topup_file(p, reject_cap=1.0)
+    table, report = ingest.parse_topup_file(p, reject_cap=1.0)
+    recs = topup_rows(table)
     assert len(recs) == 2 and recs[1].retailer_tower is None
     assert [r for _, r in report.rejects] == [
         "non-positive amount", "non-positive amount", "missing buyer",
@@ -157,8 +149,8 @@ def test_gzip_round_trip(tmp_path):
     p = tmp_path / "c.csv.gz"
     with gzip.open(p, "wt") as fh:
         fh.write(CDR_HEADER + "\nA,B,T1,2016-05-01T00:10:00Z,voice,10\n")
-    recs, _ = ingest.parse_cdr_file(str(p))
-    assert len(recs) == 1
+    table, _ = ingest.parse_cdr_file(str(p))
+    assert len(table) == 1
 
 
 def test_writers_round_trip(tmp_path):
@@ -166,13 +158,14 @@ def test_writers_round_trip(tmp_path):
     tops = [topup("A", T0 + 800, 50.0, retailer_tower="T2")]
     towers = {"T1": Tower("T1", 90.25, 23.5), "T2": Tower("T2", 90.5, 23.75)}
     c, t, w = tmp_path / "c.csv", tmp_path / "t.csv", tmp_path / "w.csv"
-    ingest.write_cdr_csv(cdrs, str(c), header_comment="# test")
-    ingest.write_topup_csv(tops, str(t), header_comment="# test")
+    written = make_dataset(cdrs, tops, towers=towers)
+    ingest.write_cdr_csv(written.cdrs, str(c), header_comment="# test")
+    ingest.write_topup_csv(written.topups, str(t), header_comment="# test")
     ingest.write_towers_csv(towers, str(w), header_comment="# test")
     ds, reports = ingest.load_dataset(str(c), str(t), str(w))
     assert all(not r.rejects for r in reports.values())
-    assert list(ds.cdrs) == cdrs
-    assert list(ds.topups) == tops
+    assert cdr_rows(ds.cdrs) == cdrs
+    assert topup_rows(ds.topups) == tops
     assert ds.towers == towers
     # derived window covers min..max inclusive
     assert ds.window == (T0 + 600, T0 + 801)
@@ -245,8 +238,8 @@ def test_stray_quote_stays_on_its_line_cdr(tmp_path):
         "C,A,T1,2016-05-01T00:12:00Z,voice,10",
         "D,A,T1,2016-05-01T00:13:00Z,voice,10",
     ])
-    recs, report = ingest.parse_cdr_file(p, reject_cap=1.0)
-    assert [r.caller for r in recs] == ["A", "C", "D"]
+    table, report = ingest.parse_cdr_file(p, reject_cap=1.0)
+    assert [r.caller for r in cdr_rows(table)] == ["A", "C", "D"]
     assert report.rejects == [(3, "wrong field count")] and report.total_rows == 4
 
 
@@ -258,8 +251,8 @@ def test_stray_quote_stays_on_its_line_topup(tmp_path):
         "C,R1,T1,2016-05-01T01:00:00Z,50",
         "D,R1,T1,2016-05-01T01:00:00Z,50",
     ])
-    recs, report = ingest.parse_topup_file(p, reject_cap=1.0)
-    assert [r.buyer for r in recs] == ["A", "C", "D"]
+    table, report = ingest.parse_topup_file(p, reject_cap=1.0)
+    assert [r.buyer for r in topup_rows(table)] == ["A", "C", "D"]
     assert report.rejects == [(3, "wrong field count")] and report.total_rows == 4
 
 
@@ -275,7 +268,8 @@ def test_quoted_fields_hold_delimiters_and_quotes(tmp_path):
         CDR_HEADER,
         '"A,1","B ""x""",T1,2016-05-01T00:10:00Z,voice,10',
     ])
-    recs, report = ingest.parse_cdr_file(p)
+    table, report = ingest.parse_cdr_file(p)
+    recs = cdr_rows(table)
     assert (recs[0].caller, recs[0].callee) == ("A,1", 'B "x"') and report.rejects == []
 
 
@@ -286,8 +280,8 @@ def test_non_finite_magnitude_rejected(tmp_path):
     p = write(tmp_path / "c.csv", [CDR_HEADER] + [
         f"A,B,T1,2016-05-01T00:10:00Z,voice,{m}" for m in ("nan", "inf", "-inf", "NaN", "Infinity", "60")
     ])
-    recs, report = ingest.parse_cdr_file(p, reject_cap=1.0)
-    assert [r.magnitude for r in recs] == [60.0]
+    table, report = ingest.parse_cdr_file(p, reject_cap=1.0)
+    assert [r.magnitude for r in cdr_rows(table)] == [60.0]
     assert report.rejects == [(n, "non-finite magnitude") for n in range(2, 7)]
 
 
@@ -295,8 +289,8 @@ def test_non_finite_amount_rejected(tmp_path):
     p = write(tmp_path / "t.csv", ["buyer,retailer,retailer_tower,timestamp,amount"] + [
         f"A,R1,T1,2016-05-01T01:00:00Z,{a}" for a in ("nan", "inf", "-inf", "50")
     ])
-    recs, report = ingest.parse_topup_file(p, reject_cap=1.0)
-    assert [r.amount for r in recs] == [50.0]
+    table, report = ingest.parse_topup_file(p, reject_cap=1.0)
+    assert [r.amount for r in topup_rows(table)] == [50.0]
     assert report.rejects == [(n, "non-finite amount") for n in range(2, 5)]
 
 
@@ -394,11 +388,11 @@ def assert_one_outcome_per_line(report, accepted, data):
 def test_cdr_parser_fuzz_and_round_trip(tmp_path_factory, lines):
     d = tmp_path_factory.mktemp("cdr")
     path, data = write_fuzz(d, "c.csv", CDR_HEADER, lines)
-    recs, report = ingest.parse_cdr_file(path, reject_cap=1.0)
-    assert_one_outcome_per_line(report, len(recs), data)
-    ingest.write_cdr_csv(recs, str(d / "back.csv"))
+    table, report = ingest.parse_cdr_file(path, reject_cap=1.0)
+    assert_one_outcome_per_line(report, len(table), data)
+    ingest.write_cdr_csv(table, str(d / "back.csv"))
     back, again = ingest.parse_cdr_file(str(d / "back.csv"), reject_cap=1.0)
-    assert back == recs and again.rejects == [] and again.total_rows == len(recs)
+    assert cdr_rows(back) == cdr_rows(table) and again.rejects == [] and again.total_rows == len(table)
 
 
 @settings(max_examples=150, deadline=None)
@@ -406,11 +400,11 @@ def test_cdr_parser_fuzz_and_round_trip(tmp_path_factory, lines):
 def test_topup_parser_fuzz_and_round_trip(tmp_path_factory, lines):
     d = tmp_path_factory.mktemp("topup")
     path, data = write_fuzz(d, "t.csv", "buyer,retailer,retailer_tower,timestamp,amount", lines)
-    recs, report = ingest.parse_topup_file(path, reject_cap=1.0)
-    assert_one_outcome_per_line(report, len(recs), data)
-    ingest.write_topup_csv(recs, str(d / "back.csv"))
+    table, report = ingest.parse_topup_file(path, reject_cap=1.0)
+    assert_one_outcome_per_line(report, len(table), data)
+    ingest.write_topup_csv(table, str(d / "back.csv"))
     back, again = ingest.parse_topup_file(str(d / "back.csv"), reject_cap=1.0)
-    assert back == recs and again.rejects == [] and again.total_rows == len(recs)
+    assert topup_rows(back) == topup_rows(table) and again.rejects == [] and again.total_rows == len(table)
 
 
 @settings(max_examples=150, deadline=None)
@@ -446,8 +440,122 @@ def test_labels_parser_fuzz_and_round_trip(tmp_path_factory, lines):
 def test_leading_hash_id_survives_a_round_trip(tmp_path):
     p = write(tmp_path / "c.csv", [CDR_HEADER, '"#A1",B,T1,2016-05-01T00:00:00Z,voice,30',
                                    "A2,B,T1,2016-05-01T00:00:00Z,voice,30"])
-    recs, _ = ingest.parse_cdr_file(p)
-    assert recs[0].caller == "#A1"
-    ingest.write_cdr_csv(recs, str(tmp_path / "back.csv"))
+    table, _ = ingest.parse_cdr_file(p)
+    assert cdr_rows(table)[0].caller == "#A1"
+    ingest.write_cdr_csv(table, str(tmp_path / "back.csv"))
     back, report = ingest.parse_cdr_file(str(tmp_path / "back.csv"))
-    assert back == recs and report.total_rows == 2
+    assert cdr_rows(back) == cdr_rows(table) and report.total_rows == 2
+
+
+def test_blank_label_subscriber_is_a_line_numbered_reject(tmp_path):
+    p = write(tmp_path / "labels.csv", ["subscriber,label", ",high", "A,low", " ,low"])
+    with pytest.raises(ingest.IngestError, match="line 2: missing subscriber"):
+        ingest.parse_labels_file(p)
+    labels, report = ingest.parse_labels_file(p, reject_cap=1.0)
+    assert labels == {"A": "low"}
+    assert report.rejects == [(2, "missing subscriber"), (4, "missing subscriber")]
+    assert report.total_rows == 3
+
+
+# -- columnar parse against the per-row oracle ----------------------------------------
+#
+# The columnar parsers split and check most lines with array operations and
+# send the rest through the per-row check.  On any mix of lines they must
+# give what the former per-row parsers give: the same events, the same
+# (line, reason) rejects and the same row count, whatever the chunk size.
+
+KNOWN = ("T1", "T2")
+WIDE = (-62135596800, 253402300800)
+PAD = st.sampled_from(["", " ", "\t"])
+ORACLE_ID = st.sampled_from(["A", "B", "b", "#C", "D,E", 'F"G', "", "T1"])
+ORACLE_TOWER = st.sampled_from(["T1", "T2", "TX", "", "t1"])
+CLEAN_STAMP = st.builds("{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}{}".format, st.integers(1, 9999),
+                        st.integers(1, 12), st.integers(1, 28), st.integers(0, 23), st.integers(0, 59),
+                        st.integers(0, 59), st.sampled_from("Zz"))
+CLEAN_ID = st.sampled_from(["A", "B", "b", "C1"])
+CLEAN_TOWER = st.sampled_from(KNOWN)
+ORACLE_STAMP = st.one_of(
+    CLEAN_STAMP,
+    st.builds("{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}{}".format,
+              st.sampled_from([1, 99, 999, 1900, 2000, 2015, 2016, 9999]), st.integers(0, 13),
+              st.integers(0, 32), st.integers(0, 24), st.integers(0, 60), st.integers(0, 60),
+              st.sampled_from(["Z", "z", "+00:00", "+06:00", "-01:30", "", "Q"])),
+    st.sampled_from(["2016-02-29T12:00:00Z", "2015-02-29T12:00:00Z", "2016-02-30T00:00:00Z",
+                     "2016-05-01T24:00:00Z", "2016-05-01 00:10:00Z", "2016-05-01T00:10:00.5Z",
+                     "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00", "not-a-time"]),
+)
+ORACLE_KIND = st.sampled_from(["voice", "sms", "data", "video", "mms", "VOICE", " Sms ", "fax", ""])
+ORACLE_NUMBER = st.sampled_from(["60", "1.5", "", "0", "-0", "-5", "12x5", "nan", "inf", "-inf",
+                                 " 7 ", "1e3", "1_0", "1e400"])
+
+
+def oracle_field(text, pad, quote):
+    """A field as written: padded, and quoted when asked or when it must be."""
+    if quote or "," in text or '"' in text:
+        return pad + '"' + text.replace('"', '""') + '"' + pad
+    return pad + text + pad
+
+
+def oracle_lines(fields, clean):
+    """Lines of the given fields (one in ten quoted), lines of clean fields,
+    short rows, blanks and comments."""
+    cell = [st.tuples(f, PAD, st.integers(0, 9).map(lambda q: q == 0)) for f in fields]
+    line = st.one_of(
+        st.tuples(*cell).map(lambda cells: ",".join(oracle_field(*c) for c in cells)),
+        st.tuples(*clean).map(",".join),
+        st.sampled_from(["", "  ", "# comment", "  #x,y,z,1,2,3", "A,B,T1"]),
+    )
+    return st.lists(st.tuples(line, st.sampled_from(["\n", "\r\n"])), max_size=25)
+
+
+def oracle_file(directory, name, header, lines):
+    path = directory / name
+    path.write_bytes((header + "\n" + "".join(line + end for line, end in lines)).encode("utf-8"))
+    return str(path)
+
+
+CLEAN_NUMBER = st.floats(0.5, 1e6).map(repr)
+CDR_LINES = oracle_lines(
+    (ORACLE_ID, ORACLE_ID, ORACLE_TOWER, ORACLE_STAMP, ORACLE_KIND, ORACLE_NUMBER),
+    (CLEAN_ID, CLEAN_ID, CLEAN_TOWER, CLEAN_STAMP, st.sampled_from(EVENT_KINDS), CLEAN_NUMBER))
+TOPUP_LINES = oracle_lines(
+    (ORACLE_ID, ORACLE_ID, ORACLE_TOWER, ORACLE_STAMP, ORACLE_NUMBER),
+    (CLEAN_ID, CLEAN_ID, st.sampled_from(KNOWN + ("",)), CLEAN_STAMP, CLEAN_NUMBER))
+TOWERS = {t: Tower(t, 90.0, 23.0) for t in KNOWN}
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=CDR_LINES, chunk=st.sampled_from([1, 5, 40, ingest.CHUNK_CHARS]))
+def test_columnar_cdr_parse_matches_per_row_oracle(tmp_path_factory, lines, chunk):
+    path = oracle_file(tmp_path_factory.mktemp("cdr"), "c.csv", CDR_HEADER, lines)
+    default, ingest.CHUNK_CHARS = ingest.CHUNK_CHARS, chunk
+    try:
+        table, report = ingest.parse_cdr_file(path, known_towers=set(KNOWN), reject_cap=1.0)
+    finally:
+        ingest.CHUNK_CHARS = default
+    records, oracle_report = ingest_oracle.parse_cdr_file(path, known_towers=set(KNOWN), reject_cap=1.0)
+    assert report.rejects == oracle_report.rejects
+    assert report.total_rows == oracle_report.total_rows
+    got = Dataset(table, TopUpTable.from_records(), TOWERS, WIDE)
+    want = Dataset.from_records(records, (), TOWERS, WIDE)
+    assert cdr_rows(got.cdrs) == cdr_rows(want.cdrs)
+    assert cdr_rows(table) == cdr_rows(got.cdrs)  # the parse is already in time order
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=TOPUP_LINES, chunk=st.sampled_from([1, 5, 40, ingest.CHUNK_CHARS]))
+def test_columnar_topup_parse_matches_per_row_oracle(tmp_path_factory, lines, chunk):
+    header = "buyer,retailer,retailer_tower,timestamp,amount"
+    path = oracle_file(tmp_path_factory.mktemp("topup"), "t.csv", header, lines)
+    default, ingest.CHUNK_CHARS = ingest.CHUNK_CHARS, chunk
+    try:
+        table, report = ingest.parse_topup_file(path, known_towers=set(KNOWN), reject_cap=1.0)
+    finally:
+        ingest.CHUNK_CHARS = default
+    records, oracle_report = ingest_oracle.parse_topup_file(path, known_towers=set(KNOWN), reject_cap=1.0)
+    assert report.rejects == oracle_report.rejects
+    assert report.total_rows == oracle_report.total_rows
+    got = Dataset(CdrTable.from_records(), table, TOWERS, WIDE)
+    want = Dataset.from_records((), records, TOWERS, WIDE)
+    assert topup_rows(got.topups) == topup_rows(want.topups)
+    assert topup_rows(table) == topup_rows(got.topups)

@@ -9,7 +9,7 @@ from cdrlab.records import (
     parse_timestamp,
 )
 
-from conftest import T0, DAY, make_dataset, sms, topup, voice
+from conftest import T0, DAY, cdr_rows, make_dataset, sms, topup, tower, voice
 
 
 def test_parse_timestamp_zulu_and_offset():
@@ -44,7 +44,7 @@ def test_dataset_sorts_events_stably():
     e2 = sms("C", "D", "T1", T0 + 50)
     e3 = sms("E", "F", "T1", T0 + 100)  # ties keep input order
     ds = make_dataset([e1, e2, e3], window=(T0, T0 + DAY))
-    assert [r.caller for r in ds.cdrs] == ["C", "A", "E"]
+    assert [r.caller for r in cdr_rows(ds.cdrs)] == ["C", "A", "E"]
 
 
 def test_dataset_indexes():
@@ -53,9 +53,11 @@ def test_dataset_indexes():
         [topup("A", T0 + 3, 20.0)],
         window=(T0, T0 + DAY),
     )
-    assert [r.timestamp for r in ds.cdrs_by_caller()["A"]] == [T0 + 1]
-    assert [r.timestamp for r in ds.cdrs_by_callee()["A"]] == [T0 + 2]
-    assert [t.amount for t in ds.topups_by_buyer()["A"]] == [20.0]
+    a = ds.subscriber_code("A")
+    assert ds.cdrs.ts[ds.cdrs_by_caller().of(a)].tolist() == [T0 + 1]
+    assert ds.cdrs.ts[ds.cdrs_by_callee().of(a)].tolist() == [T0 + 2]
+    assert ds.topups.amount[ds.topups_by_buyer().of(a)].tolist() == [20.0]
+    assert ds.subscriber_code("Z") is None
     # subscribers: callers and buyers, sorted
     assert ds.subscribers() == ["A", "B"]
 
@@ -63,10 +65,10 @@ def test_dataset_indexes():
 def test_with_events_keeps_towers_and_labels():
     ds = make_dataset([voice("A", "B", "T1", T0 + 1)], labels={"A": "low"},
                       window=(T0, T0 + DAY))
-    ds2 = ds.with_events(cdrs=[voice("B", "A", "T1", T0 + 5)])
+    ds2 = ds.with_events(cdrs=make_dataset([voice("B", "A", "T1", T0 + 5)]).cdrs)
     assert ds2.towers == ds.towers
     assert ds2.labels == {"A": "low"}
-    assert len(ds2.cdrs) == 1 and ds2.cdrs[0].caller == "B"
+    assert [r.caller for r in cdr_rows(ds2.cdrs)] == ["B"]
 
 
 def test_dataset_is_frozen():
@@ -86,10 +88,20 @@ def test_dataset_rejects_events_outside_its_window():
         make_dataset([voice("A", "B", "T1", T0)], [topup("A", T0 + DAY, 5.0)], window=window)
 
 
+def test_dataset_rejects_events_at_unknown_towers():
+    towers = {"T1": tower("T1")}
+    make_dataset([voice("A", "B", "T1", T0)], [topup("A", T0, 5.0, retailer_tower="T1")], towers=towers)
+    with pytest.raises(ValueError, match="cdr tower 'TX' not in towers"):
+        make_dataset([voice("A", "B", "TX", T0)], towers=towers)
+    with pytest.raises(ValueError, match="top-up tower 'TX' not in towers"):
+        make_dataset([], [topup("A", T0, 5.0, retailer_tower="TX")], towers=towers)
+
+
 @settings(max_examples=100, deadline=None)
 @given(offsets=st.lists(st.integers(0, 99), max_size=30), lo=st.integers(-5, 105), width=st.integers(-5, 110))
 def test_cdrs_between_matches_the_filter(offsets, lo, width):
     ds = make_dataset([voice(f"S{i}", "B", "T1", T0 + off) for i, off in enumerate(offsets)],
                       window=(T0, T0 + 100))
     lo, hi = T0 + lo, T0 + lo + width
-    assert ds.cdrs_between(lo, hi) == tuple(r for r in ds.cdrs if lo <= r.timestamp < hi)
+    rows = cdr_rows(ds.cdrs)
+    assert rows[ds.cdrs_between(lo, hi)] == [r for r in rows if lo <= r.timestamp < hi]
