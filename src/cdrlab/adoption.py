@@ -6,6 +6,12 @@ link activation), reported as kappa = empirical / random_mean with a
 normal-approximation 95% CI.  The CI uses the replicate spread as the
 null's scale, inflated by sqrt(1 + 1/replicates) for the mean's own Monte
 Carlo error, so under the null it covers 1 at roughly the nominal rate.
+
+Every test works on the graph's arrays: adopters become a boolean node
+mask, active links become positions in the canonical edge arrays, and a
+replicate is one draw of node or edge positions.  Clustering counts
+triangles and adjacent pairs exactly with `socialgraph.triangle_counts`,
+so a coefficient is a ratio of two integers and keeps its bits.
 """
 
 from __future__ import annotations
@@ -15,13 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ingest import write_csv
-from .parallel import parallel_map
 from .rng import derive_rng
 from .socialgraph import (
     ComponentReport,
     SocialGraph,
     connected_components,
     global_clustering_coefficient,
+    triangle_counts,
 )
 
 Z95 = 1.959963984540054
@@ -31,7 +37,8 @@ MONSTER_THRESHOLD = 1000
 
 @dataclass
 class AdoptionNetwork:
-    base: SocialGraph
+    """The graph restricted to the adopters, each adopter a node of it."""
+    graph: SocialGraph
     adopters: frozenset[str]
     induced_edges: tuple[tuple[str, str], ...]
     isolates: frozenset[str]
@@ -64,21 +71,28 @@ class PkCurve:
     uplift: dict[int, float]
 
 
+def _adopter_mask(g: SocialGraph, adopters: frozenset) -> np.ndarray:
+    """Boolean node mask of the adopters; every adopter must be a node."""
+    pos = g.index(adopters)
+    if (pos < 0).any():
+        missing = {a for a, p in zip(adopters, pos.tolist()) if p < 0}
+        raise ValueError(f"adopters not in graph: {sorted(missing)[:5]}")
+    mask = np.zeros(g.node_count(), dtype=bool)
+    mask[pos] = True
+    return mask
+
+
 def adoption_network(g: SocialGraph, adopters) -> AdoptionNetwork:
     """Induce the network of adopters: g restricted to the adopter set."""
     adopters = frozenset(adopters)
-    missing = adopters - g.nodes
-    if missing:
-        raise ValueError(f"adopters not in graph: {sorted(missing)[:5]}")
-    induced = tuple((u, v) for u, v, _ in g.edges() if u in adopters and v in adopters)
-    touched = {x for e in induced for x in e}
-    isolates = frozenset(adopters - touched)
-    return AdoptionNetwork(g, adopters, induced, isolates)
+    sub = g.induced(_adopter_mask(g, adopters))
+    induced = tuple((u, v) for u, v, _ in sub.edges())
+    isolates = frozenset(sub.ids[i] for i in np.flatnonzero(sub.degrees() == 0).tolist())
+    return AdoptionNetwork(sub, adopters, induced, isolates)
 
 
 def component_report(net: AdoptionNetwork) -> ComponentReport:
-    sub = SocialGraph.from_edges([(u, v, 1.0) for u, v in net.induced_edges], nodes=net.adopters)
-    return connected_components(sub, universe=set(net.adopters))
+    return connected_components(net.graph)
 
 
 def component_evolution(snapshots) -> list[dict]:
@@ -153,13 +167,7 @@ def _kappa_result(empirical: float, values) -> KappaResult:
     )
 
 
-def node_kappa(
-    g: SocialGraph,
-    adopters,
-    replicates: int = 200,
-    seed: int = 0,
-    threads: int = 1,
-) -> KappaResult:
+def node_kappa(g: SocialGraph, adopters, replicates: int = 200, seed: int = 0) -> KappaResult:
     """B-link count of the adopter set vs uniform random placement.
 
     A B-link is an edge whose two endpoints both adopted.  Full adoption is
@@ -167,21 +175,15 @@ def node_kappa(
     degenerate CI and no sampling.
     """
     adopters = frozenset(adopters)
-    missing = adopters - g.nodes
-    if missing:
-        raise ValueError(f"adopters not in graph: {sorted(missing)[:5]}")
-    nodes, ui, vi, _ = g.index_arrays()
-    n = len(nodes)
+    emp_mask = _adopter_mask(g, adopters)
+    n = g.node_count()
     m = len(adopters)
     if m == 0:
         raise ValueError(
             "kappa undefined for an empty adopter set: "
             "random_mean equals empirical by construction only at full adoption"
         )
-    emp_mask = np.zeros(n, dtype=bool)
-    index = {node: i for i, node in enumerate(nodes)}
-    emp_mask[[index[a] for a in adopters]] = True
-    empirical = int(np.count_nonzero(emp_mask[ui] & emp_mask[vi])) if len(ui) else 0
+    empirical = int(np.count_nonzero(emp_mask[g.u] & emp_mask[g.v]))
     if m == n:
         if empirical == 0:
             raise ValueError("reference degenerate: graph has no edges")
@@ -191,114 +193,78 @@ def node_kappa(
         rng = derive_rng(seed, "node_kappa", r)
         mask = np.zeros(n, dtype=bool)
         mask[rng.choice(n, size=m, replace=False)] = True
-        return int(np.count_nonzero(mask[ui] & mask[vi])) if len(ui) else 0
+        return int(np.count_nonzero(mask[g.u] & mask[g.v]))
 
-    return _kappa_result(empirical, parallel_map(one, range(replicates), threads))
-
-
-def _adjacent_pairs_from_degrees(deg: np.ndarray) -> int:
-    return int((deg * (deg - 1)).sum() // 2)
+    return _kappa_result(empirical, [one(r) for r in range(replicates)])
 
 
-def _canonical_links(g: SocialGraph, active_links) -> list[tuple[str, str]]:
-    canon = set()
-    for u, v in active_links:
-        if not g.has_edge(u, v):
-            raise ValueError(f"active link {(u, v)!r} not in graph")
-        canon.add((min(u, v), max(u, v)))
-    return sorted(canon)
+def _active_edges(g: SocialGraph, active_links) -> np.ndarray:
+    """Sorted positions in g's edge arrays of the distinct active links."""
+    links = [tuple(link) for link in active_links]
+    ends = g.index([x for link in links for x in link]).reshape(-1, 2)
+    n = g.node_count()
+    lo = ends.min(axis=1)
+    key = lo * n + ends.max(axis=1)
+    keys = g.u * n + g.v
+    found = (lo >= 0) & np.isin(key, keys)
+    if not found.all():
+        raise ValueError(f"active link {links[int(np.argmin(found))]!r} not in graph")
+    return np.unique(np.searchsorted(keys, key))
 
 
-def link_kappa(
-    g: SocialGraph,
-    active_links,
-    replicates: int = 200,
-    seed: int = 0,
-    threads: int = 1,
-) -> KappaResult:
+def link_kappa(g: SocialGraph, active_links, replicates: int = 200, seed: int = 0) -> KappaResult:
     """Adjacent-pair count of the active-link set vs random link activation.
 
     The null draws the same number of edges uniformly without replacement
     from the graph's edge set; adjacent pairs are counted from the degree
     sequence of the activated subgraph (sum of C(k,2))."""
-    links = _canonical_links(g, active_links)
-    nodes, ui, vi, _ = g.index_arrays()
-    n = len(nodes)
-    edge_count = len(ui)
-    m = len(links)
+    active = _active_edges(g, active_links)
+    n = g.node_count()
+    m = len(active)
     if m == 0:
         raise ValueError("kappa undefined for an empty active-link set")
-    index = {node: i for i, node in enumerate(nodes)}
-    deg = np.zeros(n, dtype=np.int64)
-    for u, v in links:
-        deg[index[u]] += 1
-        deg[index[v]] += 1
-    empirical = _adjacent_pairs_from_degrees(deg)
-    if m == edge_count:
+
+    def adjacent(edges: np.ndarray) -> int:
+        deg = np.bincount(g.u[edges], minlength=n) + np.bincount(g.v[edges], minlength=n)
+        return int((deg * (deg - 1)).sum() // 2)
+
+    empirical = adjacent(active)
+    if m == g.edge_count():
         if empirical == 0:
             raise ValueError("reference degenerate: full activation has no adjacent pairs")
         return KappaResult(1.0, empirical, float(empirical), 0.0, 0, (1.0, 1.0))
 
     def one(r: int) -> int:
         rng = derive_rng(seed, "link_kappa", r)
-        pick = rng.choice(edge_count, size=m, replace=False)
-        d = np.bincount(ui[pick], minlength=n) + np.bincount(vi[pick], minlength=n)
-        return _adjacent_pairs_from_degrees(d)
+        return adjacent(rng.choice(g.edge_count(), size=m, replace=False))
 
-    return _kappa_result(empirical, parallel_map(one, range(replicates), threads))
+    return _kappa_result(empirical, [one(r) for r in range(replicates)])
 
 
-def _subgraph_clustering(pairs: list[tuple[int, int]]) -> tuple[float, int]:
-    """(coefficient, adjacent_pairs) of the subgraph given by index pairs."""
-    adj: dict[int, set[int]] = {}
-    for a, b in pairs:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    adjacent = sum(len(s) * (len(s) - 1) for s in adj.values()) // 2
-    if adjacent == 0:
-        return 0.0, 0
-    closed = 0
-    for a, b in pairs:
-        na, nb = adj[a], adj[b]
-        if len(na) > len(nb):
-            na, nb = nb, na
-        closed += sum(1 for x in na if x in nb)
-    return closed / adjacent, adjacent
-
-
-def clustering_kappa(
-    g: SocialGraph,
-    active_links,
-    replicates: int = 200,
-    seed: int = 0,
-    threads: int = 1,
-) -> KappaResult:
+def clustering_kappa(g: SocialGraph, active_links, replicates: int = 200, seed: int = 0) -> KappaResult:
     """Global clustering of the active subgraph vs random link activation.
 
     Replicates whose activated subgraph has no adjacent pairs carry no
     coefficient; they are excluded from the mean and counted."""
-    links = _canonical_links(g, active_links)
-    nodes, ui, vi, _ = g.index_arrays()
-    edge_count = len(ui)
-    m = len(links)
+    active = _active_edges(g, active_links)
+    n = g.node_count()
+    m = len(active)
     if m == 0:
         raise ValueError("kappa undefined for an empty active-link set")
-    index = {node: i for i, node in enumerate(nodes)}
-    emp_pairs = [(index[u], index[v]) for u, v in links]
-    c_emp, _ = _subgraph_clustering(emp_pairs)
-    if m == edge_count:
-        c_full = global_clustering_coefficient(g)
-        if c_full == 0.0:
+    closed, adjacent = triangle_counts(g.u[active], g.v[active], n)
+    c_emp = closed / adjacent if adjacent else 0.0
+    if m == g.edge_count():
+        if global_clustering_coefficient(g) == 0.0:
             raise ValueError("reference degenerate: graph has no adjacent pairs")
         return KappaResult(1.0, c_emp, c_emp, 0.0, 0, (1.0, 1.0))
 
     def one(r: int) -> float:
         rng = derive_rng(seed, "clustering_kappa", r)
-        pick = rng.choice(edge_count, size=m, replace=False)
-        coeff, adjacent = _subgraph_clustering(list(zip(ui[pick].tolist(), vi[pick].tolist())))
-        return coeff if adjacent else np.nan
+        pick = rng.choice(g.edge_count(), size=m, replace=False)
+        closed, adjacent = triangle_counts(g.u[pick], g.v[pick], n)
+        return closed / adjacent if adjacent else np.nan
 
-    return _kappa_result(c_emp, parallel_map(one, range(replicates), threads))
+    return _kappa_result(c_emp, [one(r) for r in range(replicates)])
 
 
 def adoption_probability_curve(
@@ -308,19 +274,9 @@ def adoption_probability_curve(
     min_support: int = 30,
 ) -> PkCurve:
     """p_k = P(adopted | exactly k adopting friends), over all graph nodes."""
-    adopters = frozenset(adopters)
-    missing = adopters - g.nodes
-    if missing:
-        raise ValueError(f"adopters not in graph: {sorted(missing)[:5]}")
-    nodes, ui, vi, _ = g.index_arrays()
-    n = len(nodes)
-    index = {node: i for i, node in enumerate(nodes)}
-    mask = np.zeros(n, dtype=bool)
-    mask[[index[a] for a in adopters]] = True
-    if len(ui):
-        k = np.bincount(ui[mask[vi]], minlength=n) + np.bincount(vi[mask[ui]], minlength=n)
-    else:
-        k = np.zeros(n, dtype=int)
+    mask = _adopter_mask(g, frozenset(adopters))
+    n = g.node_count()
+    k = np.bincount(g.u[mask[g.v]], minlength=n) + np.bincount(g.v[mask[g.u]], minlength=n)
     points = []
     p0 = None
     for kk in range(k_max + 1):

@@ -180,7 +180,7 @@ def _build_graph(ds, cfg):
     g = cfg["graph"]
     return socialgraph.build_graph(
         ds,
-        weight_spec={"sms_weight": g["sms_weight"]},
+        sms_weight=g["sms_weight"],
         min_monthly_interactions=g["min_monthly_interactions"],
     )
 
@@ -308,7 +308,7 @@ def _cmd_graph(args, ctx: RunContext) -> dict:
     socialgraph.write_edges_csv(g, ctx.outputs.stage("edges.csv"), header_comment=ctx.header)
     socialgraph.write_components_csv(report, ctx.outputs.stage("components.csv"),
                                      header_comment=ctx.header)
-    params = {"nodes": len(g.nodes), "edges": g.edge_count(),
+    params = {"nodes": g.node_count(), "edges": g.edge_count(),
               "components": len(report.components), "isolates": report.isolate_count}
     if args.evc:
         scores = socialgraph.eigenvector_centrality(g)
@@ -360,14 +360,12 @@ def _cmd_kappa(args, ctx: RunContext) -> dict:
         net = adoption.adoption_network(g, adopters)
     for mode in modes:
         if mode == "node":
-            results[mode] = adoption.node_kappa(g, adopters, replicates=replicates,
-                                                seed=ctx.seed, threads=ctx.threads)
+            results[mode] = adoption.node_kappa(g, adopters, replicates=replicates, seed=ctx.seed)
         elif mode == "link":
-            results[mode] = adoption.link_kappa(g, net.induced_edges, replicates=replicates,
-                                                seed=ctx.seed, threads=ctx.threads)
+            results[mode] = adoption.link_kappa(g, net.induced_edges, replicates=replicates, seed=ctx.seed)
         else:
             results[mode] = adoption.clustering_kappa(g, net.induced_edges, replicates=replicates,
-                                                      seed=ctx.seed, threads=ctx.threads)
+                                                      seed=ctx.seed)
     adoption.write_kappa_csv(results, ctx.outputs.stage("kappa.csv"), header_comment=ctx.header)
     for mode in sorted(results):
         r = results[mode]

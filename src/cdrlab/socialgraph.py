@@ -3,157 +3,132 @@
 The graph is undirected: direction is discarded at build time.  Voice and
 sms events define both the edges and the weights; the default weight counts
 voice per second of duration and one text as 60 (one text, one minute).
+
+A `SocialGraph` is one immutable set of arrays over its sorted node ids:
+every edge once as an index pair u < v, lexsorted, with its weight, plus a
+CSR adjacency over both directions.  Components, centrality and clustering
+all read these arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .ingest import write_csv
 from .records import SMS, VOICE, Dataset, month_index
 
-DEFAULT_WEIGHT_SPEC = {"voice_unit": "per-second", "sms_weight": 60.0}
+# Components up to this many nodes fall back to a dense eigensolver when
+# power iteration stalls; the dense matrix then takes at most 32 MB.
+DENSE_EVC_MAX_NODES = 2000
 
 
 class SocialGraph:
-    """Undirected weighted graph over subscriber ids, frozen after build."""
+    """Undirected weighted graph over sorted subscriber ids.
 
-    def __init__(self):
-        self._adj: dict[str, dict[str, float]] = {}
-        self._frozen = False
-        self._arrays = None
+    `ids` are the sorted node ids.  Edge i joins nodes `u[i] < v[i]` with
+    weight `w[i]`; the edges are lexsorted by (u, v).  The neighbours of
+    node k are `nbrs[offsets[k]:offsets[k + 1]]`, ascending.
+    """
 
-    # -- construction ------------------------------------------------------
-    def add_node(self, u: str) -> None:
-        if self._frozen:
-            raise RuntimeError("graph is frozen")
-        self._adj.setdefault(u, {})
-
-    def add_edge(self, u: str, v: str, weight: float = 1.0) -> None:
-        if self._frozen:
-            raise RuntimeError("graph is frozen")
-        if u == v:
-            raise ValueError(f"self-loop on {u!r}")
-        if weight <= 0:
-            raise ValueError("edge weight must be positive")
-        self._adj.setdefault(u, {})[v] = float(weight)
-        self._adj.setdefault(v, {})[u] = float(weight)
-
-    def freeze(self) -> "SocialGraph":
-        self._frozen = True
-        return self
+    def __init__(self, ids, u, v, w):
+        self.ids = tuple(ids)
+        self.u = np.asarray(u, dtype=np.int64)
+        self.v = np.asarray(v, dtype=np.int64)
+        self.w = np.asarray(w, dtype=np.float64)
+        ends = np.concatenate((self.u, self.v))
+        other = np.concatenate((self.v, self.u))
+        self.nbrs = other[np.lexsort((other, ends))]
+        self.offsets = np.zeros(len(self.ids) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ends, minlength=len(self.ids)), out=self.offsets[1:])
 
     @classmethod
     def from_edges(cls, edges, nodes=()) -> "SocialGraph":
-        g = cls()
+        """Graph from (u, v) or (u, v, w) id tuples; a repeated pair keeps its last weight."""
+        weights: dict[tuple[str, str], float] = {}
         for item in edges:
-            if len(item) == 2:
-                u, v = item
-                g.add_edge(u, v, 1.0)
-            else:
-                u, v, w = item
-                g.add_edge(u, v, w)
-        for n in nodes:
-            g.add_node(n)
-        return g.freeze()
+            u, v, w = item if len(item) == 3 else (*item, 1.0)
+            if u == v:
+                raise ValueError(f"self-loop on {u!r}")
+            if w <= 0:
+                raise ValueError("edge weight must be positive")
+            weights[(u, v) if u < v else (v, u)] = float(w)
+        ids = sorted({x for pair in weights for x in pair}.union(nodes))
+        pos = {x: i for i, x in enumerate(ids)}
+        pairs = sorted(weights)
+        return cls(ids, [pos[a] for a, _ in pairs], [pos[b] for _, b in pairs],
+                   [weights[p] for p in pairs])
 
     # -- queries -----------------------------------------------------------
     @property
-    def nodes(self) -> set[str]:
-        return set(self._adj)
+    def nodes(self) -> frozenset[str]:
+        return frozenset(self.ids)
 
     def node_count(self) -> int:
-        return len(self._adj)
+        return len(self.ids)
 
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
+        return len(self.u)
 
-    def has_node(self, u: str) -> bool:
-        return u in self._adj
-
-    def has_edge(self, u: str, v: str) -> bool:
-        return v in self._adj.get(u, ())
-
-    def weight(self, u: str, v: str) -> float:
-        return self._adj[u][v]
-
-    def neighbors(self, u: str) -> dict[str, float]:
-        return self._adj[u]
-
-    def degree(self, u: str) -> int:
-        return len(self._adj[u])
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.offsets)
 
     def edges(self):
         """Canonical (u, v, w) triples with u < v, sorted."""
-        for u in sorted(self._adj):
-            for v in sorted(self._adj[u]):
-                if u < v:
-                    yield (u, v, self._adj[u][v])
+        ids = self.ids
+        for a, b, x in zip(self.u.tolist(), self.v.tolist(), self.w.tolist()):
+            yield (ids[a], ids[b], x)
 
     def sorted_nodes(self) -> list[str]:
-        return sorted(self._adj)
+        return list(self.ids)
 
-    def index_arrays(self):
-        """(nodes, u_idx, v_idx, w) with one row per canonical edge.
+    @cached_property
+    def _position(self) -> dict[str, int]:
+        return {x: i for i, x in enumerate(self.ids)}
 
-        Cached after freeze; the vectorized kappa machinery runs on these.
-        """
-        if self._arrays is None:
-            nodes = self.sorted_nodes()
-            index = {n: i for i, n in enumerate(nodes)}
-            us, vs, ws = [], [], []
-            for u, v, w in self.edges():
-                us.append(index[u])
-                vs.append(index[v])
-                ws.append(w)
-            arrays = (
-                nodes,
-                np.asarray(us, dtype=np.int64),
-                np.asarray(vs, dtype=np.int64),
-                np.asarray(ws, dtype=np.float64),
-            )
-            if self._frozen:
-                self._arrays = arrays
-            return arrays
-        return self._arrays
+    def index(self, names) -> np.ndarray:
+        """Position of each name in `ids`, -1 for a name that is not a node."""
+        pos = self._position
+        return np.array([pos.get(x, -1) for x in names], dtype=np.int64)
+
+    def induced(self, keep: np.ndarray) -> "SocialGraph":
+        """The subgraph on the nodes where the boolean mask `keep` is set."""
+        sel = keep[self.u] & keep[self.v]
+        new = np.cumsum(keep) - 1
+        return SocialGraph([self.ids[i] for i in np.flatnonzero(keep).tolist()],
+                           new[self.u[sel]], new[self.v[sel]], self.w[sel])
 
 
 @dataclass
 class ComponentReport:
     components: list[set[str]]
     isolate_count: int
-    universe_size: int
 
 
 def build_graph(
     ds: Dataset,
-    weight_spec: dict | None = None,
+    sms_weight: float = 60.0,
     min_monthly_interactions: int = 3,
 ) -> SocialGraph:
     """Aggregate voice/sms events into an undirected weighted graph.
 
-    An edge survives only when the pair's combined two-direction interaction
-    count is strictly greater than `min_monthly_interactions` in every
-    calendar month `ds.window` touches.  Threshold 0 disables the monthly
-    test entirely: any communicating pair becomes an edge.  A pair's weight
-    adds its events in dataset order.
+    Voice weighs its seconds, a text `sms_weight`.  An edge survives only
+    when the pair's combined two-direction interaction count is strictly
+    greater than `min_monthly_interactions` in every calendar month
+    `ds.window` touches.  Threshold 0 disables the monthly test entirely:
+    any communicating pair becomes an edge.  A pair's weight adds its events
+    in dataset order.  Every subscriber who called or texted is a node.
     """
-    spec = dict(DEFAULT_WEIGHT_SPEC)
-    if weight_spec:
-        spec.update(weight_spec)
-    if spec["voice_unit"] not in ("per-call", "per-second"):
-        raise ValueError(f"unknown voice_unit {spec['voice_unit']!r}")
     c = ds.cdrs
-    ids = c.subscriber_ids
+    n_ids = len(c.subscriber_ids)
     rows = ((c.kind == VOICE) | (c.kind == SMS)) & (c.callee >= 0) & (c.caller != c.callee)
     caller, callee, kind = c.caller[rows], c.callee[rows], c.kind[rows]
     # Codes sort like ids, so (low code, high code) is the pair in id order.
-    key = np.minimum(caller, callee).astype(np.int64) * len(ids) + np.maximum(caller, callee)
+    key = np.minimum(caller, callee).astype(np.int64) * n_ids + np.maximum(caller, callee)
     pairs, pair = np.unique(key, return_inverse=True)
-    voice_w = c.magnitude[rows] if spec["voice_unit"] == "per-second" else 1.0
-    weights = np.bincount(pair, weights=np.where(kind == VOICE, voice_w, float(spec["sms_weight"])),
+    weights = np.bincount(pair, weights=np.where(kind == VOICE, c.magnitude[rows], float(sms_weight)),
                           minlength=len(pairs))
     first_month, last_month = month_index(np.array(ds.window) - (0, 1)).tolist()
     months = last_month - first_month + 1
@@ -162,37 +137,41 @@ def build_graph(
     threshold = int(min_monthly_interactions)
     keep = (weights > 0) & ((per_month > threshold).all(axis=1) if threshold > 0 else True)
 
-    g = SocialGraph()
-    for node in np.flatnonzero(np.bincount(np.concatenate((caller, callee)), minlength=len(ids))).tolist():
-        g.add_node(ids[node])
-    for k, w in zip(pairs[keep].tolist(), weights[keep].tolist()):
-        g.add_edge(ids[k // len(ids)], ids[k % len(ids)], w)
-    return g.freeze()
+    active = np.bincount(np.concatenate((caller, callee)), minlength=n_ids) > 0
+    node = np.cumsum(active) - 1
+    return SocialGraph([c.subscriber_ids[i] for i in np.flatnonzero(active).tolist()],
+                       node[pairs[keep] // n_ids], node[pairs[keep] % n_ids], weights[keep])
 
 
-def connected_components(g: SocialGraph, universe: set[str] | None = None) -> ComponentReport:
-    """Exact components; isolates are universe nodes with no incident edge."""
-    if universe is None:
-        universe = g.nodes
-    isolates = sum(1 for n in universe if not g.has_node(n) or g.degree(n) == 0)
-    seen: set[str] = set()
-    components: list[set[str]] = []
-    for root in sorted(universe):
-        if root in seen or not g.has_node(root) or g.degree(root) == 0:
-            continue
-        comp = {root}
-        frontier = [root]
-        seen.add(root)
-        while frontier:
-            u = frontier.pop()
-            for v in g.neighbors(u):
-                if v not in seen:
-                    seen.add(v)
-                    comp.add(v)
-                    frontier.append(v)
-        components.append(comp)
-    components.sort(key=lambda c: (-len(c), min(c)))
-    return ComponentReport(components, isolates, len(universe))
+def _component_labels(g: SocialGraph) -> np.ndarray:
+    """Per node, the smallest node index in its component.
+
+    Min-label propagation along the edges, with pointer jumping so that a
+    long path settles in a logarithmic number of rounds.
+    """
+    label = np.arange(g.node_count())
+    while True:
+        nxt = label.copy()
+        np.minimum.at(nxt, g.u, label[g.v])
+        np.minimum.at(nxt, g.v, label[g.u])
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, label):
+            return label
+        label = nxt
+
+
+def connected_components(g: SocialGraph) -> ComponentReport:
+    """Exact components of two or more nodes; isolates are nodes with no edge."""
+    label = _component_labels(g)
+    linked = g.degrees() > 0
+    roots, members = np.unique(label[linked], return_counts=True)
+    # A component's label is its smallest index, hence its smallest id.
+    order = np.lexsort((roots, -members))
+    by_label = np.argsort(label, kind="stable")
+    starts = np.searchsorted(label[by_label], roots[order])
+    components = [{g.ids[i] for i in by_label[s:s + k].tolist()}
+                  for s, k in zip(starts.tolist(), members[order].tolist())]
+    return ComponentReport(components, int(np.count_nonzero(~linked)))
 
 
 def eigenvector_centrality(g: SocialGraph, tol: float = 1e-10, max_iter: int = 10_000) -> dict[str, float]:
@@ -202,28 +181,21 @@ def eigenvector_centrality(g: SocialGraph, tol: float = 1e-10, max_iter: int = 1
     entries.  Power iteration runs on A/w_max + I: the shift guarantees
     convergence on bipartite components and the weight normalization makes
     the iterates, not just the limit, invariant to rescaling all weights.
-    Isolated nodes and singleton components score 1.0.
+    When the iteration stalls (a second eigenvalue close to the first), a
+    component of at most DENSE_EVC_MAX_NODES nodes is solved densely
+    instead; a connected component with non-negative weights has a simple
+    top eigenvalue, so that vector is unique.  Isolated nodes score 1.0.
     """
-    scores: dict[str, float] = {}
-    report = connected_components(g)
-    for n in g.nodes:
-        if g.degree(n) == 0:
-            scores[n] = 1.0
-    for comp in report.components:
-        order = sorted(comp)
-        index = {n: i for i, n in enumerate(order)}
-        us, vs, ws = [], [], []
-        for u in order:
-            for v, w in g.neighbors(u).items():
-                if u < v:
-                    us.append(index[u])
-                    vs.append(index[v])
-                    ws.append(w)
-        ui = np.asarray(us, dtype=np.int64)
-        vi = np.asarray(vs, dtype=np.int64)
-        wv = np.asarray(ws, dtype=np.float64)
-        wv = wv / wv.max()
-        n = len(order)
+    label = _component_labels(g)
+    scores = np.ones(g.node_count())
+    edge_label = label[g.u]
+    for root in np.unique(edge_label).tolist():
+        members = np.flatnonzero(label == root)
+        sel = edge_label == root
+        ui = np.searchsorted(members, g.u[sel])
+        vi = np.searchsorted(members, g.v[sel])
+        wv = g.w[sel] / g.w[sel].max()
+        n = len(members)
         x = np.full(n, 1.0 / np.sqrt(n))
         residual = np.inf
         for _ in range(max_iter):
@@ -236,33 +208,57 @@ def eigenvector_centrality(g: SocialGraph, tol: float = 1e-10, max_iter: int = 1
             if residual < tol:
                 break
         else:
-            raise RuntimeError(
-                f"eigenvector centrality did not converge in {max_iter} iterations "
-                f"(component size {n}, last residual {residual:.3e})"
-            )
-        for node, value in zip(order, x):
-            scores[node] = float(value)
-    return scores
+            if n > DENSE_EVC_MAX_NODES:
+                raise RuntimeError(
+                    f"eigenvector centrality did not converge in {max_iter} iterations "
+                    f"(component size {n}, last residual {residual:.3e})"
+                )
+            a = np.zeros((n, n))
+            a[ui, vi] = wv
+            a[vi, ui] = wv
+            x = np.abs(np.linalg.eigh(a)[1][:, -1])
+            x /= np.linalg.norm(x)
+        scores[members] = x
+    return dict(zip(g.ids, scores.tolist()))
+
+
+def triangle_counts(u: np.ndarray, v: np.ndarray, n: int) -> tuple[int, int]:
+    """(3 x triangles, adjacent edge pairs) of the simple graph with edges (u[i], v[i]).
+
+    Nodes are 0..n-1, `u` and `v` int64; each edge appears once, in either
+    orientation.  This is the "forward" count (Schank and Wagner 2005;
+    Latapy 2008): orient every edge from the lower to the higher (degree,
+    index) end, pair the out-edges of each node into wedges, and look up
+    each wedge's closing edge.  Every triangle is found once, at its
+    lowest-ranked corner.
+    """
+    deg = np.bincount(np.concatenate((u, v)), minlength=n)
+    adjacent = int((deg * (deg - 1)).sum() // 2)
+    rank = deg * n + np.arange(n)
+    forward = rank[u] < rank[v]
+    tail, head = np.where(forward, u, v), np.where(forward, v, u)
+    order = np.argsort(tail)
+    tail, head = tail[order], head[order]
+    # Out-edge i pairs with each later out-edge of the same tail.
+    later = np.searchsorted(tail, tail, side="right") - np.arange(len(tail)) - 1
+    first = np.repeat(np.arange(len(tail)), later)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    a, b = head[first], head[second]
+    wedge = np.minimum(a, b) * n + np.maximum(a, b)
+    keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+    hit = np.minimum(np.searchsorted(keys, wedge), len(keys) - 1)
+    return 3 * int(np.count_nonzero(keys[hit] == wedge)), adjacent
 
 
 def global_clustering_coefficient(g: SocialGraph) -> float:
     """3 x closed triangles over adjacent link pairs; 0 when no pairs exist."""
-    pairs = adjacent_link_count(g)
-    if pairs == 0:
-        return 0.0
-    closed = 0
-    for u, v, _ in g.edges():
-        nu = g.neighbors(u)
-        nv = g.neighbors(v)
-        if len(nu) > len(nv):
-            nu, nv = nv, nu
-        closed += sum(1 for x in nu if x in nv)
-    return closed / pairs
+    closed, pairs = triangle_counts(g.u, g.v, g.node_count())
+    return closed / pairs if pairs else 0.0
 
 
 def adjacent_link_count(g: SocialGraph) -> int:
     """Number of unordered pairs of edges sharing an endpoint: sum C(k_i, 2)."""
-    return sum(d * (d - 1) for d in (g.degree(n) for n in g._adj)) // 2
+    return triangle_counts(g.u, g.v, g.node_count())[1]
 
 
 def write_edges_csv(g: SocialGraph, path: str, header_comment: str | None = None) -> None:

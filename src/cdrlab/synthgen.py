@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geo import haversine_km
+from .geo import haversine_km, haversine_km_to
 from .records import (
     DATA,
     EVENT_KINDS,
@@ -180,15 +180,13 @@ def generate_population(cfg: SynthConfig) -> tuple[SocialGraph, GroundTruth]:
     rng = derive_rng(cfg.seed, "graph")
     edges = _small_world_edges(cfg.n_subscribers, cfg.graph_model.k, cfg.graph_model.rewire_p, rng)
 
-    g = SocialGraph()
-    for s in subs:
-        g.add_node(s)
-    for a, b in sorted(edges):
-        g.add_edge(subs[a], subs[b], 1.0)
-    g.freeze()
+    pairs = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+    g = SocialGraph(subs, pairs[:, 0], pairs[:, 1], np.ones(len(pairs)))
 
     towers = towers_for(cfg)
     order = sorted(towers)
+    tower_lon = np.array([towers[t].lon for t in order])
+    tower_lat = np.array([towers[t].lat for t in order])
     lon_min, lat_min, lon_max, lat_max = cfg.grid
     cx, cy = (lon_min + lon_max) / 2, (lat_min + lat_max) / 2
     rx, ry = 0.35 * (lon_max - lon_min), 0.35 * (lat_max - lat_min)
@@ -197,7 +195,8 @@ def generate_population(cfg: SynthConfig) -> tuple[SocialGraph, GroundTruth]:
         theta = 2 * math.pi * i / cfg.n_subscribers
         lon = cx + rx * math.cos(theta)
         lat = cy + ry * math.sin(theta)
-        homes[s] = min(order, key=lambda tid: (haversine_km(lon, lat, towers[tid].lon, towers[tid].lat), tid))
+        # argmin keeps the first of equal distances: the smallest tower id.
+        homes[s] = order[int(np.argmin(haversine_km_to(tower_lon, tower_lat, lon, lat)))]
 
     label_rng = derive_rng(cfg.seed, "labels")
     u = label_rng.random(cfg.n_subscribers)
@@ -240,7 +239,8 @@ def generate_events(cfg: SynthConfig, graph: SocialGraph, gt: GroundTruth) -> Da
     drawn_retailers = [f"R{i:03d}" for i in range(max(5, cfg.n_towers // 2))]
     retailers = tuple(sorted(drawn_retailers))
 
-    sub_code = {s: i for i, s in enumerate(subs)}
+    if graph.ids != tuple(subs):
+        raise ValueError("graph nodes must be the config's subscribers")
     visit_cache: dict[tuple[str, float], np.ndarray] = {}
     callers, cdr_cols, top_rows = [], [], []
     for code, s in enumerate(subs):
@@ -257,8 +257,8 @@ def generate_events(cfg: SynthConfig, graph: SocialGraph, gt: GroundTruth) -> Da
         cdf = visit_cache[key]
 
         rng = derive_rng(cfg.seed, "events", s)
-        neighbors = np.array(sorted(sub_code[v] for v in graph.neighbors(s)) if graph.has_node(s) else [],
-                             dtype=np.int64)
+        # Graph index and subscriber code coincide, so the codes ascend.
+        neighbors = graph.nbrs[graph.offsets[code]:graph.offsets[code + 1]]
         n_comm = int(rng.poisson(cfg.event_rate * cfg.days * rate_mult)) if len(neighbors) else 0
         if n_comm:
             days = np.searchsorted(day_cdf, rng.random(n_comm))
@@ -391,18 +391,15 @@ def simulate_adoption(
     if days < 1:
         raise ValueError("days must be >= 1")
 
-    nodes, ui, vi, _ = graph.index_arrays()
-    n = len(nodes)
+    ui, vi = graph.u, graph.v
+    n = graph.node_count()
     adopted = np.zeros(n, dtype=bool)
     rng = derive_rng(seed, "adoption")
     by_day: dict[int, frozenset[str]] = {}
     for day in range(days):
-        if len(ui):
-            k = np.bincount(ui[adopted[vi]], minlength=n) + np.bincount(vi[adopted[ui]], minlength=n)
-        else:
-            k = np.zeros(n, dtype=int)
+        k = np.bincount(ui[adopted[vi]], minlength=n) + np.bincount(vi[adopted[ui]], minlength=n)
         hazard = np.minimum(1.0, p0 * (1.0 + beta) ** k)
         draws = rng.random(n)
         adopted |= (~adopted) & (draws < hazard)
-        by_day[day] = frozenset(nodes[i] for i in np.flatnonzero(adopted))
+        by_day[day] = frozenset(graph.ids[i] for i in np.flatnonzero(adopted).tolist())
     return GroundTruth(adopters_by_day=by_day)

@@ -61,48 +61,30 @@ def topup_rows(table) -> list[TopUpRecord]:
 
 
 def graph_from(edges, nodes=()) -> SocialGraph:
-    g = SocialGraph()
-    for n in nodes:
-        g.add_node(n)
-    for u, v, *w in edges:
-        for x in (u, v):
-            if x not in g.nodes:
-                g.add_node(x)
-        g.add_edge(u, v, float(w[0]) if w else 1.0)
-    return g.freeze()
+    return SocialGraph.from_edges(edges, nodes=nodes)
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float) -> SocialGraph:
-    g = SocialGraph()
     names = [f"n{i}" for i in range(n)]
-    for name in names:
-        g.add_node(name)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                g.add_edge(names[i], names[j], 1.0)
-    return g.freeze()
+    edges = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    return SocialGraph.from_edges(edges, nodes=names)
 
 
 def random_connected_graph(rng: np.random.Generator, n: int, extra: float = 0.05,
                            weighted: bool = False) -> SocialGraph:
     """Random tree plus extra edges; always connected."""
-    g = SocialGraph()
     names = [f"n{i}" for i in range(n)]
-    for name in names:
-        g.add_node(name)
+    edges = []
     have = set()
     for i in range(1, n):
         j = int(rng.integers(0, i))
-        w = float(rng.uniform(0.5, 3.0)) if weighted else 1.0
-        g.add_edge(names[i], names[j], w)
+        edges.append((names[i], names[j], float(rng.uniform(0.5, 3.0)) if weighted else 1.0))
         have.add((j, i))
     for i in range(n):
         for j in range(i + 1, n):
             if (i, j) not in have and rng.random() < extra:
-                w = float(rng.uniform(0.5, 3.0)) if weighted else 1.0
-                g.add_edge(names[i], names[j], w)
-    return g.freeze()
+                edges.append((names[i], names[j], float(rng.uniform(0.5, 3.0)) if weighted else 1.0))
+    return SocialGraph.from_edges(edges, nodes=names)
 
 
 @pytest.fixture

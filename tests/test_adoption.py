@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from cdrlab import adoption as ad
-from cdrlab.socialgraph import SocialGraph
 
 from conftest import graph_from
+from graph_oracle import subgraph_clustering
 
 
 def paw():
@@ -106,10 +106,10 @@ def test_node_kappa_matches_exhaustive_null_on_path():
     assert res.kappa == pytest.approx(2 / mean, rel=0.03)
 
 
-def test_node_kappa_deterministic_across_threads():
+def test_node_kappa_deterministic_per_seed():
     g = graph_from([(f"n{i}", f"n{(i + 1) % 12}") for i in range(12)])
-    a = ad.node_kappa(g, {"n0", "n1", "n2", "n5"}, replicates=300, seed=7, threads=1)
-    b = ad.node_kappa(g, {"n0", "n1", "n2", "n5"}, replicates=300, seed=7, threads=4)
+    a = ad.node_kappa(g, {"n0", "n1", "n2", "n5"}, replicates=300, seed=7)
+    b = ad.node_kappa(g, {"n0", "n1", "n2", "n5"}, replicates=300, seed=7)
     assert a == b
     c = ad.node_kappa(g, {"n0", "n1", "n2", "n5"}, replicates=300, seed=8)
     assert c != a
@@ -211,13 +211,12 @@ def test_clustering_kappa_all_replicates_excluded():
 
 
 def exhaustive_clustering_mean(g, m):
-    nodes, ui, vi, _ = g.index_arrays()
-    edges = list(zip(ui.tolist(), vi.tolist()))
+    edges = list(zip(g.u.tolist(), g.v.tolist()))
     vals = []
     for combo in itertools.combinations(range(len(edges)), m):
-        coeff, adjacent = ad._subgraph_clustering([edges[i] for i in combo])
+        closed, adjacent = subgraph_clustering([edges[i] for i in combo])
         if adjacent:
-            vals.append(coeff)
+            vals.append(closed / adjacent)
     return sum(vals) / len(vals)
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdrlab import socialgraph as sg
 
@@ -16,44 +18,46 @@ from conftest import (
     sms,
     voice,
 )
+from graph_oracle import subgraph_clustering
 
 
 # -- SocialGraph container ---------------------------------------------------
 
 def test_graph_construction_rules():
-    g = sg.SocialGraph()
-    g.add_edge("a", "b", 2.0)
     with pytest.raises(ValueError, match="self-loop"):
-        g.add_edge("a", "a")
+        sg.SocialGraph.from_edges([("a", "b", 2.0), ("a", "a")])
     with pytest.raises(ValueError, match="positive"):
-        g.add_edge("a", "c", 0.0)
-    g.freeze()
-    with pytest.raises(RuntimeError, match="frozen"):
-        g.add_node("z")
-    with pytest.raises(RuntimeError, match="frozen"):
-        g.add_edge("a", "c", 1.0)
+        sg.SocialGraph.from_edges([("a", "b", 2.0), ("a", "c", 0.0)])
 
 
 def test_edges_are_canonical_and_sorted():
     g = graph_from([("c", "b", 1.0), ("b", "a", 2.0), ("c", "a", 3.0)])
     assert list(g.edges()) == [("a", "b", 2.0), ("a", "c", 3.0), ("b", "c", 1.0)]
     assert g.edge_count() == 3 and g.node_count() == 3
-    assert g.weight("c", "a") == 3.0 and g.has_edge("a", "c")
 
 
 def test_add_edge_overwrites_weight():
-    g = sg.SocialGraph()
-    g.add_edge("a", "b", 1.0)
-    g.add_edge("b", "a", 5.0)
-    assert g.weight("a", "b") == 5.0 and g.edge_count() == 1
+    g = sg.SocialGraph.from_edges([("a", "b", 1.0), ("b", "a", 5.0)])
+    assert list(g.edges()) == [("a", "b", 5.0)]
 
 
-def test_index_arrays_match_edges():
-    g = graph_from([("a", "b", 2.0), ("b", "c", 4.0)], nodes=["z"])
-    nodes, ui, vi, w = g.index_arrays()
-    assert nodes == ["a", "b", "c", "z"]
-    rebuilt = [(nodes[i], nodes[j], x) for i, j, x in zip(ui, vi, w)]
-    assert rebuilt == list(g.edges())
+def test_arrays_match_edges():
+    g = graph_from([("c", "b", 4.0), ("a", "b", 2.0)], nodes=["z"])
+    assert g.sorted_nodes() == ["a", "b", "c", "z"]
+    rebuilt = [(g.ids[i], g.ids[j], x) for i, j, x in zip(g.u.tolist(), g.v.tolist(), g.w.tolist())]
+    assert rebuilt == list(g.edges()) == [("a", "b", 2.0), ("b", "c", 4.0)]
+    assert g.u.dtype == g.v.dtype == np.int64 and g.w.dtype == np.float64
+    # CSR over both directions, neighbours ascending
+    assert g.offsets.tolist() == [0, 1, 3, 4, 4]
+    assert g.nbrs.tolist() == [1, 0, 2, 1]
+    assert g.degrees().tolist() == [1, 2, 1, 0]
+    assert g.index(["c", "zz", "a"]).tolist() == [2, -1, 0]
+    sub = g.induced(np.array([False, True, True, True]))
+    assert list(sub.edges()) == [("b", "c", 4.0)] and sub.sorted_nodes() == ["b", "c", "z"]
+
+
+def edge_weights(g):
+    return {(u, v): w for u, v, w in g.edges()}
 
 
 # -- build_graph -------------------------------------------------------------
@@ -75,7 +79,7 @@ def test_build_graph_requires_strictly_more_than_threshold_every_month():
     )
     ds = make_dataset(cdrs, window=window)
     g = sg.build_graph(ds, min_monthly_interactions=3)
-    assert {(u, v) for u, v, _ in g.edges()} == {("C", "D")}
+    assert edge_weights(g).keys() == {("C", "D")}
     # nodes that communicated stay in the graph even without surviving edges
     assert g.nodes == {"A", "B", "C", "D", "E", "F"}
 
@@ -92,7 +96,7 @@ def test_build_graph_combines_directions():
     ]
     ds = make_dataset(cdrs, window=(T0, T0 + DAY))
     g = sg.build_graph(ds, min_monthly_interactions=3)
-    assert g.has_edge("A", "B") and g.weight("A", "B") == 120.0
+    assert edge_weights(g) == {("A", "B"): 120.0}
 
 
 def test_build_graph_weights_and_modes():
@@ -104,12 +108,9 @@ def test_build_graph_weights_and_modes():
     ]
     ds = make_dataset(cdrs, window=(T0, T0 + DAY))
     g = sg.build_graph(ds, min_monthly_interactions=3)
-    assert g.weight("A", "B") == 120 + 60 + 60 + 60  # per-second voice, sms=60
-    g2 = sg.build_graph(
-        ds, weight_spec={"voice_unit": "per-call", "sms_weight": 1.0},
-        min_monthly_interactions=3,
-    )
-    assert g2.weight("A", "B") == 1 + 1 + 1 + 1
+    assert edge_weights(g) == {("A", "B"): 120 + 60 + 60 + 60}  # per-second voice, sms=60
+    g2 = sg.build_graph(ds, sms_weight=1.0, min_monthly_interactions=3)
+    assert edge_weights(g2) == {("A", "B"): 120 + 60 + 1 + 1}
 
 
 def test_build_graph_ignores_data_and_selfcalls():
@@ -119,14 +120,8 @@ def test_build_graph_ignores_data_and_selfcalls():
     ] + month_calls(("A", "B"), T0 + 1000, 4)
     ds = make_dataset(cdrs, window=(T0, T0 + DAY))
     g = sg.build_graph(ds, min_monthly_interactions=3)
-    assert g.weight("A", "B") == 120.0
-    assert not g.has_node("T1") and "A" in g.nodes
-
-
-def test_build_graph_validates_inputs():
-    ds = make_dataset([voice("A", "B", "T1", T0 + 100, 30)], window=(T0, T0 + DAY))
-    with pytest.raises(ValueError, match="voice_unit"):
-        sg.build_graph(ds, weight_spec={"voice_unit": "per-minute"})
+    assert edge_weights(g) == {("A", "B"): 120.0}
+    assert g.nodes == {"A", "B"}
 
 
 def test_build_graph_is_order_independent():
@@ -163,11 +158,10 @@ def union_find_groups(g):
 
 
 def test_components_hand_case():
-    g = graph_from([("a", "b"), ("b", "c"), ("x", "y")], nodes=["lone"])
-    rep = sg.connected_components(g, universe=g.nodes | {"ghost"})
+    g = graph_from([("a", "b"), ("b", "c"), ("x", "y")], nodes=["lone", "ghost"])
+    rep = sg.connected_components(g)
     assert rep.components == [{"a", "b", "c"}, {"x", "y"}]
     assert rep.isolate_count == 2  # lone and ghost
-    assert rep.universe_size == 7
 
 
 def test_components_sorted_by_size_then_min_label():
@@ -187,18 +181,26 @@ def test_components_match_union_find_on_random_graphs():
         assert rep.isolate_count == sum(1 for c in union_find_groups(g) if len(c) == 1)
 
 
+def test_components_of_a_shuffled_long_path():
+    rng = np.random.default_rng(5)
+    names = [f"p{i:04d}" for i in rng.permutation(600)]
+    g = graph_from(list(zip(names, names[1:])) + [("x", "y")], nodes=["iso"])
+    rep = sg.connected_components(g)
+    assert rep.components == [set(names), {"x", "y"}] and rep.isolate_count == 1
+
+
 # -- eigenvector centrality ----------------------------------------------------
 
 def dense_evc(g):
     """Principal eigenvector per component from a dense symmetric eigensolver."""
-    scores = {n: 1.0 for n in g.nodes if g.degree(n) == 0}
+    scores = {n: 1.0 for n in g.nodes}
     for comp in sg.connected_components(g).components:
         order = sorted(comp)
         idx = {n: i for i, n in enumerate(order)}
         A = np.zeros((len(order), len(order)))
-        for u in order:
-            for v, w in g.neighbors(u).items():
-                A[idx[u], idx[v]] = w
+        for u, v, w in g.edges():
+            if u in idx:
+                A[idx[u], idx[v]] = A[idx[v], idx[u]] = w
         vec = np.linalg.eigh(A)[1][:, -1]
         vec = np.abs(vec) / np.linalg.norm(vec)
         scores.update(zip(order, map(float, vec)))
@@ -245,6 +247,36 @@ def test_evc_isolates_score_one_and_weight_scale_invariance():
         assert scores7[n] == pytest.approx(scores[n], abs=1e-12)
 
 
+def test_evc_falls_back_to_dense_solver_when_iteration_stalls():
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, 40, extra=0.08, weighted=seed % 2 == 1)
+        got = sg.eigenvector_centrality(g, max_iter=5)
+        want = dense_evc(g)
+        for n in want:
+            assert got[n] == pytest.approx(want[n], abs=1e-8)
+
+
+def near_tie_graph():
+    """Two five-cliques, one a hair lighter, joined by one light edge."""
+    a = [(f"a{i}", f"a{j}", 1.0) for i in range(5) for j in range(i + 1, 5)]
+    b = [(f"b{i}", f"b{j}", 1.0 - 1e-6) for i in range(5) for j in range(i + 1, 5)]
+    return graph_from(a + b + [("a0", "b0", 1e-6)], nodes=["iso"])
+
+
+def test_evc_near_tie_stalls_then_matches_dense_oracle(monkeypatch):
+    g = near_tie_graph()
+    scores = sg.eigenvector_centrality(g)
+    want = dense_evc(g)
+    assert scores.keys() == want.keys() and scores["iso"] == 1.0
+    for n in want:
+        assert scores[n] == pytest.approx(want[n], abs=1e-8)
+    # above the dense cap the stall is still an error
+    monkeypatch.setattr(sg, "DENSE_EVC_MAX_NODES", 9)
+    with pytest.raises(RuntimeError, match="did not converge in 10000 iterations"):
+        sg.eigenvector_centrality(g)
+
+
 # -- clustering and adjacent pairs ----------------------------------------------
 
 def brute_adjacent_pairs(g):
@@ -266,6 +298,39 @@ def test_clustering_hand_cases():
     assert sg.global_clustering_coefficient(paw) == pytest.approx(3 / 5)
     empty = graph_from([], nodes=["a", "b"])
     assert sg.global_clustering_coefficient(empty) == 0.0
+
+
+@st.composite
+def simple_graphs(draw):
+    """(n, edges): distinct non-loop index pairs in random order and orientation."""
+    n = draw(st.integers(1, 14))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60))
+    edges = sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b})
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    edges = [(b, a) if flip else (a, b) for (a, b), flip in zip(edges, flips)]
+    return n, draw(st.permutations(edges))
+
+
+def assert_kernel_matches_oracle(n, edges):
+    u = np.array([a for a, _ in edges], dtype=np.int64)
+    v = np.array([b for _, b in edges], dtype=np.int64)
+    assert sg.triangle_counts(u, v, n) == subgraph_clustering(edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(simple_graphs())
+def test_triangle_counts_match_set_oracle(graph):
+    assert_kernel_matches_oracle(*graph)
+
+
+@pytest.mark.parametrize("n, edges", [
+    (3, []),                                                            # empty
+    (7, [(0, i) for i in range(1, 7)]),                                 # star
+    (6, [(i, j) for i in range(6) for j in range(i + 1, 6)]),          # complete
+    (9, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 4), (3, 5), (6, 7), (8, 7), (8, 6)]),  # disjoint triangles
+])
+def test_triangle_counts_hand_graphs(n, edges):
+    assert_kernel_matches_oracle(n, edges)
 
 
 def test_adjacent_link_count_matches_brute_force():

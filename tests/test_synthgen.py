@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from cdrlab.records import SECONDS_PER_DAY
 from cdrlab.rng import derive_rng
 
 from conftest import T0, DAY, cdr_rows, topup_rows
+from graph_oracle import nearest_tower
 
 GRID = (90.0, 22.0, 92.5, 26.0)
 
@@ -112,14 +114,35 @@ def test_generate_population_small_world():
     cfg = small_cfg(graph_model=syn.SmallWorld(k=4, rewire_p=0.0))
     g, gt = syn.generate_population(cfg)
     subs = syn.subscriber_ids(24)
-    assert g.nodes == set(subs)
-    assert all(g.degree(s) == 4 for s in subs)
+    assert g.sorted_nodes() == subs
+    assert g.degrees().tolist() == [4] * 24
     towers = syn.towers_for(cfg)
     assert set(gt.home_tower) == set(subs)
     assert set(gt.home_tower.values()) <= set(towers)
     assert set(gt.label.values()) <= {"low", "high"}
     g2, gt2 = syn.generate_population(cfg)
     assert list(g2.edges()) == list(g.edges()) and gt2 == gt
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_generate_population_homes_match_scalar_nearest_tower(seed):
+    cfg = small_cfg(seed=seed, n_subscribers=90, n_towers=40)
+    _, gt = syn.generate_population(cfg)
+    towers = syn.towers_for(cfg)
+    lon_min, lat_min, lon_max, lat_max = cfg.grid
+    for i, s in enumerate(syn.subscriber_ids(cfg.n_subscribers)):
+        theta = 2 * math.pi * i / cfg.n_subscribers
+        lon = (lon_min + lon_max) / 2 + 0.35 * (lon_max - lon_min) * math.cos(theta)
+        lat = (lat_min + lat_max) / 2 + 0.35 * (lat_max - lat_min) * math.sin(theta)
+        assert gt.home_tower[s] == nearest_tower(lon, lat, towers)
+
+
+def test_generate_events_needs_the_population_graph():
+    cfg = small_cfg()
+    g, gt = syn.generate_population(cfg)
+    other, _ = syn.generate_population(small_cfg(n_subscribers=25))
+    with pytest.raises(ValueError, match="subscribers"):
+        syn.generate_events(cfg, other, gt)
 
 
 # -- event generation --------------------------------------------------------------
@@ -164,7 +187,8 @@ def test_generate_events_kind_mix_and_magnitudes():
     cfg0 = small_cfg(sms_fraction=0.0)
     ds0 = syn.generate_events(cfg0, g, gt)
     assert len(ds0.cdrs) and all(r.kind == "voice" and r.magnitude >= 1 for r in cdr_rows(ds0.cdrs))
-    assert all(r.callee in g.neighbors(r.caller) for r in cdr_rows(ds0.cdrs))
+    linked = {frozenset((u, v)) for u, v, _ in g.edges()}
+    assert all(frozenset((r.caller, r.callee)) in linked for r in cdr_rows(ds0.cdrs))
 
 
 def test_generate_events_data_and_topups():
