@@ -9,9 +9,11 @@ Carlo error, so under the null it covers 1 at roughly the nominal rate.
 
 Every test works on the graph's arrays: adopters become a boolean node
 mask, active links become positions in the canonical edge arrays, and a
-replicate is one draw of node or edge positions.  Clustering counts
-triangles and adjacent pairs exactly with `socialgraph.triangle_counts`,
-so a coefficient is a ratio of two integers and keeps its bits.
+replicate is one draw of node or edge positions.  Replicates are drawn
+(`rng.derive_choices`) and counted a block at a time, a block's rows
+standing as disjoint copies of the graph.  Clustering counts triangles and
+adjacent pairs exactly with `socialgraph.triangle_counts`, so a coefficient
+is a ratio of two integers and keeps its bits.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ingest import write_csv
-from .rng import derive_rng
+from .rng import derive_choices
 from .socialgraph import (
     ComponentReport,
     SocialGraph,
@@ -33,6 +35,11 @@ from .socialgraph import (
 Z95 = 1.959963984540054
 
 MONSTER_THRESHOLD = 1000
+
+# Null replicates are drawn and counted in blocks of about this many cells
+# (rows x max(nodes, edges)): enough rows to amortize each numpy call, few
+# enough that peak memory does not grow with the replicate count.
+BLOCK_CELLS = 1 << 17
 
 
 @dataclass
@@ -167,6 +174,29 @@ def _kappa_result(empirical: float, values) -> KappaResult:
     )
 
 
+def _check_replicates(replicates: int) -> None:
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
+
+
+def _null_values(g: SocialGraph, seed: int, name: str, replicates: int, population: int, m: int,
+                 count) -> np.ndarray:
+    """count(picks) for every replicate, one block of rows of picks at a time.
+
+    Row r of `picks` is derive_rng(seed, name, r).choice(population, m)
+    without replacement; `count` returns one value per row.
+    """
+    rows = max(1, BLOCK_CELLS // max(g.node_count(), g.edge_count()))
+    return np.concatenate([count(derive_choices(seed, name, lo, min(lo + rows, replicates), population, m))
+                           for lo in range(0, replicates, rows)])
+
+
+def _edge_copies(g: SocialGraph, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of edge positions as one copy of a disjoint union: row r's nodes offset by r * n."""
+    offset = np.arange(len(picks))[:, None] * g.node_count()
+    return (g.u[picks] + offset).ravel(), (g.v[picks] + offset).ravel()
+
+
 def node_kappa(g: SocialGraph, adopters, replicates: int = 200, seed: int = 0) -> KappaResult:
     """B-link count of the adopter set vs uniform random placement.
 
@@ -174,6 +204,7 @@ def node_kappa(g: SocialGraph, adopters, replicates: int = 200, seed: int = 0) -
     exact: every placement yields every edge, so kappa is 1 with a
     degenerate CI and no sampling.
     """
+    _check_replicates(replicates)
     adopters = frozenset(adopters)
     emp_mask = _adopter_mask(g, adopters)
     n = g.node_count()
@@ -189,13 +220,12 @@ def node_kappa(g: SocialGraph, adopters, replicates: int = 200, seed: int = 0) -
             raise ValueError("reference degenerate: graph has no edges")
         return KappaResult(1.0, empirical, float(empirical), 0.0, 0, (1.0, 1.0))
 
-    def one(r: int) -> int:
-        rng = derive_rng(seed, "node_kappa", r)
-        mask = np.zeros(n, dtype=bool)
-        mask[rng.choice(n, size=m, replace=False)] = True
-        return int(np.count_nonzero(mask[g.u] & mask[g.v]))
+    def b_links(picks: np.ndarray) -> np.ndarray:
+        mask = np.zeros((len(picks), n), dtype=bool)
+        mask[np.arange(len(picks))[:, None], picks] = True
+        return np.count_nonzero(mask[:, g.u] & mask[:, g.v], axis=1)
 
-    return _kappa_result(empirical, [one(r) for r in range(replicates)])
+    return _kappa_result(empirical, _null_values(g, seed, "node_kappa", replicates, n, m, b_links))
 
 
 def _active_edges(g: SocialGraph, active_links) -> np.ndarray:
@@ -218,27 +248,27 @@ def link_kappa(g: SocialGraph, active_links, replicates: int = 200, seed: int = 
     The null draws the same number of edges uniformly without replacement
     from the graph's edge set; adjacent pairs are counted from the degree
     sequence of the activated subgraph (sum of C(k,2))."""
+    _check_replicates(replicates)
     active = _active_edges(g, active_links)
     n = g.node_count()
     m = len(active)
     if m == 0:
         raise ValueError("kappa undefined for an empty active-link set")
 
-    def adjacent(edges: np.ndarray) -> int:
-        deg = np.bincount(g.u[edges], minlength=n) + np.bincount(g.v[edges], minlength=n)
-        return int((deg * (deg - 1)).sum() // 2)
+    def adjacent(u: np.ndarray, v: np.ndarray, copies: int = 1) -> np.ndarray:
+        deg = np.bincount(np.concatenate((u, v)), minlength=copies * n).reshape(copies, n)
+        return (deg * (deg - 1)).sum(axis=1) // 2
 
-    empirical = adjacent(active)
+    empirical = int(adjacent(g.u[active], g.v[active])[0])
     if m == g.edge_count():
         if empirical == 0:
             raise ValueError("reference degenerate: full activation has no adjacent pairs")
         return KappaResult(1.0, empirical, float(empirical), 0.0, 0, (1.0, 1.0))
 
-    def one(r: int) -> int:
-        rng = derive_rng(seed, "link_kappa", r)
-        return adjacent(rng.choice(g.edge_count(), size=m, replace=False))
+    def pairs(picks: np.ndarray) -> np.ndarray:
+        return adjacent(*_edge_copies(g, picks), len(picks))
 
-    return _kappa_result(empirical, [one(r) for r in range(replicates)])
+    return _kappa_result(empirical, _null_values(g, seed, "link_kappa", replicates, g.edge_count(), m, pairs))
 
 
 def clustering_kappa(g: SocialGraph, active_links, replicates: int = 200, seed: int = 0) -> KappaResult:
@@ -246,25 +276,25 @@ def clustering_kappa(g: SocialGraph, active_links, replicates: int = 200, seed: 
 
     Replicates whose activated subgraph has no adjacent pairs carry no
     coefficient; they are excluded from the mean and counted."""
+    _check_replicates(replicates)
     active = _active_edges(g, active_links)
     n = g.node_count()
     m = len(active)
     if m == 0:
         raise ValueError("kappa undefined for an empty active-link set")
     closed, adjacent = triangle_counts(g.u[active], g.v[active], n)
-    c_emp = closed / adjacent if adjacent else 0.0
+    c_emp = int(closed[0]) / int(adjacent[0]) if adjacent[0] else 0.0
     if m == g.edge_count():
         if global_clustering_coefficient(g) == 0.0:
             raise ValueError("reference degenerate: graph has no adjacent pairs")
         return KappaResult(1.0, c_emp, c_emp, 0.0, 0, (1.0, 1.0))
 
-    def one(r: int) -> float:
-        rng = derive_rng(seed, "clustering_kappa", r)
-        pick = rng.choice(g.edge_count(), size=m, replace=False)
-        closed, adjacent = triangle_counts(g.u[pick], g.v[pick], n)
-        return closed / adjacent if adjacent else np.nan
+    def coefficients(picks: np.ndarray) -> np.ndarray:
+        closed, adjacent = triangle_counts(*_edge_copies(g, picks), n, len(picks))
+        return np.divide(closed, adjacent, out=np.full(len(picks), np.nan), where=adjacent > 0)
 
-    return _kappa_result(c_emp, [one(r) for r in range(replicates)])
+    return _kappa_result(c_emp, _null_values(g, seed, "clustering_kappa", replicates, g.edge_count(), m,
+                                             coefficients))
 
 
 def adoption_probability_curve(

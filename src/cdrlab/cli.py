@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -72,7 +73,6 @@ class RunContext:
     cfg: dict
     cfg_hash: str
     seed: int
-    threads: int
     outputs: Outputs
 
     @property
@@ -115,7 +115,14 @@ def _read_area_values(path: str) -> dict[str, float]:
     header, rows = _side_rows(path)
     if header[:2] != ["area", "value"]:
         raise ValueError(f"{path}: expected header area,value")
-    return {r[0]: ingest.number(path, n, r[1]) for n, r in rows if len(r) >= 2 and r[1] != ""}
+    values = {}
+    for n, r in rows:
+        if len(r) >= 2 and r[1] != "":
+            value = ingest.number(path, n, r[1])
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{n}: non-finite value")
+            values[r[0]] = value
+    return values
 
 
 def _read_id_list(path: str, column: str = "subscriber") -> list[str]:
@@ -349,11 +356,16 @@ def _cmd_adoption(args, ctx: RunContext) -> dict:
 def _cmd_kappa(args, ctx: RunContext) -> dict:
     from . import adoption
 
+    if args.replicates is not None:
+        replicates, what = args.replicates, "--replicates"
+    else:
+        replicates, what = ctx.cfg["adoption"]["replicates"], "[adoption] replicates"
+    if replicates < 1:
+        raise ValueError(f"{what} must be >= 1, got {replicates}")
     ds, _, _ = _load_dataset(args, ctx.cfg)
     g = _build_graph(ds, ctx.cfg)
     table, source = _adopter_set(args, ds, g, ctx)
     adopters = set(table)
-    replicates = args.replicates or ctx.cfg["adoption"]["replicates"]
     modes = ("node", "link", "clustering") if args.mode == "all" else (args.mode,)
     results = {}
     if {"link", "clustering"} & set(modes):
@@ -569,7 +581,6 @@ def _cmd_idw(args, ctx: RunContext) -> dict:
         samples, s["grid_nrows"], s["grid_ncols"], s["grid_xll"], s["grid_yll"],
         s["grid_cellsize"], power=s["idw_power"],
         max_radius=s["idw_max_radius"] or None, nodata=s["nodata"],
-        threads=ctx.threads,
     )
     spatial.write_grid(raster, ctx.outputs.stage("grid.txt"), header_comment=ctx.header)
     filled = int(raster.data_mask().sum())
@@ -928,7 +939,6 @@ def main(argv=None) -> int:
             cfg=cfg,
             cfg_hash=config_hash(cfg),
             seed=cfg["run"]["seed"],
-            threads=cfg["run"]["threads"],
             outputs=outputs,
         )
         params = _HANDLERS[args.command](args, ctx)

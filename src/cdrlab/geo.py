@@ -42,6 +42,22 @@ def haversine_km_to(lons, lats, lon0: float, lat0: float) -> np.ndarray:
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(a)))
 
 
+def haversine_km_rows(lons, lats, row_lons, row_lats):
+    """Yield haversine_km(lons[None, :], lats[None, :], row_lons[:, None], lat) per lat in row_lats.
+
+    Bit for bit: the terms that do not depend on the row's latitude are
+    computed once, and each row applies the same ufuncs to the same shapes
+    as haversine_km.
+    """
+    phi1 = np.radians(lats[None, :])
+    cos_phi1 = np.cos(phi1)
+    sin_dlam_sq = np.sin(np.radians(np.subtract(row_lons[:, None], lons[None, :])) / 2.0) ** 2
+    for lat in row_lats:
+        phi2 = np.radians(lat)
+        a = np.sin((phi2 - phi1) / 2.0) ** 2 + cos_phi1 * np.cos(phi2) * sin_dlam_sq
+        yield 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(a)))
+
+
 class LocalProjection:
     """Equirectangular projection about a reference point, in km.
 

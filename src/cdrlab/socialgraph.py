@@ -222,19 +222,22 @@ def eigenvector_centrality(g: SocialGraph, tol: float = 1e-10, max_iter: int = 1
     return dict(zip(g.ids, scores.tolist()))
 
 
-def triangle_counts(u: np.ndarray, v: np.ndarray, n: int) -> tuple[int, int]:
-    """(3 x triangles, adjacent edge pairs) of the simple graph with edges (u[i], v[i]).
+def triangle_counts(u: np.ndarray, v: np.ndarray, n: int, copies: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Per copy, (3 x triangles, adjacent edge pairs) of a disjoint union of simple graphs.
 
-    Nodes are 0..n-1, `u` and `v` int64; each edge appears once, in either
-    orientation.  This is the "forward" count (Schank and Wagner 2005;
-    Latapy 2008): orient every edge from the lower to the higher (degree,
-    index) end, pair the out-edges of each node into wedges, and look up
-    each wedge's closing edge.  Every triangle is found once, at its
-    lowest-ranked corner.
+    Copy c has the nodes c*n .. (c+1)*n - 1, and each edge (u[i], v[i])
+    lies within one copy; `u` and `v` are int64 and each edge appears once,
+    in either orientation.  Both results are int64 arrays of length
+    `copies`.  This is the "forward" count (Schank and Wagner 2005; Latapy
+    2008): orient every edge from the lower to the higher (degree, index)
+    end, pair the out-edges of each node into wedges, and look up each
+    wedge's closing edge.  Every triangle is found once, at its
+    lowest-ranked corner, which lies in the triangle's copy.
     """
-    deg = np.bincount(np.concatenate((u, v)), minlength=n)
-    adjacent = int((deg * (deg - 1)).sum() // 2)
-    rank = deg * n + np.arange(n)
+    size = n * copies
+    deg = np.bincount(np.concatenate((u, v)), minlength=size)
+    adjacent = (deg * (deg - 1)).reshape(copies, n).sum(axis=1) // 2
+    rank = deg * size + np.arange(size)
     forward = rank[u] < rank[v]
     tail, head = np.where(forward, u, v), np.where(forward, v, u)
     order = np.argsort(tail)
@@ -244,21 +247,22 @@ def triangle_counts(u: np.ndarray, v: np.ndarray, n: int) -> tuple[int, int]:
     first = np.repeat(np.arange(len(tail)), later)
     second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
     a, b = head[first], head[second]
-    wedge = np.minimum(a, b) * n + np.maximum(a, b)
-    keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+    wedge = np.minimum(a, b) * size + np.maximum(a, b)
+    keys = np.sort(np.minimum(u, v) * size + np.maximum(u, v))
     hit = np.minimum(np.searchsorted(keys, wedge), len(keys) - 1)
-    return 3 * int(np.count_nonzero(keys[hit] == wedge)), adjacent
+    closed = np.bincount(tail[first][keys[hit] == wedge] // n, minlength=copies)
+    return 3 * closed, adjacent
 
 
 def global_clustering_coefficient(g: SocialGraph) -> float:
     """3 x closed triangles over adjacent link pairs; 0 when no pairs exist."""
     closed, pairs = triangle_counts(g.u, g.v, g.node_count())
-    return closed / pairs if pairs else 0.0
+    return int(closed[0]) / int(pairs[0]) if pairs[0] else 0.0
 
 
 def adjacent_link_count(g: SocialGraph) -> int:
     """Number of unordered pairs of edges sharing an endpoint: sum C(k_i, 2)."""
-    return triangle_counts(g.u, g.v, g.node_count())[1]
+    return int(triangle_counts(g.u, g.v, g.node_count())[1][0])
 
 
 def write_edges_csv(g: SocialGraph, path: str, header_comment: str | None = None) -> None:

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geo import LocalProjection, haversine_km
+from .geo import LocalProjection, haversine_km_rows
 from .ingest import number, open_text
-from .parallel import parallel_map
 
 log = logging.getLogger(__name__)
 
@@ -185,7 +184,6 @@ def idw_interpolate(
     power: float = 2.0,
     max_radius: float | None = None,
     nodata: float = NODATA_DEFAULT,
-    threads: int = 1,
 ) -> GridRaster:
     """Inverse-distance-weighted surface of point samples on a lat/lon grid.
 
@@ -204,11 +202,8 @@ def idw_interpolate(
     lons = xllcorner + (np.arange(ncols) + 0.5) * cellsize
     lats = yllcorner + (nrows - np.arange(nrows) - 0.5) * cellsize
     radius = math.inf if max_radius is None else float(max_radius)
-
-    def fill_row(r: int) -> np.ndarray:
-        d = haversine_km(s_lon[None, :], s_lat[None, :], lons[:, None], lats[r])
-        row = np.full(ncols, nodata, dtype=float)
-        hit = d < EXACT_HIT_KM
+    values = np.full((nrows, ncols), nodata, dtype=float)
+    for row, d in zip(values, haversine_km_rows(s_lon, s_lat, lons, lats)):
         in_range = d <= radius
         # an exact hit makes its weight infinite and the blend below nan;
         # both are overwritten by the sample value afterwards
@@ -218,13 +213,10 @@ def idw_interpolate(
             ok = wsum > 0
             if ok.any():
                 row[ok] = (w[ok] @ s_val) / wsum[ok]
-        for j in range(ncols):
-            if hit[j].any():
-                row[j] = s_val[np.argmax(hit[j])]
-        return row
-
-    rows = parallel_map(fill_row, range(nrows), threads=threads)
-    return GridRaster(xllcorner, yllcorner, cellsize, np.vstack(rows), nodata)
+        hit = d < EXACT_HIT_KM
+        exact = hit.any(axis=1)
+        row[exact] = s_val[np.argmax(hit[exact], axis=1)]
+    return GridRaster(xllcorner, yllcorner, cellsize, values, nodata)
 
 
 def pearson_correlation(a: dict[str, float], b: dict[str, float]) -> tuple[float, int]:
@@ -268,8 +260,8 @@ def write_grid(raster: GridRaster, path: str, header_comment: str | None = None)
         fh.write(f"yllcorner {raster.yllcorner!r}\n")
         fh.write(f"cellsize {raster.cellsize!r}\n")
         fh.write(f"nodata {raster.nodata!r}\n")
-        for row in raster.values:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+        for row in raster.values.tolist():
+            fh.write(" ".join(map(repr, row)) + "\n")
 
 
 def read_grid(path: str) -> GridRaster:

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdrlab import adoption as ad
 
+import stats_oracle
 from conftest import graph_from
 from graph_oracle import subgraph_clustering
 
@@ -226,6 +229,75 @@ def test_clustering_kappa_matches_exhaustive_null():
     res = ad.clustering_kappa(g, [("a", "b"), ("b", "c"), ("a", "c")], replicates=6000, seed=13)
     assert res.random_mean == pytest.approx(mean, rel=0.05)
     assert res.empirical_count == 1.0
+
+
+# -- block replicates against the per-replicate oracle ------------------------------
+
+KAPPAS = (
+    (ad.node_kappa, stats_oracle.node_kappa, "adopters"),
+    (ad.link_kappa, stats_oracle.link_kappa, "links"),
+    (ad.clustering_kappa, stats_oracle.clustering_kappa, "links"),
+)
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def kappa_cases(draw):
+    """(graph, adopters, active links, block rows, replicates, seed)."""
+    n = draw(st.integers(2, 12))
+    names = [f"n{i:02d}" for i in range(n)]
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=30))
+    edges = sorted({(names[min(a, b)], names[max(a, b)]) for a, b in pairs if a != b})
+    if not edges:
+        edges = [(names[0], names[1])]
+    g = graph_from(edges, nodes=names)
+    adopters = draw(st.sets(st.sampled_from(names), min_size=1))
+    links = draw(st.lists(st.sampled_from(edges), min_size=1, unique=True))
+    rows = draw(st.integers(1, 4))
+    replicates = draw(st.sampled_from([rows - 1, rows, rows + 1, 2 * rows + 1]).filter(lambda r: r >= 1))
+    return g, adopters, links, rows, replicates, draw(st.integers(0, 2**130))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kappa_cases())
+def test_block_kappa_matches_per_replicate_oracle(case):
+    g, adopters, links, rows, replicates, seed = case
+    with pytest.MonkeyPatch.context() as mp:
+        # blocks of `rows` replicates, so block edges fall inside the draw
+        mp.setattr(ad, "BLOCK_CELLS", rows * max(g.node_count(), g.edge_count()))
+        for fast, oracle, what in KAPPAS:
+            arg = adopters if what == "adopters" else links
+            assert outcome(fast, g, arg, replicates=replicates, seed=seed) == \
+                outcome(oracle, g, arg, replicates=replicates, seed=seed)
+
+
+def test_block_clustering_kappa_matches_oracle_with_excluded_replicates():
+    g = graph_from([("a", "b"), ("b", "c"), ("a", "c"), ("p", "q"), ("x", "y")])
+    active = [("a", "b"), ("b", "c"), ("p", "q")]
+    res = ad.clustering_kappa(g, active, replicates=300, seed=5)
+    assert res.excluded_replicates > 0
+    assert res == stats_oracle.clustering_kappa(g, active, replicates=300, seed=5)
+
+
+@pytest.mark.parametrize("fn, arg", [
+    (ad.node_kappa, {"a", "b"}),
+    (ad.node_kappa, {"a", "b", "c", "d"}),  # full adoption draws nothing either
+    (ad.link_kappa, [("a", "b")]),
+    (ad.clustering_kappa, [("a", "b"), ("b", "c")]),
+])
+@pytest.mark.parametrize("replicates", [0, -3])
+def test_kappa_rejects_replicates_below_one(monkeypatch, fn, arg, replicates):
+    def no_draw(*args):
+        raise AssertionError("drew replicates")
+    monkeypatch.setattr(ad, "derive_choices", no_draw)
+    with pytest.raises(ValueError, match=f"replicates must be >= 1, got {replicates}"):
+        fn(paw(), arg, replicates=replicates, seed=1)
 
 
 # -- adoption probability curve ------------------------------------------------------

@@ -304,6 +304,38 @@ def test_voronoi_and_idw(synth_dir, tmp_path):
     assert raster.nrows == 80 and raster.ncols == 50
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+def test_area_values_reject_non_finite(synth_dir, tmp_path, capsys, bad):
+    towers = tower_ids(synth_dir)
+    samples = tmp_path / "samples.csv"
+    samples.write_text(f"area,value\n{towers[0]},1.0\n{towers[1]},{bad}\n")
+    assert cli.main(["idw", "--towers", str(synth_dir / "towers.csv"), "--samples", str(samples),
+                     "--outdir", str(tmp_path / "idw")]) == 2
+    assert f"{samples}:3: non-finite value" in capsys.readouterr().err
+    assert not (tmp_path / "idw" / "grid.txt").exists()
+
+    good = tmp_path / "good.csv"
+    good.write_text("area,value\nx,1\ny,2\nz,3\n")
+    assert cli.main(["correlate", "--a", str(good), "--b", str(samples),
+                     "--outdir", str(tmp_path / "corr")]) == 2
+    assert f"{samples}:3: non-finite value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, ini, named", [
+    (["--replicates", "0"], "", "--replicates must be >= 1, got 0"),
+    (["--replicates", "-5"], "", "--replicates must be >= 1, got -5"),
+    ([], "[adoption]\nreplicates = 0\n", "[adoption] replicates must be >= 1, got 0"),
+])
+def test_kappa_replicates_below_one_exit_2(synth_dir, tmp_path, capsys, flag, ini, named):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ini)
+    rc = cli.main(["kappa", *dataset_args(synth_dir), "--mode", "node", *flag, "--config", str(cfg),
+                   "--outdir", str(tmp_path / "kappa")])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "kappa" / "manifest_kappa.json").exists()
+
+
 def test_correlate_tables_and_type_mismatch(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

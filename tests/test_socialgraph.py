@@ -314,13 +314,27 @@ def simple_graphs(draw):
 def assert_kernel_matches_oracle(n, edges):
     u = np.array([a for a, _ in edges], dtype=np.int64)
     v = np.array([b for _, b in edges], dtype=np.int64)
-    assert sg.triangle_counts(u, v, n) == subgraph_clustering(edges)
+    closed, adjacent = sg.triangle_counts(u, v, n)
+    assert (closed.tolist(), adjacent.tolist()) == tuple([x] for x in subgraph_clustering(edges))
 
 
 @settings(max_examples=300, deadline=None)
 @given(simple_graphs())
 def test_triangle_counts_match_set_oracle(graph):
     assert_kernel_matches_oracle(*graph)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 14), st.lists(simple_graphs(), min_size=1, max_size=5), st.randoms())
+def test_triangle_counts_per_copy_of_disjoint_union(n, graphs, random):
+    # each graph is one copy, its nodes offset by copy * n; edges come shuffled
+    edges = [(a + c * n, b + c * n) for c, (_, es) in enumerate(graphs) for a, b in es if max(a, b) < n]
+    random.shuffle(edges)
+    u = np.array([a for a, _ in edges], dtype=np.int64)
+    v = np.array([b for _, b in edges], dtype=np.int64)
+    closed, adjacent = sg.triangle_counts(u, v, n, copies=len(graphs))
+    expected = [subgraph_clustering([(a, b) for a, b in es if max(a, b) < n]) for _, es in graphs]
+    assert list(zip(closed.tolist(), adjacent.tolist())) == expected
 
 
 @pytest.mark.parametrize("n, edges", [

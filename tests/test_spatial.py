@@ -1,11 +1,17 @@
 import logging
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdrlab import spatial as sp
 from cdrlab.geo import haversine_km
+
+import stats_oracle
 
 
 def shoelace(poly):
@@ -184,16 +190,16 @@ def test_idw_max_radius_yields_nodata():
     assert np.all(far.values == far.nodata)
 
 
-def test_idw_values_bounded_by_samples_and_thread_invariant():
+def test_idw_values_bounded_by_samples_and_match_row_oracle():
     rng = np.random.default_rng(7)
     for _ in range(3):
         samples = {
             (float(rng.uniform(0, 1)), float(rng.uniform(0, 1))): float(rng.uniform(-5, 9))
             for _ in range(8)
         }
-        g1 = sp.idw_interpolate(samples, 10, 10, 0.0, 0.0, 0.1, threads=1)
-        g4 = sp.idw_interpolate(samples, 10, 10, 0.0, 0.0, 0.1, threads=4)
-        assert np.array_equal(g1.values, g4.values)
+        g1 = sp.idw_interpolate(samples, 10, 10, 0.0, 0.0, 0.1)
+        slow = stats_oracle.idw_interpolate(samples, 10, 10, 0.0, 0.0, 0.1)
+        assert g1.values.tobytes() == slow.values.tobytes()
         lo, hi = min(samples.values()), max(samples.values())
         mask = g1.data_mask()
         assert np.all(g1.values[mask] >= lo - 1e-12)
@@ -242,6 +248,42 @@ def test_raster_correlation_masks_nodata():
         sp.raster_correlation(a, sp.GridRaster(0, 0, 1.0, np.zeros((3, 3))))
     with pytest.raises(ValueError, match="shared data cells"):
         sp.raster_correlation(a, sp.GridRaster(0, 0, 1.0, np.full((2, 2), -9999.0)))
+
+
+@st.composite
+def idw_cases(draw):
+    """Samples on and off the cell centres of a small grid, with the IDW options."""
+    geom = dict(nrows=draw(st.integers(1, 6)), ncols=draw(st.integers(1, 8)),
+                xllcorner=draw(st.floats(-30, 30)), yllcorner=draw(st.floats(-60, 60)),
+                cellsize=draw(st.sampled_from([0.001, 0.01, 0.25])))
+    centre = st.tuples(st.integers(0, geom["nrows"] - 1), st.integers(0, geom["ncols"] - 1)).map(
+        lambda rc: (geom["xllcorner"] + (rc[1] + 0.5) * geom["cellsize"],
+                    geom["yllcorner"] + (geom["nrows"] - rc[0] - 0.5) * geom["cellsize"]))
+    span = 10 * geom["cellsize"]
+    anywhere = st.tuples(st.floats(geom["xllcorner"] - span, geom["xllcorner"] + span),
+                         st.floats(geom["yllcorner"] - span, geom["yllcorner"] + span))
+    samples = draw(st.dictionaries(st.one_of(centre, anywhere), st.floats(-1e6, 1e6), min_size=1, max_size=6))
+    options = dict(power=draw(st.sampled_from([2.0, 1.0, 0.5, 3.5])),
+                   max_radius=draw(st.one_of(st.none(), st.floats(0.0005, 2000.0))),
+                   nodata=draw(st.sampled_from([sp.NODATA_DEFAULT, -1.0, 0.0, 1e30])))
+    return samples, geom, options
+
+
+@settings(max_examples=200, deadline=None)
+@given(idw_cases())
+def test_idw_raster_and_grid_text_match_row_oracle(case):
+    samples, geom, options = case
+    fast = sp.idw_interpolate(samples, **geom, **options)
+    slow = stats_oracle.idw_interpolate(samples, **geom, **options)
+    assert fast.values.tobytes() == slow.values.tobytes()
+    assert fast.nodata == slow.nodata == options["nodata"]
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "grid.txt")
+        sp.write_grid(fast, path)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    header = "".join(text.splitlines(keepends=True)[:6])
+    assert text == header + stats_oracle.grid_body(slow)
 
 
 # -- io ----------------------------------------------------------------------------------------
