@@ -108,7 +108,13 @@ def _read_area_map(path: str) -> dict[str, str]:
     header, rows = _side_rows(path)
     if header[:2] != ["tower", "area"]:
         raise ValueError(f"{path}: expected header tower,area")
-    return {r[0]: r[1] for _, r in rows if len(r) >= 2}
+    areas = {}
+    for n, r in rows:
+        if len(r) >= 2:
+            if r[0] in areas:
+                raise ValueError(f"{path}:{n}: repeated tower {r[0]!r}")
+            areas[r[0]] = r[1]
+    return areas
 
 
 def _read_area_values(path: str) -> dict[str, float]:
@@ -121,6 +127,8 @@ def _read_area_values(path: str) -> dict[str, float]:
             value = ingest.number(path, n, r[1])
             if not math.isfinite(value):
                 raise ValueError(f"{path}:{n}: non-finite value")
+            if r[0] in values:
+                raise ValueError(f"{path}:{n}: repeated area {r[0]!r}")
             values[r[0]] = value
     return values
 
@@ -249,9 +257,19 @@ def _cmd_synth(args, ctx: RunContext) -> dict:
     from . import synthgen
 
     scfg = _synth_config(args, ctx.cfg)
+    if args.shock_multiplier is not None:
+        if not (math.isfinite(args.shock_multiplier) and args.shock_multiplier >= 0):
+            raise ValueError(f"--shock-multiplier must be a finite number >= 0, got {args.shock_multiplier}")
+        if args.shock_days < 1:
+            raise ValueError(f"--shock-days must be >= 1, got {args.shock_days}")
+        if args.shock_start_day < 0 or args.shock_start_day + args.shock_days > scfg.days:
+            raise ValueError(f"--shock-start-day {args.shock_start_day} with --shock-days {args.shock_days} "
+                             f"leaves the synthesized days [0, {scfg.days})")
     graph, gt = synthgen.generate_population(scfg)
     ds = synthgen.generate_events(scfg, graph, gt)
     if args.shock_multiplier is not None:
+        if args.shock_entity != "global" and args.shock_entity not in ds.towers:
+            raise ValueError(f"--shock-entity: unknown tower {args.shock_entity!r}")
         entity = ("global",) if args.shock_entity == "global" else ("tower", args.shock_entity)
         lo = scfg.start + args.shock_start_day * SECONDS_PER_DAY
         hi = lo + args.shock_days * SECONDS_PER_DAY
@@ -739,6 +757,12 @@ def _cmd_select_covariates(args, ctx: RunContext) -> dict:
 def _cmd_campaign(args, ctx: RunContext) -> dict:
     from . import mlkit
 
+    if args.treatment_size is not None:
+        size, what = args.treatment_size, "--treatment-size"
+    else:
+        size, what = ctx.cfg["campaign"]["treatment_size"], "[campaign] treatment_size"
+    if size < 1:
+        raise ValueError(f"{what} must be >= 1, got {size}")
     model = mlkit.load_model(args.model)
     ids, columns, rows = _read_feature_table(args.features)
     if list(columns) != list(model.columns):
@@ -754,7 +778,6 @@ def _cmd_campaign(args, ctx: RunContext) -> dict:
     for _, r in orows:
         if len(r) >= 3 and r[0]:
             outcomes[r[0]] = {"converted": r[1] == "1", "renewed": r[2] == "1"}
-    size = args.treatment_size or ctx.cfg["campaign"]["treatment_size"]
     outcome = mlkit.run_campaign(table, model, size, control, outcomes)
     mlkit.campaign.write_campaign_csv(outcome, ctx.outputs.stage("campaign.csv"),
                                       header_comment=ctx.header)

@@ -15,11 +15,14 @@ Side files (towers, labels, areas, ...) are streamed one line at a time by
 ``numbered_rows``.  CDR and top-up files are read in chunks of about
 ``CHUNK_CHARS`` characters, each ending at a line end, straight into the
 columns of a ``CdrTable`` or ``TopUpTable``.  The unquoted lines of a
-chunk that have the header's field count are split at once, and their ids,
-kinds, canonical ``YYYY-MM-DDTHH:MM:SSZ`` timestamps and numbers are
-checked with array operations.  Any line that fails one of those checks,
-and every other line, goes through the per-row check (``_cdr_row``,
-``_topup_row``), which alone decides rejects and their reasons.
+chunk that have the header's field count are split at once; every other
+data line is split on its own and cut or padded to the header's width.
+Every rule is then one array test over the chunk's lines: ids, towers and
+kinds are decoded once per distinct text, canonical
+``YYYY-MM-DDTHH:MM:SSZ`` timestamps at once and any other through
+``parse_timestamp``, once per distinct text.  A line is rejected for the
+first rule it breaks, in the order the parsers list them, and only the
+rejected lines get their reason formatted.
 ``write_csv`` is the one writer of output tables.
 """
 
@@ -29,13 +32,16 @@ import csv
 import gzip
 import io
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .records import (
+    DATA,
     EVENT_KINDS,
+    MMS,
+    SMS,
+    VIDEO,
     VOICE,
     CdrTable,
     Dataset,
@@ -52,9 +58,6 @@ log = logging.getLogger("cdrlab.ingest")
 CDR_FIELDS = ("caller", "callee", "tower", "timestamp", "kind", "magnitude")
 TOPUP_FIELDS = ("buyer", "retailer", "retailer_tower", "timestamp", "amount")
 
-DEFAULT_CDR_SCHEMA = {name: name for name in CDR_FIELDS}
-DEFAULT_TOPUP_SCHEMA = {name: name for name in TOPUP_FIELDS}
-
 DEFAULT_REJECT_CAP = 0.01
 
 # Characters per chunk of an event file, which also holds the rest of its
@@ -62,8 +65,10 @@ DEFAULT_REJECT_CAP = 0.01
 # 2,700 CDR lines) a chunk stays in cache, and parsing ran both faster and in
 # less memory than with chunks of 2^16, 2^18, 2^19 or 2^20 characters.
 CHUNK_CHARS = 1 << 17
-# A code the array checks give a value they leave to the per-row check.
-REFUSED = -2
+# The code of a blank id or tower, and of a tower or kind that is not known.
+MISSING, UNKNOWN = -2, -3
+# The seconds of a timestamp text that parse_timestamp refuses.
+BAD_STAMP = np.iinfo(np.int64).min
 
 
 class IngestError(ValueError):
@@ -137,11 +142,9 @@ def write_rejects_csv(report: RejectReport, path: str, header_comment: str | Non
     write_csv(path, ["line", "reason"], report.rejects, header_comment)
 
 
-def _header_positions(header: list[str], schema: dict[str, str], required: tuple[str, ...], source: str) -> dict[str, int]:
-    positions = {}
-    for logical, column in schema.items():
-        if column in header:
-            positions[logical] = header.index(column)
+def _header_positions(header: list[str], fields: tuple[str, ...], required: tuple[str, ...], source: str) -> dict[str, int]:
+    """The column of each of fields that header holds; a missing required one is an IngestError."""
+    positions = {name: header.index(name) for name in fields if name in header}
     missing = [f for f in required if f not in positions]
     if missing:
         raise IngestError(f"{source}: schema columns not found in header: {', '.join(missing)}")
@@ -199,11 +202,37 @@ def _canonical_stamps(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return ts, ok
 
 
-def _floats(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """(values, parsed) of texts through float(); nan where one does not parse."""
-    n = len(texts)
+def _stamp(text: str) -> int:
+    """parse_timestamp(text), or BAD_STAMP where it refuses text."""
     try:
-        return np.fromiter(map(float, texts), np.float64, n), np.ones(n, dtype=bool)
+        return parse_timestamp(text)
+    except ValueError:
+        return BAD_STAMP
+
+
+def _timestamps(texts: list[str], stamps: _Decoder) -> tuple[np.ndarray, np.ndarray]:
+    """(epoch seconds, bad) of texts as parse_timestamp reads them.
+
+    Canonical texts are read at once; stamps, a decoder of `_stamp`, reads
+    each of the others once per distinct text.
+    """
+    ts, ok = _canonical_stamps(texts)
+    rest = np.flatnonzero(~ok)
+    if len(rest):
+        ts[rest] = stamps.codes([texts[i] for i in rest.tolist()])
+    return ts, ts == BAD_STAMP
+
+
+def _floats(texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, parsed, blank) of texts through float().
+
+    values is nan where a text does not parse; blank marks the texts that
+    are empty or whitespace.
+    """
+    n = len(texts)
+    blank = np.zeros(n, dtype=bool)
+    try:
+        return np.fromiter(map(float, texts), np.float64, n), np.ones(n, dtype=bool), blank
     except ValueError:
         pass
     values = np.full(n, np.nan)
@@ -212,9 +241,10 @@ def _floats(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
         try:
             values[i] = float(text)
         except ValueError:
+            blank[i] = not text.strip()
             continue
         parsed[i] = True
-    return values, parsed
+    return values, parsed, blank
 
 
 class _Decoder(dict):
@@ -239,8 +269,19 @@ class _Ids:
     def __init__(self):
         self.index: dict[str, int] = {}
 
-    def code(self, text: str) -> int:
-        return self.index.setdefault(text, len(self.index))
+    def decoder(self, known: set[str] | None = None) -> _Decoder:
+        """A decoder of id texts, stripped, into codes: MISSING for a blank
+        text, UNKNOWN for one that known (when given) does not hold."""
+
+        def code(text: str) -> int:
+            text = text.strip()
+            if not text:
+                return MISSING
+            if known is not None and text not in known:
+                return UNKNOWN
+            return self.index.setdefault(text, len(self.index))
+
+        return _Decoder(code)
 
     def finish(self, *columns: np.ndarray) -> tuple[list[np.ndarray], tuple[str, ...]]:
         """The columns as codes into the sorted table of the ids they use."""
@@ -262,7 +303,7 @@ def _chars(text: str) -> np.ndarray:
 class _EventFile:
     """The header of an event file, then its data lines chunk by chunk."""
 
-    def __init__(self, fh, path: str, schema: dict[str, str], required: tuple[str, ...]):
+    def __init__(self, fh, path: str, fields: tuple[str, ...], required: tuple[str, ...]):
         self.fh = fh
         self.line = 0
         self.header = None
@@ -271,16 +312,19 @@ class _EventFile:
             stripped = raw.strip()
             if stripped and stripped[0] != "#":
                 self.header = _split(raw)
-                self.pos = _header_positions(self.header, schema, required, str(path))
+                self.pos = _header_positions(self.header, fields, required, str(path))
                 self.width = max(self.pos.values())
                 break
 
     def chunks(self):
-        """Yield (numbers, fields, slow) per chunk of lines.
+        """Yield (numbers, fields, short) per chunk of data lines.
 
-        The lines with no quote and the header's field count are split at
-        once: fields[i * ncols + j] is field j of the line numbered
-        numbers[i].  slow holds every other data line as (number, fields).
+        Every line is cut or padded with blank fields to the header's field
+        count: fields[i * ncols + j] is field j of the line numbered
+        numbers[i], and short[i] is True where that line had too few fields
+        to reach every column the parse reads.  The lines with no quote and
+        the header's field count are split at once; every other line is
+        split on its own and put after them.
         """
         ncols = len(self.header)
         while True:
@@ -300,7 +344,7 @@ class _EventFile:
             first = self.line + 1
             self.line += len(ends)
             numbers = np.flatnonzero(whole) + first
-            slow = []
+            odd = []
             if not whole.all():
                 starts = np.concatenate(([0], ends[:-1] + 1))
                 pieces, at = [], 0
@@ -308,58 +352,59 @@ class _EventFile:
                     raw = text[starts[i]:ends[i] + 1]
                     stripped = raw.strip()
                     if stripped and stripped[0] != "#":
-                        slow.append((first + i, _split(raw)))
+                        odd.append((first + i, _split(raw)))
                     pieces.append(text[at:starts[i]])
                     at = ends[i] + 1
                 text = "".join(pieces) + text[at:]
             fields = text[:-1].replace("\n", ",").split(",") if len(numbers) else []
-            if "#" in text:  # a line whose first field starts with '#' is a comment
+            # A line whose first field starts with '#' is a comment.  Only the
+            # lines split at once are tested: an odd line was tested raw, and
+            # its quoted first field "#A" is an id.
+            if "#" in text:
                 comment = _Decoder(lambda t: t.lstrip().startswith("#")).codes(fields[::ncols]).astype(bool)
                 if comment.any():
                     keep = np.flatnonzero(~comment)
                     fields = [f for i in keep.tolist() for f in fields[i * ncols:(i + 1) * ncols]]
                     numbers = numbers[keep]
-            yield numbers, fields, slow
+            short = np.zeros(len(numbers) + len(odd), dtype=bool)
+            if odd:
+                numbers = np.concatenate((numbers, [n for n, _ in odd]))
+                short[-len(odd):] = [len(row) <= self.width for _, row in odd]
+                for _, row in odd:
+                    fields += (row + [""] * ncols)[:ncols]
+            yield numbers, fields, short
 
-    def refused(self, numbers, fields, rows: np.ndarray) -> list[tuple[int, list[str]]]:
-        """The lines at rows of a chunk's split lines, as (number, fields)."""
-        ncols = len(self.header)
-        return [(int(numbers[i]), fields[i * ncols:(i + 1) * ncols]) for i in rows.tolist()]
 
-
-def _parse_events(path, schema, required, reject_cap, n_columns, fast, check_row):
+def _parse_events(path, fields, required, reject_cap, n_columns, check):
     """Drive the parse of one event file into (line number, *columns) arrays.
 
-    fast(col), where col maps each schema field to the texts of a chunk's
-    split lines, returns (ok, columns) for those lines; the lines it refuses
-    and every other data line go, in line order, through check_row(fields,
-    positions, width), which returns (reason, None) or (None, column values).
-    The columns come back with the report of the rejects; rows are grouped
-    by chunk, not in line order.
+    check(col, short), where col maps each field the header holds to the
+    texts of a chunk's lines (see `_EventFile.chunks`), returns (tests,
+    columns): the n_columns column arrays of those lines, and a list of
+    (fails, reason) in the order the rules are checked, where fails marks
+    the lines that break the rule and reason is its text, or a function
+    that formats it for the line at an index.  A line is rejected for the
+    first rule it breaks.  The columns of the accepted lines come back with
+    the report of the rejects; rows are grouped by chunk, not in line order.
     """
     rejects: list[tuple[int, str]] = []
-    unknown: list[int] = []
     total = 0
     parts = []
     with open_text(path) as fh:
-        src = _EventFile(fh, path, schema, required)
+        src = _EventFile(fh, path, fields, required)
         chunks = src.chunks() if src.header is not None else ()
-        for numbers, fields, slow in chunks:
-            ok, columns = fast({name: fields[j::len(src.header)] for name, j in src.pos.items()})
+        for numbers, texts, short in chunks:
+            tests, columns = check({name: texts[j::len(src.header)] for name, j in src.pos.items()}, short)
+            fails = np.array([f for f, _ in tests])
+            ok = ~fails.any(axis=0)
             parts.append([numbers[ok]] + [c[ok] for c in columns])
-            total += len(numbers) + len(slow)
-            accepted = []
-            for n, row in sorted(slow + src.refused(numbers, fields, np.flatnonzero(~ok)), key=lambda r: r[0]):
-                reason, values = check_row(row, src.pos, src.width)
-                if reason is None:
-                    accepted.append((n, *values))
-                    continue
-                if reason.startswith("unknown tower"):
-                    unknown.append(n)
-                rejects.append((n, reason))
-            if accepted:
-                parts.append([np.array(c) for c in zip(*accepted)])
-    _warn_unknown_towers(path, unknown)
+            total += len(numbers)
+            bad = np.flatnonzero(~ok)
+            bad = bad[np.argsort(numbers[bad])]
+            for i, rule in zip(bad.tolist(), fails[:, bad].argmax(axis=0).tolist()):
+                reason = tests[rule][1]
+                rejects.append((int(numbers[i]), reason if isinstance(reason, str) else reason(i)))
+    _warn_unknown_towers(path, [n for n, reason in rejects if reason.startswith("unknown tower")])
     report = RejectReport(str(path), rejects, total)
     _check_cap(report, reject_cap)
     if not parts:
@@ -367,98 +412,50 @@ def _parse_events(path, schema, required, reject_cap, n_columns, fast, check_row
     return [np.concatenate(c) for c in zip(*parts)], report
 
 
-def _cdr_row(row: list[str], pos: dict[str, int], width: int, known_towers):
-    """(reason, None) for a rejected CDR row, else (None, its values)."""
-    if width >= len(row):
-        return "wrong field count", None
-    caller = row[pos["caller"]].strip()
-    callee = row[pos["callee"]].strip() or None
-    tower = row[pos["tower"]].strip()
-    kind = row[pos["kind"]].strip().lower()
-    raw_mag = row[pos["magnitude"]].strip()
-    if not caller:
-        return "missing caller", None
-    if not tower:
-        return "missing tower", None
-    if kind not in EVENT_KINDS:
-        return f"unknown kind {kind!r}", None
-    if kind == "voice" and callee is None:
-        return "voice missing callee", None
-    try:
-        ts = parse_timestamp(row[pos["timestamp"]].strip())
-    except ValueError:
-        return "bad timestamp", None
-    if raw_mag == "":
-        if kind in ("sms", "mms"):
-            magnitude = 1.0
-        elif kind == "data":
-            magnitude = 0.0
-        else:
-            return "missing magnitude", None
-    else:
-        try:
-            magnitude = float(raw_mag)
-        except ValueError:
-            return "bad magnitude", None
-        if not math.isfinite(magnitude):
-            return "non-finite magnitude", None
-        if magnitude < 0:
-            return "negative magnitude", None
-    if known_towers is not None and tower not in known_towers:
-        return f"unknown tower {tower!r}", None
-    return None, (ts, caller, callee, tower, EVENT_KINDS.index(kind), magnitude)
+def _kind_code(text: str) -> int:
+    text = text.strip().lower()
+    return EVENT_KINDS.index(text) if text in EVENT_KINDS else UNKNOWN
 
 
 def parse_cdr_file(
     path: str,
-    schema: dict[str, str] | None = None,
     known_towers: set[str] | None = None,
     reject_cap: float = DEFAULT_REJECT_CAP,
 ) -> tuple[CdrTable, RejectReport]:
     """Read one CDR CSV into a CdrTable sorted by time (stable in line order).
 
-    Schema maps logical field -> header column; every CDR field needs a
-    column, though callee and magnitude may be blank per row.
+    Every CDR field needs a header column, though callee and magnitude may
+    be blank per row.
     """
     subs, towers = _Ids(), _Ids()
+    sub_codes, tower_codes = subs.decoder(), towers.decoder(known_towers)
+    kind_codes, stamps = _Decoder(_kind_code), _Decoder(_stamp)
 
-    def sub_code(text):
-        text = text.strip()
-        return subs.code(text) if text else REFUSED
-
-    def tower_code(text):
-        text = text.strip()
-        if not text or (known_towers is not None and text not in known_towers):
-            return REFUSED
-        return towers.code(text)
-
-    def kind_code(text):
-        text = text.strip().lower()
-        return EVENT_KINDS.index(text) if text in EVENT_KINDS else REFUSED
-
-    callers, callees = _Decoder(sub_code), _Decoder(lambda t: sub_code(t) if t.strip() else -1)
-    tower_codes, kind_codes = _Decoder(tower_code), _Decoder(kind_code)
-
-    def fast(col):
-        caller, callee = callers.codes(col["caller"]), callees.codes(col["callee"])
+    def check(col, short):
+        caller, callee = sub_codes.codes(col["caller"]), sub_codes.codes(col["callee"])
         tower, kind = tower_codes.codes(col["tower"]), kind_codes.codes(col["kind"])
-        ts, ok = _canonical_stamps(col["timestamp"])
-        magnitude, parsed = _floats(col["magnitude"])
-        ok &= parsed & np.isfinite(magnitude) & (magnitude >= 0)
-        ok &= (caller != REFUSED) & (tower != REFUSED) & (kind != REFUSED)
-        ok &= (kind != VOICE) | (callee != -1)
-        return ok, (ts, caller, callee, tower, kind, magnitude)
-
-    def check_row(row, pos, width):
-        reason, values = _cdr_row(row, pos, width, known_towers)
-        if reason is None:
-            ts, caller, callee, tower, kind, magnitude = values
-            callee = -1 if callee is None else subs.code(callee)
-            values = (ts, subs.code(caller), callee, towers.code(tower), kind, magnitude)
-        return reason, values
+        ts, bad_ts = _timestamps(col["timestamp"], stamps)
+        magnitude, parsed, blank = _floats(col["magnitude"])
+        magnitude[blank & ((kind == SMS) | (kind == MMS))] = 1.0
+        magnitude[blank & (kind == DATA)] = 0.0
+        tests = [
+            (short, "wrong field count"),
+            (caller == MISSING, "missing caller"),
+            (tower == MISSING, "missing tower"),
+            (kind == UNKNOWN, lambda i: f"unknown kind {col['kind'][i].strip().lower()!r}"),
+            ((kind == VOICE) & (callee == MISSING), "voice missing callee"),
+            (bad_ts, "bad timestamp"),
+            (blank & ((kind == VOICE) | (kind == VIDEO)), "missing magnitude"),
+            (~parsed & ~blank, "bad magnitude"),
+            (~np.isfinite(magnitude), "non-finite magnitude"),
+            (magnitude < 0, "negative magnitude"),
+            (tower == UNKNOWN, lambda i: f"unknown tower {col['tower'][i].strip()!r}"),
+        ]
+        callee[callee == MISSING] = -1  # no callee
+        return tests, (ts, caller, callee, tower, kind, magnitude)
 
     (line, ts, caller, callee, tower, kind, magnitude), report = _parse_events(
-        path, dict(schema or DEFAULT_CDR_SCHEMA), CDR_FIELDS, reject_cap, 6, fast, check_row)
+        path, CDR_FIELDS, CDR_FIELDS, reject_cap, 6, check)
     (caller, callee), subscriber_ids = subs.finish(caller, callee)
     (tower,), tower_ids = towers.finish(tower)
     order = np.lexsort((line, ts))
@@ -468,37 +465,8 @@ def parse_cdr_file(
     return table, report
 
 
-def _topup_row(row: list[str], pos: dict[str, int], width: int, known_towers):
-    """(reason, None) for a rejected top-up row, else (None, its values)."""
-    if width >= len(row):
-        return "wrong field count", None
-    buyer = row[pos["buyer"]].strip()
-    retailer = row[pos["retailer"]].strip()
-    tower = row[pos["retailer_tower"]].strip() or None if "retailer_tower" in pos else None
-    if not buyer:
-        return "missing buyer", None
-    if not retailer:
-        return "missing retailer", None
-    try:
-        ts = parse_timestamp(row[pos["timestamp"]].strip())
-    except ValueError:
-        return "bad timestamp", None
-    try:
-        amount = float(row[pos["amount"]].strip())
-    except ValueError:
-        return "bad amount", None
-    if not math.isfinite(amount):
-        return "non-finite amount", None
-    if amount <= 0:
-        return "non-positive amount", None
-    if tower is not None and known_towers is not None and tower not in known_towers:
-        return f"unknown tower {tower!r}", None
-    return None, (ts, buyer, retailer, tower, amount)
-
-
 def parse_topup_file(
     path: str,
-    schema: dict[str, str] | None = None,
     known_towers: set[str] | None = None,
     reject_cap: float = DEFAULT_REJECT_CAP,
 ) -> tuple[TopUpTable, RejectReport]:
@@ -507,44 +475,32 @@ def parse_topup_file(
     The retailer_tower column is optional, and may be blank per row.
     """
     subs, retailers, towers = _Ids(), _Ids(), _Ids()
+    buyers, retailer_codes = subs.decoder(), retailers.decoder()
+    tower_codes, stamps = towers.decoder(known_towers), _Decoder(_stamp)
 
-    def id_code(ids):
-        return lambda text: ids.code(text.strip()) if text.strip() else REFUSED
-
-    def tower_code(text):
-        text = text.strip()
-        if not text:
-            return -1
-        if known_towers is not None and text not in known_towers:
-            return REFUSED
-        return towers.code(text)
-
-    buyers, retailer_codes = _Decoder(id_code(subs)), _Decoder(id_code(retailers))
-    tower_codes = _Decoder(tower_code)
-
-    def fast(col):
+    def check(col, short):
         buyer, retailer = buyers.codes(col["buyer"]), retailer_codes.codes(col["retailer"])
-        ts, ok = _canonical_stamps(col["timestamp"])
+        ts, bad_ts = _timestamps(col["timestamp"], stamps)
         if "retailer_tower" in col:
             tower = tower_codes.codes(col["retailer_tower"])
         else:
-            tower = np.full(len(ts), -1, dtype=np.int64)
-        amount, parsed = _floats(col["amount"])
-        ok &= parsed & np.isfinite(amount) & (amount > 0)
-        ok &= (buyer != REFUSED) & (retailer != REFUSED) & (tower != REFUSED)
-        return ok, (ts, buyer, retailer, tower, amount)
-
-    def check_row(row, pos, width):
-        reason, values = _topup_row(row, pos, width, known_towers)
-        if reason is None:
-            ts, buyer, retailer, tower, amount = values
-            tower = -1 if tower is None else towers.code(tower)
-            values = (ts, subs.code(buyer), retailers.code(retailer), tower, amount)
-        return reason, values
+            tower = np.full(len(ts), MISSING, dtype=np.int64)
+        amount, parsed, _ = _floats(col["amount"])
+        tests = [
+            (short, "wrong field count"),
+            (buyer == MISSING, "missing buyer"),
+            (retailer == MISSING, "missing retailer"),
+            (bad_ts, "bad timestamp"),
+            (~parsed, "bad amount"),
+            (~np.isfinite(amount), "non-finite amount"),
+            (amount <= 0, "non-positive amount"),
+            (tower == UNKNOWN, lambda i: f"unknown tower {col['retailer_tower'][i].strip()!r}"),
+        ]
+        tower[tower == MISSING] = -1  # no retailer tower
+        return tests, (ts, buyer, retailer, tower, amount)
 
     (line, ts, buyer, retailer, tower, amount), report = _parse_events(
-        path, dict(schema or DEFAULT_TOPUP_SCHEMA), ("buyer", "retailer", "timestamp", "amount"),
-        reject_cap, 5, fast, check_row)
+        path, TOPUP_FIELDS, ("buyer", "retailer", "timestamp", "amount"), reject_cap, 5, check)
     (buyer,), subscriber_ids = subs.finish(buyer)
     (retailer,), retailer_ids = retailers.finish(retailer)
     (tower,), tower_ids = towers.finish(tower)
@@ -567,7 +523,7 @@ def parse_tower_file(
         first = next(rows, None)
         if first is None:
             return {}, RejectReport(str(path), [], 0)
-        pos = _header_positions(first[1], {"id": "id", "lon": "lon", "lat": "lat"}, ("id", "lon", "lat"), str(path))
+        pos = _header_positions(first[1], ("id", "lon", "lat"), ("id", "lon", "lat"), str(path))
         width = max(pos.values())
         for line_no, row in rows:
             total += 1
@@ -611,7 +567,7 @@ def parse_labels_file(
         first = next(rows, None)
         if first is None:
             return {}, RejectReport(str(path), [], 0)
-        pos = _header_positions(first[1], {"subscriber": "subscriber", "label": "label"}, ("subscriber", "label"), str(path))
+        pos = _header_positions(first[1], ("subscriber", "label"), ("subscriber", "label"), str(path))
         width = max(pos.values())
         for line_no, row in rows:
             total += 1
@@ -633,8 +589,6 @@ def load_dataset(
     topup_path: str | None,
     towers_path: str,
     labels_path: str | None = None,
-    cdr_schema: dict[str, str] | None = None,
-    topup_schema: dict[str, str] | None = None,
     reject_cap: float = DEFAULT_REJECT_CAP,
 ) -> tuple[Dataset, dict[str, RejectReport]]:
     """Parse all inputs and assemble a validated Dataset.
@@ -645,13 +599,11 @@ def load_dataset(
     """
     towers, tower_report = parse_tower_file(towers_path, reject_cap)
     known = set(towers)
-    cdrs, cdr_report = parse_cdr_file(cdr_path, cdr_schema, known_towers=known, reject_cap=reject_cap)
+    cdrs, cdr_report = parse_cdr_file(cdr_path, known_towers=known, reject_cap=reject_cap)
     reports = {"towers": tower_report, "cdr": cdr_report}
     topups = TopUpTable.from_records()
     if topup_path is not None:
-        topups, reports["topup"] = parse_topup_file(
-            topup_path, topup_schema, known_towers=known, reject_cap=reject_cap
-        )
+        topups, reports["topup"] = parse_topup_file(topup_path, known_towers=known, reject_cap=reject_cap)
     firsts = [int(t.ts[0]) for t in (cdrs, topups) if len(t)]
     lasts = [int(t.ts[-1]) for t in (cdrs, topups) if len(t)]
     window = (min(firsts), max(lasts) + 1) if firsts else (0, 1)

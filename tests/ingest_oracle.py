@@ -10,12 +10,9 @@ from __future__ import annotations
 import math
 
 from cdrlab.ingest import (
-    DEFAULT_CDR_SCHEMA,
     DEFAULT_REJECT_CAP,
-    DEFAULT_TOPUP_SCHEMA,
+    IngestError,
     RejectReport,
-    _check_cap,
-    _header_positions,
     _warn_unknown_towers,
     numbered_rows,
     open_text,
@@ -23,16 +20,32 @@ from cdrlab.ingest import (
 from cdrlab.records import EVENT_KINDS, CdrRecord, TopUpRecord, parse_timestamp
 
 
+def header_positions(header, fields, required, source):
+    """The column of each of fields in header; a missing required one is fatal."""
+    positions = {}
+    for name in fields:
+        if name in header:
+            positions[name] = header.index(name)
+    missing = [f for f in required if f not in positions]
+    if missing:
+        raise IngestError(f"{source}: schema columns not found in header: {', '.join(missing)}")
+    return positions
+
+
+def check_cap(report, cap):
+    """Abort when more than cap of the rows were rejected."""
+    if report.total_rows and len(report.rejects) / report.total_rows > cap:
+        raise IngestError(f"{report.source}: {len(report.rejects)} of {report.total_rows} lines rejected")
+
+
 def parse_cdr_file(
     path: str,
-    schema: dict[str, str] | None = None,
     known_towers: set[str] | None = None,
     reject_cap: float = DEFAULT_REJECT_CAP,
 ) -> tuple[list[CdrRecord], RejectReport]:
     """Read one CDR CSV, one row at a time, into records in file order."""
-    schema = dict(schema or DEFAULT_CDR_SCHEMA)
     # Required in the header; callee/magnitude may still be blank per row.
-    required = ("caller", "callee", "tower", "timestamp", "kind", "magnitude")
+    fields = required = ("caller", "callee", "tower", "timestamp", "kind", "magnitude")
     records: list[CdrRecord] = []
     rejects: list[tuple[int, str]] = []
     unknown: list[int] = []
@@ -42,7 +55,7 @@ def parse_cdr_file(
         first = next(rows, None)
         if first is None:
             return [], RejectReport(str(path), [], 0)
-        pos = _header_positions(first[1], schema, required, str(path))
+        pos = header_positions(first[1], fields, required, str(path))
         width = max(pos.values())
         i_caller, i_callee, i_tower = pos["caller"], pos["callee"], pos["tower"]
         i_ts, i_kind, i_mag = pos["timestamp"], pos["kind"], pos["magnitude"]
@@ -98,18 +111,17 @@ def parse_cdr_file(
             records.append(CdrRecord(caller, callee, tower, ts, kind, magnitude))
     _warn_unknown_towers(path, unknown)
     report = RejectReport(str(path), rejects, total)
-    _check_cap(report, reject_cap)
+    check_cap(report, reject_cap)
     return records, report
 
 
 def parse_topup_file(
     path: str,
-    schema: dict[str, str] | None = None,
     known_towers: set[str] | None = None,
     reject_cap: float = DEFAULT_REJECT_CAP,
 ) -> tuple[list[TopUpRecord], RejectReport]:
     """Read one top-up CSV, one row at a time, into records in file order."""
-    schema = dict(schema or DEFAULT_TOPUP_SCHEMA)
+    fields = ("buyer", "retailer", "retailer_tower", "timestamp", "amount")
     required = ("buyer", "retailer", "timestamp", "amount")
     records: list[TopUpRecord] = []
     rejects: list[tuple[int, str]] = []
@@ -120,7 +132,7 @@ def parse_topup_file(
         first = next(rows, None)
         if first is None:
             return [], RejectReport(str(path), [], 0)
-        pos = _header_positions(first[1], schema, required, str(path))
+        pos = header_positions(first[1], fields, required, str(path))
         width = max(pos.values())
         i_buyer, i_retailer, i_ts, i_amount = pos["buyer"], pos["retailer"], pos["timestamp"], pos["amount"]
         i_tower = pos.get("retailer_tower")
@@ -161,5 +173,5 @@ def parse_topup_file(
             records.append(TopUpRecord(buyer, retailer, tower, ts, amount))
     _warn_unknown_towers(path, unknown)
     report = RejectReport(str(path), rejects, total)
-    _check_cap(report, reject_cap)
+    check_cap(report, reject_cap)
     return records, report

@@ -157,6 +157,27 @@ def test_synth_shock_recorded(tmp_path):
     assert len(gt["shock_intervals"]) == 1
 
 
+@pytest.mark.parametrize("multiplier, flags, named", [
+    ("3", ["--shock-entity", "NOPE"], "--shock-entity: unknown tower 'NOPE'"),
+    ("inf", [], "--shock-multiplier must be a finite number >= 0, got inf"),
+    ("nan", [], "--shock-multiplier must be a finite number >= 0, got nan"),
+    ("-1", [], "--shock-multiplier must be a finite number >= 0, got -1.0"),
+    ("3", ["--shock-days", "0"], "--shock-days must be >= 1, got 0"),
+    ("3", ["--shock-start-day", "400"], "--shock-start-day 400 with --shock-days 1 leaves the synthesized days [0, 3)"),
+    ("3", ["--shock-start-day", "-1"], "--shock-start-day -1 with --shock-days 1 leaves"),
+    ("3", ["--shock-start-day", "2", "--shock-days", "2"], "--shock-start-day 2 with --shock-days 2 leaves"),
+])
+def test_synth_shock_that_plants_nothing_exits_2(tmp_path, capsys, multiplier, flags, named):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[synth]\nsubscribers = 30\ntowers = 8\ndays = 3\nevent_rate = 1.5\n")
+    outdir = tmp_path / "shocked"
+    rc = cli.main(["synth", "--config", str(cfg), "--outdir", str(outdir), "--seed", "4",
+                   "--shock-multiplier", multiplier, *flags])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not outdir.exists() or not any(outdir.iterdir())
+
+
 def test_ingest_check_round_trip(synth_dir, tmp_path):
     rc = cli.main(["ingest-check", *dataset_args(synth_dir), "--outdir", str(tmp_path)])
     assert rc == 0
@@ -265,6 +286,17 @@ def test_anomaly_unknown_entity_exits_2(synth_dir, tmp_path, capsys):
     assert rc == 0
 
 
+def test_area_map_rejects_repeated_tower(synth_dir, tmp_path, capsys):
+    towers = tower_ids(synth_dir)
+    areas = tmp_path / "areas.csv"
+    areas.write_text(f"tower,area\n{towers[0]},D0\n{towers[1]},D1\n{towers[0]},D1\n")
+    rc = cli.main(["anomaly", *dataset_args(synth_dir), "--entity", "district:D1",
+                   "--areas", str(areas), "--outdir", str(tmp_path / "d")])
+    assert rc == 2
+    assert f"{areas}:4: repeated tower '{towers[0]}'" in capsys.readouterr().err
+    assert not (tmp_path / "d" / "anomalies.csv").exists()
+
+
 def test_rank_curves_and_distance_matrix(synth_dir, tmp_path):
     rc = cli.main(["rank-curves", *dataset_args(synth_dir),
                    "--event-time", str(T0 + 3 * DAY + 8 * 3600),
@@ -319,6 +351,23 @@ def test_area_values_reject_non_finite(synth_dir, tmp_path, capsys, bad):
     assert cli.main(["correlate", "--a", str(good), "--b", str(samples),
                      "--outdir", str(tmp_path / "corr")]) == 2
     assert f"{samples}:3: non-finite value" in capsys.readouterr().err
+
+
+def test_area_values_reject_repeated_area(synth_dir, tmp_path, capsys):
+    towers = tower_ids(synth_dir)
+    samples = tmp_path / "samples.csv"
+    samples.write_text(f"area,value\n{towers[0]},1.0\n{towers[1]},5.0\n{towers[0]},100\n")
+    assert cli.main(["idw", "--towers", str(synth_dir / "towers.csv"), "--samples", str(samples),
+                     "--outdir", str(tmp_path / "idw")]) == 2
+    assert f"{samples}:4: repeated area '{towers[0]}'" in capsys.readouterr().err
+    assert not (tmp_path / "idw" / "grid.txt").exists()
+
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("area,value\nx,1\ny,2\nz,3\n")
+    b.write_text("area,value\nx,1\ny,2\nz,3\nx,100\n")
+    assert cli.main(["correlate", "--a", str(a), "--b", str(b), "--outdir", str(tmp_path / "corr")]) == 2
+    assert f"{b}:5: repeated area 'x'" in capsys.readouterr().err
+    assert not (tmp_path / "corr" / "correlate.csv").exists()
 
 
 @pytest.mark.parametrize("flag, ini, named", [
@@ -415,6 +464,22 @@ def test_campaign_command(tmp_path):
     lines = (tmp_path / "camp" / "campaign.csv").read_text().splitlines()
     assert "size,3,2" in lines
     assert "conversions,2,1" in lines
+
+
+@pytest.mark.parametrize("flag, ini, named", [
+    (["--treatment-size", "0"], "", "--treatment-size must be >= 1, got 0"),
+    (["--treatment-size", "-2"], "", "--treatment-size must be >= 1, got -2"),
+    ([], "[campaign]\ntreatment_size = 0\n", "[campaign] treatment_size must be >= 1, got 0"),
+])
+def test_campaign_treatment_size_below_one_exit_2(tmp_path, capsys, flag, ini, named):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ini)
+    missing = str(tmp_path / "absent.csv")  # the size is checked before any input is read
+    rc = cli.main(["campaign", "--model", missing, "--features", missing, "--control", missing,
+                   "--outcomes", missing, *flag, "--config", str(cfg), "--outdir", str(tmp_path / "camp")])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "camp" / "campaign.csv").exists()
 
 
 def test_error_exit_codes_and_clean_outdir(synth_dir, tmp_path, capsys):

@@ -74,15 +74,11 @@ def test_parse_cdr_window_and_unknown_tower(tmp_path):
     assert report.rejects == [(3, "unknown tower 'TX'")]
 
 
-def test_parse_cdr_schema_remap_and_missing_column(tmp_path):
+def test_parse_cdr_missing_column_is_fatal(tmp_path):
     p = write(tmp_path / "c.csv", [
         "a_party,b_party,cell,ts,type,dur",
         "A,B,T1,2016-05-01T00:10:00Z,voice,10",
     ])
-    schema = {"caller": "a_party", "callee": "b_party", "tower": "cell",
-              "timestamp": "ts", "kind": "type", "magnitude": "dur"}
-    table, _ = ingest.parse_cdr_file(p, schema=schema)
-    assert cdr_rows(table)[0].caller == "A"
     with pytest.raises(ingest.IngestError, match="schema columns not found"):
         ingest.parse_cdr_file(p)
 
@@ -459,10 +455,11 @@ def test_blank_label_subscriber_is_a_line_numbered_reject(tmp_path):
 
 # -- columnar parse against the per-row oracle ----------------------------------------
 #
-# The columnar parsers split and check most lines with array operations and
-# send the rest through the per-row check.  On any mix of lines they must
-# give what the former per-row parsers give: the same events, the same
-# (line, reason) rejects and the same row count, whatever the chunk size.
+# The columnar parsers split most lines at once, the rest one by one, and
+# check them all with array operations.  On any mix of lines, under a header
+# with or without an extra column, they must give what the former per-row
+# parsers give: the same events, the same (line, reason) rejects and the same
+# row count, whatever the chunk size.
 
 KNOWN = ("T1", "T2")
 WIDE = (-62135596800, 253402300800)
@@ -485,7 +482,7 @@ ORACLE_STAMP = st.one_of(
                      "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00", "not-a-time"]),
 )
 ORACLE_KIND = st.sampled_from(["voice", "sms", "data", "video", "mms", "VOICE", " Sms ", "fax", ""])
-ORACLE_NUMBER = st.sampled_from(["60", "1.5", "", "0", "-0", "-5", "12x5", "nan", "inf", "-inf",
+ORACLE_NUMBER = st.sampled_from(["60", "1.5", "", "0", "-0", "-0.5", "-5", "12x5", "nan", "inf", "-inf",
                                  " 7 ", "1e3", "1_0", "1e400"])
 
 
@@ -496,22 +493,43 @@ def oracle_field(text, pad, quote):
     return pad + text + pad
 
 
+def oracle_tail(row, tail):
+    """row with tail appended, or with its last comma and what follows cut when tail is None."""
+    return row.rsplit(",", 1)[0] if tail is None else row + tail
+
+
 def oracle_lines(fields, clean):
     """Lines of the given fields (one in ten quoted), lines of clean fields,
-    short rows, blanks and comments."""
+    either of them sometimes over-long or cut short, short rows, blanks and
+    comments."""
     cell = [st.tuples(f, PAD, st.integers(0, 9).map(lambda q: q == 0)) for f in fields]
-    line = st.one_of(
+    row = st.one_of(
         st.tuples(*cell).map(lambda cells: ",".join(oracle_field(*c) for c in cells)),
         st.tuples(*clean).map(",".join),
+    )
+    line = st.one_of(
+        st.tuples(row, st.sampled_from(["", "", "", ",x", ',"q,r"', ",1,2", None])).map(lambda t: oracle_tail(*t)),
         st.sampled_from(["", "  ", "# comment", "  #x,y,z,1,2,3", "A,B,T1"]),
     )
     return st.lists(st.tuples(line, st.sampled_from(["\n", "\r\n"])), max_size=25)
 
 
-def oracle_file(directory, name, header, lines):
+def oracle_file(directory, name, header, lines, extra):
+    """The file of header and lines; extra "first" puts a column before the
+    header's and a field before each line's, extra "last" a column after the
+    header's."""
+    if extra == "first":
+        header = "extra," + header
+        lines = [("x," + line if line.strip() and not line.lstrip().startswith("#") else line, end)
+                 for line, end in lines]
+    elif extra == "last":
+        header += ",extra"
     path = directory / name
     path.write_bytes((header + "\n" + "".join(line + end for line, end in lines)).encode("utf-8"))
     return str(path)
+
+
+EXTRA = st.sampled_from([None, "first", "last"])
 
 
 CLEAN_NUMBER = st.floats(0.5, 1e6).map(repr)
@@ -525,9 +543,9 @@ TOWERS = {t: Tower(t, 90.0, 23.0) for t in KNOWN}
 
 
 @settings(max_examples=300, deadline=None)
-@given(lines=CDR_LINES, chunk=st.sampled_from([1, 5, 40, ingest.CHUNK_CHARS]))
-def test_columnar_cdr_parse_matches_per_row_oracle(tmp_path_factory, lines, chunk):
-    path = oracle_file(tmp_path_factory.mktemp("cdr"), "c.csv", CDR_HEADER, lines)
+@given(lines=CDR_LINES, chunk=st.sampled_from([1, 5, 40, ingest.CHUNK_CHARS]), extra=EXTRA)
+def test_columnar_cdr_parse_matches_per_row_oracle(tmp_path_factory, lines, chunk, extra):
+    path = oracle_file(tmp_path_factory.mktemp("cdr"), "c.csv", CDR_HEADER, lines, extra)
     default, ingest.CHUNK_CHARS = ingest.CHUNK_CHARS, chunk
     try:
         table, report = ingest.parse_cdr_file(path, known_towers=set(KNOWN), reject_cap=1.0)
@@ -543,10 +561,10 @@ def test_columnar_cdr_parse_matches_per_row_oracle(tmp_path_factory, lines, chun
 
 
 @settings(max_examples=300, deadline=None)
-@given(lines=TOPUP_LINES, chunk=st.sampled_from([1, 5, 40, ingest.CHUNK_CHARS]))
-def test_columnar_topup_parse_matches_per_row_oracle(tmp_path_factory, lines, chunk):
+@given(lines=TOPUP_LINES, chunk=st.sampled_from([1, 5, 40, ingest.CHUNK_CHARS]), extra=EXTRA)
+def test_columnar_topup_parse_matches_per_row_oracle(tmp_path_factory, lines, chunk, extra):
     header = "buyer,retailer,retailer_tower,timestamp,amount"
-    path = oracle_file(tmp_path_factory.mktemp("topup"), "t.csv", header, lines)
+    path = oracle_file(tmp_path_factory.mktemp("topup"), "t.csv", header, lines, extra)
     default, ingest.CHUNK_CHARS = ingest.CHUNK_CHARS, chunk
     try:
         table, report = ingest.parse_topup_file(path, known_towers=set(KNOWN), reject_cap=1.0)
