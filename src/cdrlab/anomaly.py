@@ -19,6 +19,7 @@ import numpy as np
 from .geo import haversine_km
 from .ingest import write_csv
 from .records import SECONDS_PER_DAY, VOICE, Dataset, day_start
+from .spatial import pearson_r
 
 DEFAULT_THRESHOLD_SIGMA = 3.0
 
@@ -279,12 +280,7 @@ def flow_symmetry(flows: list[FlowNetwork]) -> float:
     for a, b in sorted(pairs):
         xs.append(sum(fn.od.get((a, b), 0) for fn in flows) / n_days)
         ys.append(sum(fn.od.get((b, a), 0) for fn in flows) / n_days)
-    x = np.asarray(xs)
-    y = np.asarray(ys)
-    sx, sy = x.std(), y.std()
-    if sx == 0 or sy == 0:
-        raise ValueError("degenerate flow variance; correlation undefined")
-    return float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
+    return pearson_r(np.asarray(xs), np.asarray(ys), "degenerate flow variance; correlation undefined")
 
 
 def detect_flow_anomalies(

@@ -95,77 +95,77 @@ def _day_label(ts: int) -> str:
     return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y%m%d")
 
 
-def _side_rows(path: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """A side file's stripped header cells and its (line, fields) data rows."""
+def _side_rows(path: str, required=(), key: str | None = None) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """A side file's stripped header cells and its checked (line, fields) data rows.
+
+    required and key name header columns.  A row of blank cells is skipped; a row too short
+    to reach a required column, and a blank or repeated key cell, is an error naming path:line.
+    """
     with ingest.open_text(path) as fh:
-        rows = list(ingest.numbered_rows(fh))
-    if not rows:
+        lines = list(ingest.numbered_rows(fh))
+    if not lines:
         raise ValueError(f"{path}: empty file")
-    return [c.strip() for c in rows[0][1]], rows[1:]
+    header = [c.strip() for c in lines[0][1]]
+    names = (*required, key) if key else tuple(required)
+    missing = [c for c in names if c not in header]
+    if missing:
+        raise ValueError(f"{path}: expected column(s) {', '.join(missing)}")
+    last = max(map(header.index, names), default=-1)
+    key_j = header.index(key) if key else None
+    rows, seen = [], set()
+    for n, r in lines[1:]:
+        if not any(c.strip() for c in r):
+            continue
+        if len(r) <= last:
+            raise ValueError(f"{path}:{n}: wrong field count")
+        if key:
+            if not r[key_j].strip():
+                raise ValueError(f"{path}:{n}: missing {key}")
+            if r[key_j] in seen:
+                raise ValueError(f"{path}:{n}: repeated {key} {r[key_j]!r}")
+            seen.add(r[key_j])
+        rows.append((n, r))
+    return header, rows
 
 
 def _read_area_map(path: str) -> dict[str, str]:
-    header, rows = _side_rows(path)
-    if header[:2] != ["tower", "area"]:
-        raise ValueError(f"{path}: expected header tower,area")
-    areas = {}
-    for n, r in rows:
-        if len(r) >= 2:
-            if r[0] in areas:
-                raise ValueError(f"{path}:{n}: repeated tower {r[0]!r}")
-            areas[r[0]] = r[1]
-    return areas
+    header, rows = _side_rows(path, ("area",), key="tower")
+    t, a = header.index("tower"), header.index("area")
+    return {r[t]: r[a] for _, r in rows}
 
 
 def _read_area_values(path: str) -> dict[str, float]:
-    header, rows = _side_rows(path)
-    if header[:2] != ["area", "value"]:
-        raise ValueError(f"{path}: expected header area,value")
-    values = {}
-    for n, r in rows:
-        if len(r) >= 2 and r[1] != "":
-            value = ingest.number(path, n, r[1])
-            if not math.isfinite(value):
-                raise ValueError(f"{path}:{n}: non-finite value")
-            if r[0] in values:
-                raise ValueError(f"{path}:{n}: repeated area {r[0]!r}")
-            values[r[0]] = value
-    return values
+    """area -> value; a blank value is absent and skipped."""
+    header, rows = _side_rows(path, ("value",), key="area")
+    a, v = header.index("area"), header.index("value")
+    return {r[a]: ingest.number(path, n, r[v]) for n, r in rows if r[v] != ""}
 
 
-def _read_id_list(path: str, column: str = "subscriber") -> list[str]:
-    header, rows = _side_rows(path)
-    if column not in header:
-        raise ValueError(f"{path}: expected a {column!r} column")
-    j = header.index(column)
-    return [r[j] for _, r in rows if len(r) > j and r[j]]
+def _read_id_list(path: str) -> list[str]:
+    header, rows = _side_rows(path, key="subscriber")
+    j = header.index("subscriber")
+    return [r[j] for _, r in rows]
 
 
 def _read_adopters(path: str) -> dict[str, int | None]:
-    header, rows = _side_rows(path)
-    if header[0] != "subscriber":
-        raise ValueError(f"{path}: expected header subscriber[,day]")
-    has_day = header[1:2] == ["day"]
+    """subscriber -> adoption day, None where the optional day column or cell is absent."""
+    header, rows = _side_rows(path, key="subscriber")
+    s, d = header.index("subscriber"), header.index("day") if "day" in header else None
     out: dict[str, int | None] = {}
     for n, r in rows:
-        if r[0]:
-            out[r[0]] = ingest.number(path, n, r[1], int) if has_day and len(r) > 1 and r[1] != "" else None
+        day = r[d] if d is not None and d < len(r) else ""
+        out[r[s]] = ingest.number(path, n, day, int) if day != "" else None
     return out
 
 
 def _read_feature_table(path: str) -> tuple[list[str], list[str], list[list]]:
     """features.csv -> (ids, numeric column names, rows with None absents)."""
-    header, rows = _side_rows(path)
-    if "subscriber" not in header:
-        raise ValueError(f"{path}: expected a subscriber column")
+    header, rows = _side_rows(path, key="subscriber")
     id_j = header.index("subscriber")
     numeric_cols = [(j, name) for j, name in enumerate(header) if j != id_j and name != "home_tower"]
-    ids, data = [], []
-    for n, r in rows:
-        if len(r) <= id_j or not r[id_j]:
-            continue
-        ids.append(r[id_j])
-        data.append([None if (j >= len(r) or r[j] == "") else ingest.number(path, n, r[j]) for j, _ in numeric_cols])
+    ids = [r[id_j] for _, r in rows]
+    data = [[None if (j >= len(r) or r[j] == "") else ingest.number(path, n, r[j]) for j, _ in numeric_cols]
+            for n, r in rows]
     return ids, [name for _, name in numeric_cols], data
 
 
@@ -711,9 +711,7 @@ def _cmd_select_covariates(args, ctx: RunContext) -> dict:
     from . import mlkit
 
     path = args.table
-    header, rows = _side_rows(path)
-    if args.response not in header:
-        raise ValueError(f"response column {args.response!r} not in table")
+    header, rows = _side_rows(path, (args.response,))
     skip = {args.response, "id", "subscriber", "area", "home_tower"}
     columns = [c for c in header if c not in skip]
     resp_j = header.index(args.response)
@@ -721,8 +719,6 @@ def _cmd_select_covariates(args, ctx: RunContext) -> dict:
     X, y = [], []
     incomplete = 0
     for n, r in rows:
-        if all(not c for c in r):
-            continue
         if len(r) <= max(col_j + [resp_j]):
             raise ValueError(f"{path}:{n}: wrong field count")
         cells = [r[j] for j in col_j] + [r[resp_j]]
@@ -732,7 +728,7 @@ def _cmd_select_covariates(args, ctx: RunContext) -> dict:
         X.append([ingest.number(path, n, r[j]) for j in col_j])
         y.append(ingest.number(path, n, r[resp_j]))
     if not X:
-        raise ValueError(f"{args.table}: no complete rows for the requested columns")
+        raise ValueError(f"{path}: no complete rows for the requested columns")
     sel = ctx.cfg["select"]
     result = mlkit.select_covariates(
         np.array(X), np.array(y), columns,
@@ -771,13 +767,15 @@ def _cmd_campaign(args, ctx: RunContext) -> dict:
         ids, columns, rows, [0.0] * len(ids), na_policy=ctx.cfg["model"]["na_policy"]
     )
     control = _read_id_list(args.control)
-    outcomes: dict[str, dict] = {}
-    header, orows = _side_rows(args.outcomes)
-    if header[:3] != ["subscriber", "converted", "renewed"]:
-        raise ValueError(f"{args.outcomes}: expected header subscriber,converted,renewed")
-    for _, r in orows:
-        if len(r) >= 3 and r[0]:
-            outcomes[r[0]] = {"converted": r[1] == "1", "renewed": r[2] == "1"}
+    path = args.outcomes
+    header, rows = _side_rows(path, ("converted", "renewed"), key="subscriber")
+    s, c, w = (header.index(name) for name in ("subscriber", "converted", "renewed"))
+    outcomes = {}
+    for n, r in rows:
+        for flag in (r[c], r[w]):
+            if flag not in ("0", "1"):
+                raise ValueError(f"{path}:{n}: bad flag {flag!r}")
+        outcomes[r[s]] = {"converted": r[c] == "1", "renewed": r[w] == "1"}
     outcome = mlkit.run_campaign(table, model, size, control, outcomes)
     mlkit.campaign.write_campaign_csv(outcome, ctx.outputs.stage("campaign.csv"),
                                       header_comment=ctx.header)

@@ -32,6 +32,7 @@ import csv
 import gzip
 import io
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,11 +116,14 @@ def numbered_rows(fh):
 
 
 def number(path: str, line: int, text: str, kind=float):
-    """text as a number; a bad one is a ValueError naming path:line."""
+    """text as a finite number; a bad or non-finite one is a ValueError naming path:line."""
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
         raise ValueError(f"{path}:{line}: bad number {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{path}:{line}: non-finite value")
+    return value
 
 
 def write_csv(path: str, columns, rows, header_comment: str | None = None) -> None:

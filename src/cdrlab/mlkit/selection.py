@@ -130,6 +130,8 @@ def select_covariates(
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("non-finite value in X or y; the stepwise search needs finite data")
     n = len(y)
     kept, dropped = prune_correlated(X, columns, r_cut=r_cut, priority=priority)
     col_idx = {c: j for j, c in enumerate(columns)}

@@ -219,18 +219,20 @@ def idw_interpolate(
     return GridRaster(xllcorner, yllcorner, cellsize, values, nodata)
 
 
+def pearson_r(x: np.ndarray, y: np.ndarray, degenerate: str = "constant input; correlation undefined") -> float:
+    """Population Pearson r of two equal-length arrays; a zero spread is ValueError(degenerate)."""
+    sx, sy = x.std(), y.std()
+    if sx == 0 or sy == 0:
+        raise ValueError(degenerate)
+    return float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
+
+
 def pearson_correlation(a: dict[str, float], b: dict[str, float]) -> tuple[float, int]:
     """Pearson r over the keys present in both mappings, plus that count."""
     keys = sorted(set(a) & set(b))
     if len(keys) < 3:
         raise ValueError(f"need at least 3 common areas, got {len(keys)}")
-    x = np.array([float(a[k]) for k in keys])
-    y = np.array([float(b[k]) for k in keys])
-    sx, sy = x.std(), y.std()
-    if sx == 0 or sy == 0:
-        raise ValueError("constant input; correlation undefined")
-    r = float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
-    return r, len(keys)
+    return pearson_r(np.array([float(a[k]) for k in keys]), np.array([float(b[k]) for k in keys])), len(keys)
 
 
 def raster_correlation(a: GridRaster, b: GridRaster) -> tuple[float, int]:
@@ -241,12 +243,7 @@ def raster_correlation(a: GridRaster, b: GridRaster) -> tuple[float, int]:
     n = int(mask.sum())
     if n < 3:
         raise ValueError(f"need at least 3 shared data cells, got {n}")
-    x = a.values[mask]
-    y = b.values[mask]
-    sx, sy = x.std(), y.std()
-    if sx == 0 or sy == 0:
-        raise ValueError("constant input; correlation undefined")
-    return float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy)), n
+    return pearson_r(a.values[mask], b.values[mask]), n
 
 
 def write_grid(raster: GridRaster, path: str, header_comment: str | None = None) -> None:

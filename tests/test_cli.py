@@ -7,6 +7,8 @@ observable without spawning a shell.
 
 import json
 import os
+import subprocess
+import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -606,3 +608,156 @@ def test_select_covariates_short_row_names_its_line(tmp_path, capsys):
     assert cli.main(["select-covariates", "--table", str(table), "--response", "resp",
                      "--outdir", str(tmp_path / "sel")]) == 2
     assert f"{table}:3: wrong field count" in capsys.readouterr().err
+
+
+# Every side-file reader, each with one good file; a case swaps in one bad file.
+SIDE_FILES = {
+    "areas": "tower,area\n{t0},D0\n{t1},D1\n{more}",
+    "samples": "area,value\nx,1\ny,2\nz,4\n",
+    "adopters": "subscriber,day\n{s0},3\n{s1},4\n",
+    "features": "subscriber,f1\ns1,0.9\ns2,0.8\ns3,0.8\ns4,0.5\ns5,0.3\ns6,0.1\n",
+    "control": "subscriber\ns1\ns5\n",
+    "outcomes": "subscriber,converted,renewed\ns1,1,1\ns2,1,1\ns3,1,0\ns4,0,0\ns5,0,0\ns6,0,0\n",
+    "test-ids": "subscriber\ns1\ns2\ns5\ns6\n",
+    "table": "id,resp,x1\nr0,1.0,2.0\nr1,3.0,1.0\nr2,2.0,2.5\nr3,5.0,0.5\nr4,4.0,0.9\nr5,0.5,3.1\n",
+}
+
+
+def run_with_side_file(kind, body, synth_dir, tmp_path):
+    """Run the subcommand that reads a side file of this kind, with body as that file."""
+    towers = tower_ids(synth_dir)
+    ids = {"t0": towers[0], "t1": towers[1], "s0": subscriber_ids(synth_dir)[0], "s1": subscriber_ids(synth_dir)[1],
+           # a district map must cover every tower
+           "more": "".join(f"{t},D1\n" for t in towers[2:]), "more_swapped": "".join(f"D1,{t}\n" for t in towers[2:])}
+    files = {}
+    for name, good in SIDE_FILES.items():
+        files[name] = tmp_path / f"{name}.csv"
+        files[name].write_text((body if name == kind else good).format(**ids))
+    other = tmp_path / "other.csv"
+    other.write_text("area,value\nx,1\ny,3\nz,2\nw,5\n")
+    model = tmp_path / "model.json"
+    save_model(LogisticModel(columns=["f1"], mean=np.zeros(1), scale=np.ones(1),
+                             coef=np.array([1.0]), bias=0.0, seed=0), str(model))
+    labels = tmp_path / "labels.csv"
+    labels.write_text("subscriber,label\ns1,low\ns2,low\ns3,high\ns4,high\ns5,high\ns6,low\n")
+    campaign = ["campaign", "--model", str(model), "--features", str(files["features"]),
+                "--control", str(files["control"]), "--outcomes", str(files["outcomes"]),
+                "--treatment-size", "3"]
+    argv = {
+        "areas": ["anomaly", *dataset_args(synth_dir), "--entity", "district:D1", "--areas", str(files["areas"])],
+        "samples": ["correlate", "--a", str(other), "--b", str(files["samples"])],
+        "adopters": ["adoption", *dataset_args(synth_dir), "--adopters", str(files["adopters"])],
+        "features": campaign,
+        "control": campaign,
+        "outcomes": campaign,
+        "test-ids": ["eval", "--features", str(files["features"]), "--labels", str(labels),
+                     "--model", str(model), "--test-ids", str(files["test-ids"])],
+        "table": ["select-covariates", "--table", str(files["table"]), "--response", "resp"],
+    }[kind]
+    return cli.main([*argv, "--outdir", str(tmp_path / "out")]), files[kind], ids
+
+
+SIDE_FILE_CASES = [
+    # (reader, rule, file body, the error after "path" or None for exit 0)
+    ("areas", "short row", "tower,area\n{t0},D0\n{t1}\n", ":3: wrong field count"),
+    ("areas", "blank key", "tower,area\n{t0},D0\n,D1\n", ":3: missing tower"),
+    ("areas", "repeated key", "tower,area\n{t0},D0\n{t1},D1\n{t0},D1\n", ":4: repeated tower '{t0}'"),
+    ("areas", "blank row", "tower,area\n{t0},D0\n,\n{t1},D1\n{more}", None),
+    ("areas", "columns by name", "area,tower\nD0,{t0}\nD1,{t1}\n{more_swapped}", None),
+    ("samples", "short row", "area,value\nx,1\ny\nz,4\n", ":3: wrong field count"),
+    ("samples", "blank key", "area,value\nx,1\n,2\nz,4\n", ":3: missing area"),
+    ("samples", "repeated key", "area,value\nx,1\ny,2\nz,4\nx,4\n", ":5: repeated area 'x'"),
+    ("samples", "bad number", "area,value\nx,1\ny,two\nz,4\n", ":3: bad number 'two'"),
+    ("samples", "non-finite", "area,value\nx,1\ny,-inf\nz,4\n", ":3: non-finite value"),
+    ("samples", "missing column", "area,val\nx,1\n", ": expected column(s) value"),
+    ("samples", "blank row", "area,value\nx,1\n,\ny,2\nz,4\n", None),
+    ("samples", "blank value", "area,value\nx,1\ny,\nz,4\nw,2\n", None),
+    ("adopters", "blank key", "subscriber,day\n{s0},3\n,4\n", ":3: missing subscriber"),
+    ("adopters", "repeated key", "subscriber,day\n{s0},3\n{s0},4\n", ":3: repeated subscriber '{s0}'"),
+    ("adopters", "bad number", "subscriber,day\n{s0},3\n{s1},inf\n", ":3: bad number 'inf'"),
+    ("adopters", "blank row", "subscriber,day\n{s0},3\n,\n{s1},4\n", None),
+    ("features", "blank key", "subscriber,f1\ns1,0.9\n,0.8\ns3,0.8\ns4,0.5\ns5,0.3\ns6,0.1\n",
+     ":3: missing subscriber"),
+    ("features", "repeated key", "subscriber,f1\ns1,0.9\ns2,0.8\ns3,0.8\ns4,0.5\ns5,0.3\ns6,0.1\ns2,0.2\n",
+     ":8: repeated subscriber 's2'"),
+    ("features", "bad number", "subscriber,f1\ns1,0.9\ns2,high\ns3,0.8\ns4,0.5\ns5,0.3\ns6,0.1\n",
+     ":3: bad number 'high'"),
+    ("features", "non-finite", "subscriber,f1\ns1,0.9\ns2,nan\ns3,0.8\ns4,0.5\ns5,0.3\ns6,0.1\n",
+     ":3: non-finite value"),
+    ("features", "blank row", "subscriber,f1\ns1,0.9\ns2,0.8\n,\ns3,0.8\ns4,0.5\ns5,0.3\ns6,0.1\n", None),
+    ("control", "blank key", "subscriber,note\ns1,a\n,b\ns5,c\n", ":3: missing subscriber"),
+    ("control", "repeated key", "subscriber\ns1\ns5\ns1\n", ":4: repeated subscriber 's1'"),
+    ("control", "blank row", "subscriber,note\ns1,a\n,\ns5,c\n", None),
+    ("outcomes", "short row", "subscriber,converted,renewed\ns1,1,1\ns2,1\n", ":3: wrong field count"),
+    ("outcomes", "blank key", "subscriber,converted,renewed\ns1,1,1\n,1,1\n", ":3: missing subscriber"),
+    ("outcomes", "repeated key",
+     "subscriber,converted,renewed\ns1,1,1\ns2,1,1\ns3,1,0\ns4,0,0\ns5,0,0\ns6,0,0\ns2,0,0\n",
+     ":8: repeated subscriber 's2'"),
+    ("outcomes", "bad flag", "subscriber,converted,renewed\ns1,1,1\ns2,yes,yes\n", ":3: bad flag 'yes'"),
+    ("outcomes", "missing column", "subscriber,converted\ns1,1\n", ": expected column(s) renewed"),
+    ("outcomes", "blank row",
+     "subscriber,converted,renewed\ns1,1,1\ns2,1,1\n,,\ns3,1,0\ns4,0,0\ns5,0,0\ns6,0,0\n", None),
+    ("test-ids", "blank key", "subscriber,note\ns1,a\n,b\n", ":3: missing subscriber"),
+    ("test-ids", "repeated key", "subscriber\ns1\ns2\ns5\ns1\n", ":5: repeated subscriber 's1'"),
+    ("test-ids", "blank row", "subscriber,note\ns1,a\ns2,b\n,\ns5,c\ns6,d\n", None),
+    # non-finite cells: test_select_covariates_non_finite_cell_exits_2
+    ("table", "short row", "id,resp,x1\nr0,1.0,2.0\nr1,3.0\n", ":3: wrong field count"),
+    ("table", "bad number", "id,resp,x1\nr0,1.0,2.0\nr1,3.0,?\n", ":3: bad number '?'"),
+    ("table", "missing column", "id,res,x1\nr0,1.0,2.0\n", ": expected column(s) resp"),
+    ("table", "blank row", SIDE_FILES["table"] + ",,\n", None),
+]
+
+
+@pytest.mark.parametrize("kind, rule, body, want", SIDE_FILE_CASES,
+                         ids=[f"{kind}-{rule}" for kind, rule, _, _ in SIDE_FILE_CASES])
+def test_side_file_rules(synth_dir, tmp_path, capsys, kind, rule, body, want):
+    rc, path, ids = run_with_side_file(kind, body, synth_dir, tmp_path)
+    err = capsys.readouterr().err
+    if want is None:
+        assert rc == 0, err
+    else:
+        assert rc == 2
+        assert f"{path}{want.format(**ids)}" in err
+        assert not list((tmp_path / "out").glob("*"))
+
+
+def test_idw_sample_without_value_exits_2(synth_dir, tmp_path, capsys):
+    towers = tower_ids(synth_dir)
+    samples = tmp_path / "samples.csv"
+    samples.write_text(f"area,value\n{towers[0]},1\n{towers[1]}\n")
+    assert cli.main(["idw", "--towers", str(synth_dir / "towers.csv"), "--samples", str(samples),
+                     "--outdir", str(tmp_path / "idw")]) == 2
+    assert f"{samples}:3: wrong field count" in capsys.readouterr().err
+    assert not (tmp_path / "idw" / "grid.txt").exists()
+
+
+def test_correlate_grid_with_nan_exits_2(tmp_path, capsys):
+    values = np.arange(9.0).reshape(3, 3)
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    spatial.write_grid(spatial.GridRaster(0.0, 0.0, 1.0, values), str(a))
+    values[1, 1] = np.nan
+    spatial.write_grid(spatial.GridRaster(0.0, 0.0, 1.0, values), str(b))
+    assert cli.main(["correlate", "--a", str(a), "--b", str(b), "--outdir", str(tmp_path / "corr")]) == 2
+    assert f"{b}:8: non-finite value" in capsys.readouterr().err
+    assert not (tmp_path / "corr" / "correlate.csv").exists()
+
+
+@pytest.mark.parametrize("cell, line", [("resp", 7), ("x1", 12)])
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_select_covariates_non_finite_cell_exits_2(tmp_path, cell, line, bad):
+    # run in a child with a deadline: a non-finite cell once sent the
+    # stepwise search into an endless add/drop loop, or picked x2 over x1
+    rng = np.random.default_rng(26)
+    x1, x2 = rng.normal(size=40), rng.normal(size=40)
+    cells = {"resp": 2.0 * x1 + 0.05 * rng.normal(size=40), "x1": x1, "x2": x2}
+    rows = [{c: repr(float(v[i])) for c, v in cells.items()} for i in range(40)]
+    rows[line - 2][cell] = bad
+    table = tmp_path / "table.csv"
+    table.write_text("resp,x1,x2\n" + "".join(f"{r['resp']},{r['x1']},{r['x2']}\n" for r in rows))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "cdrlab.cli", "select-covariates", "--table", str(table),
+                           "--response", "resp", "--outdir", str(tmp_path / "sel")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert f"{table}:{line}: non-finite value" in done.stderr

@@ -9,6 +9,9 @@ normal survival function for the two-proportion test.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -651,6 +654,30 @@ def test_constant_column_never_selected():
     result = sel.select_covariates(X, y, ["x", "const"])
     assert "const" in result.kept_after_pruning
     assert result.selected == ["x"]
+
+
+@pytest.mark.parametrize("where", ["X", "y"])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_select_covariates_rejects_non_finite_input(where, bad):
+    # run in a child with a deadline: a nan AIC once made the stepwise loop
+    # add and drop the same covariate forever
+    code = (
+        "import numpy as np\n"
+        "from cdrlab.mlkit import selection as sel\n"
+        "rng = np.random.default_rng(28)\n"
+        "X = rng.normal(size=(30, 2))\n"
+        "y = 2.0 * X[:, 0] + 0.1 * rng.normal(size=30)\n"
+        f"{where}[3] = float({bad!r})\n"
+        "try:\n"
+        "    sel.select_covariates(X, y, ['x1', 'x2'])\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(os.path.dirname(sel.__file__))), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "non-finite value in X or y" in done.stdout
 
 
 # ------------------------------------------------------------ campaign
