@@ -343,7 +343,12 @@ def detect_flow_anomalies(
 
 
 def _ranked_contacts(ds: Dataset, code: int, window: tuple[int, int]) -> np.ndarray:
-    """rank_contacts on subscriber codes."""
+    """The contact codes of a subscriber code, ordered by outgoing voice-call
+    count in the window, descending.
+
+    Ties break by the pair's total two-way communication count in the
+    window, then by contact id.
+    """
     start, end = window
     c = ds.cdrs
     n = len(c.subscriber_ids)
@@ -355,18 +360,6 @@ def _ranked_contacts(ds: Dataset, code: int, window: tuple[int, int]) -> np.ndar
     two_way = np.bincount(c.callee[out], minlength=n) + np.bincount(c.caller[inn], minlength=n)
     contacts = np.flatnonzero(calls)
     return contacts[np.lexsort((contacts, -two_way[contacts], -calls[contacts]))]
-
-
-def rank_contacts(ds: Dataset, subscriber: str, window: tuple[int, int]) -> list[str]:
-    """Contacts ordered by outgoing voice-call count, descending.
-
-    Ties break by the pair's total two-way communication count in the
-    window, then by lexicographic contact id.
-    """
-    code = ds.subscriber_code(subscriber)
-    if code is None:
-        return []
-    return [ds.cdrs.subscriber_ids[i] for i in _ranked_contacts(ds, code, window).tolist()]
 
 
 @dataclass
@@ -467,7 +460,6 @@ def distance_activation_matrix(
     hour_window: tuple[int, int],
     distance_bins: list[float],
     comparison_days: list[int],
-    homes: dict[str, str] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Activated-tie counts binned by caller/callee distance from the epicenter.
 
@@ -483,20 +475,12 @@ def distance_activation_matrix(
         raise ValueError("distance_bins must be ascending edges")
     c = ds.cdrs
     n = len(c.subscriber_ids)
-    if homes is None:
-        homes = {c.subscriber_ids[i]: c.tower_ids[h]
-                 for i, h in enumerate(ds.home_towers().tolist()) if h >= 0}
     edges = np.asarray(distance_bins, dtype=float)
     n_bins = len(edges) + 1
-    tower_bin: dict[str, int] = {}
-    for tid, t in ds.towers.items():
-        d = haversine_km(t.lon, t.lat, epicenter[0], epicenter[1])
-        tower_bin[tid] = int(np.searchsorted(edges, d, side="right"))
-    dist_bin = np.full(n, -1, dtype=np.int64)  # by subscriber code; -1: no located home
-    for sub, tid in homes.items():
-        code = ds.subscriber_code(sub)
-        if code is not None and tid in tower_bin:
-            dist_bin[code] = tower_bin[tid]
+    tower_bin = [int(np.searchsorted(edges, haversine_km(t.lon, t.lat, epicenter[0], epicenter[1]), side="right"))
+                 for t in map(ds.towers.__getitem__, c.tower_ids)]
+    # by subscriber code; the home code -1 (no home) picks the trailing -1
+    dist_bin = np.array(tower_bin + [-1], dtype=np.int64)[ds.home_towers()]
 
     def day_matrix(day: int) -> np.ndarray:
         day = day_start(day)

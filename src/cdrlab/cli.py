@@ -98,14 +98,17 @@ def _day_label(ts: int) -> str:
 def _side_rows(path: str, required=(), key: str | None = None) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """A side file's stripped header cells and its checked (line, fields) data rows.
 
-    required and key name header columns.  A row of blank cells is skipped; a row too short
-    to reach a required column, and a blank or repeated key cell, is an error naming path:line.
+    required and key name header columns; required=None requires every one.  A row of blank
+    cells is skipped; a row too short to reach a required column, and a blank or repeated key
+    cell, is an error naming path:line.
     """
     with ingest.open_text(path) as fh:
         lines = list(ingest.numbered_rows(fh))
     if not lines:
         raise ValueError(f"{path}: empty file")
     header = [c.strip() for c in lines[0][1]]
+    if required is None:
+        required = header
     names = (*required, key) if key else tuple(required)
     missing = [c for c in names if c not in header]
     if missing:
@@ -159,13 +162,12 @@ def _read_adopters(path: str) -> dict[str, int | None]:
 
 
 def _read_feature_table(path: str) -> tuple[list[str], list[str], list[list]]:
-    """features.csv -> (ids, numeric column names, rows with None absents)."""
-    header, rows = _side_rows(path, key="subscriber")
+    """features.csv -> (ids, numeric column names, rows with None for blank cells)."""
+    header, rows = _side_rows(path, None, key="subscriber")
     id_j = header.index("subscriber")
     numeric_cols = [(j, name) for j, name in enumerate(header) if j != id_j and name != "home_tower"]
     ids = [r[id_j] for _, r in rows]
-    data = [[None if (j >= len(r) or r[j] == "") else ingest.number(path, n, r[j]) for j, _ in numeric_cols]
-            for n, r in rows]
+    data = [[None if r[j] == "" else ingest.number(path, n, r[j]) for j, _ in numeric_cols] for n, r in rows]
     return ids, [name for _, name in numeric_cols], data
 
 
@@ -642,12 +644,17 @@ def _model_table(args, ctx: RunContext):
     keep = [i for i, sid in enumerate(ids) if sid in labels]
     if not keep:
         raise ValueError("no feature rows have labels")
-    return mlkit.LabeledTable.from_records(
+    na_policy = ctx.cfg["model"]["na_policy"]
+    table = mlkit.LabeledTable.from_records(
         [ids[i] for i in keep], columns,
         [rows[i] for i in keep],
         [1.0 if labels[ids[i]] == pos else 0.0 for i in keep],
-        na_policy=ctx.cfg["model"]["na_policy"],
+        na_policy=na_policy,
     )
+    if not len(table):
+        raise ValueError(f"{args.features}: every one of the {len(keep)} labeled rows has a blank feature "
+                         f"cell, and na_policy={na_policy} drops them all")
+    return table
 
 
 def _hyperparameters(cfg, family: str) -> dict:
@@ -668,6 +675,10 @@ def _cmd_train(args, ctx: RunContext) -> dict:
     from . import mlkit
 
     table = _model_table(args, ctx)
+    if len(set(table.y.tolist())) < 2:
+        side = "positive" if table.y[0] == 1.0 else "negative"
+        raise ValueError(f"{args.labels}: all {len(table)} labeled feature rows are {side} "
+                         f"(--positive-label {args.positive_label!r}); train needs both classes")
     family = args.family or ctx.cfg["model"]["family"]
     train_tab, test_tab = mlkit.split_train_test(table, fraction=args.split_fraction,
                                                  seed=ctx.seed)
@@ -729,6 +740,9 @@ def _cmd_select_covariates(args, ctx: RunContext) -> dict:
         y.append(ingest.number(path, n, r[resp_j]))
     if not X:
         raise ValueError(f"{path}: no complete rows for the requested columns")
+    if min(y) == max(y):
+        raise ValueError(f"{path}: response column {args.response!r} is constant ({y[0]!r}) "
+                         f"over its {len(y)} complete rows; r2 and AIC are undefined")
     sel = ctx.cfg["select"]
     result = mlkit.select_covariates(
         np.array(X), np.array(y), columns,

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import math
 import statistics
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -53,15 +52,6 @@ class FeatureVector:
     subscriber: str
     values: dict[str, float | None]
     home_tower: str | None
-
-
-def entropy(distribution) -> float:
-    """Shannon entropy in nats of a multiset of categories (or count mapping)."""
-    if isinstance(distribution, Mapping):
-        counts = [c for c in distribution.values() if c > 0]
-    else:
-        counts = list(Counter(distribution).values())
-    return _count_entropy(counts)
 
 
 def _count_entropy(counts: list[int]) -> float:

@@ -599,22 +599,23 @@ def load_dataset(
 
     Events referencing unknown towers are rejected during parsing.  The
     window is derived as [min ts, max ts + 1).  The reports are keyed
-    "towers", "cdr", and "topup" / "labels" when those files are given.
+    "towers", "cdr", and "topup" / "labels" when those files are given; a
+    labels file is parsed only for its report.
     """
     towers, tower_report = parse_tower_file(towers_path, reject_cap)
     known = set(towers)
     cdrs, cdr_report = parse_cdr_file(cdr_path, known_towers=known, reject_cap=reject_cap)
     reports = {"towers": tower_report, "cdr": cdr_report}
-    topups = TopUpTable.from_records()
+    no_codes = np.zeros(0, dtype=np.int32)
+    topups = TopUpTable(np.zeros(0, dtype=np.int64), no_codes, no_codes, no_codes, np.zeros(0), (), (), ())
     if topup_path is not None:
         topups, reports["topup"] = parse_topup_file(topup_path, known_towers=known, reject_cap=reject_cap)
     firsts = [int(t.ts[0]) for t in (cdrs, topups) if len(t)]
     lasts = [int(t.ts[-1]) for t in (cdrs, topups) if len(t)]
     window = (min(firsts), max(lasts) + 1) if firsts else (0, 1)
-    labels = None
     if labels_path:
-        labels, reports["labels"] = parse_labels_file(labels_path, reject_cap)
-    ds = Dataset(cdrs=cdrs, topups=topups, towers=towers, window=window, labels=labels)
+        _, reports["labels"] = parse_labels_file(labels_path, reject_cap)
+    ds = Dataset(cdrs=cdrs, topups=topups, towers=towers, window=window)
     return ds, reports
 
 

@@ -1,15 +1,9 @@
 """Supervised-learning scaffolding: tables, three small model families,
-evaluation protocols, covariate selection, and campaign reporting."""
+held-out evaluation, covariate selection, and campaign reporting."""
 
 from .campaign import CampaignOutcome, run_campaign, two_proportion_z
 from .data import LabeledTable, split_train_test, upsample_minority
-from .metrics import (
-    CrossValReport,
-    EvalReport,
-    auc_score,
-    cross_validate,
-    evaluate,
-)
+from .metrics import EvalReport, auc_score, evaluate
 from .models import (
     BaggedStumpsModel,
     LogisticModel,
@@ -23,7 +17,6 @@ from .selection import LinearModel, SelectionResult, fit_ols, select_covariates
 __all__ = [
     "BaggedStumpsModel",
     "CampaignOutcome",
-    "CrossValReport",
     "EvalReport",
     "LabeledTable",
     "LinearModel",
@@ -31,7 +24,6 @@ __all__ = [
     "MlpModel",
     "SelectionResult",
     "auc_score",
-    "cross_validate",
     "evaluate",
     "fit_ols",
     "load_model",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ class LabeledTable:
     columns: list[str]
     X: np.ndarray
     y: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
@@ -42,9 +41,6 @@ class LabeledTable:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def classes(self) -> np.ndarray:
-        return np.unique(self.y)
-
     def take(self, indices, id_suffix: str | None = None) -> "LabeledTable":
         indices = list(indices)
         ids = [self.ids[i] for i in indices]
@@ -56,7 +52,7 @@ class LabeledTable:
                 out.append(i if c == 0 else f"{i}{id_suffix}{c}")
                 seen[i] = c + 1
             ids = out
-        return LabeledTable(ids, list(self.columns), self.X[indices], self.y[indices], dict(self.meta))
+        return LabeledTable(ids, list(self.columns), self.X[indices], self.y[indices])
 
     @classmethod
     def from_records(

@@ -1,5 +1,5 @@
-"""Evaluation protocols: threshold metrics, rank-statistic AUC, decile
-lift, and stratified cross-validation."""
+"""Evaluation of a trained classifier: threshold metrics, rank-statistic
+AUC, decile lift, and their CSV writers."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..ingest import write_csv
-from ..rng import derive_rng, derive_seed
 
 
 def auc_score(y_true, scores) -> float:
@@ -100,72 +99,6 @@ def evaluate(model, test, threshold: float = 0.5) -> EvalReport:
         base_rate=float(y.mean()),
         lift=decile_lift(y, scores),
     )
-
-
-def stratified_folds(y, folds: int, seed: int = 0) -> list[np.ndarray]:
-    """Disjoint exhaustive fold index arrays; sizes differ by at most one.
-
-    Members of each class are dealt round-robin across folds from a shared
-    cursor, so folds are class-balanced as far as counts allow.
-    """
-    y = np.asarray(y, dtype=float)
-    n = len(y)
-    if not 2 <= folds <= n:
-        raise ValueError(f"folds must be in [2, {n}]")
-    assignment = np.empty(n, dtype=int)
-    cursor = 0
-    for c in sorted(set(y.tolist())):
-        members = np.flatnonzero(y == c)
-        order = derive_rng(seed, "folds", repr(c)).permutation(len(members))
-        for i in members[order]:
-            assignment[i] = cursor % folds
-            cursor += 1
-    return [np.flatnonzero(assignment == f) for f in range(folds)]
-
-
-@dataclass
-class CrossValReport:
-    folds: int
-    per_fold: list[dict[str, float]]
-    mean: dict[str, float]
-    std: dict[str, float]
-
-
-def cross_validate(table, family: str, hyperparameters: dict | None = None,
-                   folds: int = 10, seed: int = 0, threads: int = 1) -> CrossValReport:
-    """Stratified k-fold evaluation; metrics undefined on a fold (for
-    instance AUC on a single-class holdout) are skipped in the aggregate.
-    """
-    from .models import train
-    from ..parallel import parallel_map
-
-    fold_idx = stratified_folds(table.y, folds, seed=seed)
-    all_idx = set(range(len(table)))
-
-    def run_fold(f: int) -> dict[str, float]:
-        test_idx = sorted(fold_idx[f].tolist())
-        train_idx = sorted(all_idx - set(test_idx))
-        model = train(table.take(train_idx), family, hyperparameters,
-                      seed=derive_seed(seed, "cv", str(f)))
-        test = table.take(test_idx)
-        scores = model.predict_proba(test.X)
-        pred = (scores >= 0.5).astype(float)
-        out = {"accuracy": float((pred == test.y).mean())}
-        if len(np.unique(test.y)) == 2:
-            out["auc"] = auc_score(test.y, scores)
-            out["sensitivity"] = float(((pred == 1) & (test.y == 1)).sum() / (test.y == 1).sum())
-            out["specificity"] = float(((pred == 0) & (test.y == 0)).sum() / (test.y == 0).sum())
-        return out
-
-    per_fold = parallel_map(run_fold, range(folds), threads=threads)
-    keys = sorted({k for d in per_fold for k in d})
-    mean = {}
-    std = {}
-    for k in keys:
-        vals = np.array([d[k] for d in per_fold if k in d])
-        mean[k] = float(vals.mean())
-        std[k] = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
-    return CrossValReport(folds=folds, per_fold=per_fold, mean=mean, std=std)
 
 
 def write_eval_csv(report: EvalReport, path: str, header_comment: str | None = None) -> None:

@@ -28,6 +28,7 @@ MLP_MAX_EPOCHS = 200
 MLP_PATIENCE = 10
 MLP_INPUT_DROPOUT = 0.1
 MLP_HIDDEN_DROPOUT = 0.2
+MLP_VALIDATION_FRACTION = 0.2
 
 
 def _sigmoid(z):
@@ -85,9 +86,6 @@ class LogisticModel:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return _sigmoid(self.decision_function(X))
 
-    def predict(self, X: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-        return (self.predict_proba(X) >= threshold).astype(float)
-
     def to_payload(self) -> dict:
         return {
             "columns": self.columns,
@@ -110,13 +108,7 @@ class LogisticModel:
         )
 
 
-def train_logistic(
-    table,
-    class_weight=None,
-    tol: float = LOGISTIC_TOL,
-    max_iter: int = LOGISTIC_MAX_ITER,
-    seed: int = 0,
-) -> LogisticModel:
+def train_logistic(table, class_weight=None, seed: int = 0) -> LogisticModel:
     """Full-batch gradient descent with step halving.
 
     The step is halved whenever a proposed update would increase the loss,
@@ -139,7 +131,7 @@ def train_logistic(
 
     loss, grad = loss_grad(theta)
     lr = 1.0
-    for it in range(max_iter):
+    for it in range(LOGISTIC_MAX_ITER):
         if not np.isfinite(loss):
             raise RuntimeError(f"logistic training diverged at iteration {it}: loss={loss}")
         stepped = False
@@ -150,7 +142,7 @@ def train_logistic(
                 stepped = True
                 break
             lr *= 0.5
-        if not stepped or loss - new_loss < tol * max(1.0, abs(loss)):
+        if not stepped or loss - new_loss < LOGISTIC_TOL * max(1.0, abs(loss)):
             theta, loss = (cand, new_loss) if stepped else (theta, loss)
             break
         theta, loss, grad = cand, new_loss, new_grad
@@ -177,9 +169,6 @@ class BaggedStumpsModel:
                 left = X[:, s["feature"]] <= s["threshold"]
                 out += np.where(left, s["p_left"], s["p_right"])
         return out / len(self.stumps)
-
-    def predict(self, X: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-        return (self.predict_proba(X) >= threshold).astype(float)
 
     def to_payload(self) -> dict:
         return {"columns": self.columns, "stumps": self.stumps, "seed": self.seed}
@@ -220,29 +209,21 @@ def _fit_stump(X: np.ndarray, y: np.ndarray, w: np.ndarray, feature_ids) -> dict
 def train_bagged_stumps(
     table,
     rounds: int = 50,
-    feature_fraction: float | None = None,
-    bootstrap: bool = True,
     class_weight=None,
     seed: int = 0,
     threads: int = 1,
 ) -> BaggedStumpsModel:
-    """Bootstrap-aggregated stumps with a per-round feature subsample.
-
-    feature_fraction=None picks round(sqrt(k)) features per round; with
-    rounds=1, bootstrap=False, and feature_fraction=1.0 the model is the
-    single stump fit on the full sample.
-    """
+    """Bootstrap-aggregated stumps, each round on round(sqrt(k)) of the k features."""
     _check_classes(table.y)
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     n, k = table.X.shape
     w = _sample_weights(table.y, class_weight)
-    m = max(1, round(np.sqrt(k))) if feature_fraction is None else max(1, round(feature_fraction * k))
-    m = min(m, k)
+    m = min(max(1, round(np.sqrt(k))), k)
 
     def one_round(r: int) -> dict:
         rng = derive_rng(seed, "bag", str(r))
-        idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        idx = rng.integers(0, n, size=n)
         feats = sorted(rng.choice(k, size=m, replace=False).tolist())
         yb = table.y[idx]
         if yb.min() == yb.max():
@@ -273,9 +254,6 @@ class MlpModel:
         Xs = (np.asarray(X, dtype=float) - self.mean) / self.scale
         h = _softplus(Xs @ self.W1 + self.b1)
         return _sigmoid(h @ self.W2 + self.b2)
-
-    def predict(self, X: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-        return (self.predict_proba(X) >= threshold).astype(float)
 
     def loss_and_grad(self, Xs, y, w, masks=None):
         """Loss and parameter gradients on pre-standardized inputs.
@@ -334,15 +312,12 @@ def train_mlp(
     batch_size: int = MLP_BATCH,
     max_epochs: int = MLP_MAX_EPOCHS,
     patience: int = MLP_PATIENCE,
-    input_dropout: float = MLP_INPUT_DROPOUT,
-    hidden_dropout: float = MLP_HIDDEN_DROPOUT,
     class_weight=None,
-    validation_fraction: float = 0.2,
     seed: int = 0,
 ) -> MlpModel:
     """Mini-batch SGD with inverted dropout and early stopping.
 
-    A stratified validation slice (default 20% of the training rows) drives
+    A stratified validation slice (20% of the training rows) drives
     early stopping on its dropout-free loss with the given patience; the
     parameters returned are the best-validation snapshot.
     """
@@ -350,7 +325,7 @@ def train_mlp(
 
     _check_classes(table.y)
     fit_tab, val_tab = split_train_test(
-        table, fraction=1.0 - validation_fraction, seed=derive_seed(seed, "mlp-val")
+        table, fraction=1.0 - MLP_VALIDATION_FRACTION, seed=derive_seed(seed, "mlp-val")
     )
     if len(val_tab) == 0 or len(fit_tab) == 0 or len(np.unique(fit_tab.y)) < 2:
         raise ValueError("table too small for an mlp validation split")
@@ -382,8 +357,8 @@ def train_mlp(
         for start in range(0, len(Xs), batch_size):
             idx = order[start : start + batch_size]
             masks = (
-                (rng.random((len(idx), k)) >= input_dropout) / (1.0 - input_dropout),
-                (rng.random((len(idx), hidden)) >= hidden_dropout) / (1.0 - hidden_dropout),
+                (rng.random((len(idx), k)) >= MLP_INPUT_DROPOUT) / (1.0 - MLP_INPUT_DROPOUT),
+                (rng.random((len(idx), hidden)) >= MLP_HIDDEN_DROPOUT) / (1.0 - MLP_HIDDEN_DROPOUT),
             )
             loss, (gW1, gb1, gW2, gb2) = model.loss_and_grad(Xs[idx], y[idx], w[idx], masks)
             if not np.isfinite(loss):

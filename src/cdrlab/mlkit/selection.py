@@ -29,9 +29,6 @@ class LinearModel:
     r2: float
     aic: float
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=float) @ self.coef + self.intercept
-
 
 @dataclass
 class SelectionResult:
@@ -61,13 +58,15 @@ def fit_ols(X: np.ndarray, y: np.ndarray, columns: list[str]) -> LinearModel:
     resid = y - A @ beta
     rss = float(resid @ resid)
     ss_tot = float(((y - y.mean()) ** 2).sum())
+    if ss_tot == 0 or y.min() == y.max():
+        raise ValueError("constant response: r2 and AIC are undefined")
     return LinearModel(
         columns=list(columns),
         intercept=float(beta[0]),
         coef=beta[1:],
         n=n,
         rss=rss,
-        r2=1.0 - rss / ss_tot if ss_tot > 0 else float("nan"),
+        r2=1.0 - rss / ss_tot,
         aic=_aic(n, rss, k),
     )
 

@@ -88,41 +88,10 @@ def is_nocturnal(ts):
 
 
 @dataclass(frozen=True, slots=True)
-class CdrRecord:
-    """One CDR as a row, the input of `Dataset.from_records`."""
-
-    caller: str
-    callee: str | None
-    tower: str
-    timestamp: int
-    kind: str
-    magnitude: float
-
-
-@dataclass(frozen=True, slots=True)
-class TopUpRecord:
-    """One top-up as a row, the input of `Dataset.from_records`."""
-
-    buyer: str
-    retailer: str
-    retailer_tower: str | None
-    timestamp: int
-    amount: float
-
-
-@dataclass(frozen=True, slots=True)
 class Tower:
     id: str
     lon: float
     lat: float
-
-
-def _code_ids(values) -> tuple[np.ndarray, tuple[str, ...]]:
-    """(int32 codes of values, sorted id table); None codes -1."""
-    ids = tuple(sorted(set(values) - {None}))
-    index = dict(zip(ids, range(len(ids))))
-    index[None] = -1
-    return np.fromiter(map(index.__getitem__, values), np.int32, len(values)), ids
 
 
 def recode(codes: np.ndarray, old_ids, new_ids) -> np.ndarray:
@@ -163,22 +132,6 @@ class CdrTable(_Table):
 
     COLUMNS = ("ts", "caller", "callee", "tower", "kind", "magnitude")
 
-    @classmethod
-    def from_records(cls, records=()) -> "CdrTable":
-        recs = list(records)
-        people, subscriber_ids = _code_ids([r.caller for r in recs] + [r.callee for r in recs])
-        tower, tower_ids = _code_ids([r.tower for r in recs])
-        return cls(
-            ts=np.array([r.timestamp for r in recs], dtype=np.int64),
-            caller=people[:len(recs)],
-            callee=people[len(recs):],
-            tower=tower,
-            kind=np.array([EVENT_KINDS.index(r.kind) for r in recs], dtype=np.int8),
-            magnitude=np.array([r.magnitude for r in recs], dtype=np.float64),
-            subscriber_ids=subscriber_ids,
-            tower_ids=tower_ids,
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class TopUpTable(_Table):
@@ -194,23 +147,6 @@ class TopUpTable(_Table):
     tower_ids: tuple[str, ...]
 
     COLUMNS = ("ts", "buyer", "retailer", "tower", "amount")
-
-    @classmethod
-    def from_records(cls, records=()) -> "TopUpTable":
-        recs = list(records)
-        buyer, subscriber_ids = _code_ids([r.buyer for r in recs])
-        retailer, retailer_ids = _code_ids([r.retailer for r in recs])
-        tower, tower_ids = _code_ids([r.retailer_tower for r in recs])
-        return cls(
-            ts=np.array([r.timestamp for r in recs], dtype=np.int64),
-            buyer=buyer,
-            retailer=retailer,
-            tower=tower,
-            amount=np.array([r.amount for r in recs], dtype=np.float64),
-            subscriber_ids=subscriber_ids,
-            retailer_ids=retailer_ids,
-            tower_ids=tower_ids,
-        )
 
 
 class Groups(NamedTuple):
@@ -248,7 +184,7 @@ def _grouped_argmax(group: np.ndarray, item: np.ndarray, n_groups: int, n_items:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable bundle of event tables, towers, and optional labels.
+    """Immutable bundle of event tables and towers.
 
     Both tables share one subscriber id table (every id seen as caller,
     callee or buyer) and one tower id table (the sorted `towers` ids; every
@@ -262,7 +198,6 @@ class Dataset:
     topups: TopUpTable
     towers: dict[str, Tower]
     window: tuple[int, int]
-    labels: dict[str, str] | None = None
     _caller_index: Groups | None = field(default=None, repr=False)
     _callee_index: Groups | None = field(default=None, repr=False)
     _buyer_index: Groups | None = field(default=None, repr=False)
@@ -302,19 +237,12 @@ class Dataset:
                 raise ValueError(f"{name} timestamps outside window [{start}, {end})")
             object.__setattr__(self, attr, table)
 
-    @classmethod
-    def from_records(cls, cdrs, topups, towers, window, labels=None) -> "Dataset":
-        """A Dataset from CdrRecord and TopUpRecord rows."""
-        return cls(CdrTable.from_records(cdrs), TopUpTable.from_records(topups),
-                   dict(towers), window, labels)
-
     def with_events(self, cdrs: CdrTable | None = None, topups: TopUpTable | None = None) -> "Dataset":
         return Dataset(
             cdrs=cdrs if cdrs is not None else self.cdrs,
             topups=topups if topups is not None else self.topups,
             towers=self.towers,
             window=self.window,
-            labels=self.labels,
         )
 
     def cdrs_between(self, lo: int, hi: int) -> slice:
@@ -379,8 +307,6 @@ __all__ = [
     "EVENT_KINDS",
     "COMM_KINDS",
     "SECONDS_PER_DAY",
-    "CdrRecord",
-    "TopUpRecord",
     "Tower",
     "CdrTable",
     "TopUpTable",

@@ -1,4 +1,4 @@
-"""Voronoi tessellation, area aggregation, IDW rasters, and raster text I/O.
+"""Voronoi tessellation, IDW rasters, raster text I/O, and area/raster correlation.
 
 Planar geometry runs in a local equirectangular projection (kilometres)
 about the clip-polygon centroid; at country scale the distortion is far
@@ -136,42 +136,6 @@ def voronoi_partition(
         poly = _dedupe_ring(poly)
         cells[tid] = [proj.to_lonlat(x, y) for x, y in poly]
     return VoronoiPartition(towers=positions, cells=cells, clip=list(clip))
-
-
-def aggregate_to_areas(
-    values: dict[str, float],
-    home: dict[str, str],
-    level: str | dict[str, str] = "tower",
-    stat: str = "mean",
-) -> dict[str, float]:
-    """Grouped statistic of per-subscriber values at tower or area level.
-
-    level="tower" groups by home tower; a dict maps tower id to area id.
-    Subscribers without a home, with a None value, or (at area level) with
-    an unmapped home tower are skipped.  Areas with no contributing
-    subscriber are absent from the result.
-    """
-    if stat not in ("mean", "sum", "count"):
-        raise ValueError(f"unknown stat {stat!r}")
-    groups: dict[str, list[float]] = {}
-    for sub, v in values.items():
-        if v is None:
-            continue
-        tower = home.get(sub)
-        if tower is None:
-            continue
-        if level == "tower":
-            area = tower
-        else:
-            area = level.get(tower)
-            if area is None:
-                continue
-        groups.setdefault(area, []).append(float(v))
-    if stat == "count":
-        return {a: float(len(g)) for a, g in groups.items()}
-    if stat == "sum":
-        return {a: float(sum(g)) for a, g in groups.items()}
-    return {a: sum(g) / len(g) for a, g in groups.items()}
 
 
 def idw_interpolate(

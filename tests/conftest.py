@@ -1,15 +1,92 @@
-"""Shared builders for the test suite."""
+"""Shared builders for the test suite.
+
+Events are written here as one record per row: `CdrRecord` and `TopUpRecord`,
+turned into the column tables of `cdrlab.records` by `cdr_table`,
+`topup_table` and `dataset_from_records`.  `src/` itself holds events only
+as columns.
+"""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from cdrlab.records import EVENT_KINDS, CdrRecord, Dataset, TopUpRecord, Tower
+from cdrlab.records import EVENT_KINDS, CdrTable, Dataset, TopUpTable, Tower
 from cdrlab.socialgraph import SocialGraph
 
 T0 = 1462060800  # 2016-05-01T00:00:00Z, a Sunday
 DAY = 86400
+
+
+@dataclass(frozen=True, slots=True)
+class CdrRecord:
+    """One CDR as a row, the input of `cdr_table`."""
+
+    caller: str
+    callee: str | None
+    tower: str
+    timestamp: int
+    kind: str
+    magnitude: float
+
+
+@dataclass(frozen=True, slots=True)
+class TopUpRecord:
+    """One top-up as a row, the input of `topup_table`."""
+
+    buyer: str
+    retailer: str
+    retailer_tower: str | None
+    timestamp: int
+    amount: float
+
+
+def _code_ids(values) -> tuple[np.ndarray, tuple[str, ...]]:
+    """(int32 codes of values, sorted id table); None codes -1."""
+    ids = tuple(sorted(set(values) - {None}))
+    index = dict(zip(ids, range(len(ids))))
+    index[None] = -1
+    return np.fromiter(map(index.__getitem__, values), np.int32, len(values)), ids
+
+
+def cdr_table(records=()) -> CdrTable:
+    recs = list(records)
+    people, subscriber_ids = _code_ids([r.caller for r in recs] + [r.callee for r in recs])
+    tower, tower_ids = _code_ids([r.tower for r in recs])
+    return CdrTable(
+        ts=np.array([r.timestamp for r in recs], dtype=np.int64),
+        caller=people[:len(recs)],
+        callee=people[len(recs):],
+        tower=tower,
+        kind=np.array([EVENT_KINDS.index(r.kind) for r in recs], dtype=np.int8),
+        magnitude=np.array([r.magnitude for r in recs], dtype=np.float64),
+        subscriber_ids=subscriber_ids,
+        tower_ids=tower_ids,
+    )
+
+
+def topup_table(records=()) -> TopUpTable:
+    recs = list(records)
+    buyer, subscriber_ids = _code_ids([r.buyer for r in recs])
+    retailer, retailer_ids = _code_ids([r.retailer for r in recs])
+    tower, tower_ids = _code_ids([r.retailer_tower for r in recs])
+    return TopUpTable(
+        ts=np.array([r.timestamp for r in recs], dtype=np.int64),
+        buyer=buyer,
+        retailer=retailer,
+        tower=tower,
+        amount=np.array([r.amount for r in recs], dtype=np.float64),
+        subscriber_ids=subscriber_ids,
+        retailer_ids=retailer_ids,
+        tower_ids=tower_ids,
+    )
+
+
+def dataset_from_records(cdrs, topups, towers, window) -> Dataset:
+    """A Dataset from CdrRecord and TopUpRecord rows."""
+    return Dataset(cdr_table(cdrs), topup_table(topups), dict(towers), window)
 
 
 def tower(tid: str, lon: float = 90.0, lat: float = 23.0) -> Tower:
@@ -32,7 +109,7 @@ def topup(buyer, ts, amount, retailer="R1", retailer_tower=None):
     return TopUpRecord(buyer, retailer, retailer_tower, ts, float(amount))
 
 
-def make_dataset(cdrs=(), topups=(), towers=None, window=None, labels=None) -> Dataset:
+def make_dataset(cdrs=(), topups=(), towers=None, window=None) -> Dataset:
     if towers is None:
         ids = {r.tower for r in cdrs} | {
             t.retailer_tower for t in topups if t.retailer_tower
@@ -41,7 +118,7 @@ def make_dataset(cdrs=(), topups=(), towers=None, window=None, labels=None) -> D
     if window is None:
         stamps = [r.timestamp for r in cdrs] + [t.timestamp for t in topups]
         window = (min(stamps), max(stamps) + 1) if stamps else (T0, T0 + DAY)
-    return Dataset.from_records(cdrs, topups, towers, window, labels)
+    return dataset_from_records(cdrs, topups, towers, window)
 
 
 def cdr_rows(table) -> list[CdrRecord]:

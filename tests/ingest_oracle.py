@@ -1,6 +1,6 @@
 """The former per-row CDR and top-up parsers, kept as the oracle of the columnar ones.
 
-They read a file one row at a time into CdrRecord / TopUpRecord lists; the
+They read a file one row at a time into the tests' CdrRecord / TopUpRecord lists; the
 columnar parsers in ``cdrlab.ingest`` must give the same events (as a
 Dataset), the same (line, reason) rejects and the same row count.
 """
@@ -17,7 +17,9 @@ from cdrlab.ingest import (
     numbered_rows,
     open_text,
 )
-from cdrlab.records import EVENT_KINDS, CdrRecord, TopUpRecord, parse_timestamp
+from cdrlab.records import EVENT_KINDS, parse_timestamp
+
+from conftest import CdrRecord, TopUpRecord
 
 
 def header_positions(header, fields, required, source):

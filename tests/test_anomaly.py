@@ -338,9 +338,13 @@ def test_rank_contacts_ordering_and_ties():
         + [sms("A", "E", "T1", T0 + 4000)]  # texts alone never rank
     )
     ds = make_dataset(cdrs, window=(T0, T0 + DAY))
-    ranked = an.rank_contacts(ds, "A", (T0, T0 + DAY))
-    assert ranked == ["C", "B", "D"]  # C wins the 3-3 tie on two-way volume
-    assert an.rank_contacts(ds, "E", (T0, T0 + DAY)) == []
+    ids = ds.cdrs.subscriber_ids
+
+    def ranked(sub):
+        return [ids[i] for i in an._ranked_contacts(ds, ds.subscriber_code(sub), (T0, T0 + DAY)).tolist()]
+
+    assert ranked("A") == ["C", "B", "D"]  # C wins the 3-3 tie on two-way volume
+    assert ranked("E") == []
 
 
 def test_rank_activation_curves_quantitative():
@@ -399,9 +403,11 @@ def test_rank_activation_curves_validation():
 
 def test_distance_activation_matrix():
     towers = {"T1": Tower("T1", 90.0, 23.0), "T2": Tower("T2", 91.0, 23.0)}
-    homes = {"A": "T1", "B": "T1", "C": "T2"}
     hour = 10 * 3600
     cdrs = [
+        # homes: A and B call from T1 only; C's one outgoing event is a night data session at T2;
+        # D makes no call, so it has no home
+        data("C", "T2", T0 + 3 * 3600),
         # comparison day: one near-near tie
         voice("A", "B", "T1", T0 + hour + 60),
         # event day: the same tie (three times) plus a near-far tie
@@ -409,6 +415,7 @@ def test_distance_activation_matrix():
         voice("A", "B", "T1", T0 + DAY + hour + 120),
         voice("A", "B", "T1", T0 + DAY + hour + 180),
         voice("A", "C", "T1", T0 + DAY + hour + 240),
+        voice("A", "D", "T1", T0 + DAY + hour + 300),  # a tie to no home: not counted
         # outside the hour window: ignored
         voice("B", "C", "T1", T0 + DAY + 20 * 3600),
     ]
@@ -416,8 +423,9 @@ def test_distance_activation_matrix():
     ratio, counts = an.distance_activation_matrix(
         ds, epicenter=(90.0, 23.0), event_day=T0 + DAY,
         hour_window=(hour, hour + 3600), distance_bins=[50.0],
-        comparison_days=[T0], homes=homes,
+        comparison_days=[T0],
     )
+    assert ds.home_towers().tolist() == [0, 0, 1, -1]  # tower codes of A, B, C, D
     assert counts.shape == (2, 2)
     assert counts[0, 0] == 1.0  # repeated calls collapse to one tie
     assert counts[0, 1] == 1.0

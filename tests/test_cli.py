@@ -610,6 +610,40 @@ def test_select_covariates_short_row_names_its_line(tmp_path, capsys):
     assert f"{table}:3: wrong field count" in capsys.readouterr().err
 
 
+def test_select_covariates_constant_response_exits_2(tmp_path, capsys):
+    table = tmp_path / "table.csv"
+    table.write_text("resp,x1,x2\n1,1,2\n1,2,1\n1,3,5\n1,4,3\n1,5,9\n")
+    assert cli.main(["select-covariates", "--table", str(table), "--response", "resp",
+                     "--outdir", str(tmp_path / "sel")]) == 2
+    assert f"{table}: response column 'resp' is constant" in capsys.readouterr().err
+    assert not list((tmp_path / "sel").glob("*"))
+
+
+def test_train_short_feature_row_names_its_line(tmp_path, capsys):
+    features = tmp_path / "features.csv"
+    features.write_text("subscriber,f1,f2\ns1,0.5,1\ns2,0.4\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("subscriber,label\ns1,low\ns2,high\n")
+    assert cli.main(["train", "--features", str(features), "--labels", str(labels),
+                     "--outdir", str(tmp_path / "train")]) == 2
+    assert f"{features}:3: wrong field count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("features, labels, named, cause", [
+    ("subscriber,f1\ns1,\ns2,\ns3,0.3\n", "subscriber,label\ns1,low\ns2,high\n", "features",
+     "every one of the 2 labeled rows has a blank feature cell, and na_policy=drop drops them all"),
+    ("subscriber,f1\ns1,0.1\ns2,0.2\ns3,0.3\n", "subscriber,label\ns1,high\ns2,high\ns3,high\n", "labels",
+     "all 3 labeled feature rows are negative (--positive-label 'low'); train needs both classes"),
+], ids=["no complete row", "one class"])
+def test_train_without_two_classes_names_file_and_cause(tmp_path, capsys, features, labels, named, cause):
+    files = {"features": tmp_path / "features.csv", "labels": tmp_path / "labels.csv"}
+    files["features"].write_text(features)
+    files["labels"].write_text(labels)
+    assert cli.main(["train", "--features", str(files["features"]), "--labels", str(files["labels"]),
+                     "--outdir", str(tmp_path / "train")]) == 2
+    assert f"cdrlab: error: {files[named]}: {cause}\n" in capsys.readouterr().err
+
+
 # Every side-file reader, each with one good file; a case swaps in one bad file.
 SIDE_FILES = {
     "areas": "tower,area\n{t0},D0\n{t1},D1\n{more}",
@@ -684,7 +718,10 @@ SIDE_FILE_CASES = [
      ":3: bad number 'high'"),
     ("features", "non-finite", "subscriber,f1\ns1,0.9\ns2,nan\ns3,0.8\ns4,0.5\ns5,0.3\ns6,0.1\n",
      ":3: non-finite value"),
+    ("features", "short row", "subscriber,f1\ns1,0.9\ns2\ns3,0.8\ns4,0.5\ns5,0.3\ns6,0.1\n",
+     ":3: wrong field count"),
     ("features", "blank row", "subscriber,f1\ns1,0.9\ns2,0.8\n,\ns3,0.8\ns4,0.5\ns5,0.3\ns6,0.1\n", None),
+    ("features", "blank cell", "subscriber,f1\ns1,0.9\ns2,\ns3,0.8\ns4,0.5\ns5,0.3\ns6,0.1\n", None),
     ("control", "blank key", "subscriber,note\ns1,a\n,b\ns5,c\n", ":3: missing subscriber"),
     ("control", "repeated key", "subscriber\ns1\ns5\ns1\n", ":4: repeated subscriber 's1'"),
     ("control", "blank row", "subscriber,note\ns1,a\n,\ns5,c\n", None),

@@ -18,17 +18,14 @@ LN2 = math.log(2.0)
 # -- primitives ------------------------------------------------------------------
 
 def test_entropy_known_values():
-    assert feat.entropy(["a", "b", "c"]) == pytest.approx(math.log(3), abs=1e-12)
+    assert feat._count_entropy([1, 1, 1]) == pytest.approx(math.log(3), abs=1e-12)
     # probabilities 1/2, 1/4, 1/4
-    assert feat.entropy({"a": 2, "b": 1, "c": 1}) == pytest.approx(1.0397207708399179, abs=1e-12)
-    assert feat.entropy(["x", "x", "x"]) == 0.0
-    assert math.copysign(1.0, feat.entropy(["x"])) == 1.0  # 0.0, not -0.0
-    assert feat.entropy({"a": 3, "b": 0}) == 0.0  # zero counts ignored
-    assert feat.entropy(["a", "a", "b", "b"]) == feat.entropy({"a": 2, "b": 2})
+    assert feat._count_entropy([2, 1, 1]) == pytest.approx(1.0397207708399179, abs=1e-12)
+    assert feat._count_entropy([3]) == 0.0
+    assert math.copysign(1.0, feat._count_entropy([1])) == 1.0  # 0.0, not -0.0
+    assert feat._count_entropy([2, 2]) == pytest.approx(LN2, abs=1e-12)
     with pytest.raises(ValueError):
-        feat.entropy([])
-    with pytest.raises(ValueError):
-        feat.entropy({"a": 0})
+        feat._count_entropy([])
 
 
 def test_radius_of_gyration_equator_pair():
@@ -112,10 +109,10 @@ def test_extract_features_full_vector(rich_ds):
     # contacts: B 2 out + 1 in, C 1 out + 1 in
     assert v["degree"] == 2
     assert v["interactions_per_contact"] == 2.5
-    assert v["entropy_of_contacts"] == pytest.approx(feat.entropy({"B": 3, "C": 2}))
+    assert v["entropy_of_contacts"] == pytest.approx(feat._count_entropy([3, 2]))
     # located outgoing events: T1 x3, T2 x1
     assert v["number_of_places"] == 2
-    assert v["entropy_of_places"] == pytest.approx(feat.entropy({"T1": 3, "T2": 1}))
+    assert v["entropy_of_places"] == pytest.approx(feat._count_entropy([3, 1]))
     visits = [(90.0, 23.0), (90.2, 23.0), (90.0, 23.0), (90.0, 23.0)]
     assert v["radius_of_gyration"] == pytest.approx(feat.radius_of_gyration(visits))
     assert vec.home_tower == "T2"  # the single nocturnal event decides

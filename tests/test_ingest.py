@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdrlab import ingest
-from cdrlab.records import EVENT_KINDS, CdrTable, Dataset, Tower, TopUpTable
+from cdrlab.records import EVENT_KINDS, Dataset, Tower
 
 import ingest_oracle
-from conftest import T0, cdr_rows, make_dataset, sms, topup, topup_rows, voice
+from conftest import (T0, cdr_rows, cdr_table, dataset_from_records, make_dataset, sms, topup, topup_rows,
+                      topup_table, voice)
 
 CDR_HEADER = "caller,callee,tower,timestamp,kind,magnitude"
 
@@ -303,8 +304,7 @@ def test_load_dataset_reports_label_rejects(tmp_path):
     c = write(tmp_path / "c.csv", [CDR_HEADER, "A,B,T1,2016-05-01T00:10:00Z,voice,10"])
     w = write(tmp_path / "w.csv", ["id,lon,lat", "T1,90,23"])
     lab = write(tmp_path / "l.csv", ["subscriber,label", "A,low", "B"])
-    ds, reports = ingest.load_dataset(c, None, w, labels_path=lab, reject_cap=1.0)
-    assert ds.labels == {"A": "low"}
+    _, reports = ingest.load_dataset(c, None, w, labels_path=lab, reject_cap=1.0)
     assert reports["labels"].rejects == [(3, "wrong field count")]
 
 
@@ -554,8 +554,8 @@ def test_columnar_cdr_parse_matches_per_row_oracle(tmp_path_factory, lines, chun
     records, oracle_report = ingest_oracle.parse_cdr_file(path, known_towers=set(KNOWN), reject_cap=1.0)
     assert report.rejects == oracle_report.rejects
     assert report.total_rows == oracle_report.total_rows
-    got = Dataset(table, TopUpTable.from_records(), TOWERS, WIDE)
-    want = Dataset.from_records(records, (), TOWERS, WIDE)
+    got = Dataset(table, topup_table(), TOWERS, WIDE)
+    want = dataset_from_records(records, (), TOWERS, WIDE)
     assert cdr_rows(got.cdrs) == cdr_rows(want.cdrs)
     assert cdr_rows(table) == cdr_rows(got.cdrs)  # the parse is already in time order
 
@@ -573,7 +573,7 @@ def test_columnar_topup_parse_matches_per_row_oracle(tmp_path_factory, lines, ch
     records, oracle_report = ingest_oracle.parse_topup_file(path, known_towers=set(KNOWN), reject_cap=1.0)
     assert report.rejects == oracle_report.rejects
     assert report.total_rows == oracle_report.total_rows
-    got = Dataset(CdrTable.from_records(), table, TOWERS, WIDE)
-    want = Dataset.from_records((), records, TOWERS, WIDE)
+    got = Dataset(cdr_table(), table, TOWERS, WIDE)
+    want = dataset_from_records((), records, TOWERS, WIDE)
     assert topup_rows(got.topups) == topup_rows(want.topups)
     assert topup_rows(table) == topup_rows(got.topups)

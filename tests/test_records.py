@@ -62,12 +62,11 @@ def test_dataset_indexes():
     assert ds.subscribers() == ["A", "B"]
 
 
-def test_with_events_keeps_towers_and_labels():
-    ds = make_dataset([voice("A", "B", "T1", T0 + 1)], labels={"A": "low"},
-                      window=(T0, T0 + DAY))
+def test_with_events_keeps_towers_and_window():
+    ds = make_dataset([voice("A", "B", "T1", T0 + 1)], window=(T0, T0 + DAY))
     ds2 = ds.with_events(cdrs=make_dataset([voice("B", "A", "T1", T0 + 5)]).cdrs)
     assert ds2.towers == ds.towers
-    assert ds2.labels == {"A": "low"}
+    assert ds2.window == ds.window
     assert [r.caller for r in cdr_rows(ds2.cdrs)] == ["B"]
 
 

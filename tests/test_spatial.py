@@ -131,31 +131,6 @@ def test_voronoi_validation():
         sp.voronoi_partition({"A": (90.5, 23.5)}, CLIP[:2])
 
 
-# -- aggregation --------------------------------------------------------------------------
-
-def test_aggregate_to_areas():
-    values = {"s1": 10.0, "s2": 20.0, "s3": 30.0, "s4": None, "s5": 99.0}
-    home = {"s1": "T1", "s2": "T1", "s3": "T2", "s4": "T1"}  # s5 homeless
-    assert sp.aggregate_to_areas(values, home) == {"T1": 15.0, "T2": 30.0}
-    assert sp.aggregate_to_areas(values, home, stat="sum") == {"T1": 30.0, "T2": 30.0}
-    assert sp.aggregate_to_areas(values, home, stat="count") == {"T1": 2.0, "T2": 1.0}
-    area_map = {"T1": "D1"}  # T2 unmapped: s3 is skipped
-    assert sp.aggregate_to_areas(values, home, level=area_map) == {"D1": 15.0}
-    with pytest.raises(ValueError, match="stat"):
-        sp.aggregate_to_areas(values, home, stat="median")
-
-
-def test_aggregate_sum_equals_mean_times_count():
-    rng = np.random.default_rng(1)
-    values = {f"s{i}": float(rng.normal()) for i in range(50)}
-    home = {f"s{i}": f"T{i % 7}" for i in range(50)}
-    mean = sp.aggregate_to_areas(values, home, stat="mean")
-    total = sp.aggregate_to_areas(values, home, stat="sum")
-    count = sp.aggregate_to_areas(values, home, stat="count")
-    for a in mean:
-        assert total[a] == pytest.approx(mean[a] * count[a])
-
-
 # -- idw ------------------------------------------------------------------------------------
 
 def equator_grid_samples():

@@ -1,0 +1,97 @@
+"""Every function, class and method in src/cdrlab is reached from the package's own code.
+
+A scan of the source, not an import: reachability starts at the module-level
+statements of every module (the subcommand table and `main` among them) and
+follows names.  A definition is reached once its name is used, as a plain
+name or as an attribute, in code that is itself reached; a reached class
+brings its body, its dunder methods and its overrides of a base class from
+outside the package (which that base calls) along.  Imports and `__all__` reach
+nothing, so a name that only a test or an export list uses shows up here.
+"""
+
+import ast
+import builtins
+import importlib
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "cdrlab"
+# The acceptance tests build and inspect graphs and anomaly reports through
+# these; no subcommand needs them.
+TEST_ONLY = {"cdrlab.socialgraph.SocialGraph.from_edges", "cdrlab.socialgraph.SocialGraph.sorted_nodes",
+             "cdrlab.socialgraph.adjacent_link_count", "cdrlab.anomaly.AnomalyReport.flagged"}
+
+
+def _is_def(node) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+
+
+def _overrides(base: ast.expr, name: str) -> bool:
+    """Whether base, a builtin or a module.Class from outside the package, has a method name."""
+    owner = getattr(builtins, getattr(base, "id", ""), None)
+    if isinstance(base, ast.Attribute) and isinstance(base.value, ast.Name):
+        try:
+            owner = getattr(importlib.import_module(base.value.id), base.attr, None)
+        except ImportError:
+            owner = None
+    return owner is not None and hasattr(owner, name)
+
+
+def _scan() -> tuple[dict[str, str], set[str]]:
+    """(qualified name -> key, the reached keys).
+
+    A function or class is keyed by its name and reached by a plain name or
+    an attribute; a method is keyed by "." and its name and reached only by
+    an attribute.
+    """
+    keys: dict[str, str] = {}
+    bodies: dict[str, list[ast.AST]] = {}  # what runs once a key is reached
+    todo: list[ast.AST] = []  # what runs at import
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC.parent).with_suffix("").as_posix().replace("/", ".")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                continue
+            if not _is_def(node):
+                todo.append(node)
+                continue
+            keys[f"{module}.{node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                own = [n for n in node.body if not _is_def(n)] + node.bases + node.decorator_list
+                for item in filter(_is_def, node.body):
+                    dunder = item.name.startswith("__") and item.name.endswith("__")
+                    if dunder or any(_overrides(b, item.name) for b in node.bases):
+                        own.append(item)
+                    else:
+                        keys[f"{module}.{node.name}.{item.name}"] = "." + item.name
+                        bodies.setdefault("." + item.name, []).append(item)
+                bodies.setdefault(node.name, []).extend(own)
+            else:
+                bodies.setdefault(node.name, []).append(node)
+    reached: set[str] = set()
+    while todo:
+        for sub in ast.walk(todo.pop()):
+            if isinstance(sub, ast.Name):
+                used = [sub.id]
+            elif isinstance(sub, ast.Attribute):
+                used = [sub.attr, "." + sub.attr]
+            else:
+                continue
+            for key in used:
+                if key in bodies and key not in reached:
+                    reached.add(key)
+                    todo.extend(bodies[key])
+    return keys, reached
+
+
+def test_every_definition_is_reached_from_the_package():
+    keys, reached = _scan()
+    unreached = sorted(q for q, key in keys.items() if key not in reached and q not in TEST_ONLY)
+    assert unreached == []
+
+
+def test_the_scan_sees_the_entry_points():
+    keys, reached = _scan()
+    assert {"main", "_cmd_train", "train_logistic", ".predict_proba", "Dataset"} <= reached
+    assert TEST_ONLY <= set(keys)
