@@ -13,7 +13,6 @@ pays at start-up only for what it runs.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -23,13 +22,6 @@ from datetime import datetime, timezone
 from . import __version__, ingest
 from .config import CONFIG_ENV_VAR, ConfigError, config_hash, load_config
 from .records import SECONDS_PER_DAY, day_start, parse_timestamp
-
-SUBCOMMANDS = (
-    "synth", "ingest-check", "features", "graph", "adoption", "kappa", "pk",
-    "anomaly", "flows", "rank-curves", "distance-matrix", "voronoi", "idw",
-    "correlate", "train", "eval", "select-covariates", "campaign",
-)
-
 
 class UsageError(Exception):
     pass
@@ -283,11 +275,7 @@ def _cmd_synth(args, ctx: RunContext) -> dict:
     ingest.write_topup_csv(ds.topups, ctx.outputs.stage("topups.csv"), header_comment=ctx.header)
     ingest.write_towers_csv(ds.towers, ctx.outputs.stage("towers.csv"), header_comment=ctx.header)
     ingest.write_labels_csv(gt.label, ctx.outputs.stage("labels.csv"), header_comment=ctx.header)
-    payload = json.loads(gt.to_json())
-    payload["_meta"] = ctx.meta()
-    with open(ctx.outputs.stage("ground_truth.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=0, sort_keys=True)
-        fh.write("\n")
+    ingest.write_json(ctx.outputs.stage("ground_truth.json"), {**gt.to_dict(), "_meta": ctx.meta()}, indent=0)
     print(f"synth: {len(ds.cdrs)} events, {len(ds.topups)} top-ups, "
           f"{len(ds.towers)} towers, {scfg.n_subscribers} subscribers")
     return {"events": len(ds.cdrs), "topups": len(ds.topups),
@@ -459,9 +447,7 @@ def _cmd_anomaly(args, ctx: RunContext) -> dict:
             {t: (ds.towers[t].lon, ds.towers[t].lat) for t in flagged}, flagged
         )
         doc["_meta"] = ctx.meta()
-        with open(ctx.outputs.stage("anomalies.geojson"), "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        ingest.write_json(ctx.outputs.stage("anomalies.geojson"), doc, indent=2)
     print(f"anomaly: {flagged_total} flags across {len(reports)} series "
           f"(baseline={a['baseline']}, sigma={a['threshold_sigma']})")
     return {"series": len(reports), "flags": flagged_total,
@@ -577,9 +563,7 @@ def _cmd_voronoi(args, ctx: RunContext) -> dict:
     part = spatial.voronoi_partition({t: (tw.lon, tw.lat) for t, tw in towers.items()}, clip)
     doc = spatial.voronoi_geojson(part)
     doc["_meta"] = ctx.meta()
-    with open(ctx.outputs.stage("voronoi.geojson"), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    ingest.write_json(ctx.outputs.stage("voronoi.geojson"), doc, indent=2)
     print(f"voronoi: {len(part.cells)} cells, clip=({x0}, {y0}, {x1}, {y1})")
     return {"towers": len(towers), "clip": [x0, y0, x1, y1]}
 
@@ -634,7 +618,7 @@ def _cmd_correlate(args, ctx: RunContext) -> dict:
 
 
 def _model_table(args, ctx: RunContext):
-    from . import mlkit
+    from .mlkit import data
 
     ids, columns, rows = _read_feature_table(args.features)
     if not args.labels:
@@ -645,7 +629,7 @@ def _model_table(args, ctx: RunContext):
     if not keep:
         raise ValueError("no feature rows have labels")
     na_policy = ctx.cfg["model"]["na_policy"]
-    table = mlkit.LabeledTable.from_records(
+    table = data.LabeledTable.from_records(
         [ids[i] for i in keep], columns,
         [rows[i] for i in keep],
         [1.0 if labels[ids[i]] == pos else 0.0 for i in keep],
@@ -657,22 +641,8 @@ def _model_table(args, ctx: RunContext):
     return table
 
 
-def _hyperparameters(cfg, family: str) -> dict:
-    m = cfg["model"]
-    cw = m["class_weight"] or None
-    if family == "logistic":
-        return {"class_weight": cw}
-    if family == "bagged_stumps":
-        return {"rounds": m["rounds"], "class_weight": cw}
-    if family == "mlp":
-        return {"hidden": m["hidden"], "learning_rate": m["learning_rate"],
-                "batch_size": m["batch_size"], "max_epochs": m["max_epochs"],
-                "patience": m["patience"], "class_weight": cw}
-    raise ValueError(f"unknown family {family!r}")
-
-
 def _cmd_train(args, ctx: RunContext) -> dict:
-    from . import mlkit
+    from .mlkit import data, models
 
     table = _model_table(args, ctx)
     if len(set(table.y.tolist())) < 2:
@@ -680,12 +650,14 @@ def _cmd_train(args, ctx: RunContext) -> dict:
         raise ValueError(f"{args.labels}: all {len(table)} labeled feature rows are {side} "
                          f"(--positive-label {args.positive_label!r}); train needs both classes")
     family = args.family or ctx.cfg["model"]["family"]
-    train_tab, test_tab = mlkit.split_train_test(table, fraction=args.split_fraction,
-                                                 seed=ctx.seed)
-    if ctx.cfg["model"]["upsample"]:
-        train_tab = mlkit.upsample_minority(train_tab, seed=ctx.seed)
-    model = mlkit.train(train_tab, family, _hyperparameters(ctx.cfg, family), seed=ctx.seed)
-    mlkit.save_model(model, ctx.outputs.stage("model.json"))
+    if family not in models.FAMILIES:
+        raise ValueError(f"[model] family: unknown family {family!r}")
+    m = dict(ctx.cfg["model"], class_weight=ctx.cfg["model"]["class_weight"] or None)
+    train_tab, test_tab = data.split_train_test(table, fraction=args.split_fraction, seed=ctx.seed)
+    if m["upsample"]:
+        train_tab = data.upsample_minority(train_tab, seed=ctx.seed)
+    model = models.train(train_tab, family, {k: m[k] for k in models.FAMILIES[family][2]}, seed=ctx.seed)
+    models.save_model(model, ctx.outputs.stage("model.json"))
     ingest.write_csv(ctx.outputs.stage("test_ids.csv"), ["subscriber"],
                      ([sid] for sid in test_tab.ids), ctx.header)
     print(f"train: {family} on {len(train_tab)} rows "
@@ -695,9 +667,9 @@ def _cmd_train(args, ctx: RunContext) -> dict:
 
 
 def _cmd_eval(args, ctx: RunContext) -> dict:
-    from . import mlkit
+    from .mlkit import metrics, models
 
-    model = mlkit.load_model(args.model)
+    model = models.load_model(args.model)
     table = _model_table(args, ctx)
     if list(table.columns) != list(model.columns):
         raise ValueError("feature columns do not match the model schema")
@@ -707,9 +679,9 @@ def _cmd_eval(args, ctx: RunContext) -> dict:
         if not idx:
             raise ValueError("no test ids present in the feature table")
         table = table.take(idx)
-    report = mlkit.evaluate(model, table, threshold=ctx.cfg["model"]["threshold"])
-    mlkit.metrics.write_eval_csv(report, ctx.outputs.stage("eval.csv"), header_comment=ctx.header)
-    mlkit.metrics.write_lift_csv(report, ctx.outputs.stage("lift.csv"), header_comment=ctx.header)
+    report = metrics.evaluate(model, table, threshold=ctx.cfg["model"]["threshold"])
+    metrics.write_eval_csv(report, ctx.outputs.stage("eval.csv"), header_comment=ctx.header)
+    metrics.write_lift_csv(report, ctx.outputs.stage("lift.csv"), header_comment=ctx.header)
     print(f"eval: accuracy={report.accuracy:.4f} auc={report.auc:.4f} "
           f"sensitivity={report.sensitivity:.4f} specificity={report.specificity:.4f}")
     return {"rows": len(table), "accuracy": report.accuracy, "auc": report.auc,
@@ -719,7 +691,7 @@ def _cmd_eval(args, ctx: RunContext) -> dict:
 def _cmd_select_covariates(args, ctx: RunContext) -> dict:
     import numpy as np
 
-    from . import mlkit
+    from .mlkit import selection
 
     path = args.table
     header, rows = _side_rows(path, (args.response,))
@@ -744,12 +716,15 @@ def _cmd_select_covariates(args, ctx: RunContext) -> dict:
         raise ValueError(f"{path}: response column {args.response!r} is constant ({y[0]!r}) "
                          f"over its {len(y)} complete rows; r2 and AIC are undefined")
     sel = ctx.cfg["select"]
-    result = mlkit.select_covariates(
+    result = selection.select_covariates(
         np.array(X), np.array(y), columns,
         r_cut=sel["r_cut"],
         priority=list(sel["priority"]) or None,
         exhaustive=sel["exhaustive"] or args.exhaustive,
     )
+    if not math.isfinite(result.model.aic):
+        raise ValueError(f"{path}: response column {args.response!r} is fitted exactly by {result.selected} "
+                         f"over its {len(y)} complete rows; AIC is undefined")
     records = [["pruned", dropped, repr(r), f"correlated_with={partner}"]
                for dropped, partner, r in result.dropped_by_pruning]
     records += [["selected", feat, repr(float(result.model.coef[i])), f"order={i}"]
@@ -765,7 +740,7 @@ def _cmd_select_covariates(args, ctx: RunContext) -> dict:
 
 
 def _cmd_campaign(args, ctx: RunContext) -> dict:
-    from . import mlkit
+    from .mlkit import campaign, data, models
 
     if args.treatment_size is not None:
         size, what = args.treatment_size, "--treatment-size"
@@ -773,11 +748,11 @@ def _cmd_campaign(args, ctx: RunContext) -> dict:
         size, what = ctx.cfg["campaign"]["treatment_size"], "[campaign] treatment_size"
     if size < 1:
         raise ValueError(f"{what} must be >= 1, got {size}")
-    model = mlkit.load_model(args.model)
+    model = models.load_model(args.model)
     ids, columns, rows = _read_feature_table(args.features)
     if list(columns) != list(model.columns):
         raise ValueError("feature columns do not match the model schema")
-    table = mlkit.LabeledTable.from_records(
+    table = data.LabeledTable.from_records(
         ids, columns, rows, [0.0] * len(ids), na_policy=ctx.cfg["model"]["na_policy"]
     )
     control = _read_id_list(args.control)
@@ -790,8 +765,8 @@ def _cmd_campaign(args, ctx: RunContext) -> dict:
             if flag not in ("0", "1"):
                 raise ValueError(f"{path}:{n}: bad flag {flag!r}")
         outcomes[r[s]] = {"converted": r[c] == "1", "renewed": r[w] == "1"}
-    outcome = mlkit.run_campaign(table, model, size, control, outcomes)
-    mlkit.campaign.write_campaign_csv(outcome, ctx.outputs.stage("campaign.csv"),
+    outcome = campaign.run_campaign(table, model, size, control, outcomes)
+    campaign.write_campaign_csv(outcome, ctx.outputs.stage("campaign.csv"),
                                       header_comment=ctx.header)
     print(f"campaign: treatment {outcome.treatment_rate:.4f} vs control "
           f"{outcome.control_rate:.4f} (z={outcome.z:.2f}, p={outcome.p_value:.4g})")
@@ -987,10 +962,7 @@ def main(argv=None) -> int:
             "params": params,
             "outputs": outputs.names(),
         }
-        mpath = outputs.stage(f"manifest_{args.command.replace('-', '_')}.json")
-        with open(mpath, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        ingest.write_json(outputs.stage(f"manifest_{args.command.replace('-', '_')}.json"), manifest, indent=2)
         outputs.commit()
         return 0
     except UsageError as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 
 CONFIG_ENV_VAR = "CDRLAB_CONFIG"
 
@@ -27,15 +28,22 @@ def _bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _float(raw: str) -> float:
+    v = float(raw)
+    if not math.isfinite(v):
+        raise ValueError(f"not a finite number: {raw.strip()!r}")
+    return v
+
+
 def _floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in raw.split(",") if p.strip())
+    return tuple(_float(p) for p in raw.split(",") if p.strip())
 
 
 def _strs(raw: str) -> tuple[str, ...]:
     return tuple(p.strip() for p in raw.split(",") if p.strip())
 
 
-_PARSERS = {"int": int, "float": float, "str": str, "bool": _bool, "floats": _floats, "strs": _strs}
+_PARSERS = {"int": int, "float": _float, "str": str, "bool": _bool, "floats": _floats, "strs": _strs}
 
 # section -> key -> (type name, default)
 SCHEMA: dict[str, dict[str, tuple[str, object]]] = {

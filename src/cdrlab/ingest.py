@@ -31,6 +31,7 @@ from __future__ import annotations
 import csv
 import gzip
 import io
+import json
 import logging
 import math
 from dataclasses import dataclass
@@ -140,6 +141,13 @@ def write_csv(path: str, columns, rows, header_comment: str | None = None) -> No
         writer.writerow(columns)
         for row in rows:
             (quoted if row and str(row[0]).lstrip().startswith("#") else writer).writerow(row)
+
+
+def write_json(path: str, doc, indent: int) -> None:
+    """Write doc as JSON with sorted keys and a final newline; a nan or an infinity is a ValueError."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=indent, sort_keys=True, allow_nan=False)
+        fh.write("\n")
 
 
 def write_rejects_csv(report: RejectReport, path: str, header_comment: str | None = None) -> None:

@@ -9,14 +9,14 @@ the loss (weighted Gini for stumps).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from ..ingest import write_json
 from ..parallel import parallel_map
 from ..rng import derive_rng, derive_seed
 
-FAMILIES = ("logistic", "bagged_stumps", "mlp")
 FORMAT_VERSION = 1
 
 LOGISTIC_TOL = 1e-10
@@ -47,11 +47,11 @@ def _bce(z, y, w):
 def _sample_weights(y: np.ndarray, class_weight) -> np.ndarray:
     if class_weight is None:
         return np.ones(len(y))
-    if class_weight == "balanced":
-        classes, counts = np.unique(y, return_counts=True)
-        lut = {c: len(y) / (len(classes) * n) for c, n in zip(classes, counts)}
-        return np.array([lut[v] for v in y])
-    return np.array([float(class_weight[int(v)]) for v in y])
+    if class_weight != "balanced":
+        raise ValueError(f"[model] class_weight must be empty or 'balanced', got {class_weight!r}")
+    classes, counts = np.unique(y, return_counts=True)
+    lut = {c: len(y) / (len(classes) * n) for c, n in zip(classes, counts)}
+    return np.array([lut[v] for v in y])
 
 
 def _standardizer(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -69,15 +69,33 @@ def _check_classes(y: np.ndarray) -> None:
         raise ValueError(f"labels must be 0/1, got {classes.tolist()}")
 
 
+def _require(values: dict, shape: tuple, *names: str) -> None:
+    """Raise ValueError unless each named entry of values is finite numbers of this shape."""
+    for name in names:
+        a = np.asarray(values[name])
+        if a.shape != shape or a.dtype.kind not in "fiu" or not np.isfinite(a).all():
+            raise ValueError(f"{name} must be finite numbers of shape {shape}")
+
+
+class _Model:
+    @property
+    def family(self) -> str:
+        """This model's key in FAMILIES."""
+        return next(name for name, (_, cls, _) in FAMILIES.items() if cls is type(self))
+
+
 @dataclass
-class LogisticModel:
+class LogisticModel(_Model):
     columns: list[str]
     mean: np.ndarray
     scale: np.ndarray
     coef: np.ndarray
     bias: float
     seed: int
-    family: str = "logistic"
+
+    def __post_init__(self):
+        _require(vars(self), (len(self.columns),), "mean", "scale", "coef")
+        _require(vars(self), (), "bias")
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         Xs = (np.asarray(X, dtype=float) - self.mean) / self.scale
@@ -85,27 +103,6 @@ class LogisticModel:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return _sigmoid(self.decision_function(X))
-
-    def to_payload(self) -> dict:
-        return {
-            "columns": self.columns,
-            "mean": self.mean.tolist(),
-            "scale": self.scale.tolist(),
-            "coef": self.coef.tolist(),
-            "bias": self.bias,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_payload(cls, p: dict) -> "LogisticModel":
-        return cls(
-            columns=list(p["columns"]),
-            mean=np.array(p["mean"]),
-            scale=np.array(p["scale"]),
-            coef=np.array(p["coef"]),
-            bias=float(p["bias"]),
-            seed=int(p["seed"]),
-        )
 
 
 def train_logistic(table, class_weight=None, seed: int = 0) -> LogisticModel:
@@ -151,13 +148,21 @@ def train_logistic(table, class_weight=None, seed: int = 0) -> LogisticModel:
 
 
 @dataclass
-class BaggedStumpsModel:
+class BaggedStumpsModel(_Model):
     """Average of threshold stumps; each leaf stores P(class 1)."""
 
     columns: list[str]
     stumps: list[dict]
     seed: int
-    family: str = "bagged_stumps"
+
+    def __post_init__(self):
+        if not self.stumps:
+            raise ValueError("stumps must not be empty")
+        for s in self.stumps:
+            f = s["feature"]
+            if not (f is None or (type(f) is int and 0 <= f < len(self.columns))):
+                raise ValueError(f"stump feature {f!r} is not a column index")
+            _require(s, (), "threshold", "p_left", "p_right")
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -169,13 +174,6 @@ class BaggedStumpsModel:
                 left = X[:, s["feature"]] <= s["threshold"]
                 out += np.where(left, s["p_left"], s["p_right"])
         return out / len(self.stumps)
-
-    def to_payload(self) -> dict:
-        return {"columns": self.columns, "stumps": self.stumps, "seed": self.seed}
-
-    @classmethod
-    def from_payload(cls, p: dict) -> "BaggedStumpsModel":
-        return cls(columns=list(p["columns"]), stumps=list(p["stumps"]), seed=int(p["seed"]))
 
 
 def _fit_stump(X: np.ndarray, y: np.ndarray, w: np.ndarray, feature_ids) -> dict:
@@ -236,7 +234,7 @@ def train_bagged_stumps(
 
 
 @dataclass
-class MlpModel:
+class MlpModel(_Model):
     """One hidden layer, softplus activations, sigmoid output."""
 
     columns: list[str]
@@ -247,8 +245,14 @@ class MlpModel:
     W2: np.ndarray
     b2: float
     seed: int
-    family: str = "mlp"
-    train_log: dict = field(default_factory=dict)
+    train_log: dict = field(default_factory=dict, init=False)  # not saved
+
+    def __post_init__(self):
+        k, h = len(self.columns), np.size(self.b1)
+        _require(vars(self), (k,), "mean", "scale")
+        _require(vars(self), (k, h), "W1")
+        _require(vars(self), (h,), "b1", "W2")
+        _require(vars(self), (), "b2")
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         Xs = (np.asarray(X, dtype=float) - self.mean) / self.scale
@@ -279,31 +283,6 @@ class MlpModel:
         gb1 = dz1.sum(axis=0)
         return loss, (gW1, gb1, gW2, gb2)
 
-    def to_payload(self) -> dict:
-        return {
-            "columns": self.columns,
-            "mean": self.mean.tolist(),
-            "scale": self.scale.tolist(),
-            "W1": self.W1.tolist(),
-            "b1": self.b1.tolist(),
-            "W2": self.W2.tolist(),
-            "b2": self.b2,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_payload(cls, p: dict) -> "MlpModel":
-        return cls(
-            columns=list(p["columns"]),
-            mean=np.array(p["mean"]),
-            scale=np.array(p["scale"]),
-            W1=np.array(p["W1"]),
-            b1=np.array(p["b1"]),
-            W2=np.array(p["W2"]),
-            b2=float(p["b2"]),
-            seed=int(p["seed"]),
-        )
-
 
 def train_mlp(
     table,
@@ -324,6 +303,8 @@ def train_mlp(
     from .data import split_train_test
 
     _check_classes(table.y)
+    if hidden < 1 or batch_size < 1:
+        raise ValueError(f"hidden and batch_size must be >= 1, got hidden={hidden}, batch_size={batch_size}")
     fit_tab, val_tab = split_train_test(
         table, fraction=1.0 - MLP_VALIDATION_FRACTION, seed=derive_seed(seed, "mlp-val")
     )
@@ -384,42 +365,55 @@ def train_mlp(
     return model
 
 
+# family -> (trainer, model class, the [model] keys the trainer takes)
+FAMILIES = {
+    "logistic": (train_logistic, LogisticModel, ("class_weight",)),
+    "bagged_stumps": (train_bagged_stumps, BaggedStumpsModel, ("rounds", "class_weight")),
+    "mlp": (train_mlp, MlpModel, ("hidden", "learning_rate", "batch_size", "max_epochs", "patience",
+                                  "class_weight")),
+}
+# field annotation (a string, under `from __future__ import annotations`) -> its load_model conversion
+_CONVERT = {"list[str]": list, "list[dict]": list, "np.ndarray": lambda v: np.array(v, dtype=float),
+            "float": float, "int": int}
+
+
 def train(table, family: str, hyperparameters: dict | None = None, seed: int = 0):
     """Dispatch to one model family with its hyperparameter dict."""
-    hp = dict(hyperparameters or {})
-    if family == "logistic":
-        return train_logistic(table, seed=seed, **hp)
-    if family == "bagged_stumps":
-        return train_bagged_stumps(table, seed=seed, **hp)
-    if family == "mlp":
-        return train_mlp(table, seed=seed, **hp)
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-
-
-_FAMILY_CLASSES = {
-    "logistic": LogisticModel,
-    "bagged_stumps": BaggedStumpsModel,
-    "mlp": MlpModel,
-}
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {tuple(FAMILIES)}")
+    return FAMILIES[family][0](table, seed=seed, **(hyperparameters or {}))
 
 
 def save_model(model, path: str) -> None:
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "family": model.family,
-        "payload": model.to_payload(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """The model's init fields as JSON, arrays as nested lists."""
+    payload = {}
+    for f in fields(model):
+        if f.init:
+            v = getattr(model, f.name)
+            payload[f.name] = v.tolist() if isinstance(v, np.ndarray) else v
+    write_json(path, {"format_version": FORMAT_VERSION, "family": model.family, "payload": payload}, indent=2)
 
 
 def load_model(path: str):
+    """A model saved by save_model; a malformed file is a ValueError naming path."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not a JSON model file: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: bad model file: not a JSON object")
     if doc.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format_version {doc.get('format_version')!r}")
+        raise ValueError(f"{path}: unsupported model format_version {doc.get('format_version')!r}")
     family = doc.get("family")
-    if family not in _FAMILY_CLASSES:
-        raise ValueError(f"unknown model family {family!r}")
-    return _FAMILY_CLASSES[family].from_payload(doc["payload"])
+    if family not in FAMILIES:
+        raise ValueError(f"{path}: unknown model family {family!r}")
+    cls, payload = FAMILIES[family][1], doc.get("payload")
+    try:
+        if not isinstance(payload, dict):
+            raise ValueError("payload is not a JSON object")
+        return cls(**{f.name: _CONVERT[f.type](payload[f.name]) for f in fields(cls) if f.init})
+    except KeyError as exc:
+        raise ValueError(f"{path}: bad {family} model: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad {family} model: {exc}") from None

@@ -8,7 +8,6 @@ configs yield byte-identical datasets.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -88,6 +87,8 @@ class SynthConfig:
             raise ValueError("rates must be >= 0")
         if list(self.recharge_denominations) != sorted(set(self.recharge_denominations)):
             raise ValueError("denominations must be strictly increasing")
+        if not self.recharge_denominations:
+            raise ValueError("need at least one recharge denomination")
         if any(d <= 0 for d in self.recharge_denominations):
             raise ValueError("denominations must be positive")
         lon_min, lat_min, lon_max, lat_max = self.grid
@@ -106,8 +107,9 @@ class GroundTruth:
     home_tower: dict[str, str] = field(default_factory=dict)
     label: dict[str, str] = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        """The ground_truth.json document."""
+        return {
             "adopters_by_day": {str(d): sorted(s) for d, s in sorted(self.adopters_by_day.items())},
             "shock_intervals": [
                 {"entity": list(entity), "interval": list(interval), "multiplier": multiplier}
@@ -116,7 +118,6 @@ class GroundTruth:
             "home_tower": dict(sorted(self.home_tower.items())),
             "label": dict(sorted(self.label.items())),
         }
-        return json.dumps(payload, indent=0, sort_keys=True)
 
 
 def subscriber_ids(n: int) -> list[str]:

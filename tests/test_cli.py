@@ -17,6 +17,7 @@ import pytest
 
 from cdrlab import cli, spatial
 from cdrlab.config import CONFIG_ENV_VAR
+from cdrlab.mlkit import models
 from cdrlab.mlkit.models import LogisticModel, save_model
 
 T0 = 1462060800  # 2016-05-01T00:00:00Z
@@ -617,6 +618,77 @@ def test_select_covariates_constant_response_exits_2(tmp_path, capsys):
                      "--outdir", str(tmp_path / "sel")]) == 2
     assert f"{table}: response column 'resp' is constant" in capsys.readouterr().err
     assert not list((tmp_path / "sel").glob("*"))
+
+
+def test_select_covariates_perfect_fit_exits_2(tmp_path, capsys):
+    # resp = 2 x1 + 1 exactly, so the residual sum of squares is 0 and AIC is -inf
+    table = tmp_path / "table.csv"
+    table.write_text("resp,x1,x2\n3,1,2\n5,2,1\n7,3,5\n9,4,3\n11,5,9\n")
+    assert cli.main(["select-covariates", "--table", str(table), "--response", "resp",
+                     "--outdir", str(tmp_path / "sel")]) == 2
+    assert f"{table}: response column 'resp' is fitted exactly by ['x1']" in capsys.readouterr().err
+    assert not list((tmp_path / "sel").glob("*"))
+
+
+GOOD_MODEL = {"format_version": 1, "family": "logistic",
+              "payload": {"columns": ["f1", "f2"], "mean": [0.0, 0.0], "scale": [1.0, 1.0],
+                          "coef": [1.0, -1.0], "bias": 0.5, "seed": 3}}
+
+
+def broken_model(**payload):
+    """GOOD_MODEL with the given payload fields replaced; a value of ... deletes the field."""
+    doc = json.loads(json.dumps(GOOD_MODEL))
+    doc["payload"].update(payload)
+    doc["payload"] = {k: v for k, v in doc["payload"].items() if v is not ...}
+    return doc
+
+
+@pytest.mark.parametrize("command", ["eval", "campaign"])
+@pytest.mark.parametrize("doc, named", [
+    (broken_model(coef="x"), "bad logistic model: could not convert string to float: 'x'"),
+    (broken_model(bias=None), "bad logistic model: float() argument must be"),
+    ([1, 2], "bad model file: not a JSON object"),
+    (broken_model(mean=[1.0]), "bad logistic model: mean must be finite numbers of shape (2,)"),
+    (broken_model(scale=...), "bad logistic model: missing field 'scale'"),
+    (broken_model(seed="abc"), "bad logistic model: invalid literal for int()"),
+    ({"format_version": 1, "family": "bagged_stumps",
+      "payload": {"columns": ["f1"], "seed": 3,
+                  "stumps": [{"feature": 99, "threshold": 0.5, "p_left": 0.2, "p_right": 0.8}]}},
+     "bad bagged_stumps model: stump feature 99 is not a column index"),
+], ids=["coef", "bias", "not an object", "short mean", "no scale", "seed", "stump feature"])
+def test_malformed_model_file_exits_2(tmp_path, capsys, command, doc, named):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    missing = str(tmp_path / "absent.csv")  # the model is read before any other input
+    rest = (["--features", missing, "--labels", missing] if command == "eval" else
+            ["--features", missing, "--control", missing, "--outcomes", missing])
+    assert cli.main([command, "--model", str(model), *rest, "--outdir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"cdrlab: error: {model}: {named}")
+
+
+@pytest.mark.parametrize("command, ini, named", [
+    ("train", "[model]\nclass_weight = 5\n", "[model] class_weight must be empty or 'balanced', got '5'"),
+    ("train", "[model]\nclass_weight = 12\n", "[model] class_weight must be empty or 'balanced', got '12'"),
+    ("train", "[model]\nfamily = mlp\nhidden = 0\n", "hidden and batch_size must be >= 1, got hidden=0"),
+    ("train", "[model]\nfamily = mlp\nbatch_size = 0\n", "hidden and batch_size must be >= 1, got hidden=64, batch_size=0"),
+    ("train", "[model]\nfamily = svm\n", "[model] family: unknown family 'svm'"),
+    ("synth", "[synth]\ndenominations =\n", "need at least one recharge denomination"),
+    ("graph", "[graph]\nsms_weight = nan\n", "bad value for graph.sms_weight: not a finite number: 'nan'"),
+], ids=["class_weight 5", "class_weight 12", "hidden 0", "batch_size 0", "family", "no denominations", "nan weight"])
+def test_bad_config_value_exits_2(synth_dir, features_dir, tmp_path, capsys, command, ini, named):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ini)
+    inputs = {"train": ["--features", str(features_dir / "features.csv"), "--labels", str(synth_dir / "labels.csv")],
+              "synth": [], "graph": dataset_args(synth_dir)}[command]
+    assert cli.main([command, *inputs, "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 2
+    assert named in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*"))
+
+
+def test_family_choices_are_the_family_table():
+    train = cli._build_parser()._subparsers._group_actions[0].choices["train"]
+    family = next(a for a in train._actions if a.dest == "family")
+    assert family.choices == list(models.FAMILIES)
 
 
 def test_train_short_feature_row_names_its_line(tmp_path, capsys):

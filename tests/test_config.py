@@ -55,6 +55,11 @@ def test_bad_values_rejected(tmp_path):
         load_config(write_cfg(tmp_path, "[synth]\nsubscribers = many\n"))
     with pytest.raises(ConfigError, match="bad value for model.upsample"):
         load_config(write_cfg(tmp_path, "[model]\nupsample = maybe\n"))
+    for ini, named in (("[graph]\nsms_weight = nan\n", "graph.sms_weight: not a finite number: 'nan'"),
+                       ("[spatial]\nnodata = -inf\n", "spatial.nodata: not a finite number: '-inf'"),
+                       ("[synth]\ngrid = 90, 22, inf, 26\n", "synth.grid: not a finite number: 'inf'")):
+        with pytest.raises(ConfigError, match=f"bad value for {named}"):
+            load_config(write_cfg(tmp_path, ini))
     with pytest.raises(ConfigError, match="cannot read config file"):
         load_config(str(tmp_path / "absent.ini"))
 

@@ -10,6 +10,7 @@ normal survival function for the two-proportion test.
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -192,8 +193,9 @@ def test_sample_weights_balanced_and_dict():
     assert np.allclose(w[y == 1], 100 / (2 * 10))
     # total weight per class is equal
     assert np.isclose(w[y == 0].sum(), w[y == 1].sum())
-    w2 = md._sample_weights(y, {0: 1.0, 1: 4.0})
-    assert w2[0] == 1.0 and w2[-1] == 4.0
+    for other in ({0: 1.0, 1: 4.0}, "5", "12", "x"):
+        with pytest.raises(ValueError, match=r"\[model\] class_weight must be empty or 'balanced'"):
+            md._sample_weights(y, other)
     assert md._sample_weights(y, None).tolist() == [1.0] * 100
 
 
@@ -356,6 +358,13 @@ def test_mlp_needs_rows_for_validation_split():
         md.train_mlp(tiny)
 
 
+@pytest.mark.parametrize("hp, named", [({"hidden": 0}, "hidden=0, batch_size=32"),
+                                       ({"batch_size": 0}, "hidden=64, batch_size=0")], ids=["hidden", "batch"])
+def test_mlp_needs_hidden_and_batch_of_at_least_one(hp, named):
+    with pytest.raises(ValueError, match=f"hidden and batch_size must be >= 1, got {named}"):
+        md.train_mlp(blob_table(n=40, seed=12), **hp)
+
+
 def test_train_dispatch_and_unknown_family():
     tab = blob_table(n=40, seed=12)
     assert isinstance(md.train(tab, "logistic"), md.LogisticModel)
@@ -387,6 +396,31 @@ def test_load_model_rejects_bad_documents(tmp_path):
     bad_family.write_text(json.dumps({"format_version": 1, "family": "svm", "payload": {}}))
     with pytest.raises(ValueError, match="unknown model family"):
         md.load_model(str(bad_family))
+    k, h = 2, 3
+    mlp = {"columns": ["a", "b"], "mean": [0.0] * k, "scale": [1.0] * k, "W1": [[0.1] * h] * k,
+           "b1": [0.0] * h, "W2": [0.5] * h, "b2": 0.0, "seed": 1}
+    stumps = {"columns": ["a"], "stumps": [{"feature": 0, "threshold": 0.5, "p_left": 0.1, "p_right": 0.9}],
+              "seed": 1}
+    for family, payload, named in (
+        ("mlp", mlp, None),
+        ("mlp", {**mlp, "W1": [[0.1] * h]}, "W1 must be finite numbers of shape (2, 3)"),
+        ("mlp", {**mlp, "W2": [0.5] * (h + 1)}, "W2 must be finite numbers of shape (3,)"),
+        ("mlp", {**mlp, "b2": float("nan")}, "b2 must be finite numbers of shape ()"),
+        ("bagged_stumps", stumps, None),
+        ("bagged_stumps", {**stumps, "stumps": []}, "stumps must not be empty"),
+        ("bagged_stumps", {**stumps, "stumps": [{**stumps["stumps"][0], "feature": 1}]}, "stump feature 1 is not"),
+        ("bagged_stumps", {**stumps, "stumps": [{**stumps["stumps"][0], "feature": 0.0}]}, "stump feature 0.0 is not"),
+        ("bagged_stumps", {**stumps, "stumps": [{"feature": None, "threshold": 0.0, "p_left": 0.5}]},
+         "missing field 'p_right'"),
+        ("bagged_stumps", {**stumps, "stumps": [{**stumps["stumps"][0], "p_left": "0.1"}]}, "p_left must be finite"),
+    ):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"format_version": 1, "family": family, "payload": payload}))
+        if named is None:
+            assert md.load_model(str(path)).family == family
+        else:
+            with pytest.raises(ValueError, match="^" + re.escape(f"{path}: bad {family} model: {named}")):
+                md.load_model(str(path))
 
 
 # ------------------------------------------------------------- metrics

@@ -1,4 +1,5 @@
-"""Every function, class and method in src/cdrlab is reached from the package's own code.
+"""Every function, class and method in src/cdrlab is reached from the package's own code,
+and every module-level name it assigns is read by that code.
 
 A scan of the source, not an import: reachability starts at the module-level
 statements of every module (the subcommand table and `main` among them) and
@@ -89,6 +90,26 @@ def test_every_definition_is_reached_from_the_package():
     keys, reached = _scan()
     unreached = sorted(q for q, key in keys.items() if key not in reached and q not in TEST_ONLY)
     assert unreached == []
+
+
+def test_every_module_level_name_is_read_by_the_package():
+    assigned: dict[str, str] = {}
+    read: set[str] = set()
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC.parent).with_suffix("").as_posix().replace("/", ".")
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            for sub in (n for t in targets if t is not None for n in ast.walk(t)):
+                if isinstance(sub, ast.Name) and sub.id != "__all__":  # read by `import *`
+                    assigned[f"{module}.{sub.id}"] = sub.id
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                read.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                read.add(sub.attr)
+    assert "cdrlab.mlkit.models.FAMILIES" in assigned
+    assert sorted(q for q, name in assigned.items() if name not in read) == []
 
 
 def test_the_scan_sees_the_entry_points():

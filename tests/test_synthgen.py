@@ -45,6 +45,7 @@ def small_cfg(**kw):
         dict(grid=(92.5, 22.0, 90.0, 26.0)),
         dict(visit_concentration=1.0),
         dict(label_low_fraction=1.5),
+        dict(recharge_denominations=()),
     ],
 )
 def test_config_rejects_bad_values(kw):
@@ -59,7 +60,7 @@ def test_ground_truth_json_round_trip():
         home_tower={"S1": "T001"},
         label={"S1": "low", "S2": "high"},
     )
-    assert json.loads(gt.to_json()) == {
+    assert json.loads(json.dumps(gt.to_dict())) == {
         "adopters_by_day": {"0": ["S1"], "1": ["S1", "S2"]},
         "shock_intervals": [{"entity": ["tower", "T001"], "interval": [100, 200], "multiplier": 3.0}],
         "home_tower": {"S1": "T001"},
