@@ -77,6 +77,12 @@ def _require(values: dict, shape: tuple, *names: str) -> None:
             raise ValueError(f"{name} must be finite numbers of shape {shape}")
 
 
+def _require_scale(values: dict) -> None:
+    """Raise ValueError unless every standardizer scale is positive, as _standardizer makes them."""
+    if not (np.asarray(values["scale"]) > 0).all():
+        raise ValueError("scale must be > 0")
+
+
 class _Model:
     @property
     def family(self) -> str:
@@ -96,6 +102,7 @@ class LogisticModel(_Model):
     def __post_init__(self):
         _require(vars(self), (len(self.columns),), "mean", "scale", "coef")
         _require(vars(self), (), "bias")
+        _require_scale(vars(self))
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         Xs = (np.asarray(X, dtype=float) - self.mean) / self.scale
@@ -253,6 +260,7 @@ class MlpModel(_Model):
         _require(vars(self), (k, h), "W1")
         _require(vars(self), (h,), "b1", "W2")
         _require(vars(self), (), "b2")
+        _require_scale(vars(self))
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         Xs = (np.asarray(X, dtype=float) - self.mean) / self.scale

@@ -25,6 +25,9 @@ COMM_KINDS = ("voice", "sms", "video", "mms")
 VOICE, SMS, DATA, VIDEO, MMS = range(len(EVENT_KINDS))  # codes of the `kind` column
 
 SECONDS_PER_DAY = 86400
+# The epoch seconds of 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z: the
+# instants whose UTC year has the four digits of a file's timestamps.
+FIRST_TS, LAST_TS = -62135596800, 253402300799
 NOCTURNAL_START_HOUR = 22
 NOCTURNAL_END_HOUR = 6
 
@@ -45,13 +48,9 @@ def parse_timestamp(text: str) -> int:
     if dt.microsecond != 0:
         raise ValueError(f"fractional seconds not supported: {text!r}")
     ts = int(dt.timestamp())
-    if not -62135596800 <= ts <= 253402300799:  # 0001-01-01 .. 9999-12-31T23:59:59Z
+    if not FIRST_TS <= ts <= LAST_TS:
         raise ValueError(f"UTC year out of range: {text!r}")
     return ts
-
-
-def format_timestamp(ts: int) -> str:
-    return datetime.fromtimestamp(int(ts), tz=timezone.utc).isoformat().replace("+00:00", "Z")
 
 
 def day_start(ts: int) -> int:
@@ -68,16 +67,21 @@ def days_from_civil(year, month, day):
     return era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
 
 
-def month_index(ts):
-    """year * 12 + (month - 1) of UTC epoch seconds (integer arrays)."""
-    z = np.asarray(ts, dtype=np.int64) // SECONDS_PER_DAY + 719468
+def civil_from_days(days):
+    """(year, month, day) of days since 1970-01-01 (integer arrays), the inverse of days_from_civil."""
+    z = days + 719468
     era = z // 146097
     doe = z - era * 146097
     yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
     doy = doe - (365 * yoe + yoe // 4 - yoe // 100)
     mp = (5 * doy + 2) // 153
     month = mp + np.where(mp < 10, 3, -9)
-    year = yoe + era * 400 + (month <= 2)
+    return yoe + era * 400 + (month <= 2), month, doy - (153 * mp + 2) // 5 + 1
+
+
+def month_index(ts):
+    """year * 12 + (month - 1) of UTC epoch seconds (integer arrays)."""
+    year, month, _ = civil_from_days(np.asarray(ts, dtype=np.int64) // SECONDS_PER_DAY)
     return year * 12 + month - 1
 
 
@@ -302,16 +306,3 @@ class Dataset:
         return np.array([(self.towers[t].lon, self.towers[t].lat) for t in self.cdrs.tower_ids],
                         dtype=np.float64).reshape(-1, 2)
 
-
-__all__ = [
-    "EVENT_KINDS",
-    "COMM_KINDS",
-    "SECONDS_PER_DAY",
-    "Tower",
-    "CdrTable",
-    "TopUpTable",
-    "Dataset",
-    "parse_timestamp",
-    "format_timestamp",
-    "day_start",
-]

@@ -1,21 +1,28 @@
-"""The former per-row CDR and top-up parsers, kept as the oracle of the columnar ones.
+"""The former per-row CDR and top-up parsers and writers, kept as the oracle of the columnar ones.
 
-They read a file one row at a time into the tests' CdrRecord / TopUpRecord lists; the
-columnar parsers in ``cdrlab.ingest`` must give the same events (as a
-Dataset), the same (line, reason) rejects and the same row count.
+The parsers read a file one row at a time into the tests' CdrRecord / TopUpRecord
+lists; the columnar parsers in ``cdrlab.ingest`` must give the same events (as a
+Dataset), the same (line, reason) rejects and the same row count.  The writers
+format one row at a time, one ``datetime`` per timestamp; the columnar writers
+must write the same bytes.
 """
 
 from __future__ import annotations
 
 import math
+from datetime import datetime, timezone
 
 from cdrlab.ingest import (
+    CDR_FIELDS,
     DEFAULT_REJECT_CAP,
+    TOPUP_FIELDS,
     IngestError,
     RejectReport,
+    _format_number,
     _warn_unknown_towers,
     numbered_rows,
     open_text,
+    write_csv,
 )
 from cdrlab.records import EVENT_KINDS, parse_timestamp
 
@@ -177,3 +184,32 @@ def parse_topup_file(
     report = RejectReport(str(path), rejects, total)
     check_cap(report, reject_cap)
     return records, report
+
+
+def format_timestamp(ts: int) -> str:
+    return datetime.fromtimestamp(int(ts), tz=timezone.utc).isoformat().replace("+00:00", "Z")
+
+
+def write_cdr_csv(cdrs, path: str, header_comment: str | None = None) -> None:
+    people = list(cdrs.subscriber_ids) + [""]  # code -1, no callee, is an empty cell
+    rows = zip(
+        map(people.__getitem__, cdrs.caller.tolist()),
+        map(people.__getitem__, cdrs.callee.tolist()),
+        map(cdrs.tower_ids.__getitem__, cdrs.tower.tolist()),
+        map(format_timestamp, cdrs.ts.tolist()),
+        map(EVENT_KINDS.__getitem__, cdrs.kind.tolist()),
+        map(_format_number, cdrs.magnitude.tolist()),
+    )
+    write_csv(path, CDR_FIELDS, rows, header_comment)
+
+
+def write_topup_csv(topups, path: str, header_comment: str | None = None) -> None:
+    towers = list(topups.tower_ids) + [""]  # code -1, no retailer tower, is an empty cell
+    rows = zip(
+        map(topups.subscriber_ids.__getitem__, topups.buyer.tolist()),
+        map(topups.retailer_ids.__getitem__, topups.retailer.tolist()),
+        map(towers.__getitem__, topups.tower.tolist()),
+        map(format_timestamp, topups.ts.tolist()),
+        map(_format_number, topups.amount.tolist()),
+    )
+    write_csv(path, TOPUP_FIELDS, rows, header_comment)

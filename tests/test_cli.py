@@ -181,6 +181,16 @@ def test_synth_shock_that_plants_nothing_exits_2(tmp_path, capsys, multiplier, f
     assert not outdir.exists() or not any(outdir.iterdir())
 
 
+def test_synth_past_year_9999_exits_2(tmp_path, capsys):
+    # 28 days from 9999-12-20 run past 9999-12-31, which no timestamp text can carry
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[synth]\nsubscribers = 30\ntowers = 8\nevent_rate = 1.5\nstart = 9999-12-20T00:00:00Z\n")
+    outdir = tmp_path / "late"
+    assert cli.main(["synth", "--config", str(cfg), "--outdir", str(outdir), "--seed", "4"]) == 2
+    assert "outside the years 1..9999" in capsys.readouterr().err
+    assert not outdir.exists() or not any(outdir.iterdir())
+
+
 def test_ingest_check_round_trip(synth_dir, tmp_path):
     rc = cli.main(["ingest-check", *dataset_args(synth_dir), "--outdir", str(tmp_path)])
     assert rc == 0
@@ -655,7 +665,13 @@ def broken_model(**payload):
       "payload": {"columns": ["f1"], "seed": 3,
                   "stumps": [{"feature": 99, "threshold": 0.5, "p_left": 0.2, "p_right": 0.8}]}},
      "bad bagged_stumps model: stump feature 99 is not a column index"),
-], ids=["coef", "bias", "not an object", "short mean", "no scale", "seed", "stump feature"])
+    (broken_model(scale=[1.0, 0.0]), "bad logistic model: scale must be > 0"),
+    ({"format_version": 1, "family": "mlp",
+      "payload": {"columns": ["f1"], "mean": [0.0], "scale": [0.0], "W1": [[1.0]], "b1": [0.0], "W2": [1.0],
+                  "b2": 0.0, "seed": 3}},
+     "bad mlp model: scale must be > 0"),
+], ids=["coef", "bias", "not an object", "short mean", "no scale", "seed", "stump feature", "zero scale",
+        "zero mlp scale"])
 def test_malformed_model_file_exits_2(tmp_path, capsys, command, doc, named):
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc))

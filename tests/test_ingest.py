@@ -12,8 +12,8 @@ from cdrlab import ingest
 from cdrlab.records import EVENT_KINDS, Dataset, Tower
 
 import ingest_oracle
-from conftest import (T0, cdr_rows, cdr_table, dataset_from_records, make_dataset, sms, topup, topup_rows,
-                      topup_table, voice)
+from conftest import (T0, CdrRecord, TopUpRecord, cdr_rows, cdr_table, dataset_from_records, make_dataset, sms,
+                      topup, topup_rows, topup_table, voice)
 
 CDR_HEADER = "caller,callee,tower,timestamp,kind,magnitude"
 
@@ -577,3 +577,78 @@ def test_columnar_topup_parse_matches_per_row_oracle(tmp_path_factory, lines, ch
     want = dataset_from_records((), records, TOWERS, WIDE)
     assert topup_rows(got.topups) == topup_rows(want.topups)
     assert topup_rows(table) == topup_rows(got.topups)
+
+
+# -- columnar writers against the per-row oracle --------------------------------------
+#
+# The CDR and top-up writers format whole columns per chunk of rows and join
+# each chunk's lines at once; a table with an id that needs quoting goes
+# through the csv module row by row.  Either way they must write the bytes
+# the former per-row writers write, whatever the chunk size.
+
+FIRST_TS, LAST_TS = -62135596800, 253402300799  # 0001-01-01T00:00:00Z, 9999-12-31T23:59:59Z
+PLAIN_ID = st.sampled_from(["A", "b", "C1", "T1", "x y"])
+QUOTED_ID = st.one_of(PLAIN_ID, st.sampled_from(["E,F", 'G"H', "#C", " #C", "\t#D", "I\nJ", "K\rL"]), ANY)
+WRITE_TS = st.one_of(
+    st.integers(FIRST_TS, LAST_TS),
+    st.sampled_from([FIRST_TS, FIRST_TS + 86399, LAST_TS - 86399, LAST_TS, -1, 0, T0, 951782400, 4107542399]),
+)
+WHOLE = st.one_of(st.integers(-2**53 + 1, 2**53 - 1).map(float), st.sampled_from([0.0, -0.0, 60.0, 1.0]))
+ANY_NUMBER = st.one_of(WHOLE, st.floats(), st.sampled_from([0.5, -3.25, 2.0**53, -2.0**53, 1e300, -1e300]))
+
+
+def write_both(directory, write, oracle, table, gz, comment):
+    """The bytes write and oracle each give for table, read back through gzip for a .gz path."""
+    name = "t.csv.gz" if gz else "t.csv"
+    got, want = directory / "got", directory / "want"
+    got.mkdir(), want.mkdir()
+    write(table, str(got / name), header_comment=comment)
+    oracle(table, str(want / name), header_comment=comment)
+    read = (lambda p: gzip.decompress(p.read_bytes())) if gz else (lambda p: p.read_bytes())
+    return read(got / name), read(want / name)
+
+
+def drawn_rows(data, chunk, row):
+    """0 rows, one chunk, one chunk plus one, or any count up to 3 chunks, of row."""
+    n = data.draw(st.one_of(st.sampled_from([0, chunk, chunk + 1]), st.integers(0, 3 * chunk)))
+    return data.draw(st.lists(row, min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), ids=st.sampled_from([PLAIN_ID, QUOTED_ID]), numbers=st.sampled_from([WHOLE, ANY_NUMBER]),
+       chunk=st.sampled_from([1, 3, 8]), gz=st.booleans(), comment=st.sampled_from([None, "# x"]))
+def test_columnar_cdr_writer_matches_per_row_oracle(tmp_path_factory, data, ids, numbers, chunk, gz, comment):
+    row = st.builds(CdrRecord, ids, st.one_of(st.none(), ids), ids, WRITE_TS, st.sampled_from(EVENT_KINDS), numbers)
+    table = cdr_table(drawn_rows(data, chunk, row))
+    default, ingest.WRITE_CHUNK_ROWS = ingest.WRITE_CHUNK_ROWS, chunk
+    try:
+        got, want = write_both(tmp_path_factory.mktemp("cdr"), ingest.write_cdr_csv, ingest_oracle.write_cdr_csv,
+                               table, gz, comment)
+    finally:
+        ingest.WRITE_CHUNK_ROWS = default
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), ids=st.sampled_from([PLAIN_ID, QUOTED_ID]), numbers=st.sampled_from([WHOLE, ANY_NUMBER]),
+       chunk=st.sampled_from([1, 3, 8]), gz=st.booleans(), comment=st.sampled_from([None, "# x"]))
+def test_columnar_topup_writer_matches_per_row_oracle(tmp_path_factory, data, ids, numbers, chunk, gz, comment):
+    row = st.builds(TopUpRecord, ids, ids, st.one_of(st.none(), ids), WRITE_TS, numbers)
+    table = topup_table(drawn_rows(data, chunk, row))
+    default, ingest.WRITE_CHUNK_ROWS = ingest.WRITE_CHUNK_ROWS, chunk
+    try:
+        got, want = write_both(tmp_path_factory.mktemp("topup"), ingest.write_topup_csv,
+                               ingest_oracle.write_topup_csv, table, gz, comment)
+    finally:
+        ingest.WRITE_CHUNK_ROWS = default
+    assert got == want
+
+
+@pytest.mark.parametrize("ts", [FIRST_TS - 1, LAST_TS + 1])
+def test_writers_refuse_a_timestamp_outside_years_1_to_9999(tmp_path, ts):
+    cdrs = cdr_table([voice("A", "B", "T1", T0), voice("A", "B", "T1", ts)])
+    topups = topup_table([topup("A", T0, 5.0), topup("A", ts, 5.0)])
+    for write, table in ((ingest.write_cdr_csv, cdrs), (ingest.write_topup_csv, topups),
+                         (ingest_oracle.write_cdr_csv, cdrs), (ingest_oracle.write_topup_csv, topups)):
+        with pytest.raises(ValueError):
+            write(table, str(tmp_path / "t.csv"))

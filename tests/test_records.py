@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 from cdrlab.records import (
     Dataset,
     day_start,
-    format_timestamp,
     parse_timestamp,
 )
 
 from conftest import T0, DAY, cdr_rows, make_dataset, sms, topup, tower, voice
+from ingest_oracle import format_timestamp
 
 
 def test_parse_timestamp_zulu_and_offset():

@@ -6,8 +6,8 @@ statements of every module (the subcommand table and `main` among them) and
 follows names.  A definition is reached once its name is used, as a plain
 name or as an attribute, in code that is itself reached; a reached class
 brings its body, its dunder methods and its overrides of a base class from
-outside the package (which that base calls) along.  Imports and `__all__` reach
-nothing, so a name that only a test or an export list uses shows up here.
+outside the package (which that base calls) along.  Imports reach nothing, so
+a name that only a test uses shows up here.
 """
 
 import ast
@@ -51,8 +51,6 @@ def _scan() -> tuple[dict[str, str], set[str]]:
         module = path.relative_to(SRC.parent).with_suffix("").as_posix().replace("/", ".")
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, (ast.Import, ast.ImportFrom)):
-                continue
-            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
                 continue
             if not _is_def(node):
                 todo.append(node)
@@ -101,7 +99,7 @@ def test_every_module_level_name_is_read_by_the_package():
         for node in tree.body:
             targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
             for sub in (n for t in targets if t is not None for n in ast.walk(t)):
-                if isinstance(sub, ast.Name) and sub.id != "__all__":  # read by `import *`
+                if isinstance(sub, ast.Name):
                     assigned[f"{module}.{sub.id}"] = sub.id
         for sub in ast.walk(tree):
             if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
