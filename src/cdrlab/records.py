@@ -81,7 +81,17 @@ def civil_from_days(days):
 
 def month_index(ts):
     """year * 12 + (month - 1) of UTC epoch seconds (integer arrays)."""
-    year, month, _ = civil_from_days(np.asarray(ts, dtype=np.int64) // SECONDS_PER_DAY)
+    # civil_from_days' first half, repeated: through civil_from_days, the day
+    # column nobody reads here raised the peak RSS of `graph` and `pk` by
+    # 7-12 MB on the 839k-row Baseline table.
+    z = np.asarray(ts, dtype=np.int64) // SECONDS_PER_DAY + 719468
+    era = z // 146097
+    doe = z - era * 146097
+    yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
+    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)
+    mp = (5 * doy + 2) // 153
+    month = mp + np.where(mp < 10, 3, -9)
+    year = yoe + era * 400 + (month <= 2)
     return year * 12 + month - 1
 
 

@@ -614,31 +614,25 @@ def drawn_rows(data, chunk, row):
     return data.draw(st.lists(row, min_size=n, max_size=n))
 
 
+WRITERS = {
+    "cdr": (lambda ids, numbers: st.builds(CdrRecord, ids, st.one_of(st.none(), ids), ids, WRITE_TS,
+                                           st.sampled_from(EVENT_KINDS), numbers),
+            cdr_table, ingest.write_cdr_csv, ingest_oracle.write_cdr_csv),
+    "topup": (lambda ids, numbers: st.builds(TopUpRecord, ids, ids, st.one_of(st.none(), ids), WRITE_TS, numbers),
+              topup_table, ingest.write_topup_csv, ingest_oracle.write_topup_csv),
+}
+
+
+@pytest.mark.parametrize("kind", list(WRITERS))
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), ids=st.sampled_from([PLAIN_ID, QUOTED_ID]), numbers=st.sampled_from([WHOLE, ANY_NUMBER]),
        chunk=st.sampled_from([1, 3, 8]), gz=st.booleans(), comment=st.sampled_from([None, "# x"]))
-def test_columnar_cdr_writer_matches_per_row_oracle(tmp_path_factory, data, ids, numbers, chunk, gz, comment):
-    row = st.builds(CdrRecord, ids, st.one_of(st.none(), ids), ids, WRITE_TS, st.sampled_from(EVENT_KINDS), numbers)
-    table = cdr_table(drawn_rows(data, chunk, row))
+def test_columnar_writer_matches_per_row_oracle(tmp_path_factory, kind, data, ids, numbers, chunk, gz, comment):
+    row, build, write, oracle = WRITERS[kind]
+    table = build(drawn_rows(data, chunk, row(ids, numbers)))
     default, ingest.WRITE_CHUNK_ROWS = ingest.WRITE_CHUNK_ROWS, chunk
     try:
-        got, want = write_both(tmp_path_factory.mktemp("cdr"), ingest.write_cdr_csv, ingest_oracle.write_cdr_csv,
-                               table, gz, comment)
-    finally:
-        ingest.WRITE_CHUNK_ROWS = default
-    assert got == want
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), ids=st.sampled_from([PLAIN_ID, QUOTED_ID]), numbers=st.sampled_from([WHOLE, ANY_NUMBER]),
-       chunk=st.sampled_from([1, 3, 8]), gz=st.booleans(), comment=st.sampled_from([None, "# x"]))
-def test_columnar_topup_writer_matches_per_row_oracle(tmp_path_factory, data, ids, numbers, chunk, gz, comment):
-    row = st.builds(TopUpRecord, ids, ids, st.one_of(st.none(), ids), WRITE_TS, numbers)
-    table = topup_table(drawn_rows(data, chunk, row))
-    default, ingest.WRITE_CHUNK_ROWS = ingest.WRITE_CHUNK_ROWS, chunk
-    try:
-        got, want = write_both(tmp_path_factory.mktemp("topup"), ingest.write_topup_csv,
-                               ingest_oracle.write_topup_csv, table, gz, comment)
+        got, want = write_both(tmp_path_factory.mktemp(kind), write, oracle, table, gz, comment)
     finally:
         ingest.WRITE_CHUNK_ROWS = default
     assert got == want
