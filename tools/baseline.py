@@ -25,6 +25,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -53,7 +54,8 @@ STEPS = (
 
 
 def _outdir(name: str) -> str:
-    return name.split()[0]
+    """The output directory of a step: its name with every run of non-word characters as one '_'."""
+    return re.sub(r"\W+", "_", name)
 
 
 def _run(src: Path, work: Path, name: str, argv) -> dict:
