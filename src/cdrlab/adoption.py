@@ -74,7 +74,6 @@ class PkPoint:
 @dataclass
 class PkCurve:
     points: list[PkPoint]
-    min_support: int
     uplift: dict[int, float]
 
 
@@ -322,7 +321,7 @@ def adoption_probability_curve(
         for pt in points:
             if pt.p_k is not None:
                 uplift[pt.k] = pt.p_k / p0
-    return PkCurve(points, min_support, uplift)
+    return PkCurve(points, uplift)
 
 
 def write_kappa_csv(results: dict[str, KappaResult], path: str, header_comment: str | None = None) -> None:

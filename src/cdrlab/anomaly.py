@@ -46,7 +46,6 @@ class AnomalyFlag:
     baseline_std: float
     z: float | None  # None when the baseline cell is degenerate (zero variance)
     direction: str  # "increase" or "decrease"
-    degenerate: bool
 
 
 def _flag(index: int, start: int, value: float, mean: float, sigma: float,
@@ -60,19 +59,16 @@ def _flag(index: int, start: int, value: float, mean: float, sigma: float,
     direction = "increase" if value > mean else "decrease"
     if sigma == 0.0:
         if value != mean:
-            return AnomalyFlag(index, start, value, mean, sigma, None, direction, True)
+            return AnomalyFlag(index, start, value, mean, sigma, None, direction)
     elif abs(value - mean) > threshold_sigma * sigma:
-        return AnomalyFlag(index, start, value, mean, sigma, (value - mean) / sigma, direction, False)
+        return AnomalyFlag(index, start, value, mean, sigma, (value - mean) / sigma, direction)
     return None
 
 
 @dataclass
 class AnomalyReport:
     entity: tuple
-    baseline: str
-    threshold_sigma: float
     flags: list[AnomalyFlag]
-    degenerate_cells: list
 
     def flagged(self) -> set[int]:
         return {f.index for f in self.flags}
@@ -180,18 +176,12 @@ def detect_anomalies(
                 f"baseline cell {key!r} has {len(members)} sample(s); need at least 2"
             )
     stats = {}
-    degenerate_cells = []
     for key, members in cells.items():
         vals = ts.values[members]
-        mu = float(vals.mean())
-        sigma = float(vals.std(ddof=1))
-        stats[key] = (mu, sigma)
-        if sigma == 0.0:
-            degenerate_cells.append(key)
+        stats[key] = (float(vals.mean()), float(vals.std(ddof=1)))
     flags = [_flag(i, ts.bin_start(i), v, *stats[_baseline_cell_key(ts, baseline, i)], threshold_sigma)
              for i, v in enumerate(ts.values)]
-    return AnomalyReport(ts.entity, baseline, threshold_sigma, [f for f in flags if f is not None],
-                         sorted(degenerate_cells, key=str))
+    return AnomalyReport(ts.entity, [f for f in flags if f is not None])
 
 
 def area_centroids(towers, area_map: dict[str, str]) -> dict[str, tuple[float, float]]:
@@ -332,13 +322,7 @@ def detect_flow_anomalies(
         sigma = math.sqrt(resid_sq / dof)
         flags = [_flag(i, days[i], series[i], mu[weekdays[i]], sigma, threshold_sigma)
                  for i in range(len(flows))]
-        reports[pair] = AnomalyReport(
-            entity=("pair",) + pair,
-            baseline="weekday",
-            threshold_sigma=threshold_sigma,
-            flags=[f for f in flags if f is not None],
-            degenerate_cells=(["all"] if sigma == 0.0 else []),
-        )
+        reports[pair] = AnomalyReport(("pair",) + pair, [f for f in flags if f is not None])
     return reports
 
 
@@ -416,7 +400,12 @@ def rank_activation_curves(
     event day).  Per day and bin, the statistic is the fraction of that
     day's active subscribers placing a voice call to their rank-k contact;
     the event-day curve is divided bin-wise by the comparison-day mean.
+    The bins tile each day exactly, so bin_width must divide a day.
     """
+    if bin_width <= 0 or SECONDS_PER_DAY % bin_width:
+        raise ValueError(f"bin_width must be a positive divisor of {SECONDS_PER_DAY} seconds, got {bin_width}")
+    if not ranks:
+        raise ValueError("need at least one rank")
     if not comparison_days:
         raise ValueError("need at least one comparison day")
     event_day = day_start(event_time)

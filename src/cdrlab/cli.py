@@ -206,7 +206,7 @@ def _adopter_set(args, ds, graph, ctx) -> tuple[dict[str, int | None], str]:
         return table, f"file:{args.adopters}"
     a = ctx.cfg["adoption"]
     if a["mechanism"] == "random":
-        mech = synthgen.RandomAdoption(a["p"])
+        mech = synthgen.ContagionAdoption(a["p"], 0.0)
     elif a["mechanism"] == "contagion":
         mech = synthgen.ContagionAdoption(a["p0"], a["beta"])
     else:
@@ -503,6 +503,8 @@ def _cmd_rank_curves(args, ctx: RunContext) -> dict:
 
     ds, _, _ = _load_dataset(args, ctx.cfg)
     rc = ctx.cfg["rank_curves"]
+    if rc["max_rank"] < 1:
+        raise ValueError(f"[rank_curves] max_rank must be >= 1, got {rc['max_rank']}")
     comparison = [
         _parse_ts(d) for d in (args.comparison_days.split(",") if args.comparison_days
                                else rc["comparison_days"])
@@ -560,11 +562,11 @@ def _cmd_voronoi(args, ctx: RunContext) -> dict:
         pad = 0.1
         x0, y0, x1, y1 = min(lons) - pad, min(lats) - pad, max(lons) + pad, max(lats) + pad
     clip = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-    part = spatial.voronoi_partition({t: (tw.lon, tw.lat) for t, tw in towers.items()}, clip)
-    doc = spatial.voronoi_geojson(part)
+    cells = spatial.voronoi_partition({t: (tw.lon, tw.lat) for t, tw in towers.items()}, clip)
+    doc = spatial.voronoi_geojson(cells)
     doc["_meta"] = ctx.meta()
     ingest.write_json(ctx.outputs.stage("voronoi.geojson"), doc, indent=2)
-    print(f"voronoi: {len(part.cells)} cells, clip=({x0}, {y0}, {x1}, {y1})")
+    print(f"voronoi: {len(cells)} cells, clip=({x0}, {y0}, {x1}, {y1})")
     return {"towers": len(towers), "clip": [x0, y0, x1, y1]}
 
 

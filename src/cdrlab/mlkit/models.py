@@ -9,7 +9,7 @@ the loss (weighted Gini for stumps).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -252,7 +252,6 @@ class MlpModel(_Model):
     W2: np.ndarray
     b2: float
     seed: int
-    train_log: dict = field(default_factory=dict, init=False)  # not saved
 
     def __post_init__(self):
         k, h = len(self.columns), np.size(self.b1)
@@ -339,7 +338,6 @@ def train_mlp(
     )
     best = (np.inf, None)
     stale = 0
-    epochs_run = 0
     for epoch in range(max_epochs):
         rng = derive_rng(seed, "mlp-epoch", str(epoch))
         order = rng.permutation(len(Xs))
@@ -359,7 +357,6 @@ def train_mlp(
         val_loss, _ = model.loss_and_grad(Xv, val_tab.y, wv)
         if not np.isfinite(val_loss):
             raise RuntimeError(f"mlp validation loss non-finite at epoch {epoch}")
-        epochs_run = epoch + 1
         if val_loss < best[0]:
             best = (val_loss, (model.W1.copy(), model.b1.copy(), model.W2.copy(), model.b2))
             stale = 0
@@ -369,7 +366,6 @@ def train_mlp(
                 break
     if best[1] is not None:
         model.W1, model.b1, model.W2, model.b2 = best[1]
-    model.train_log = {"epochs": epochs_run, "best_val_loss": float(best[0])}
     return model
 
 
@@ -393,12 +389,11 @@ def train(table, family: str, hyperparameters: dict | None = None, seed: int = 0
 
 
 def save_model(model, path: str) -> None:
-    """The model's init fields as JSON, arrays as nested lists."""
+    """The model's fields as JSON, arrays as nested lists."""
     payload = {}
     for f in fields(model):
-        if f.init:
-            v = getattr(model, f.name)
-            payload[f.name] = v.tolist() if isinstance(v, np.ndarray) else v
+        v = getattr(model, f.name)
+        payload[f.name] = v.tolist() if isinstance(v, np.ndarray) else v
     write_json(path, {"format_version": FORMAT_VERSION, "family": model.family, "payload": payload}, indent=2)
 
 
@@ -420,7 +415,7 @@ def load_model(path: str):
     try:
         if not isinstance(payload, dict):
             raise ValueError("payload is not a JSON object")
-        return cls(**{f.name: _CONVERT[f.type](payload[f.name]) for f in fields(cls) if f.init})
+        return cls(**{f.name: _CONVERT[f.type](payload[f.name]) for f in fields(cls)})
     except KeyError as exc:
         raise ValueError(f"{path}: bad {family} model: missing field {exc}") from None
     except (TypeError, ValueError) as exc:

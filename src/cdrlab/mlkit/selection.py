@@ -21,11 +21,8 @@ EXHAUSTIVE_LIMIT = 15
 
 @dataclass
 class LinearModel:
-    columns: list[str]
     intercept: float
     coef: np.ndarray
-    n: int
-    rss: float
     r2: float
     aic: float
 
@@ -36,7 +33,6 @@ class SelectionResult:
     dropped_by_pruning: list[tuple[str, str, float]]  # (dropped, kept partner, r)
     selected: list[str]
     model: LinearModel
-    history: list[tuple[str, str, float]]  # (action, feature, aic)
 
 
 def _aic(n: int, rss: float, k: int) -> float:
@@ -46,7 +42,7 @@ def _aic(n: int, rss: float, k: int) -> float:
     return n * math.log(rss / n) + 2 * (k + 1)
 
 
-def fit_ols(X: np.ndarray, y: np.ndarray, columns: list[str]) -> LinearModel:
+def fit_ols(X: np.ndarray, y: np.ndarray) -> LinearModel:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(y)
@@ -60,15 +56,7 @@ def fit_ols(X: np.ndarray, y: np.ndarray, columns: list[str]) -> LinearModel:
     ss_tot = float(((y - y.mean()) ** 2).sum())
     if ss_tot == 0 or y.min() == y.max():
         raise ValueError("constant response: r2 and AIC are undefined")
-    return LinearModel(
-        columns=list(columns),
-        intercept=float(beta[0]),
-        coef=beta[1:],
-        n=n,
-        rss=rss,
-        r2=1.0 - rss / ss_tot,
-        aic=_aic(n, rss, k),
-    )
+    return LinearModel(intercept=float(beta[0]), coef=beta[1:], r2=1.0 - rss / ss_tot, aic=_aic(n, rss, k))
 
 
 def _subset_rss(X: np.ndarray, y: np.ndarray, cols: tuple[int, ...]) -> float:
@@ -135,7 +123,6 @@ def select_covariates(
     kept, dropped = prune_correlated(X, columns, r_cut=r_cut, priority=priority)
     col_idx = {c: j for j, c in enumerate(columns)}
     candidates = [c for c in kept if X[:, col_idx[c]].std() > 0]
-    history: list[tuple[str, str, float]] = []
 
     if exhaustive:
         if len(candidates) > EXHAUSTIVE_LIMIT:
@@ -151,11 +138,9 @@ def select_covariates(
                 if aic < best[0]:
                     best = (aic, combo)
         selected = list(best[1])
-        history.append(("exhaustive", ",".join(selected), best[0]))
     else:
         selected = []
         current_aic = _aic(n, _subset_rss(X, y, ()), 0)
-        history.append(("start", "", current_aic))
         while True:
             moves: list[tuple[float, str, str]] = []
             if n > len(selected) + 2:
@@ -178,17 +163,6 @@ def select_covariates(
                 selected.append(feat)
             else:
                 selected.remove(feat)
-            history.append((action, feat, current_aic))
 
-    model = fit_ols(
-        X[:, [col_idx[c] for c in selected]] if selected else np.empty((n, 0)),
-        y,
-        selected,
-    )
-    return SelectionResult(
-        kept_after_pruning=kept,
-        dropped_by_pruning=dropped,
-        selected=selected,
-        model=model,
-        history=history,
-    )
+    model = fit_ols(X[:, [col_idx[c] for c in selected]] if selected else np.empty((n, 0)), y)
+    return SelectionResult(kept_after_pruning=kept, dropped_by_pruning=dropped, selected=selected, model=model)

@@ -20,6 +20,10 @@ import numpy as np
 from .ingest import write_csv
 from .records import SMS, VOICE, Dataset, month_index
 
+# Power iteration stops once no score moves by more than EVC_TOL, and
+# stalls after EVC_MAX_ITER steps.
+EVC_TOL = 1e-10
+EVC_MAX_ITER = 10_000
 # Components up to this many nodes fall back to a dense eigensolver when
 # power iteration stalls; the dense matrix then takes at most 32 MB.
 DENSE_EVC_MAX_NODES = 2000
@@ -174,7 +178,7 @@ def connected_components(g: SocialGraph) -> ComponentReport:
     return ComponentReport(components, int(np.count_nonzero(~linked)))
 
 
-def eigenvector_centrality(g: SocialGraph, tol: float = 1e-10, max_iter: int = 10_000) -> dict[str, float]:
+def eigenvector_centrality(g: SocialGraph) -> dict[str, float]:
     """Principal eigenvector of the weighted adjacency, per component.
 
     Each component's score block has unit Euclidean norm and non-negative
@@ -198,19 +202,19 @@ def eigenvector_centrality(g: SocialGraph, tol: float = 1e-10, max_iter: int = 1
         n = len(members)
         x = np.full(n, 1.0 / np.sqrt(n))
         residual = np.inf
-        for _ in range(max_iter):
+        for _ in range(EVC_MAX_ITER):
             y = x + np.bincount(ui, weights=wv * x[vi], minlength=n) + np.bincount(
                 vi, weights=wv * x[ui], minlength=n
             )
             y /= np.linalg.norm(y)
             residual = float(np.max(np.abs(y - x)))
             x = y
-            if residual < tol:
+            if residual < EVC_TOL:
                 break
         else:
             if n > DENSE_EVC_MAX_NODES:
                 raise RuntimeError(
-                    f"eigenvector centrality did not converge in {max_iter} iterations "
+                    f"eigenvector centrality did not converge in {EVC_MAX_ITER} iterations "
                     f"(component size {n}, last residual {residual:.3e})"
                 )
             a = np.zeros((n, n))

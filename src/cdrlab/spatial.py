@@ -24,13 +24,6 @@ EXACT_HIT_KM = 0.001  # within one metre of a sample: take its value
 
 
 @dataclass
-class VoronoiPartition:
-    towers: dict[str, tuple[float, float]]
-    cells: dict[str, list[tuple[float, float]]]
-    clip: list[tuple[float, float]]
-
-
-@dataclass
 class GridRaster:
     """Row-major grid; row 0 is the northmost row, origin is the lower-left
     corner of the lower-left cell."""
@@ -92,9 +85,10 @@ def _dedupe_ring(poly, eps=1e-9):
 def voronoi_partition(
     towers: dict[str, tuple[float, float]],
     clip: list[tuple[float, float]],
-) -> VoronoiPartition:
+) -> dict[str, list[tuple[float, float]]]:
     """Voronoi cells by iterated half-plane clipping of the clip polygon.
 
+    The result maps each tower id to the (lon, lat) ring of its cell.
     Each tower's cell starts as the clip polygon and is cut against the
     perpendicular bisector with every other tower.  O(n^2) in towers, which
     is fine for a few hundred sites.  Coincident towers are jittered by
@@ -135,7 +129,7 @@ def voronoi_partition(
             poly = _clip_halfplane(poly, n, c)
         poly = _dedupe_ring(poly)
         cells[tid] = [proj.to_lonlat(x, y) for x, y in poly]
-    return VoronoiPartition(towers=positions, cells=cells, clip=list(clip))
+    return cells
 
 
 def idw_interpolate(
@@ -253,10 +247,10 @@ def read_grid(path: str) -> GridRaster:
     return GridRaster(xll, yll, cellsize, values, nodata)
 
 
-def voronoi_geojson(partition: VoronoiPartition) -> dict:
+def voronoi_geojson(cells: dict[str, list[tuple[float, float]]]) -> dict:
     features = []
-    for tid in sorted(partition.cells):
-        ring = [[lon, lat] for lon, lat in partition.cells[tid]]
+    for tid in sorted(cells):
+        ring = [[lon, lat] for lon, lat in cells[tid]]
         if ring:
             ring.append(ring[0])
         features.append(

@@ -38,11 +38,6 @@ class SmallWorld:
 
 
 @dataclass(frozen=True)
-class RandomAdoption:
-    p: float
-
-
-@dataclass(frozen=True)
 class ContagionAdoption:
     p0: float
     beta: float
@@ -56,8 +51,6 @@ class SynthConfig:
     grid: tuple[float, float, float, float]  # lon_min, lat_min, lon_max, lat_max
     graph_model: SmallWorld
     days: int
-    daily_cycle: tuple[float, ...] = tuple([1.0] * 24)
-    weekly_cycle: tuple[float, ...] = tuple([1.0] * 7)
     recharge_denominations: tuple[float, ...] = (10.0, 20.0, 50.0, 100.0, 300.0)
     event_rate: float = 3.0
     start: int = DEFAULT_START
@@ -75,12 +68,6 @@ class SynthConfig:
             raise ValueError("need at least two subscribers")
         if self.n_towers < 1:
             raise ValueError("need at least one tower")
-        if len(self.daily_cycle) != 24 or len(self.weekly_cycle) != 7:
-            raise ValueError("daily_cycle needs 24 entries, weekly_cycle 7")
-        if any(r < 0 for r in self.daily_cycle) or any(r < 0 for r in self.weekly_cycle):
-            raise ValueError("cycle multipliers must be >= 0")
-        if sum(self.daily_cycle) == 0 or sum(self.weekly_cycle) == 0:
-            raise ValueError("cycles must not be all zero")
         if self.days < 1:
             raise ValueError("days must be >= 1")
         if self.event_rate < 0 or self.data_rate < 0:
@@ -222,19 +209,14 @@ def _visit_cdf(cfg: SynthConfig, towers: dict[str, Tower], home: str, concentrat
 
 
 def generate_events(cfg: SynthConfig, graph: SocialGraph, gt: GroundTruth) -> Dataset:
-    """Sample voice/sms traffic along edges plus top-ups, honoring the cycles."""
+    """Sample voice/sms traffic along edges plus top-ups, uniform over days and hours."""
     towers = towers_for(cfg)
     tower_order = sorted(towers)
     subs = subscriber_ids(cfg.n_subscribers)
     window = (cfg.start, cfg.start + cfg.days * SECONDS_PER_DAY)
 
-    day_weights = np.array(
-        [cfg.weekly_cycle[((cfg.start // SECONDS_PER_DAY) + 3 + d) % 7] for d in range(cfg.days)],
-        dtype=float,
-    )  # epoch day 0 (1970-01-01) was a Thursday, weekday index 3
-    day_cdf = np.cumsum(day_weights / day_weights.sum())
-    hour_weights = np.asarray(cfg.daily_cycle, dtype=float)
-    hour_cdf = np.cumsum(hour_weights / hour_weights.sum())
+    day_cdf = np.cumsum(np.ones(cfg.days) / cfg.days)
+    hour_cdf = np.cumsum(np.ones(24) / 24)
 
     denoms = np.asarray(cfg.recharge_denominations, dtype=float)
     drawn_retailers = [f"R{i:03d}" for i in range(max(5, cfg.n_towers // 2))]
@@ -329,11 +311,10 @@ def inject_shock(
 ) -> tuple[Dataset, GroundTruth]:
     """Scale event counts inside the interval by thinning or duplication.
 
-    entity is ("tower", id), ("towers", (ids...)) for a district, or
-    ("global",).  Events outside the entity/interval are untouched.  Each
-    hit event draws once, in dataset order (calls before recharges), and
-    keeps int(multiplier) copies plus one more when the draw falls below
-    the fractional part.
+    entity is ("tower", id) or ("global",).  Events outside the
+    entity/interval are untouched.  Each hit event draws once, in dataset
+    order (calls before recharges), and keeps int(multiplier) copies plus
+    one more when the draw falls below the fractional part.
     """
     if multiplier < 0:
         raise ValueError("multiplier must be >= 0")
@@ -342,8 +323,6 @@ def inject_shock(
     kind = entity[0]
     if kind == "tower":
         members = {entity[1]}
-    elif kind == "towers":
-        members = set(entity[1])
     elif kind == "global":
         members = None
     else:
@@ -369,22 +348,17 @@ def inject_shock(
 
 def simulate_adoption(
     graph: SocialGraph,
-    mechanism: RandomAdoption | ContagionAdoption,
+    mechanism: ContagionAdoption,
     days: int,
     seed: int = 0,
 ) -> GroundTruth:
     """Daily synchronous adoption; cumulative adopter sets per day.
 
-    random(p) is exactly contagion(p, 0): a node's daily hazard is
-    p0 * (1 + beta)^(adopting neighbors), capped at 1, evaluated against the
-    adopter set at the start of the day.
+    A node's daily hazard is p0 * (1 + beta)^(adopting neighbors), capped
+    at 1, evaluated against the adopter set at the start of the day; beta = 0
+    is independent adoption with probability p0.
     """
-    if isinstance(mechanism, RandomAdoption):
-        p0, beta = mechanism.p, 0.0
-    elif isinstance(mechanism, ContagionAdoption):
-        p0, beta = mechanism.p0, mechanism.beta
-    else:
-        raise TypeError(f"unknown mechanism {mechanism!r}")
+    p0, beta = mechanism.p0, mechanism.beta
     if not 0 <= p0 <= 1:
         raise ValueError("adoption probability must be in [0,1]")
     if beta < 0:

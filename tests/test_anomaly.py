@@ -148,7 +148,7 @@ def test_detect_anomalies_global_mean_hand_computed():
     report = an.detect_anomalies(ts, baseline="global_mean", threshold_sigma=3.0)
     assert report.flagged() == {20}
     flag = report.flags[0]
-    assert flag.direction == "increase" and not flag.degenerate
+    assert flag.direction == "increase" and flag.z is not None
     assert flag.baseline_mean == pytest.approx(100 / 7)
     assert flag.baseline_std == pytest.approx(math.sqrt(18900) / 7)
     assert flag.z == pytest.approx(600 / math.sqrt(18900), abs=1e-12)
@@ -168,9 +168,8 @@ def test_detect_anomalies_hour_of_day_isolates_cells():
     values[11 * 24 + 5] = 500.0
     ts = series(values)
     report = an.detect_anomalies(ts, baseline="hour_of_day", threshold_sigma=3.0)
-    assert report.flagged() == {11 * 24 + 5}
     # every other cell is constant across days, hence degenerate but quiet
-    assert len(report.degenerate_cells) == 23
+    assert report.flagged() == {11 * 24 + 5}
 
 
 def test_detect_anomalies_inclusive_baseline_absorbs_small_cells():
@@ -180,14 +179,12 @@ def test_detect_anomalies_inclusive_baseline_absorbs_small_cells():
     values[30] = 7.5
     report = an.detect_anomalies(series(values), baseline="hour_of_day")
     assert report.flags == []
-    assert len(report.degenerate_cells) == 23
-    assert 6 not in report.degenerate_cells  # the bumped hour has variance now
 
 
 def test_detect_anomalies_weekday_hour_constant_series():
     values = [3.0] * 24 * 14  # two full weeks, hourly
     report = an.detect_anomalies(series(values), baseline="weekday_hour")
-    assert report.flags == [] and len(report.degenerate_cells) == 7 * 24
+    assert report.flags == []
 
 
 def test_detect_anomalies_requires_two_samples_per_cell():
@@ -312,7 +309,6 @@ def test_detect_flow_anomalies_degenerate_baseline():
     baseline = {T0 + i * DAY for i in range(14)}
     reports = an.detect_flow_anomalies(flows, baseline_days=baseline)
     rep = reports[("a", "b")]
-    assert rep.degenerate_cells == ["all"]
     assert rep.flagged() == {14} and rep.flags[0].z is None
 
 
@@ -397,6 +393,21 @@ def test_rank_activation_curves_validation():
         an.rank_activation_curves(ds, event_time=T0)
     with pytest.raises(ValueError, match="empty rank window"):
         an.rank_activation_curves(ds, event_time=T0, comparison_days=[T0])
+
+
+def test_rank_activation_curves_bins_must_tile_a_day():
+    # A calls its rank-1 contact B in the last 3 s of the event day; bins
+    # of 7 s once dropped that call past the last whole bin as "rank 2"
+    cdrs = [voice("A", "B", "T1", T0 + 100), voice("A", "B", "T1", T0 + DAY + 100),
+            voice("A", "B", "T1", T0 + 3 * DAY - 3)]
+    ds = make_dataset(cdrs, window=(T0, T0 + 3 * DAY))
+    for width in (0, -300, 7, 100_000):
+        with pytest.raises(ValueError, match=f"bin_width must be a positive divisor of 86400 seconds, got {width}$"):
+            an.rank_activation_curves(ds, T0 + 2 * DAY, bin_width=width, comparison_days=[T0 + DAY])
+    with pytest.raises(ValueError, match="at least one rank"):
+        an.rank_activation_curves(ds, T0 + 2 * DAY, ranks=(), comparison_days=[T0 + DAY])
+    curves = an.rank_activation_curves(ds, T0 + 2 * DAY, ranks=(1,), bin_width=8, comparison_days=[T0 + DAY])
+    assert curves.event_fraction[1][-1] == 1.0 and sum(curves.event_fraction[1]) == 1.0
 
 
 # -- distance matrix --------------------------------------------------------------------

@@ -7,6 +7,7 @@ observable without spawning a shell.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from datetime import datetime, timezone
@@ -886,3 +887,140 @@ def test_select_covariates_non_finite_cell_exits_2(tmp_path, cell, line, bad):
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 2
     assert f"{table}:{line}: non-finite value" in done.stderr
+
+
+# -- degenerate inputs: exit 0 or 2, no traceback, no nan ---------------------------------
+
+def _stamp(offset):
+    return f"{datetime.fromtimestamp(T0 + offset, tz=timezone.utc):%Y-%m-%dT%H:%M:%SZ}"
+
+
+TOWER_LONLAT = {"T0": "90.0,23.0", "T1": "90.5,23.5"}
+
+
+def _ring_calls(n, days, hours=(8, 12, 18), towers=("T0", "T1")):
+    """Subscribers s0..s(n-1) on a ring; each calls the next at the given hours of every day."""
+    return [(f"s{i}", f"s{(i + 1) % n}", towers[i % len(towers)], d * DAY + h * 3600 + i, "voice", 60)
+            for d in range(days) for h in hours for i in range(n)]
+
+
+def _ring_topups(n, days, towers=("T0", "T1")):
+    """One top-up a day per ring subscriber, of 10, 20 or 30."""
+    return [(f"s{i}", towers[d % len(towers)], d * DAY + 3600 + i, 10 * (1 + (i + d) % 3))
+            for d in range(days) for i in range(n)]
+
+
+# name -> (cdr rows (caller, callee, tower, offset, kind, magnitude), top-up rows
+# (buyer, tower, offset, amount), labels); a top-up table of None writes only its header.
+# The last, a six-subscriber ring over three days, is the control every step but kappa passes.
+RING_LABELS = {f"s{i}": ("low", "high")[i % 2] for i in range(6)}
+DEGENERATE = {
+    "one subscriber": ([("s0", "", f"T{d % 2}", d * DAY + h * 3600, "data", 1000)
+                        for d in range(3) for h in (8, 12, 18)],
+                       [("s0", "T0", 3600, 10), ("s0", "T1", DAY + 3600, 20)], {"s0": "low"}),
+    "one pair": ([("s0", "s1", "T0", d * DAY + h * 3600, "voice", 60) for d in range(3) for h in (8, 12, 18)]
+                 + [("s1", "s0", "T1", d * DAY + 20 * 3600, "sms", 1) for d in range(3)],
+                 [("s0", "T0", 3600, 10), ("s1", "T1", DAY + 3600, 20)], {"s0": "low", "s1": "high"}),
+    "one day": (_ring_calls(6, 1), _ring_topups(6, 1), RING_LABELS),
+    "one tower": (_ring_calls(6, 3, towers=("T0",)), _ring_topups(6, 3, towers=("T0",)), RING_LABELS),
+    # two calls a pair, under [graph] min_monthly_interactions = 3
+    "no tie above the threshold": (_ring_calls(6, 2, hours=(8,)), _ring_topups(6, 2), RING_LABELS),
+    "no top-ups": (_ring_calls(6, 3), None, RING_LABELS),
+    "one-class labels": (_ring_calls(6, 3), _ring_topups(6, 3), dict.fromkeys(RING_LABELS, "low")),
+    "blank feature column": (_ring_calls(6, 3), _ring_topups(6, 3), RING_LABELS),
+    "ring": (_ring_calls(6, 3), _ring_topups(6, 3), RING_LABELS),
+}
+RANK_CURVES_CONFIGS = {"bin_width = 0": "bin_width", "bin_width = 7": "bin_width",
+                       "bin_width = 100000": "bin_width", "max_rank = 0": "max_rank"}
+
+
+def _write_degenerate(d, case):
+    cdrs, topups, labels = DEGENERATE[case]
+    d.mkdir()
+    towers = sorted({row[2] for row in cdrs} | {row[1] for row in topups or ()})
+    (d / "towers.csv").write_text("id,lon,lat\n" + "".join(f"{t},{TOWER_LONLAT[t]}\n" for t in towers))
+    (d / "cdr.csv").write_text("caller,callee,tower,timestamp,kind,magnitude\n" + "".join(
+        f"{a},{b},{t},{_stamp(o)},{k},{m}\n" for a, b, t, o, k, m in cdrs))
+    (d / "topups.csv").write_text("buyer,retailer,retailer_tower,timestamp,amount\n" + "".join(
+        f"{b},R0,{t},{_stamp(o)},{a}\n" for b, t, o, a in topups or ()))
+    (d / "labels.csv").write_text("subscriber,label\n" + "".join(f"{s},{v}\n" for s, v in labels.items()))
+    (d / "samples.csv").write_text("area,value\n" + "".join(f"{t},{i + 1.0}\n" for i, t in enumerate(towers)))
+    (d / "control.csv").write_text("subscriber\ns0\n")
+    (d / "adopters.csv").write_text("subscriber\n" + "".join(f"{s}\n" for s in list(labels)[:2]))
+    (d / "outcomes.csv").write_text("subscriber,converted,renewed\n" + "".join(f"{s},1,0\n" for s in labels))
+    if case == "blank feature column":
+        (d / "features.csv").write_text("subscriber,f1,f2\n" + "".join(f"{s},{i},\n" for i, s in enumerate(labels)))
+    return ["--cdr", str(d / "cdr.csv"), "--topups", str(d / "topups.csv"), "--towers", str(d / "towers.csv"),
+            "--labels", str(d / "labels.csv")]
+
+
+def _degenerate_steps(d, data):
+    """(step name, argv) in run order; later steps read what earlier ones wrote."""
+    features = d / ("features.csv" if (d / "features.csv").exists() else "out_features/features.csv")
+    model_io = ["--features", str(features), "--labels", str(d / "labels.csv")]
+    rank = ["rank-curves", *data, "--event-time", str(T0 + DAY + 12 * 3600), "--comparison-days", str(T0)]
+    steps = [
+        ("ingest-check", ["ingest-check", *data]),
+        ("features", ["features", *data]),
+        ("graph", ["graph", "--evc", *data]),
+        ("adoption", ["adoption", *data]),
+        ("kappa", ["kappa", "--replicates", "20", *data]),
+        ("kappa_adopters", ["kappa", "--replicates", "20", "--adopters", str(d / "adopters.csv"), *data]),
+        ("pk", ["pk", *data]),
+        ("anomaly", ["anomaly", *data]),
+        ("anomaly_per_tower", ["anomaly", "--per-tower", "--geojson", *data]),
+        ("flows", ["flows", *data]),
+        ("rank_curves", rank),
+        ("distance_matrix", ["distance-matrix", *data, "--epicenter", "90.25,23.25", "--event-day",
+                             str(T0 + DAY), "--comparison-days", str(T0)]),
+        ("voronoi", ["voronoi", "--towers", str(d / "towers.csv")]),
+        ("idw", ["idw", "--towers", str(d / "towers.csv"), "--samples", str(d / "samples.csv")]),
+    ]
+    for family in models.FAMILIES:
+        steps += [(f"train_{family}", ["train", "--family", family, *model_io]),
+                  (f"eval_{family}", ["eval", *model_io, "--model", str(d / f"out_train_{family}" / "model.json")])]
+    steps.append(("campaign", ["campaign", *data, "--model", str(d / "out_train_logistic" / "model.json"),
+                               "--features", str(features), "--control", str(d / "control.csv"),
+                               "--outcomes", str(d / "outcomes.csv"), "--treatment-size", "1"]))
+    return steps
+
+
+def _sweep_run(name, argv, outdir, capsys):
+    """(exit code, stderr, what is wrong: an exit other than 0 or 2, a traceback, a nan or inf in outdir)."""
+    try:
+        rc = cli.main([*argv, "--outdir", str(outdir)])
+    except Exception as exc:  # anything cli.main lets through is a traceback
+        return None, "", [f"{name}: raised {type(exc).__name__}: {exc}"]
+    err = capsys.readouterr().err
+    problems = [] if rc in (0, 2) else [f"{name}: exit {rc}: {err}"]
+    if "Traceback" in err:
+        problems.append(f"{name}: traceback on stderr: {err}")
+    for path in sorted(outdir.glob("*")) if outdir.is_dir() else ():
+        tokens = re.split(r'[\s,:\[\]{}"]+', path.read_text(encoding="utf-8").lower())
+        bad = sorted({t for t in tokens if t.lstrip("+-") in ("nan", "inf", "infinity")})
+        if bad:
+            problems.append(f"{name}: {path.name} holds {bad}")
+    return rc, err, problems
+
+
+@pytest.mark.parametrize("case", [*DEGENERATE, *RANK_CURVES_CONFIGS])
+def test_degenerate_inputs_exit_0_or_2_without_traceback_or_nan(tmp_path, capsys, case):
+    # Under the default na_policy = drop, every row that lacks a recharge feature
+    # goes, and the model steps would stop at their first check.
+    ini = tmp_path / "run.ini"
+    ini.write_text("[model]\nna_policy = impute_mean\n"
+                   + (f"[rank_curves]\n{case}\n" if case in RANK_CURVES_CONFIGS else ""))
+    d = tmp_path / "in"
+    data = _write_degenerate(d, case if case in DEGENERATE else "ring")
+    problems, failed = [], []
+    for name, argv in _degenerate_steps(d, data):
+        if case in DEGENERATE or name == "rank_curves":
+            rc, err, found = _sweep_run(name, [*argv, "--config", str(ini)], d / f"out_{name}", capsys)
+            problems += found
+            failed += [name] if rc else []
+    assert problems == []
+    if case == "ring":  # no simulated adopter on 6 nodes; 2 given ones leave clustering no null
+        assert failed == ["kappa", "kappa_adopters"]
+    if case in RANK_CURVES_CONFIGS:  # its one step is refused, naming the key
+        assert RANK_CURVES_CONFIGS[case] in err
+        assert not (d / "out_rank_curves" / "rank_curves.csv").exists()

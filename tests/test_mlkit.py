@@ -349,7 +349,6 @@ def test_mlp_learns_separable_blobs():
     tab = blob_table(n=200, sep=3.0, seed=10)
     model = md.train_mlp(tab, hidden=8, max_epochs=60, seed=1)
     assert mt.auc_score(tab.y, model.predict_proba(tab.X)) >= 0.95
-    assert model.train_log["epochs"] >= 1
 
 
 def test_mlp_needs_rows_for_validation_split():
@@ -530,14 +529,14 @@ def test_aic_formula_and_perfect_fit():
 def test_fit_ols_recovers_exact_line():
     x = np.arange(10, dtype=float)
     y = 2.0 * x + 1.0
-    model = sel.fit_ols(x.reshape(-1, 1), y, ["x"])
+    model = sel.fit_ols(x.reshape(-1, 1), y)
     assert np.isclose(model.coef[0], 2.0)
     assert np.isclose(model.intercept, 1.0)
     assert model.r2 > 1.0 - 1e-12
-    assert model.aic == -math.inf or model.rss < 1e-20
+    assert model.aic < 10 * math.log(1e-21) + 2 * 2  # an RSS below 1e-20, or exactly 0 (-inf)
     assert np.allclose(x * model.coef[0] + model.intercept, y)
     with pytest.raises(ValueError, match="cannot fit"):
-        sel.fit_ols(np.zeros((3, 3)), np.zeros(3), ["a", "b", "c"])
+        sel.fit_ols(np.zeros((3, 3)), np.zeros(3))
 
 
 def test_constant_response_is_refused():
@@ -546,7 +545,7 @@ def test_constant_response_is_refused():
         sel.select_covariates(X, np.ones(5), ["x1", "x2"])
     # seven times 0.1 has a mean just off 0.1, so its ss_tot is 1.3e-33, not 0
     with pytest.raises(ValueError, match="constant response"):
-        sel.fit_ols(np.arange(7.0).reshape(-1, 1), np.full(7, 0.1), ["x"])
+        sel.fit_ols(np.arange(7.0).reshape(-1, 1), np.full(7, 0.1))
 
 
 def test_prune_correlated_drops_duplicate():
@@ -596,10 +595,6 @@ def test_select_covariates_recovers_planted_terms():
     assert result.selected[:2] == ["a", "b"]
     assert set(result.selected) <= {"a", "b", "c", "d", "e", "f"}
     assert result.model.r2 > 0.99
-    # every stepwise move lowered the criterion
-    aics = [aic for _, _, aic in result.history]
-    assert all(later < earlier for earlier, later in zip(aics, aics[1:]))
-    assert result.history[0][0] == "start"
     # the fitted model is never worse than the intercept-only baseline
     empty_aic = sel._aic(n, float(((y - y.mean()) ** 2).sum()), 0)
     assert result.model.aic <= empty_aic
@@ -627,7 +622,6 @@ def test_exhaustive_matches_stepwise_on_clean_design():
     step = sel.select_covariates(X, y, cols)
     full = sel.select_covariates(X, y, cols, exhaustive=True)
     assert set(step.selected) == set(full.selected) == {"q"}
-    assert full.history[0][0] == "exhaustive"
     assert np.isclose(step.model.aic, full.model.aic)
 
 

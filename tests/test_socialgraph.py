@@ -247,11 +247,12 @@ def test_evc_isolates_score_one_and_weight_scale_invariance():
         assert scores7[n] == pytest.approx(scores[n], abs=1e-12)
 
 
-def test_evc_falls_back_to_dense_solver_when_iteration_stalls():
+def test_evc_falls_back_to_dense_solver_when_iteration_stalls(monkeypatch):
+    monkeypatch.setattr(sg, "EVC_MAX_ITER", 5)
     for seed in range(6):
         rng = np.random.default_rng(seed)
         g = random_connected_graph(rng, 40, extra=0.08, weighted=seed % 2 == 1)
-        got = sg.eigenvector_centrality(g, max_iter=5)
+        got = sg.eigenvector_centrality(g)
         want = dense_evc(g)
         for n in want:
             assert got[n] == pytest.approx(want[n], abs=1e-8)

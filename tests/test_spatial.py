@@ -78,19 +78,19 @@ CLIP = [(90.0, 23.0), (91.0, 23.0), (91.0, 24.0), (90.0, 24.0)]
 
 
 def test_voronoi_single_tower_cell_is_clip():
-    part = sp.voronoi_partition({"T1": (90.4, 23.6)}, CLIP)
-    cell = part.cells["T1"]
+    cells = sp.voronoi_partition({"T1": (90.4, 23.6)}, CLIP)
+    cell = cells["T1"]
     assert len(cell) == 4
     for (gl, gt), (cl, ct) in zip(cell, CLIP):
         assert gl == pytest.approx(cl, abs=1e-9) and gt == pytest.approx(ct, abs=1e-9)
 
 
 def test_voronoi_two_towers_split():
-    part = sp.voronoi_partition({"W": (90.25, 23.5), "E": (90.75, 23.5)}, CLIP)
+    cells = sp.voronoi_partition({"W": (90.25, 23.5), "E": (90.75, 23.5)}, CLIP)
     # the bisector is the meridian 90.5; every cell vertex stays on its side
-    assert all(lon <= 90.5 + 1e-9 for lon, _ in part.cells["W"])
-    assert all(lon >= 90.5 - 1e-9 for lon, _ in part.cells["E"])
-    area = shoelace(part.cells["W"]) + shoelace(part.cells["E"])
+    assert all(lon <= 90.5 + 1e-9 for lon, _ in cells["W"])
+    assert all(lon >= 90.5 - 1e-9 for lon, _ in cells["E"])
+    area = shoelace(cells["W"]) + shoelace(cells["E"])
     assert area == pytest.approx(shoelace(CLIP), rel=1e-9)
 
 
@@ -100,8 +100,8 @@ def test_voronoi_cells_partition_clip_and_match_nearest_site():
         f"T{i}": (90.0 + float(rng.uniform(0, 1)), 23.0 + float(rng.uniform(0, 1)))
         for i in range(12)
     }
-    part = sp.voronoi_partition(towers, CLIP)
-    total = sum(shoelace(c) for c in part.cells.values() if len(c) >= 3)
+    cells = sp.voronoi_partition(towers, CLIP)
+    total = sum(shoelace(c) for c in cells.values() if len(c) >= 3)
     assert total == pytest.approx(shoelace(CLIP), rel=1e-6)
 
     ids = sorted(towers)
@@ -112,16 +112,16 @@ def test_voronoi_cells_partition_clip_and_match_nearest_site():
         if d[order[1]] - d[order[0]] < 0.01:  # skip near-ties on cell borders
             continue
         nearest = ids[order[0]]
-        inside = [t for t in ids if len(part.cells[t]) >= 3 and contains(part.cells[t], pt, eps=1e-9)]
+        inside = [t for t in ids if len(cells[t]) >= 3 and contains(cells[t], pt, eps=1e-9)]
         assert nearest in inside
 
 
 def test_voronoi_jitters_coincident_towers(caplog):
     with caplog.at_level(logging.WARNING, logger="cdrlab.spatial"):
-        part = sp.voronoi_partition({"A": (90.5, 23.5), "B": (90.5, 23.5)}, CLIP)
+        cells = sp.voronoi_partition({"A": (90.5, 23.5), "B": (90.5, 23.5)}, CLIP)
     assert "jitter" in caplog.text
-    assert part.towers["A"] != part.towers["B"]
-    assert len(part.cells["A"]) >= 3 and len(part.cells["B"]) >= 3
+    assert cells["A"] != cells["B"]
+    assert len(cells["A"]) >= 3 and len(cells["B"]) >= 3
 
 
 def test_voronoi_validation():
@@ -305,8 +305,8 @@ def test_read_grid_short_row_names_its_line(tmp_path):
 
 
 def test_geojson_outputs():
-    part = sp.voronoi_partition({"W": (90.25, 23.5), "E": (90.75, 23.5)}, CLIP)
-    gj = sp.voronoi_geojson(part)
+    cells = sp.voronoi_partition({"W": (90.25, 23.5), "E": (90.75, 23.5)}, CLIP)
+    gj = sp.voronoi_geojson(cells)
     assert gj["type"] == "FeatureCollection" and len(gj["features"]) == 2
     ring = gj["features"][0]["geometry"]["coordinates"][0]
     assert ring[0] == ring[-1]  # closed ring

@@ -1,5 +1,5 @@
 """Every function, class and method in src/cdrlab is reached from the package's own code,
-and every module-level name it assigns is read by that code.
+and every module-level name it assigns and every class field it declares is read by that code.
 
 A scan of the source, not an import: reachability starts at the module-level
 statements of every module (the subcommand table and `main` among them) and
@@ -20,6 +20,11 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "cdrlab"
 # these; no subcommand needs them.
 TEST_ONLY = {"cdrlab.socialgraph.SocialGraph.from_edges", "cdrlab.socialgraph.SocialGraph.sorted_nodes",
              "cdrlab.socialgraph.adjacent_link_count", "cdrlab.anomaly.AnomalyReport.flagged"}
+# Class fields that no package code reads, each with the reader that needs it.
+UNREAD_FIELDS = {
+    "cdrlab.adoption.KappaResult.excluded_replicates": "perfbench/tracer.py _counts reports it per kappa call",
+    "cdrlab.adoption.KappaResult.random_std": "the scale of ci95, which test_kappa_ci_formula_is_frozen checks",
+}
 
 
 def _is_def(node) -> bool:
@@ -108,6 +113,30 @@ def test_every_module_level_name_is_read_by_the_package():
                 read.add(sub.attr)
     assert "cdrlab.mlkit.models.FAMILIES" in assigned
     assert sorted(q for q, name in assigned.items() if name not in read) == []
+
+
+def test_every_class_field_is_read_by_the_package():
+    """A field is an annotated name in a class body; it is read when its name is loaded as an
+    attribute, or appears as a string constant (getattr, vars), anywhere in src/cdrlab.
+
+    The scan matches by name, not by owner, so a field named like another object's attribute
+    escapes it: a PkCurve.min_support would pass on the strength of args.min_support.
+    """
+    declared: dict[str, str] = {}
+    read: set[str] = set()
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC.parent).with_suffix("").as_posix().replace("/", ".")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        declared[f"{module}.{node.name}.{item.target.id}"] = item.target.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    assert "cdrlab.mlkit.models.MlpModel.W1" in declared
+    assert sorted(q for q, name in declared.items() if name not in read) == sorted(UNREAD_FIELDS)
 
 
 def test_the_scan_sees_the_entry_points():
