@@ -324,8 +324,10 @@ def adoption_probability_curve(
     return PkCurve(points, uplift)
 
 
-def write_kappa_csv(results: dict[str, KappaResult], path: str, header_comment: str | None = None) -> None:
+def write_kappa_csv(results: dict[str, KappaResult | None], path: str, header_comment: str | None = None) -> None:
+    """One row per test; an undefined test (None) is a row of empty cells."""
     rows = (
+        [name] + [""] * 6 if r is None else
         [name, repr(r.kappa), repr(r.ci95[0]), repr(r.ci95[1]), repr(float(r.empirical_count)),
          repr(r.random_mean), r.replicates]
         for name, r in sorted(results.items())

@@ -302,16 +302,12 @@ def _cmd_features(args, ctx: RunContext) -> dict:
     from . import features
 
     ds, _, _ = _load_dataset(args, ctx.cfg)
-    if args.denominations:
-        denoms = tuple(float(x) for x in args.denominations.split(","))
-    else:
-        denoms = features.dataset_denominations(ds)
-    # Serial on purpose: the per-subscriber work holds the GIL, so threads
-    # only add overhead.  --threads is accepted and changes nothing here.
-    vectors = [features.extract_features(ds, s, denominations=denoms) for s in ds.subscribers()]
-    features.write_features_csv(vectors, ctx.outputs.stage("features.csv"), header_comment=ctx.header)
-    print(f"features: {len(vectors)} subscribers x {len(features.FEATURE_ORDER)} features")
-    return {"subscribers": len(vectors), "columns": len(features.FEATURE_ORDER)}
+    denoms = tuple(float(x) for x in args.denominations.split(",")) if args.denominations else None
+    columns = features.extract_features(ds, denominations=denoms)
+    features.write_features_csv(ds, columns, ctx.outputs.stage("features.csv"), header_comment=ctx.header)
+    n = len(ds.subscribers())
+    print(f"features: {n} subscribers x {len(features.FEATURE_ORDER)} features")
+    return {"subscribers": n, "columns": len(features.FEATURE_ORDER)}
 
 
 def _cmd_graph(args, ctx: RunContext) -> dict:
@@ -375,23 +371,38 @@ def _cmd_kappa(args, ctx: RunContext) -> dict:
     table, source = _adopter_set(args, ds, g, ctx)
     adopters = set(table)
     modes = ("node", "link", "clustering") if args.mode == "all" else (args.mode,)
-    results = {}
+    results, undefined = {}, {}
     if {"link", "clustering"} & set(modes):
         net = adoption.adoption_network(g, adopters)
+    # Under --mode all, a mode whose null or reference is undefined is an
+    # absent row; a single mode that is undefined is an error.
     for mode in modes:
-        if mode == "node":
-            results[mode] = adoption.node_kappa(g, adopters, replicates=replicates, seed=ctx.seed)
-        elif mode == "link":
-            results[mode] = adoption.link_kappa(g, net.induced_edges, replicates=replicates, seed=ctx.seed)
-        else:
-            results[mode] = adoption.clustering_kappa(g, net.induced_edges, replicates=replicates,
-                                                      seed=ctx.seed)
+        try:
+            if mode == "node":
+                results[mode] = adoption.node_kappa(g, adopters, replicates=replicates, seed=ctx.seed)
+            elif mode == "link":
+                results[mode] = adoption.link_kappa(g, net.induced_edges, replicates=replicates, seed=ctx.seed)
+            else:
+                results[mode] = adoption.clustering_kappa(g, net.induced_edges, replicates=replicates,
+                                                          seed=ctx.seed)
+        except ValueError as exc:
+            if len(modes) == 1:
+                raise
+            results[mode], undefined[mode] = None, str(exc)
+    if len(undefined) == len(modes):
+        raise ValueError("no kappa mode is defined: " + "; ".join(f"{m}: {why}" for m, why in undefined.items()))
     adoption.write_kappa_csv(results, ctx.outputs.stage("kappa.csv"), header_comment=ctx.header)
     for mode in sorted(results):
         r = results[mode]
-        print(f"kappa[{mode}] = {r.kappa:.4f}  ci95=({r.ci95[0]:.4f}, {r.ci95[1]:.4f})")
-    return {"adopters": len(adopters), "source": source, "replicates": replicates,
-            "kappa": {m: results[m].kappa for m in results}}
+        if r is None:
+            print(f"kappa[{mode}] undefined: {undefined[mode]}")
+        else:
+            print(f"kappa[{mode}] = {r.kappa:.4f}  ci95=({r.ci95[0]:.4f}, {r.ci95[1]:.4f})")
+    params = {"adopters": len(adopters), "source": source, "replicates": replicates,
+              "kappa": {m: r.kappa for m, r in results.items() if r is not None}}
+    if undefined:
+        params["undefined"] = undefined
+    return params
 
 
 def _cmd_pk(args, ctx: RunContext) -> dict:
@@ -431,8 +442,11 @@ def _cmd_anomaly(args, ctx: RunContext) -> dict:
     else:
         entities = [_parse_entity(args.entity)]
     series = anomaly.bin_series(ds, entities, a["bin_width"], measure=a["measure"], area_map=area_map)
-    reports = [anomaly.detect_anomalies(ts, baseline=a["baseline"], threshold_sigma=a["threshold_sigma"])
-               for ts in series]
+    try:
+        reports = [anomaly.detect_anomalies(ts, baseline=a["baseline"], threshold_sigma=a["threshold_sigma"])
+                   for ts in series]
+    except ValueError as exc:
+        raise ValueError(f"[anomaly] baseline = {a['baseline']}: {exc}") from None
     anomaly.write_anomalies_csv(reports, ctx.outputs.stage("anomalies.csv"),
                                 header_comment=ctx.header)
     flagged_total = sum(len(r.flags) for r in reports)
@@ -619,9 +633,17 @@ def _cmd_correlate(args, ctx: RunContext) -> dict:
     return {"r": r, "n": n}
 
 
-def _model_table(args, ctx: RunContext):
+def _labeled_table(path, ids, columns, rows, labels, na_policy):
+    """mlkit.data.LabeledTable.from_records, with its errors naming the features file."""
     from .mlkit import data
 
+    try:
+        return data.LabeledTable.from_records(ids, columns, rows, labels, na_policy=na_policy)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc} (na_policy={na_policy})") from None
+
+
+def _model_table(args, ctx: RunContext):
     ids, columns, rows = _read_feature_table(args.features)
     if not args.labels:
         raise ValueError("need --labels")
@@ -631,12 +653,8 @@ def _model_table(args, ctx: RunContext):
     if not keep:
         raise ValueError("no feature rows have labels")
     na_policy = ctx.cfg["model"]["na_policy"]
-    table = data.LabeledTable.from_records(
-        [ids[i] for i in keep], columns,
-        [rows[i] for i in keep],
-        [1.0 if labels[ids[i]] == pos else 0.0 for i in keep],
-        na_policy=na_policy,
-    )
+    table = _labeled_table(args.features, [ids[i] for i in keep], columns, [rows[i] for i in keep],
+                           [1.0 if labels[ids[i]] == pos else 0.0 for i in keep], na_policy)
     if not len(table):
         raise ValueError(f"{args.features}: every one of the {len(keep)} labeled rows has a blank feature "
                          f"cell, and na_policy={na_policy} drops them all")
@@ -742,7 +760,7 @@ def _cmd_select_covariates(args, ctx: RunContext) -> dict:
 
 
 def _cmd_campaign(args, ctx: RunContext) -> dict:
-    from .mlkit import campaign, data, models
+    from .mlkit import campaign, models
 
     if args.treatment_size is not None:
         size, what = args.treatment_size, "--treatment-size"
@@ -754,9 +772,7 @@ def _cmd_campaign(args, ctx: RunContext) -> dict:
     ids, columns, rows = _read_feature_table(args.features)
     if list(columns) != list(model.columns):
         raise ValueError("feature columns do not match the model schema")
-    table = data.LabeledTable.from_records(
-        ids, columns, rows, [0.0] * len(ids), na_policy=ctx.cfg["model"]["na_policy"]
-    )
+    table = _labeled_table(args.features, ids, columns, rows, [0.0] * len(ids), ctx.cfg["model"]["na_policy"])
     control = _read_id_list(args.control)
     path = args.outcomes
     header, rows = _side_rows(path, ("converted", "renewed"), key="subscriber")

@@ -1,16 +1,20 @@
 """Per-subscriber behavioral features: financial, mobility, social, basic.
 
-Missing information is an explicit absent (None), never zero or NaN: a
-subscriber with no recharges has no spending speed, and conflating that
-with 0 currency/day would poison any downstream model.
+One grouped pass computes every column for all subscribers at once.
+Missing information is an explicit absent (nan inside the pass, an empty
+cell in features.csv), never zero: a subscriber with no recharges has no
+spending speed, and conflating that with 0 currency/day would poison any
+downstream model.  With finite inputs no feature is nan for another reason.
+
+Every sum adds a subscriber's events left to right in dataset order, which
+is the order `np.bincount` adds its weights in, so no column depends on how
+the interpreter's `sum` rounds.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -47,185 +51,133 @@ FEATURE_FAMILY = {
 FEATURE_ORDER = list(FEATURE_FAMILY)
 
 
-@dataclass
-class FeatureVector:
-    subscriber: str
-    values: dict[str, float | None]
-    home_tower: str | None
+def _spread(owner: np.ndarray, first: np.ndarray, counts: np.ndarray, n: int):
+    """Per owner code: (distinct items, total count, entropy of the counts).
 
-
-def _count_entropy(counts: list[int]) -> float:
-    """Entropy of positive counts, summed in the order given; 0.0, never -0.0."""
-    if not counts:
-        raise ValueError("entropy of an empty distribution is undefined")
-    total = float(sum(counts))
-    return 0.0 - sum((c / total) * math.log(c / total) for c in counts)
-
-
-def _first_seen_counts(codes: np.ndarray) -> list[int]:
-    """How often each code occurs, in the order the codes first occur."""
-    _, first, counts = np.unique(codes, return_index=True, return_counts=True)
-    return counts[np.argsort(first)].tolist()
-
-
-def radius_of_gyration(visits) -> float:
-    """Root mean squared great-circle distance from the visit-weighted centroid.
-
-    visits are (lon, lat) pairs, or an (n, 2) array.  The centroid is the
-    arithmetic mean of (lon, lat) over the visit multiset, adequate at the
-    tens-of-km scale this measures.  Sums run left to right over the visits.
+    Each entry is one distinct (owner, item) pair: where the item first
+    occurs for its owner (any sort key) and how often.  The entropy terms
+    q log q are summed in first-seen order and subtracted from 0.0, so one
+    item gives 0.0, never -0.0.
     """
-    pts = np.asarray(visits, dtype=np.float64).reshape(-1, 2)
-    if not len(pts):
-        raise ValueError("radius of gyration of an empty visit set is undefined")
-    n = len(pts)
-    lon0 = sum(pts[:, 0].tolist()) / n
-    lat0 = sum(pts[:, 1].tolist()) / n
-    distances = haversine_km_to(pts[:, 0], pts[:, 1], lon0, lat0).tolist()
-    return math.sqrt(sum(d ** 2 for d in distances) / n)
+    order = np.lexsort((first, owner))
+    owner, counts = owner[order], counts[order]
+    total = np.bincount(owner, weights=counts, minlength=n)
+    q = counts / total[owner]
+    terms = q * np.array([math.log(x) for x in q.tolist()])
+    return np.bincount(owner, minlength=n), total, 0.0 - np.bincount(owner, weights=terms, minlength=n)
 
 
-def home_tower(ds: Dataset, subscriber: str) -> str | None:
-    """Most frequent tower over 22:00-06:00 events; all-hours fallback.
+def home_tower(ds: Dataset) -> list[str]:
+    """Per subscriber code, the id of its home tower; '' when it has none.
 
-    Ties resolve to the lexicographically smallest tower id; a subscriber
-    with no located events has no home (None).  A lookup into
-    `Dataset.home_towers`, which computes every home in one pass.
+    See `Dataset.home_towers`: the most frequent tower of the outgoing
+    22:00-06:00 events, all hours as the fallback, ties to the smallest id.
     """
-    code = ds.subscriber_code(subscriber)
-    home = -1 if code is None else int(ds.home_towers()[code])
-    return None if home < 0 else ds.cdrs.tower_ids[home]
+    ids = ds.cdrs.tower_ids + ("",)
+    return [ids[t] for t in ds.home_towers().tolist()]
 
 
-def spending_speed(amounts: list[float], stamps: list[int]) -> float | None:
-    """Total recharge per day over the inclusive first-to-last span.
-
-    amounts and stamps describe the top-ups in time order.  The span in
-    days is (last - first)/86400 + 1, so a single recharge spends over one
-    day and two recharges ten days apart spend over eleven.
-    """
-    if not amounts:
-        return None
-    span_days = (stamps[-1] - stamps[0]) / SECONDS_PER_DAY + 1.0
-    return sum(amounts) / span_days
-
-
-def dataset_denominations(ds: Dataset) -> tuple[float, float] | None:
-    """Dataset-wide (min, max) top-up amounts; None when there are no top-ups.
-
-    They stand in for the market's denominations when none are given.  A
-    caller looping over subscribers computes them once and passes them on.
-    """
-    if not len(ds.topups):
-        return None
-    return float(ds.topups.amount.min()), float(ds.topups.amount.max())
-
-
-def extract_features(
-    ds: Dataset,
-    subscriber: str,
-    denominations: tuple[float, ...] | None = None,
-) -> FeatureVector:
-    """Full feature vector for one subscriber over the dataset's window.
+def extract_features(ds: Dataset, denominations: tuple[float, ...] | None = None) -> dict[str, np.ndarray]:
+    """Every feature column, one float64 value per subscriber code, nan = absent.
 
     `denominations` names the market's recharge amounts for the
     lowest/highest-denomination fractions; when omitted, the dataset-wide
-    minimum and maximum top-up amounts stand in (`dataset_denominations`).
-    Every sum adds the subscriber's events left to right in dataset order.
+    minimum and maximum top-up amounts stand in.
     """
-    code = ds.subscriber_code(subscriber)
-    if code is None:
-        raise ValueError(f"subscriber {subscriber!r} not present in dataset")
-    c = ds.cdrs
-    out = ds.cdrs_by_caller().of(code)
-    inn = ds.cdrs_by_callee().of(code)
-    tops = ds.topups_by_buyer().of(code)
-    out_kind, in_kind = c.kind[out], c.kind[inn]
-    out_comm = out[_IS_COMM[out_kind] & (c.callee[out] >= 0)]
-    in_comm = inn[_IS_COMM[in_kind]]
+    c, t = ds.cdrs, ds.topups
+    n, n_towers = len(c.subscriber_ids), len(c.tower_ids)
+    nan = np.nan
 
-    values: dict[str, float | None] = {}
-    values["out_voice_duration"] = sum(c.magnitude[out[out_kind == VOICE]].tolist())
-    values["in_voice_duration"] = sum(c.magnitude[inn[in_kind == VOICE]].tolist())
-    values["sms_out_count"] = int(np.count_nonzero(out_kind == SMS))
-    values["sms_in_count"] = int(np.count_nonzero(in_kind == SMS))
-    values["internet_volume"] = sum(c.magnitude[out[out_kind == DATA]].tolist())
-    if len(out_comm):
-        nocturnal = int(np.count_nonzero(is_nocturnal(c.ts[out_comm])))
-        values["percent_nocturnal_calls"] = nocturnal / len(out_comm)
-    else:
-        values["percent_nocturnal_calls"] = None
+    def per(codes, mask, weights=None):
+        """Per subscriber code: how many rows in mask carry it in codes, or the sum of their weights."""
+        mask = mask & (codes >= 0)
+        w = None if weights is None else weights[mask]
+        return np.bincount(codes[mask], w, minlength=n).astype(np.float64)  # int when mask is empty
 
-    contacts = _first_seen_counts(np.concatenate((c.callee[out_comm], c.caller[in_comm])))
-    if contacts:
-        values["degree"] = len(contacts)
-        values["interactions_per_contact"] = sum(contacts) / len(contacts)
-        values["entropy_of_contacts"] = _count_entropy(contacts)
-    else:
-        values["degree"] = None
-        values["interactions_per_contact"] = None
-        values["entropy_of_contacts"] = None
+    col: dict[str, np.ndarray] = {}
+    voice, sms, comm = c.kind == VOICE, c.kind == SMS, _IS_COMM[c.kind] & (c.callee >= 0)
+    col["out_voice_duration"] = per(c.caller, voice, c.magnitude)
+    col["in_voice_duration"] = per(c.callee, voice, c.magnitude)
+    col["sms_out_count"] = per(c.caller, sms)
+    col["sms_in_count"] = per(c.callee, sms)
+    col["internet_volume"] = per(c.caller, c.kind == DATA, c.magnitude)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 is an absent value
+        col["percent_nocturnal_calls"] = per(c.caller, comm & is_nocturnal(c.ts)) / per(c.caller, comm)
 
-    if len(out):
-        places = _first_seen_counts(c.tower[out])
-        values["number_of_places"] = len(places)
-        values["entropy_of_places"] = _count_entropy(places)
-        values["radius_of_gyration"] = radius_of_gyration(ds.tower_coords[c.tower[out]])
-    else:
-        values["number_of_places"] = None
-        values["entropy_of_places"] = None
-        values["radius_of_gyration"] = None
-    home = home_tower(ds, subscriber)
-    if home is not None:
-        values["home_tower_lon"] = ds.towers[home].lon
-        values["home_tower_lat"] = ds.towers[home].lat
-    else:
-        values["home_tower_lon"] = None
-        values["home_tower_lat"] = None
+        # Contacts: each directed (caller, callee) pair once, then seen from both
+        # ends.  Outgoing events come first in first-seen order, and np.unique
+        # keeps the first occurrence, so the outgoing end's key wins.
+        pairs, first, counts = np.unique(c.caller[comm].astype(np.int64) * n + c.callee[comm],
+                                         return_index=True, return_counts=True)
+        a, b = pairs // n, pairs % n
+        owner_contact, at, inverse = np.unique(np.concatenate((a * n + b, b * n + a)),
+                                               return_index=True, return_inverse=True)
+        degree, total, entropy = _spread(owner_contact // n, np.concatenate((first, first + len(c)))[at],
+                                         np.bincount(inverse, np.concatenate((counts, counts))), n)
+        col["degree"] = np.where(degree > 0, degree, nan)
+        col["interactions_per_contact"] = total / degree
+        col["entropy_of_contacts"] = np.where(degree > 0, entropy, nan)
 
-    if len(tops):
-        amounts = ds.topups.amount[tops].tolist()
-        stamps = ds.topups.ts[tops].tolist()
-        n = len(amounts)
-        mean = sum(amounts) / n
-        values["recharge_count"] = n
-        values["recharge_total"] = sum(amounts)
-        values["recharge_amount_mean"] = mean
-        if n >= 2 and mean > 0:
-            values["recharge_amount_cv"] = statistics.stdev(amounts) / mean
-        else:
-            values["recharge_amount_cv"] = None
-        values["spending_speed"] = spending_speed(amounts, stamps)
-        bounds = denominations or dataset_denominations(ds)
-        low, high = min(bounds), max(bounds)
-        values["fraction_lowest_denomination"] = sum(1 for a in amounts if a == low) / n
-        values["fraction_highest_denomination"] = sum(1 for a in amounts if a == high) / n
-        if n >= 2:
-            gaps = [(b - a) / SECONDS_PER_DAY for a, b in zip(stamps, stamps[1:])]
-            values["median_days_between_refills"] = statistics.median(gaps)
-        else:
-            values["median_days_between_refills"] = None
-    else:
-        for name in (
-            "recharge_count",
-            "recharge_total",
-            "recharge_amount_mean",
-            "recharge_amount_cv",
-            "spending_speed",
-            "fraction_lowest_denomination",
-            "fraction_highest_denomination",
-            "median_days_between_refills",
-        ):
-            values[name] = None
+        # Places: every outgoing event's tower.  The radius of gyration is the
+        # root mean squared great-circle distance from the visit-weighted
+        # (lon, lat) centroid, one distance per distinct (caller, tower) pair.
+        visits = np.bincount(c.caller, minlength=n)
+        pairs, first, row_pair, counts = np.unique(c.caller.astype(np.int64) * n_towers + c.tower,
+                                                   return_index=True, return_inverse=True, return_counts=True)
+        places, _, entropy = _spread(pairs // n_towers, first, counts, n)
+        col["number_of_places"] = np.where(places > 0, places, nan)
+        col["entropy_of_places"] = np.where(places > 0, entropy, nan)
+        lonlat = ds.tower_coords
+        lon0 = np.bincount(c.caller, lonlat[c.tower, 0], minlength=n) / visits
+        lat0 = np.bincount(c.caller, lonlat[c.tower, 1], minlength=n) / visits
+        owner, tower = pairs // n_towers, pairs % n_towers
+        d = haversine_km_to(lonlat[tower, 0], lonlat[tower, 1], lon0[owner], lat0[owner])
+        sq = np.array([x ** 2 for x in d.tolist()])  # pow(), as a scalar's ** 2
+        col["radius_of_gyration"] = np.sqrt(np.bincount(c.caller, sq[row_pair], minlength=n) / visits)
+        home = np.vstack((lonlat, (nan, nan)))[ds.home_towers()]
+        col["home_tower_lon"], col["home_tower_lat"] = home[:, 0], home[:, 1]
 
-    ordered = {name: values[name] for name in FEATURE_ORDER}
-    return FeatureVector(subscriber, ordered, home)
+        rows, offsets = ds.topups_by_buyer()
+        count = np.diff(offsets)
+        has = count > 0
+        total = np.bincount(t.buyer, t.amount, minlength=n)
+        mean = total / count
+        bounds = denominations or ((t.amount.min(), t.amount.max()) if len(t) else (nan,))
+        col["recharge_count"] = np.where(has, count, nan)
+        col["recharge_total"] = np.where(has, total, nan)
+        col["recharge_amount_mean"] = mean
+        # statistics.stdev is exact (Fractions); no array form has its bits.
+        cv = np.full(n, nan)
+        amounts = t.amount[rows]
+        for s in np.flatnonzero((count >= 2) & (mean > 0)).tolist():
+            cv[s] = statistics.stdev(amounts[offsets[s]:offsets[s + 1]].tolist()) / mean[s]
+        col["recharge_amount_cv"] = cv
+        # Spending speed: the total over the inclusive span, (last - first)/86400 + 1 days.
+        ts = t.ts[rows]
+        span = np.zeros(n, dtype=np.int64)
+        span[has] = ts[offsets[1:][has] - 1] - ts[offsets[:-1][has]]
+        col["spending_speed"] = np.where(has, total / (span / SECONDS_PER_DAY + 1.0), nan)
+        col["fraction_lowest_denomination"] = np.bincount(t.buyer[t.amount == min(bounds)], minlength=n) / count
+        col["fraction_highest_denomination"] = np.bincount(t.buyer[t.amount == max(bounds)], minlength=n) / count
+        # The median gap between refills: the gaps sorted within each buyer, then
+        # (lo + hi) / 2 of the middle pair, which is the middle gap itself when
+        # a buyer has an odd number of them.
+        buyer = t.buyer[rows]
+        same = buyer[1:] == buyer[:-1]
+        gap_buyer, gap = buyer[1:][same], (np.diff(ts) / SECONDS_PER_DAY)[same]
+        gap = gap[np.lexsort((gap, gap_buyer))]
+        k = np.maximum(count - 1, 0)
+        lo = np.cumsum(k) - k + (k - 1) // 2
+        hi = np.cumsum(k) - k + k // 2
+        median = np.full(n, nan)
+        median[k > 0] = (gap[lo[k > 0]] + gap[hi[k > 0]]) / 2
+        col["median_days_between_refills"] = median
+    return {name: col[name] for name in FEATURE_ORDER}
 
 
-def write_features_csv(vectors: Iterable[FeatureVector], path: str, header_comment: str | None = None) -> None:
-    """One row per subscriber, fixed column order, absent values as empty cells."""
-    def row(vec: FeatureVector) -> list[str]:
-        values = (vec.values.get(name) for name in FEATURE_ORDER)
-        return [vec.subscriber, vec.home_tower or ""] + ["" if v is None else repr(float(v)) for v in values]
-
-    write_csv(path, ["subscriber", "home_tower"] + FEATURE_ORDER, map(row, vectors), header_comment)
+def write_features_csv(ds: Dataset, columns: dict[str, np.ndarray], path: str,
+                       header_comment: str | None = None) -> None:
+    """One row per subscriber, fixed column order, absent (nan) values as empty cells."""
+    cells = [["" if math.isnan(v) else repr(v) for v in columns[name].tolist()] for name in FEATURE_ORDER]
+    write_csv(path, ["subscriber", "home_tower"] + FEATURE_ORDER,
+              zip(ds.subscribers(), home_tower(ds), *cells), header_comment)

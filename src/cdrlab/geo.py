@@ -24,8 +24,10 @@ def haversine_km(lon1, lat1, lon2, lat2):
     return float(d) if np.ndim(d) == 0 else d
 
 
-def haversine_km_to(lons, lats, lon0: float, lat0: float) -> np.ndarray:
+def haversine_km_to(lons, lats, lon0, lat0) -> np.ndarray:
     """haversine_km(lon, lat, lon0, lat0) for each point, bit for bit.
+
+    lon0 and lat0 are one reference point, or one per point.
 
     A scalar's ``** 2`` calls pow(), which can round the last bit
     differently from the multiplication numpy squares an array with, so the

@@ -10,7 +10,6 @@ search on its sorted timestamps.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from functools import cached_property
@@ -287,12 +286,6 @@ class Dataset:
         if self._subscriber_cache is None:
             object.__setattr__(self, "_subscriber_cache", list(self.cdrs.subscriber_ids))
         return self._subscriber_cache
-
-    def subscriber_code(self, subscriber: str) -> int | None:
-        """The code of a subscriber id, None when the dataset has no such id."""
-        ids = self.cdrs.subscriber_ids
-        i = bisect_left(ids, subscriber)
-        return i if i < len(ids) and ids[i] == subscriber else None
 
     def home_towers(self) -> np.ndarray:
         """Per subscriber code, the tower code of its home; -1 when it has none (cached).

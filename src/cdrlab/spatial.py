@@ -112,9 +112,10 @@ def voronoi_partition(
         seen[key] = bump + 1
         positions[tid] = (lon, lat)
 
-    lon0 = sum(p[0] for p in clip) / len(clip)
-    lat0 = sum(p[1] for p in clip) / len(clip)
-    proj = LocalProjection(lon0, lat0)
+    lon0 = lat0 = 0.0
+    for lon, lat in clip:  # left to right, as builtin sum adds floats only before Python 3.12
+        lon0, lat0 = lon0 + lon, lat0 + lat
+    proj = LocalProjection(lon0 / len(clip), lat0 / len(clip))
     clip_xy = [proj.to_xy(lon, lat) for lon, lat in clip]
     sites = {tid: proj.to_xy(lon, lat) for tid, (lon, lat) in positions.items()}
 

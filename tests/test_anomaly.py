@@ -337,7 +337,7 @@ def test_rank_contacts_ordering_and_ties():
     ids = ds.cdrs.subscriber_ids
 
     def ranked(sub):
-        return [ids[i] for i in an._ranked_contacts(ds, ds.subscriber_code(sub), (T0, T0 + DAY)).tolist()]
+        return [ids[i] for i in an._ranked_contacts(ds, ids.index(sub), (T0, T0 + DAY)).tolist()]
 
     assert ranked("A") == ["C", "B", "D"]  # C wins the 3-3 tie on two-way volume
     assert ranked("E") == []

@@ -5,7 +5,9 @@ Commands run in-process through cli.main so exit codes and stderr are
 observable without spawning a shell.
 """
 
+import builtins
 import json
+import math
 import os
 import re
 import subprocess
@@ -212,6 +214,44 @@ def test_features_thread_count_is_invisible(synth_dir, features_dir, tmp_path):
         (features_dir / "manifest_features.json").read_bytes()
     rows = data_lines(tmp_path / "features.csv")
     assert len(rows) == 61  # header plus one row per subscriber
+
+
+def neumaier_sum(iterable, /, start=0):
+    """builtins.sum as CPython >= 3.12 adds exact floats: compensated (Neumaier), not left to right."""
+    items = list(iterable)
+    if not items or any(type(x) is not float for x in items):
+        return builtin_sum(items, start)
+    total, comp = start + items[0], 0.0
+    for x in items[1:]:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+builtin_sum = builtins.sum
+
+
+def test_outputs_do_not_depend_on_the_interpreters_float_sum(tmp_path, monkeypatch):
+    assert neumaier_sum([0.1] * 10) == 1.0  # 0.9999999999999999 left to right
+    # Seed 1 places the towers where a compensated sum moves the voronoi bytes.
+    (tmp_path / "run.ini").write_text(SMALL_INI)
+    assert cli.main(["synth", "--config", str(tmp_path / "run.ini"), "--outdir", str(tmp_path / "synth"),
+                     "--seed", "1"]) == 0
+    steps = [["features", *dataset_args(tmp_path / "synth")],
+             ["voronoi", "--towers", str(tmp_path / "synth" / "towers.csv"), "--clip", "89.9,21.9,91.1,25.7"]]
+
+    def outputs(tag):
+        got = {}
+        for argv in steps:
+            outdir = tmp_path / f"{tag}_{argv[0]}"
+            assert cli.main([*argv, "--outdir", str(outdir)]) == 0
+            got.update({p.name: p.read_bytes() for p in outdir.iterdir()})
+        return got
+
+    left_to_right = outputs("plain")
+    monkeypatch.setattr(builtins, "sum", neumaier_sum)
+    assert outputs("compensated") == left_to_right
 
 
 def test_graph_with_centrality(synth_dir, tmp_path):
@@ -929,6 +969,14 @@ DEGENERATE = {
     "one-class labels": (_ring_calls(6, 3), _ring_topups(6, 3), dict.fromkeys(RING_LABELS, "low")),
     "blank feature column": (_ring_calls(6, 3), _ring_topups(6, 3), RING_LABELS),
     "ring": (_ring_calls(6, 3), _ring_topups(6, 3), RING_LABELS),
+    # the ring again, plus a select-covariates --table whose response is constant
+    "constant --table response": (_ring_calls(6, 3), _ring_topups(6, 3), RING_LABELS),
+}
+# (case, step) -> what the step's exit-2 message names: the file or config key at fault
+NAMED = {
+    ("one day", "anomaly"): "[anomaly] baseline = hour_of_day: baseline cell",
+    ("no top-ups", "train_logistic"): "{d}/out_features/features.csv: column 'recharge_count' has no present values",
+    ("constant --table response", "select_covariates"): "{d}/table.csv: response column 'resp' is constant",
 }
 RANK_CURVES_CONFIGS = {"bin_width = 0": "bin_width", "bin_width = 7": "bin_width",
                        "bin_width = 100000": "bin_width", "max_rank = 0": "max_rank"}
@@ -950,6 +998,8 @@ def _write_degenerate(d, case):
     (d / "outcomes.csv").write_text("subscriber,converted,renewed\n" + "".join(f"{s},1,0\n" for s in labels))
     if case == "blank feature column":
         (d / "features.csv").write_text("subscriber,f1,f2\n" + "".join(f"{s},{i},\n" for i, s in enumerate(labels)))
+    if case == "constant --table response":
+        (d / "table.csv").write_text("resp,x1,x2\n1,1,2\n1,2,1\n1,3,5\n1,4,3\n1,5,9\n")
     return ["--cdr", str(d / "cdr.csv"), "--topups", str(d / "topups.csv"), "--towers", str(d / "towers.csv"),
             "--labels", str(d / "labels.csv")]
 
@@ -982,6 +1032,8 @@ def _degenerate_steps(d, data):
     steps.append(("campaign", ["campaign", *data, "--model", str(d / "out_train_logistic" / "model.json"),
                                "--features", str(features), "--control", str(d / "control.csv"),
                                "--outcomes", str(d / "outcomes.csv"), "--treatment-size", "1"]))
+    if (d / "table.csv").exists():
+        steps.append(("select_covariates", ["select-covariates", "--table", str(d / "table.csv"), "--response", "resp"]))
     return steps
 
 
@@ -1003,6 +1055,18 @@ def _sweep_run(name, argv, outdir, capsys):
     return rc, err, problems
 
 
+def test_kappa_single_undefined_mode_exits_2(tmp_path, capsys):
+    # on the ring the two given adopters' one link pairs in no null replicate
+    d = tmp_path / "in"
+    data = _write_degenerate(d, "ring")
+    argv = ["kappa", "--replicates", "20", "--adopters", str(d / "adopters.csv"), *data]
+    assert cli.main([*argv, "--mode", "link", "--outdir", str(tmp_path / "link")]) == 2
+    assert "reference degenerate" in capsys.readouterr().err
+    assert not (tmp_path / "link" / "kappa.csv").exists()
+    assert cli.main([*argv, "--mode", "node", "--outdir", str(tmp_path / "node")]) == 0
+    assert "undefined" not in json.loads((tmp_path / "node" / "manifest_kappa.json").read_text())["params"]
+
+
 @pytest.mark.parametrize("case", [*DEGENERATE, *RANK_CURVES_CONFIGS])
 def test_degenerate_inputs_exit_0_or_2_without_traceback_or_nan(tmp_path, capsys, case):
     # Under the default na_policy = drop, every row that lacks a recharge feature
@@ -1012,15 +1076,33 @@ def test_degenerate_inputs_exit_0_or_2_without_traceback_or_nan(tmp_path, capsys
                    + (f"[rank_curves]\n{case}\n" if case in RANK_CURVES_CONFIGS else ""))
     d = tmp_path / "in"
     data = _write_degenerate(d, case if case in DEGENERATE else "ring")
-    problems, failed = [], []
+    problems, failed, errs = [], [], {}
     for name, argv in _degenerate_steps(d, data):
         if case in DEGENERATE or name == "rank_curves":
             rc, err, found = _sweep_run(name, [*argv, "--config", str(ini)], d / f"out_{name}", capsys)
             problems += found
             failed += [name] if rc else []
+            errs[name] = err
     assert problems == []
-    if case == "ring":  # no simulated adopter on 6 nodes; 2 given ones leave clustering no null
-        assert failed == ["kappa", "kappa_adopters"]
+    for (named_case, step), text in NAMED.items():
+        if named_case == case:
+            assert step in failed and text.format(d=d) in errs[step]
+    if case == "ring":
+        # The simulated adopters induce no link, and the one link of the two given ones
+        # pairs in no null replicate: under --mode all, link and clustering are empty
+        # rows beside the node row, and the manifest says why.
+        assert failed == []
+        for step in ("kappa", "kappa_adopters"):
+            rows = data_lines(d / f"out_{step}" / "kappa.csv")[1:]
+            assert [r.split(",", 1)[0] for r in rows] == ["clustering", "link", "node"]
+            assert rows[:2] == ["clustering,,,,,,", "link,,,,,,"] and ",," not in rows[2]
+            params = json.loads((d / f"out_{step}" / "manifest_kappa.json").read_text())["params"]
+            assert list(params["kappa"]) == ["node"]
+            assert sorted(params["undefined"]) == ["clustering", "link"]
+            assert all(why.startswith(("kappa undefined", "reference degenerate"))
+                       for why in params["undefined"].values())
+    if case == "constant --table response":
+        assert failed == ["select_covariates"]
     if case in RANK_CURVES_CONFIGS:  # its one step is refused, naming the key
         assert RANK_CURVES_CONFIGS[case] in err
         assert not (d / "out_rank_curves" / "rank_curves.csv").exists()

@@ -53,11 +53,10 @@ def test_dataset_indexes():
         [topup("A", T0 + 3, 20.0)],
         window=(T0, T0 + DAY),
     )
-    a = ds.subscriber_code("A")
+    a = ds.subscribers().index("A")
     assert ds.cdrs.ts[ds.cdrs_by_caller().of(a)].tolist() == [T0 + 1]
     assert ds.cdrs.ts[ds.cdrs_by_callee().of(a)].tolist() == [T0 + 2]
     assert ds.topups.amount[ds.topups_by_buyer().of(a)].tolist() == [20.0]
-    assert ds.subscriber_code("Z") is None
     # subscribers: callers and buyers, sorted
     assert ds.subscribers() == ["A", "B"]
 
