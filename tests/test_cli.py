@@ -216,6 +216,9 @@ def test_features_thread_count_is_invisible(synth_dir, features_dir, tmp_path):
     assert len(rows) == 61  # header plus one row per subscriber
 
 
+builtin_sum = builtins.sum
+
+
 def neumaier_sum(iterable, /, start=0):
     """builtins.sum as CPython >= 3.12 adds exact floats: compensated (Neumaier), not left to right."""
     items = list(iterable)
@@ -227,9 +230,6 @@ def neumaier_sum(iterable, /, start=0):
         comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
         total = t
     return total + comp if comp and math.isfinite(comp) else total
-
-
-builtin_sum = builtins.sum
 
 
 def test_outputs_do_not_depend_on_the_interpreters_float_sum(tmp_path, monkeypatch):
@@ -952,7 +952,7 @@ def _ring_topups(n, days, towers=("T0", "T1")):
 
 # name -> (cdr rows (caller, callee, tower, offset, kind, magnitude), top-up rows
 # (buyer, tower, offset, amount), labels); a top-up table of None writes only its header.
-# The last, a six-subscriber ring over three days, is the control every step but kappa passes.
+# "ring", a six-subscriber ring over three days, is the control every step passes.
 RING_LABELS = {f"s{i}": ("low", "high")[i % 2] for i in range(6)}
 DEGENERATE = {
     "one subscriber": ([("s0", "", f"T{d % 2}", d * DAY + h * 3600, "data", 1000)
