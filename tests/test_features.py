@@ -245,7 +245,7 @@ def scalar_radius_of_gyration(visits):
     return math.sqrt(mean_sq)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(st.floats(-180, 180), st.floats(-90, 90)), min_size=1, max_size=60),
        st.integers(0, 2**32 - 1), st.integers(1, 400))
 def test_radius_of_gyration_is_bitwise_the_scalar_form(visits, seed, n):
