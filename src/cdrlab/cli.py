@@ -83,6 +83,17 @@ def _parse_ts(text: str) -> int:
         return parse_timestamp(text)
 
 
+def _numbers(flag: str, text: str, count: int = 0) -> list[float]:
+    """A flag's comma-separated finite numbers, count of them when count > 0; else an error naming the flag."""
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        values = [math.nan]
+    if not all(map(math.isfinite, values)) or count not in (0, len(values)):
+        raise ValueError(f"{flag}: expected {count or 'one or more'} comma-separated finite numbers, got {text!r}")
+    return values
+
+
 def _day_label(ts: int) -> str:
     return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y%m%d")
 
@@ -302,7 +313,7 @@ def _cmd_features(args, ctx: RunContext) -> dict:
     from . import features
 
     ds, _, _ = _load_dataset(args, ctx.cfg)
-    denoms = tuple(float(x) for x in args.denominations.split(",")) if args.denominations else None
+    denoms = tuple(_numbers("--denominations", args.denominations)) if args.denominations else None
     columns = features.extract_features(ds, denominations=denoms)
     features.write_features_csv(ds, columns, ctx.outputs.stage("features.csv"), header_comment=ctx.header)
     n = len(ds.subscribers())
@@ -545,8 +556,8 @@ def _cmd_distance_matrix(args, ctx: RunContext) -> dict:
     from . import anomaly
 
     ds, _, _ = _load_dataset(args, ctx.cfg)
-    lon, lat = (float(x) for x in args.epicenter.split(","))
-    edges = [float(x) for x in args.bins.split(",")]
+    lon, lat = _numbers("--epicenter", args.epicenter, 2)
+    edges = _numbers("--bins", args.bins)
     comparison = [_parse_ts(d) for d in args.comparison_days.split(",")]
     ratio, counts = anomaly.distance_activation_matrix(
         ds, (lon, lat), _parse_ts(args.event_day),
@@ -569,12 +580,12 @@ def _cmd_voronoi(args, ctx: RunContext) -> dict:
         raise ValueError("need --towers (or [dataset] config entry)")
     towers, _ = ingest.parse_tower_file(paths["towers"])
     if args.clip:
-        x0, y0, x1, y1 = (float(v) for v in args.clip.split(","))
+        x0, y0, x1, y1 = _numbers("--clip", args.clip, 4)
+        if not (x0 < x1 and y0 < y1):
+            raise ValueError(f"--clip: expected lon_min < lon_max and lat_min < lat_max, got {args.clip!r}")
     else:
-        lons = [t.lon for t in towers.values()]
-        lats = [t.lat for t in towers.values()]
-        pad = 0.1
-        x0, y0, x1, y1 = min(lons) - pad, min(lats) - pad, max(lons) + pad, max(lats) + pad
+        lons, lats = [t.lon for t in towers.values()], [t.lat for t in towers.values()]
+        x0, y0, x1, y1 = min(lons) - 0.1, min(lats) - 0.1, max(lons) + 0.1, max(lats) + 0.1
     clip = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
     cells = spatial.voronoi_partition({t: (tw.lon, tw.lat) for t, tw in towers.items()}, clip)
     doc = spatial.voronoi_geojson(cells)

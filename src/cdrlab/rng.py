@@ -6,15 +6,13 @@ independent of iteration order, so per-entity work can be re-chunked without
 changing a single draw.
 
 `derive_rng` builds one stream: `SeedSequence(seed, spawn_key=key words)`
-seeding a `PCG64`.  `derive_choices` draws the same stream for a block of
-keys that differ only in a trailing replicate number.  Building a
-`SeedSequence` and a `PCG64` per replicate costs more than the draw it
-seeds, so it runs both seeding algorithms itself, as published in NumPy's
-NEP 19 and the PCG paper: the SeedSequence pool mix and `generate_state`
-as uint32 array arithmetic over the whole block, and the 128-bit PCG64
-seeding in Python integers.  It then sets each row's state on one reused
-generator.  Every row equals the `derive_rng(...).choice(...)` draw, which
-the tests keep as its oracle.
+seeding a `PCG64`.  `derive_streams` yields the same streams for a block of
+keys, and `derive_choices` draws from them.  A `SeedSequence` and a `PCG64`
+per key cost more than many of the draws they seed, so the block runs both
+seeding algorithms itself, as published in NumPy's NEP 19 and the PCG
+paper: the SeedSequence pool mix and `generate_state` as uint32 array
+arithmetic over the whole block, and the 128-bit PCG64 seeding in Python
+integers, and it sets each key's state on one reused generator.
 """
 
 from __future__ import annotations
@@ -75,16 +73,18 @@ def _mix(x, y):
     return _xorshift((_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32)
 
 
-def _pcg64_states(seed: int, spawn_words: np.ndarray) -> list[tuple[int, int]]:
-    """PCG64 (state, inc) seeded by SeedSequence(seed, spawn_key=row) for each row of uint32 words."""
+def derive_streams(seed: int, name, keys):
+    """Yield derive_rng(seed, name, key) for each key, in order, seeded as one block.
+
+    Every item is the same Generator, re-seeded when the next one is asked
+    for: finish with one key's stream before advancing.  Separate calls
+    yield separate generators, so two of them can be zipped.
+    """
+    spawn_words = np.frombuffer(b"".join(_key_digest((name, key)) for key in keys), "<u4").reshape(-1, 8)[:, :4]
     seed = int(seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    run = [seed & _MASK32]
-    rest = seed >> 32
-    while rest:
-        run.append(rest & _MASK32)
-        rest >>= 32
+    run = [(seed >> shift) & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
     # With a spawn key, the run entropy is zero-padded to the pool size.
     run += [0] * (_POOL_SIZE - len(run))
     tail = np.concatenate(
@@ -122,21 +122,16 @@ def _pcg64_states(seed: int, spawn_words: np.ndarray) -> list[tuple[int, int]]:
 
     # pcg64_set_seed: state = (seed high, low), inc = (inc high, low) * 2 + 1,
     # then one LCG step from zero, the add, and one more step.
-    states = []
+    gen = np.random.Generator(np.random.PCG64(0))
     for s_hi, s_lo, i_hi, i_lo in seeds:
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc))
-    return states
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        yield gen
 
 
 def derive_choices(seed: int, name, lo: int, hi: int, n: int, m: int) -> np.ndarray:
     """Rows derive_rng(seed, name, r).choice(n, size=m, replace=False) for r in [lo, hi), as int64."""
-    digests = b"".join(_key_digest((name, r)) for r in range(lo, hi))
-    keys = np.frombuffer(digests, dtype="<u4").reshape(-1, 8)[:, :4]
-    gen = np.random.Generator(np.random.PCG64(0))
-    out = np.empty((hi - lo, m), dtype=np.int64)
-    for row, (state, inc) in enumerate(_pcg64_states(seed, keys)):
-        gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-        out[row] = gen.choice(n, size=m, replace=False)
-    return out
+    rows = [gen.choice(n, size=m, replace=False) for gen in derive_streams(seed, name, range(lo, hi))]
+    return np.array(rows, dtype=np.int64).reshape(hi - lo, m)

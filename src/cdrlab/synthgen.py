@@ -9,11 +9,12 @@ configs yield byte-identical datasets.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geo import haversine_km, haversine_km_to
+from .geo import haversine_km_to
 from .records import (
     DATA,
     EVENT_KINDS,
@@ -25,10 +26,12 @@ from .records import (
     TopUpTable,
     Tower,
 )
-from .rng import derive_rng
+from .rng import derive_rng, derive_streams
 from .socialgraph import SocialGraph
 
 DEFAULT_START = 1462060800  # 2016-05-01T00:00:00Z
+# Subscribers per grouped pass of generate_events: it bounds the draws held at once.
+BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -123,8 +126,7 @@ def towers_for(cfg: SynthConfig) -> dict[str, Tower]:
     lon_min, lat_min, lon_max, lat_max = cfg.grid
     lons = rng.uniform(lon_min, lon_max, cfg.n_towers)
     lats = rng.uniform(lat_min, lat_max, cfg.n_towers)
-    ids = tower_ids(cfg.n_towers)
-    return {tid: Tower(tid, float(lon), float(lat)) for tid, lon, lat in zip(ids, lons, lats)}
+    return {tid: Tower(tid, float(lon), float(lat)) for tid, lon, lat in zip(tower_ids(cfg.n_towers), lons, lats)}
 
 
 def _small_world_edges(n: int, k: int, rewire_p: float, rng) -> set[tuple[int, int]]:
@@ -132,28 +134,23 @@ def _small_world_edges(n: int, k: int, rewire_p: float, rng) -> set[tuple[int, i
         raise ValueError("small_world k must be even")
     if k >= n:
         raise ValueError("small_world k must be smaller than n")
-    edges: set[tuple[int, int]] = set()
-    for i in range(n):
-        for j in range(1, k // 2 + 1):
-            v = (i + j) % n
-            edges.add((min(i, v), max(i, v)))
+    lattice = [(i, (i + j) % n) for i in range(n) for j in range(1, k // 2 + 1)]
+    edges = {(min(e), max(e)) for e in lattice}
     if rewire_p <= 0:
         return edges
     # Watts-Strogatz rewiring: each lattice edge's far endpoint moves to a
     # uniform random node with probability rewire_p, skipping moves that
     # would create self-loops or duplicates.
-    for i in range(n):
-        for j in range(1, k // 2 + 1):
-            v = (i + j) % n
-            edge = (min(i, v), max(i, v))
-            if rng.random() >= rewire_p or edge not in edges:
-                continue
-            w = int(rng.integers(0, n))
-            candidate = (min(i, w), max(i, w))
-            if w == i or candidate in edges:
-                continue
-            edges.remove(edge)
-            edges.add(candidate)
+    for i, v in lattice:
+        edge = (min(i, v), max(i, v))
+        if rng.random() >= rewire_p or edge not in edges:
+            continue
+        w = int(rng.integers(0, n))
+        candidate = (min(i, w), max(i, w))
+        if w == i or candidate in edges:
+            continue
+        edges.remove(edge)
+        edges.add(candidate)
     return edges
 
 
@@ -164,133 +161,135 @@ def generate_population(cfg: SynthConfig) -> tuple[SocialGraph, GroundTruth]:
     grid, so lattice neighbors live near each other; labels follow a planted
     west-to-east gradient over home-tower longitude (west poorer).
     """
-    subs = subscriber_ids(cfg.n_subscribers)
-    rng = derive_rng(cfg.seed, "graph")
-    edges = _small_world_edges(cfg.n_subscribers, cfg.graph_model.k, cfg.graph_model.rewire_p, rng)
-
+    n = cfg.n_subscribers
+    subs = subscriber_ids(n)
+    edges = _small_world_edges(n, cfg.graph_model.k, cfg.graph_model.rewire_p, derive_rng(cfg.seed, "graph"))
     pairs = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
     g = SocialGraph(subs, pairs[:, 0], pairs[:, 1], np.ones(len(pairs)))
 
     towers = towers_for(cfg)
     order = sorted(towers)
-    tower_lon = np.array([towers[t].lon for t in order])
-    tower_lat = np.array([towers[t].lat for t in order])
+    tower_lon, tower_lat = np.array([(towers[t].lon, towers[t].lat) for t in order]).T
     lon_min, lat_min, lon_max, lat_max = cfg.grid
     cx, cy = (lon_min + lon_max) / 2, (lat_min + lat_max) / 2
     rx, ry = 0.35 * (lon_max - lon_min), 0.35 * (lat_max - lat_min)
-    homes: dict[str, str] = {}
-    for i, s in enumerate(subs):
-        theta = 2 * math.pi * i / cfg.n_subscribers
-        lon = cx + rx * math.cos(theta)
-        lat = cy + ry * math.sin(theta)
-        # argmin keeps the first of equal distances: the smallest tower id.
-        homes[s] = order[int(np.argmin(haversine_km_to(tower_lon, tower_lat, lon, lat)))]
+    # math's cos and sin, from which numpy's can differ in the last bit; one row of
+    # distances per subscriber, whose argmin keeps the first of equal ones: the smallest tower id.
+    lon = np.repeat([cx + rx * math.cos(2 * math.pi * i / n) for i in range(n)], len(order))
+    lat = np.repeat([cy + ry * math.sin(2 * math.pi * i / n) for i in range(n)], len(order))
+    dists = haversine_km_to(np.tile(tower_lon, n), np.tile(tower_lat, n), lon, lat)
+    home = dists.reshape(n, len(order)).argmin(axis=1)
 
-    label_rng = derive_rng(cfg.seed, "labels")
-    u = label_rng.random(cfg.n_subscribers)
-    labels: dict[str, str] = {}
-    for i, s in enumerate(subs):
-        t = towers[homes[s]]
-        frac_east = (t.lon - lon_min) / (lon_max - lon_min)
-        # Centered so the mean low fraction tracks label_low_fraction.
-        p_low = min(0.95, max(0.05, cfg.label_low_fraction + 0.45 * (0.5 - frac_east) * 2))
-        labels[s] = "low" if u[i] < p_low else "high"
+    u = derive_rng(cfg.seed, "labels").random(n)
+    frac_east = (tower_lon[home] - lon_min) / (lon_max - lon_min)
+    # Centered so the mean low fraction tracks label_low_fraction.
+    p_low = np.minimum(0.95, np.maximum(0.05, cfg.label_low_fraction + 0.45 * (0.5 - frac_east) * 2))
+    homes = dict(zip(subs, (order[h] for h in home.tolist())))
+    labels = dict(zip(subs, np.where(u < p_low, "low", "high").tolist()))
     return g, GroundTruth(home_tower=homes, label=labels)
 
 
-def _visit_cdf(cfg: SynthConfig, towers: dict[str, Tower], home: str, concentration: float) -> np.ndarray:
-    order = sorted(towers)
-    h = towers[home]
-    dists = np.array([haversine_km(h.lon, h.lat, towers[t].lon, towers[t].lat) for t in order])
+def _visit_cdf(towers: dict[str, Tower], home: str, concentration: float) -> list[float]:
+    lonlat = np.array([(towers[t].lon, towers[t].lat) for t in sorted(towers)])
+    dists = haversine_km_to(towers[home].lon, towers[home].lat, lonlat[:, 0], lonlat[:, 1])
     ranks = np.argsort(np.argsort(dists, kind="stable"), kind="stable")
     weights = (1.0 - concentration) ** ranks
-    cdf = np.cumsum(weights / weights.sum())
-    return cdf
+    return np.cumsum(weights / weights.sum()).tolist()
 
 
 def generate_events(cfg: SynthConfig, graph: SocialGraph, gt: GroundTruth) -> Dataset:
-    """Sample voice/sms traffic along edges plus top-ups, uniform over days and hours."""
+    """Sample voice/sms traffic along edges plus top-ups, uniform over days and hours.
+
+    Each subscriber draws from its own "events" and "topups" streams, in a
+    fixed order.  The loop over subscribers only draws (top-ups become rows
+    as they are drawn), and one grouped pass per block of BLOCK subscribers
+    turns the block's event draws into rows.
+    """
     towers = towers_for(cfg)
     tower_order = sorted(towers)
     subs = subscriber_ids(cfg.n_subscribers)
     window = (cfg.start, cfg.start + cfg.days * SECONDS_PER_DAY)
+    if graph.ids != tuple(subs):
+        raise ValueError("graph nodes must be the config's subscribers")
 
     day_cdf = np.cumsum(np.ones(cfg.days) / cfg.days)
     hour_cdf = np.cumsum(np.ones(24) / 24)
-
-    denoms = np.asarray(cfg.recharge_denominations, dtype=float)
     drawn_retailers = [f"R{i:03d}" for i in range(max(5, cfg.n_towers // 2))]
     retailers = tuple(sorted(drawn_retailers))
+    retailer_code = [retailers.index(r) for r in drawn_retailers]
 
-    if graph.ids != tuple(subs):
-        raise ValueError("graph nodes must be the config's subscribers")
-    visit_cache: dict[tuple[str, float], np.ndarray] = {}
-    callers, cdr_cols, top_rows = [], [], []
-    for code, s in enumerate(subs):
-        is_low = gt.label.get(s) == "low" and cfg.label_effect > 0
-        rate_mult = 1.0 - 0.5 * cfg.label_effect if is_low else 1.0
-        concentration = (
-            min(0.95, cfg.visit_concentration + 0.3 * cfg.label_effect)
-            if is_low
-            else cfg.visit_concentration
-        )
-        key = (gt.home_tower[s], concentration)
-        if key not in visit_cache:
-            visit_cache[key] = _visit_cdf(cfg, towers, gt.home_tower[s], concentration)
-        cdf = visit_cache[key]
+    # Rates, visit concentrations and denomination CDFs: index 1 for a low-label
+    # subscriber when label_effect > 0, else 0.  One visit CDF per (home, concentration).
+    low = [int(gt.label.get(s) == "low" and cfg.label_effect > 0) for s in subs]
+    rates = [(cfg.event_rate * cfg.days * m, cfg.data_rate * cfg.days * m) for m in (1.0, 1.0 - 0.5 * cfg.label_effect)]
+    concentration = (cfg.visit_concentration, min(0.95, cfg.visit_concentration + 0.3 * cfg.label_effect))
+    weights = [b ** np.arange(len(cfg.recharge_denominations)) for b in (0.6, 0.6 - 0.25 * cfg.label_effect)]
+    denom_cdfs = [np.cumsum(w / w.sum()).tolist() for w in weights]
+    cdf_index: dict[tuple[str, float], int] = {}
+    visit = [cdf_index.setdefault((gt.home_tower[s], concentration[k]), len(cdf_index)) for s, k in zip(subs, low)]
+    cdfs = [_visit_cdf(towers, home, c) for home, c in cdf_index]
+    degree = np.diff(graph.offsets).tolist()
 
-        rng = derive_rng(cfg.seed, "events", s)
-        # Graph index and subscriber code coincide, so the codes ascend.
-        neighbors = graph.nbrs[graph.offsets[code]:graph.offsets[code + 1]]
-        n_comm = int(rng.poisson(cfg.event_rate * cfg.days * rate_mult)) if len(neighbors) else 0
-        if n_comm:
-            days = np.searchsorted(day_cdf, rng.random(n_comm))
-            hours = np.searchsorted(hour_cdf, rng.random(n_comm))
-            secs = rng.integers(0, 3600, n_comm)
-            stamps = cfg.start + days * SECONDS_PER_DAY + hours * 3600 + secs
-            kinds = np.where(rng.random(n_comm) < cfg.sms_fraction, SMS, VOICE)
-            callees = neighbors[rng.integers(0, len(neighbors), n_comm)]
-            tower_idx = np.searchsorted(cdf, rng.random(n_comm))
-            durations = np.maximum(1, np.rint(rng.lognormal(math.log(120.0), 0.7, n_comm)))
-            callers.append(np.full(n_comm, code))
-            cdr_cols.append((stamps, callees, tower_idx, kinds, np.where(kinds == VOICE, durations, 1.0)))
-        n_data = int(rng.poisson(cfg.data_rate * cfg.days * rate_mult)) if cfg.data_rate > 0 else 0
-        if n_data:
-            days = np.searchsorted(day_cdf, rng.random(n_data))
-            hours = np.searchsorted(hour_cdf, rng.random(n_data))
-            secs = rng.integers(0, 3600, n_data)
-            stamps = cfg.start + days * SECONDS_PER_DAY + hours * 3600 + secs
-            tower_idx = np.searchsorted(cdf, rng.random(n_data))
-            volumes = np.rint(rng.lognormal(math.log(5e6), 1.0, n_data))
-            callers.append(np.full(n_data, code))
-            cdr_cols.append((stamps, np.full(n_data, -1), tower_idx, np.full(n_data, DATA), volumes))
+    events = derive_streams(cfg.seed, "events", subs)
+    topups = derive_streams(cfg.seed, "topups", subs)
+    blocks = [tuple(np.zeros(0, dtype) for dtype in (np.int64, np.int32, np.int32, np.int32, np.int8, np.float64))]
+    top_rows = []
+    for lo in range(0, len(subs), BLOCK):
+        # (code, day, hour, second, tower, ...) draws; zip takes the range first,
+        # so it stops without advancing a stream past the block.
+        comm, data = [], []
+        for code, rng, trng in zip(range(lo, min(lo + BLOCK, len(subs))), events, topups):
+            n = int(rng.poisson(rates[low[code]][0])) if degree[code] else 0
+            if n:
+                day, hour, sec, kind, callee, tower, duration = (
+                    rng.random(n), rng.random(n), rng.integers(0, 3600, n), rng.random(n),
+                    rng.integers(0, degree[code], n), rng.random(n), rng.lognormal(math.log(120.0), 0.7, n))
+                comm.append((code, day, hour, sec, tower, kind, callee, duration))
+            n = int(rng.poisson(rates[low[code]][1])) if cfg.data_rate > 0 else 0
+            if n:
+                data.append((code, rng.random(n), rng.random(n), rng.integers(0, 3600, n), rng.random(n),
+                             rng.lognormal(math.log(5e6), 1.0, n)))
 
-        trng = derive_rng(cfg.seed, "topups", s)
-        gap_days = float(trng.lognormal(math.log(cfg.topup_gap_days), 0.5))
-        denom_base = 0.6 - (0.25 * cfg.label_effect if is_low else 0.0)
-        denom_weights = denom_base ** np.arange(len(denoms))
-        denom_cdf = np.cumsum(denom_weights / denom_weights.sum())
-        t = float(cfg.start)
-        while True:
-            t += trng.exponential(gap_days) * SECONDS_PER_DAY
-            if t >= window[1]:
-                break
-            amount = float(denoms[int(np.searchsorted(denom_cdf, trng.random()))])
-            retailer = retailers.index(drawn_retailers[int(trng.integers(0, len(retailers)))])
-            retailer_tower = int(np.searchsorted(cdf, trng.random()))
-            top_rows.append((int(t), code, retailer, retailer_tower, amount))
+            gap_days = float(trng.lognormal(math.log(cfg.topup_gap_days), 0.5))
+            t = cfg.start + trng.exponential(gap_days) * SECONDS_PER_DAY
+            while t < window[1]:
+                amount = float(cfg.recharge_denominations[bisect_left(denom_cdfs[low[code]], trng.random())])
+                retailer = retailer_code[int(trng.integers(0, len(retailers)))]
+                top_rows.append((int(t), code, retailer, bisect_left(cdfs[visit[code]], trng.random()), amount))
+                t += trng.exponential(gap_days) * SECONDS_PER_DAY
 
-    caller = np.concatenate(callers) if callers else np.zeros(0, dtype=np.int64)
-    ts, callee, tower, kind, magnitude = (
-        [np.concatenate(col) for col in zip(*cdr_cols)] if cdr_cols else [np.zeros(0, dtype=np.int64)] * 5
-    )
+        # Comm rows first, then data rows: no two of them tie in the final
+        # sort, which keeps each subscriber's rows of one kind in draw order.
+        parts = comm + data
+        if not parts:
+            continue
+        caller = np.repeat([p[0] for p in parts], [len(p[1]) for p in parts])
+        day, hour, sec, tower_u = (np.concatenate(col) for col in list(zip(*parts))[1:5])
+        ts = cfg.start + np.searchsorted(day_cdf, day) * SECONDS_PER_DAY + np.searchsorted(hour_cdf, hour) * 3600 + sec
+        row = np.take(visit, caller)
+        tower = np.empty(len(row), dtype=np.int32)
+        for r in np.unique(row).tolist():
+            hit = row == r
+            tower[hit] = np.searchsorted(cdfs[r], tower_u[hit])
+        # Durations and volumes round alike; a comm row then gets its kind and callee.
+        magnitude = np.rint(np.concatenate([p[-1] for p in parts]))
+        kind = np.full(len(row), DATA, dtype=np.int8)
+        callee = np.full(len(row), -1, dtype=np.int32)
+        if comm:
+            n = sum(len(p[1]) for p in comm)
+            kind_u, callee_j = (np.concatenate(col) for col in list(zip(*comm))[5:7])
+            kind[:n] = np.where(kind_u < cfg.sms_fraction, SMS, VOICE)
+            callee[:n] = graph.nbrs[graph.offsets[caller[:n]] + callee_j]
+            magnitude[:n] = np.where(kind[:n] == VOICE, np.maximum(1, magnitude[:n]), 1.0)
+        blocks.append((ts, caller.astype(np.int32), callee, tower, kind, magnitude))
+
+    ts, caller, callee, tower, kind, magnitude = (np.concatenate(col) for col in zip(*blocks))
     # Order by (timestamp, caller, kind, callee or "", tower): codes sort like
     # ids, kinds by their names, and -1 (no callee) before every id.
     kind_rank = np.argsort(np.argsort(EVENT_KINDS))[kind]
     order = np.lexsort((tower, callee, kind_rank, caller, ts))
-    cdrs = CdrTable(ts[order].astype(np.int64), caller[order].astype(np.int32),
-                    callee[order].astype(np.int32), tower[order].astype(np.int32), kind[order].astype(np.int8),
-                    magnitude[order].astype(np.float64), tuple(subs), tuple(tower_order))
+    cdrs = CdrTable(ts[order], caller[order], callee[order], tower[order], kind[order], magnitude[order],
+                    tuple(subs), tuple(tower_order))
     top = np.array(top_rows, dtype=np.float64).reshape(-1, 5)
     ts, buyer, retailer, tower = (top[:, j].astype(np.int64) for j in range(4))
     order = np.lexsort((top[:, 4], buyer, ts))
@@ -320,21 +319,16 @@ def inject_shock(
         raise ValueError("multiplier must be >= 0")
     if stream not in ("calls", "recharges", "both"):
         raise ValueError(f"unknown stream {stream!r}")
-    kind = entity[0]
-    if kind == "tower":
-        members = {entity[1]}
-    elif kind == "global":
-        members = None
-    else:
-        raise ValueError(f"unknown entity kind {kind!r}")
+    if entity[0] not in ("tower", "global"):
+        raise ValueError(f"unknown entity kind {entity[0]!r}")
 
     rng = derive_rng(seed, "shock", entity, interval, multiplier, stream)
     lo, hi = interval
 
     def rescale(table):
         hit = (table.ts >= lo) & (table.ts < hi)
-        if members is not None:
-            hit &= np.isin(table.tower, [i for i, t in enumerate(table.tower_ids) if t in members])
+        if entity[0] == "tower":
+            hit &= np.isin(table.tower, [i for i, t in enumerate(table.tower_ids) if t == entity[1]])
         copies = np.ones(len(table), dtype=np.int64)
         draws = rng.random(int(hit.sum()))
         copies[hit] = int(multiplier) + (draws < multiplier - int(multiplier))

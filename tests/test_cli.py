@@ -1106,3 +1106,29 @@ def test_degenerate_inputs_exit_0_or_2_without_traceback_or_nan(tmp_path, capsys
     if case in RANK_CURVES_CONFIGS:  # its one step is refused, naming the key
         assert RANK_CURVES_CONFIGS[case] in err
         assert not (d / "out_rank_curves" / "rank_curves.csv").exists()
+
+
+EPICENTER = ["--epicenter", "90.25,23.25", "--event-day", str(T0 + DAY), "--comparison-days", str(T0)]
+
+
+@pytest.mark.parametrize("step, argv, message", [
+    ("features", ["--denominations", "10,abc"],
+     "--denominations: expected one or more comma-separated finite numbers, got '10,abc'"),
+    ("voronoi", ["--clip", "1,2,3"], "--clip: expected 4 comma-separated finite numbers, got '1,2,3'"),
+    ("voronoi", ["--clip", "nan,22,91,25"], "--clip: expected 4 comma-separated finite numbers, got 'nan,22,91,25'"),
+    ("voronoi", ["--clip", "1,2,1,2"], "--clip: expected lon_min < lon_max and lat_min < lat_max, got '1,2,1,2'"),
+    ("voronoi", ["--clip", "90,22,91,22"], "--clip: expected lon_min < lon_max and lat_min < lat_max"),
+    ("distance-matrix", [*EPICENTER, "--epicenter", "90,23,1"],
+     "--epicenter: expected 2 comma-separated finite numbers, got '90,23,1'"),
+    ("distance-matrix", [*EPICENTER, "--bins", "1,abc"],
+     "--bins: expected one or more comma-separated finite numbers, got '1,abc'"),
+    ("distance-matrix", [*EPICENTER, "--bins", "1,inf"], "--bins: expected one or more"),
+])
+def test_comma_separated_numbers_exit_2_naming_the_flag(tmp_path, capsys, step, argv, message):
+    d = tmp_path / "in"
+    data = _write_degenerate(d, "ring")
+    inputs = ["--towers", str(d / "towers.csv")] if step == "voronoi" else data
+    rc, err, problems = _sweep_run(step, [step, *inputs, *argv], tmp_path / "out", capsys)
+    assert (rc, problems) == (2, [])
+    assert message in err
+    assert not any((tmp_path / "out").iterdir())

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdrlab.rng import derive_choices, derive_rng, derive_seed
+from cdrlab.rng import derive_choices, derive_rng, derive_seed, derive_streams
 
 
 def test_same_key_same_stream():
@@ -70,3 +70,26 @@ def test_derive_choices_at_seed_word_boundaries(seed):
     # the seed fills one to five 32-bit entropy words
     expected = [derive_rng(seed, "node_kappa", r).choice(1000, size=194, replace=False) for r in range(40, 45)]
     assert np.array_equal(derive_choices(seed, "node_kappa", 40, 45, 1000, 194), np.stack(expected))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**130), st.text(max_size=8),
+       st.lists(st.one_of(st.text(max_size=8), st.integers(-5, 10**9)), max_size=6))
+def test_derive_streams_equal_derive_rng_per_key(seed, name, keys):
+    drawn = 0
+    for key, gen in zip(keys, derive_streams(seed, name, keys)):
+        rng = derive_rng(seed, name, key)
+        # doubles, buffered 32-bit integers and a variable-length draw, in one order
+        for method, args in (("random", (3,)), ("integers", (0, 1000, 5)), ("exponential", (2.0,)),
+                             ("integers", (0, 7)), ("lognormal", (0.0, 1.0, 2))):
+            assert np.array_equal(getattr(gen, method)(*args), getattr(rng, method)(*args))
+        drawn += 1
+    assert drawn == len(keys)
+
+
+def test_two_derive_streams_zip_independently():
+    keys = ["S0000", "S0001", "S0002"]
+    for key, a, b in zip(keys, derive_streams(11, "events", keys), derive_streams(11, "topups", keys)):
+        assert a is not b
+        assert np.array_equal(a.random(4), derive_rng(11, "events", key).random(4))
+        assert np.array_equal(b.random(4), derive_rng(11, "topups", key).random(4))

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import synth_oracle as oracle
 from cdrlab import synthgen as syn
 from cdrlab.records import SECONDS_PER_DAY
 from cdrlab.rng import derive_rng
@@ -189,6 +192,55 @@ def test_generate_events_zero_rate_still_tops_up():
     g, gt = syn.generate_population(cfg)
     ds = syn.generate_events(cfg, g, gt)
     assert len(ds.cdrs) == 0 and len(ds.topups) > 0
+
+
+@st.composite
+def small_configs(draw):
+    """Configs of 2-60 subscribers, 1-10 towers and 1-5 days, with data sessions and a label effect."""
+    n = draw(st.integers(2, 60))
+    unit = st.floats(0.0, 1.0)
+    return syn.SynthConfig(
+        seed=draw(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70))),
+        n_subscribers=n, n_towers=draw(st.integers(1, 10)), grid=GRID,
+        graph_model=syn.SmallWorld(k=2 * draw(st.integers(0, (n - 1) // 2)), rewire_p=draw(unit)),
+        days=draw(st.integers(1, 5)),
+        recharge_denominations=tuple(draw(st.lists(st.sampled_from([5.0, 10.0, 20.0, 50.0, 100.0]),
+                                                   min_size=1, unique=True).map(sorted))),
+        event_rate=draw(st.floats(0.0, 5.0)), sms_fraction=draw(unit),
+        data_rate=draw(st.floats(0.01, 3.0)), topup_gap_days=draw(st.floats(0.2, 4.0)),
+        visit_concentration=draw(st.floats(0.05, 0.95)), label_low_fraction=draw(unit),
+        label_effect=draw(st.floats(0.01, 1.0)),
+    )
+
+
+def assert_same_table(table, expected):
+    for name in table.COLUMNS:
+        got, want = getattr(table, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert vars(table).keys() == vars(expected).keys()
+    assert all(getattr(table, k) == getattr(expected, k) for k in vars(table) if k not in table.COLUMNS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_configs())
+def test_grouped_synthesis_matches_the_per_subscriber_oracle(cfg):
+    g, gt = syn.generate_population(cfg)
+    og, ogt = oracle.generate_population(cfg)
+    assert g.ids == og.ids and list(g.edges()) == list(og.edges())
+    assert gt == ogt and list(gt.home_tower) == list(ogt.home_tower) and list(gt.label) == list(ogt.label)
+    ds, expected = syn.generate_events(cfg, g, gt), oracle.generate_events(cfg, og, ogt)
+    assert_same_table(ds.cdrs, expected.cdrs)
+    assert_same_table(ds.topups, expected.topups)
+    assert (ds.towers, ds.window) == (expected.towers, expected.window)
+
+
+def test_grouped_synthesis_spans_blocks():
+    # more subscribers than one block, some with low labels that change their streams
+    cfg = small_cfg(n_subscribers=2 * syn.BLOCK + 3, n_towers=12, days=2, data_rate=1.0, label_effect=0.5)
+    g, gt = syn.generate_population(cfg)
+    ds, expected = syn.generate_events(cfg, g, gt), oracle.generate_events(cfg, g, gt)
+    assert_same_table(ds.cdrs, expected.cdrs)
+    assert_same_table(ds.topups, expected.topups)
 
 
 # -- shock injection -----------------------------------------------------------------

@@ -3,9 +3,16 @@
 The workload is the ROADMAP's pinned Baseline: ``[synth]`` 5,000 subscribers,
 60 towers, 28 days and ``event_rate`` 6.0, seed 11, which gives about 839k
 CDRs.  Every step runs as ``python3 -m cdrlab.cli`` with ``PYTHONPATH`` set to
-the ``src`` of the checkout being measured.  Its wall time runs from spawn to
-reap, and its peak RSS comes from ``os.wait4``.  The steps run in order,
-because later steps read what ``synth``, ``features`` and ``train`` wrote.
+the ``src`` of the checkout being measured.  The steps run in order, because
+later steps read what ``synth``, ``features`` and ``train`` wrote.
+
+Each step starts through ``LAUNCHER``, a ``python3 -S`` process that spawns the
+step, reaps it with ``os.wait4`` and reports the step's wall time (spawn to
+reap) and peak RSS.  A child that a large process starts directly inherits
+that process's RSS high-water mark into its own ``ru_maxrss`` (the clone
+shares the parent's memory until exec), so a step started from this script,
+which holds ``cdr.csv`` while hashing it, would report about 70 MB however
+little it used.  The launcher is small, so the floor it passes on is its own.
 
     python3 tools/baseline.py --src ../parent --src . --repeat 3 --out BENCH.json
 
@@ -30,7 +37,6 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 import numpy
@@ -53,6 +59,25 @@ STEPS = (
 )
 
 
+# Run as ``python3 -S -c LAUNCHER cmd...``: spawns cmd with its stdout on the null
+# device and prints "<wall seconds> <peak RSS KiB> <exit code>" on its own stdout.
+LAUNCHER = """
+import os, sys, time
+start = time.perf_counter()
+pid = os.posix_spawnp(sys.argv[1], sys.argv[1:], os.environ,
+                      file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(time.perf_counter() - start, usage.ru_maxrss, os.waitstatus_to_exitcode(status))
+"""
+
+
+def launch(cmd, **popen) -> tuple[float, int, int]:
+    """(wall seconds, peak RSS in KiB, exit code) of cmd, started through LAUNCHER; popen goes to subprocess.run."""
+    out = subprocess.run([sys.executable, "-S", "-c", LAUNCHER, *cmd], stdout=subprocess.PIPE, check=True, **popen)
+    wall, rss_kib, code = out.stdout.split()
+    return float(wall), int(rss_kib), int(code)
+
+
 def _outdir(name: str) -> str:
     """The output directory of a step: its name with every run of non-word characters as one '_'."""
     return re.sub(r"\W+", "_", name)
@@ -63,12 +88,8 @@ def _run(src: Path, work: Path, name: str, argv) -> dict:
     cmd = [sys.executable, "-m", "cdrlab.cli", *argv, "--config", "run.ini", "--outdir", _outdir(name)]
     env = dict(os.environ, PYTHONPATH=str(src / "src"))
     with open(work / "stderr.txt", "wb") as err:
-        start = time.perf_counter()
-        proc = subprocess.Popen(cmd, cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=err)
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.perf_counter() - start
-    step = {"wall_s": round(wall, 3), "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 1),
-            "exit": os.waitstatus_to_exitcode(status)}
+        wall, rss_kib, code = launch(cmd, cwd=work, env=env, stderr=err)
+    step = {"wall_s": round(wall, 3), "peak_rss_mb": round(rss_kib / 1024.0, 1), "exit": code}
     if step["exit"]:
         step["stderr"] = (work / "stderr.txt").read_text(errors="replace")[-300:]
     return step
