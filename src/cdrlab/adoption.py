@@ -24,13 +24,7 @@ import numpy as np
 
 from .ingest import write_csv
 from .rng import derive_choices
-from .socialgraph import (
-    ComponentReport,
-    SocialGraph,
-    connected_components,
-    global_clustering_coefficient,
-    triangle_counts,
-)
+from .socialgraph import SocialGraph, connected_components, global_clustering_coefficient, triangle_counts
 
 Z95 = 1.959963984540054
 
@@ -40,15 +34,6 @@ MONSTER_THRESHOLD = 1000
 # (rows x max(nodes, edges)): enough rows to amortize each numpy call, few
 # enough that peak memory does not grow with the replicate count.
 BLOCK_CELLS = 1 << 17
-
-
-@dataclass
-class AdoptionNetwork:
-    """The graph restricted to the adopters, each adopter a node of it."""
-    graph: SocialGraph
-    adopters: frozenset[str]
-    induced_edges: tuple[tuple[str, str], ...]
-    isolates: frozenset[str]
 
 
 @dataclass
@@ -88,51 +73,32 @@ def _adopter_mask(g: SocialGraph, adopters: frozenset) -> np.ndarray:
     return mask
 
 
-def adoption_network(g: SocialGraph, adopters) -> AdoptionNetwork:
-    """Induce the network of adopters: g restricted to the adopter set."""
-    adopters = frozenset(adopters)
-    sub = g.induced(_adopter_mask(g, adopters))
-    induced = tuple((u, v) for u, v, _ in sub.edges())
-    isolates = frozenset(sub.ids[i] for i in np.flatnonzero(sub.degrees() == 0).tolist())
-    return AdoptionNetwork(sub, adopters, induced, isolates)
-
-
-def component_report(net: AdoptionNetwork) -> ComponentReport:
-    return connected_components(net.graph)
+def adoption_network(g: SocialGraph, adopters) -> SocialGraph:
+    """The network of adopters: g induced on the adopter set, each adopter a node of it."""
+    return g.induced(_adopter_mask(g, frozenset(adopters)))
 
 
 def component_evolution(snapshots) -> list[dict]:
-    """Per snapshot: fraction of adopters in isolate / pair / mid / monster buckets.
+    """Per adoption network: fraction of adopters in isolate / pair / mid / monster buckets.
 
     mid means components of 3..1000 nodes; the monster bucket is the largest
     component only when it exceeds 1000 nodes.
     """
     rows = []
     for i, net in enumerate(snapshots):
-        report = component_report(net)
-        total = len(net.adopters)
-        iso = len(net.isolates)
-        pair = mid = monster = 0
-        sizes = [len(c) for c in report.components]
-        monster_size = 0
-        if sizes and sizes[0] > MONSTER_THRESHOLD:
-            monster_size = sizes[0]
-        for rank, size in enumerate(sizes):
-            if rank == 0 and monster_size:
-                monster += size
-            elif size == 2:
-                pair += size
-            elif size >= 3:
-                mid += size
+        report = connected_components(net)
+        sizes = report.sizes
+        total = net.node_count()
+        monster = sizes[0] if sizes and sizes[0] > MONSTER_THRESHOLD else 0
         def frac(x):
             return x / total if total else 0.0
         rows.append(
             {
                 "snapshot": i,
                 "adopters": total,
-                "frac_isolates": frac(iso),
-                "frac_pairs": frac(pair),
-                "frac_mid": frac(mid),
+                "frac_isolates": frac(report.isolate_count),
+                "frac_pairs": frac(2 * sizes.count(2)),
+                "frac_mid": frac(sum(size for size in sizes if size >= 3) - monster),
                 "frac_monster": frac(monster),
             }
         )
@@ -303,25 +269,16 @@ def adoption_probability_curve(
     min_support: int = 30,
 ) -> PkCurve:
     """p_k = P(adopted | exactly k adopting friends), over all graph nodes."""
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     mask = _adopter_mask(g, frozenset(adopters))
     n = g.node_count()
     k = np.bincount(g.u[mask[g.v]], minlength=n) + np.bincount(g.v[mask[g.u]], minlength=n)
-    points = []
-    p0 = None
-    for kk in range(k_max + 1):
-        sel = k == kk
-        n_k = int(sel.sum())
-        a_k = int((sel & mask).sum())
-        p_k = (a_k / n_k) if n_k else None
-        if kk == 0:
-            p0 = p_k
-        points.append(PkPoint(kk, n_k, a_k, p_k, n_k >= min_support))
-    uplift = {}
-    if p0:
-        for pt in points:
-            if pt.p_k is not None:
-                uplift[pt.k] = pt.p_k / p0
-    return PkCurve(points, uplift)
+    n_k, a_k = (np.bincount(x, minlength=k_max + 1)[:k_max + 1].tolist() for x in (k, k[mask]))
+    points = [PkPoint(kk, nk, ak, ak / nk if nk else None, nk >= min_support)
+              for kk, (nk, ak) in enumerate(zip(n_k, a_k))]
+    p0 = points[0].p_k
+    return PkCurve(points, {pt.k: pt.p_k / p0 for pt in points if pt.p_k is not None} if p0 else {})
 
 
 def write_kappa_csv(results: dict[str, KappaResult | None], path: str, header_comment: str | None = None) -> None:

@@ -333,17 +333,20 @@ def _ranked_contacts(ds: Dataset, code: int, window: tuple[int, int]) -> np.ndar
     Ties break by the pair's total two-way communication count in the
     window, then by contact id.
     """
-    start, end = window
     c = ds.cdrs
-    n = len(c.subscriber_ids)
+    # Rows are sorted by timestamp and a group's rows ascend, so the rows
+    # of a group in the window are one slice of the group.
+    span = ds.cdrs_between(*window)
+    bounds = (span.start, span.stop)
     out = ds.cdrs_by_caller().of(code)
-    out = out[(c.ts[out] >= start) & (c.ts[out] < end) & (c.callee[out] >= 0)]
+    out = out[slice(*np.searchsorted(out, bounds).tolist())]
     inn = ds.cdrs_by_callee().of(code)
-    inn = inn[(c.ts[inn] >= start) & (c.ts[inn] < end)]
-    calls = np.bincount(c.callee[out[c.kind[out] == VOICE]], minlength=n)
-    two_way = np.bincount(c.callee[out], minlength=n) + np.bincount(c.caller[inn], minlength=n)
-    contacts = np.flatnonzero(calls)
-    return contacts[np.lexsort((contacts, -two_way[contacts], -calls[contacts]))]
+    inn = inn[slice(*np.searchsorted(inn, bounds).tolist())]
+    callee = c.callee[out]
+    contacts, calls = np.unique(callee[(c.kind[out] == VOICE) & (callee >= 0)].astype(np.int64), return_counts=True)
+    others = np.sort(np.concatenate((callee, c.caller[inn])))
+    two_way = np.searchsorted(others, contacts, side="right") - np.searchsorted(others, contacts)
+    return contacts[np.lexsort((contacts, -two_way, -calls))]
 
 
 @dataclass

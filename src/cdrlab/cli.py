@@ -331,7 +331,7 @@ def _cmd_graph(args, ctx: RunContext) -> dict:
     socialgraph.write_components_csv(report, ctx.outputs.stage("components.csv"),
                                      header_comment=ctx.header)
     params = {"nodes": g.node_count(), "edges": g.edge_count(),
-              "components": len(report.components), "isolates": report.isolate_count}
+              "components": len(report.sizes), "isolates": report.isolate_count}
     if args.evc:
         scores = socialgraph.eigenvector_centrality(g)
         ingest.write_csv(ctx.outputs.stage("evc.csv"), ["subscriber", "score"],
@@ -384,7 +384,7 @@ def _cmd_kappa(args, ctx: RunContext) -> dict:
     modes = ("node", "link", "clustering") if args.mode == "all" else (args.mode,)
     results, undefined = {}, {}
     if {"link", "clustering"} & set(modes):
-        net = adoption.adoption_network(g, adopters)
+        links = [(u, v) for u, v, _ in adoption.adoption_network(g, adopters).edges()]
     # Under --mode all, a mode whose null or reference is undefined is an
     # absent row; a single mode that is undefined is an error.
     for mode in modes:
@@ -392,10 +392,9 @@ def _cmd_kappa(args, ctx: RunContext) -> dict:
             if mode == "node":
                 results[mode] = adoption.node_kappa(g, adopters, replicates=replicates, seed=ctx.seed)
             elif mode == "link":
-                results[mode] = adoption.link_kappa(g, net.induced_edges, replicates=replicates, seed=ctx.seed)
+                results[mode] = adoption.link_kappa(g, links, replicates=replicates, seed=ctx.seed)
             else:
-                results[mode] = adoption.clustering_kappa(g, net.induced_edges, replicates=replicates,
-                                                          seed=ctx.seed)
+                results[mode] = adoption.clustering_kappa(g, links, replicates=replicates, seed=ctx.seed)
         except ValueError as exc:
             if len(modes) == 1:
                 raise
@@ -419,6 +418,8 @@ def _cmd_kappa(args, ctx: RunContext) -> dict:
 def _cmd_pk(args, ctx: RunContext) -> dict:
     from . import adoption
 
+    if args.k_max < 0:
+        raise ValueError(f"--k-max must be >= 0, got {args.k_max}")
     ds, _, _ = _load_dataset(args, ctx.cfg)
     g = _build_graph(ds, ctx.cfg)
     table, source = _adopter_set(args, ds, g, ctx)

@@ -107,7 +107,7 @@ class SocialGraph:
 
 @dataclass
 class ComponentReport:
-    components: list[set[str]]
+    sizes: list[int]  # of the components of two or more nodes, largest first
     isolate_count: int
 
 
@@ -165,17 +165,10 @@ def _component_labels(g: SocialGraph) -> np.ndarray:
 
 
 def connected_components(g: SocialGraph) -> ComponentReport:
-    """Exact components of two or more nodes; isolates are nodes with no edge."""
-    label = _component_labels(g)
+    """Sizes of the exact components of two or more nodes; isolates are nodes with no edge."""
     linked = g.degrees() > 0
-    roots, members = np.unique(label[linked], return_counts=True)
-    # A component's label is its smallest index, hence its smallest id.
-    order = np.lexsort((roots, -members))
-    by_label = np.argsort(label, kind="stable")
-    starts = np.searchsorted(label[by_label], roots[order])
-    components = [{g.ids[i] for i in by_label[s:s + k].tolist()}
-                  for s, k in zip(starts.tolist(), members[order].tolist())]
-    return ComponentReport(components, int(np.count_nonzero(~linked)))
+    sizes = np.unique(_component_labels(g)[linked], return_counts=True)[1]
+    return ComponentReport(sorted(sizes.tolist(), reverse=True), int(np.count_nonzero(~linked)))
 
 
 def eigenvector_centrality(g: SocialGraph) -> dict[str, float]:
@@ -274,5 +267,5 @@ def write_edges_csv(g: SocialGraph, path: str, header_comment: str | None = None
 
 
 def write_components_csv(report: ComponentReport, path: str, header_comment: str | None = None) -> None:
-    rows = ([rank, len(comp)] for rank, comp in enumerate(report.components, start=1))
+    rows = ([rank, size] for rank, size in enumerate(report.sizes, start=1))
     write_csv(path, ["component_rank", "size"], rows, header_comment)

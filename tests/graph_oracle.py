@@ -4,12 +4,16 @@
 replicate with Python sets; ``socialgraph.triangle_counts`` must give the same
 (closed, adjacent) integers.  ``nearest_tower`` picked each synthetic home
 with one scalar distance per tower; ``synthgen.generate_population`` must pick
-the same tower.
+the same tower.  ``component_evolution`` bucketed each adoption network from
+its components as sets of ids, found by ``union_find_groups``;
+``adoption.component_evolution`` must give the same rows from component sizes.
 """
 
 from __future__ import annotations
 
+from cdrlab.adoption import MONSTER_THRESHOLD
 from cdrlab.geo import haversine_km
+from cdrlab.socialgraph import SocialGraph
 
 
 def subgraph_clustering(pairs: list[tuple[int, int]]) -> tuple[int, int]:
@@ -33,3 +37,51 @@ def subgraph_clustering(pairs: list[tuple[int, int]]) -> tuple[int, int]:
 def nearest_tower(lon: float, lat: float, towers) -> str:
     """Id of the tower closest to (lon, lat); the smaller id wins a tie."""
     return min(sorted(towers), key=lambda tid: (haversine_km(lon, lat, towers[tid].lon, towers[tid].lat), tid))
+
+
+def union_find_groups(g) -> list[set[str]]:
+    """Every component of g as a set of ids, isolated nodes included."""
+    parent = {n: n for n in g.nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v, _ in g.edges():
+        parent[find(u)] = find(v)
+    groups: dict[str, set[str]] = {}
+    for n in g.nodes:
+        groups.setdefault(find(n), set()).add(n)
+    return list(groups.values())
+
+
+def component_evolution(g, adopter_sets) -> list[dict]:
+    """Per adopter set: fraction of adopters in isolate / pair / mid / monster buckets."""
+    rows = []
+    for i, adopters in enumerate(adopter_sets):
+        adopters = frozenset(adopters)
+        induced = [(u, v) for u, v, _ in g.edges() if u in adopters and v in adopters]
+        isolates = adopters - {x for pair in induced for x in pair}
+        groups = union_find_groups(SocialGraph.from_edges(induced, nodes=adopters))
+        components = sorted((c for c in groups if len(c) > 1), key=len, reverse=True)
+        total = len(adopters)
+        pair = mid = monster = 0
+        sizes = [len(c) for c in components]
+        monster_size = 0
+        if sizes and sizes[0] > MONSTER_THRESHOLD:
+            monster_size = sizes[0]
+        for rank, size in enumerate(sizes):
+            if rank == 0 and monster_size:
+                monster += size
+            elif size == 2:
+                pair += size
+            elif size >= 3:
+                mid += size
+
+        def frac(x):
+            return x / total if total else 0.0
+        rows.append({"snapshot": i, "adopters": total, "frac_isolates": frac(len(isolates)),
+                     "frac_pairs": frac(pair), "frac_mid": frac(mid), "frac_monster": frac(monster)})
+    return rows

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdrlab import adoption as ad
+from cdrlab import socialgraph as sg
 
+import graph_oracle
 import stats_oracle
-from conftest import graph_from
+from conftest import graph_from, random_graph
 from graph_oracle import subgraph_clustering
 
 
@@ -22,9 +24,9 @@ def paw():
 def test_adoption_network_node_attribute():
     g = graph_from([("a", "b"), ("b", "c"), ("a", "c")], nodes=["d"])
     net = ad.adoption_network(g, adopters={"a", "b", "d"})
-    assert net.induced_edges == (("a", "b"),)
-    assert net.isolates == frozenset({"d"})
-    assert net.adopters == frozenset({"a", "b", "d"})
+    assert net.ids == ("a", "b", "d")
+    assert list(net.edges()) == [("a", "b", 1.0)]
+    assert [net.ids[i] for i in np.flatnonzero(net.degrees() == 0).tolist()] == ["d"]
     with pytest.raises(ValueError, match="adopters not in graph"):
         ad.adoption_network(g, adopters={"zzz"})
 
@@ -33,8 +35,8 @@ def test_component_report_and_evolution_buckets():
     edges = [("a", "b"), ("b", "c"), ("d", "e")]
     g = graph_from(edges, nodes=["lone"])
     net = ad.adoption_network(g, adopters={"a", "b", "c", "d", "e", "lone"})
-    report = ad.component_report(net)
-    assert [len(c) for c in report.components] == [3, 2]
+    report = sg.connected_components(net)
+    assert report.sizes == [3, 2]
     assert report.isolate_count == 1
 
     rows = ad.component_evolution([net])
@@ -49,11 +51,23 @@ def test_component_report_and_evolution_buckets():
     assert total == pytest.approx(1.0)
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), p=st.floats(0.0, 0.3),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+def test_component_evolution_matches_the_set_based_oracle(seed, n, p, fractions):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n, p)
+    adopter_sets = [{x for x in g.ids if rng.random() < f} for f in fractions]
+    got = ad.component_evolution([ad.adoption_network(g, a) for a in adopter_sets])
+    assert got == graph_oracle.component_evolution(g, adopter_sets)
+
+
 def test_component_evolution_monster_bucket():
     chain = [(f"n{i:04d}", f"n{i + 1:04d}") for i in range(1001)]  # 1002-node path
     g = graph_from(chain + [("p1", "p2")])
     net = ad.adoption_network(g, adopters=g.nodes)
     row = ad.component_evolution([net])[0]
+    assert [row] == graph_oracle.component_evolution(g, [g.nodes])
     assert row["adopters"] == 1004
     assert row["frac_monster"] == pytest.approx(1002 / 1004)
     assert row["frac_pairs"] == pytest.approx(2 / 1004)
@@ -328,12 +342,37 @@ def test_pk_curve_support_flag_and_zero_p0():
 
 def test_pk_counts_partition_all_nodes():
     rng = np.random.default_rng(3)
-    from conftest import random_graph
     g = random_graph(rng, 30, 0.1)
     adopters = set(sorted(g.nodes)[:9])
     curve = ad.adoption_probability_curve(g, adopters, k_max=29, min_support=5)
     assert sum(pt.n_k for pt in curve.points) == 30
     assert sum(pt.a_k for pt in curve.points) == 9
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), p=st.floats(0.0, 0.5),
+       fraction=st.floats(0.0, 1.0), k_max=st.integers(0, 40), min_support=st.integers(0, 5))
+def test_pk_points_match_a_per_node_count(seed, n, p, fraction, k_max, min_support):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n, p)
+    adopters = {x for x in g.ids if rng.random() < fraction}
+    friends = {x: set() for x in g.ids}
+    for u, v, _ in g.edges():
+        friends[u].add(v)
+        friends[v].add(u)
+    k = {x: len(friends[x] & adopters) for x in g.ids}
+    curve = ad.adoption_probability_curve(g, adopters, k_max=k_max, min_support=min_support)
+    assert [pt.k for pt in curve.points] == list(range(k_max + 1))
+    for pt in curve.points:
+        assert pt.n_k == sum(1 for x in g.ids if k[x] == pt.k)
+        assert pt.a_k == sum(1 for x in adopters if k[x] == pt.k)
+        assert pt.p_k == (pt.a_k / pt.n_k if pt.n_k else None)
+        assert pt.reliable == (pt.n_k >= min_support)
+
+
+def test_pk_rejects_a_negative_k_max():
+    with pytest.raises(ValueError, match="k_max must be >= 0, got -1"):
+        ad.adoption_probability_curve(paw(), {"a"}, k_max=-1)
 
 
 # -- writers ------------------------------------------------------------------------

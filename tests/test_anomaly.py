@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from cdrlab import anomaly as an
 from cdrlab.records import Tower
 
-from conftest import T0, DAY, cdr_rows, data, make_dataset, sms, topup, topup_rows, voice
+import anomaly_oracle
+from conftest import T0, DAY, CdrRecord, cdr_rows, data, make_dataset, sms, topup, topup_rows, voice
 
 
 def series(values, bin_width=3600, start=T0, entity=("global",)):
@@ -341,6 +342,24 @@ def test_rank_contacts_ordering_and_ties():
 
     assert ranked("A") == ["C", "B", "D"]  # C wins the 3-3 tie on two-way volume
     assert ranked("E") == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    events=st.lists(st.tuples(st.sampled_from("ABCD"), st.sampled_from(["A", "B", "C", "D", "E", None]),
+                              st.integers(0, 2 * DAY - 1), st.sampled_from(["voice", "voice", "sms", "data"])),
+                    max_size=60),
+    lo=st.integers(0, 2 * DAY), width=st.integers(1, 2 * DAY),
+)
+def test_rank_contacts_match_the_all_subscriber_count(events, lo, width):
+    # Self-calls, texts, data rows and callee-only E all reach the counts.
+    ds = make_dataset([CdrRecord(a, None if kind == "data" else b, "T1", T0 + off, kind, 30.0)
+                       for a, b, off, kind in events], window=(T0, T0 + 2 * DAY))
+    window = (T0 + lo, T0 + lo + width)
+    for code in range(len(ds.cdrs.subscriber_ids)):
+        got = an._ranked_contacts(ds, code, window)
+        want = anomaly_oracle.ranked_contacts(ds, code, window)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 def test_rank_activation_curves_quantitative():

@@ -439,6 +439,13 @@ def test_kappa_replicates_below_one_exit_2(synth_dir, tmp_path, capsys, flag, in
     assert not (tmp_path / "kappa" / "manifest_kappa.json").exists()
 
 
+def test_pk_negative_k_max_exit_2(synth_dir, tmp_path, capsys):
+    rc = cli.main(["pk", *dataset_args(synth_dir), "--k-max", "-1", "--outdir", str(tmp_path / "pk")])
+    assert rc == 2
+    assert "--k-max must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "pk" / "pk.csv").exists()
+
+
 def test_correlate_tables_and_type_mismatch(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -18,7 +18,7 @@ from conftest import (
     sms,
     voice,
 )
-from graph_oracle import subgraph_clustering
+from graph_oracle import subgraph_clustering, union_find_groups
 
 
 # -- SocialGraph container ---------------------------------------------------
@@ -140,53 +140,50 @@ def test_build_graph_is_order_independent():
 
 # -- connected components ------------------------------------------------------
 
-def union_find_groups(g):
-    parent = {n: n for n in g.nodes}
+def label_partition(g):
+    """The components that `_component_labels` gives, as a set of frozensets of ids."""
+    groups: dict[int, set[str]] = {}
+    for name, label in zip(g.ids, sg._component_labels(g).tolist()):
+        groups.setdefault(label, set()).add(name)
+    return {frozenset(c) for c in groups.values()}
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for u, v, _ in g.edges():
-        parent[find(u)] = find(v)
-    groups: dict[str, set[str]] = {}
-    for n in g.nodes:
-        groups.setdefault(find(n), set()).add(n)
-    return list(groups.values())
+def assert_components_match_union_find(g):
+    oracle = union_find_groups(g)
+    rep = sg.connected_components(g)
+    assert rep.sizes == sorted((len(c) for c in oracle if len(c) > 1), reverse=True)
+    assert rep.isolate_count == sum(1 for c in oracle if len(c) == 1)
+    assert label_partition(g) == {frozenset(c) for c in oracle}
+    return rep
 
 
 def test_components_hand_case():
     g = graph_from([("a", "b"), ("b", "c"), ("x", "y")], nodes=["lone", "ghost"])
-    rep = sg.connected_components(g)
-    assert rep.components == [{"a", "b", "c"}, {"x", "y"}]
+    rep = assert_components_match_union_find(g)
+    assert rep.sizes == [3, 2]
     assert rep.isolate_count == 2  # lone and ghost
+    assert label_partition(g) == {frozenset("abc"), frozenset("xy"), frozenset({"lone"}), frozenset({"ghost"})}
 
 
-def test_components_sorted_by_size_then_min_label():
-    g = graph_from([("b1", "b2"), ("a1", "a2")])
-    rep = sg.connected_components(g)
-    assert rep.components == [{"a1", "a2"}, {"b1", "b2"}]
+def test_component_sizes_sorted_largest_first():
+    # the component holding the smallest id is the smaller one
+    g = graph_from([("b1", "b2"), ("b2", "b3"), ("a1", "a2"), ("c1", "c2")])
+    assert sg.connected_components(g).sizes == [3, 2, 2]
 
 
 def test_components_match_union_find_on_random_graphs():
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        g = random_graph(rng, 40, 0.05)
-        rep = sg.connected_components(g)
-        oracle = [c for c in union_find_groups(g) if len(c) > 1]
-        canon = lambda comps: sorted(tuple(sorted(c)) for c in comps)
-        assert canon(rep.components) == canon(oracle)
-        assert rep.isolate_count == sum(1 for c in union_find_groups(g) if len(c) == 1)
+        assert_components_match_union_find(random_graph(rng, 40, 0.05))
 
 
 def test_components_of_a_shuffled_long_path():
     rng = np.random.default_rng(5)
     names = [f"p{i:04d}" for i in rng.permutation(600)]
     g = graph_from(list(zip(names, names[1:])) + [("x", "y")], nodes=["iso"])
-    rep = sg.connected_components(g)
-    assert rep.components == [set(names), {"x", "y"}] and rep.isolate_count == 1
+    rep = assert_components_match_union_find(g)
+    assert rep.sizes == [600, 2] and rep.isolate_count == 1
+    assert frozenset(names) in label_partition(g)
 
 
 # -- eigenvector centrality ----------------------------------------------------
@@ -194,7 +191,7 @@ def test_components_of_a_shuffled_long_path():
 def dense_evc(g):
     """Principal eigenvector per component from a dense symmetric eigensolver."""
     scores = {n: 1.0 for n in g.nodes}
-    for comp in sg.connected_components(g).components:
+    for comp in (c for c in union_find_groups(g) if len(c) > 1):
         order = sorted(comp)
         idx = {n: i for i, n in enumerate(order)}
         A = np.zeros((len(order), len(order)))
