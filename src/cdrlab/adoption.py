@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import write_csv
+from .ingest import open_text, write_csv
+from .records import distinct
 from .rng import derive_choices
 from .socialgraph import SocialGraph, connected_components, global_clustering_coefficient, triangle_counts
 
@@ -204,7 +205,7 @@ def _active_edges(g: SocialGraph, active_links) -> np.ndarray:
     found = (lo >= 0) & np.isin(key, keys)
     if not found.all():
         raise ValueError(f"active link {links[int(np.argmin(found))]!r} not in graph")
-    return np.unique(np.searchsorted(keys, key))
+    return distinct(np.searchsorted(keys, key))
 
 
 def link_kappa(g: SocialGraph, active_links, replicates: int = 200, seed: int = 0) -> KappaResult:
@@ -293,7 +294,9 @@ def write_kappa_csv(results: dict[str, KappaResult | None], path: str, header_co
               rows, header_comment)
 
 
-def write_pk_csv(curve: PkCurve, path: str, header_comment: str | None = None) -> None:
+def write_pk_csv(curve: PkCurve, path: str, header_comment: str | None = None,
+                 k_max: int = 0, min_support: int = 30) -> None:
+    """One row per point of curve, then k,0,0,,,int(0 >= min_support) per k past them up to k_max, streamed."""
     rows = (
         [
             pt.k,
@@ -306,6 +309,10 @@ def write_pk_csv(curve: PkCurve, path: str, header_comment: str | None = None) -
         for pt in curve.points
     )
     write_csv(path, ["k", "n_k", "a_k", "p_k", "uplift", "reliable"], rows, header_comment)
+    if k_max >= len(curve.points):
+        with open_text(path, "at") as fh:  # rows end in CRLF, as the csv module ends them
+            empty = f"{{}},0,0,,,{int(0 >= min_support)}\r\n"
+            fh.writelines(map(empty.format, range(len(curve.points), k_max + 1)))
 
 
 def write_component_evolution_csv(rows: list[dict], path: str, header_comment: str | None = None) -> None:

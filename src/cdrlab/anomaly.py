@@ -18,7 +18,7 @@ import numpy as np
 
 from .geo import haversine_km
 from .ingest import write_csv
-from .records import SECONDS_PER_DAY, VOICE, Dataset, day_start
+from .records import SECONDS_PER_DAY, VOICE, Dataset, day_start, distinct
 from .spatial import pearson_r
 
 DEFAULT_THRESHOLD_SIGMA = 3.0
@@ -384,7 +384,7 @@ def _day_fraction_curves(
     at = np.minimum(np.searchsorted(rank_keys, key), max(len(rank_keys) - 1, 0))
     hit = rank_keys[at] == key if len(rank_keys) else np.zeros(len(key), dtype=bool)
     # a caller counts once per (rank, bin)
-    hits = np.unique((rank_values[at[hit]] * n_bins + bins[hit]) * n + caller[hit])
+    hits = distinct((rank_values[at[hit]] * n_bins + bins[hit]) * n + caller[hit])
     counts = np.bincount(hits // n, minlength=(max(ranks) + 1) * n_bins).reshape(-1, n_bins)
     return {k: counts[k] / denom for k in ranks}
 
@@ -479,7 +479,7 @@ def distance_activation_matrix(
         rows = ds.cdrs_between(day + hour_window[0], day + hour_window[1])
         caller, callee = c.caller[rows], c.callee[rows]
         has = callee >= 0
-        ties = np.unique(caller[has].astype(np.int64) * n + callee[has])
+        ties = distinct(caller[has].astype(np.int64) * n + callee[has])
         bx, by = dist_bin[ties // n], dist_bin[ties % n]
         both = (bx >= 0) & (by >= 0)
         counts = np.bincount(bx[both] * n_bins + by[both], minlength=n_bins * n_bins)

@@ -423,9 +423,12 @@ def _cmd_pk(args, ctx: RunContext) -> dict:
     ds, _, _ = _load_dataset(args, ctx.cfg)
     g = _build_graph(ds, ctx.cfg)
     table, source = _adopter_set(args, ds, g, ctx)
-    curve = adoption.adoption_probability_curve(g, set(table), k_max=args.k_max,
-                                                min_support=args.min_support)
-    adoption.write_pk_csv(curve, ctx.outputs.stage("pk.csv"), header_comment=ctx.header)
+    # No node has more adopting friends than friends: the curve stops at the
+    # largest degree, and write_pk_csv streams the empty rows up to --k-max.
+    top = min(args.k_max, int(g.degrees().max(initial=0)))
+    curve = adoption.adoption_probability_curve(g, set(table), k_max=top, min_support=args.min_support)
+    adoption.write_pk_csv(curve, ctx.outputs.stage("pk.csv"), header_comment=ctx.header,
+                          k_max=args.k_max, min_support=args.min_support)
     shown = ", ".join(
         f"p_{p.k}={p.p_k:.4f}" for p in curve.points if p.p_k is not None and p.k <= 3
     )

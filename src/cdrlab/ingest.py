@@ -22,7 +22,9 @@ kinds are decoded once per distinct text, canonical
 ``YYYY-MM-DDTHH:MM:SSZ`` timestamps at once and any other through
 ``parse_timestamp``, once per distinct text.  A line is rejected for the
 first rule it breaks, in the order the parsers list them, and only the
-rejected lines get their reason formatted.
+rejected lines get their reason formatted.  The accepted rows come back in
+line order, coded into id tables in order of first sight; ``load_dataset``
+hands them to a ``Dataset``, which alone sorts ids and rows.
 
 ``write_csv`` writes output tables a row at a time through the csv module.
 The CDR and top-up writers format whole columns per chunk of rows instead,
@@ -36,7 +38,6 @@ import csv
 import gzip
 import io
 import json
-import logging
 import math
 from dataclasses import dataclass
 
@@ -59,10 +60,7 @@ from .records import (
     civil_from_days,
     days_from_civil,
     parse_timestamp,
-    recode,
 )
-
-log = logging.getLogger("cdrlab.ingest")
 
 CDR_FIELDS = ("caller", "callee", "tower", "timestamp", "kind", "magnitude")
 TOPUP_FIELDS = ("buyer", "retailer", "retailer_tower", "timestamp", "amount")
@@ -196,9 +194,10 @@ def _check_cap(report: RejectReport, cap: float) -> None:
 def _warn_unknown_towers(path: str, lines: list[int]) -> None:
     """Log one warning that sums up a file's unknown-tower rejects."""
     if lines:
-        first = ", ".join(str(n) for n in lines[:5])
-        more = ", ..." if len(lines) > 5 else ""
-        log.warning("%s: %d rows rejected for an unknown tower (lines %s%s)", path, len(lines), first, more)
+        import logging  # only here: a run with nothing to warn of skips the import
+        first = ", ".join(str(n) for n in lines[:5]) + (", ..." if len(lines) > 5 else "")
+        logging.getLogger("cdrlab.ingest").warning(
+            "%s: %d rows rejected for an unknown tower (lines %s)", path, len(lines), first)
 
 
 _STAMP_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
@@ -296,34 +295,20 @@ class _Decoder(dict):
         return np.fromiter(map(self.__getitem__, texts), np.int64, len(texts))
 
 
-class _Ids:
-    """Codes ids in order of first sight; `finish` re-codes into a sorted table."""
+def _id_decoder(index: dict[str, int], known: set[str] | None = None) -> _Decoder:
+    """A decoder of id texts, stripped, into codes in index's order of first
+    sight: MISSING for a blank text, UNKNOWN for one that known (when given)
+    does not hold."""
 
-    def __init__(self):
-        self.index: dict[str, int] = {}
+    def code(text: str) -> int:
+        text = text.strip()
+        if not text:
+            return MISSING
+        if known is not None and text not in known:
+            return UNKNOWN
+        return index.setdefault(text, len(index))
 
-    def decoder(self, known: set[str] | None = None) -> _Decoder:
-        """A decoder of id texts, stripped, into codes: MISSING for a blank
-        text, UNKNOWN for one that known (when given) does not hold."""
-
-        def code(text: str) -> int:
-            text = text.strip()
-            if not text:
-                return MISSING
-            if known is not None and text not in known:
-                return UNKNOWN
-            return self.index.setdefault(text, len(self.index))
-
-        return _Decoder(code)
-
-    def finish(self, *columns: np.ndarray) -> tuple[list[np.ndarray], tuple[str, ...]]:
-        """The columns as codes into the sorted table of the ids they use."""
-        names = list(self.index)
-        used = np.zeros(len(names), dtype=bool)
-        for c in columns:
-            used[c[c >= 0]] = True
-        ids = tuple(sorted(names[i] for i in np.flatnonzero(used).tolist()))
-        return [recode(c, names, ids) for c in columns], ids
+    return _Decoder(code)
 
 
 def _chars(text: str) -> np.ndarray:
@@ -408,21 +393,21 @@ class _EventFile:
             yield numbers, fields, short
 
 
-def _parse_events(path, fields, required, reject_cap, n_columns, check):
-    """Drive the parse of one event file into (line number, *columns) arrays.
+def _parse_events(path, fields, required, reject_cap, dtypes, check):
+    """Drive the parse of one event file into column arrays, rows in line order.
 
     check(col, short), where col maps each field the header holds to the
     texts of a chunk's lines (see `_EventFile.chunks`), returns (tests,
-    columns): the n_columns column arrays of those lines, and a list of
-    (fails, reason) in the order the rules are checked, where fails marks
-    the lines that break the rule and reason is its text, or a function
-    that formats it for the line at an index.  A line is rejected for the
-    first rule it breaks.  The columns of the accepted lines come back with
-    the report of the rejects; rows are grouped by chunk, not in line order.
+    columns): the column arrays of those lines, one per dtype of dtypes, and
+    a list of (fails, reason) in the order the rules are checked, where
+    fails marks the lines that break the rule and reason is its text, or a
+    function that formats it for the line at an index.  A line is rejected
+    for the first rule it breaks.  The columns of the accepted lines, as
+    dtypes, come back with the report of the rejects.
     """
     rejects: list[tuple[int, str]] = []
     total = 0
-    parts = []
+    parts = [[np.zeros(0, dtype=d) for d in dtypes]]
     with open_text(path) as fh:
         src = _EventFile(fh, path, fields, required)
         chunks = src.chunks() if src.header is not None else ()
@@ -430,19 +415,19 @@ def _parse_events(path, fields, required, reject_cap, n_columns, check):
             tests, columns = check({name: texts[j::len(src.header)] for name, j in src.pos.items()}, short)
             fails = np.array([f for f, _ in tests])
             ok = ~fails.any(axis=0)
-            parts.append([numbers[ok]] + [c[ok] for c in columns])
+            rows = np.arange(len(numbers))
+            if np.any(numbers[1:] < numbers[:-1]):  # the chunk's odd lines, put last, go back in place
+                rows = np.argsort(numbers)
+            good, bad = rows[ok[rows]], rows[~ok[rows]]
+            parts.append([c[good] for c in columns])
             total += len(numbers)
-            bad = np.flatnonzero(~ok)
-            bad = bad[np.argsort(numbers[bad])]
             for i, rule in zip(bad.tolist(), fails[:, bad].argmax(axis=0).tolist()):
                 reason = tests[rule][1]
                 rejects.append((int(numbers[i]), reason if isinstance(reason, str) else reason(i)))
     _warn_unknown_towers(path, [n for n, reason in rejects if reason.startswith("unknown tower")])
     report = RejectReport(str(path), rejects, total)
     _check_cap(report, reject_cap)
-    if not parts:
-        return [np.zeros(0, dtype=np.int64) for _ in range(n_columns + 1)], report
-    return [np.concatenate(c) for c in zip(*parts)], report
+    return [np.concatenate(c, dtype=d) for c, d in zip(zip(*parts), dtypes)], report
 
 
 def _kind_code(text: str) -> int:
@@ -455,13 +440,15 @@ def parse_cdr_file(
     known_towers: set[str] | None = None,
     reject_cap: float = DEFAULT_REJECT_CAP,
 ) -> tuple[CdrTable, RejectReport]:
-    """Read one CDR CSV into a CdrTable sorted by time (stable in line order).
+    """Read one CDR CSV into a CdrTable, rows in line order.
 
-    Every CDR field needs a header column, though callee and magnitude may
-    be blank per row.
+    Its subscriber and tower id tables are in order of first sight and may
+    hold ids that only rejected lines use; a `Dataset` puts the table in
+    canonical form.  Every CDR field needs a header column, though callee
+    and magnitude may be blank per row.
     """
-    subs, towers = _Ids(), _Ids()
-    sub_codes, tower_codes = subs.decoder(), towers.decoder(known_towers)
+    subscriber_ids, tower_ids = {}, {}
+    sub_codes, tower_codes = _id_decoder(subscriber_ids), _id_decoder(tower_ids, known_towers)
     kind_codes, stamps = _Decoder(_kind_code), _Decoder(_stamp)
 
     def check(col, short):
@@ -487,15 +474,9 @@ def parse_cdr_file(
         callee[callee == MISSING] = -1  # no callee
         return tests, (ts, caller, callee, tower, kind, magnitude)
 
-    (line, ts, caller, callee, tower, kind, magnitude), report = _parse_events(
-        path, CDR_FIELDS, CDR_FIELDS, reject_cap, 6, check)
-    (caller, callee), subscriber_ids = subs.finish(caller, callee)
-    (tower,), tower_ids = towers.finish(tower)
-    order = np.lexsort((line, ts))
-    table = CdrTable(ts[order].astype(np.int64), caller[order], callee[order], tower[order],
-                     kind[order].astype(np.int8), magnitude[order].astype(np.float64),
-                     subscriber_ids, tower_ids)
-    return table, report
+    columns, report = _parse_events(path, CDR_FIELDS, CDR_FIELDS, reject_cap,
+                                    (np.int64, np.int32, np.int32, np.int32, np.int8, np.float64), check)
+    return CdrTable(*columns, tuple(subscriber_ids), tuple(tower_ids)), report
 
 
 def parse_topup_file(
@@ -503,13 +484,14 @@ def parse_topup_file(
     known_towers: set[str] | None = None,
     reject_cap: float = DEFAULT_REJECT_CAP,
 ) -> tuple[TopUpTable, RejectReport]:
-    """Read one top-up CSV into a TopUpTable sorted by time (stable in line order).
+    """Read one top-up CSV into a TopUpTable, rows in line order.
 
+    Its id tables are in order of first sight, as `parse_cdr_file`'s are.
     The retailer_tower column is optional, and may be blank per row.
     """
-    subs, retailers, towers = _Ids(), _Ids(), _Ids()
-    buyers, retailer_codes = subs.decoder(), retailers.decoder()
-    tower_codes, stamps = towers.decoder(known_towers), _Decoder(_stamp)
+    subscriber_ids, retailer_ids, tower_ids = {}, {}, {}
+    buyers, retailer_codes = _id_decoder(subscriber_ids), _id_decoder(retailer_ids)
+    tower_codes, stamps = _id_decoder(tower_ids, known_towers), _Decoder(_stamp)
 
     def check(col, short):
         buyer, retailer = buyers.codes(col["buyer"]), retailer_codes.codes(col["retailer"])
@@ -532,15 +514,9 @@ def parse_topup_file(
         tower[tower == MISSING] = -1  # no retailer tower
         return tests, (ts, buyer, retailer, tower, amount)
 
-    (line, ts, buyer, retailer, tower, amount), report = _parse_events(
-        path, TOPUP_FIELDS, ("buyer", "retailer", "timestamp", "amount"), reject_cap, 5, check)
-    (buyer,), subscriber_ids = subs.finish(buyer)
-    (retailer,), retailer_ids = retailers.finish(retailer)
-    (tower,), tower_ids = towers.finish(tower)
-    order = np.lexsort((line, ts))
-    table = TopUpTable(ts[order].astype(np.int64), buyer[order], retailer[order], tower[order],
-                       amount[order].astype(np.float64), subscriber_ids, retailer_ids, tower_ids)
-    return table, report
+    columns, report = _parse_events(path, TOPUP_FIELDS, ("buyer", "retailer", "timestamp", "amount"), reject_cap,
+                                    (np.int64, np.int32, np.int32, np.int32, np.float64), check)
+    return TopUpTable(*columns, tuple(subscriber_ids), tuple(retailer_ids), tuple(tower_ids)), report
 
 
 def parse_tower_file(
@@ -639,8 +615,8 @@ def load_dataset(
     topups = TopUpTable(np.zeros(0, dtype=np.int64), no_codes, no_codes, no_codes, np.zeros(0), (), (), ())
     if topup_path is not None:
         topups, reports["topup"] = parse_topup_file(topup_path, known_towers=known, reject_cap=reject_cap)
-    firsts = [int(t.ts[0]) for t in (cdrs, topups) if len(t)]
-    lasts = [int(t.ts[-1]) for t in (cdrs, topups) if len(t)]
+    firsts = [int(t.ts.min()) for t in (cdrs, topups) if len(t)]
+    lasts = [int(t.ts.max()) for t in (cdrs, topups) if len(t)]
     window = (min(firsts), max(lasts) + 1) if firsts else (0, 1)
     if labels_path:
         _, reports["labels"] = parse_labels_file(labels_path, reject_cap)

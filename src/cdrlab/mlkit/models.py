@@ -15,6 +15,7 @@ import numpy as np
 
 from ..ingest import write_json
 from ..parallel import parallel_map
+from ..records import distinct
 from ..rng import derive_rng, derive_seed
 
 FORMAT_VERSION = 1
@@ -62,7 +63,7 @@ def _standardizer(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_classes(y: np.ndarray) -> None:
-    classes = np.unique(y)
+    classes = distinct(y)
     if len(classes) < 2:
         raise ValueError("training set has a single class")
     if not set(classes.tolist()) <= {0.0, 1.0}:
@@ -315,14 +316,14 @@ def train_mlp(
     fit_tab, val_tab = split_train_test(
         table, fraction=1.0 - MLP_VALIDATION_FRACTION, seed=derive_seed(seed, "mlp-val")
     )
-    if len(val_tab) == 0 or len(fit_tab) == 0 or len(np.unique(fit_tab.y)) < 2:
+    if len(val_tab) == 0 or len(fit_tab) == 0 or fit_tab.y.min() == fit_tab.y.max():
         raise ValueError("table too small for an mlp validation split")
     mean, scale = _standardizer(fit_tab.X)
     Xs = (fit_tab.X - mean) / scale
     Xv = (val_tab.X - mean) / scale
     y = fit_tab.y
     w = _sample_weights(y, class_weight)
-    wv = _sample_weights(val_tab.y, class_weight) if len(np.unique(val_tab.y)) > 1 else np.ones(len(val_tab))
+    wv = _sample_weights(val_tab.y, class_weight) if val_tab.y.min() < val_tab.y.max() else np.ones(len(val_tab))
 
     k = Xs.shape[1]
     init = derive_rng(seed, "mlp-init")

@@ -1,10 +1,12 @@
 """Core domain types shared by every module: event tables, towers, datasets.
 
 Events are held as columns, one numpy array per field, never as one object
-per event.  Subscriber, retailer and tower ids are int32 codes into sorted id
-tables, so comparing codes compares ids, and -1 codes "absent" (a data
-session's callee, a top-up without a retailer tower).  A `Dataset` groups the
-rows by subscriber with CSR offsets and finds a time range with a binary
+per event.  Subscriber, retailer and tower ids are int32 codes into id
+tables, and -1 codes "absent" (a data session's callee, a top-up without a
+retailer tower).  A parser's tables keep line order and first-sight id
+tables; a `Dataset` alone puts tables in canonical form: codes into sorted id
+tables, so comparing codes compares ids, and rows in time order.  It groups
+the rows by subscriber with CSR offsets and finds a time range with a binary
 search on its sorted timestamps.
 """
 
@@ -107,6 +109,14 @@ class Tower:
     lat: float
 
 
+def distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique(values) through a sort: numpy 2.4's bare np.unique imports numpy.ma at start-up cost."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def recode(codes: np.ndarray, old_ids, new_ids) -> np.ndarray:
     """codes into old_ids as codes into new_ids (which hold every id used); -1 stays."""
     index = dict(zip(new_ids, range(len(new_ids))))
@@ -199,12 +209,14 @@ def _grouped_argmax(group: np.ndarray, item: np.ndarray, n_groups: int, n_items:
 class Dataset:
     """Immutable bundle of event tables and towers.
 
-    Both tables share one subscriber id table (every id seen as caller,
-    callee or buyer) and one tower id table (the sorted `towers` ids; every
-    event tower must be one of them).  Rows are sorted by timestamp (stable,
-    so equal-timestamp rows keep their input order).  The window is
-    half-open [start, end) in epoch seconds, and every event lies inside it:
-    analysing a sub-window means building a Dataset for that window.
+    Building one puts any tables in canonical form.  Both share one sorted
+    subscriber id table (every id seen as caller, callee or buyer) and one
+    tower id table (the sorted `towers` ids; every event tower must be one of
+    them); the top-ups' retailers are the sorted ids they use.  Rows are
+    sorted by timestamp (stable, so equal-timestamp rows keep their input
+    order).  The window is half-open [start, end) in epoch seconds, and every
+    event lies inside it: analysing a sub-window means building a Dataset for
+    that window.
     """
 
     cdrs: CdrTable
@@ -227,21 +239,15 @@ class Dataset:
         subs = tuple(sorted(_used_ids(cdrs.caller, cdrs.subscriber_ids)
                             | _used_ids(cdrs.callee, cdrs.subscriber_ids)
                             | _used_ids(topups.buyer, topups.subscriber_ids)))
-        cdrs = replace(
-            cdrs,
-            caller=recode(cdrs.caller, cdrs.subscriber_ids, subs),
-            callee=recode(cdrs.callee, cdrs.subscriber_ids, subs),
-            tower=recode(cdrs.tower, cdrs.tower_ids, tower_ids),
-            subscriber_ids=subs,
-            tower_ids=tower_ids,
-        )
-        topups = replace(
-            topups,
-            buyer=recode(topups.buyer, topups.subscriber_ids, subs),
-            tower=recode(topups.tower, topups.tower_ids, tower_ids),
-            subscriber_ids=subs,
-            tower_ids=tower_ids,
-        )
+        retailers = tuple(sorted(_used_ids(topups.retailer, topups.retailer_ids)))
+        cdrs = replace(cdrs, subscriber_ids=subs, tower_ids=tower_ids,
+                       caller=recode(cdrs.caller, cdrs.subscriber_ids, subs),
+                       callee=recode(cdrs.callee, cdrs.subscriber_ids, subs),
+                       tower=recode(cdrs.tower, cdrs.tower_ids, tower_ids))
+        topups = replace(topups, subscriber_ids=subs, retailer_ids=retailers, tower_ids=tower_ids,
+                         buyer=recode(topups.buyer, topups.subscriber_ids, subs),
+                         retailer=recode(topups.retailer, topups.retailer_ids, retailers),
+                         tower=recode(topups.tower, topups.tower_ids, tower_ids))
         start, end = self.window
         for attr, name, table in (("cdrs", "cdr", cdrs), ("topups", "top-up", topups)):
             if len(table) and np.any(table.ts[1:] < table.ts[:-1]):

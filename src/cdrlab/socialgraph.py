@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .ingest import write_csv
-from .records import SMS, VOICE, Dataset, month_index
+from .records import SMS, VOICE, Dataset, distinct, month_index
 
 # Power iteration stops once no score moves by more than EVC_TOL, and
 # stalls after EVC_MAX_ITER steps.
@@ -186,7 +186,7 @@ def eigenvector_centrality(g: SocialGraph) -> dict[str, float]:
     label = _component_labels(g)
     scores = np.ones(g.node_count())
     edge_label = label[g.u]
-    for root in np.unique(edge_label).tolist():
+    for root in distinct(edge_label).tolist():
         members = np.flatnonzero(label == root)
         sel = edge_label == root
         ui = np.searchsorted(members, g.u[sel])

@@ -7,7 +7,6 @@ below tower-spacing, and the arithmetic stays deterministic.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -15,8 +14,6 @@ import numpy as np
 
 from .geo import LocalProjection, haversine_km_rows
 from .ingest import number, open_text
-
-log = logging.getLogger(__name__)
 
 NODATA_DEFAULT = -9999.0
 COINCIDENT_JITTER_DEG = 1e-6
@@ -106,7 +103,8 @@ def voronoi_partition(
         key = (lon, lat)
         bump = seen.get(key, 0)
         if bump:
-            log.warning("tower %s coincides with another site; jittering", tid)
+            import logging  # only here: a run with nothing to warn of skips the import
+            logging.getLogger(__name__).warning("tower %s coincides with another site; jittering", tid)
             lon += COINCIDENT_JITTER_DEG * bump
             lat += COINCIDENT_JITTER_DEG * bump
         seen[key] = bump + 1

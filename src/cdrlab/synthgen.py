@@ -25,6 +25,7 @@ from .records import (
     Dataset,
     TopUpTable,
     Tower,
+    distinct,
 )
 from .rng import derive_rng, derive_streams
 from .socialgraph import SocialGraph
@@ -268,7 +269,7 @@ def generate_events(cfg: SynthConfig, graph: SocialGraph, gt: GroundTruth) -> Da
         ts = cfg.start + np.searchsorted(day_cdf, day) * SECONDS_PER_DAY + np.searchsorted(hour_cdf, hour) * 3600 + sec
         row = np.take(visit, caller)
         tower = np.empty(len(row), dtype=np.int32)
-        for r in np.unique(row).tolist():
+        for r in distinct(row).tolist():
             hit = row == r
             tower[hit] = np.searchsorted(cdfs[r], tower_u[hit])
         # Durations and volumes round alike; a comm row then gets its kind and callee.

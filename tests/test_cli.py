@@ -12,13 +12,14 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cdrlab import cli, spatial
+from cdrlab import adoption, cli, spatial
 from cdrlab.config import CONFIG_ENV_VAR
 from cdrlab.mlkit import models
 from cdrlab.mlkit.models import LogisticModel, save_model
@@ -263,6 +264,21 @@ def test_graph_with_centrality(synth_dir, tmp_path):
     assert manifest["params"]["nodes"] == 60
 
 
+def test_graph_and_train_skip_unneeded_imports(synth_dir, features_dir, tmp_path):
+    # numpy.ma (through a bare np.unique), logging and concurrent.futures add
+    # start-up time that neither step needs
+    code = ("import sys\nfrom cdrlab import cli\nrc = cli.main(sys.argv[1:])\n"
+            "print(rc, [m for m in ('numpy.ma', 'logging', 'concurrent.futures') if m in sys.modules])")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for args in (["graph", "--evc", *dataset_args(synth_dir), "--outdir", str(tmp_path / "graph")],
+                 ["train", "--features", str(features_dir / "features.csv"), "--labels",
+                  str(synth_dir / "labels.csv"), "--family", "logistic", "--outdir", str(tmp_path / "train")]):
+        done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert done.stdout.splitlines()[-1] == "0 []", (args[0], done.stdout, done.stderr)
+
+
 def test_train_then_eval(synth_dir, features_dir, tmp_path):
     train_dir = tmp_path / "train"
     rc = cli.main(["train", "--features", str(features_dir / "features.csv"),
@@ -444,6 +460,41 @@ def test_pk_negative_k_max_exit_2(synth_dir, tmp_path, capsys):
     assert rc == 2
     assert "--k-max must be >= 0, got -1" in capsys.readouterr().err
     assert not (tmp_path / "pk" / "pk.csv").exists()
+
+
+@pytest.mark.parametrize("min_support", [[], ["--min-support", "0"]])
+def test_pk_rows_past_the_largest_degree_match_the_materialized_curve(synth_dir, tmp_path, monkeypatch, min_support):
+    # the command computes the curve up to the largest degree and streams the
+    # empty rows after it; the library curve holds every row up to --k-max
+    seen = {}
+    curve_of = adoption.adoption_probability_curve
+
+    def spy(g, adopters, k_max, min_support):
+        seen.update(g=g, adopters=adopters, min_support=min_support)
+        return curve_of(g, adopters, k_max=k_max, min_support=min_support)
+
+    monkeypatch.setattr(adoption, "adoption_probability_curve", spy)
+    rc = cli.main(["pk", *dataset_args(synth_dir), "--k-max", "300000", *min_support,
+                   "--outdir", str(tmp_path / "pk")])
+    assert rc == 0
+    got = (tmp_path / "pk" / "pk.csv").read_bytes()
+    curve = curve_of(seen["g"], seen["adopters"], k_max=300000, min_support=seen["min_support"])
+    adoption.write_pk_csv(curve, str(tmp_path / "want.csv"), header_comment=got.decode().split("\n", 1)[0])
+    assert got == (tmp_path / "want.csv").read_bytes()
+
+
+def test_pk_large_k_max_in_bounded_memory(synth_dir, tmp_path):
+    tracemalloc.start()
+    try:
+        rc = cli.main(["pk", *dataset_args(synth_dir), "--k-max", "1000000", "--outdir", str(tmp_path / "pk")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 16 * 2**20  # an object per row would take over 100 MB
+    with open(tmp_path / "pk" / "pk.csv", "rb") as fh:
+        fh.seek(-40, os.SEEK_END)
+        assert fh.read().endswith(b"\r\n999999,0,0,,,0\r\n1000000,0,0,,,0\r\n")
 
 
 def test_correlate_tables_and_type_mismatch(tmp_path):

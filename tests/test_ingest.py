@@ -124,6 +124,40 @@ def test_parse_topup_rules(tmp_path):
     ]
 
 
+def test_dataset_keeps_an_odd_line_before_a_later_line_of_its_timestamp(tmp_path):
+    # a quoted line is split on its own and checked after its chunk's plain
+    # lines; the parse puts it back in line order, which the stable time sort keeps
+    c = write(tmp_path / "c.csv", [
+        CDR_HEADER,
+        '"A",B,T1,2016-05-01T00:10:00Z,voice,10',
+        "C,B,T1,2016-05-01T00:10:00Z,voice,20",
+    ])
+    t = write(tmp_path / "t.csv", [
+        "buyer,retailer,retailer_tower,timestamp,amount",
+        '"A",R1,T1,2016-05-01T01:00:00Z,50',
+        "C,R1,T1,2016-05-01T01:00:00Z,60",
+    ])
+    w = write(tmp_path / "w.csv", ["id,lon,lat", "T1,90,23"])
+    ds, _ = ingest.load_dataset(c, t, w)
+    assert [(r.caller, r.magnitude) for r in cdr_rows(ds.cdrs)] == [("A", 10.0), ("C", 20.0)]
+    assert [(r.buyer, r.amount) for r in topup_rows(ds.topups)] == [("A", 50.0), ("C", 60.0)]
+
+
+def test_dataset_sorts_the_retailer_ids_of_a_parsed_table(tmp_path):
+    p = write(tmp_path / "t.csv", [
+        "buyer,retailer,retailer_tower,timestamp,amount",
+        "A,R2,,2016-05-01T01:00:00Z,50",
+        ",R0,,2016-05-01T01:00:00Z,50",  # rejected: R0 is seen, but no row uses it
+        "B,R1,,2016-05-01T00:00:00Z,50",
+    ])
+    table, report = ingest.parse_topup_file(p, reject_cap=1.0)
+    assert report.rejects == [(3, "missing buyer")]
+    assert table.retailer_ids == ("R2", "R0", "R1")  # first sight
+    ds = Dataset(cdr_table(), table, {}, WIDE)
+    assert ds.topups.retailer_ids == ("R1", "R2")
+    assert [(r.buyer, r.retailer) for r in topup_rows(ds.topups)] == [("B", "R1"), ("A", "R2")]
+
+
 def test_parse_tower_file(tmp_path):
     p = write(tmp_path / "towers.csv", [
         "id,lon,lat",
@@ -557,7 +591,7 @@ def test_columnar_cdr_parse_matches_per_row_oracle(tmp_path_factory, lines, chun
     got = Dataset(table, topup_table(), TOWERS, WIDE)
     want = dataset_from_records(records, (), TOWERS, WIDE)
     assert cdr_rows(got.cdrs) == cdr_rows(want.cdrs)
-    assert cdr_rows(table) == cdr_rows(got.cdrs)  # the parse is already in time order
+    assert cdr_rows(table) == records  # the parse keeps line order
 
 
 @settings(max_examples=300, deadline=None)
@@ -576,7 +610,7 @@ def test_columnar_topup_parse_matches_per_row_oracle(tmp_path_factory, lines, ch
     got = Dataset(cdr_table(), table, TOWERS, WIDE)
     want = dataset_from_records((), records, TOWERS, WIDE)
     assert topup_rows(got.topups) == topup_rows(want.topups)
-    assert topup_rows(table) == topup_rows(got.topups)
+    assert topup_rows(table) == records  # the parse keeps line order
 
 
 # -- columnar writers against the per-row oracle --------------------------------------
