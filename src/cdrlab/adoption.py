@@ -7,9 +7,10 @@ normal-approximation 95% CI.  The CI uses the replicate spread as the
 null's scale, inflated by sqrt(1 + 1/replicates) for the mean's own Monte
 Carlo error, so under the null it covers 1 at roughly the nominal rate.
 
-Every test works on the graph's arrays: adopters become a boolean node
-mask, active links become positions in the canonical edge arrays, and a
-replicate is one draw of node or edge positions.  Replicates are drawn
+Every function takes the graph's arrays, never subscriber ids: adopters
+are a boolean node mask, active links are sorted positions in the
+canonical edge arrays, and a replicate is one draw of node or edge
+positions.  Replicates are drawn
 (`rng.derive_choices`) and counted a block at a time, a block's rows
 standing as disjoint copies of the graph.  Clustering counts triangles and
 adjacent pairs exactly with `socialgraph.triangle_counts`, so a coefficient
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ingest import open_text, write_csv
-from .records import distinct
 from .rng import derive_choices
 from .socialgraph import SocialGraph, connected_components, global_clustering_coefficient, triangle_counts
 
@@ -61,22 +61,6 @@ class PkPoint:
 class PkCurve:
     points: list[PkPoint]
     uplift: dict[int, float]
-
-
-def _adopter_mask(g: SocialGraph, adopters: frozenset) -> np.ndarray:
-    """Boolean node mask of the adopters; every adopter must be a node."""
-    pos = g.index(adopters)
-    if (pos < 0).any():
-        missing = {a for a, p in zip(adopters, pos.tolist()) if p < 0}
-        raise ValueError(f"adopters not in graph: {sorted(missing)[:5]}")
-    mask = np.zeros(g.node_count(), dtype=bool)
-    mask[pos] = True
-    return mask
-
-
-def adoption_network(g: SocialGraph, adopters) -> SocialGraph:
-    """The network of adopters: g induced on the adopter set, each adopter a node of it."""
-    return g.induced(_adopter_mask(g, frozenset(adopters)))
 
 
 def component_evolution(snapshots) -> list[dict]:
@@ -163,24 +147,22 @@ def _edge_copies(g: SocialGraph, picks: np.ndarray) -> tuple[np.ndarray, np.ndar
     return (g.u[picks] + offset).ravel(), (g.v[picks] + offset).ravel()
 
 
-def node_kappa(g: SocialGraph, adopters, replicates: int = 200, seed: int = 0) -> KappaResult:
-    """B-link count of the adopter set vs uniform random placement.
+def node_kappa(g: SocialGraph, adopted: np.ndarray, replicates: int = 200, seed: int = 0) -> KappaResult:
+    """B-link count of the adopters (a boolean node mask) vs uniform random placement.
 
     A B-link is an edge whose two endpoints both adopted.  Full adoption is
     exact: every placement yields every edge, so kappa is 1 with a
     degenerate CI and no sampling.
     """
     _check_replicates(replicates)
-    adopters = frozenset(adopters)
-    emp_mask = _adopter_mask(g, adopters)
     n = g.node_count()
-    m = len(adopters)
+    m = int(np.count_nonzero(adopted))
     if m == 0:
         raise ValueError(
             "kappa undefined for an empty adopter set: "
             "random_mean equals empirical by construction only at full adoption"
         )
-    empirical = int(np.count_nonzero(emp_mask[g.u] & emp_mask[g.v]))
+    empirical = int(np.count_nonzero(adopted[g.u] & adopted[g.v]))
     if m == n:
         if empirical == 0:
             raise ValueError("reference degenerate: graph has no edges")
@@ -194,28 +176,13 @@ def node_kappa(g: SocialGraph, adopters, replicates: int = 200, seed: int = 0) -
     return _kappa_result(empirical, _null_values(g, seed, "node_kappa", replicates, n, m, b_links))
 
 
-def _active_edges(g: SocialGraph, active_links) -> np.ndarray:
-    """Sorted positions in g's edge arrays of the distinct active links."""
-    links = [tuple(link) for link in active_links]
-    ends = g.index([x for link in links for x in link]).reshape(-1, 2)
-    n = g.node_count()
-    lo = ends.min(axis=1)
-    key = lo * n + ends.max(axis=1)
-    keys = g.u * n + g.v
-    found = (lo >= 0) & np.isin(key, keys)
-    if not found.all():
-        raise ValueError(f"active link {links[int(np.argmin(found))]!r} not in graph")
-    return distinct(np.searchsorted(keys, key))
-
-
-def link_kappa(g: SocialGraph, active_links, replicates: int = 200, seed: int = 0) -> KappaResult:
-    """Adjacent-pair count of the active-link set vs random link activation.
+def link_kappa(g: SocialGraph, active: np.ndarray, replicates: int = 200, seed: int = 0) -> KappaResult:
+    """Adjacent-pair count of the active links (sorted edge positions) vs random link activation.
 
     The null draws the same number of edges uniformly without replacement
     from the graph's edge set; adjacent pairs are counted from the degree
     sequence of the activated subgraph (sum of C(k,2))."""
     _check_replicates(replicates)
-    active = _active_edges(g, active_links)
     n = g.node_count()
     m = len(active)
     if m == 0:
@@ -237,13 +204,12 @@ def link_kappa(g: SocialGraph, active_links, replicates: int = 200, seed: int = 
     return _kappa_result(empirical, _null_values(g, seed, "link_kappa", replicates, g.edge_count(), m, pairs))
 
 
-def clustering_kappa(g: SocialGraph, active_links, replicates: int = 200, seed: int = 0) -> KappaResult:
-    """Global clustering of the active subgraph vs random link activation.
+def clustering_kappa(g: SocialGraph, active: np.ndarray, replicates: int = 200, seed: int = 0) -> KappaResult:
+    """Global clustering of the active links (sorted edge positions) vs random link activation.
 
     Replicates whose activated subgraph has no adjacent pairs carry no
     coefficient; they are excluded from the mean and counted."""
     _check_replicates(replicates)
-    active = _active_edges(g, active_links)
     n = g.node_count()
     m = len(active)
     if m == 0:
@@ -265,17 +231,16 @@ def clustering_kappa(g: SocialGraph, active_links, replicates: int = 200, seed: 
 
 def adoption_probability_curve(
     g: SocialGraph,
-    adopters,
+    adopted: np.ndarray,
     k_max: int = 5,
     min_support: int = 30,
 ) -> PkCurve:
-    """p_k = P(adopted | exactly k adopting friends), over all graph nodes."""
+    """p_k = P(adopted | exactly k adopting friends), over all graph nodes; adopted is a boolean node mask."""
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
-    mask = _adopter_mask(g, frozenset(adopters))
     n = g.node_count()
-    k = np.bincount(g.u[mask[g.v]], minlength=n) + np.bincount(g.v[mask[g.u]], minlength=n)
-    n_k, a_k = (np.bincount(x, minlength=k_max + 1)[:k_max + 1].tolist() for x in (k, k[mask]))
+    k = np.bincount(g.u[adopted[g.v]], minlength=n) + np.bincount(g.v[adopted[g.u]], minlength=n)
+    n_k, a_k = (np.bincount(x, minlength=k_max + 1)[:k_max + 1].tolist() for x in (k, k[adopted]))
     points = [PkPoint(kk, nk, ak, ak / nk if nk else None, nk >= min_support)
               for kk, (nk, ak) in enumerate(zip(n_k, a_k))]
     p0 = points[0].p_k

@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 
 from . import __version__, ingest
 from .config import CONFIG_ENV_VAR, ConfigError, config_hash, load_config
-from .records import SECONDS_PER_DAY, day_start, parse_timestamp
+from .records import SECONDS_PER_DAY, day_start, distinct, parse_timestamp
 
 class UsageError(Exception):
     pass
@@ -205,16 +205,31 @@ def _build_graph(ds, cfg):
     )
 
 
-def _adopter_set(args, ds, graph, ctx) -> tuple[dict[str, int | None], str]:
-    """Adopters from --adopters file, or simulated per the adoption config."""
+def _adopters(args, graph, ctx) -> tuple["np.ndarray", "np.ndarray", list[int], str]:
+    """Adopters from --adopters file, or simulated per the adoption config.
+
+    Returns the adopters' node mask; each node's adoption day as a position
+    in `days`, -1 for a node without one; `days`, the distinct adoption days
+    ascending; and the source.  A file's day is any integer, so the arrays
+    hold positions, not days.
+    """
+    import numpy as np
+
     from . import synthgen
 
+    n = graph.node_count()
     if getattr(args, "adopters", None):
         table = _read_adopters(args.adopters)
-        unknown = set(table) - graph.nodes
-        if unknown:
+        pos = graph.index(table)
+        if (pos < 0).any():
+            unknown = {sub for sub, p in zip(table, pos.tolist()) if p < 0}
             raise ValueError(f"adopters not in graph: {sorted(unknown)[:5]}")
-        return table, f"file:{args.adopters}"
+        days = sorted({d for d in table.values() if d is not None})
+        at = {d: i for i, d in enumerate(days)}
+        adopted, day_pos = np.zeros(n, dtype=bool), np.full(n, -1)
+        adopted[pos] = True
+        day_pos[pos] = [at.get(d, -1) for d in table.values()]
+        return adopted, day_pos, days, f"file:{args.adopters}"
     a = ctx.cfg["adoption"]
     if a["mechanism"] == "random":
         mech = synthgen.ContagionAdoption(a["p"], 0.0)
@@ -222,12 +237,11 @@ def _adopter_set(args, ds, graph, ctx) -> tuple[dict[str, int | None], str]:
         mech = synthgen.ContagionAdoption(a["p0"], a["beta"])
     else:
         raise ValueError(f"unknown adoption mechanism {a['mechanism']!r}")
-    gt = synthgen.simulate_adoption(graph, mech, a["days"], seed=ctx.seed)
-    first: dict[str, int | None] = {}
-    for day in sorted(gt.adopters_by_day):
-        for sub in gt.adopters_by_day[day]:
-            first.setdefault(sub, day)
-    return first, f"simulated:{a['mechanism']}"
+    first = synthgen.simulate_adoption(graph, mech, a["days"], seed=ctx.seed)
+    adopted = first >= 0
+    days = distinct(first[adopted])
+    day_pos = np.where(adopted, np.searchsorted(days, first), -1)
+    return adopted, day_pos, days.tolist(), f"simulated:{a['mechanism']}"
 
 
 def _synth_config(args, cfg):
@@ -270,11 +284,11 @@ def _cmd_synth(args, ctx: RunContext) -> dict:
         if args.shock_start_day < 0 or args.shock_start_day + args.shock_days > scfg.days:
             raise ValueError(f"--shock-start-day {args.shock_start_day} with --shock-days {args.shock_days} "
                              f"leaves the synthesized days [0, {scfg.days})")
+        if args.shock_entity != "global" and args.shock_entity not in synthgen.towers_for(scfg):
+            raise ValueError(f"--shock-entity: unknown tower {args.shock_entity!r}")
     graph, gt = synthgen.generate_population(scfg)
     ds = synthgen.generate_events(scfg, graph, gt)
     if args.shock_multiplier is not None:
-        if args.shock_entity != "global" and args.shock_entity not in ds.towers:
-            raise ValueError(f"--shock-entity: unknown tower {args.shock_entity!r}")
         entity = ("global",) if args.shock_entity == "global" else ("tower", args.shock_entity)
         lo = scfg.start + args.shock_start_day * SECONDS_PER_DAY
         hi = lo + args.shock_days * SECONDS_PER_DAY
@@ -342,33 +356,32 @@ def _cmd_graph(args, ctx: RunContext) -> dict:
 
 
 def _cmd_adoption(args, ctx: RunContext) -> dict:
+    import numpy as np
+
     from . import adoption
 
     ds, _, _ = _load_dataset(args, ctx.cfg)
     g = _build_graph(ds, ctx.cfg)
-    table, source = _adopter_set(args, ds, g, ctx)
+    adopted, day_pos, days, source = _adopters(args, g, ctx)
     ingest.write_csv(ctx.outputs.stage("adopters.csv"), ["subscriber", "day"],
-                     ([sub, "" if table[sub] is None else table[sub]] for sub in sorted(table)), ctx.header)
-    days = sorted({d for d in table.values() if d is not None})
-    if days:
-        snapshots = [
-            adoption.adoption_network(g, {s for s, d in table.items() if d is not None and d <= day})
-            for day in days
-        ]
-    else:
-        snapshots = [adoption.adoption_network(g, set(table))]
+                     ([g.ids[i], "" if d < 0 else days[d]]
+                      for i, d in zip(np.flatnonzero(adopted).tolist(), day_pos[adopted].tolist())), ctx.header)
+    snapshots = [g.induced((day_pos >= 0) & (day_pos <= i)) for i in range(len(days))] or [g.induced(adopted)]
     rows = adoption.component_evolution(snapshots)
     for row, day in zip(rows, days or [0]):
         row["snapshot"] = day
     adoption.write_component_evolution_csv(rows, ctx.outputs.stage("adoption_components.csv"),
                                            header_comment=ctx.header)
     final = rows[-1] if rows else {}
-    print(f"adoption: {len(table)} adopters from {source}; "
+    count = int(adopted.sum())
+    print(f"adoption: {count} adopters from {source}; "
           f"final isolate fraction {final.get('frac_isolates', 0.0):.3f}")
-    return {"adopters": len(table), "source": source, "snapshots": len(rows)}
+    return {"adopters": count, "source": source, "snapshots": len(rows)}
 
 
 def _cmd_kappa(args, ctx: RunContext) -> dict:
+    import numpy as np
+
     from . import adoption
 
     if args.replicates is not None:
@@ -379,22 +392,20 @@ def _cmd_kappa(args, ctx: RunContext) -> dict:
         raise ValueError(f"{what} must be >= 1, got {replicates}")
     ds, _, _ = _load_dataset(args, ctx.cfg)
     g = _build_graph(ds, ctx.cfg)
-    table, source = _adopter_set(args, ds, g, ctx)
-    adopters = set(table)
+    adopted, _, _, source = _adopters(args, g, ctx)
+    active = np.flatnonzero(adopted[g.u] & adopted[g.v])
     modes = ("node", "link", "clustering") if args.mode == "all" else (args.mode,)
     results, undefined = {}, {}
-    if {"link", "clustering"} & set(modes):
-        links = [(u, v) for u, v, _ in adoption.adoption_network(g, adopters).edges()]
     # Under --mode all, a mode whose null or reference is undefined is an
     # absent row; a single mode that is undefined is an error.
     for mode in modes:
         try:
             if mode == "node":
-                results[mode] = adoption.node_kappa(g, adopters, replicates=replicates, seed=ctx.seed)
+                results[mode] = adoption.node_kappa(g, adopted, replicates=replicates, seed=ctx.seed)
             elif mode == "link":
-                results[mode] = adoption.link_kappa(g, links, replicates=replicates, seed=ctx.seed)
+                results[mode] = adoption.link_kappa(g, active, replicates=replicates, seed=ctx.seed)
             else:
-                results[mode] = adoption.clustering_kappa(g, links, replicates=replicates, seed=ctx.seed)
+                results[mode] = adoption.clustering_kappa(g, active, replicates=replicates, seed=ctx.seed)
         except ValueError as exc:
             if len(modes) == 1:
                 raise
@@ -408,7 +419,7 @@ def _cmd_kappa(args, ctx: RunContext) -> dict:
             print(f"kappa[{mode}] undefined: {undefined[mode]}")
         else:
             print(f"kappa[{mode}] = {r.kappa:.4f}  ci95=({r.ci95[0]:.4f}, {r.ci95[1]:.4f})")
-    params = {"adopters": len(adopters), "source": source, "replicates": replicates,
+    params = {"adopters": int(adopted.sum()), "source": source, "replicates": replicates,
               "kappa": {m: r.kappa for m, r in results.items() if r is not None}}
     if undefined:
         params["undefined"] = undefined
@@ -422,18 +433,18 @@ def _cmd_pk(args, ctx: RunContext) -> dict:
         raise ValueError(f"--k-max must be >= 0, got {args.k_max}")
     ds, _, _ = _load_dataset(args, ctx.cfg)
     g = _build_graph(ds, ctx.cfg)
-    table, source = _adopter_set(args, ds, g, ctx)
+    adopted, _, _, source = _adopters(args, g, ctx)
     # No node has more adopting friends than friends: the curve stops at the
     # largest degree, and write_pk_csv streams the empty rows up to --k-max.
     top = min(args.k_max, int(g.degrees().max(initial=0)))
-    curve = adoption.adoption_probability_curve(g, set(table), k_max=top, min_support=args.min_support)
+    curve = adoption.adoption_probability_curve(g, adopted, k_max=top, min_support=args.min_support)
     adoption.write_pk_csv(curve, ctx.outputs.stage("pk.csv"), header_comment=ctx.header,
                           k_max=args.k_max, min_support=args.min_support)
     shown = ", ".join(
         f"p_{p.k}={p.p_k:.4f}" for p in curve.points if p.p_k is not None and p.k <= 3
     )
     print(f"pk: {shown}")
-    return {"adopters": len(table), "source": source,
+    return {"adopters": int(adopted.sum()), "source": source,
             "uplift": {str(k): v for k, v in curve.uplift.items()}}
 
 

@@ -66,10 +66,6 @@ class SocialGraph:
                    [weights[p] for p in pairs])
 
     # -- queries -----------------------------------------------------------
-    @property
-    def nodes(self) -> frozenset[str]:
-        return frozenset(self.ids)
-
     def node_count(self) -> int:
         return len(self.ids)
 

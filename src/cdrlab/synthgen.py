@@ -93,7 +93,6 @@ class SynthConfig:
 
 @dataclass
 class GroundTruth:
-    adopters_by_day: dict[int, frozenset[str]] = field(default_factory=dict)
     shock_intervals: list[tuple] = field(default_factory=list)
     home_tower: dict[str, str] = field(default_factory=dict)
     label: dict[str, str] = field(default_factory=dict)
@@ -101,7 +100,7 @@ class GroundTruth:
     def to_dict(self) -> dict:
         """The ground_truth.json document."""
         return {
-            "adopters_by_day": {str(d): sorted(s) for d, s in sorted(self.adopters_by_day.items())},
+            "adopters_by_day": {},  # synth simulates no adoption; the key keeps the document's form
             "shock_intervals": [
                 {"entity": list(entity), "interval": list(interval), "multiplier": multiplier}
                 for entity, interval, multiplier in self.shock_intervals
@@ -346,8 +345,8 @@ def simulate_adoption(
     mechanism: ContagionAdoption,
     days: int,
     seed: int = 0,
-) -> GroundTruth:
-    """Daily synchronous adoption; cumulative adopter sets per day.
+) -> np.ndarray:
+    """Daily synchronous adoption; each node's first adoption day, -1 for never.
 
     A node's daily hazard is p0 * (1 + beta)^(adopting neighbors), capped
     at 1, evaluated against the adopter set at the start of the day; beta = 0
@@ -363,13 +362,12 @@ def simulate_adoption(
 
     ui, vi = graph.u, graph.v
     n = graph.node_count()
-    adopted = np.zeros(n, dtype=bool)
+    first = np.full(n, -1)
     rng = derive_rng(seed, "adoption")
-    by_day: dict[int, frozenset[str]] = {}
     for day in range(days):
+        adopted = first >= 0
         k = np.bincount(ui[adopted[vi]], minlength=n) + np.bincount(vi[adopted[ui]], minlength=n)
         hazard = np.minimum(1.0, p0 * (1.0 + beta) ** k)
         draws = rng.random(n)
-        adopted |= (~adopted) & (draws < hazard)
-        by_day[day] = frozenset(graph.ids[i] for i in np.flatnonzero(adopted).tolist())
-    return GroundTruth(adopters_by_day=by_day)
+        first[~adopted & (draws < hazard)] = day
+    return first

@@ -41,7 +41,7 @@ def nearest_tower(lon: float, lat: float, towers) -> str:
 
 def union_find_groups(g) -> list[set[str]]:
     """Every component of g as a set of ids, isolated nodes included."""
-    parent = {n: n for n in g.nodes}
+    parent = {n: n for n in g.ids}
 
     def find(x):
         while parent[x] != x:
@@ -52,7 +52,7 @@ def union_find_groups(g) -> list[set[str]]:
     for u, v, _ in g.edges():
         parent[find(u)] = find(v)
     groups: dict[str, set[str]] = {}
-    for n in g.nodes:
+    for n in g.ids:
         groups.setdefault(find(n), set()).add(n)
     return list(groups.values())
 

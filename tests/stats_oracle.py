@@ -6,6 +6,9 @@ block versions in ``cdrlab.adoption`` must return equal ``KappaResult``s.
 ``idw_interpolate`` computed each raster row with ``haversine_km`` and
 looked for exact hits cell by cell, and ``write_grid`` formatted one value at
 a time; ``cdrlab.spatial`` must give the same raster and the same text.
+
+``adopter_mask`` and ``edge_positions`` turn subscriber ids into the node
+mask and edge positions the kappa and p_k functions take.
 """
 
 from __future__ import annotations
@@ -14,24 +17,37 @@ import math
 
 import numpy as np
 
-from cdrlab.adoption import KappaResult, _active_edges, _adopter_mask, _kappa_result
+from cdrlab.adoption import KappaResult, _kappa_result
 from cdrlab.geo import haversine_km
 from cdrlab.rng import derive_rng
 from cdrlab.socialgraph import global_clustering_coefficient, triangle_counts
 from cdrlab.spatial import EXACT_HIT_KM, NODATA_DEFAULT, GridRaster
 
 
-def node_kappa(g, adopters, replicates=200, seed=0) -> KappaResult:
-    adopters = frozenset(adopters)
-    emp_mask = _adopter_mask(g, adopters)
+def adopter_mask(g, adopters) -> np.ndarray:
+    """Boolean node mask of the adopter ids, each of them a node of g."""
+    pos = g.index(adopters)
+    assert (pos >= 0).all(), "adopters not in graph"
+    mask = np.zeros(g.node_count(), dtype=bool)
+    mask[pos] = True
+    return mask
+
+
+def edge_positions(g, links) -> np.ndarray:
+    """Sorted positions in g's edge arrays of the distinct links, each an id pair of an edge of g."""
+    at = {(u, v): i for i, (u, v, _) in enumerate(g.edges())}
+    return np.array(sorted({at[min(link), max(link)] for link in links}), dtype=np.int64)
+
+
+def node_kappa(g, adopted, replicates=200, seed=0) -> KappaResult:
     n = g.node_count()
-    m = len(adopters)
+    m = int(adopted.sum())
     if m == 0:
         raise ValueError(
             "kappa undefined for an empty adopter set: "
             "random_mean equals empirical by construction only at full adoption"
         )
-    empirical = int(np.count_nonzero(emp_mask[g.u] & emp_mask[g.v]))
+    empirical = int(np.count_nonzero(adopted[g.u] & adopted[g.v]))
     if m == n:
         if empirical == 0:
             raise ValueError("reference degenerate: graph has no edges")
@@ -46,8 +62,7 @@ def node_kappa(g, adopters, replicates=200, seed=0) -> KappaResult:
     return _kappa_result(empirical, [one(r) for r in range(replicates)])
 
 
-def link_kappa(g, active_links, replicates=200, seed=0) -> KappaResult:
-    active = _active_edges(g, active_links)
+def link_kappa(g, active, replicates=200, seed=0) -> KappaResult:
     n = g.node_count()
     m = len(active)
     if m == 0:
@@ -75,8 +90,7 @@ def _clustering(g, edges: np.ndarray) -> tuple[int, int]:
     return int(closed[0]), int(adjacent[0])
 
 
-def clustering_kappa(g, active_links, replicates=200, seed=0) -> KappaResult:
-    active = _active_edges(g, active_links)
+def clustering_kappa(g, active, replicates=200, seed=0) -> KappaResult:
     m = len(active)
     if m == 0:
         raise ValueError("kappa undefined for an empty active-link set")

@@ -5,6 +5,10 @@
 (``derive_rng(seed, "events", s)`` and ``derive_rng(seed, "topups", s)``)
 before moving on to the next one.  ``cdrlab.synthgen`` must return equal
 tables, dtypes and bytes included, and equal ground truth.
+
+``adopters_by_day`` is the former ``simulate_adoption``, which returned each
+day's cumulative set of adopter ids; the first adoption days that
+``cdrlab.synthgen.simulate_adoption`` returns must give the same sets.
 """
 
 from __future__ import annotations
@@ -149,3 +153,18 @@ def generate_events(cfg, graph, gt):
                         tower[order].astype(np.int32), top[order, 4],
                         tuple(subs), retailers, tuple(tower_order))
     return Dataset(cdrs=cdrs, topups=topups, towers=towers, window=window)
+
+
+def adopters_by_day(graph, mechanism, days, seed=0) -> dict[int, frozenset[str]]:
+    ui, vi = graph.u, graph.v
+    n = graph.node_count()
+    adopted = np.zeros(n, dtype=bool)
+    rng = derive_rng(seed, "adoption")
+    by_day = {}
+    for day in range(days):
+        k = np.bincount(ui[adopted[vi]], minlength=n) + np.bincount(vi[adopted[ui]], minlength=n)
+        hazard = np.minimum(1.0, mechanism.p0 * (1.0 + mechanism.beta) ** k)
+        draws = rng.random(n)
+        adopted |= (~adopted) & (draws < hazard)
+        by_day[day] = frozenset(graph.ids[i] for i in np.flatnonzero(adopted).tolist())
+    return by_day

@@ -32,6 +32,7 @@ from cdrlab.spatial import idw_interpolate
 from cdrlab.synthgen import ContagionAdoption, _small_world_edges, simulate_adoption
 
 from conftest import DAY, T0, graph_from, make_dataset, random_connected_graph, random_graph, voice
+from stats_oracle import adopter_mask
 
 
 # -- 1: adjacent-pair count identity ------------------------------------------------
@@ -80,21 +81,21 @@ def _small_world(seed: int, n: int = 2000, k: int = 6, rewire: float = 0.1) -> S
 def test_c02_node_kappa_null_calibration():
     t0 = time.monotonic()
     g = _small_world(424242)
-    names = np.array(sorted(g.nodes))
+    n = g.node_count()
 
     contains = 0
     for trial in range(100):
         rng = derive_rng(424242, "c2-uniform", trial)
-        adopters = names[rng.choice(len(names), size=200, replace=False)]
+        adopters = np.zeros(n, dtype=bool)
+        adopters[rng.choice(n, size=200, replace=False)] = True
         res = node_kappa(g, adopters, replicates=200, seed=trial)
         if res.ci95[0] <= 1.0 <= res.ci95[1]:
             contains += 1
 
     excludes = 0
     for trial in range(100):
-        gt = simulate_adoption(g, ContagionAdoption(0.01, 1.0), days=10, seed=trial)
-        adopters = gt.adopters_by_day[9]
-        assert 0 < len(adopters) < g.node_count()
+        adopters = simulate_adoption(g, ContagionAdoption(0.01, 1.0), days=10, seed=trial) >= 0
+        assert 0 < adopters.sum() < n
         res = node_kappa(g, adopters, replicates=200, seed=1000 + trial)
         if not (res.ci95[0] <= 1.0 <= res.ci95[1]):
             excludes += 1
@@ -131,7 +132,7 @@ def test_c03_link_kappa_matches_exhaustive_null():
             total += sum(d * (d - 1) // 2 for d in deg.values())
             count += 1
         exact = total / count
-        res = link_kappa(g, E[:m], replicates=20_000, seed=5)
+        res = link_kappa(g, np.arange(m), replicates=20_000, seed=5)
         rel = abs(res.random_mean - exact) / exact
         worst = max(worst, rel)
         assert rel <= 0.02, f"{name}: MC mean {res.random_mean} vs exhaustive {exact}"
@@ -148,10 +149,9 @@ def test_c04_pk_curve_flat_under_iid_and_uplift_under_contagion():
     pick = rng.random(len(iu)) < 8.0 / n
     g = SocialGraph.from_edges(
         (f"n{a}", f"n{b}", 1.0) for a, b in zip(iu[pick], ju[pick]))
-    nodes = np.array(sorted(g.nodes))
     p_adopt = 0.3
-    mask = derive_rng(4, "c4a-adopt").random(len(nodes)) < p_adopt
-    curve = adoption_probability_curve(g, nodes[mask], k_max=6)
+    mask = derive_rng(4, "c4a-adopt").random(g.node_count()) < p_adopt
+    curve = adoption_probability_curve(g, mask, k_max=6)
     supported = [pt for pt in curve.points if pt.reliable]
     assert len(supported) >= 5
     for pt in supported:
@@ -186,7 +186,7 @@ def test_c04_pk_curve_flat_under_iid_and_uplift_under_contagion():
     partner_seeded = seeded[np.arange(2 * n_pairs) ^ 1]
     hazard = np.minimum(1.0, p0 * (1 + beta) ** partner_seeded.astype(int))
     adopted = seeded | ((~seeded) & (rng.random(2 * n_pairs) < hazard))
-    curve2 = adoption_probability_curve(g2, names[adopted], k_max=1)
+    curve2 = adoption_probability_curve(g2, adopter_mask(g2, names[adopted]), k_max=1)
     pts = {pt.k: pt for pt in curve2.points}
     assert pts[0].reliable and pts[1].reliable
     measured = pts[1].p_k / pts[0].p_k

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cdrlab import adoption, cli, spatial
+from cdrlab import adoption, cli, spatial, synthgen
 from cdrlab.config import CONFIG_ENV_VAR
 from cdrlab.mlkit import models
 from cdrlab.mlkit.models import LogisticModel, save_model
@@ -174,7 +174,11 @@ def test_synth_shock_recorded(tmp_path):
     ("3", ["--shock-start-day", "-1"], "--shock-start-day -1 with --shock-days 1 leaves"),
     ("3", ["--shock-start-day", "2", "--shock-days", "2"], "--shock-start-day 2 with --shock-days 2 leaves"),
 ])
-def test_synth_shock_that_plants_nothing_exits_2(tmp_path, capsys, multiplier, flags, named):
+def test_synth_shock_that_plants_nothing_exits_2(tmp_path, capsys, monkeypatch, multiplier, flags, named):
+    def no_population(cfg):
+        raise AssertionError("generated a population")
+    # every shock flag is checked before the population and events are generated
+    monkeypatch.setattr(synthgen, "generate_population", no_population)
     cfg = tmp_path / "run.ini"
     cfg.write_text("[synth]\nsubscribers = 30\ntowers = 8\ndays = 3\nevent_rate = 1.5\n")
     outdir = tmp_path / "shocked"
@@ -265,13 +269,15 @@ def test_graph_with_centrality(synth_dir, tmp_path):
 
 
 def test_graph_and_train_skip_unneeded_imports(synth_dir, features_dir, tmp_path):
-    # numpy.ma (through a bare np.unique), logging and concurrent.futures add
-    # start-up time that neither step needs
+    # numpy.ma (through a bare np.unique or np.isin), logging and
+    # concurrent.futures add start-up time that none of these steps needs
     code = ("import sys\nfrom cdrlab import cli\nrc = cli.main(sys.argv[1:])\n"
             "print(rc, [m for m in ('numpy.ma', 'logging', 'concurrent.futures') if m in sys.modules])")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     for args in (["graph", "--evc", *dataset_args(synth_dir), "--outdir", str(tmp_path / "graph")],
+                 ["kappa", "--replicates", "20", *dataset_args(synth_dir), "--outdir", str(tmp_path / "kappa")],
+                 ["pk", *dataset_args(synth_dir), "--outdir", str(tmp_path / "pk")],
                  ["train", "--features", str(features_dir / "features.csv"), "--labels",
                   str(synth_dir / "labels.csv"), "--family", "logistic", "--outdir", str(tmp_path / "train")]):
         done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
@@ -677,6 +683,21 @@ def test_side_file_stray_quote_damages_only_its_line(synth_dir, tmp_path, capsys
     err = capsys.readouterr().err
     assert f"adopters not in graph: ['{ids[1]},3\\n']" in err
     assert ids[2] not in err and ids[3] not in err
+
+
+def test_adopter_days_are_any_integers(synth_dir, tmp_path):
+    # a day may pass int64 or fall below 0; a blank day adopts outside every snapshot
+    ids = subscriber_ids(synth_dir)
+    adopters = tmp_path / "adopters.csv"
+    adopters.write_text(f"subscriber,day\n{ids[3]},100000000000000000000\n{ids[1]},-3\n{ids[2]},\n")
+    for step in ("adoption", "pk"):
+        assert cli.main([step, *dataset_args(synth_dir), "--adopters", str(adopters),
+                         "--outdir", str(tmp_path / step)]) == 0
+        assert json.loads((tmp_path / step / f"manifest_{step}.json").read_text())["params"]["adopters"] == 3
+    assert data_lines(tmp_path / "adoption" / "adopters.csv")[1:] == sorted(
+        [f"{ids[1]},-3", f"{ids[2]},", f"{ids[3]},100000000000000000000"])
+    rows = data_lines(tmp_path / "adoption" / "adoption_components.csv")[1:]
+    assert [row.split(",")[:2] for row in rows] == [["-3", "1"], ["100000000000000000000", "2"]]
 
 
 def test_side_file_blank_lines_are_skipped(synth_dir, tmp_path):

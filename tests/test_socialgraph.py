@@ -81,7 +81,7 @@ def test_build_graph_requires_strictly_more_than_threshold_every_month():
     g = sg.build_graph(ds, min_monthly_interactions=3)
     assert edge_weights(g).keys() == {("C", "D")}
     # nodes that communicated stay in the graph even without surviving edges
-    assert g.nodes == {"A", "B", "C", "D", "E", "F"}
+    assert g.ids == ("A", "B", "C", "D", "E", "F")
 
     g0 = sg.build_graph(ds, min_monthly_interactions=0)
     assert {(u, v) for u, v, _ in g0.edges()} == {("A", "B"), ("C", "D"), ("E", "F")}
@@ -121,7 +121,7 @@ def test_build_graph_ignores_data_and_selfcalls():
     ds = make_dataset(cdrs, window=(T0, T0 + DAY))
     g = sg.build_graph(ds, min_monthly_interactions=3)
     assert edge_weights(g) == {("A", "B"): 120.0}
-    assert g.nodes == {"A", "B"}
+    assert g.ids == ("A", "B")
 
 
 def test_build_graph_is_order_independent():
@@ -190,7 +190,7 @@ def test_components_of_a_shuffled_long_path():
 
 def dense_evc(g):
     """Principal eigenvector per component from a dense symmetric eigensolver."""
-    scores = {n: 1.0 for n in g.nodes}
+    scores = {n: 1.0 for n in g.ids}
     for comp in (c for c in union_find_groups(g) if len(c) > 1):
         order = sorted(comp)
         idx = {n: i for i, n in enumerate(order)}

@@ -56,13 +56,12 @@ def test_config_rejects_bad_values(kw):
 
 def test_ground_truth_json_round_trip():
     gt = syn.GroundTruth(
-        adopters_by_day={0: frozenset({"S1"}), 1: frozenset({"S1", "S2"})},
         shock_intervals=[(("tower", "T001"), (100, 200), 3.0)],
         home_tower={"S1": "T001"},
         label={"S1": "low", "S2": "high"},
     )
     assert json.loads(json.dumps(gt.to_dict())) == {
-        "adopters_by_day": {"0": ["S1"], "1": ["S1", "S2"]},
+        "adopters_by_day": {},  # synth simulates no adoption
         "shock_intervals": [{"entity": ["tower", "T001"], "interval": [100, 200], "multiplier": 3.0}],
         "home_tower": {"S1": "T001"},
         "label": {"S1": "low", "S2": "high"},
@@ -324,22 +323,24 @@ def ring_graph(n):
 
 def test_adoption_sets_are_cumulative_and_deterministic():
     g = ring_graph(40)
-    gt = syn.simulate_adoption(g, syn.ContagionAdoption(p0=0.05, beta=1.0), days=12, seed=9)
-    prev = frozenset()
-    for day in range(12):
-        cur = gt.adopters_by_day[day]
-        assert prev <= cur
-        prev = cur
-    gt2 = syn.simulate_adoption(g, syn.ContagionAdoption(p0=0.05, beta=1.0), days=12, seed=9)
-    assert gt2.adopters_by_day == gt.adopters_by_day
+    mech = syn.ContagionAdoption(p0=0.05, beta=1.0)
+    for seed in range(9, 14):
+        first = syn.simulate_adoption(g, mech, days=12, seed=seed)
+        assert first.min() >= -1 and first.max() < 12
+        assert np.array_equal(syn.simulate_adoption(g, mech, days=12, seed=seed), first)
+        # day d's cumulative adopter set is every node adopted by day d
+        assert oracle.adopters_by_day(g, mech, days=12, seed=seed) == {
+            d: frozenset(g.ids[i] for i in np.flatnonzero((first >= 0) & (first <= d)).tolist())
+            for d in range(12)
+        }
 
 
 def test_adoption_extremes():
     g = ring_graph(10)
     all_in = syn.simulate_adoption(g, syn.ContagionAdoption(p0=1.0, beta=0.0), days=1, seed=0)
-    assert all_in.adopters_by_day[0] == frozenset(g.nodes)
+    assert all_in.tolist() == [0] * 10
     none = syn.simulate_adoption(g, syn.ContagionAdoption(p0=0.0, beta=5.0), days=5, seed=0)
-    assert all(s == frozenset() for s in none.adopters_by_day.values())
+    assert none.tolist() == [-1] * 10
 
 
 def test_adoption_validation():
