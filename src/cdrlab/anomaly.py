@@ -326,27 +326,31 @@ def detect_flow_anomalies(
     return reports
 
 
-def _ranked_contacts(ds: Dataset, code: int, window: tuple[int, int]) -> np.ndarray:
-    """The contact codes of a subscriber code, ordered by outgoing voice-call
-    count in the window, descending.
+def _top_contacts(ds: Dataset, window: tuple[int, int], max_rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every caller's contacts of rank 1..max_rank in the window: the sorted
+    caller * n + contact codes, and their ranks.
 
-    Ties break by the pair's total two-way communication count in the
-    window, then by contact id.
+    A caller ranks the contacts of its outgoing voice calls in the window by
+    that call count, descending.  Ties break by the pair's total two-way
+    communication count in the window, then by contact id.
     """
     c = ds.cdrs
-    # Rows are sorted by timestamp and a group's rows ascend, so the rows
-    # of a group in the window are one slice of the group.
-    span = ds.cdrs_between(*window)
-    bounds = (span.start, span.stop)
-    out = ds.cdrs_by_caller().of(code)
-    out = out[slice(*np.searchsorted(out, bounds).tolist())]
-    inn = ds.cdrs_by_callee().of(code)
-    inn = inn[slice(*np.searchsorted(inn, bounds).tolist())]
-    callee = c.callee[out]
-    contacts, calls = np.unique(callee[(c.kind[out] == VOICE) & (callee >= 0)].astype(np.int64), return_counts=True)
-    others = np.sort(np.concatenate((callee, c.caller[inn])))
-    two_way = np.searchsorted(others, contacts, side="right") - np.searchsorted(others, contacts)
-    return contacts[np.lexsort((contacts, -two_way, -calls))]
+    n = len(c.subscriber_ids)
+    rows = ds.cdrs_between(*window)
+    callee = c.callee[rows]
+    linked = callee >= 0
+    key = c.caller[rows].astype(np.int64) * n + callee
+    keys, calls = np.unique(key[linked & (c.kind[rows] == VOICE)], return_counts=True)
+    linked_keys = np.sort(key[linked])
+    callers, contacts = np.divmod(keys, n)
+    two_way = sum(np.searchsorted(linked_keys, k, side="right") - np.searchsorted(linked_keys, k)
+                  for k in (keys, contacts * n + callers))
+    order = np.lexsort((contacts, -two_way, -calls, callers))
+    grouped = callers[order]
+    ranks = np.empty(len(keys), dtype=np.int64)
+    ranks[order] = np.arange(1, len(keys) + 1) - np.searchsorted(grouped, grouped)
+    keep = ranks <= max_rank
+    return keys[keep], ranks[keep]
 
 
 @dataclass
@@ -416,15 +420,7 @@ def rank_activation_curves(
         rank_window = (ds.window[0], event_day)
     if rank_window[0] >= rank_window[1]:
         raise ValueError("empty rank window")
-    n = len(ds.cdrs.subscriber_ids)
-    keys, values = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for code in np.flatnonzero(np.bincount(ds.cdrs.caller, minlength=n)).tolist():
-        top = _ranked_contacts(ds, code, rank_window)[:max(ranks)]
-        keys.append(code * n + top)
-        values.append(np.arange(1, len(top) + 1))
-    rank_keys, rank_values = np.concatenate(keys), np.concatenate(values)
-    order = np.argsort(rank_keys)
-    rank_keys, rank_values = rank_keys[order], rank_values[order]
+    rank_keys, rank_values = _top_contacts(ds, rank_window, max(ranks))
 
     event_curves = _day_fraction_curves(ds, event_day, rank_keys, rank_values, tuple(ranks), bin_width)
     comp_curves = [
@@ -463,8 +459,8 @@ def distance_activation_matrix(
     """
     if not comparison_days:
         raise ValueError("need at least one comparison day")
-    if sorted(distance_bins) != list(distance_bins) or not distance_bins:
-        raise ValueError("distance_bins must be ascending edges")
+    if not distance_bins or any(a >= b for a, b in zip(distance_bins, distance_bins[1:])):
+        raise ValueError("distance_bins must be strictly ascending edges")
     c = ds.cdrs
     n = len(c.subscriber_ids)
     edges = np.asarray(distance_bins, dtype=float)

@@ -76,11 +76,16 @@ class RunContext:
                 "config_hash": self.cfg_hash, "seed": self.seed}
 
 
-def _parse_ts(text: str) -> int:
+def _parse_ts(flag: str, text: str) -> int:
+    """Epoch seconds or ISO-8601 text as epoch seconds; else an error naming the flag or config key."""
     try:
         return int(text)
     except ValueError:
+        pass
+    try:
         return parse_timestamp(text)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _numbers(flag: str, text: str, count: int = 0) -> list[float]:
@@ -259,7 +264,7 @@ def _synth_config(args, cfg):
         days=s["days"],
         recharge_denominations=tuple(s["denominations"]),
         event_rate=s["event_rate"],
-        start=_parse_ts(s["start"]),
+        start=_parse_ts("[synth] start", s["start"]),
         sms_fraction=s["sms_fraction"],
         data_rate=s["data_rate"],
         topup_gap_days=s["topup_gap_days"],
@@ -541,18 +546,19 @@ def _cmd_flows(args, ctx: RunContext) -> dict:
 def _cmd_rank_curves(args, ctx: RunContext) -> dict:
     from . import anomaly
 
-    ds, _, _ = _load_dataset(args, ctx.cfg)
     rc = ctx.cfg["rank_curves"]
     if rc["max_rank"] < 1:
         raise ValueError(f"[rank_curves] max_rank must be >= 1, got {rc['max_rank']}")
-    comparison = [
-        _parse_ts(d) for d in (args.comparison_days.split(",") if args.comparison_days
-                               else rc["comparison_days"])
-    ]
+    event_time = _parse_ts("--event-time", args.event_time)
+    if args.comparison_days:
+        comparison = [_parse_ts("--comparison-days", d) for d in args.comparison_days.split(",")]
+    else:
+        comparison = [_parse_ts("[rank_curves] comparison_days", d) for d in rc["comparison_days"]]
     if not comparison:
         raise ValueError("need comparison days (--comparison-days or config)")
+    ds, _, _ = _load_dataset(args, ctx.cfg)
     curves = anomaly.rank_activation_curves(
-        ds, _parse_ts(args.event_time),
+        ds, event_time,
         ranks=tuple(range(1, rc["max_rank"] + 1)),
         bin_width=rc["bin_width"],
         comparison_days=comparison,
@@ -570,13 +576,20 @@ def _cmd_distance_matrix(args, ctx: RunContext) -> dict:
 
     from . import anomaly
 
-    ds, _, _ = _load_dataset(args, ctx.cfg)
+    if not 0 <= args.hour_start < args.hour_end <= 24:
+        raise ValueError(f"--hour-start {args.hour_start}, --hour-end {args.hour_end}: "
+                         "expected 0 <= --hour-start < --hour-end <= 24")
     lon, lat = _numbers("--epicenter", args.epicenter, 2)
+    if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
+        raise ValueError(f"--epicenter: expected lon in [-180, 180] and lat in [-90, 90], got {args.epicenter!r}")
     edges = _numbers("--bins", args.bins)
-    comparison = [_parse_ts(d) for d in args.comparison_days.split(",")]
+    if any(a >= b for a, b in zip(edges, edges[1:])):
+        raise ValueError(f"--bins: expected strictly ascending edges, got {args.bins!r}")
+    event_day = _parse_ts("--event-day", args.event_day)
+    comparison = [_parse_ts("--comparison-days", d) for d in args.comparison_days.split(",")]
+    ds, _, _ = _load_dataset(args, ctx.cfg)
     ratio, counts = anomaly.distance_activation_matrix(
-        ds, (lon, lat), _parse_ts(args.event_day),
-        (args.hour_start * 3600, args.hour_end * 3600), edges, comparison,
+        ds, (lon, lat), event_day, (args.hour_start * 3600, args.hour_end * 3600), edges, comparison,
     )
     anomaly.write_distance_matrix_csv(ratio, ctx.outputs.stage("distance_matrix.csv"),
                                       header_comment=ctx.header)

@@ -80,22 +80,6 @@ def civil_from_days(days):
     return yoe + era * 400 + (month <= 2), month, doy - (153 * mp + 2) // 5 + 1
 
 
-def month_index(ts):
-    """year * 12 + (month - 1) of UTC epoch seconds (integer arrays)."""
-    # civil_from_days' first half, repeated: through civil_from_days, the day
-    # column nobody reads here raised the peak RSS of `graph` and `pk` by
-    # 7-12 MB on the 839k-row Baseline table.
-    z = np.asarray(ts, dtype=np.int64) // SECONDS_PER_DAY + 719468
-    era = z // 146097
-    doe = z - era * 146097
-    yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
-    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)
-    mp = (5 * doy + 2) // 153
-    month = mp + np.where(mp < 10, 3, -9)
-    year = yoe + era * 400 + (month <= 2)
-    return year * 12 + month - 1
-
-
 def is_nocturnal(ts):
     """Whether epoch seconds fall in 22:00-06:00 UTC (an int or an array)."""
     hour = (ts % SECONDS_PER_DAY) // 3600
@@ -178,9 +162,6 @@ class Groups(NamedTuple):
 
     rows: np.ndarray
     offsets: np.ndarray
-
-    def of(self, code: int) -> np.ndarray:
-        return self.rows[self.offsets[code]:self.offsets[code + 1]]
 
 
 def _group_rows(codes: np.ndarray, n: int) -> Groups:

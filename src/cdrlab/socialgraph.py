@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .ingest import write_csv
-from .records import SMS, VOICE, Dataset, distinct, month_index
+from .records import SECONDS_PER_DAY, SMS, VOICE, Dataset, civil_from_days, days_from_civil, distinct
 
 # Power iteration stops once no score moves by more than EVC_TOL, and
 # stalls after EVC_MAX_ITER steps.
@@ -107,6 +107,16 @@ class ComponentReport:
     isolate_count: int
 
 
+def _month_positions(window: tuple[int, int], ts: np.ndarray) -> tuple[int, np.ndarray]:
+    """(the number of calendar months the window [start, end) touches, the
+    position among them of the month of each epoch second in ts)."""
+    year, month, _ = civil_from_days((np.array(window) - (0, 1)) // SECONDS_PER_DAY)
+    first, last = (year * 12 + month - 1).tolist()
+    later = np.arange(first + 1, last + 1)
+    starts = days_from_civil(later // 12, later % 12 + 1, 1) * SECONDS_PER_DAY
+    return last - first + 1, np.searchsorted(starts, ts, side="right")
+
+
 def build_graph(
     ds: Dataset,
     sms_weight: float = 60.0,
@@ -130,10 +140,8 @@ def build_graph(
     pairs, pair = np.unique(key, return_inverse=True)
     weights = np.bincount(pair, weights=np.where(kind == VOICE, c.magnitude[rows], float(sms_weight)),
                           minlength=len(pairs))
-    first_month, last_month = month_index(np.array(ds.window) - (0, 1)).tolist()
-    months = last_month - first_month + 1
-    per_month = np.bincount(pair * months + (month_index(c.ts[rows]) - first_month),
-                            minlength=len(pairs) * months).reshape(len(pairs), months)
+    months, month = _month_positions(ds.window, c.ts[rows])
+    per_month = np.bincount(pair * months + month, minlength=len(pairs) * months).reshape(len(pairs), months)
     threshold = int(min_monthly_interactions)
     keep = (weights > 0) & ((per_month > threshold).all(axis=1) if threshold > 0 else True)
 

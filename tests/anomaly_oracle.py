@@ -1,8 +1,9 @@
-"""The former per-caller contact ranking, kept as the oracle of the one in ``anomaly``.
+"""The former per-caller contact ranking, kept as the oracle of the grouped one in ``anomaly``.
 
 ``ranked_contacts`` counted one caller's contacts with three ``bincount``
-arrays over every subscriber code; ``anomaly._ranked_contacts`` counts them
-from the caller's own rows and must give the same codes in the same order.
+arrays over every subscriber code; ``anomaly._top_contacts`` ranks every
+caller's contacts in one pass and must give each caller the same codes in the
+same order, cut at its ``max_rank``.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ def ranked_contacts(ds: Dataset, code: int, window: tuple[int, int]) -> np.ndarr
     start, end = window
     c = ds.cdrs
     n = len(c.subscriber_ids)
-    out = ds.cdrs_by_caller().of(code)
+    out, inn = (rows[offsets[code]:offsets[code + 1]] for rows, offsets in (ds.cdrs_by_caller(), ds.cdrs_by_callee()))
     out = out[(c.ts[out] >= start) & (c.ts[out] < end) & (c.callee[out] >= 0)]
-    inn = ds.cdrs_by_callee().of(code)
     inn = inn[(c.ts[inn] >= start) & (c.ts[inn] < end)]
     calls = np.bincount(c.callee[out[c.kind[out] == VOICE]], minlength=n)
     two_way = np.bincount(c.callee[out], minlength=n) + np.bincount(c.caller[inn], minlength=n)

@@ -53,9 +53,8 @@ def extract_features(ds, subscriber: str, denominations=None) -> tuple[str | Non
     """(home tower id or None, feature name -> value or None) of one subscriber."""
     code = ds.cdrs.subscriber_ids.index(subscriber)
     c = ds.cdrs
-    out = ds.cdrs_by_caller().of(code)
-    inn = ds.cdrs_by_callee().of(code)
-    tops = ds.topups_by_buyer().of(code)
+    out, inn, tops = (rows[offsets[code]:offsets[code + 1]]
+                      for rows, offsets in (ds.cdrs_by_caller(), ds.cdrs_by_callee(), ds.topups_by_buyer()))
     out_kind, in_kind = c.kind[out], c.kind[inn]
     out_comm = out[_IS_COMM[out_kind] & (c.callee[out] >= 0)]
     in_comm = inn[_IS_COMM[in_kind]]

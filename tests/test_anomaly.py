@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdrlab import anomaly as an
@@ -326,6 +326,20 @@ def test_detect_flow_anomalies_validation():
 
 # -- rank curves ----------------------------------------------------------------------
 
+def ranked_by_caller(ds, window, max_rank):
+    """Caller code -> its contact codes in rank order, from the grouped pass."""
+    keys, ranks = an._top_contacts(ds, window, max_rank)
+    assert keys.dtype == ranks.dtype == np.int64 and np.all(keys[1:] > keys[:-1])
+    callers, contacts = np.divmod(keys, max(len(ds.cdrs.subscriber_ids), 1))
+    out = {}
+    for code in np.unique(callers).tolist():
+        mine = callers == code
+        order = np.argsort(ranks[mine])
+        assert ranks[mine][order].tolist() == list(range(1, np.count_nonzero(mine) + 1))
+        out[code] = contacts[mine][order].tolist()
+    return out
+
+
 def test_rank_contacts_ordering_and_ties():
     cdrs = (
         [voice("A", "B", "T1", T0 + i * 60) for i in range(3)]
@@ -336,30 +350,34 @@ def test_rank_contacts_ordering_and_ties():
     )
     ds = make_dataset(cdrs, window=(T0, T0 + DAY))
     ids = ds.cdrs.subscriber_ids
+    ranked = {ids[code]: [ids[i] for i in top] for code, top in ranked_by_caller(ds, (T0, T0 + DAY), 5).items()}
+    assert ranked["A"] == ["C", "B", "D"]  # C wins the 3-3 tie on two-way volume
+    assert "E" not in ranked
+    assert ranked_by_caller(ds, (T0, T0 + DAY), 2)[ids.index("A")] == [ids.index("C"), ids.index("B")]
 
-    def ranked(sub):
-        return [ids[i] for i in an._ranked_contacts(ds, ids.index(sub), (T0, T0 + DAY)).tolist()]
 
-    assert ranked("A") == ["C", "B", "D"]  # C wins the 3-3 tie on two-way volume
-    assert ranked("E") == []
+EVENT = st.tuples(st.sampled_from("ABCD"), st.sampled_from(["A", "B", "C", "D", "E", None]),
+                  st.integers(0, 2 * DAY - 1), st.sampled_from(["voice", "voice", "sms", "data"]))
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    events=st.lists(st.tuples(st.sampled_from("ABCD"), st.sampled_from(["A", "B", "C", "D", "E", None]),
-                              st.integers(0, 2 * DAY - 1), st.sampled_from(["voice", "voice", "sms", "data"])),
-                    max_size=60),
-    lo=st.integers(0, 2 * DAY), width=st.integers(1, 2 * DAY),
-)
-def test_rank_contacts_match_the_all_subscriber_count(events, lo, width):
+@given(events=st.lists(EVENT, max_size=60), lo=st.integers(0, 2 * DAY), width=st.integers(0, 2 * DAY),
+       max_rank=st.integers(1, 6))
+@example(events=[], lo=0, width=DAY, max_rank=1)  # no rows at all
+@example(events=[("A", "B", 10, "sms"), ("B", None, 20, "data")], lo=0, width=DAY, max_rank=3)  # no voice row
+@example(events=[("A", "B", 10, "voice"), ("A", "B", 20, "voice"), ("A", "A", 30, "voice"), ("A", "A", 40, "voice"),
+                 ("B", "A", 50, "sms")], lo=0, width=DAY, max_rank=2)  # a self-call ties on calls and two-way
+@example(events=[("A", "B", 10, "voice")], lo=DAY, width=0, max_rank=5)  # an empty window
+def test_rank_contacts_match_the_all_subscriber_count(events, lo, width, max_rank):
     # Self-calls, texts, data rows and callee-only E all reach the counts.
     ds = make_dataset([CdrRecord(a, None if kind == "data" else b, "T1", T0 + off, kind, 30.0)
                        for a, b, off, kind in events], window=(T0, T0 + 2 * DAY))
     window = (T0 + lo, T0 + lo + width)
+    got = ranked_by_caller(ds, window, max_rank)
     for code in range(len(ds.cdrs.subscriber_ids)):
-        got = an._ranked_contacts(ds, code, window)
         want = anomaly_oracle.ranked_contacts(ds, code, window)
-        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert want.dtype == np.int64
+        assert got.get(code, []) == want[:max_rank].tolist()
 
 
 def test_rank_activation_curves_quantitative():

@@ -54,9 +54,10 @@ def test_dataset_indexes():
         window=(T0, T0 + DAY),
     )
     a = ds.subscribers().index("A")
-    assert ds.cdrs.ts[ds.cdrs_by_caller().of(a)].tolist() == [T0 + 1]
-    assert ds.cdrs.ts[ds.cdrs_by_callee().of(a)].tolist() == [T0 + 2]
-    assert ds.topups.amount[ds.topups_by_buyer().of(a)].tolist() == [20.0]
+    for (rows, offsets), column, want in ((ds.cdrs_by_caller(), ds.cdrs.ts, T0 + 1),
+                                          (ds.cdrs_by_callee(), ds.cdrs.ts, T0 + 2),
+                                          (ds.topups_by_buyer(), ds.topups.amount, 20.0)):
+        assert column[rows[offsets[a]:offsets[a + 1]]].tolist() == [want]
     # subscribers: callers and buyers, sorted
     assert ds.subscribers() == ["A", "B"]
 

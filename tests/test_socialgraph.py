@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdrlab import socialgraph as sg
+from cdrlab.records import days_from_civil
 
 from conftest import (
     T0,
@@ -18,7 +19,7 @@ from conftest import (
     sms,
     voice,
 )
-from graph_oracle import subgraph_clustering, union_find_groups
+from graph_oracle import month_index, subgraph_clustering, union_find_groups
 
 
 # -- SocialGraph container ---------------------------------------------------
@@ -85,6 +86,35 @@ def test_build_graph_requires_strictly_more_than_threshold_every_month():
 
     g0 = sg.build_graph(ds, min_monthly_interactions=0)
     assert {(u, v) for u, v, _ in g0.edges()} == {("A", "B"), ("C", "D"), ("E", "F")}
+
+
+def month_start(month: int) -> int:
+    """Epoch seconds of the first instant of a year * 12 + (month - 1) index."""
+    return int(days_from_civil(np.array(month // 12), np.array(month % 12 + 1), np.array(1))) * DAY
+
+
+# Instants anywhere from 1811 to 2128, and within two days of a month start from
+# 1600 to 2400, where year ends, leap Februaries and the 100/400-year rules sit.
+INSTANTS = st.one_of(st.integers(-5 * 10**9, 5 * 10**9),
+                     st.builds(lambda m, off: month_start(m) + off, st.integers(1600 * 12, 2400 * 12),
+                               st.integers(-2 * DAY, 2 * DAY)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=INSTANTS, width=st.one_of(st.integers(1, 3 * DAY), st.integers(1, 400 * DAY),
+                                       st.integers(1, 40 * 366 * DAY)),
+       on_month_start=st.booleans(), data=st.data())
+@example(start=T0 - 1, width=1, on_month_start=False, data=None)  # one second, the last of April 2016
+@example(start=T0, width=92 * DAY, on_month_start=False, data=None)  # May, June and July 2016 exactly
+def test_month_positions_match_month_index(start, width, on_month_start, data):
+    end = start + width
+    if on_month_start:  # the window ends exactly where a month starts
+        end = month_start(int(month_index(end)) + 1)
+    ts = [start, end - 1] + (data.draw(st.lists(st.integers(start, end - 1), max_size=40)) if data else [])
+    months, got = sg._month_positions((start, end), np.array(ts, dtype=np.int64))
+    first, last = month_index(np.array([start, end - 1])).tolist()
+    assert months == last - first + 1
+    assert got.tolist() == (month_index(np.array(ts)) - first).tolist()
 
 
 def test_build_graph_combines_directions():

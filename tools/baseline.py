@@ -49,6 +49,7 @@ STEPS = (
     ("ingest-check", ("ingest-check", *DATA, "--labels", "synth/labels.csv")),
     ("features", ("features", *DATA, "--labels", "synth/labels.csv")),
     ("graph --evc", ("graph", "--evc", *DATA)),
+    ("graph", ("graph", *DATA)),
     ("adoption", ("adoption", "--seed", "7", *DATA)),
     ("kappa --mode all --replicates 200", ("kappa", "--mode", "all", "--replicates", "200", "--seed", "7", *DATA)),
     ("pk", ("pk", *DATA)),
@@ -57,6 +58,8 @@ STEPS = (
     ("flows", ("flows", *DATA)),
     ("rank-curves", ("rank-curves", "--event-time", "2016-05-20T12:00:00Z",
                      "--comparison-days", "2016-05-13,2016-05-06", *DATA)),
+    ("distance-matrix", ("distance-matrix", "--epicenter", "91.25,24.0", "--event-day", "2016-05-20",
+                         "--comparison-days", "2016-05-13,2016-05-06", *DATA)),
     ("train", ("train", "--family", "logistic", "--seed", "2", *FEATURES)),
     ("eval", ("eval", *FEATURES, "--model", "train/model.json", "--test-ids", "train/test_ids.csv")),
 )
