@@ -1213,42 +1213,31 @@ def test_comma_separated_numbers_exit_2_naming_the_flag(tmp_path, capsys, step, 
     assert not any((tmp_path / "out").iterdir())
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["--hour-start", "5", "--hour-end", "3"], "--hour-start 5, --hour-end 3: expected 0 <= --hour-start < --hour-end"),
-    (["--hour-start", "4", "--hour-end", "4"], "--hour-start 4, --hour-end 4: expected"),
-    (["--hour-start", "-4", "--hour-end", "30"], "--hour-start -4, --hour-end 30: expected"),
-    (["--hour-end", "25"], "--hour-start 0, --hour-end 25: expected"),
-    (["--epicenter", "190.5,23.5"], "--epicenter: expected lon in [-180, 180] and lat in [-90, 90], got '190.5,23.5'"),
-    (["--epicenter", "90.5,95"], "--epicenter: expected lon in [-180, 180] and lat in [-90, 90], got '90.5,95'"),
-    (["--bins", "5,5"], "--bins: expected strictly ascending edges, got '5,5'"),
-    (["--bins", "1,10,3"], "--bins: expected strictly ascending edges, got '1,10,3'"),
-])
-def test_distance_matrix_window_epicenter_and_bins_exit_2_naming_the_flag(tmp_path, capsys, argv, message):
-    d = tmp_path / "in"
-    data = _write_degenerate(d, "ring")
-    rc, err, problems = _sweep_run("distance-matrix", ["distance-matrix", *data, *EPICENTER, *argv],
-                                   tmp_path / "out", capsys)
-    assert (rc, problems) == (2, [])
-    assert message in err
-    assert not any((tmp_path / "out").iterdir())
-
-
 @pytest.mark.parametrize("step, argv, ini, message", [
+    ("distance-matrix", [*EPICENTER, "--hour-start", "5", "--hour-end", "3"], "",
+     "--hour-start 5, --hour-end 3: expected 0 <= --hour-start < --hour-end <= 24"),
+    ("distance-matrix", [*EPICENTER, "--hour-start", "4", "--hour-end", "4"], "", "--hour-start 4, --hour-end 4: "),
+    ("distance-matrix", [*EPICENTER, "--hour-start", "-4", "--hour-end", "30"], "", "--hour-start -4, --hour-end 30: "),
+    ("distance-matrix", [*EPICENTER, "--hour-end", "25"], "", "--hour-start 0, --hour-end 25: "),
+    ("distance-matrix", [*EPICENTER, "--epicenter", "190.5,23.5"], "",
+     "--epicenter: expected lon in [-180, 180] and lat in [-90, 90], got '190.5,23.5'"),
+    ("distance-matrix", [*EPICENTER, "--epicenter", "90.5,95"], "",
+     "--epicenter: expected lon in [-180, 180] and lat in [-90, 90], got '90.5,95'"),
+    ("distance-matrix", [*EPICENTER, "--bins", "5,5"], "", "--bins: expected strictly ascending edges, got '5,5'"),
+    ("distance-matrix", [*EPICENTER, "--bins", "1,10,3"], "", "--bins: expected strictly ascending edges, got '1,10,3'"),
+    ("distance-matrix", [*EPICENTER, "--event-day", "x"], "", "--event-day: Invalid isoformat string: 'x'"),
+    ("distance-matrix", [*EPICENTER, "--comparison-days", ""], "", "--comparison-days: Invalid isoformat string: ''"),
     ("rank-curves", ["--event-time", "nope", "--comparison-days", str(T0)], "",
      "--event-time: Invalid isoformat string: 'nope'"),
+    ("rank-curves", ["--event-time", "2016-05-02T12:00:00.5Z", "--comparison-days", str(T0)], "",
+     "--event-time: fractional seconds not supported"),
     ("rank-curves", ["--event-time", str(T0 + DAY), "--comparison-days", "2016-05-13,x"], "",
      "--comparison-days: Invalid isoformat string: 'x'"),
     ("rank-curves", ["--event-time", str(T0 + DAY)], "[rank_curves]\ncomparison_days = 2016-05-01,y\n",
      "[rank_curves] comparison_days: Invalid isoformat string: 'y'"),
-    ("rank-curves", ["--event-time", "2016-05-02T12:00:00.5Z", "--comparison-days", str(T0)], "",
-     "--event-time: fractional seconds not supported"),
-    ("distance-matrix", ["--epicenter", "90.25,23.25", "--event-day", "x", "--comparison-days", str(T0)], "",
-     "--event-day: Invalid isoformat string: 'x'"),
-    ("distance-matrix", ["--epicenter", "90.25,23.25", "--event-day", str(T0 + DAY), "--comparison-days", ""], "",
-     "--comparison-days: Invalid isoformat string: ''"),
     ("synth", [], "[synth]\nstart = 2016-13-01\n", "[synth] start: month must be in 1..12"),
 ])
-def test_bad_time_values_exit_2_naming_the_flag_or_key(tmp_path, capsys, step, argv, ini, message):
+def test_bad_flag_values_exit_2_naming_the_flag_or_key(tmp_path, capsys, step, argv, ini, message):
     d = tmp_path / "in"
     data = _write_degenerate(d, "ring")
     (tmp_path / "run.ini").write_text(ini)

@@ -90,7 +90,7 @@ def test_build_graph_requires_strictly_more_than_threshold_every_month():
 
 def month_start(month: int) -> int:
     """Epoch seconds of the first instant of a year * 12 + (month - 1) index."""
-    return int(days_from_civil(np.array(month // 12), np.array(month % 12 + 1), np.array(1))) * DAY
+    return int(days_from_civil(month // 12, month % 12 + 1, 1)) * DAY
 
 
 # Instants anywhere from 1811 to 2128, and within two days of a month start from
