@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geo import haversine_km
+from .geo import haversine_km_to
 from .ingest import write_csv
 from .records import SECONDS_PER_DAY, VOICE, Dataset, day_start, distinct
 from .spatial import pearson_r
@@ -185,17 +185,14 @@ def detect_anomalies(
 
 
 def area_centroids(towers, area_map: dict[str, str]) -> dict[str, tuple[float, float]]:
-    """Mean member-tower coordinates per area."""
-    sums: dict[str, list[float]] = {}
-    for tid, area in area_map.items():
-        if tid not in towers:
-            continue
-        t = towers[tid]
-        acc = sums.setdefault(area, [0.0, 0.0, 0])
-        acc[0] += t.lon
-        acc[1] += t.lat
-        acc[2] += 1
-    return {a: (x / c, y / c) for a, (x, y, c) in sums.items() if c}
+    """Mean coordinates of each area's member towers that towers holds, summed in area_map's order."""
+    members = [(area, towers[tid]) for tid, area in area_map.items() if tid in towers]
+    index: dict[str, int] = {}
+    code = np.array([index.setdefault(area, len(index)) for area, _ in members], dtype=np.int64)
+    lonlat = np.array([(t.lon, t.lat) for _, t in members], dtype=np.float64).reshape(-1, 2)
+    count = np.bincount(code, minlength=len(index))
+    lon, lat = (np.bincount(code, lonlat[:, k], len(index)) / count for k in (0, 1))
+    return dict(zip(index, zip(lon.tolist(), lat.tolist())))
 
 
 def build_flow_network(
@@ -240,18 +237,13 @@ def build_flow_network(
         origin, dest = area[:-1][same], area[1:][same]
     moved = origin != dest
     pairs, counts = np.unique(origin[moved] * len(areas) + dest[moved], return_counts=True)
+    # Every area that a row's tower maps to has a centroid; NaN stands for the others.
     centroids = area_centroids(ds.towers, area_map)
-    od = {}
-    for pair, count in zip(pairs.tolist(), counts.tolist()):
-        a, b = areas[pair // len(areas)], areas[pair % len(areas)]
-        if count < min_count:
-            continue
-        ca, cb = centroids.get(a), centroids.get(b)
-        if ca is None or cb is None:
-            continue
-        if haversine_km(ca[0], ca[1], cb[0], cb[1]) < min_distance_km:
-            continue
-        od[(a, b)] = int(count)
+    at = np.array([centroids.get(x, (np.nan, np.nan)) for x in areas]).reshape(-1, 2)
+    pairs, counts = pairs[counts >= min_count], counts[counts >= min_count]
+    a, b = np.divmod(pairs, len(areas))
+    far = ~(haversine_km_to(at[a, 0], at[a, 1], at[b, 0], at[b, 1]) < min_distance_km)
+    od = {(areas[i], areas[j]): n for i, j, n in zip(a[far].tolist(), b[far].tolist(), counts[far].tolist())}
     return FlowNetwork(day=day, od=od)
 
 
@@ -459,16 +451,16 @@ def distance_activation_matrix(
     """
     if not comparison_days:
         raise ValueError("need at least one comparison day")
-    if not distance_bins or any(a >= b for a, b in zip(distance_bins, distance_bins[1:])):
-        raise ValueError("distance_bins must be strictly ascending edges")
+    if not distance_bins or distance_bins[0] <= 0 or any(a >= b for a, b in zip(distance_bins, distance_bins[1:])):
+        raise ValueError("distance_bins must be strictly ascending edges above 0")
     c = ds.cdrs
     n = len(c.subscriber_ids)
     edges = np.asarray(distance_bins, dtype=float)
     n_bins = len(edges) + 1
-    tower_bin = [int(np.searchsorted(edges, haversine_km(t.lon, t.lat, epicenter[0], epicenter[1]), side="right"))
-                 for t in map(ds.towers.__getitem__, c.tower_ids)]
+    lonlat = ds.tower_coords
+    tower_bin = np.searchsorted(edges, haversine_km_to(lonlat[:, 0], lonlat[:, 1], *epicenter), side="right")
     # by subscriber code; the home code -1 (no home) picks the trailing -1
-    dist_bin = np.array(tower_bin + [-1], dtype=np.int64)[ds.home_towers()]
+    dist_bin = np.append(tower_bin, -1)[ds.home_towers()]
 
     def day_matrix(day: int) -> np.ndarray:
         day = day_start(day)

@@ -103,6 +103,14 @@ def _day_label(ts: int) -> str:
     return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y%m%d")
 
 
+def _check_days(window: tuple[int, int], *flagged: tuple[str, list[int]]) -> None:
+    """An error naming the flag or config key of the first time whose UTC day misses the dataset window."""
+    for flag, day in ((f, day_start(t)) for f, times in flagged for t in times):
+        if not window[0] - SECONDS_PER_DAY < day < window[1]:
+            raise ValueError(f"{flag}: day {_day_label(day)} lies outside the dataset window "
+                             f"{_day_label(window[0])}..{_day_label(window[1] - 1)}")
+
+
 def _side_rows(path: str, required=(), key: str | None = None) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """A side file's stripped header cells and its checked (line, fields) data rows.
 
@@ -550,13 +558,13 @@ def _cmd_rank_curves(args, ctx: RunContext) -> dict:
     if rc["max_rank"] < 1:
         raise ValueError(f"[rank_curves] max_rank must be >= 1, got {rc['max_rank']}")
     event_time = _parse_ts("--event-time", args.event_time)
-    if args.comparison_days:
-        comparison = [_parse_ts("--comparison-days", d) for d in args.comparison_days.split(",")]
-    else:
-        comparison = [_parse_ts("[rank_curves] comparison_days", d) for d in rc["comparison_days"]]
+    given = args.comparison_days is not None  # an empty flag is a bad value, not an absent one
+    key = "--comparison-days" if given else "[rank_curves] comparison_days"
+    comparison = [_parse_ts(key, d) for d in (args.comparison_days.split(",") if given else rc["comparison_days"])]
     if not comparison:
         raise ValueError("need comparison days (--comparison-days or config)")
     ds, _, _ = _load_dataset(args, ctx.cfg)
+    _check_days(ds.window, ("--event-time", [event_time]), (key, comparison))
     curves = anomaly.rank_activation_curves(
         ds, event_time,
         ranks=tuple(range(1, rc["max_rank"] + 1)),
@@ -585,9 +593,12 @@ def _cmd_distance_matrix(args, ctx: RunContext) -> dict:
     edges = _numbers("--bins", args.bins)
     if any(a >= b for a, b in zip(edges, edges[1:])):
         raise ValueError(f"--bins: expected strictly ascending edges, got {args.bins!r}")
+    if edges[0] <= 0:
+        raise ValueError(f"--bins: expected a first edge above 0, got {args.bins!r}")
     event_day = _parse_ts("--event-day", args.event_day)
     comparison = [_parse_ts("--comparison-days", d) for d in args.comparison_days.split(",")]
     ds, _, _ = _load_dataset(args, ctx.cfg)
+    _check_days(ds.window, ("--event-day", [event_day]), ("--comparison-days", comparison))
     ratio, counts = anomaly.distance_activation_matrix(
         ds, (lon, lat), event_day, (args.hour_start * 3600, args.hour_end * 3600), edges, comparison,
     )

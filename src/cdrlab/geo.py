@@ -1,4 +1,4 @@
-"""Shared geographic helpers: great-circle distance and a local planar projection."""
+"""Shared geographic helpers: great-circle distances in array form and a local planar projection."""
 
 from __future__ import annotations
 
@@ -9,30 +9,14 @@ import numpy as np
 EARTH_RADIUS_KM = 6371.0
 
 
-def haversine_km(lon1, lat1, lon2, lat2):
-    """Great-circle distance in km on a sphere of radius 6371 km.
-
-    Accepts scalars or broadcastable arrays; returns a float for scalar
-    input.
-    """
-    phi1 = np.radians(lat1)
-    phi2 = np.radians(lat2)
-    dphi = phi2 - phi1
-    dlam = np.radians(np.subtract(lon2, lon1))
-    a = np.sin(dphi / 2.0) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2
-    d = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(a)))
-    return float(d) if np.ndim(d) == 0 else d
-
-
 def haversine_km_to(lons, lats, lon0, lat0) -> np.ndarray:
-    """haversine_km(lon, lat, lon0, lat0) for each point, bit for bit.
+    """Great-circle km from each point to lon0, lat0 on a sphere of radius 6371 km.
 
-    lon0 and lat0 are one reference point, or one per point.
-
-    A scalar's ``** 2`` calls pow(), which can round the last bit
-    differently from the multiplication numpy squares an array with, so the
-    two squares are taken one value at a time; every other step is the
-    array form of the same operation in haversine_km.
+    lon0 and lat0 are one reference point, or one per point.  Each distance
+    has the bits that ``haversine_km`` of ``tests/geo_oracle.py`` gives for
+    that point alone: a scalar's ``** 2`` calls pow(), which can round the
+    last bit differently from the multiplication numpy squares an array
+    with, so the two squares are taken one value at a time.
     """
     phi1 = np.radians(lats)
     phi2 = np.radians(lat0)
@@ -45,11 +29,12 @@ def haversine_km_to(lons, lats, lon0, lat0) -> np.ndarray:
 
 
 def haversine_km_rows(lons, lats, row_lons, row_lats):
-    """Yield haversine_km(lons[None, :], lats[None, :], row_lons[:, None], lat) per lat in row_lats.
+    """Yield per lat in row_lats the km [i, j] from (row_lons[i], lat) to (lons[j], lats[j]).
 
-    Bit for bit: the terms that do not depend on the row's latitude are
-    computed once, and each row applies the same ufuncs to the same shapes
-    as haversine_km.
+    Each has the bits of ``haversine_km(lons[None, :], lats[None, :],
+    row_lons[:, None], lat)`` of ``tests/geo_oracle.py``: the terms that do
+    not depend on the row's latitude are computed once, and each row applies
+    the same ufuncs to the same shapes.
     """
     phi1 = np.radians(lats[None, :])
     cos_phi1 = np.cos(phi1)
@@ -63,8 +48,8 @@ def haversine_km_rows(lons, lats, row_lons, row_lats):
 class LocalProjection:
     """Equirectangular projection about a reference point, in km.
 
-    Adequate for the tens-of-km extents this toolkit works at; exact distance
-    math stays with haversine_km.
+    Adequate for the tens-of-km extents this toolkit works at; distances
+    are great-circle ones, from haversine_km_to and haversine_km_rows.
     """
 
     def __init__(self, lon0: float, lat0: float):

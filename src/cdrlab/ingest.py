@@ -11,20 +11,21 @@ fields may hold commas or doubled quotes but never a line break.  An
 unbalanced quote therefore damages only its own line, which usually ends as
 a "wrong field count" reject, and never swallows the lines after it.
 
-Side files (towers, labels, areas, ...) are streamed one line at a time by
-``numbered_rows``.  CDR and top-up files are read in chunks of about
-``CHUNK_CHARS`` characters, each ending at a line end, straight into the
-columns of a ``CdrTable`` or ``TopUpTable``.  The unquoted lines of a
-chunk that have the header's field count are split at once; every other
-data line is split on its own and cut or padded to the header's width.
-Every rule is then one array test over the chunk's lines: ids, towers and
-kinds are decoded once per distinct text, canonical
-``YYYY-MM-DDTHH:MM:SSZ`` timestamps at once and any other through
-``parse_timestamp``, once per distinct text.  A line is rejected for the
-first rule it breaks, in the order the parsers list them, and only the
-rejected lines get their reason formatted.  The accepted rows come back in
-line order, coded into id tables in order of first sight; ``load_dataset``
-hands them to a ``Dataset``, which alone sorts ids and rows.
+The towers file and the side files that ``cli`` reads are streamed one line
+at a time by ``numbered_rows``, since whether a repeated tower id is fatal
+depends on which earlier lines were accepted.  CDR, top-up and labels files
+are read in chunks of about ``CHUNK_CHARS`` characters, each ending at a
+line end, straight into column arrays.  The unquoted lines of a chunk that
+have the header's field count are split at once; every other data line is
+split on its own and cut or padded to the header's width.  Every rule is
+then one array test over the chunk's lines: ids, towers and kinds are
+decoded once per distinct text, canonical ``YYYY-MM-DDTHH:MM:SSZ``
+timestamps at once and any other through ``parse_timestamp``, once per
+distinct text.  A line is rejected for the first rule it breaks, in the
+order the parsers list them, and only the rejected lines get their reason
+formatted.  The accepted rows come back in line order, event ids coded into
+id tables in order of first sight; ``load_dataset`` hands the events to a
+``Dataset``, which alone sorts ids and rows.
 
 ``write_csv`` writes output tables a row at a time through the csv module.
 The CDR and top-up writers format whole columns per chunk of rows instead,
@@ -64,6 +65,7 @@ from .records import (
 
 CDR_FIELDS = ("caller", "callee", "tower", "timestamp", "kind", "magnitude")
 TOPUP_FIELDS = ("buyer", "retailer", "retailer_tower", "timestamp", "amount")
+LABEL_FIELDS = ("subscriber", "label")
 
 DEFAULT_REJECT_CAP = 0.01
 
@@ -568,29 +570,13 @@ def parse_labels_file(
     reject_cap: float = DEFAULT_REJECT_CAP,
 ) -> tuple[dict[str, str], RejectReport]:
     """CSV of subscriber,label.  A later row for a subscriber wins."""
-    labels: dict[str, str] = {}
-    rejects: list[tuple[int, str]] = []
-    total = 0
-    with open_text(path) as fh:
-        rows = numbered_rows(fh)
-        first = next(rows, None)
-        if first is None:
-            return {}, RejectReport(str(path), [], 0)
-        pos = _header_positions(first[1], ("subscriber", "label"), ("subscriber", "label"), str(path))
-        width = max(pos.values())
-        for line_no, row in rows:
-            total += 1
-            if width >= len(row):
-                rejects.append((line_no, "wrong field count"))
-                continue
-            subscriber = row[pos["subscriber"]].strip()
-            if not subscriber:
-                rejects.append((line_no, "missing subscriber"))
-                continue
-            labels[subscriber] = row[pos["label"]].strip()
-    report = RejectReport(str(path), rejects, total)
-    _check_cap(report, reject_cap)
-    return labels, report
+
+    def check(col, short):
+        subscriber, label = (np.array([t.strip() for t in col[name]], dtype=object) for name in LABEL_FIELDS)
+        return [(short, "wrong field count"), (subscriber == "", "missing subscriber")], (subscriber, label)
+
+    (subscriber, label), report = _parse_events(path, LABEL_FIELDS, LABEL_FIELDS, reject_cap, (object, object), check)
+    return dict(zip(subscriber.tolist(), label.tolist())), report
 
 
 def load_dataset(
@@ -713,4 +699,4 @@ def write_towers_csv(towers: dict[str, Tower], path: str, header_comment: str | 
 
 
 def write_labels_csv(labels: dict[str, str], path: str, header_comment: str | None = None) -> None:
-    write_csv(path, ["subscriber", "label"], ([sub, labels[sub]] for sub in sorted(labels)), header_comment)
+    write_csv(path, LABEL_FIELDS, ([sub, labels[sub]] for sub in sorted(labels)), header_comment)

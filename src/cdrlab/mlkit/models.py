@@ -217,7 +217,6 @@ def train_bagged_stumps(
     rounds: int = 50,
     class_weight=None,
     seed: int = 0,
-    threads: int = 1,
 ) -> BaggedStumpsModel:
     """Bootstrap-aggregated stumps, each round on round(sqrt(k)) of the k features."""
     _check_classes(table.y)
@@ -237,7 +236,7 @@ def train_bagged_stumps(
             return {"feature": None, "threshold": 0.0, "p_left": p, "p_right": p}
         return _fit_stump(table.X[idx], yb, w[idx], feats)
 
-    stumps = parallel_map(one_round, range(rounds), threads=threads)
+    stumps = parallel_map(one_round, range(rounds))
     return BaggedStumpsModel(list(table.columns), stumps, seed)
 
 

@@ -1,17 +1,12 @@
-"""Order-preserving parallel map.
+"""Order-preserving map, one item after another.
 
-Work items carry their own derived random streams, so results are identical
-for any thread count; threads only change wall-clock time.
+Work items carry their own derived random streams, so a result does not
+depend on when its item runs.  The map is a module of its own because
+``perfbench/tracer.py`` wraps ``parallel_map`` by name.
 """
 
 from __future__ import annotations
 
 
-def parallel_map(fn, items, threads: int = 1) -> list:
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor  # here: a one-thread run skips its import
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def parallel_map(fn, items) -> list:
+    return [fn(item) for item in items]

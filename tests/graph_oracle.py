@@ -17,9 +17,10 @@ from __future__ import annotations
 import numpy as np
 
 from cdrlab.adoption import MONSTER_THRESHOLD
-from cdrlab.geo import haversine_km
 from cdrlab.records import SECONDS_PER_DAY
 from cdrlab.socialgraph import SocialGraph
+
+from geo_oracle import haversine_km
 
 
 def subgraph_clustering(pairs: list[tuple[int, int]]) -> tuple[int, int]:

@@ -1,8 +1,9 @@
-"""The former per-row CDR and top-up parsers and writers, kept as the oracle of the columnar ones.
+"""The former per-row CDR, top-up and labels parsers and writers, kept as the oracle of the columnar ones.
 
 The parsers read a file one row at a time into the tests' CdrRecord / TopUpRecord
-lists; the columnar parsers in ``cdrlab.ingest`` must give the same events (as a
-Dataset), the same (line, reason) rejects and the same row count.  The writers
+lists or a labels dict; the columnar parsers in ``cdrlab.ingest`` must give the
+same events (as a Dataset) or labels, the same (line, reason) rejects and the
+same row count.  The writers
 format one row at a time, one ``datetime`` per timestamp; the columnar writers
 must write the same bytes.
 """
@@ -184,6 +185,36 @@ def parse_topup_file(
     report = RejectReport(str(path), rejects, total)
     check_cap(report, reject_cap)
     return records, report
+
+
+def parse_labels_file(
+    path: str,
+    reject_cap: float = DEFAULT_REJECT_CAP,
+) -> tuple[dict[str, str], RejectReport]:
+    """CSV of subscriber,label, one row at a time.  A later row for a subscriber wins."""
+    labels: dict[str, str] = {}
+    rejects: list[tuple[int, str]] = []
+    total = 0
+    with open_text(path) as fh:
+        rows = numbered_rows(fh)
+        first = next(rows, None)
+        if first is None:
+            return {}, RejectReport(str(path), [], 0)
+        pos = header_positions(first[1], ("subscriber", "label"), ("subscriber", "label"), str(path))
+        width = max(pos.values())
+        for line_no, row in rows:
+            total += 1
+            if width >= len(row):
+                rejects.append((line_no, "wrong field count"))
+                continue
+            subscriber = row[pos["subscriber"]].strip()
+            if not subscriber:
+                rejects.append((line_no, "missing subscriber"))
+                continue
+            labels[subscriber] = row[pos["label"]].strip()
+    report = RejectReport(str(path), rejects, total)
+    check_cap(report, reject_cap)
+    return labels, report
 
 
 def format_timestamp(ts: int) -> str:

@@ -18,10 +18,11 @@ import math
 import numpy as np
 
 from cdrlab.adoption import KappaResult, _kappa_result
-from cdrlab.geo import haversine_km
 from cdrlab.rng import derive_rng
 from cdrlab.socialgraph import global_clustering_coefficient, triangle_counts
 from cdrlab.spatial import EXACT_HIT_KM, NODATA_DEFAULT, GridRaster
+
+from geo_oracle import haversine_km
 
 
 def adopter_mask(g, adopters) -> np.ndarray:

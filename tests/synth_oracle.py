@@ -17,11 +17,13 @@ import math
 
 import numpy as np
 
-from cdrlab.geo import haversine_km, haversine_km_to
+from cdrlab.geo import haversine_km_to
 from cdrlab.records import DATA, EVENT_KINDS, SECONDS_PER_DAY, SMS, VOICE, CdrTable, Dataset, TopUpTable
 from cdrlab.rng import derive_rng
 from cdrlab.socialgraph import SocialGraph
 from cdrlab.synthgen import GroundTruth, _small_world_edges, subscriber_ids, towers_for
+
+from geo_oracle import haversine_km
 
 
 def generate_population(cfg):

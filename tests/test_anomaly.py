@@ -9,6 +9,7 @@ from cdrlab import anomaly as an
 from cdrlab.records import Tower
 
 import anomaly_oracle
+from geo_oracle import haversine_km
 from conftest import T0, DAY, CdrRecord, cdr_rows, data, make_dataset, sms, topup, topup_rows, voice
 
 
@@ -262,6 +263,49 @@ def test_build_flow_network_filters():
         an.build_flow_network(ds, T0, {"T1": "west"})
 
 
+# The array forms of area_centroids and of build_flow_network's distance filter
+# against the former loops.  Six dataset towers 9 to 46 km apart fall into
+# areas of one to six towers; the map also names two towers the dataset does
+# not hold, T8 and T9, whose area "ghost", when only they are in it, has no
+# centroid.  The map's order is the order the centroid sums run in.
+
+GRID = {f"T{i}": Tower(f"T{i}", 90.0 + 0.09 * i, 23.0 + 0.04 * (i % 3)) for i in range(6)}
+TRIP = st.tuples(st.sampled_from("ABCDEF"), st.sampled_from("ABCDEF"), st.sampled_from(sorted(GRID)),
+                 st.integers(0, 2 * DAY - 1))
+
+
+def grid_area_map(order, grid_areas, unknown_areas):
+    """order's towers, each in its area: GRID's from grid_areas, T8's and T9's from unknown_areas."""
+    areas = {**dict(zip(GRID, grid_areas)), "T8": unknown_areas[0], "T9": unknown_areas[1]}
+    return {tid: areas[tid] for tid in order}
+
+
+GRID_AREA_MAPS = st.builds(grid_area_map, st.permutations([*GRID, "T8", "T9"]),
+                     st.lists(st.sampled_from("nsew"), min_size=6, max_size=6),
+                     st.lists(st.sampled_from(["n", "ghost"]), min_size=2, max_size=2))
+SEVERAL = grid_area_map(["T9", "T0", "T3", "T1", "T8", "T2", "T4", "T5"], "wwweee", ["ghost", "w"])
+SEVERAL_TRIPS = [("A", "B", "T0", 3600), ("A", "B", "T4", 7200), ("C", "A", "T5", 3600), ("C", "A", "T1", 9000)]
+# The w-e centroid distance, and the next float up: as min_km, one keeps both
+# flows and the other drops both, so a distance one bit off changes the flows.
+W_E_KM = haversine_km(*anomaly_oracle.area_centroids(GRID, SEVERAL)["w"], *anomaly_oracle.area_centroids(GRID, SEVERAL)["e"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(trips=st.lists(TRIP, max_size=40), amap=GRID_AREA_MAPS, min_count=st.integers(1, 3),
+       min_km=st.one_of(st.sampled_from([0.0, 9.0, 10.0, 30.0]), st.floats(0.0, 60.0)),
+       mode=st.sampled_from(["first_last", "per_transition"]))
+@example(trips=SEVERAL_TRIPS, amap=SEVERAL, min_count=1, min_km=W_E_KM, mode="first_last")
+@example(trips=SEVERAL_TRIPS, amap=SEVERAL, min_count=1, min_km=math.nextafter(W_E_KM, math.inf), mode="first_last")
+def test_flows_match_the_former_per_pair_loop(trips, amap, min_count, min_km, mode):
+    ds = make_dataset([voice(a, b, t, T0 + off) for a, b, t, off in trips], towers=GRID, window=(T0, T0 + 2 * DAY))
+    got = list(an.area_centroids(GRID, amap).items())
+    assert got == list(anomaly_oracle.area_centroids(GRID, amap).items())
+    for day in (T0, T0 + DAY):
+        got = an.build_flow_network(ds, day, amap, min_count, min_km, mode)
+        want = anomaly_oracle.build_flow_network(ds, day, amap, min_count, min_km, mode)
+        assert (got.day, list(got.od.items())) == (want.day, list(want.od.items()))
+
+
 def test_flow_symmetry():
     fn1 = an.FlowNetwork(T0, {("a", "b"): 10, ("b", "a"): 10, ("a", "c"): 30, ("c", "a"): 28})
     fn2 = an.FlowNetwork(T0 + DAY, {("a", "b"): 12, ("b", "a"): 12, ("a", "c"): 30, ("c", "a"): 32})
@@ -481,8 +525,36 @@ def test_distance_activation_matrix():
     assert np.isnan(ratio[0, 1])  # no comparison ties near->far
     with pytest.raises(ValueError, match="ascending"):
         an.distance_activation_matrix(ds, (90, 23), T0, (0, 3600), [50.0, 10.0], [T0])
+    for bins in ([0.0, 5.0], [-1.0]):  # no distance lies below 0, so bin 0 would stay empty
+        with pytest.raises(ValueError, match="above 0"):
+            an.distance_activation_matrix(ds, (90, 23), T0, (0, 3600), bins, [T0])
     with pytest.raises(ValueError, match="comparison day"):
         an.distance_activation_matrix(ds, (90, 23), T0, (0, 3600), [50.0], [])
+
+
+# The array form of the per-tower distance bins against the former loop.  The
+# epicenter sits on a tower, between towers or anywhere near them.  The
+# examples' edges are exact tower distances from T0, or the next floats up, so
+# a distance one bit off falls in another bin.
+
+ON_EDGE = sorted(haversine_km(t.lon, t.lat, 90.0, 23.0) for t in GRID.values())[1:4]
+ALL_DAY = [(c, "A", f"T{i}", DAY + 3600 * i) for i, c in enumerate("ABCDEF")] + [("C", "A", "T2", 60)]  # homes T0..T5
+
+
+@settings(max_examples=150, deadline=None)
+@given(trips=st.lists(TRIP, max_size=40),
+       epicenter=st.one_of(st.sampled_from([(t.lon, t.lat) for t in GRID.values()]),
+                           st.tuples(st.floats(89.5, 91.0), st.floats(22.5, 23.5))),
+       bins=st.lists(st.floats(0.01, 80.0), min_size=1, max_size=4, unique=True).map(sorted),
+       hours=st.sampled_from([(0, 24), (8, 12), (0, 1)]))
+@example(trips=ALL_DAY, epicenter=(90.0, 23.0), bins=ON_EDGE, hours=(0, 24))
+@example(trips=ALL_DAY, epicenter=(90.0, 23.0), bins=[math.nextafter(d, math.inf) for d in ON_EDGE], hours=(0, 24))
+def test_distance_matrix_matches_the_former_per_tower_loop(trips, epicenter, bins, hours):
+    ds = make_dataset([voice(a, b, t, T0 + off) for a, b, t, off in trips], towers=GRID, window=(T0, T0 + 2 * DAY))
+    window = (hours[0] * 3600, hours[1] * 3600)
+    got = an.distance_activation_matrix(ds, epicenter, T0 + DAY, window, bins, [T0])
+    want = anomaly_oracle.distance_activation_matrix(ds, epicenter, T0 + DAY, window, bins, [T0])
+    assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
 
 
 # -- writers ------------------------------------------------------------------------

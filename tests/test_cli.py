@@ -1236,6 +1236,20 @@ def test_comma_separated_numbers_exit_2_naming_the_flag(tmp_path, capsys, step, 
     ("rank-curves", ["--event-time", str(T0 + DAY)], "[rank_curves]\ncomparison_days = 2016-05-01,y\n",
      "[rank_curves] comparison_days: Invalid isoformat string: 'y'"),
     ("synth", [], "[synth]\nstart = 2016-13-01\n", "[synth] start: month must be in 1..12"),
+    # a day [day, day + 86400) that misses the ring's window, 2016-05-01T01:00 to 2016-05-03T18:00
+    ("rank-curves", ["--event-time", "2017-05-20", "--comparison-days", "2017-05-13"], "",
+     "--event-time: day 20170520 lies outside the dataset window 20160501..20160503"),
+    ("rank-curves", ["--event-time", str(T0 + DAY), "--comparison-days", f"{T0},2016-04-30T23:59:59Z"], "",
+     "--comparison-days: day 20160430 lies outside the dataset window 20160501..20160503"),
+    ("rank-curves", ["--event-time", str(T0 + DAY)], "[rank_curves]\ncomparison_days = 2016-05-01,2016-05-04\n",
+     "[rank_curves] comparison_days: day 20160504 lies outside the dataset window 20160501..20160503"),
+    ("distance-matrix", [*EPICENTER, "--event-day", "2017-05-20"], "",
+     "--event-day: day 20170520 lies outside the dataset window 20160501..20160503"),
+    ("distance-matrix", [*EPICENTER, "--comparison-days", "2017-05-13"], "",
+     "--comparison-days: day 20170513 lies outside the dataset window 20160501..20160503"),
+    ("distance-matrix", [*EPICENTER, "--bins", "0,5,50"], "", "--bins: expected a first edge above 0, got '0,5,50'"),
+    ("rank-curves", ["--event-time", str(T0 + DAY), "--comparison-days", ""], "[rank_curves]\ncomparison_days = 2016-05-01\n",
+     "--comparison-days: Invalid isoformat string: ''"),
 ])
 def test_bad_flag_values_exit_2_naming_the_flag_or_key(tmp_path, capsys, step, argv, ini, message):
     d = tmp_path / "in"

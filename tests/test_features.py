@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdrlab import features as feat
-from cdrlab.geo import EARTH_RADIUS_KM, haversine_km, haversine_km_to
+from cdrlab.geo import EARTH_RADIUS_KM, haversine_km_to
 from cdrlab.records import Tower
 
 import features_oracle as oracle
+from geo_oracle import haversine_km
 from conftest import T0, DAY, CdrRecord, cdr_rows, data, make_dataset, sms, topup, voice
 
 LN2 = math.log(2.0)

@@ -532,10 +532,10 @@ def oracle_tail(row, tail):
     return row.rsplit(",", 1)[0] if tail is None else row + tail
 
 
-def oracle_lines(fields, clean):
+def oracle_lines(fields, clean, ends=("\n", "\r\n")):
     """Lines of the given fields (one in ten quoted), lines of clean fields,
     either of them sometimes over-long or cut short, short rows, blanks and
-    comments."""
+    comments, each ending in one of ends."""
     cell = [st.tuples(f, PAD, st.integers(0, 9).map(lambda q: q == 0)) for f in fields]
     row = st.one_of(
         st.tuples(*cell).map(lambda cells: ",".join(oracle_field(*c) for c in cells)),
@@ -545,7 +545,7 @@ def oracle_lines(fields, clean):
         st.tuples(row, st.sampled_from(["", "", "", ",x", ',"q,r"', ",1,2", None])).map(lambda t: oracle_tail(*t)),
         st.sampled_from(["", "  ", "# comment", "  #x,y,z,1,2,3", "A,B,T1"]),
     )
-    return st.lists(st.tuples(line, st.sampled_from(["\n", "\r\n"])), max_size=25)
+    return st.lists(st.tuples(line, st.sampled_from(ends)), max_size=25)
 
 
 def oracle_file(directory, name, header, lines, extra):
@@ -611,6 +611,40 @@ def test_columnar_topup_parse_matches_per_row_oracle(tmp_path_factory, lines, ch
     want = dataset_from_records((), records, TOWERS, WIDE)
     assert topup_rows(got.topups) == topup_rows(want.topups)
     assert topup_rows(table) == records  # the parse keeps line order
+
+
+LABEL_LINES = oracle_lines((ORACLE_ID, st.sampled_from(["low", "high", "", " mid ", "a,b", 'q"r', "#x"])),
+                           (CLEAN_ID, st.sampled_from(["low", "high"])), ends=("\n", "\r\n", "\r"))
+
+
+def refused(parse, path) -> bool:
+    """Whether parse stops path at a reject cap of 0."""
+    try:
+        parse(path, reject_cap=0.0)
+    except ingest.IngestError:
+        return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=LABEL_LINES, chunk=st.sampled_from([1, 5, 40, ingest.CHUNK_CHARS]), extra=EXTRA, gz=st.booleans())
+def test_columnar_labels_parse_matches_per_row_oracle(tmp_path_factory, lines, chunk, extra, gz):
+    path = oracle_file(tmp_path_factory.mktemp("labels"), "l.csv", "subscriber,label", lines, extra)
+    if gz:
+        with open(path, "rb") as raw, gzip.open(path + ".gz", "wb") as packed:
+            packed.write(raw.read())
+        path += ".gz"
+    default, ingest.CHUNK_CHARS = ingest.CHUNK_CHARS, chunk
+    try:
+        labels, report = ingest.parse_labels_file(path, reject_cap=1.0)
+        refuses = refused(ingest.parse_labels_file, path)
+    finally:
+        ingest.CHUNK_CHARS = default
+    want, oracle_report = ingest_oracle.parse_labels_file(path, reject_cap=1.0)
+    assert list(labels.items()) == list(want.items())  # a later row wins, in order of first sight
+    assert report.rejects == oracle_report.rejects
+    assert report.total_rows == oracle_report.total_rows
+    assert refuses == refused(ingest_oracle.parse_labels_file, path)
 
 
 # -- columnar writers against the per-row oracle --------------------------------------

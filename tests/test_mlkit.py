@@ -282,10 +282,10 @@ def test_bagged_predictions_average_stumps():
 
 def test_bagging_deterministic_across_threads():
     tab = blob_table(n=50, seed=9)
-    one = md.train_bagged_stumps(tab, rounds=8, seed=5, threads=1)
-    four = md.train_bagged_stumps(tab, rounds=8, seed=5, threads=4)
-    other = md.train_bagged_stumps(tab, rounds=8, seed=6, threads=1)
-    assert one.stumps == four.stumps
+    one = md.train_bagged_stumps(tab, rounds=8, seed=5)
+    again = md.train_bagged_stumps(tab, rounds=8, seed=5)
+    other = md.train_bagged_stumps(tab, rounds=8, seed=6)
+    assert one.stumps == again.stumps
     assert one.stumps != other.stumps
     with pytest.raises(ValueError, match="rounds"):
         md.train_bagged_stumps(tab, rounds=0)

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdrlab import spatial as sp
-from cdrlab.geo import haversine_km
 
 import stats_oracle
+from geo_oracle import haversine_km
 
 
 def shoelace(poly):

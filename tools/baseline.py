@@ -4,7 +4,8 @@ The workload is the ROADMAP's pinned Baseline: ``[synth]`` 5,000 subscribers,
 60 towers, 28 days and ``event_rate`` 6.0, seed 11, which gives about 839k
 CDRs.  Every step runs as ``python3 -m cdrlab.cli`` with ``PYTHONPATH`` set to
 the ``src`` of the checkout being measured.  The steps run in order, because
-later steps read what ``synth``, ``features`` and ``train`` wrote.
+later steps read what ``synth``, ``features`` and ``train`` wrote.  The
+samples file that ``idw`` reads is written before the chain and not timed.
 
 Each step starts through ``LAUNCHER``, a ``python3 -S`` process that spawns the
 step, reaps it with ``os.wait4`` and reports the step's wall time (spawn to
@@ -44,6 +45,8 @@ import numpy
 CONFIG = "[synth]\nsubscribers = 5000\ntowers = 60\ndays = 28\nevent_rate = 6.0\n"
 DATA = ("--cdr", "synth/cdr.csv", "--topups", "synth/topups.csv", "--towers", "synth/towers.csv")
 FEATURES = ("--features", "features/features.csv", "--labels", "synth/labels.csv")
+# idw's samples: a fixed value for each of the 60 towers synth names T000..T059, as tests/test_golden.py gives them.
+SAMPLES = "area,value\n" + "".join(f"T{i:03d},{i % 7 + 0.5}\n" for i in range(60))
 STEPS = (
     ("synth", ("synth", "--seed", "11")),
     ("ingest-check", ("ingest-check", *DATA, "--labels", "synth/labels.csv")),
@@ -60,6 +63,8 @@ STEPS = (
                      "--comparison-days", "2016-05-13,2016-05-06", *DATA)),
     ("distance-matrix", ("distance-matrix", "--epicenter", "91.25,24.0", "--event-day", "2016-05-20",
                          "--comparison-days", "2016-05-13,2016-05-06", *DATA)),
+    ("voronoi", ("voronoi", "--towers", "synth/towers.csv")),
+    ("idw --samples", ("idw", "--towers", "synth/towers.csv", "--samples", "samples.csv")),
     ("train", ("train", "--family", "logistic", "--seed", "2", *FEATURES)),
     ("eval", ("eval", *FEATURES, "--model", "train/model.json", "--test-ids", "train/test_ids.csv")),
 )
@@ -117,6 +122,7 @@ def _chain(src: Path) -> tuple[dict, dict]:
     with tempfile.TemporaryDirectory(prefix="cdrlab-baseline-") as tmp:
         work = Path(tmp)
         (work / "run.ini").write_text(CONFIG)
+        (work / "samples.csv").write_text(SAMPLES)
         steps, digests = {}, {}
         for name, argv in STEPS:
             steps[name] = _run(src, work, name, argv)
