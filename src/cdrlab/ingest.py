@@ -27,6 +27,20 @@ formatted.  The accepted rows come back in line order, event ids coded into
 id tables in order of first sight; ``load_dataset`` hands the events to a
 ``Dataset``, which alone sorts ids and rows.
 
+``load_dataset`` parses each CDR and top-up file once per content.  It
+stores a parse (the columns in line order, the first-sight id tables, the
+rejects and the row count) as one uncompressed ``.npz`` under
+``$XDG_CACHE_HOME/cdrlab``, else ``~/.cache/cdrlab``, and a later parse of
+the same bytes reads that snapshot instead.  The key is the sha256 of the
+file's bytes, the table it fills, whether it is gzip, the known tower ids
+(they decide the unknown-tower rejects), the code of this module and of
+``records``, and the Python and numpy versions.  The snapshots take at most
+``SNAPSHOT_BUDGET`` bytes; the least recently used go first.  A missing or
+damaged entry, a cache directory that cannot be written and an input that
+is not a regular file (a FIFO; hashing would consume it) each mean a plain
+parse, never an error or another result.  The towers and labels files, a
+few thousand lines at most, are parsed every time.
+
 ``write_csv`` writes output tables a row at a time through the csv module.
 The CDR and top-up writers format whole columns per chunk of rows instead,
 and join each chunk's lines at once; a table with an id that needs quoting
@@ -35,15 +49,22 @@ goes through ``write_csv``'s row loop, so the bytes are the same either way.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import gzip
+import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass
+import os
+import stat
+import sys
+import zipfile
+from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
+from . import records
 from .records import (
     DATA,
     EVENT_KINDS,
@@ -102,10 +123,15 @@ class RejectReport:
 
 
 def open_text(path: str, mode: str = "rt"):
-    """Open a text file, transparently gzip when the name ends '.gz'."""
+    """Open a text file, transparently gzip when the name ends '.gz'.
+
+    A file read skips a leading UTF-8 byte order mark, which Excel's "CSV
+    UTF-8" export writes; a file written gets none.
+    """
+    encoding = "utf-8-sig" if mode.startswith("r") else "utf-8"
     if str(path).endswith(".gz"):
-        return gzip.open(path, mode, encoding="utf-8", newline="")
-    return io.open(path, mode, encoding="utf-8", newline="")
+        return gzip.open(path, mode, encoding=encoding, newline="")
+    return io.open(path, mode, encoding=encoding, newline="")
 
 
 def _split(raw: str) -> list[str]:
@@ -426,10 +452,19 @@ def _parse_events(path, fields, required, reject_cap, dtypes, check):
             for i, rule in zip(bad.tolist(), fails[:, bad].argmax(axis=0).tolist()):
                 reason = tests[rule][1]
                 rejects.append((int(numbers[i]), reason if isinstance(reason, str) else reason(i)))
+    report = _report(path, rejects, total, reject_cap)
+    return [np.concatenate(c, dtype=d) for c, d in zip(zip(*parts), dtypes)], report
+
+
+def _report(path, rejects: list[tuple[int, str]], total: int, reject_cap: float) -> RejectReport:
+    """The report of an event file's rejects, after the warning that sums up its unknown towers.
+
+    Past reject_cap it is an IngestError instead.
+    """
     _warn_unknown_towers(path, [n for n, reason in rejects if reason.startswith("unknown tower")])
     report = RejectReport(str(path), rejects, total)
     _check_cap(report, reject_cap)
-    return [np.concatenate(c, dtype=d) for c, d in zip(zip(*parts), dtypes)], report
+    return report
 
 
 def _kind_code(text: str) -> int:
@@ -579,6 +614,142 @@ def parse_labels_file(
     return dict(zip(subscriber.tolist(), label.tolist())), report
 
 
+# The snapshots in the cache directory may take this many bytes together;
+# past it, the least recently used go first.  The snapshot of the Baseline
+# CDR file (839k rows) takes about 25 MB.
+SNAPSHOT_BUDGET = 1 << 30
+# The modules whose code decides what a parse returns, and so a snapshot's key.
+SNAPSHOT_SOURCES = (__file__, records.__file__)
+
+
+def _snapshot_dir() -> str | None:
+    """$XDG_CACHE_HOME/cdrlab, else ~/.cache/cdrlab; None when neither is an absolute path."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "cdrlab") if os.path.isabs(base) else None
+
+
+def _file_state(path) -> tuple[int, int, int, int] | None:
+    """(device, inode, size, mtime in ns) of a regular file; None for any other, such as a FIFO."""
+    st = os.stat(path)
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns) if stat.S_ISREG(st.st_mode) else None
+
+
+def _snapshot_key(path, table_type, known: set[str]) -> str:
+    """The sha256 of all that a parse of path depends on: the parser's code, the
+    platform, the table it fills, whether the file is gzip, the known tower ids
+    and the file's bytes."""
+    h = hashlib.sha256()
+    parts = []
+    for name in SNAPSHOT_SOURCES:
+        with open(name, "rb") as fh:
+            parts.append(fh.read())
+    parts.append(f"{table_type.__name__} gz={str(path).endswith('.gz')} "
+                 f"python {sys.version} numpy {np.__version__}".encode())
+    parts.append(json.dumps(sorted(known)).encode())
+    for part in parts:
+        h.update(len(part).to_bytes(8, "little") + part)
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            h.update(block)
+    return h.hexdigest()
+
+
+def _id_tables(table_type) -> list[str]:
+    return [f.name for f in dataclass_fields(table_type) if f.name not in table_type.COLUMNS]
+
+
+def _pack(name: str, texts) -> dict[str, np.ndarray]:
+    """texts as the UTF-8 bytes of their concatenation and their lengths.
+
+    A numpy str array would drop a text's trailing NULs.
+    """
+    return {f"{name}_utf8": np.frombuffer("".join(texts).encode("utf-8"), dtype=np.uint8),
+            f"{name}_len": np.fromiter(map(len, texts), np.int64, len(texts))}
+
+
+def _unpack(arrays, name: str) -> tuple[str, ...]:
+    text = arrays[f"{name}_utf8"].tobytes().decode("utf-8")
+    ends = np.cumsum(arrays[f"{name}_len"]).tolist()
+    return tuple(text[a:b] for a, b in zip([0, *ends], ends))
+
+
+def _read_snapshot(entry: str, table_type):
+    """(table, rejects, rows) that entry holds; None when it is missing or unreadable."""
+    try:
+        with np.load(entry, allow_pickle=False) as z:
+            table = table_type(**{c: z[c] for c in table_type.COLUMNS},
+                               **{name: _unpack(z, name) for name in _id_tables(table_type)})
+            rejects = list(zip(z["reject_lines"].tolist(), _unpack(z, "reject_reasons")))
+            total = int(z["total_rows"])
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
+    with contextlib.suppress(OSError):
+        os.utime(entry)  # the mtime orders entries for eviction
+    return table, rejects, total
+
+
+def _write_snapshot(directory: str, key: str, table, report: RejectReport) -> None:
+    """Store a parse as directory/<key>.npz, through a temp name; then drop the
+    least recently used entries past SNAPSHOT_BUDGET."""
+    arrays = {c: getattr(table, c) for c in table.COLUMNS}
+    for name in _id_tables(type(table)):
+        arrays.update(_pack(name, getattr(table, name)))
+    arrays.update(_pack("reject_reasons", [reason for _, reason in report.rejects]))
+    arrays["reject_lines"] = np.array([n for n, _ in report.rejects], dtype=np.int64)
+    arrays["total_rows"] = np.int64(report.total_rows)
+    os.makedirs(directory, exist_ok=True)
+    temp = os.path.join(directory, f"{key}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(temp, os.path.join(directory, f"{key}.npz"))
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(temp)
+    entries = []
+    for item in os.scandir(directory):
+        if item.name.endswith((".npz", ".tmp")):
+            st = item.stat()
+            entries.append((st.st_mtime_ns, st.st_size, item.path))
+    excess = sum(size for _, size, _ in entries) - SNAPSHOT_BUDGET
+    for _, size, path in sorted(entries):
+        if excess <= 0:
+            break
+        with contextlib.suppress(FileNotFoundError):  # another process evicted it
+            os.remove(path)
+        excess -= size
+
+
+def _parse_once(parse, table_type, path, known: set[str], reject_cap: float):
+    """parse(path, known_towers=known, reject_cap=reject_cap), or the same
+    result from the snapshot of an earlier parse of the same bytes.
+
+    A regular file is looked up by `_snapshot_key` in `_snapshot_dir()`.  A
+    missing or unreadable entry, a cache directory that cannot be written and
+    a file of any other kind all mean a plain parse; a parse is stored unless
+    it failed or the file's size or mtime changed while it was read.
+    """
+    directory = _snapshot_dir()
+    try:
+        before = _file_state(path) if directory else None
+        key = _snapshot_key(path, table_type, known) if before else None
+    except OSError:
+        key = None
+    if key is None:
+        return parse(path, known_towers=known, reject_cap=reject_cap)
+    hit = _read_snapshot(os.path.join(directory, f"{key}.npz"), table_type)
+    if hit is not None:
+        table, rejects, total = hit
+        return table, _report(path, rejects, total, reject_cap)
+    table, report = parse(path, known_towers=known, reject_cap=reject_cap)
+    with contextlib.suppress(OSError, ValueError):
+        if _file_state(path) == before:
+            _write_snapshot(directory, key, table, report)
+    return table, report
+
+
 def load_dataset(
     cdr_path: str,
     topup_path: str | None,
@@ -591,16 +762,17 @@ def load_dataset(
     Events referencing unknown towers are rejected during parsing.  The
     window is derived as [min ts, max ts + 1).  The reports are keyed
     "towers", "cdr", and "topup" / "labels" when those files are given; a
-    labels file is parsed only for its report.
+    labels file is parsed only for its report.  The CDR and top-up files are
+    parsed once per content (see `_parse_once`).
     """
     towers, tower_report = parse_tower_file(towers_path, reject_cap)
     known = set(towers)
-    cdrs, cdr_report = parse_cdr_file(cdr_path, known_towers=known, reject_cap=reject_cap)
+    cdrs, cdr_report = _parse_once(parse_cdr_file, CdrTable, cdr_path, known, reject_cap)
     reports = {"towers": tower_report, "cdr": cdr_report}
     no_codes = np.zeros(0, dtype=np.int32)
     topups = TopUpTable(np.zeros(0, dtype=np.int64), no_codes, no_codes, no_codes, np.zeros(0), (), (), ())
     if topup_path is not None:
-        topups, reports["topup"] = parse_topup_file(topup_path, known_towers=known, reject_cap=reject_cap)
+        topups, reports["topup"] = _parse_once(parse_topup_file, TopUpTable, topup_path, known, reject_cap)
     firsts = [int(t.ts.min()) for t in (cdrs, topups) if len(t)]
     lasts = [int(t.ts.max()) for t in (cdrs, topups) if len(t)]
     window = (min(firsts), max(lasts) + 1) if firsts else (0, 1)

@@ -175,3 +175,19 @@ def tiny_ds() -> Dataset:
     ]
     tops = [topup("A", T0 + 3000, 50.0, retailer_tower="T2")]
     return make_dataset(cdrs, tops, window=(T0, T0 + DAY))
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _session_snapshot_cache(tmp_path_factory):
+    """A cache directory for what module-scoped fixtures parse, before any test's own."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg_cache")))
+        yield
+
+
+@pytest.fixture(autouse=True)
+def snapshot_cache(tmp_path_factory, monkeypatch):
+    """Each test's own empty cache directory: no test reads another's parse snapshots, or the user's."""
+    home = tmp_path_factory.mktemp("xdg_cache")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+    return home / "cdrlab"

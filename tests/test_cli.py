@@ -210,6 +210,23 @@ def test_ingest_check_round_trip(synth_dir, tmp_path):
     assert (tmp_path / "rejects_cdr.csv").exists()
 
 
+def test_inputs_that_start_with_a_utf8_byte_order_mark_give_the_same_outputs(synth_dir, tmp_path, monkeypatch):
+    # Excel's "CSV UTF-8" export starts each file with one
+    samples = "area,value\n" + "".join(f"{t},{i % 7 + 0.5}\n" for i, t in enumerate(tower_ids(synth_dir)))
+    outputs = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        work = tmp_path / ("bom" if bom else "plain")
+        work.mkdir()
+        for name in ("cdr.csv", "topups.csv", "towers.csv", "labels.csv"):
+            (work / name).write_bytes(bom + (synth_dir / name).read_bytes())
+        (work / "samples.csv").write_bytes(bom + samples.encode())
+        monkeypatch.chdir(work)
+        assert cli.main(["ingest-check", *dataset_args(Path("")), "--outdir", "check"]) == 0
+        assert cli.main(["idw", "--towers", "towers.csv", "--samples", "samples.csv", "--outdir", "idw"]) == 0
+        outputs.append({f"{out}/{f.name}": f.read_bytes() for out in ("check", "idw") for f in sorted((work / out).iterdir())})
+    assert outputs[0] == outputs[1]
+
+
 def test_features_thread_count_is_invisible(synth_dir, features_dir, tmp_path):
     rc = cli.main(["features", *dataset_args(synth_dir), "--outdir", str(tmp_path),
                    "--threads", "4"])

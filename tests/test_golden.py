@@ -6,6 +6,10 @@ subcommand in process; the side files that `idw`, `correlate`,
 `select-covariates` and `campaign` read are written here.  A change that
 alters any output byte fails with the first file that differs.
 
+The workload runs three ways: with an empty parse-snapshot cache (the first
+parsing step parses, later ones read its snapshots), with the cache off, and
+with a warm cache, where no step parses a CDR or top-up file at all.
+
 A change that alters outputs on purpose regenerates the file in the same
 commit and names the changed files:
 
@@ -17,7 +21,9 @@ import json
 import sys
 from pathlib import Path
 
-from cdrlab import cli
+import pytest
+
+from cdrlab import cli, ingest
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 CONFIG = """
@@ -82,14 +88,40 @@ def run_workload(work: Path) -> dict[str, str]:
     return digests
 
 
-def test_every_output_matches_its_pinned_digest(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
-    monkeypatch.chdir(tmp_path)
-    got = run_workload(tmp_path)
+def assert_pinned(got: dict[str, str]) -> None:
     want = json.loads(GOLDEN.read_text())
     # in run order, then any pinned file the run no longer writes
     differ = [name for name in dict.fromkeys([*got, *want]) if got.get(name) != want.get(name)]
     assert not differ, f"{differ[0]} differs from {GOLDEN.name}, the first of {len(differ)}: {differ}"
+
+
+def test_every_output_matches_its_pinned_digest(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert_pinned(run_workload(tmp_path))
+
+
+def refuse_to_parse(*args, **kwargs):
+    raise AssertionError("parsed an event file that a snapshot holds")
+
+
+@pytest.mark.parametrize("cache", ["off", "warm"])
+def test_outputs_match_their_pinned_digests_with_the_cache_off_or_warm(tmp_path, monkeypatch, capsys, snapshot_cache,
+                                                                       cache):
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    if cache == "off":
+        (tmp_path / "not_a_dir").write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "not_a_dir"))
+    else:
+        (tmp_path / "fill").mkdir()
+        monkeypatch.chdir(tmp_path / "fill")
+        run_workload(tmp_path / "fill")
+        monkeypatch.setattr(ingest, "parse_cdr_file", refuse_to_parse)
+        monkeypatch.setattr(ingest, "parse_topup_file", refuse_to_parse)
+    (tmp_path / "run").mkdir()
+    monkeypatch.chdir(tmp_path / "run")
+    assert_pinned(run_workload(tmp_path / "run"))
+    assert snapshot_cache.exists() == (cache == "warm")
 
 
 if __name__ == "__main__":

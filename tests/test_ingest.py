@@ -1,15 +1,20 @@
 import csv
+import dataclasses
 import gzip
 import io
 import logging
+import os
+import threading
+import time
 from datetime import timedelta, timezone
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdrlab import ingest
-from cdrlab.records import EVENT_KINDS, Dataset, Tower
+from cdrlab import cli, ingest
+from cdrlab.records import EVENT_KINDS, CdrTable, Dataset, TopUpTable, Tower
 
 import ingest_oracle
 from conftest import (T0, CdrRecord, TopUpRecord, cdr_rows, cdr_table, dataset_from_records, make_dataset, sms,
@@ -714,3 +719,224 @@ def test_writers_refuse_a_timestamp_outside_years_1_to_9999(tmp_path, ts):
                          (ingest_oracle.write_cdr_csv, cdrs), (ingest_oracle.write_topup_csv, topups)):
         with pytest.raises(ValueError):
             write(table, str(tmp_path / "t.csv"))
+
+
+# -- parse snapshots ----------------------------------------------------------------
+#
+# A snapshot's oracle is the plain parse: `_parse_once` must return what
+# `parse_cdr_file` or `parse_topup_file` returns for the same file, cold
+# (a miss, which stores the parse) and warm (a hit).  `snapshot_cache` (see
+# conftest) is each test's own empty cache directory.
+
+SNAP_TOWERS = ["id,lon,lat", "T1,90,23", "T2,91,23"]
+SNAP_LINES = [CDR_HEADER] + [f"S{i % 7},S{i % 5},T{i % 2 + 1},2016-05-01T00:{i:02d}:00Z,voice,{i}" for i in range(40)]
+
+
+def snap_write(path, lines):
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def parse_values(result):
+    """A parse's table and report as plain values, with each column's dtype and the id tables in order."""
+    table, report = result
+    cells = {}
+    for f in dataclasses.fields(table):
+        value = getattr(table, f.name)
+        cells[f.name] = (value.dtype.str, value.tolist()) if isinstance(value, np.ndarray) else value
+    return cells, report
+
+
+def parse_cdr(path, known=("T1", "T2"), cap=1.0):
+    return parse_values(ingest.parse_cdr_file(path, known_towers=set(known), reject_cap=cap))
+
+
+def once(path, known=("T1", "T2"), cap=1.0, parse=ingest.parse_cdr_file, table_type=CdrTable):
+    return parse_values(ingest._parse_once(parse, table_type, path, set(known), cap))
+
+
+def no_parse(*args, **kwargs):
+    raise AssertionError("parsed, though a snapshot holds these bytes")
+
+
+def entries(cache):
+    return sorted(cache.glob("*.npz"))
+
+
+def test_snapshot_returns_the_parse_cold_and_warm_ids_exactly(tmp_path, snapshot_cache):
+    lines = [
+        CDR_HEADER,
+        '"A,1","B""2",T1,2016-05-01T00:10:00Z,voice,10',
+        "Ünï,ß€,Tö,2016-05-01T00:11:00Z,sms,",
+        "N\x00,A,T1,2016-05-01T00:12:00Z,fäx,1",
+        "N\x00,Ünï,T9,2016-05-01T00:13:00Z,voice,7.25",
+        "Ünï,,T1,2016-05-01T00:14:00Z,data,",
+    ]
+    p = snap_write(tmp_path / "c.csv", lines)
+    known = ("T1", "Tö")
+    want = parse_cdr(p, known)
+    assert sorted(want[0]["subscriber_ids"]) == ["A", "A,1", 'B"2', "N\x00", "Ünï", "ß€"]
+    assert [r for _, r in want[1].rejects] == ["unknown kind 'fäx'", "unknown tower 'T9'"]
+    assert once(p, known) == want
+    assert len(entries(snapshot_cache)) == 1
+    assert once(p, known, parse=no_parse) == want
+    top = snap_write(tmp_path / "t.csv", ["buyer,retailer,retailer_tower,timestamp,amount",
+                                          '"R,1",Ré\x00,Tö,2016-05-01T01:00:00Z,50', "B,R,,2016-05-01T01:00:00Z,0"])
+    want = parse_values(ingest.parse_topup_file(top, known_towers=set(known), reject_cap=1.0))
+    assert once(top, known, parse=ingest.parse_topup_file, table_type=TopUpTable) == want
+    assert once(top, known, parse=no_parse, table_type=TopUpTable) == want
+
+
+@pytest.mark.parametrize("damage", ["truncated", "garbage"])
+def test_a_damaged_snapshot_means_a_parse_that_replaces_it(tmp_path, snapshot_cache, damage):
+    p = snap_write(tmp_path / "c.csv", SNAP_LINES)
+    want = parse_cdr(p)
+    once(p)
+    (entry,) = entries(snapshot_cache)
+    data = entry.read_bytes()
+    entry.write_bytes(data[:len(data) // 2] if damage == "truncated" else bytes(range(256)) * 8)
+    assert once(p) == want
+    assert entry.read_bytes() == data
+    assert once(p, parse=no_parse) == want
+
+
+def test_an_input_edited_in_place_with_its_mtime_restored_is_parsed_again(tmp_path, snapshot_cache):
+    path = tmp_path / "c.csv"
+    p = snap_write(path, SNAP_LINES)
+    once(p)
+    st = os.stat(p)
+    snap_write(path, [line.replace(",voice,1", ",voice,9") for line in SNAP_LINES])
+    os.utime(p, ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert os.stat(p).st_size == st.st_size and os.stat(p).st_mtime_ns == st.st_mtime_ns
+    want = parse_cdr(p)
+    assert once(p) == want
+    assert len(entries(snapshot_cache)) == 2
+
+
+def test_a_file_changed_while_it_is_parsed_stores_no_snapshot(tmp_path, snapshot_cache):
+    p = snap_write(tmp_path / "c.csv", SNAP_LINES)
+
+    def parse_then_append(*args, **kwargs):
+        result = ingest.parse_cdr_file(*args, **kwargs)
+        with open(p, "a", encoding="utf-8") as fh:
+            fh.write("S1,S2,T1,2016-05-01T02:00:00Z,voice,5\n")
+        return result
+
+    want = parse_cdr(p)
+    assert once(p, parse=parse_then_append) == want
+    assert entries(snapshot_cache) == []
+
+
+def test_a_changed_towers_file_moves_the_unknown_tower_rejects(tmp_path, snapshot_cache):
+    c = snap_write(tmp_path / "c.csv", SNAP_LINES)
+    w = tmp_path / "w.csv"
+    rejects = []
+    for towers in (SNAP_TOWERS, SNAP_TOWERS[:2], SNAP_TOWERS):
+        _, reports = ingest.load_dataset(c, None, snap_write(w, towers), reject_cap=1.0)
+        rejects.append(reports["cdr"].rejects)
+        assert reports["cdr"] == parse_cdr(c, [t.split(",")[0] for t in towers[1:]])[1]
+    assert rejects[0] == rejects[2] == [] and len(rejects[1]) == 20
+    assert rejects[1][0] == (3, "unknown tower 'T2'")
+    assert len(entries(snapshot_cache)) == 2
+
+
+def test_a_hit_names_the_path_it_was_given(tmp_path, snapshot_cache, monkeypatch, caplog):
+    w = snap_write(tmp_path / "w.csv", SNAP_TOWERS)
+    clean = SNAP_LINES + SNAP_LINES[1:] * 4 + ["S1,S2,TX,2016-05-01T01:00:00Z,voice,5"]  # 1 reject in 205 lines: under the cap
+    dirty = SNAP_LINES + ["S1,S2,TX,2016-05-01T01:00:00Z,voice,5"] * 4
+    for name, lines in (("a.csv", clean), ("b.csv", clean), ("c.csv", dirty), ("d.csv", dirty)):
+        snap_write(tmp_path / name, lines)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["ingest-check", "--cdr", "a.csv", "--towers", "w.csv", "--outdir", "cold"]) == 0
+    ingest.load_dataset("c.csv", None, "w.csv", reject_cap=1.0)
+    assert len(entries(snapshot_cache)) == 2
+    outcomes = []
+    for cache in (str(snapshot_cache.parent), w):  # warm, then off: XDG_CACHE_HOME names a file
+        monkeypatch.setenv("XDG_CACHE_HOME", cache)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="cdrlab.ingest"):
+            out = "warm" if cache != w else "plain"
+            assert cli.main(["ingest-check", "--cdr", "b.csv", "--towers", "w.csv", "--outdir", out]) == 0
+            with pytest.raises(ingest.IngestError) as refused:
+                ingest.load_dataset("d.csv", None, "w.csv")
+        outputs = {f.name: f.read_bytes() for f in sorted((tmp_path / out).iterdir())}
+        outcomes.append((outputs, caplog.messages, str(refused.value)))
+    assert outcomes[0] == outcomes[1]
+    outputs, messages, error = outcomes[0]
+    assert b'"cdr": "b.csv"' in outputs["manifest_ingest_check.json"] and b"unknown tower" in outputs["rejects_cdr.csv"]
+    assert [m.split(":")[0] for m in messages] == ["b.csv", "d.csv"] and error.startswith("d.csv: 4 of 44 lines")
+    assert len(entries(snapshot_cache)) == 2
+
+
+def test_a_read_only_cache_directory_means_a_parse(tmp_path, snapshot_cache, monkeypatch):
+    p = snap_write(tmp_path / "c.csv", SNAP_LINES)
+    snapshot_cache.mkdir()
+    snapshot_cache.chmod(0o555)
+    if os.access(snapshot_cache, os.W_OK):  # permissions do not bind this user (root): refuse as the kernel would
+        def refuse(name, mode="r", *args, **kwargs):
+            if "w" in mode and str(snapshot_cache) in str(name):
+                raise PermissionError(13, "Permission denied", name)
+            return open(name, mode, *args, **kwargs)
+        monkeypatch.setattr(ingest, "open", refuse, raising=False)
+    try:
+        want = parse_cdr(p)
+        assert once(p) == want and once(p) == want
+        assert entries(snapshot_cache) == [] and list(snapshot_cache.iterdir()) == []
+    finally:
+        snapshot_cache.chmod(0o755)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
+def test_a_fifo_input_is_parsed_not_hashed(tmp_path, snapshot_cache):
+    fifo = tmp_path / "c.fifo"
+    os.mkfifo(fifo)
+    text = "\n".join(SNAP_LINES) + "\n"
+    writer = threading.Thread(target=fifo.write_text, args=(text,))
+    writer.start()
+    try:
+        got = once(str(fifo))
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    want = parse_cdr(snap_write(tmp_path / "c.csv", SNAP_LINES))
+    assert got == (want[0], dataclasses.replace(want[1], source=str(fifo)))
+    assert entries(snapshot_cache) == []
+
+
+def test_a_file_over_the_reject_cap_exits_2_cold_and_warm_and_stores_nothing(tmp_path, snapshot_cache, capsys):
+    c = snap_write(tmp_path / "c.csv", SNAP_LINES + ["S1,S2,T1,bad,voice,5"] * 2)
+    w = snap_write(tmp_path / "w.csv", SNAP_TOWERS)
+    for run in ("cold", "warm"):
+        assert cli.main(["ingest-check", "--cdr", c, "--towers", w, "--outdir", str(tmp_path / run)]) == 2
+        assert "2 of 42 lines rejected" in capsys.readouterr().err
+    assert entries(snapshot_cache) == []
+
+
+def test_unknown_tower_warning_is_the_same_cold_and_warm(tmp_path, snapshot_cache, caplog):
+    c = snap_write(tmp_path / "c.csv", SNAP_LINES)
+    w = snap_write(tmp_path / "w.csv", SNAP_TOWERS[:2])
+    logs = []
+    for _ in range(2):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="cdrlab.ingest"):
+            ingest.load_dataset(c, None, w, reject_cap=1.0)
+        logs.append(caplog.messages)
+    assert logs[0] == logs[1] == [f"{c}: 20 rows rejected for an unknown tower (lines 3, 5, 7, 9, 11, ...)"]
+    assert len(entries(snapshot_cache)) == 1
+
+
+def test_eviction_keeps_the_snapshots_within_the_budget(tmp_path, snapshot_cache, monkeypatch):
+    paths = [snap_write(tmp_path / f"{name}.csv", [line.replace("S", name) for line in SNAP_LINES]) for name in "ABC"]
+    once(paths[0])
+    size = entries(snapshot_cache)[0].stat().st_size
+    monkeypatch.setattr(ingest, "SNAPSHOT_BUDGET", 2 * size + size // 2)
+    time.sleep(0.05)  # file times tick in steps of a few ms
+    once(paths[1])
+    time.sleep(0.05)
+    once(paths[0], parse=no_parse)  # a hit: A is now the most recently used
+    time.sleep(0.05)
+    once(paths[2])
+    assert once(paths[0], parse=no_parse) == parse_cdr(paths[0])
+    assert once(paths[2], parse=no_parse) == parse_cdr(paths[2])
+    assert len(entries(snapshot_cache)) == 2 and sum(e.stat().st_size for e in entries(snapshot_cache)) <= 2.5 * size
+    assert once(paths[1]) == parse_cdr(paths[1])  # B was evicted: a parse

@@ -1,6 +1,7 @@
 """tools/baseline.py: the launcher that times each Baseline step."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -29,3 +30,36 @@ def test_launcher_reports_the_step_peak_not_the_parent_one(tmp_path):
     assert 0 < peak < parent - 40 * 1024
     assert baseline.launch([sys.executable, "-c", "raise SystemExit(3)"])[2] == 3
     del ballast
+
+
+# A stand-in for cdrlab.cli: each run appends where it was imported from, its
+# working directory and its cache directory, as it found it, to LOG.
+PROBE_CLI = """import json, os, sys
+cache = os.environ["XDG_CACHE_HOME"]
+with open(LOG, "a") as fh:
+    fh.write(json.dumps([__file__, os.getcwd(), cache, os.path.exists(cache)]) + "\\n")
+os.makedirs(sys.argv[sys.argv.index("--outdir") + 1])
+os.makedirs(cache, exist_ok=True)
+"""
+
+
+def test_each_chain_runs_from_an_equal_length_copy_with_its_own_empty_cache(tmp_path, monkeypatch):
+    log = tmp_path / "log.jsonl"
+    checkouts = [tmp_path / "parent", tmp_path / "a" / "change"]  # paths of different lengths
+    for checkout in checkouts:
+        (checkout / "src" / "cdrlab").mkdir(parents=True)
+        (checkout / "src" / "cdrlab" / "__init__.py").write_text("")
+        (checkout / "src" / "cdrlab" / "cli.py").write_text(f"LOG = {str(log)!r}\n" + PROBE_CLI)
+    monkeypatch.setattr(baseline, "STEPS", (("one", ("one",)), ("two", ("two",))))
+    out = tmp_path / "bench.json"
+    assert baseline.main([*(arg for c in checkouts for arg in ("--src", str(c))), "--repeat", "2", "--out", str(out)]) == 0
+    runs = [json.loads(line) for line in log.read_text().splitlines()]
+    assert len(runs) == 2 * 2 * 2  # steps x checkouts x repeats
+    modules = [module for module, _, _, _ in runs]
+    assert len(set(modules)) == 2 and len(set(map(len, modules))) == 1
+    assert not any(module.startswith(str(tmp_path)) for module in modules)
+    for chain in (runs[i:i + 2] for i in range(0, len(runs), 2)):
+        (work,) = {cwd for _, cwd, _, _ in chain}
+        assert [(cache, seen) for _, _, cache, seen in chain] == [(f"{work}/cache", False), (f"{work}/cache", True)]
+    assert len({cwd for _, cwd, _, _ in runs}) == 4
+    assert [c["runs"][0]["one"]["exit"] for c in json.loads(out.read_text())["checkouts"]] == [0, 0]

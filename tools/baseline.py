@@ -2,8 +2,8 @@
 
 The workload is the ROADMAP's pinned Baseline: ``[synth]`` 5,000 subscribers,
 60 towers, 28 days and ``event_rate`` 6.0, seed 11, which gives about 839k
-CDRs.  Every step runs as ``python3 -m cdrlab.cli`` with ``PYTHONPATH`` set to
-the ``src`` of the checkout being measured.  The steps run in order, because
+CDRs.  Every step runs as ``python3 -m cdrlab.cli`` with ``PYTHONPATH`` set to a
+copy of the ``src`` of the checkout being measured.  The steps run in order, because
 later steps read what ``synth``, ``features`` and ``train`` wrote.  The
 samples file that ``idw`` reads is written before the chain and not timed.
 
@@ -19,7 +19,13 @@ little it used.  The launcher is small, so the floor it passes on is its own.
 
 Each ``--src`` names one checkout.  The chain runs ``--repeat`` times per
 checkout, and the checkouts take turns, so a drift in the machine's speed
-falls on all of them.  The JSON holds the machine, the workload and, per
+falls on all of them.  Each checkout's ``src/`` is copied first, and every
+copy lies at a path of the same length: a step's peak RSS moved by about
+3 MB with nothing but the directory it imported cdrlab from.  Each run of the
+chain has its own empty parse-snapshot cache (``XDG_CACHE_HOME``) in its
+temporary directory, so ``ingest-check``, the first step that parses,
+parses cold, the later steps read its snapshots, and no run reads another
+checkout's.  The JSON holds the machine, the workload and, per
 checkout, its commit, every run's wall time, peak RSS and exit code per
 step, and the sha256 of each step's output files, which shows whether two
 checkouts wrote the same bytes.  Outputs go to a temporary directory that
@@ -34,6 +40,7 @@ import json
 import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -94,10 +101,9 @@ def _outdir(name: str) -> str:
     return re.sub(r"\W+", "_", name)
 
 
-def _run(src: Path, work: Path, name: str, argv) -> dict:
+def _run(env: dict, work: Path, name: str, argv) -> dict:
     """One step: wall seconds, peak RSS in MB, exit code, and the tail of stderr when it failed."""
     cmd = [sys.executable, "-m", "cdrlab.cli", *argv, "--config", "run.ini", "--outdir", _outdir(name)]
-    env = dict(os.environ, PYTHONPATH=str(src / "src"))
     with open(work / "stderr.txt", "wb") as err:
         wall, rss_kib, code = launch(cmd, cwd=work, env=env, stderr=err)
     step = {"wall_s": round(wall, 3), "peak_rss_mb": round(rss_kib / 1024.0, 1), "exit": code}
@@ -118,14 +124,15 @@ def _commit(src: Path) -> str:
 
 
 def _chain(src: Path) -> tuple[dict, dict]:
-    """(step -> measurement, step -> output digests) of one run of the chain."""
+    """(step -> measurement, step -> output digests) of one run of the chain, importing cdrlab from src."""
     with tempfile.TemporaryDirectory(prefix="cdrlab-baseline-") as tmp:
         work = Path(tmp)
+        env = dict(os.environ, PYTHONPATH=str(src), XDG_CACHE_HOME=str(work / "cache"))
         (work / "run.ini").write_text(CONFIG)
         (work / "samples.csv").write_text(SAMPLES)
         steps, digests = {}, {}
         for name, argv in STEPS:
-            steps[name] = _run(src, work, name, argv)
+            steps[name] = _run(env, work, name, argv)
             if (work / _outdir(name)).is_dir():
                 digests[name] = _digests(work / _outdir(name))
         return steps, digests
@@ -143,12 +150,17 @@ def main(argv=None) -> int:
     srcs = [src.resolve() for src in args.src]
     runs: dict[Path, list[dict]] = {src: [] for src in srcs}
     digests: dict[Path, dict] = {}
-    for _ in range(args.repeat):
-        for src in srcs:
-            steps, digests[src] = _chain(src)
-            runs[src].append(steps)
-            print(_commit(src), {name: (s["wall_s"], s["peak_rss_mb"], s["exit"]) for name, s in steps.items()},
-                  file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="cdrlab-src-") as tmp:
+        width = len(str(len(srcs) - 1))
+        copies = {src: Path(tmp) / f"{i:0{width}d}" / "src" for i, src in enumerate(srcs)}
+        for src, copy in copies.items():
+            shutil.copytree(src / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
+        for _ in range(args.repeat):
+            for src in srcs:
+                steps, digests[src] = _chain(copies[src])
+                runs[src].append(steps)
+                print(_commit(src), {name: (s["wall_s"], s["peak_rss_mb"], s["exit"]) for name, s in steps.items()},
+                      file=sys.stderr)
     doc = {
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
                     "python": platform.python_version(), "numpy": numpy.__version__},
