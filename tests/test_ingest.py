@@ -827,6 +827,21 @@ def test_a_file_changed_while_it_is_parsed_stores_no_snapshot(tmp_path, snapshot
     assert entries(snapshot_cache) == []
 
 
+def test_text_bytes_under_a_gzip_name_are_not_served_the_text_parse(tmp_path, snapshot_cache):
+    text = snap_write(tmp_path / "c.csv", SNAP_LINES)
+    assert once(text) == parse_cdr(text)
+    misnamed = tmp_path / "c.csv.gz"
+    misnamed.write_bytes((tmp_path / "c.csv").read_bytes())
+    for parse in (ingest.parse_cdr_file, lambda path: once(path)):
+        with pytest.raises(gzip.BadGzipFile):
+            parse(str(misnamed))
+    packed = tmp_path / "g.csv.gz"
+    with gzip.open(packed, "wt", encoding="utf-8") as fh:
+        fh.write("\n".join(SNAP_LINES) + "\n")
+    want = parse_cdr(str(packed))
+    assert once(str(packed)) == want and once(str(packed), parse=no_parse) == want
+
+
 def test_a_changed_towers_file_moves_the_unknown_tower_rejects(tmp_path, snapshot_cache):
     c = snap_write(tmp_path / "c.csv", SNAP_LINES)
     w = tmp_path / "w.csv"
