@@ -2,10 +2,10 @@
 
 The workload is the ROADMAP's pinned Baseline: ``[synth]`` 5,000 subscribers,
 60 towers, 28 days and ``event_rate`` 6.0, seed 11, which gives about 839k
-CDRs.  Every step runs as ``python3 -m cdrlab.cli`` with ``PYTHONPATH`` set to a
-copy of the ``src`` of the checkout being measured.  The steps run in order, because
-later steps read what ``synth``, ``features`` and ``train`` wrote.  The
-samples file that ``idw`` reads is written before the chain and not timed.
+CDRs.  Every step runs as ``python3 -m cdrlab.cli`` with ``PYTHONPATH`` set to
+a copy of the ``src`` of the checkout being measured.  The steps run in order,
+because later steps read what ``synth``, ``features`` and ``train`` wrote.
+The samples file that ``idw`` reads is written before the chain and not timed.
 
 Each step starts through ``LAUNCHER``, a ``python3 -S`` process that spawns the
 step, reaps it with ``os.wait4`` and reports the step's wall time (spawn to
@@ -20,16 +20,16 @@ little it used.  The launcher is small, so the floor it passes on is its own.
 Each ``--src`` names one checkout.  The chain runs ``--repeat`` times per
 checkout, and the checkouts take turns, so a drift in the machine's speed
 falls on all of them.  Each checkout's ``src/`` is copied first, and every
-copy lies at a path of the same length: a step's peak RSS moved by about
-3 MB with nothing but the directory it imported cdrlab from.  Each run of the
-chain has its own empty parse-snapshot cache (``XDG_CACHE_HOME``) in its
-temporary directory, so ``ingest-check``, the first step that parses,
+copy lies at a path of the same length: on the Baseline extract, ``graph``
+peaked 3 to 6 MB apart with nothing changed but the directory it imported
+cdrlab from, and at the same RSS from two directories of equal length.  Each
+run of the chain has its own empty parse-snapshot cache (``XDG_CACHE_HOME``)
+in its temporary directory, so ``ingest-check``, the first step that parses,
 parses cold, the later steps read its snapshots, and no run reads another
-checkout's.  The JSON holds the machine, the workload and, per
-checkout, its commit, every run's wall time, peak RSS and exit code per
-step, and the sha256 of each step's output files, which shows whether two
-checkouts wrote the same bytes.  Outputs go to a temporary directory that
-is removed at the end.
+checkout's.  The JSON holds the machine, the workload and, per checkout, its
+commit, every run's wall time, peak RSS and exit code per step, and the sha256
+of each step's output files, which shows whether two checkouts wrote the same
+bytes.  Outputs go to a temporary directory that is removed at the end.
 """
 
 from __future__ import annotations
