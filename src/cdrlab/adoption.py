@@ -19,11 +19,12 @@ is a ratio of two integers and keeps its bits.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import open_text, write_csv
+from .ingest import write_csv
 from .rng import derive_choices
 from .socialgraph import SocialGraph, connected_components, global_clustering_coefficient, triangle_counts
 
@@ -273,11 +274,8 @@ def write_pk_csv(curve: PkCurve, path: str, header_comment: str | None = None,
         ]
         for pt in curve.points
     )
-    write_csv(path, ["k", "n_k", "a_k", "p_k", "uplift", "reliable"], rows, header_comment)
-    if k_max >= len(curve.points):
-        with open_text(path, "at") as fh:  # rows end in CRLF, as the csv module ends them
-            empty = f"{{}},0,0,,,{int(0 >= min_support)}\r\n"
-            fh.writelines(map(empty.format, range(len(curve.points), k_max + 1)))
+    empty = ([k, 0, 0, "", "", int(0 >= min_support)] for k in range(len(curve.points), k_max + 1))
+    write_csv(path, ["k", "n_k", "a_k", "p_k", "uplift", "reliable"], itertools.chain(rows, empty), header_comment)
 
 
 def write_component_evolution_csv(rows: list[dict], path: str, header_comment: str | None = None) -> None:

@@ -618,6 +618,8 @@ def _cmd_voronoi(args, ctx: RunContext) -> dict:
     if not paths["towers"]:
         raise ValueError("need --towers (or [dataset] config entry)")
     towers, _ = ingest.parse_tower_file(paths["towers"])
+    if not towers:
+        raise ValueError(f"{paths['towers']}: no towers")
     if args.clip:
         x0, y0, x1, y1 = _numbers("--clip", args.clip, 4)
         if not (x0 < x1 and y0 < y1):
@@ -1009,6 +1011,8 @@ def main(argv=None) -> int:
             cfg["run"]["outdir"] = args.outdir
         if cfg["run"]["threads"] < 1:
             raise ConfigError("run.threads must be >= 1")
+        if cfg["run"]["seed"] < 0:
+            raise ConfigError("run.seed must be >= 0")
         outdir = cfg["run"]["outdir"]
         os.makedirs(outdir, exist_ok=True)
         args.effective_seed = cfg["run"]["seed"]
@@ -1033,11 +1037,6 @@ def main(argv=None) -> int:
         ingest.write_json(outputs.stage(f"manifest_{args.command.replace('-', '_')}.json"), manifest, indent=2)
         outputs.commit()
         return 0
-    except UsageError as exc:
-        print(f"cdrlab: {exc}", file=sys.stderr)
-        if outputs:
-            outputs.abort()
-        return 1
     except (ConfigError, ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"cdrlab: error: {exc}", file=sys.stderr)
         if outputs:

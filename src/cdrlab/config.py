@@ -150,9 +150,19 @@ def load_config(path: str | None) -> dict[str, dict[str, object]]:
     if path is None:
         return cfg
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
+    try:
+        with open(path, encoding="utf-8-sig") as fh:  # a byte order mark, as Notepad saves one, is skipped
+            parser.read_file(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
+    except configparser.MissingSectionHeaderError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}: {exc.line.strip()!r} comes before any [section] header") from None
+    except (configparser.DuplicateSectionError, configparser.DuplicateOptionError) as exc:
+        what = f"key {exc.option!r} in section" if hasattr(exc, "option") else "section"
+        raise ConfigError(f"{path}:{exc.lineno}: {what} [{exc.section}] appears twice") from None
+    except configparser.ParsingError as exc:
+        line, text = exc.errors[0]
+        raise ConfigError(f"{path}:{line}: cannot parse {text}") from None
     for section in parser.sections():
         if section not in SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")

@@ -11,35 +11,35 @@ fields may hold commas or doubled quotes but never a line break.  An
 unbalanced quote therefore damages only its own line, which usually ends as
 a "wrong field count" reject, and never swallows the lines after it.
 
-The towers file and the side files that ``cli`` reads are streamed one line
-at a time by ``numbered_rows``, since whether a repeated tower id is fatal
-depends on which earlier lines were accepted.  CDR, top-up and labels files
-are read in chunks of about ``CHUNK_CHARS`` characters, each ending at a
-line end, straight into column arrays.  The unquoted lines of a chunk that
-have the header's field count are split at once; every other data line is
-split on its own and cut or padded to the header's width.  Every rule is
-then one array test over the chunk's lines: ids, towers and kinds are
-decoded once per distinct text, canonical ``YYYY-MM-DDTHH:MM:SSZ``
-timestamps at once and any other through ``parse_timestamp``, once per
-distinct text.  A line is rejected for the first rule it breaks, in the
-order the parsers list them, and only the rejected lines get their reason
-formatted.  The accepted rows come back in line order, event ids coded into
-id tables in order of first sight; ``load_dataset`` hands the events to a
-``Dataset``, which alone sorts ids and rows.
+The side files that ``cli`` reads are streamed one line at a time by
+``numbered_rows``.  CDR, top-up, towers and labels files are read in chunks
+of about ``CHUNK_CHARS`` characters, each ending at a line end, straight
+into column arrays.  The unquoted lines of a chunk that have the header's
+field count are split at once; every other data line is split on its own and
+cut or padded to the header's width.  Every rule is then one array test over
+the chunk's lines: ids, towers and kinds are decoded once per distinct text,
+canonical ``YYYY-MM-DDTHH:MM:SSZ`` timestamps at once and any other through
+``parse_timestamp``, once per distinct text.  A line is rejected for the
+first rule it breaks, in the order the parsers list them, and only the
+rejected lines get their reason formatted.  One rule depends on line order,
+the fatal repeat of an accepted tower id; it is a short pass over each
+chunk's lines in line order.  The accepted rows come back in line order,
+event ids coded into id tables in order of first sight; ``load_dataset``
+hands the events to a ``Dataset``, which alone sorts ids and rows.
 
 ``load_dataset`` parses each CDR and top-up file once per content.  It
-stores a parse (the columns in line order, the first-sight id tables, the
-rejects and the row count) as one uncompressed ``.npz`` under
-``$XDG_CACHE_HOME/cdrlab``, else ``~/.cache/cdrlab``, and a later parse of
-the same bytes reads that snapshot instead.  The key is the sha256 of the
-file's bytes, the table it fills, whether it is gzip, the known tower ids
-(they decide the unknown-tower rejects), the code of this module and of
-``records``, and the Python and numpy versions.  The snapshots take at most
-``SNAPSHOT_BUDGET`` bytes; the least recently used go first.  A missing or
-damaged entry, a cache directory that cannot be written and an input that
-is not a regular file (a FIFO; hashing would consume it) each mean a plain
-parse, never an error or another result.  The towers and labels files, a
-few thousand lines at most, are parsed every time.
+stores a parse (the columns in line order, and one JSON member of the
+first-sight id tables, the rejects and the row count) as one uncompressed
+``.npz`` under ``$XDG_CACHE_HOME/cdrlab``, else ``~/.cache/cdrlab``, and a
+later parse of the same bytes reads that snapshot instead.  The key is the
+sha256 of the file's bytes, the table it fills, whether it is gzip, the
+known tower ids (they decide the unknown-tower rejects), the code of this
+module and of ``records``, and the Python and numpy versions.  The snapshots
+take at most ``SNAPSHOT_BUDGET`` bytes; the least recently used go first.  A
+missing or damaged entry, a cache directory that cannot be written and an
+input that is not a regular file (a FIFO; hashing would consume it) each
+mean a plain parse, never an error or another result.  The towers and labels
+files, a few thousand lines at most, are parsed every time.
 
 ``write_csv`` writes output tables a row at a time through the csv module.
 The CDR and top-up writers format whole columns per chunk of rows instead,
@@ -210,15 +210,6 @@ def _header_positions(header: list[str], fields: tuple[str, ...], required: tupl
     return positions
 
 
-def _check_cap(report: RejectReport, cap: float) -> None:
-    if report.total_rows and report.fraction() > cap:
-        sample = "; ".join(f"line {n}: {r}" for n, r in report.rejects[:5])
-        raise IngestError(
-            f"{report.source}: {len(report.rejects)} of {report.total_rows} lines rejected "
-            f"(fraction {report.fraction():.4f} > cap {cap}); first reasons: {sample}"
-        )
-
-
 def _warn_unknown_towers(path: str, lines: list[int]) -> None:
     """Log one warning that sums up a file's unknown-tower rejects."""
     if lines:
@@ -351,16 +342,10 @@ class _EventFile:
 
     def __init__(self, fh, path: str, fields: tuple[str, ...], required: tuple[str, ...]):
         self.fh = fh
-        self.line = 0
-        self.header = None
-        for raw in fh:
-            self.line += 1
-            stripped = raw.strip()
-            if stripped and stripped[0] != "#":
-                self.header = _split(raw)
-                self.pos = _header_positions(self.header, fields, required, str(path))
-                self.width = max(self.pos.values())
-                break
+        self.line, self.header = next(numbered_rows(fh), (0, None))
+        if self.header is not None:
+            self.pos = _header_positions(self.header, fields, required, str(path))
+            self.width = max(self.pos.values())
 
     def chunks(self):
         """Yield (numbers, fields, short) per chunk of data lines.
@@ -422,16 +407,18 @@ class _EventFile:
 
 
 def _parse_events(path, fields, required, reject_cap, dtypes, check):
-    """Drive the parse of one event file into column arrays, rows in line order.
+    """Drive the parse of one CDR, top-up, towers or labels file into column
+    arrays, rows in line order.
 
-    check(col, short), where col maps each field the header holds to the
-    texts of a chunk's lines (see `_EventFile.chunks`), returns (tests,
-    columns): the column arrays of those lines, one per dtype of dtypes, and
-    a list of (fails, reason) in the order the rules are checked, where
-    fails marks the lines that break the rule and reason is its text, or a
-    function that formats it for the line at an index.  A line is rejected
-    for the first rule it breaks.  The columns of the accepted lines, as
-    dtypes, come back with the report of the rejects.
+    check(col, short, numbers), where col maps each field the header holds
+    to the texts of a chunk's lines and numbers holds their line numbers (see
+    `_EventFile.chunks`), returns (tests, columns): the column arrays of those
+    lines, one per dtype of dtypes, and a list of (fails, reason) in the order
+    the rules are checked, where fails marks the lines that break the rule
+    and reason is its text, or a function that formats it for the line at an
+    index.  A line is rejected for the first rule it breaks; check may also
+    raise, as the towers file's does for a repeated id.  The columns of the
+    accepted lines, as dtypes, come back with the report of the rejects.
     """
     rejects: list[tuple[int, str]] = []
     total = 0
@@ -440,7 +427,7 @@ def _parse_events(path, fields, required, reject_cap, dtypes, check):
         src = _EventFile(fh, path, fields, required)
         chunks = src.chunks() if src.header is not None else ()
         for numbers, texts, short in chunks:
-            tests, columns = check({name: texts[j::len(src.header)] for name, j in src.pos.items()}, short)
+            tests, columns = check({name: texts[j::len(src.header)] for name, j in src.pos.items()}, short, numbers)
             fails = np.array([f for f, _ in tests])
             ok = ~fails.any(axis=0)
             rows = np.arange(len(numbers))
@@ -463,7 +450,12 @@ def _report(path, rejects: list[tuple[int, str]], total: int, reject_cap: float)
     """
     _warn_unknown_towers(path, [n for n, reason in rejects if reason.startswith("unknown tower")])
     report = RejectReport(str(path), rejects, total)
-    _check_cap(report, reject_cap)
+    if total and report.fraction() > reject_cap:
+        sample = "; ".join(f"line {n}: {r}" for n, r in rejects[:5])
+        raise IngestError(
+            f"{path}: {len(rejects)} of {total} lines rejected "
+            f"(fraction {report.fraction():.4f} > cap {reject_cap}); first reasons: {sample}"
+        )
     return report
 
 
@@ -488,7 +480,7 @@ def parse_cdr_file(
     sub_codes, tower_codes = _id_decoder(subscriber_ids), _id_decoder(tower_ids, known_towers)
     kind_codes, stamps = _Decoder(_kind_code), _Decoder(_stamp)
 
-    def check(col, short):
+    def check(col, short, _):
         caller, callee = sub_codes.codes(col["caller"]), sub_codes.codes(col["callee"])
         tower, kind = tower_codes.codes(col["tower"]), kind_codes.codes(col["kind"])
         ts, bad_ts = _timestamps(col["timestamp"], stamps)
@@ -530,7 +522,7 @@ def parse_topup_file(
     buyers, retailer_codes = _id_decoder(subscriber_ids), _id_decoder(retailer_ids)
     tower_codes, stamps = _id_decoder(tower_ids, known_towers), _Decoder(_stamp)
 
-    def check(col, short):
+    def check(col, short, _):
         buyer, retailer = buyers.codes(col["buyer"]), retailer_codes.codes(col["retailer"])
         ts, bad_ts = _timestamps(col["timestamp"], stamps)
         if "retailer_tower" in col:
@@ -560,44 +552,36 @@ def parse_tower_file(
     path: str,
     reject_cap: float = DEFAULT_REJECT_CAP,
 ) -> tuple[dict[str, Tower], RejectReport]:
-    """CSV of id,lon,lat.  Duplicate ids are fatal; bad coordinates reject."""
-    towers: dict[str, Tower] = {}
-    rejects: list[tuple[int, str]] = []
-    total = 0
-    with open_text(path) as fh:
-        rows = numbered_rows(fh)
-        first = next(rows, None)
-        if first is None:
-            return {}, RejectReport(str(path), [], 0)
-        pos = _header_positions(first[1], ("id", "lon", "lat"), ("id", "lon", "lat"), str(path))
-        width = max(pos.values())
-        for line_no, row in rows:
-            total += 1
-            if width >= len(row):
-                rejects.append((line_no, "wrong field count"))
-                continue
-            tid = row[pos["id"]].strip()
-            if not tid:
-                rejects.append((line_no, "missing id"))
-                continue
-            if tid in towers:
-                raise IngestError(f"{path}: duplicate tower id {tid!r} at line {line_no}")
-            try:
-                lon = float(row[pos["lon"]])
-                lat = float(row[pos["lat"]])
-            except ValueError:
-                rejects.append((line_no, "bad coordinate"))
-                continue
-            if not -180.0 <= lon <= 180.0:
-                rejects.append((line_no, "lon out of range"))
-                continue
-            if not -90.0 <= lat <= 90.0:
-                rejects.append((line_no, "lat out of range"))
-                continue
-            towers[tid] = Tower(tid, lon, lat)
-    report = RejectReport(str(path), rejects, total)
-    _check_cap(report, reject_cap)
-    return towers, report
+    """CSV of id,lon,lat.  Bad coordinates reject; a repeat of an accepted id is fatal.
+
+    The repeat rule follows line order: a line that has the fields and an id
+    is an IngestError when an earlier accepted line holds its id, whatever
+    its coordinates.
+    """
+    accepted: set[str] = set()
+
+    def check(col, short, numbers):
+        ids = np.array([t.strip() for t in col["id"]], dtype=object)
+        (lon, lon_ok, _), (lat, lat_ok, _) = _floats(col["lon"]), _floats(col["lat"])
+        tests = [
+            (short, "wrong field count"),
+            (ids == "", "missing id"),
+            (~(lon_ok & lat_ok), "bad coordinate"),
+            (~(np.abs(lon) <= 180.0), "lon out of range"),
+            (~(np.abs(lat) <= 90.0), "lat out of range"),
+        ]
+        fails = np.array([f for f, _ in tests])
+        named, ok = ~fails[:2].any(axis=0), ~fails.any(axis=0)
+        for i in sorted(np.flatnonzero(named).tolist(), key=numbers.__getitem__):
+            if ids[i] in accepted:
+                raise IngestError(f"{path}: duplicate tower id {ids[i]!r} at line {numbers[i]}")
+            if ok[i]:
+                accepted.add(ids[i])
+        return tests, (ids, lon, lat)
+
+    (ids, lon, lat), report = _parse_events(path, ("id", "lon", "lat"), ("id", "lon", "lat"), reject_cap,
+                                            (object, np.float64, np.float64), check)
+    return {t: Tower(t, x, y) for t, x, y in zip(ids.tolist(), lon.tolist(), lat.tolist())}, report
 
 
 def parse_labels_file(
@@ -606,7 +590,7 @@ def parse_labels_file(
 ) -> tuple[dict[str, str], RejectReport]:
     """CSV of subscriber,label.  A later row for a subscriber wins."""
 
-    def check(col, short):
+    def check(col, short, _):
         subscriber, label = (np.array([t.strip() for t in col[name]], dtype=object) for name in LABEL_FIELDS)
         return [(short, "wrong field count"), (subscriber == "", "missing subscriber")], (subscriber, label)
 
@@ -656,34 +640,15 @@ def _snapshot_key(path, table_type, known: set[str]) -> str:
     return h.hexdigest()
 
 
-def _id_tables(table_type) -> list[str]:
-    return [f.name for f in dataclass_fields(table_type) if f.name not in table_type.COLUMNS]
-
-
-def _pack(name: str, texts) -> dict[str, np.ndarray]:
-    """texts as the UTF-8 bytes of their concatenation and their lengths.
-
-    A numpy str array would drop a text's trailing NULs.
-    """
-    return {f"{name}_utf8": np.frombuffer("".join(texts).encode("utf-8"), dtype=np.uint8),
-            f"{name}_len": np.fromiter(map(len, texts), np.int64, len(texts))}
-
-
-def _unpack(arrays, name: str) -> tuple[str, ...]:
-    text = arrays[f"{name}_utf8"].tobytes().decode("utf-8")
-    ends = np.cumsum(arrays[f"{name}_len"]).tolist()
-    return tuple(text[a:b] for a, b in zip([0, *ends], ends))
-
-
 def _read_snapshot(entry: str, table_type):
-    """(table, rejects, rows) that entry holds; None when it is missing or unreadable."""
+    """(table, rejects, rows) that entry holds; None when it is missing, unreadable or of another shape."""
     try:
         with np.load(entry, allow_pickle=False) as z:
-            table = table_type(**{c: z[c] for c in table_type.COLUMNS},
-                               **{name: _unpack(z, name) for name in _id_tables(table_type)})
-            rejects = list(zip(z["reject_lines"].tolist(), _unpack(z, "reject_reasons")))
-            total = int(z["total_rows"])
-    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+            record = json.loads(z["record"].tobytes())
+            ids = {name: tuple(texts) for name, texts in record["ids"].items()}
+            table = table_type(**{c: z[c] for c in table_type.COLUMNS}, **ids)
+            rejects, total = [tuple(r) for r in record["rejects"]], record["rows"]
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, EOFError, zipfile.BadZipFile):
         return None
     with contextlib.suppress(OSError):
         os.utime(entry)  # the mtime orders entries for eviction
@@ -692,18 +657,19 @@ def _read_snapshot(entry: str, table_type):
 
 def _write_snapshot(directory: str, key: str, table, report: RejectReport) -> None:
     """Store a parse as directory/<key>.npz, through a temp name; then drop the
-    least recently used entries past SNAPSHOT_BUDGET."""
+    least recently used entries past SNAPSHOT_BUDGET.
+
+    The columns are arrays; the id tables, the rejects and the row count are
+    one JSON member, which keeps every text exactly.
+    """
     arrays = {c: getattr(table, c) for c in table.COLUMNS}
-    for name in _id_tables(type(table)):
-        arrays.update(_pack(name, getattr(table, name)))
-    arrays.update(_pack("reject_reasons", [reason for _, reason in report.rejects]))
-    arrays["reject_lines"] = np.array([n for n, _ in report.rejects], dtype=np.int64)
-    arrays["total_rows"] = np.int64(report.total_rows)
+    ids = {f.name: getattr(table, f.name) for f in dataclass_fields(table) if f.name not in arrays}
+    record = json.dumps({"ids": ids, "rejects": report.rejects, "rows": report.total_rows})
     os.makedirs(directory, exist_ok=True)
     temp = os.path.join(directory, f"{key}.{os.getpid()}.tmp")
     try:
         with open(temp, "wb") as fh:
-            np.savez(fh, **arrays)
+            np.savez(fh, record=np.frombuffer(record.encode(), dtype=np.uint8), **arrays)
         os.replace(temp, os.path.join(directory, f"{key}.npz"))
     finally:
         with contextlib.suppress(FileNotFoundError):

@@ -21,16 +21,9 @@ def auc_score(y_true, scores) -> float:
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes present")
-    order = np.argsort(s, kind="stable")
-    ranks = np.empty(len(s))
-    sorted_s = s[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0  # midrank, 1-based
-        i = j + 1
+    _, group, counts = np.unique(s, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts) - 1  # 0-based sorted position of each group's last score
+    ranks = ((last - counts + 1 + last) / 2.0 + 1.0)[group]  # midrank, 1-based
     return float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

@@ -1,11 +1,11 @@
-"""The former per-row CDR, top-up and labels parsers and writers, kept as the oracle of the columnar ones.
+"""The former per-row CDR, top-up, tower and labels parsers and writers, kept as the oracle of the columnar ones.
 
-The parsers read a file one row at a time into the tests' CdrRecord / TopUpRecord
-lists or a labels dict; the columnar parsers in ``cdrlab.ingest`` must give the
-same events (as a Dataset) or labels, the same (line, reason) rejects and the
-same row count.  The writers
-format one row at a time, one ``datetime`` per timestamp; the columnar writers
-must write the same bytes.
+The parsers read a file one row at a time into the tests' CdrRecord /
+TopUpRecord lists, a towers dict or a labels dict; the columnar parsers in
+``cdrlab.ingest`` must give the same events (as a Dataset), towers or labels,
+the same (line, reason) rejects, the same row count and the same fatal duplicate
+tower id.  The writers format one row at a time, one ``datetime`` per timestamp;
+the columnar writers must write the same bytes.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from cdrlab.ingest import (
     open_text,
     write_csv,
 )
-from cdrlab.records import EVENT_KINDS, parse_timestamp
+from cdrlab.records import EVENT_KINDS, Tower, parse_timestamp
 
 from conftest import CdrRecord, TopUpRecord
 
@@ -185,6 +185,50 @@ def parse_topup_file(
     report = RejectReport(str(path), rejects, total)
     check_cap(report, reject_cap)
     return records, report
+
+
+def parse_tower_file(
+    path: str,
+    reject_cap: float = DEFAULT_REJECT_CAP,
+) -> tuple[dict[str, Tower], RejectReport]:
+    """CSV of id,lon,lat, one row at a time.  Duplicate ids are fatal; bad coordinates reject."""
+    towers: dict[str, Tower] = {}
+    rejects: list[tuple[int, str]] = []
+    total = 0
+    with open_text(path) as fh:
+        rows = numbered_rows(fh)
+        first = next(rows, None)
+        if first is None:
+            return {}, RejectReport(str(path), [], 0)
+        pos = header_positions(first[1], ("id", "lon", "lat"), ("id", "lon", "lat"), str(path))
+        width = max(pos.values())
+        for line_no, row in rows:
+            total += 1
+            if width >= len(row):
+                rejects.append((line_no, "wrong field count"))
+                continue
+            tid = row[pos["id"]].strip()
+            if not tid:
+                rejects.append((line_no, "missing id"))
+                continue
+            if tid in towers:
+                raise IngestError(f"{path}: duplicate tower id {tid!r} at line {line_no}")
+            try:
+                lon = float(row[pos["lon"]])
+                lat = float(row[pos["lat"]])
+            except ValueError:
+                rejects.append((line_no, "bad coordinate"))
+                continue
+            if not -180.0 <= lon <= 180.0:
+                rejects.append((line_no, "lon out of range"))
+                continue
+            if not -90.0 <= lat <= 90.0:
+                rejects.append((line_no, "lat out of range"))
+                continue
+            towers[tid] = Tower(tid, lon, lat)
+    report = RejectReport(str(path), rejects, total)
+    check_cap(report, reject_cap)
+    return towers, report
 
 
 def parse_labels_file(

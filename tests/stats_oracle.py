@@ -6,6 +6,8 @@ block versions in ``cdrlab.adoption`` must return equal ``KappaResult``s.
 ``idw_interpolate`` computed each raster row with ``haversine_km`` and
 looked for exact hits cell by cell, and ``write_grid`` formatted one value at
 a time; ``cdrlab.spatial`` must give the same raster and the same text.
+``auc_score`` walked each run of tied scores to give it its midrank;
+``cdrlab.mlkit.metrics`` must return the same AUC, bit for bit.
 
 ``adopter_mask`` and ``edge_positions`` turn subscriber ids into the node
 mask and edge positions the kappa and p_k functions take.
@@ -38,6 +40,27 @@ def edge_positions(g, links) -> np.ndarray:
     """Sorted positions in g's edge arrays of the distinct links, each an id pair of an edge of g."""
     at = {(u, v): i for i, (u, v, _) in enumerate(g.edges())}
     return np.array(sorted({at[min(link), max(link)] for link in links}), dtype=np.int64)
+
+
+def auc_score(y_true, scores) -> float:
+    """Area under the ROC curve as the rank statistic, one run of tied scores at a time."""
+    y = np.asarray(y_true, dtype=float)
+    s = np.asarray(scores, dtype=float)
+    n_pos = int((y == 1).sum())
+    n_neg = int((y == 0).sum())
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("AUC needs both classes present")
+    order = np.argsort(s, kind="stable")
+    ranks = np.empty(len(s))
+    sorted_s = s[order]
+    i = 0
+    while i < len(s):
+        j = i
+        while j + 1 < len(s) and sorted_s[j + 1] == sorted_s[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0  # midrank, 1-based
+        i = j + 1
+    return float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
 def node_kappa(g, adopted, replicates=200, seed=0) -> KappaResult:

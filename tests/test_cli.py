@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cdrlab import adoption, cli, spatial, synthgen
+from cdrlab import adoption, anomaly, cli, spatial, synthgen
 from cdrlab.config import CONFIG_ENV_VAR
 from cdrlab.mlkit import models
 from cdrlab.mlkit.models import LogisticModel, save_model
@@ -362,6 +362,35 @@ def test_anomaly_and_flows(synth_dir, tmp_path):
     assert len(day_files) == 7 and day_files[0] == "flows_20160501.csv"
 
 
+def test_random_adoption_is_contagion_with_p0_p_and_no_beta(synth_dir, tmp_path):
+    rows = {}
+    for name, ini in (("random", "mechanism = random\np = 0.02\n"),
+                      ("contagion", "mechanism = contagion\np0 = 0.02\nbeta = 0\n")):
+        (tmp_path / f"{name}.ini").write_text("[adoption]\n" + ini)
+        assert cli.main(["adoption", *dataset_args(synth_dir), "--config", str(tmp_path / f"{name}.ini"),
+                         "--outdir", str(tmp_path / name)]) == 0
+        rows[name] = data_lines(tmp_path / name / "adopters.csv")
+    assert rows["random"] == rows["contagion"] and len(rows["random"]) > 5
+    manifest = json.loads((tmp_path / "random" / "manifest_adoption.json").read_text())
+    assert manifest["params"]["source"] == "simulated:random"
+
+
+def test_flows_baseline_days_come_from_the_config(tmp_path, monkeypatch):
+    seen = []
+    detect = anomaly.detect_flow_anomalies
+
+    def spy(nets, threshold_sigma, baseline_days):
+        seen.append(baseline_days)
+        return detect(nets, threshold_sigma=threshold_sigma, baseline_days=baseline_days)
+
+    monkeypatch.setattr(anomaly, "detect_flow_anomalies", spy)
+    (tmp_path / "run.ini").write_text("[flows]\nbaseline_days = 14\n")
+    data = _flow_extract(tmp_path / "commute")
+    assert cli.main(["flows", *data, "--config", str(tmp_path / "run.ini"), "--outdir", str(tmp_path / "fl")]) == 0
+    assert seen == [{T0 + day * DAY for day in range(14)}]
+    assert "40.0" in (tmp_path / "fl" / "flow_anomalies.csv").read_text()
+
+
 def test_anomaly_unknown_entity_exits_2(synth_dir, tmp_path, capsys):
     rc = cli.main(["anomaly", *dataset_args(synth_dir), "--entity", "tower:NOPE",
                    "--outdir", str(tmp_path / "t")])
@@ -427,6 +456,16 @@ def test_voronoi_and_idw(synth_dir, tmp_path):
     assert rc == 0
     raster = spatial.read_grid(str(tmp_path / "idw" / "grid.txt"))
     assert raster.nrows == 80 and raster.ncols == 50
+
+
+@pytest.mark.parametrize("clip", [[], ["--clip", "89,21,92,26"]])
+@pytest.mark.parametrize("text", ["", "id,lon,lat\n", "# towers\nid,lon,lat\n\n"], ids=["empty", "header", "comment"])
+def test_voronoi_without_towers_exits_2(tmp_path, capsys, text, clip):
+    towers = tmp_path / "towers.csv"
+    towers.write_text(text)
+    assert cli.main(["voronoi", "--towers", str(towers), *clip, "--outdir", str(tmp_path / "vor")]) == 2
+    assert capsys.readouterr().err == f"cdrlab: error: {towers}: no towers\n"
+    assert not (tmp_path / "vor" / "voronoi.geojson").exists()
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
@@ -648,6 +687,45 @@ def test_label_rows_are_checked_like_other_inputs(synth_dir, features_dir, tmp_p
     assert rc == 2
     assert "wrong field count" in capsys.readouterr().err
     assert list(outdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("text, named", [
+    ("subscribers = 30\n[synth]\ntowers = 8\n", ":1: 'subscribers = 30' comes before any [section] header"),
+    ("[synth]\ntowers = 8\nTowers = 9\n", ":3: key 'towers' in section [synth] appears twice"),
+    ("[synth]\ntowers = 8\n[run]\nseed = 1\n[synth]\ndays = 3\n", ":5: section [synth] appears twice"),
+], ids=["no section header", "key twice", "section twice"])
+def test_config_syntax_errors_exit_2_naming_the_file_and_line(tmp_path, capsys, text, named):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text, encoding="utf-8")
+    assert cli.main(["synth", "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 2
+    assert f"cdrlab: error: {cfg}{named}\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_config_with_a_byte_order_mark_reads_as_its_plain_copy(tmp_path):
+    text = "[synth]\nsubscribers = 30\ntowers = 8\ndays = 3\nevent_rate = 1.0\n"
+    manifests = []
+    for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text(text, encoding=encoding)
+        assert cli.main(["synth", "--config", str(cfg), "--outdir", str(tmp_path / name)]) == 0
+        manifests.append((tmp_path / name / "manifest_synth.json").read_bytes())
+    assert (tmp_path / "bom.ini").read_bytes().startswith(b"\xef\xbb\xbf[synth]")
+    assert manifests[0] == manifests[1] and b'"subscribers": 30' in manifests[0]
+
+
+@pytest.mark.parametrize("command", ["synth", "kappa", "train", "voronoi"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_negative_seed_exits_2_naming_its_source(synth_dir, features_dir, tmp_path, capsys, command, source):
+    inputs = {"synth": [], "kappa": dataset_args(synth_dir), "voronoi": ["--towers", str(synth_dir / "towers.csv")],
+              "train": ["--features", str(features_dir / "features.csv"), "--labels", str(synth_dir / "labels.csv")]}
+    seed = ["--seed", "-1"]
+    if source == "config":
+        (tmp_path / "run.ini").write_text("[run]\nseed = -1\n")
+        seed = ["--config", str(tmp_path / "run.ini")]
+    assert cli.main([command, *inputs[command], *seed, "--outdir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "cdrlab: error: run.seed must be >= 0\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_env_var_is_honored(monkeypatch, tmp_path):

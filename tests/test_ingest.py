@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import gzip
 import io
+import json
 import logging
 import os
 import threading
@@ -179,6 +180,60 @@ def test_duplicate_tower_is_fatal(tmp_path):
     p = write(tmp_path / "towers.csv", ["id,lon,lat", "T1,90,23", "T1,91,23"])
     with pytest.raises(ingest.IngestError, match="duplicate tower id 'T1'"):
         ingest.parse_tower_file(p)
+
+
+def test_a_repeat_of_a_rejected_tower_line_is_not_fatal(tmp_path):
+    p = write(tmp_path / "towers.csv", ["id,lon,lat", "T1,x,23", "T1,90,23", "T2,91", "T2,91,23", ",5,5", ",6,6"])
+    towers, report = ingest.parse_tower_file(p, reject_cap=1.0)
+    assert towers == {"T1": Tower("T1", 90.0, 23.0), "T2": Tower("T2", 91.0, 23.0)}
+    assert report.rejects == [(2, "bad coordinate"), (4, "wrong field count"), (6, "missing id"), (7, "missing id")]
+
+
+@pytest.mark.parametrize("repeat", [" T1 ,abc,23", "T1,90,999", '"T1",1,2'])
+def test_a_repeat_of_an_accepted_tower_id_is_fatal_even_with_bad_coordinates(tmp_path, repeat):
+    p = write(tmp_path / "towers.csv", ["id,lon,lat", "T1,90,23", "T2,x,1", repeat])
+    with pytest.raises(ingest.IngestError, match=r"towers.csv: duplicate tower id 'T1' at line 4$"):
+        ingest.parse_tower_file(p, reject_cap=1.0)
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 40, ingest.CHUNK_CHARS])
+def test_a_tower_repeat_is_found_in_line_order_within_and_across_chunks(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(ingest, "CHUNK_CHARS", chunk)
+    # a quoted line is split after the plain lines of its chunk, but it comes first in line order
+    p = write(tmp_path / "a.csv", ["id,lon,lat", '"T1",90,23', "T1,91,23"])
+    with pytest.raises(ingest.IngestError, match="duplicate tower id 'T1' at line 3$"):
+        ingest.parse_tower_file(p)
+    p = write(tmp_path / "b.csv", ["id,lon,lat", "T1,90,23"] + [f"T{i},90,23" for i in range(2, 30)] + ["T1,91,24"])
+    with pytest.raises(ingest.IngestError, match="duplicate tower id 'T1' at line 31$"):
+        ingest.parse_tower_file(p)
+
+
+def test_a_topup_file_without_the_retailer_tower_column(tmp_path):
+    p = write(tmp_path / "t.csv", ["timestamp,amount,buyer,retailer", "2016-05-01T00:10:00Z,50,A,R1",
+                                   "2016-05-01T00:20:00Z,x,B,R2", "2016-05-01T00:30:00Z,20,B,R1"])
+    table, report = ingest.parse_topup_file(p, known_towers={"T1"}, reject_cap=1.0)
+    records, oracle_report = ingest_oracle.parse_topup_file(p, known_towers={"T1"}, reject_cap=1.0)
+    assert topup_rows(table) == records and report == oracle_report
+    assert table.tower.tolist() == [-1, -1] and table.tower_ids == ()
+    assert report.rejects == [(3, "bad amount")]
+
+
+@pytest.mark.parametrize("chunk", [5, ingest.CHUNK_CHARS])
+@pytest.mark.parametrize("kind", ["cdr", "towers"])
+def test_a_last_line_without_a_line_break_parses_as_with_one(tmp_path, monkeypatch, chunk, kind):
+    monkeypatch.setattr(ingest, "CHUNK_CHARS", chunk)
+    if kind == "cdr":
+        parse, lines = ingest.parse_cdr_file, [CDR_HEADER, "A,B,T1,2016-05-01T00:10:00Z,voice,120", "B,,T1,bad,sms,"]
+    else:
+        parse, lines = ingest.parse_tower_file, ["id,lon,lat", "T1,90,23", "T2,91,x", '"T3",92,24']
+    outcomes = []
+    for end in ("\n", "\r\n", ""):
+        path = tmp_path / f"{len(end)}.csv"
+        path.write_bytes(("\n".join(lines) + end).encode())
+        parsed, report = parse(str(path), reject_cap=1.0)
+        outcomes.append((parsed if kind == "towers" else cdr_rows(parsed), report.rejects, report.total_rows))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert outcomes[0][1] and outcomes[0][2] == len(lines) - 1
 
 
 def test_gzip_round_trip(tmp_path):
@@ -652,6 +707,36 @@ def test_columnar_labels_parse_matches_per_row_oracle(tmp_path_factory, lines, c
     assert refuses == refused(ingest_oracle.parse_labels_file, path)
 
 
+TOWER_COORD = st.sampled_from(["90", "-180", "180.0", "180.5", "-90", "90.25", "91", "-0", "", "x", " 7 ", "1_0",
+                                "nan", "inf", "-inf", "1e400"])
+TOWER_LINES = oracle_lines((ORACLE_ID, TOWER_COORD, TOWER_COORD),
+                           (st.sampled_from(["A", "B", "C1", "T1", "T2", "T3", "T4"]),
+                            st.floats(-180, 180).map(repr), st.floats(-90, 90).map(repr)), ends=("\n", "\r\n", "\r"))
+
+
+def tower_outcome(parse, path):
+    """The towers in order, the rejects and the row count of a parse, or the text of its IngestError."""
+    try:
+        towers, report = parse(path, reject_cap=1.0)
+    except ingest.IngestError as exc:
+        return str(exc)
+    return list(towers.items()), report.rejects, report.total_rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=TOWER_LINES, chunk=st.sampled_from([1, 5, 40, ingest.CHUNK_CHARS]), extra=EXTRA)
+def test_columnar_tower_parse_matches_per_row_oracle(tmp_path_factory, lines, chunk, extra):
+    path = oracle_file(tmp_path_factory.mktemp("towers"), "w.csv", "id,lon,lat", lines, extra)
+    default, ingest.CHUNK_CHARS = ingest.CHUNK_CHARS, chunk
+    try:
+        got = tower_outcome(ingest.parse_tower_file, path)
+        refuses = refused(ingest.parse_tower_file, path)
+    finally:
+        ingest.CHUNK_CHARS = default
+    assert got == tower_outcome(ingest_oracle.parse_tower_file, path)
+    assert refuses == refused(ingest_oracle.parse_tower_file, path)
+
+
 # -- columnar writers against the per-row oracle --------------------------------------
 #
 # The CDR and top-up writers format whole columns per chunk of rows and join
@@ -797,6 +882,23 @@ def test_a_damaged_snapshot_means_a_parse_that_replaces_it(tmp_path, snapshot_ca
     entry.write_bytes(data[:len(data) // 2] if damage == "truncated" else bytes(range(256)) * 8)
     assert once(p) == want
     assert entry.read_bytes() == data
+    assert once(p, parse=no_parse) == want
+
+
+@pytest.mark.parametrize("record", [[], {"ids": {}, "rejects": []}, {"rejects": [], "rows": 40},
+                                    {"ids": [], "rejects": [], "rows": 40}],
+                         ids=["a list", "no rows", "no ids", "ids a list"])
+def test_a_snapshot_record_of_another_shape_means_a_parse_that_replaces_it(tmp_path, snapshot_cache, record):
+    p = snap_write(tmp_path / "c.csv", SNAP_LINES)
+    want = parse_cdr(p)
+    once(p)
+    (entry,) = entries(snapshot_cache)
+    with np.load(entry) as z:
+        arrays = dict(z)
+    arrays["record"] = np.frombuffer(json.dumps(record).encode(), dtype=np.uint8)
+    with open(entry, "wb") as fh:
+        np.savez(fh, **arrays)
+    assert once(p) == want
     assert once(p, parse=no_parse) == want
 
 

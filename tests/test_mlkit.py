@@ -4,7 +4,8 @@ reporting.
 
 Oracles: scipy BFGS for the logistic optimum, a brute-force split search
 for stumps, central finite differences for network gradients, and the
-normal survival function for the two-proportion test.
+normal survival function for the two-proportion test.  ``auc_score``
+has the former tie-walking loop in ``stats_oracle`` as its oracle.
 """
 
 import json
@@ -16,6 +17,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.stats import norm
 
@@ -29,6 +32,8 @@ from cdrlab.mlkit.data import (
     split_train_test,
     upsample_minority,
 )
+
+import stats_oracle
 
 
 def blob_table(n=100, k=2, sep=3.0, seed=0):
@@ -204,6 +209,16 @@ def test_logistic_separates_blobs():
     model = md.train_logistic(tab)
     assert np.array_equal(model.predict_proba(tab.X) >= 0.5, tab.y == 1.0)
     assert mt.auc_score(tab.y, model.predict_proba(tab.X)) == 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(2, 60), levels=st.sampled_from([1, 2, 3, 10, 1000]))
+def test_auc_matches_the_tie_walking_oracle_bit_for_bit(data, n, levels):
+    y = data.draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n).filter(lambda y: 0 < sum(y) < n))
+    values = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=levels, unique=True))
+    scores = data.draw(st.lists(st.sampled_from(values + [0.0, -0.0]), min_size=n, max_size=n))
+    assert mt.auc_score(y, scores) == stats_oracle.auc_score(y, scores)
+    assert mt.auc_score(y, np.array(scores, dtype=np.float32)) == stats_oracle.auc_score(y, np.float32(scores))
 
 
 def test_logistic_matches_bfgs_optimum():

@@ -13,9 +13,15 @@ a name that only a test uses shows up here.
 import ast
 import builtins
 import importlib
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "cdrlab"
+from cdrlab.records import Dataset
+
+from conftest import dataset_from_records
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "cdrlab"
 # The acceptance tests build and inspect graphs and anomaly reports through
 # these; no subcommand needs them.
 TEST_ONLY = {"cdrlab.socialgraph.SocialGraph.from_edges", "cdrlab.socialgraph.SocialGraph.sorted_nodes",
@@ -146,3 +152,19 @@ def test_the_scan_sees_the_entry_points():
     keys, reached = _scan()
     assert {"main", "_cmd_train", "train_logistic", ".predict_proba", "Dataset"} <= reached
     assert TEST_ONLY <= set(keys)
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    # perfbench/tracer.py wraps these by name, and a missing one fails only its own self-tests
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{module}.{name}" for module, names in tracer.TRACED.items()
+               for name in names if not callable(getattr(importlib.import_module(module), name, None))]
+    assert missing == [] and sum(map(len, tracer.TRACED.values())) == 30
+    ds = dataset_from_records((), (), {}, (0, 1))
+    assert len(tracer.INDEXES) == 4
+    for method, cache in tracer.INDEXES.items():
+        assert callable(getattr(Dataset, method, None)) and getattr(ds, cache) is None, method
+        getattr(ds, method)()
+        assert getattr(ds, cache) is not None, cache
