@@ -161,9 +161,8 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
     spec.loader.exec_module(tracer)
     missing = [f"{module}.{name}" for module, names in tracer.TRACED.items()
                for name in names if not callable(getattr(importlib.import_module(module), name, None))]
-    assert missing == [] and sum(map(len, tracer.TRACED.values())) == 30
+    assert tracer.TRACED and tracer.INDEXES and missing == []
     ds = dataset_from_records((), (), {}, (0, 1))
-    assert len(tracer.INDEXES) == 4
     for method, cache in tracer.INDEXES.items():
         assert callable(getattr(Dataset, method, None)) and getattr(ds, cache) is None, method
         getattr(ds, method)()
