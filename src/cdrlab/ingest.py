@@ -567,7 +567,7 @@ def parse_tower_file(
             (short, "wrong field count"),
             (ids == "", "missing id"),
             (~(lon_ok & lat_ok), "bad coordinate"),
-            (~(np.abs(lon) <= 180.0), "lon out of range"),
+            (~(np.abs(lon) <= 180.0), "lon out of range"),  # nan is out of range too
             (~(np.abs(lat) <= 90.0), "lat out of range"),
         ]
         fails = np.array([f for f, _ in tests])

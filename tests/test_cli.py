@@ -693,7 +693,8 @@ def test_label_rows_are_checked_like_other_inputs(synth_dir, features_dir, tmp_p
     ("subscribers = 30\n[synth]\ntowers = 8\n", ":1: 'subscribers = 30' comes before any [section] header"),
     ("[synth]\ntowers = 8\nTowers = 9\n", ":3: key 'towers' in section [synth] appears twice"),
     ("[synth]\ntowers = 8\n[run]\nseed = 1\n[synth]\ndays = 3\n", ":5: section [synth] appears twice"),
-], ids=["no section header", "key twice", "section twice"])
+    ("[run]\n  seed\n", ":2: cannot parse '  seed\\n'"),
+], ids=["no section header", "key twice", "section twice", "continuation without a key"])
 def test_config_syntax_errors_exit_2_naming_the_file_and_line(tmp_path, capsys, text, named):
     cfg = tmp_path / "run.ini"
     cfg.write_text(text, encoding="utf-8")
@@ -711,7 +712,7 @@ def test_a_config_with_a_byte_order_mark_reads_as_its_plain_copy(tmp_path):
         assert cli.main(["synth", "--config", str(cfg), "--outdir", str(tmp_path / name)]) == 0
         manifests.append((tmp_path / name / "manifest_synth.json").read_bytes())
     assert (tmp_path / "bom.ini").read_bytes().startswith(b"\xef\xbb\xbf[synth]")
-    assert manifests[0] == manifests[1] and b'"subscribers": 30' in manifests[0]
+    assert manifests[0] == manifests[1] and b'"subscribers": 30' in manifests[0]  # config_hash included
 
 
 @pytest.mark.parametrize("command", ["synth", "kappa", "train", "voronoi"])

@@ -64,26 +64,6 @@ def test_bad_values_rejected(tmp_path):
         load_config(str(tmp_path / "absent.ini"))
 
 
-def test_a_byte_order_mark_gives_the_plain_copys_config_and_hash(tmp_path):
-    text = "[synth]\nsubscribers = 42\n[run]\nseed = 7\n"
-    (tmp_path / "plain.ini").write_text(text, encoding="utf-8")
-    (tmp_path / "bom.ini").write_text(text, encoding="utf-8-sig")
-    plain, bom = load_config(str(tmp_path / "plain.ini")), load_config(str(tmp_path / "bom.ini"))
-    assert bom == plain and bom["synth"]["subscribers"] == 42
-    assert config_hash(bom) == config_hash(plain) != config_hash(default_config())
-
-
-@pytest.mark.parametrize("text, named", [
-    ("seed = 1\n", r"run\.ini:1: 'seed = 1' comes before any \[section\] header"),
-    ("[run]\nseed = 1\nseed = 2\n", r"run\.ini:3: key 'seed' in section \[run\] appears twice"),
-    ("[run]\nseed = 1\n\n[run]\n", r"run\.ini:4: section \[run\] appears twice"),
-    ("[run]\n  seed\n", r"run\.ini:2: cannot parse '  seed\\n'"),
-], ids=["no section header", "key twice", "section twice", "continuation without a key"])
-def test_syntax_errors_name_the_file_and_line(tmp_path, text, named):
-    with pytest.raises(ConfigError, match=named):
-        load_config(write_cfg(tmp_path, text))
-
-
 def test_bool_spellings(tmp_path):
     for raw, want in (("1", True), ("true", True), ("YES", True), ("on", True),
                       ("0", False), ("False", False), ("no", False), ("off", False)):
