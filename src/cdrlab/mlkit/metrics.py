@@ -22,8 +22,8 @@ def auc_score(y_true, scores) -> float:
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes present")
     _, group, counts = np.unique(s, return_inverse=True, return_counts=True)
-    last = np.cumsum(counts) - 1  # 0-based sorted position of each group's last score
-    ranks = ((last - counts + 1 + last) / 2.0 + 1.0)[group]  # midrank, 1-based
+    last = np.cumsum(counts) - 1  # 0-based sorted position of each run of ties' last score
+    ranks = ((2 * last + 1 - counts) / 2.0 + 1.0)[group]  # (first + last) / 2 + 1: the 1-based midrank
     return float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
