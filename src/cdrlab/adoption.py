@@ -251,9 +251,8 @@ def adoption_probability_curve(
 def write_kappa_csv(results: dict[str, KappaResult | None], path: str, header_comment: str | None = None) -> None:
     """One row per test; an undefined test (None) is a row of empty cells."""
     rows = (
-        [name] + [""] * 6 if r is None else
-        [name, repr(r.kappa), repr(r.ci95[0]), repr(r.ci95[1]), repr(float(r.empirical_count)),
-         repr(r.random_mean), r.replicates]
+        [name] + [None] * 6 if r is None else
+        [name, r.kappa, *r.ci95, float(r.empirical_count), r.random_mean, r.replicates]
         for name, r in sorted(results.items())
     )
     write_csv(path, ["test", "kappa", "ci_lo", "ci_hi", "empirical", "random_mean", "replicates"],
@@ -263,22 +262,11 @@ def write_kappa_csv(results: dict[str, KappaResult | None], path: str, header_co
 def write_pk_csv(curve: PkCurve, path: str, header_comment: str | None = None,
                  k_max: int = 0, min_support: int = 30) -> None:
     """One row per point of curve, then k,0,0,,,int(0 >= min_support) per k past them up to k_max, streamed."""
-    rows = (
-        [
-            pt.k,
-            pt.n_k,
-            pt.a_k,
-            "" if pt.p_k is None else repr(pt.p_k),
-            "" if pt.k not in curve.uplift else repr(curve.uplift[pt.k]),
-            int(pt.reliable),
-        ]
-        for pt in curve.points
-    )
-    empty = ([k, 0, 0, "", "", int(0 >= min_support)] for k in range(len(curve.points), k_max + 1))
+    rows = ([pt.k, pt.n_k, pt.a_k, pt.p_k, curve.uplift.get(pt.k), int(pt.reliable)] for pt in curve.points)
+    empty = ([k, 0, 0, None, None, int(0 >= min_support)] for k in range(len(curve.points), k_max + 1))
     write_csv(path, ["k", "n_k", "a_k", "p_k", "uplift", "reliable"], itertools.chain(rows, empty), header_comment)
 
 
 def write_component_evolution_csv(rows: list[dict], path: str, header_comment: str | None = None) -> None:
     columns = ["snapshot", "adopters", "frac_isolates", "frac_pairs", "frac_mid", "frac_monster"]
-    cells = ([row["snapshot"], row["adopters"]] + [repr(row[c]) for c in columns[2:]] for row in rows)
-    write_csv(path, columns, cells, header_comment)
+    write_csv(path, columns, ([row[c] for c in columns] for row in rows), header_comment)

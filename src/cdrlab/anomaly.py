@@ -132,16 +132,26 @@ def bin_series(
                             weights=amount[located], minlength=len(tower_ids) * n_bins)
         series.update((("tower", tid), row) for tid, row in zip(tower_ids, cells.reshape(-1, n_bins)))
     if any(entity[0] == "district" for entity in entities):
-        districts = sorted(set(area_map.values()))
-        index = {d: i for i, d in enumerate(districts)}
-        area_of = np.array([index.get(area_map.get(tid), -1) for tid in tower_ids] + [-1])
-        missing = np.flatnonzero(located & (area_of[tower] < 0))
-        if len(missing):
-            raise ValueError(f"tower {tower_ids[tower[missing[0]]]!r} missing from area_map")
-        cells = np.bincount(area_of[tower[located]] * n_bins + bins[located],
+        districts, area = _area_codes(tower_ids, area_map, tower)
+        cells = np.bincount(area[located] * n_bins + bins[located],
                             weights=amount[located], minlength=len(districts) * n_bins)
         series.update((("district", d), row) for d, row in zip(districts, cells.reshape(-1, n_bins)))
     return [TimeSeries(tuple(e), bin_width, start, series[tuple(e)]) for e in entities]
+
+
+def _area_codes(tower_ids: tuple[str, ...], area_map: dict[str, str],
+                tower: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The sorted areas, and the area code of each tower code in tower (-1, no tower, stays -1).
+
+    A tower that area_map leaves out is a ValueError.
+    """
+    areas = sorted(set(area_map.values()))
+    index = {a: i for i, a in enumerate(areas)}
+    area = np.array([index.get(area_map.get(tid), -1) for tid in tower_ids] + [-1], dtype=np.int64)[tower]
+    missing = np.flatnonzero((area < 0) & (tower >= 0))
+    if len(missing):
+        raise ValueError(f"tower {tower_ids[tower[missing[0]]]!r} missing from area_map")
+    return areas, area
 
 
 def _baseline_cell_key(ts: TimeSeries, baseline: str, index: int):
@@ -216,12 +226,7 @@ def build_flow_network(
     day = day_start(day)
     c = ds.cdrs
     rows = ds.cdrs_between(day, day + SECONDS_PER_DAY)
-    areas = sorted(set(area_map.values()))
-    index = {a: i for i, a in enumerate(areas)}
-    area_of = np.array([index.get(area_map.get(tid), -1) for tid in c.tower_ids], dtype=np.int64)
-    area = area_of[c.tower[rows]]
-    if np.any(area < 0):
-        raise ValueError(f"tower {c.tower_ids[c.tower[rows][np.argmax(area < 0)]]!r} missing from area_map")
+    areas, area = _area_codes(c.tower_ids, area_map, c.tower[rows])
     # Each SIM's areas in time order, SIM after SIM.
     caller = c.caller[rows]
     order = np.argsort(caller, kind="stable")
@@ -391,15 +396,14 @@ def rank_activation_curves(
     ranks: tuple[int, ...] = (1, 2, 3, 4, 5),
     bin_width: int = 300,
     comparison_days: list[int] = (),
-    rank_window: tuple[int, int] | None = None,
 ) -> RankCurves:
     """Double-normalized calling curves toward each subscriber's top contacts.
 
-    Contact ranks come from rank_window (default: everything before the
-    event day).  Per day and bin, the statistic is the fraction of that
-    day's active subscribers placing a voice call to their rank-k contact;
-    the event-day curve is divided bin-wise by the comparison-day mean.
-    The bins tile each day exactly, so bin_width must divide a day.
+    Contact ranks come from everything before the event day.  Per day and
+    bin, the statistic is the fraction of that day's active subscribers
+    placing a voice call to their rank-k contact; the event-day curve is
+    divided bin-wise by the comparison-day mean.  The bins tile each day
+    exactly, so bin_width must divide a day.
     """
     if bin_width <= 0 or SECONDS_PER_DAY % bin_width:
         raise ValueError(f"bin_width must be a positive divisor of {SECONDS_PER_DAY} seconds, got {bin_width}")
@@ -408,11 +412,9 @@ def rank_activation_curves(
     if not comparison_days:
         raise ValueError("need at least one comparison day")
     event_day = day_start(event_time)
-    if rank_window is None:
-        rank_window = (ds.window[0], event_day)
-    if rank_window[0] >= rank_window[1]:
+    if ds.window[0] >= event_day:
         raise ValueError("empty rank window")
-    rank_keys, rank_values = _top_contacts(ds, rank_window, max(ranks))
+    rank_keys, rank_values = _top_contacts(ds, (ds.window[0], event_day), max(ranks))
 
     event_curves = _day_fraction_curves(ds, event_day, rank_keys, rank_values, tuple(ranks), bin_width)
     comp_curves = [
@@ -483,8 +485,7 @@ def distance_activation_matrix(
 def write_anomalies_csv(reports, path: str, header_comment: str | None = None) -> None:
     """reports: iterable of AnomalyReport."""
     rows = (
-        [":".join(str(p) for p in report.entity), f.start, repr(f.value), repr(f.baseline_mean),
-         repr(f.baseline_std), "" if f.z is None else repr(f.z), f.direction]
+        [":".join(str(p) for p in report.entity), f.start, f.value, f.baseline_mean, f.baseline_std, f.z, f.direction]
         for report in reports
         for f in report.flags
     )
@@ -499,8 +500,7 @@ def write_flows_csv(fn: FlowNetwork, path: str, header_comment: str | None = Non
 
 def write_rank_curves_csv(curves: RankCurves, path: str, header_comment: str | None = None) -> None:
     rows = (
-        [k, off, repr(curves.event_fraction[k][i]), repr(curves.comparison_mean[k][i]),
-         "" if curves.ratio[k][i] is None else repr(curves.ratio[k][i])]
+        [k, off, curves.event_fraction[k][i], curves.comparison_mean[k][i], curves.ratio[k][i]]
         for k in sorted(curves.ratio)
         for i, off in enumerate(curves.offsets)
     )
@@ -509,10 +509,5 @@ def write_rank_curves_csv(curves: RankCurves, path: str, header_comment: str | N
 
 
 def write_distance_matrix_csv(ratio: np.ndarray, path: str, header_comment: str | None = None) -> None:
-    n = ratio.shape[0]
-    rows = (
-        [i, j, "" if np.isnan(ratio[i, j]) else repr(float(ratio[i, j]))]
-        for i in range(n)
-        for j in range(n)
-    )
+    rows = ([i, j, r] for i, row in enumerate(ratio.tolist()) for j, r in enumerate(row))
     write_csv(path, ["caller_bin", "callee_bin", "ratio"], rows, header_comment)

@@ -362,7 +362,7 @@ def _cmd_graph(args, ctx: RunContext) -> dict:
     if args.evc:
         scores = socialgraph.eigenvector_centrality(g)
         ingest.write_csv(ctx.outputs.stage("evc.csv"), ["subscriber", "score"],
-                         ([sub, repr(scores[sub])] for sub in sorted(scores)), ctx.header)
+                         ([sub, scores[sub]] for sub in sorted(scores)), ctx.header)
     print(f"graph: {params['nodes']} nodes, {params['edges']} edges, "
           f"{params['components']} components")
     return params
@@ -377,7 +377,7 @@ def _cmd_adoption(args, ctx: RunContext) -> dict:
     g = _build_graph(ds, ctx.cfg)
     adopted, day_pos, days, source = _adopters(args, g, ctx)
     ingest.write_csv(ctx.outputs.stage("adopters.csv"), ["subscriber", "day"],
-                     ([g.ids[i], "" if d < 0 else days[d]]
+                     ([g.ids[i], None if d < 0 else days[d]]
                       for i, d in zip(np.flatnonzero(adopted).tolist(), day_pos[adopted].tolist())), ctx.header)
     snapshots = [g.induced((day_pos >= 0) & (day_pos <= i)) for i in range(len(days))] or [g.induced(adopted)]
     rows = adoption.component_evolution(snapshots)
@@ -680,7 +680,7 @@ def _cmd_correlate(args, ctx: RunContext) -> dict:
         r, n = spatial.raster_correlation(a, b)
     else:
         r, n = spatial.pearson_correlation(a, b)
-    ingest.write_csv(ctx.outputs.stage("correlate.csv"), ["r", "n"], [[repr(r), n]], ctx.header)
+    ingest.write_csv(ctx.outputs.stage("correlate.csv"), ["r", "n"], [[r, n]], ctx.header)
     print(f"correlate: r={r:.4f} over n={n}")
     return {"r": r, "n": n}
 
@@ -797,11 +797,11 @@ def _cmd_select_covariates(args, ctx: RunContext) -> dict:
     if not math.isfinite(result.model.aic):
         raise ValueError(f"{path}: response column {args.response!r} is fitted exactly by {result.selected} "
                          f"over its {len(y)} complete rows; AIC is undefined")
-    records = [["pruned", dropped, repr(r), f"correlated_with={partner}"]
+    records = [["pruned", dropped, r, f"correlated_with={partner}"]
                for dropped, partner, r in result.dropped_by_pruning]
-    records += [["selected", feat, repr(float(result.model.coef[i])), f"order={i}"]
+    records += [["selected", feat, result.model.coef[i], f"order={i}"]
                 for i, feat in enumerate(result.selected)]
-    records += [["model", name, repr(getattr(result.model, name)), ""] for name in ("intercept", "aic", "r2")]
+    records += [["model", name, getattr(result.model, name), None] for name in ("intercept", "aic", "r2")]
     ingest.write_csv(ctx.outputs.stage("selection.csv"), ["record", "feature", "value", "detail"],
                      records, ctx.header)
     print(f"select-covariates: kept {len(result.kept_after_pruning)}/{len(columns)} "

@@ -149,7 +149,8 @@ def load_config(path: str | None) -> dict[str, dict[str, object]]:
     cfg = default_config()
     if path is None:
         return cfg
-    parser = configparser.ConfigParser(interpolation=None)
+    # No section header can be empty, so [DEFAULT] reads as a plain section and fails the schema.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path, encoding="utf-8-sig") as fh:  # a byte order mark, as Notepad saves one, is skipped
             parser.read_file(fh)

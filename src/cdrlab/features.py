@@ -178,6 +178,6 @@ def extract_features(ds: Dataset, denominations: tuple[float, ...] | None = None
 def write_features_csv(ds: Dataset, columns: dict[str, np.ndarray], path: str,
                        header_comment: str | None = None) -> None:
     """One row per subscriber, fixed column order, absent (nan) values as empty cells."""
-    cells = [["" if math.isnan(v) else repr(v) for v in columns[name].tolist()] for name in FEATURE_ORDER]
+    cells = [columns[name].tolist() for name in FEATURE_ORDER]
     write_csv(path, ["subscriber", "home_tower"] + FEATURE_ORDER,
               zip(ds.subscribers(), home_tower(ds), *cells), header_comment)

@@ -41,7 +41,8 @@ input that is not a regular file (a FIFO; hashing would consume it) each
 mean a plain parse, never an error or another result.  The towers and labels
 files, a few thousand lines at most, are parsed every time.
 
-``write_csv`` writes output tables a row at a time through the csv module.
+``write_csv`` writes output tables a row at a time through the csv module,
+every cell under one rule (see there).
 The CDR and top-up writers format whole columns per chunk of rows instead,
 and join each chunk's lines at once; a table with an id that needs quoting
 goes through ``write_csv``'s row loop, so the bytes are the same either way.
@@ -168,13 +169,30 @@ def number(path: str, line: int, text: str, kind=float):
 def write_csv(path: str, columns, rows, header_comment: str | None = None) -> None:
     """Write an output table: the optional comment line, the header, the rows.
 
+    Every cell follows one rule: None and a float nan are empty cells, every
+    other float (numpy's too) is repr(float(x)), an infinity is a ValueError,
+    and ints and strings are written as the csv module writes them.
     Rows end in CRLF, the csv module's default; the comment line ends in LF.
     A row whose first cell starts with '#' is written fully quoted, so it
     does not read back as a comment line.
     """
     with open_text(path, "wt") as fh:
         _write_head(fh, columns, header_comment)
-        _write_rows(fh, rows)
+        _write_rows(fh, (list(map(_cell, row)) for row in rows))
+
+
+_FLOAT_TYPES = (float, np.floating)
+
+
+def _cell(x):
+    """x as write_csv writes it in a cell; the csv module writes a float as its repr."""
+    if isinstance(x, _FLOAT_TYPES):
+        if math.isfinite(x):
+            return float(x)
+        if math.isnan(x):
+            return ""
+        raise ValueError(f"cannot write {float(x)!r} in a CSV cell")
+    return "" if x is None else x
 
 
 def _write_head(fh, columns, header_comment: str | None) -> None:
@@ -832,8 +850,7 @@ def write_topup_csv(topups: TopUpTable, path: str, header_comment: str | None = 
 
 def write_towers_csv(towers: dict[str, Tower], path: str, header_comment: str | None = None) -> None:
     ordered = (towers[tid] for tid in sorted(towers))
-    rows = ([t.id, repr(float(t.lon)), repr(float(t.lat))] for t in ordered)
-    write_csv(path, ["id", "lon", "lat"], rows, header_comment)
+    write_csv(path, ["id", "lon", "lat"], ([t.id, t.lon, t.lat] for t in ordered), header_comment)
 
 
 def write_labels_csv(labels: dict[str, str], path: str, header_comment: str | None = None) -> None:

@@ -104,15 +104,13 @@ def run_campaign(
 
 
 def write_campaign_csv(outcome: CampaignOutcome, path: str, header_comment: str | None = None) -> None:
-    tr = outcome.treatment_renewal_rate
-    cr = outcome.control_renewal_rate
     rows = [
         ["size", len(outcome.treatment_ids), len(outcome.control_ids)],
         ["conversions", outcome.treatment_conversions, outcome.control_conversions],
-        ["conversion_rate", repr(outcome.treatment_rate), repr(outcome.control_rate)],
+        ["conversion_rate", outcome.treatment_rate, outcome.control_rate],
         ["renewals", outcome.treatment_renewals, outcome.control_renewals],
-        ["renewal_rate", "" if tr is None else repr(tr), "" if cr is None else repr(cr)],
-        ["z", repr(outcome.z), ""],
-        ["p_value", repr(outcome.p_value), ""],
+        ["renewal_rate", outcome.treatment_renewal_rate, outcome.control_renewal_rate],
+        ["z", outcome.z, None],
+        ["p_value", outcome.p_value, None],
     ]
     write_csv(path, ["metric", "treatment", "control"], rows, header_comment)

@@ -110,13 +110,8 @@ def _largest_remainder(counts: list[int], fraction: float, total_take: int) -> l
     return take
 
 
-def split_train_test(
-    table: LabeledTable,
-    fraction: float = 0.75,
-    seed: int = 0,
-    stratify: bool = True,
-) -> tuple[LabeledTable, LabeledTable]:
-    """Disjoint, exhaustive train/test split, stratified by label by default.
+def split_train_test(table: LabeledTable, fraction: float = 0.75, seed: int = 0) -> tuple[LabeledTable, LabeledTable]:
+    """Disjoint, exhaustive train/test split, stratified by label.
 
     The train side gets round(fraction * n) rows overall, allocated across
     classes by largest remainder so class proportions are preserved within
@@ -126,11 +121,6 @@ def split_train_test(
         raise ValueError("fraction must be in (0, 1)")
     n = len(table)
     n_train = int(round(fraction * n))
-    if not stratify:
-        order = derive_rng(seed, "split").permutation(n)
-        train_idx = sorted(order[:n_train].tolist())
-        test_idx = sorted(order[n_train:].tolist())
-        return table.take(train_idx), table.take(test_idx)
     classes = sorted(set(table.y.tolist()))
     members = {c: [i for i in range(n) if table.y[i] == c] for c in classes}
     takes = _largest_remainder([len(members[c]) for c in classes], fraction, n_train)

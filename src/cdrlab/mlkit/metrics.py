@@ -95,21 +95,10 @@ def evaluate(model, test, threshold: float = 0.5) -> EvalReport:
 
 
 def write_eval_csv(report: EvalReport, path: str, header_comment: str | None = None) -> None:
-    rows = [
-        ["accuracy", repr(report.accuracy)],
-        ["sensitivity", repr(report.sensitivity)],
-        ["specificity", repr(report.specificity)],
-        ["precision", "" if report.precision is None else repr(report.precision)],
-        ["auc", repr(report.auc)],
-        ["base_rate", repr(report.base_rate)],
-        ["tp", report.tp],
-        ["fp", report.fp],
-        ["tn", report.tn],
-        ["fn", report.fn],
-    ]
+    names = ("accuracy", "sensitivity", "specificity", "precision", "auc", "base_rate", "tp", "fp", "tn", "fn")
+    rows = ([name, getattr(report, name)] for name in names)
     write_csv(path, ["metric", "value"], rows, header_comment)
 
 
 def write_lift_csv(report: EvalReport, path: str, header_comment: str | None = None) -> None:
-    rows = ([d, n, pos, repr(lift)] for d, n, pos, lift in report.lift)
-    write_csv(path, ["decile", "population", "positives", "lift"], rows, header_comment)
+    write_csv(path, ["decile", "population", "positives", "lift"], report.lift, header_comment)

@@ -267,7 +267,7 @@ def adjacent_link_count(g: SocialGraph) -> int:
 
 
 def write_edges_csv(g: SocialGraph, path: str, header_comment: str | None = None) -> None:
-    write_csv(path, ["u", "v", "w"], ([u, v, repr(float(w))] for u, v, w in g.edges()), header_comment)
+    write_csv(path, ["u", "v", "w"], g.edges(), header_comment)
 
 
 def write_components_csv(report: ComponentReport, path: str, header_comment: str | None = None) -> None:

@@ -308,7 +308,7 @@ def _rank_fixture(surge: bool):
             for r in (3, 4, 5):
                 for off in (9 * 3600, 10 * 3600 + 2700, 14 * 3600):
                     cdrs.append(voice(f"A{i}", f"c{i}_{r}", "T1", base + off + 10 * r + i))
-        if surge and d == 2:           # 24 extra callers hit rank 1 at +25min, 3..5 at +45min
+        if surge and d == 1:           # 24 extra callers hit rank 1 at +25min, 3..5 at +45min
             for i in range(4, 28):
                 cdrs.append(voice(f"A{i}", f"c{i}_1", "T1", base + 10 * 3600 + 1500 + i))
                 for r in (3, 4, 5):
@@ -318,10 +318,9 @@ def _rank_fixture(surge: bool):
 
 
 def test_c08_rank_activation_peak_ordering():
-    event_time = T0 + 2 * DAY + 10 * 3600
-    rc = rank_activation_curves(_rank_fixture(True), event_time,
-                                comparison_days=[T0 + DAY],
-                                rank_window=(T0, T0 + DAY))
+    # event day 1, comparison day 2: the ranks come from day 0 alone
+    event_time = T0 + DAY + 10 * 3600
+    rc = rank_activation_curves(_rank_fixture(True), event_time, comparison_days=[T0 + 2 * DAY])
 
     def peak_offset(k: int) -> int:
         defined = [(v, off) for v, off in zip(rc.ratio[k], rc.offsets) if v is not None]
@@ -337,9 +336,7 @@ def test_c08_rank_activation_peak_ordering():
         assert pk == 10 * 3600 + 2700
         assert p1 < pk
 
-    flat = rank_activation_curves(_rank_fixture(False), event_time,
-                                  comparison_days=[T0 + DAY],
-                                  rank_window=(T0, T0 + DAY))
+    flat = rank_activation_curves(_rank_fixture(False), event_time, comparison_days=[T0 + 2 * DAY])
     defined = [v for k in (1, 2, 3, 4, 5) for v in flat.ratio[k] if v is not None]
     assert defined and all(v == 1.0 for v in defined)
     print(f"criterion 08 (rank-activation curves): PASS rank-1 peak at +25min, "
@@ -466,7 +463,7 @@ def test_c11_mlp_softplus_gradients_and_separable_auc():
                    rng.normal(0, 1, (m // 2, 2)) + [2.5, 0.0]])
     y = np.array([0.0] * (m // 2) + [1.0] * (m // 2))
     table = LabeledTable(ids=[f"r{i}" for i in range(m)], X=X, y=y, columns=["f1", "f2"])
-    train_tab, test_tab = split_train_test(table, 0.75, seed=3, stratify=True)
+    train_tab, test_tab = split_train_test(table, 0.75, seed=3)
     model = mk_models.train(train_tab, family="mlp", seed=3)
     report = mk_metrics.evaluate(model, test_tab)
     assert report.auc >= 0.95, f"separable-table AUC {report.auc}"

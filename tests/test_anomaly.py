@@ -431,24 +431,24 @@ def test_rank_activation_curves_quantitative():
         voice("C", "D", "T1", T0 + 400), voice("C", "D", "T1", T0 + 500),
         voice("C", "Y", "T1", T0 + 600),
     ]
-    comparison_day = [
-        voice("A", "B", "T1", T0 + DAY + 10 * 3600),
-        voice("C", "Y", "T1", T0 + DAY + 10 * 3600),
-    ]
+    # the comparison day follows the event day, so the ranks come from the rank day alone
     event_day = [
-        voice("A", "B", "T1", T0 + 2 * DAY + 10 * 3600),
-        voice("C", "D", "T1", T0 + 2 * DAY + 10 * 3600),
+        voice("A", "B", "T1", T0 + DAY + 10 * 3600),
+        voice("C", "D", "T1", T0 + DAY + 10 * 3600),
     ]
-    ds = make_dataset(rank_day + comparison_day + event_day, window=(T0, T0 + 3 * DAY))
+    comparison_day = [
+        voice("A", "B", "T1", T0 + 2 * DAY + 10 * 3600),
+        voice("C", "Y", "T1", T0 + 2 * DAY + 10 * 3600),
+    ]
+    ds = make_dataset(rank_day + event_day + comparison_day, window=(T0, T0 + 3 * DAY))
     curves = an.rank_activation_curves(
         ds,
-        event_time=T0 + 2 * DAY + 11 * 3600,
+        event_time=T0 + DAY + 11 * 3600,
         ranks=(1, 2),
         bin_width=3600,
-        comparison_days=[T0 + DAY],
-        rank_window=(T0, T0 + DAY),
+        comparison_days=[T0 + 2 * DAY],
     )
-    assert curves.event_day == T0 + 2 * DAY
+    assert curves.event_day == T0 + DAY
     assert len(curves.offsets) == 24 and curves.offsets[10] == 36000
     assert curves.event_fraction[1][10] == pytest.approx(1.0)   # A and C both
     assert curves.comparison_mean[1][10] == pytest.approx(0.5)  # only A

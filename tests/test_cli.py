@@ -580,6 +580,15 @@ def test_correlate_tables_and_type_mismatch(tmp_path):
                      "--outdir", str(tmp_path / "corr2")]) == 2
 
 
+def test_an_infinite_output_cell_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    a = tmp_path / "a.csv"
+    a.write_text("area,value\nx,1\ny,2\nz,3\n")
+    monkeypatch.setattr(spatial, "pearson_correlation", lambda a, b: (math.inf, 3))
+    assert cli.main(["correlate", "--a", str(a), "--b", str(a), "--outdir", str(tmp_path / "corr")]) == 2
+    assert "cannot write inf in a CSV cell" in capsys.readouterr().err
+    assert not list((tmp_path / "corr").glob("*"))
+
+
 def test_select_covariates_command(tmp_path):
     rng = np.random.default_rng(26)
     x1 = rng.normal(size=40)
@@ -906,7 +915,9 @@ def test_malformed_model_file_exits_2(tmp_path, capsys, command, doc, named):
     ("train", "[model]\nfamily = svm\n", "[model] family: unknown family 'svm'"),
     ("synth", "[synth]\ndenominations =\n", "need at least one recharge denomination"),
     ("graph", "[graph]\nsms_weight = nan\n", "bad value for graph.sms_weight: not a finite number: 'nan'"),
-], ids=["class_weight 5", "class_weight 12", "hidden 0", "batch_size 0", "family", "no denominations", "nan weight"])
+    ("synth", "[DEFAULT]\nsubscribers = 7\n[synth]\ntowers = 5\n", "unknown config section [DEFAULT]"),
+], ids=["class_weight 5", "class_weight 12", "hidden 0", "batch_size 0", "family", "no denominations", "nan weight",
+        "DEFAULT section"])
 def test_bad_config_value_exits_2(synth_dir, features_dir, tmp_path, capsys, command, ini, named):
     cfg = tmp_path / "run.ini"
     cfg.write_text(ini)

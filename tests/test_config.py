@@ -48,6 +48,11 @@ def test_unknown_section_and_key_rejected(tmp_path):
         load_config(write_cfg(tmp_path, "[synht]\nsubscribers = 10\n"))
     with pytest.raises(ConfigError, match="unknown key 'subscriber'"):
         load_config(write_cfg(tmp_path, "[synth]\nsubscriber = 10\n"))
+    # configparser's [DEFAULT] would feed its keys to every section past the schema
+    for text in ("[DEFAULT]\nsubscribers = 7\n", "[DEFAULT]\nsubscribers = 7\n[synth]\ntowers = 5\n",
+                 "[DEFAULT]\nsubscribers = 7\n[synth]\ntowers = 5\n[run]\nseed = 1\n"):
+        with pytest.raises(ConfigError, match=r"^unknown config section \[DEFAULT\]$"):
+            load_config(write_cfg(tmp_path, text))
 
 
 def test_bad_values_rejected(tmp_path):

@@ -4,6 +4,7 @@ import gzip
 import io
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -268,6 +269,35 @@ def test_labels_round_trip(tmp_path):
     labels, report = ingest.parse_labels_file(str(p))
     assert labels == {"A": "low", "B": "high"}
     assert report.rejects == [] and report.total_rows == 2
+
+
+# -- the cell rule -----------------------------------------------------------------
+
+# nan, -0.0, subnormals and magnitudes past 1e16, also as numpy floats
+CELL_FLOAT = st.one_of(st.floats(allow_infinity=False),
+                       st.sampled_from([-0.0, 5e-324, 1.1e-308, 1e16, 2.0 ** 60, -1.5e300, math.nan]))
+
+
+def former_cell(x):
+    """A cell as each writer formatted it itself before write_csv held the rule."""
+    return "" if x is None or math.isnan(x) else repr(float(x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.one_of(st.none(), CELL_FLOAT, CELL_FLOAT.map(np.float64)), min_size=1, max_size=6))
+def test_write_csv_cells_match_the_former_per_writer_format(tmp_path_factory, values):
+    d = tmp_path_factory.mktemp("cells")
+    columns = ["id"] + [f"c{i}" for i in range(len(values))]
+    ingest.write_csv(str(d / "raw.csv"), columns, [["s1", *values]], "# x")
+    ingest.write_csv(str(d / "former.csv"), columns, [["s1", *map(former_cell, values)]], "# x")
+    assert (d / "raw.csv").read_bytes() == (d / "former.csv").read_bytes()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, np.float64(math.inf), np.float64(-math.inf)],
+                         ids=["inf", "-inf", "numpy inf", "numpy -inf"])
+def test_write_csv_refuses_an_infinity(tmp_path, value):
+    with pytest.raises(ValueError, match="cannot write -?inf in a CSV cell"):
+        ingest.write_csv(str(tmp_path / "t.csv"), ["id", "x"], [["s1", 1.5], ["s2", value]])
 
 
 # -- streaming row reader ----------------------------------------------------------

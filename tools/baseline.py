@@ -5,7 +5,11 @@ The workload is the ROADMAP's pinned Baseline: ``[synth]`` 5,000 subscribers,
 CDRs.  Every step runs as ``python3 -m cdrlab.cli`` with ``PYTHONPATH`` set to
 a copy of the ``src`` of the checkout being measured.  The steps run in order,
 because later steps read what ``synth``, ``features`` and ``train`` wrote.
-The samples file that ``idw`` reads is written before the chain and not timed.
+The side files that ``idw``, ``correlate`` and ``campaign`` read are written
+after ``features`` and not timed; ``side_files`` derives them as
+``tests/test_golden.py`` does, but takes the subscribers from the complete rows
+of ``features.csv``: under the Baseline's default ``na_policy = drop`` those
+are the rows ``campaign`` keeps, and a control id outside them is exit 2.
 
 Each step starts through ``LAUNCHER``, a ``python3 -S`` process that spawns the
 step, reaps it with ``os.wait4`` and reports the step's wall time (spawn to
@@ -18,7 +22,8 @@ little it used.  The launcher is small, so the floor it passes on is its own.
     python3 tools/baseline.py --src ../parent --src . --repeat 3 --out BENCH.json
 
 Each ``--src`` names one checkout.  The chain runs ``--repeat`` times per
-checkout, and the checkouts take turns, so a drift in the machine's speed
+checkout, and the checkouts take turns, in reverse order every other run, so
+a drift in the machine's speed, or a cost of running after another chain,
 falls on all of them.  Each checkout's ``src/`` is copied first, and every
 copy lies at a path of the same length: on the Baseline extract, ``graph``
 peaked 3 to 6 MB apart with nothing changed but the directory it imported
@@ -52,8 +57,6 @@ import numpy
 CONFIG = "[synth]\nsubscribers = 5000\ntowers = 60\ndays = 28\nevent_rate = 6.0\n"
 DATA = ("--cdr", "synth/cdr.csv", "--topups", "synth/topups.csv", "--towers", "synth/towers.csv")
 FEATURES = ("--features", "features/features.csv", "--labels", "synth/labels.csv")
-# idw's samples: a fixed value for each of the 60 towers synth names T000..T059, as tests/test_golden.py gives them.
-SAMPLES = "area,value\n" + "".join(f"T{i:03d},{i % 7 + 0.5}\n" for i in range(60))
 STEPS = (
     ("synth", ("synth", "--seed", "11")),
     ("ingest-check", ("ingest-check", *DATA, "--labels", "synth/labels.csv")),
@@ -72,9 +75,25 @@ STEPS = (
                          "--comparison-days", "2016-05-13,2016-05-06", *DATA)),
     ("voronoi", ("voronoi", "--towers", "synth/towers.csv")),
     ("idw --samples", ("idw", "--towers", "synth/towers.csv", "--samples", "samples.csv")),
+    ("correlate", ("correlate", "--a", "samples.csv", "--b", "other.csv")),
     ("train", ("train", "--family", "logistic", "--seed", "2", *FEATURES)),
     ("eval", ("eval", *FEATURES, "--model", "train/model.json", "--test-ids", "train/test_ids.csv")),
+    ("select-covariates", ("select-covariates", "--table", "features/features.csv", "--response", "degree")),
+    ("campaign", ("campaign", *DATA, "--model", "train/model.json", "--features", "features/features.csv",
+                  "--control", "control.csv", "--outcomes", "outcomes.csv", "--treatment-size", "500")),
 )
+
+
+def side_files(work: Path) -> None:
+    """The inputs of idw, correlate and campaign, derived from synth's towers and the complete feature rows."""
+    towers = [ln.split(",")[0] for ln in (work / "synth" / "towers.csv").read_text().splitlines()[2:]]
+    rows = [ln.split(",") for ln in (work / "features" / "features.csv").read_text().splitlines()[2:]]
+    subs = [cells[0] for cells in rows if "" not in cells]
+    (work / "samples.csv").write_text("area,value\n" + "".join(f"{t},{i % 7 + 0.5}\n" for i, t in enumerate(towers)))
+    (work / "other.csv").write_text("area,value\n" + "".join(f"{t},{i * i % 11}\n" for i, t in enumerate(towers)))
+    (work / "control.csv").write_text("subscriber\n" + "".join(f"{s}\n" for s in subs[::5]))
+    (work / "outcomes.csv").write_text("subscriber,converted,renewed\n"
+                                       + "".join(f"{s},{i % 3 == 0:d},{i % 4 == 0:d}\n" for i, s in enumerate(subs)))
 
 
 # Run as ``python3 -S -c LAUNCHER cmd...``: spawns cmd with its stdout on the null
@@ -129,10 +148,11 @@ def _chain(src: Path) -> tuple[dict, dict]:
         work = Path(tmp)
         env = dict(os.environ, PYTHONPATH=str(src), XDG_CACHE_HOME=str(work / "cache"))
         (work / "run.ini").write_text(CONFIG)
-        (work / "samples.csv").write_text(SAMPLES)
         steps, digests = {}, {}
         for name, argv in STEPS:
             steps[name] = _run(env, work, name, argv)
+            if name == "features" and not steps[name]["exit"]:
+                side_files(work)
             if (work / _outdir(name)).is_dir():
                 digests[name] = _digests(work / _outdir(name))
         return steps, digests
@@ -155,8 +175,8 @@ def main(argv=None) -> int:
         copies = {src: Path(tmp) / f"{i:0{width}d}" / "src" for i, src in enumerate(srcs)}
         for src, copy in copies.items():
             shutil.copytree(src / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
-        for _ in range(args.repeat):
-            for src in srcs:
+        for i in range(args.repeat):
+            for src in srcs[::-1] if i % 2 else srcs:
                 steps, digests[src] = _chain(copies[src])
                 runs[src].append(steps)
                 print(_commit(src), {name: (s["wall_s"], s["peak_rss_mb"], s["exit"]) for name, s in steps.items()},
