@@ -2,16 +2,17 @@
 
 The sigma model flags bins whose value sits more than threshold_sigma
 sample standard deviations from a baseline mean; baselines are the whole
-series, per hour-of-day cells, or per (weekday, hour) cells.  Flow networks
-count inter-area movements per day, with symmetry and per-weekday anomaly
-tests.  Rank-activation curves measure who calls their closest contacts in
-the minutes after an event.
+series, per hour-of-day cells, or per (weekday, hour) cells, each bin's
+cell taken from one array expression.  Flow networks count inter-area
+movements per day of the window, all days in one grouped pass that gives
+one ``FlowCounts`` table, with symmetry and per-weekday anomaly tests read
+from its arrays.  Rank-activation curves measure who calls their closest
+contacts in the minutes after an event.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,8 @@ from .spatial import pearson_r
 DEFAULT_THRESHOLD_SIGMA = 3.0
 
 BASELINES = ("global_mean", "hour_of_day", "weekday_hour")
+MEASURES = ("call_count", "recharge_amount", "recharge_count")
+FLOW_MODES = ("first_last", "per_transition")
 
 
 @dataclass
@@ -32,9 +35,6 @@ class TimeSeries:
     bin_width: int
     start: int
     values: np.ndarray
-
-    def bin_start(self, index: int) -> int:
-        return self.start + index * self.bin_width
 
 
 @dataclass
@@ -75,14 +75,19 @@ class AnomalyReport:
 
 
 @dataclass
-class FlowNetwork:
-    day: int  # UTC day start, epoch seconds
-    od: dict[tuple[str, str], int]
+class FlowCounts:
+    """The flows of every UTC day of a window that pass the filters, sorted by (day, pair)."""
+
+    days: np.ndarray  # the window's UTC day starts, epoch seconds
+    areas: list[str]  # sorted
+    day: np.ndarray  # per flow, its position in days
+    pair: np.ndarray  # per flow, origin * len(areas) + dest
+    count: np.ndarray  # per flow, its movements (> 0)
 
 
-def _weekday(ts: int) -> int:
+def _weekdays(ts: np.ndarray) -> np.ndarray:
     # Monday = 0; epoch day 0 (1970-01-01) was a Thursday.
-    return (int(ts) // SECONDS_PER_DAY + 3) % 7
+    return (ts // SECONDS_PER_DAY + 3) % 7
 
 
 def bin_series(
@@ -99,7 +104,7 @@ def bin_series(
     top-ups located at the retailer tower.  One pass over the events fills
     every series; they come back in the order given.
     """
-    if measure not in ("call_count", "recharge_amount", "recharge_count"):
+    if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
@@ -154,16 +159,6 @@ def _area_codes(tower_ids: tuple[str, ...], area_map: dict[str, str],
     return areas, area
 
 
-def _baseline_cell_key(ts: TimeSeries, baseline: str, index: int):
-    if baseline == "global_mean":
-        return 0
-    bin_ts = ts.bin_start(index)
-    hour = (bin_ts % SECONDS_PER_DAY) // 3600
-    if baseline == "hour_of_day":
-        return int(hour)
-    return (_weekday(bin_ts), int(hour))
-
-
 def detect_anomalies(
     ts: TimeSeries,
     baseline: str = "hour_of_day",
@@ -177,20 +172,20 @@ def detect_anomalies(
     """
     if baseline not in BASELINES:
         raise ValueError(f"unknown baseline {baseline!r}")
-    cells: dict = {}
-    for i in range(len(ts.values)):
-        cells.setdefault(_baseline_cell_key(ts, baseline, i), []).append(i)
-    for key, members in cells.items():
-        if len(members) < 2:
-            raise ValueError(
-                f"baseline cell {key!r} has {len(members)} sample(s); need at least 2"
-            )
-    stats = {}
-    for key, members in cells.items():
-        vals = ts.values[members]
-        stats[key] = (float(vals.mean()), float(vals.std(ddof=1)))
-    flags = [_flag(i, ts.bin_start(i), v, *stats[_baseline_cell_key(ts, baseline, i)], threshold_sigma)
-             for i, v in enumerate(ts.values)]
+    starts = ts.start + ts.bin_width * np.arange(len(ts.values), dtype=np.int64)
+    hour = starts % SECONDS_PER_DAY // 3600
+    cell = {"global_mean": np.zeros_like(hour), "hour_of_day": hour, "weekday_hour": _weekdays(starts) * 24 + hour}[baseline]
+    counts = np.bincount(cell)
+    small = np.flatnonzero(counts[cell] < 2)
+    if len(small):
+        c = int(cell[small[0]])
+        key = divmod(c, 24) if baseline == "weekday_hour" else c
+        raise ValueError(f"baseline cell {key!r} has {counts[c]} sample(s); need at least 2")
+    # each cell's values in bin order, cell after cell; a cell no bin falls in is empty and has no stats
+    by_cell = np.split(ts.values[np.argsort(cell, kind="stable")], np.cumsum(counts)[:-1])
+    stats = [(float(vals.mean()), float(vals.std(ddof=1))) if len(vals) else None for vals in by_cell]
+    flags = [_flag(i, start, v, *stats[c], threshold_sigma)
+             for i, (start, v, c) in enumerate(zip(starts.tolist(), ts.values, cell.tolist()))]
     return AnomalyReport(ts.entity, [f for f in flags if f is not None])
 
 
@@ -207,118 +202,108 @@ def area_centroids(towers, area_map: dict[str, str]) -> dict[str, tuple[float, f
 
 def build_flow_network(
     ds: Dataset,
-    day: int,
     area_map: dict[str, str],
     min_count: int = 10,
     min_distance_km: float = 10.0,
     mode: str = "first_last",
-) -> FlowNetwork:
-    """Inter-area movements for one UTC day.
+) -> FlowCounts:
+    """Inter-area movements on each UTC day of the window.
 
-    first_last: one movement per SIM, from its first to its last observed
-    area that day; SIMs whose first and last areas coincide contribute
-    nothing.  per_transition: every consecutive area change contributes.
-    Flows below min_count or between centroids closer than min_distance_km
-    are dropped.
+    first_last: one movement per SIM and day, from its first to its last
+    observed area that day; SIMs whose first and last areas coincide
+    contribute nothing.  per_transition: every consecutive area change
+    within a day contributes.  Flows below min_count or between centroids
+    closer than min_distance_km are dropped.
     """
-    if mode not in ("first_last", "per_transition"):
+    if mode not in FLOW_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    day = day_start(day)
+    first = day_start(ds.window[0])
+    days = np.arange(first, ds.window[1], SECONDS_PER_DAY, dtype=np.int64)
     c = ds.cdrs
-    rows = ds.cdrs_between(day, day + SECONDS_PER_DAY)
+    rows = ds.cdrs_between(first, first + len(days) * SECONDS_PER_DAY)
     areas, area = _area_codes(c.tower_ids, area_map, c.tower[rows])
-    # Each SIM's areas in time order, SIM after SIM.
-    caller = c.caller[rows]
-    order = np.argsort(caller, kind="stable")
-    caller, area = caller[order], area[order]
-    same = caller[1:] == caller[:-1]
+    # Each SIM's areas in time order, per day: day after day, SIM after SIM.
+    subs = len(c.subscriber_ids)
+    key = (c.ts[rows] - first) // SECONDS_PER_DAY * subs + c.caller[rows]
+    order = np.argsort(key, kind="stable")
+    # one gather at a time: each array is as long as the window's rows
+    key = key[order]
+    area = area[order]
+    same = key[1:] == key[:-1]
     if mode == "first_last":
-        first = np.ones(len(caller), dtype=bool)
-        first[1:] = ~same
-        last = np.ones(len(caller), dtype=bool)
-        last[:-1] = ~same
-        origin, dest = area[first], area[last]
+        head = np.ones(len(key), dtype=bool)
+        head[1:] = ~same
+        tail = np.ones(len(key), dtype=bool)
+        tail[:-1] = ~same
+        key, origin, dest = key[head], area[head], area[tail]
     else:
-        origin, dest = area[:-1][same], area[1:][same]
+        key, origin, dest = key[1:][same], area[:-1][same], area[1:][same]
     moved = origin != dest
-    pairs, counts = np.unique(origin[moved] * len(areas) + dest[moved], return_counts=True)
+    n = len(areas)
+    flows, counts = np.unique((key[moved] // subs * n + origin[moved]) * n + dest[moved], return_counts=True)
+    flows, counts = flows[counts >= min_count], counts[counts >= min_count]
+    day, pair = np.divmod(flows, n * n)
     # Every area that a row's tower maps to has a centroid; NaN stands for the others.
     centroids = area_centroids(ds.towers, area_map)
     at = np.array([centroids.get(x, (np.nan, np.nan)) for x in areas]).reshape(-1, 2)
-    pairs, counts = pairs[counts >= min_count], counts[counts >= min_count]
-    a, b = np.divmod(pairs, len(areas))
+    a, b = np.divmod(pair, n)
     far = ~(haversine_km_to(at[a, 0], at[a, 1], at[b, 0], at[b, 1]) < min_distance_km)
-    od = {(areas[i], areas[j]): n for i, j, n in zip(a[far].tolist(), b[far].tolist(), counts[far].tolist())}
-    return FlowNetwork(day=day, od=od)
+    return FlowCounts(days, areas, day[far], pair[far], counts[far])
 
 
-def flow_symmetry(flows: list[FlowNetwork]) -> float:
+def flow_symmetry(flows: FlowCounts) -> float:
     """Pearson correlation of day-averaged A->B vs B->A over unordered pairs."""
-    if not flows:
+    if not len(flows.days):
         raise ValueError("no flow networks given")
-    pairs = set()
-    for fn in flows:
-        for a, b in fn.od:
-            pairs.add((min(a, b), max(a, b)))
+    a, b = np.divmod(flows.pair, len(flows.areas))
+    pairs, at = np.unique(np.minimum(a, b) * len(flows.areas) + np.maximum(a, b), return_inverse=True)
     if len(pairs) < 2:
         raise ValueError("need at least two pairs with flow for a correlation")
-    xs, ys = [], []
-    n_days = len(flows)
-    for a, b in sorted(pairs):
-        xs.append(sum(fn.od.get((a, b), 0) for fn in flows) / n_days)
-        ys.append(sum(fn.od.get((b, a), 0) for fn in flows) / n_days)
-    return pearson_r(np.asarray(xs), np.asarray(ys), "degenerate flow variance; correlation undefined")
+    xs, ys = (np.bincount(at[way], flows.count[way], len(pairs)) / len(flows.days) for way in (a < b, a > b))
+    return pearson_r(xs, ys, "degenerate flow variance; correlation undefined")
 
 
 def detect_flow_anomalies(
-    flows: list[FlowNetwork],
+    flows: FlowCounts,
     threshold_sigma: float = DEFAULT_THRESHOLD_SIGMA,
-    baseline_days: set[int] | None = None,
+    baseline_days: int = 0,
 ) -> dict[tuple[str, str], AnomalyReport]:
     """Per-directed-pair weekday-baseline anomaly test over daily flows.
 
-    Only pairs with strictly positive flow on every day are tested.  The
-    baseline mean is per weekday over baseline_days (default: all days);
+    Only pairs with flow on every day are tested.  The baseline is the
+    first baseline_days days (0: all days); its mean is per weekday, and
     sigma pools the residuals about those weekday means across the pair's
     baseline days, because a per-weekday sigma from a handful of samples
     cannot exceed its own 3-sigma band even for a huge surge.
     """
-    if not flows:
+    n_days = len(flows.days)
+    if not n_days:
         raise ValueError("no flow networks given")
-    days = [fn.day for fn in flows]
-    if baseline_days is None:
-        baseline = list(range(len(flows)))
-    else:
-        baseline = [i for i, d in enumerate(days) if d in baseline_days]
-        if len(baseline) != len(baseline_days):
-            raise ValueError("baseline_days not all present in flows")
-    weekdays = [_weekday(d) for d in days]
-    tested = sorted(
-        pair
-        for pair in {p for fn in flows for p in fn.od}
-        if all(fn.od.get(pair, 0) > 0 for fn in flows)
-    )
-    needed = {weekdays[i] for i in range(len(flows))}
-    base_weekday_counts = Counter(weekdays[i] for i in baseline)
-    for w in needed:
-        if base_weekday_counts[w] < 2:
-            raise ValueError(f"weekday {w} has {base_weekday_counts[w]} baseline day(s); need at least 2")
-    cells = len(base_weekday_counts)
-    dof = len(baseline) - cells
-    if dof < 1:
-        raise ValueError("not enough baseline days to estimate sigma")
-
+    if baseline_days < 0:
+        raise ValueError(f"baseline_days must be >= 0, got {baseline_days}")
+    weekday = _weekdays(flows.days)
+    base = weekday[:baseline_days or n_days]
+    base_counts = np.bincount(base, minlength=7)
+    for w in np.unique(weekday).tolist():
+        if base_counts[w] < 2:
+            raise ValueError(f"weekday {w} has {base_counts[w]} baseline day(s); need at least 2")
+    # each weekday the window holds has 2 or more baseline days, so dof >= 1
+    dof = len(base) - np.count_nonzero(base_counts)
+    pairs, at, days_with_flow = np.unique(flows.pair, return_inverse=True, return_counts=True)
+    series = np.zeros((len(pairs), n_days))
+    series[at, flows.day] = flows.count
+    days = flows.days.tolist()
     reports = {}
-    for pair in tested:
-        series = np.array([float(fn.od[pair]) for fn in flows])
-        mu = {}
-        for w in base_weekday_counts:
-            members = [i for i in baseline if weekdays[i] == w]
-            mu[w] = float(series[members].mean())
-        resid_sq = sum((series[i] - mu[weekdays[i]]) ** 2 for i in baseline)
-        sigma = math.sqrt(resid_sq / dof)
-        flags = [_flag(i, days[i], series[i], mu[weekdays[i]], sigma, threshold_sigma)
-                 for i in range(len(flows))]
+    for p in np.flatnonzero(days_with_flow == n_days).tolist():
+        in_base = series[p, :len(base)]
+        mu = np.zeros(7)
+        for w in np.unique(base).tolist():
+            mu[w] = in_base[base == w].mean()
+        # each residual squared by itself, as pow() rounds it, not numpy's array square
+        sigma = math.sqrt(sum(r ** 2 for r in in_base - mu[base]) / dof)
+        flags = [_flag(i, days[i], v, mu[weekday[i]], sigma, threshold_sigma) for i, v in enumerate(series[p])]
+        origin, dest = divmod(int(pairs[p]), len(flows.areas))
+        pair = (flows.areas[origin], flows.areas[dest])
         reports[pair] = AnomalyReport(("pair",) + pair, [f for f in flags if f is not None])
     return reports
 
@@ -493,9 +478,12 @@ def write_anomalies_csv(reports, path: str, header_comment: str | None = None) -
               rows, header_comment)
 
 
-def write_flows_csv(fn: FlowNetwork, path: str, header_comment: str | None = None) -> None:
-    write_csv(path, ["origin", "dest", "count"], ([a, b, fn.od[(a, b)]] for a, b in sorted(fn.od)),
-              header_comment)
+def write_flows_csv(flows: FlowCounts, day_position: int, path: str, header_comment: str | None = None) -> None:
+    """The flows of the day at day_position in flows.days."""
+    lo, hi = np.searchsorted(flows.day, [day_position, day_position + 1]).tolist()
+    a, b = np.divmod(flows.pair[lo:hi], len(flows.areas))
+    rows = ([flows.areas[i], flows.areas[j], n] for i, j, n in zip(a.tolist(), b.tolist(), flows.count[lo:hi].tolist()))
+    write_csv(path, ["origin", "dest", "count"], rows, header_comment)
 
 
 def write_rank_curves_csv(curves: RankCurves, path: str, header_comment: str | None = None) -> None:

@@ -473,8 +473,12 @@ def _parse_entity(text: str) -> tuple:
 def _cmd_anomaly(args, ctx: RunContext) -> dict:
     from . import anomaly
 
-    ds, _, _ = _load_dataset(args, ctx.cfg)
     a = ctx.cfg["anomaly"]
+    if a["measure"] not in anomaly.MEASURES:
+        raise ValueError(f"[anomaly] measure = {a['measure']}: unknown measure {a['measure']!r}")
+    if a["bin_width"] <= 0:
+        raise ValueError(f"[anomaly] bin_width = {a['bin_width']}: bin_width must be positive")
+    ds, _, _ = _load_dataset(args, ctx.cfg)
     area_map = _read_area_map(args.areas) if args.areas else None
     if args.per_tower:
         entities = [("tower", t) for t in sorted(ds.towers)]
@@ -510,32 +514,29 @@ def _cmd_anomaly(args, ctx: RunContext) -> dict:
 def _cmd_flows(args, ctx: RunContext) -> dict:
     from . import anomaly
 
-    ds, _, _ = _load_dataset(args, ctx.cfg)
     f = ctx.cfg["flows"]
+    if f["mode"] not in anomaly.FLOW_MODES:
+        raise ValueError(f"[flows] mode = {f['mode']}: unknown mode {f['mode']!r}")
+    if f["baseline_days"] < 0:
+        raise ValueError(f"[flows] baseline_days = {f['baseline_days']}: baseline_days must be >= 0")
+    ds, _, _ = _load_dataset(args, ctx.cfg)
     area_map = _read_area_map(args.areas) if args.areas else {t: t for t in ds.towers}
-    first = day_start(ds.window[0])
-    day_list = list(range(first, ds.window[1], SECONDS_PER_DAY))
-    nets = [
-        anomaly.build_flow_network(ds, day, area_map, min_count=f["min_count"],
-                                   min_distance_km=f["min_distance_km"], mode=f["mode"])
-        for day in day_list
-    ]
-    for net in nets:
-        anomaly.write_flows_csv(net, ctx.outputs.stage(f"flows_{_day_label(net.day)}.csv"),
+    flows = anomaly.build_flow_network(ds, area_map, min_count=f["min_count"],
+                                       min_distance_km=f["min_distance_km"], mode=f["mode"])
+    n_days = len(flows.days)
+    for i, day in enumerate(flows.days.tolist()):
+        anomaly.write_flows_csv(flows, i, ctx.outputs.stage(f"flows_{_day_label(day)}.csv"),
                                 header_comment=ctx.header)
-    params: dict = {"days": len(nets), "mode": f["mode"],
-                    "pairs_last_day": len(nets[-1].od) if nets else 0}
+    params: dict = {"days": n_days, "mode": f["mode"],
+                    "pairs_last_day": int((flows.day == n_days - 1).sum())}
     try:
-        params["symmetry_r"] = anomaly.flow_symmetry(nets)
+        params["symmetry_r"] = anomaly.flow_symmetry(flows)
     except ValueError as exc:
         params["symmetry_r"] = None
         params["symmetry_note"] = str(exc)
-    baseline_days = None
-    if f["baseline_days"] > 0:
-        baseline_days = set(day_list[: f["baseline_days"]])
     try:
-        reports = anomaly.detect_flow_anomalies(nets, threshold_sigma=ctx.cfg["anomaly"]["threshold_sigma"],
-                                                baseline_days=baseline_days)
+        reports = anomaly.detect_flow_anomalies(flows, threshold_sigma=ctx.cfg["anomaly"]["threshold_sigma"],
+                                                baseline_days=f["baseline_days"])
     except ValueError as exc:
         reports = {}
         params["anomaly_note"] = str(exc)
@@ -545,7 +546,7 @@ def _cmd_flows(args, ctx: RunContext) -> dict:
     )
     flags = sum(len(r.flags) for r in reports.values())
     sym = params["symmetry_r"]
-    print(f"flows: {len(nets)} days, symmetry r={sym if sym is None else round(sym, 4)}, "
+    print(f"flows: {n_days} days, symmetry r={sym if sym is None else round(sym, 4)}, "
           f"{flags} flow anomalies")
     params["flow_flags"] = flags
     return params
@@ -826,6 +827,10 @@ def _cmd_campaign(args, ctx: RunContext) -> dict:
         raise ValueError("feature columns do not match the model schema")
     table = _labeled_table(args.features, ids, columns, rows, [0.0] * len(ids), ctx.cfg["model"]["na_policy"])
     control = _read_id_list(args.control)
+    dropped = sorted(set(control) & set(ids) - set(table.ids))
+    if dropped:
+        raise ValueError(f"{args.features}: control ids {dropped[:5]} have a blank feature cell, and "
+                         f"na_policy={ctx.cfg['model']['na_policy']} drops their rows")
     path = args.outcomes
     header, rows = _side_rows(path, ("converted", "renewed"), key="subscriber")
     s, c, w = (header.index(name) for name in ("subscriber", "converted", "renewed"))

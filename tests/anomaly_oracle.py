@@ -6,18 +6,30 @@ caller's contacts in one pass and must give each caller the same codes in the
 same order, cut at its ``max_rank``.
 
 ``area_centroids`` summed each area's tower coordinates in a loop,
-``build_flow_network`` measured each origin-destination pair's centroids with
-one scalar ``haversine_km`` call and ``distance_activation_matrix`` binned each
-tower with one; the array forms in ``anomaly`` must give the same centroids,
-flows and matrices, bit for bit.
+``build_flow_network`` built one day's flows at a time as a dict keyed by
+(origin, dest) names and measured each pair's centroids with one scalar
+``haversine_km`` call, and ``distance_activation_matrix`` binned each tower
+with one; the array forms in ``anomaly`` must give the same centroids, flows
+and matrices, bit for bit.
+
+``flow_symmetry`` and ``detect_flow_anomalies`` read those per-day dicts, a
+list of (day start, {(origin, dest): count}), and ``detect_anomalies`` keyed
+each bin's baseline cell one bin at a time; ``anomaly`` reads the flows of the
+whole window from one ``FlowCounts`` and takes every bin's cell from one array
+expression, and must give the same reports, every float to the bit, and the
+same errors.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+
 import numpy as np
 
-from cdrlab.anomaly import FlowNetwork
+from cdrlab.anomaly import BASELINES, AnomalyReport, TimeSeries, _flag
 from cdrlab.records import SECONDS_PER_DAY, VOICE, Dataset, day_start, distinct
+from cdrlab.spatial import pearson_r
 
 from geo_oracle import haversine_km
 
@@ -56,8 +68,9 @@ def area_centroids(towers, area_map: dict[str, str]) -> dict[str, tuple[float, f
 
 
 def build_flow_network(ds: Dataset, day: int, area_map: dict[str, str], min_count: int = 10,
-                       min_distance_km: float = 10.0, mode: str = "first_last") -> FlowNetwork:
-    """Inter-area movements for one UTC day, each pair's distance filter one scalar call."""
+                       min_distance_km: float = 10.0, mode: str = "first_last") -> tuple[int, dict]:
+    """(day start, {(origin, dest): count}) of one UTC day's inter-area movements, each pair's distance filter
+    one scalar call."""
     day = day_start(day)
     c = ds.cdrs
     rows = ds.cdrs_between(day, day + SECONDS_PER_DAY)
@@ -91,7 +104,101 @@ def build_flow_network(ds: Dataset, day: int, area_map: dict[str, str], min_coun
         if haversine_km(ca[0], ca[1], cb[0], cb[1]) < min_distance_km:
             continue
         od[(a, b)] = int(count)
-    return FlowNetwork(day=day, od=od)
+    return day, od
+
+
+def flow_symmetry(flows: list[tuple[int, dict]]) -> float:
+    """Pearson correlation of day-averaged A->B vs B->A over unordered pairs."""
+    if not flows:
+        raise ValueError("no flow networks given")
+    pairs = set()
+    for _, od in flows:
+        for a, b in od:
+            pairs.add((min(a, b), max(a, b)))
+    if len(pairs) < 2:
+        raise ValueError("need at least two pairs with flow for a correlation")
+    xs, ys = [], []
+    n_days = len(flows)
+    for a, b in sorted(pairs):
+        xs.append(sum(od.get((a, b), 0) for _, od in flows) / n_days)
+        ys.append(sum(od.get((b, a), 0) for _, od in flows) / n_days)
+    return pearson_r(np.asarray(xs), np.asarray(ys), "degenerate flow variance; correlation undefined")
+
+
+def _weekday(ts: int) -> int:
+    # Monday = 0; epoch day 0 (1970-01-01) was a Thursday.
+    return (int(ts) // SECONDS_PER_DAY + 3) % 7
+
+
+def detect_flow_anomalies(flows: list[tuple[int, dict]], threshold_sigma: float = 3.0,
+                          baseline_days: set[int] | None = None) -> dict[tuple[str, str], AnomalyReport]:
+    """Per-directed-pair weekday-baseline anomaly test over daily flows, baseline_days a set of day starts."""
+    if not flows:
+        raise ValueError("no flow networks given")
+    days = [day for day, _ in flows]
+    ods = [od for _, od in flows]
+    if baseline_days is None:
+        baseline = list(range(len(flows)))
+    else:
+        baseline = [i for i, d in enumerate(days) if d in baseline_days]
+        if len(baseline) != len(baseline_days):
+            raise ValueError("baseline_days not all present in flows")
+    weekdays = [_weekday(d) for d in days]
+    tested = sorted(pair for pair in {p for od in ods for p in od} if all(od.get(pair, 0) > 0 for od in ods))
+    needed = {weekdays[i] for i in range(len(flows))}
+    base_weekday_counts = Counter(weekdays[i] for i in baseline)
+    for w in needed:
+        if base_weekday_counts[w] < 2:
+            raise ValueError(f"weekday {w} has {base_weekday_counts[w]} baseline day(s); need at least 2")
+    cells = len(base_weekday_counts)
+    dof = len(baseline) - cells
+    if dof < 1:
+        raise ValueError("not enough baseline days to estimate sigma")
+
+    reports = {}
+    for pair in tested:
+        series = np.array([float(od[pair]) for od in ods])
+        mu = {}
+        for w in base_weekday_counts:
+            members = [i for i in baseline if weekdays[i] == w]
+            mu[w] = float(series[members].mean())
+        resid_sq = sum((series[i] - mu[weekdays[i]]) ** 2 for i in baseline)
+        sigma = math.sqrt(resid_sq / dof)
+        flags = [_flag(i, days[i], series[i], mu[weekdays[i]], sigma, threshold_sigma)
+                 for i in range(len(flows))]
+        reports[pair] = AnomalyReport(("pair",) + pair, [f for f in flags if f is not None])
+    return reports
+
+
+def _baseline_cell_key(ts: TimeSeries, baseline: str, index: int):
+    if baseline == "global_mean":
+        return 0
+    bin_ts = ts.start + index * ts.bin_width
+    hour = (bin_ts % SECONDS_PER_DAY) // 3600
+    if baseline == "hour_of_day":
+        return int(hour)
+    return (_weekday(bin_ts), int(hour))
+
+
+def detect_anomalies(ts: TimeSeries, baseline: str = "hour_of_day", threshold_sigma: float = 3.0) -> AnomalyReport:
+    """Flag bins where |value - cell mean| exceeds threshold_sigma cell stddevs, each bin's cell keyed on its own."""
+    if baseline not in BASELINES:
+        raise ValueError(f"unknown baseline {baseline!r}")
+    cells: dict = {}
+    for i in range(len(ts.values)):
+        cells.setdefault(_baseline_cell_key(ts, baseline, i), []).append(i)
+    for key, members in cells.items():
+        if len(members) < 2:
+            raise ValueError(
+                f"baseline cell {key!r} has {len(members)} sample(s); need at least 2"
+            )
+    stats = {}
+    for key, members in cells.items():
+        vals = ts.values[members]
+        stats[key] = (float(vals.mean()), float(vals.std(ddof=1)))
+    flags = [_flag(i, ts.start + i * ts.bin_width, v, *stats[_baseline_cell_key(ts, baseline, i)], threshold_sigma)
+             for i, v in enumerate(ts.values)]
+    return AnomalyReport(ts.entity, [f for f in flags if f is not None])
 
 
 def distance_activation_matrix(ds: Dataset, epicenter: tuple[float, float], event_day: int,

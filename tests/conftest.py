@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from cdrlab.anomaly import FlowCounts
 from cdrlab.records import EVENT_KINDS, CdrTable, Dataset, TopUpTable, Tower
 from cdrlab.socialgraph import SocialGraph
 
@@ -135,6 +136,26 @@ def topup_rows(table) -> list[TopUpRecord]:
     return [TopUpRecord(table.subscriber_ids[b], table.retailer_ids[r], towers[t], ts, a)
             for b, r, t, ts, a in zip(table.buyer.tolist(), table.retailer.tolist(), table.tower.tolist(),
                                       table.ts.tolist(), table.amount.tolist())]
+
+
+def flow_counts(nets) -> FlowCounts:
+    """The FlowCounts of daily flows given as (day start, {(origin, dest): count}) in day order; a count of 0 is
+    no flow."""
+    areas = sorted({area for _, od in nets for pair in od for area in pair})
+    code = {a: i for i, a in enumerate(areas)}
+    rows = sorted((d, code[a] * len(areas) + code[b], n)
+                  for d, (_, od) in enumerate(nets) for (a, b), n in od.items() if n > 0)
+    day, pair, count = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    return FlowCounts(np.array([day for day, _ in nets], dtype=np.int64), areas, day, pair, count)
+
+
+def flow_dicts(flows: FlowCounts) -> list[tuple[int, dict]]:
+    """(day start, {(origin, dest): count}) for each day of flows, each day's pairs in flows' order."""
+    n = len(flows.areas)
+    out = [(day, {}) for day in flows.days.tolist()]
+    for d, p, c in zip(flows.day.tolist(), flows.pair.tolist(), flows.count.tolist()):
+        out[d][1][(flows.areas[p // n], flows.areas[p % n])] = c
+    return out
 
 
 def graph_from(edges, nodes=()) -> SocialGraph:

@@ -6,11 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdrlab import anomaly as an
-from cdrlab.records import Tower
+from cdrlab.records import Tower, day_start
 
 import anomaly_oracle
 from geo_oracle import haversine_km
-from conftest import T0, DAY, CdrRecord, cdr_rows, data, make_dataset, sms, topup, topup_rows, voice
+from conftest import (T0, DAY, CdrRecord, cdr_rows, data, flow_counts, flow_dicts, make_dataset, sms, topup, topup_rows,
+                      voice)
 
 
 def series(values, bin_width=3600, start=T0, entity=("global",)):
@@ -31,7 +32,7 @@ def test_bin_series_counts_voice_only():
     ds = make_dataset(cdrs, window=(T0, T0 + 2 * 3600))
     ts, tower = an.bin_series(ds, [("global",), ("tower", "T1")], 3600)
     assert list(ts.values) == [2.0, 1.0]
-    assert ts.bin_start(1) == T0 + 3600
+    assert (ts.start, ts.bin_width) == (T0, 3600)
     assert tower.entity == ("tower", "T1")
     assert list(tower.values) == [1.0, 1.0]
 
@@ -211,6 +212,42 @@ def test_detect_anomalies_affine_invariance():
             assert f.z == g.z and f.direction == g.direction
 
 
+def report_bits(report):
+    """A report's entity and flags, each float field as its exact hex."""
+    def bits(x):
+        return None if x is None else float.hex(x)
+
+    return report.entity, [(f.index, f.start, type(f.start), bits(f.value), bits(f.baseline_mean),
+                            bits(f.baseline_std), bits(f.z), f.direction) for f in report.flags]
+
+
+def outcome(fn, *args):
+    """("ok", result) or ("error", message) of fn(*args)."""
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+# Each bin's baseline cell from one array expression against the former
+# per-bin cell keys: starts on both sides of the epoch's weekday boundaries,
+# bin widths that do and do not divide an hour or a day, and series too short
+# for some cells, which must fail with the same message.
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.one_of(st.integers(0, 12).map(float), st.floats(-1e9, 1e9)), min_size=1, max_size=400),
+       start=st.integers(T0 - 9 * DAY, T0 + 9 * DAY),
+       bin_width=st.one_of(st.sampled_from([600, 3600, 4 * 3600, 5400, DAY]), st.integers(1, 2 * DAY)),
+       baseline=st.sampled_from(an.BASELINES), threshold=st.floats(0.5, 4.0))
+def test_detect_anomalies_matches_the_former_per_bin_cells(values, start, bin_width, baseline, threshold):
+    ts = series(values, bin_width=bin_width, start=start)
+    kind, want = outcome(anomaly_oracle.detect_anomalies, ts, baseline, threshold)
+    got = outcome(an.detect_anomalies, ts, baseline, threshold)
+    if kind == "error":
+        assert got == (kind, want)
+    else:
+        assert got[0] == "ok" and report_bits(got[1]) == report_bits(want)
+
+
 # -- flows -------------------------------------------------------------------------
 
 AREA_TOWERS = {
@@ -238,13 +275,11 @@ def test_build_flow_network_first_last():
         voice("C", "A", "T2", T0 + 12 * 3600),
         voice("C", "A", "T1", T0 + 20 * 3600),  # round trip: first == last
     ]
-    ds = make_dataset(cdrs, towers=AREA_TOWERS, window=(T0, T0 + DAY))
-    fn = an.build_flow_network(ds, T0 + 5, AREA_MAP, min_count=1)
-    assert fn.day == T0
-    assert fn.od == {("west", "east"): 1}
+    ds = make_dataset(cdrs, towers=AREA_TOWERS, window=(T0 + 5, T0 + DAY))
+    assert flow_dicts(an.build_flow_network(ds, AREA_MAP, min_count=1)) == [(T0, {("west", "east"): 1})]
 
-    per = an.build_flow_network(ds, T0, AREA_MAP, min_count=1, mode="per_transition")
-    assert per.od == {("west", "east"): 2, ("east", "west"): 1}
+    per = an.build_flow_network(ds, AREA_MAP, min_count=1, mode="per_transition")
+    assert flow_dicts(per) == [(T0, {("west", "east"): 2, ("east", "west"): 1})]
 
 
 def test_build_flow_network_filters():
@@ -253,25 +288,32 @@ def test_build_flow_network_filters():
         voice("A", "B", "T3", T0 + 18 * 3600),  # west -> near: ~2 km apart
     ]
     ds = make_dataset(cdrs, towers=AREA_TOWERS, window=(T0, T0 + DAY))
-    assert an.build_flow_network(ds, T0, AREA_MAP, min_count=1).od == {}
-    keep = an.build_flow_network(ds, T0, AREA_MAP, min_count=1, min_distance_km=0.0)
-    assert keep.od == {("west", "near"): 1}
-    assert an.build_flow_network(ds, T0, AREA_MAP, min_count=2, min_distance_km=0.0).od == {}
+    assert flow_dicts(an.build_flow_network(ds, AREA_MAP, min_count=1)) == [(T0, {})]
+    keep = an.build_flow_network(ds, AREA_MAP, min_count=1, min_distance_km=0.0)
+    assert flow_dicts(keep) == [(T0, {("west", "near"): 1})]
+    assert flow_dicts(an.build_flow_network(ds, AREA_MAP, min_count=2, min_distance_km=0.0)) == [(T0, {})]
     with pytest.raises(ValueError, match="unknown mode"):
-        an.build_flow_network(ds, T0, AREA_MAP, mode="hourly")
+        an.build_flow_network(ds, AREA_MAP, mode="hourly")
     with pytest.raises(ValueError, match="missing from area_map"):
-        an.build_flow_network(ds, T0, {"T1": "west"})
+        an.build_flow_network(ds, {"T1": "west"})
 
 
-# The array forms of area_centroids and of build_flow_network's distance filter
-# against the former loops.  Six dataset towers 9 to 46 km apart fall into
-# areas of one to six towers; the map also names two towers the dataset does
-# not hold, T8 and T9, whose area "ghost", when only they are in it, has no
-# centroid.  The map's order is the order the centroid sums run in.
+# The array forms of area_centroids and of build_flow_network (one pass over
+# the window, one distance filter) against the former loops, one call per day.
+# Six dataset towers 9 to 46 km apart fall into areas of one to six towers; the
+# map also names two towers the dataset does not hold, T8 and T9, whose area
+# "ghost", when only they are in it, has no centroid.  The map's order is the
+# order the centroid sums run in.  Three callers make the trips, and no filter
+# is the likeliest draw, so that most windows have flows.  Each window starts up
+# to a day before 2016-05-31 and runs for one to three days, so it can cross the
+# month end and start and end inside a day.
 
+MONTH_END = T0 + 30 * DAY  # 2016-05-31
 GRID = {f"T{i}": Tower(f"T{i}", 90.0 + 0.09 * i, 23.0 + 0.04 * (i % 3)) for i in range(6)}
 TRIP = st.tuples(st.sampled_from("ABCDEF"), st.sampled_from("ABCDEF"), st.sampled_from(sorted(GRID)),
                  st.integers(0, 2 * DAY - 1))
+FLOW_TRIP = st.tuples(st.sampled_from("ABC"), st.sampled_from("ABC"), st.sampled_from(sorted(GRID)),
+                      st.integers(0, 3 * DAY - 1))
 
 
 def grid_area_map(order, grid_areas, unknown_areas):
@@ -291,43 +333,44 @@ W_E_KM = haversine_km(*anomaly_oracle.area_centroids(GRID, SEVERAL)["w"], *anoma
 
 
 @settings(max_examples=150, deadline=None)
-@given(trips=st.lists(TRIP, max_size=40), amap=GRID_AREA_MAPS, min_count=st.integers(1, 3),
-       min_km=st.one_of(st.sampled_from([0.0, 9.0, 10.0, 30.0]), st.floats(0.0, 60.0)),
+@given(trips=st.lists(FLOW_TRIP, min_size=10, max_size=80), lead=st.integers(0, DAY - 1),
+       span=st.integers(DAY, 3 * DAY), amap=GRID_AREA_MAPS, min_count=st.sampled_from([1, 1, 2, 3]),
+       min_km=st.one_of(st.sampled_from([0.0, 0.0, 9.0, 10.0, 30.0]), st.floats(0.0, 60.0)),
        mode=st.sampled_from(["first_last", "per_transition"]))
-@example(trips=SEVERAL_TRIPS, amap=SEVERAL, min_count=1, min_km=W_E_KM, mode="first_last")
-@example(trips=SEVERAL_TRIPS, amap=SEVERAL, min_count=1, min_km=math.nextafter(W_E_KM, math.inf), mode="first_last")
-def test_flows_match_the_former_per_pair_loop(trips, amap, min_count, min_km, mode):
-    ds = make_dataset([voice(a, b, t, T0 + off) for a, b, t, off in trips], towers=GRID, window=(T0, T0 + 2 * DAY))
+@example(trips=SEVERAL_TRIPS, lead=0, span=2 * DAY, amap=SEVERAL, min_count=1, min_km=W_E_KM, mode="first_last")
+@example(trips=SEVERAL_TRIPS, lead=0, span=2 * DAY, amap=SEVERAL, min_count=1,
+         min_km=math.nextafter(W_E_KM, math.inf), mode="first_last")
+def test_flows_match_the_former_per_pair_loop(trips, lead, span, amap, min_count, min_km, mode):
+    start = MONTH_END - lead
+    ds = make_dataset([voice(a, b, t, start + off % span) for a, b, t, off in trips], towers=GRID,
+                      window=(start, start + span))
     got = list(an.area_centroids(GRID, amap).items())
     assert got == list(anomaly_oracle.area_centroids(GRID, amap).items())
-    for day in (T0, T0 + DAY):
-        got = an.build_flow_network(ds, day, amap, min_count, min_km, mode)
-        want = anomaly_oracle.build_flow_network(ds, day, amap, min_count, min_km, mode)
-        assert (got.day, list(got.od.items())) == (want.day, list(want.od.items()))
+    days = range(day_start(start), start + span, DAY)
+    got = [(day, list(od.items())) for day, od in flow_dicts(an.build_flow_network(ds, amap, min_count, min_km, mode))]
+    want = [anomaly_oracle.build_flow_network(ds, day, amap, min_count, min_km, mode) for day in days]
+    assert got == [(day, list(od.items())) for day, od in want]
 
 
 def test_flow_symmetry():
-    fn1 = an.FlowNetwork(T0, {("a", "b"): 10, ("b", "a"): 10, ("a", "c"): 30, ("c", "a"): 28})
-    fn2 = an.FlowNetwork(T0 + DAY, {("a", "b"): 12, ("b", "a"): 12, ("a", "c"): 30, ("c", "a"): 32})
-    r = an.flow_symmetry([fn1, fn2])
+    fn1 = (T0, {("a", "b"): 10, ("b", "a"): 10, ("a", "c"): 30, ("c", "a"): 28})
+    fn2 = (T0 + DAY, {("a", "b"): 12, ("b", "a"): 12, ("a", "c"): 30, ("c", "a"): 32})
+    r = an.flow_symmetry(flow_counts([fn1, fn2]))
     x = np.array([11.0, 30.0])
     y = np.array([11.0, 30.0])
     assert r == pytest.approx(np.corrcoef(x, y)[0, 1])
     with pytest.raises(ValueError, match="at least two pairs"):
-        an.flow_symmetry([an.FlowNetwork(T0, {("a", "b"): 5})])
+        an.flow_symmetry(flow_counts([(T0, {("a", "b"): 5})]))
     with pytest.raises(ValueError, match="no flow networks"):
-        an.flow_symmetry([])
-    flat = [an.FlowNetwork(T0, {("a", "b"): 5, ("c", "d"): 5})]
+        an.flow_symmetry(flow_counts([]))
+    flat = flow_counts([(T0, {("a", "b"): 5, ("c", "d"): 5})])
     with pytest.raises(ValueError, match="degenerate"):
         an.flow_symmetry(flat)
 
 
 def flows_from(series_by_pair, n_days):
-    out = []
-    for i in range(n_days):
-        od = {pair: vals[i] for pair, vals in series_by_pair.items() if vals[i] > 0}
-        out.append(an.FlowNetwork(T0 + i * DAY, od))
-    return out
+    return flow_counts([(T0 + i * DAY, {pair: vals[i] for pair, vals in series_by_pair.items()})
+                        for i in range(n_days)])
 
 
 def test_detect_flow_anomalies_pooled_sigma_hand_computed():
@@ -336,8 +379,7 @@ def test_detect_flow_anomalies_pooled_sigma_hand_computed():
     # residual 2 twice: pooled sigma = sqrt(56 / (14 - 7)) = sqrt(8)
     vals = [8, 12] * 7 + [50]
     flows = flows_from({("a", "b"): vals, ("a", "c"): [8] * 14 + [0]}, 15)
-    baseline = {T0 + i * DAY for i in range(14)}
-    reports = an.detect_flow_anomalies(flows, threshold_sigma=3.0, baseline_days=baseline)
+    reports = an.detect_flow_anomalies(flows, threshold_sigma=3.0, baseline_days=14)
     assert set(reports) == {("a", "b")}  # the other pair has a zero-flow day
     rep = reports[("a", "b")]
     assert rep.flagged() == {14}
@@ -351,8 +393,7 @@ def test_detect_flow_anomalies_pooled_sigma_hand_computed():
 def test_detect_flow_anomalies_degenerate_baseline():
     vals = [10] * 14 + [50]
     flows = flows_from({("a", "b"): vals, ("b", "a"): vals}, 15)
-    baseline = {T0 + i * DAY for i in range(14)}
-    reports = an.detect_flow_anomalies(flows, baseline_days=baseline)
+    reports = an.detect_flow_anomalies(flows, baseline_days=14)
     rep = reports[("a", "b")]
     assert rep.flagged() == {14} and rep.flags[0].z is None
 
@@ -362,10 +403,45 @@ def test_detect_flow_anomalies_validation():
     # 8 consecutive days leave most weekdays with a single baseline sample
     with pytest.raises(ValueError, match="need at least 2"):
         an.detect_flow_anomalies(flows)
-    with pytest.raises(ValueError, match="not all present"):
-        an.detect_flow_anomalies(flows, baseline_days={T0 - DAY})
+    with pytest.raises(ValueError, match="baseline_days must be >= 0, got -3"):
+        an.detect_flow_anomalies(flows, baseline_days=-3)
     with pytest.raises(ValueError, match="no flow networks"):
-        an.detect_flow_anomalies([])
+        an.detect_flow_anomalies(flow_counts([]))
+
+
+# Daily flows among four areas against the former per-day dicts: each directed
+# pair's count on a day is near 10, or anywhere from 0 (no flow) to 60, so that
+# most pairs have flow every day and some of those flag.  Windows of 1 to 30
+# days start on any weekday and can cross the month end; windows under 14 days
+# and short baselines leave a weekday with one baseline day, which must fail
+# with the same message.  The baseline is 0 (all days) or the first 1 to 33 days.
+FLOW_PAIRS = [(a, b) for a in "nsew" for b in "nsew" if a != b]
+FLOW_COUNTS = st.lists(st.one_of(st.integers(9, 11), st.integers(0, 60)), min_size=30, max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(series=st.lists(FLOW_COUNTS, min_size=len(FLOW_PAIRS), max_size=len(FLOW_PAIRS)),
+       n_days=st.one_of(st.integers(1, 13), st.integers(14, 30)), first=st.integers(20, 30),
+       baseline_days=st.one_of(st.just(0), st.integers(1, 33)),
+       threshold=st.one_of(st.sampled_from([1.0, 2.0, 3.0]), st.floats(0.1, 5.0)))
+def test_flow_reports_match_the_former_per_day_dicts(series, n_days, first, baseline_days, threshold):
+    nets = [(T0 + (first + i) * DAY, {pair: c[i] for pair, c in zip(FLOW_PAIRS, series) if c[i] > 0})
+            for i in range(n_days)]
+    flows = flow_counts(nets)
+    kind, want = outcome(anomaly_oracle.flow_symmetry, nets)
+    got = outcome(an.flow_symmetry, flows)
+    if kind == "error":
+        assert got == (kind, want)
+    else:
+        assert got[0] == "ok" and float.hex(got[1]) == float.hex(want)
+    base = {day for day, _ in nets[:baseline_days]} if baseline_days else None
+    kind, want = outcome(anomaly_oracle.detect_flow_anomalies, nets, threshold, base)
+    got = outcome(an.detect_flow_anomalies, flows, threshold, baseline_days)
+    if kind == "error":
+        assert got == (kind, want)
+    else:
+        assert got[0] == "ok" and list(got[1]) == list(want)
+        assert [report_bits(r) for r in got[1].values()] == [report_bits(r) for r in want.values()]
 
 
 # -- rank curves ----------------------------------------------------------------------
@@ -570,5 +646,8 @@ def test_writers(tmp_path):
     assert lines[2].startswith(f"global,{T0 + 20 * 3600},100.0,")
 
     p2 = tmp_path / "flows.csv"
-    an.write_flows_csv(an.FlowNetwork(T0, {("w", "e"): 3, ("e", "w"): 2}), str(p2))
+    flows = flow_counts([(T0, {("w", "n"): 1}), (T0 + DAY, {("w", "e"): 3, ("e", "w"): 2}), (T0 + 2 * DAY, {})])
+    an.write_flows_csv(flows, 1, str(p2))
     assert p2.read_text().splitlines()[1:] == ["e,w,2", "w,e,3"]
+    an.write_flows_csv(flows, 2, str(p2))
+    assert p2.read_text().splitlines()[1:] == []

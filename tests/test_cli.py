@@ -387,7 +387,7 @@ def test_flows_baseline_days_come_from_the_config(tmp_path, monkeypatch):
     (tmp_path / "run.ini").write_text("[flows]\nbaseline_days = 14\n")
     data = _flow_extract(tmp_path / "commute")
     assert cli.main(["flows", *data, "--config", str(tmp_path / "run.ini"), "--outdir", str(tmp_path / "fl")]) == 0
-    assert seen == [{T0 + day * DAY for day in range(14)}]
+    assert seen == [14]
     assert "40.0" in (tmp_path / "fl" / "flow_anomalies.csv").read_text()
 
 
@@ -647,6 +647,25 @@ def test_campaign_command(tmp_path):
     lines = (tmp_path / "camp" / "campaign.csv").read_text().splitlines()
     assert "size,3,2" in lines
     assert "conversions,2,1" in lines
+
+
+@pytest.mark.parametrize("control, named", [
+    ("s5\ns2\ns4\n", "{features}: control ids ['s2', 's4'] have a blank feature cell, and na_policy=drop drops "
+                      "their rows"),
+    ("s5\ns9\n", "control ids not in table: ['s9']"),
+], ids=["blank cell", "absent"])
+def test_campaign_control_id_without_a_row_exits_2_naming_why(tmp_path, capsys, control, named):
+    save_model(LogisticModel(columns=["f1"], mean=np.zeros(1), scale=np.ones(1), coef=np.array([1.0]), bias=0.0,
+                             seed=0), str(tmp_path / "model.json"))
+    files = {name: tmp_path / f"{name}.csv" for name in ("features", "control", "outcomes")}
+    files["features"].write_text("subscriber,f1\ns1,0.9\ns2,\ns3,0.8\ns4,\ns5,0.3\ns6,0.1\n")
+    files["control"].write_text("subscriber\n" + control)
+    files["outcomes"].write_text("subscriber,converted,renewed\n" + "".join(f"s{i},1,0\n" for i in range(1, 10)))
+    rc = cli.main(["campaign", "--model", str(tmp_path / "model.json"), "--treatment-size", "2",
+                   *(f"--{name}={path}" for name, path in files.items()), "--outdir", str(tmp_path / "camp")])
+    assert rc == 2
+    assert f"cdrlab: error: {named.format(features=files['features'])}\n" in capsys.readouterr().err
+    assert not list((tmp_path / "camp").glob("*"))
 
 
 @pytest.mark.parametrize("flag, ini, named", [
@@ -916,13 +935,18 @@ def test_malformed_model_file_exits_2(tmp_path, capsys, command, doc, named):
     ("synth", "[synth]\ndenominations =\n", "need at least one recharge denomination"),
     ("graph", "[graph]\nsms_weight = nan\n", "bad value for graph.sms_weight: not a finite number: 'nan'"),
     ("synth", "[DEFAULT]\nsubscribers = 7\n[synth]\ntowers = 5\n", "unknown config section [DEFAULT]"),
+    ("flows", "[flows]\nbaseline_days = -3\n", "[flows] baseline_days = -3: baseline_days must be >= 0"),
+    ("flows", "[flows]\nmode = hourly\n", "[flows] mode = hourly: unknown mode 'hourly'"),
+    ("anomaly", "[anomaly]\nmeasure = sms\n", "[anomaly] measure = sms: unknown measure 'sms'"),
+    ("anomaly", "[anomaly]\nbin_width = 0\n", "[anomaly] bin_width = 0: bin_width must be positive"),
 ], ids=["class_weight 5", "class_weight 12", "hidden 0", "batch_size 0", "family", "no denominations", "nan weight",
-        "DEFAULT section"])
+        "DEFAULT section", "negative baseline_days", "flow mode", "measure", "bin_width 0"])
 def test_bad_config_value_exits_2(synth_dir, features_dir, tmp_path, capsys, command, ini, named):
     cfg = tmp_path / "run.ini"
     cfg.write_text(ini)
     inputs = {"train": ["--features", str(features_dir / "features.csv"), "--labels", str(synth_dir / "labels.csv")],
-              "synth": [], "graph": dataset_args(synth_dir)}[command]
+              "synth": [], "graph": dataset_args(synth_dir), "anomaly": dataset_args(synth_dir),
+              "flows": dataset_args(synth_dir)}[command]
     assert cli.main([command, *inputs, "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 2
     assert named in capsys.readouterr().err
     assert not list((tmp_path / "out").glob("*"))

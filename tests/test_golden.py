@@ -3,7 +3,8 @@
 A small synthetic extract (300 subscribers, 20 towers, 14 days from
 2016-05-25, so the window crosses the May/June month end) runs through every
 subcommand in process; the side files that `idw`, `correlate`,
-`select-covariates` and `campaign` read are written here.  A change that
+`select-covariates`, `campaign` and the `--areas` steps read are written
+here.  A change that
 alters any output byte fails with the first file that differs.
 
 The workload runs three ways: with an empty parse-snapshot cache (the first
@@ -60,15 +61,18 @@ STEPS = [
     ("select_covariates", ["select-covariates", "--table", "features/features.csv", "--response", "degree"]),
     ("campaign", ["campaign", *DATA, "--model", "train/model.json", "--features", "features/features.csv",
                   "--control", "control.csv", "--outcomes", "outcomes.csv", "--treatment-size", "40"]),
+    ("anomaly_district", ["anomaly", "--entity", "district:D1", "--areas", "areas.csv", *DATA]),
+    ("flows_district", ["flows", "--areas", "areas.csv", *DATA]),
 ]
 
 
 def _side_files(work: Path) -> None:
-    """The inputs of idw, correlate and campaign, derived from synth's towers and labels."""
+    """The inputs of idw, correlate, campaign and the district steps, derived from synth's towers and labels."""
     towers = [ln.split(",")[0] for ln in (work / "synth" / "towers.csv").read_text().splitlines()[2:]]
     subs = [ln.split(",")[0] for ln in (work / "synth" / "labels.csv").read_text().splitlines()[2:]]
     (work / "samples.csv").write_text("area,value\n" + "".join(f"{t},{i % 7 + 0.5}\n" for i, t in enumerate(towers)))
     (work / "other.csv").write_text("area,value\n" + "".join(f"{t},{i * i % 11}\n" for i, t in enumerate(towers)))
+    (work / "areas.csv").write_text("tower,area\n" + "".join(f"{t},D{i % 4}\n" for i, t in enumerate(towers)))
     (work / "control.csv").write_text("subscriber\n" + "".join(f"{s}\n" for s in subs[::5]))
     (work / "outcomes.csv").write_text("subscriber,converted,renewed\n"
                                        + "".join(f"{s},{i % 3 == 0:d},{i % 4 == 0:d}\n" for i, s in enumerate(subs)))
