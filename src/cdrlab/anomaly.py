@@ -194,7 +194,7 @@ def area_centroids(towers, area_map: dict[str, str]) -> dict[str, tuple[float, f
     members = [(area, towers[tid]) for tid, area in area_map.items() if tid in towers]
     index: dict[str, int] = {}
     code = np.array([index.setdefault(area, len(index)) for area, _ in members], dtype=np.int64)
-    lonlat = np.array([(t.lon, t.lat) for _, t in members], dtype=np.float64).reshape(-1, 2)
+    lonlat = np.array([point for _, point in members], dtype=np.float64).reshape(-1, 2)
     count = np.bincount(code, minlength=len(index))
     lon, lat = (np.bincount(code, lonlat[:, k], len(index)) / count for k in (0, 1))
     return dict(zip(index, zip(lon.tolist(), lat.tolist())))

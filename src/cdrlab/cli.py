@@ -114,17 +114,14 @@ def _check_days(window: tuple[int, int], *flagged: tuple[str, list[int]]) -> Non
 def _side_rows(path: str, required=(), key: str | None = None) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """A side file's stripped header cells and its checked (line, fields) data rows.
 
-    required and key name header columns; required=None requires every one.  A row of blank
-    cells is skipped; a row too short to reach a required column, and a blank or repeated key
-    cell, is an error naming path:line.
+    required and key name header columns.  A row of blank cells is skipped; a row too short to
+    reach a required column, and a blank or repeated key cell, is an error naming path:line.
     """
     with ingest.open_text(path) as fh:
         lines = list(ingest.numbered_rows(fh))
     if not lines:
         raise ValueError(f"{path}: empty file")
     header = [c.strip() for c in lines[0][1]]
-    if required is None:
-        required = header
     names = (*required, key) if key else tuple(required)
     missing = [c for c in names if c not in header]
     if missing:
@@ -148,16 +145,17 @@ def _side_rows(path: str, required=(), key: str | None = None) -> tuple[list[str
 
 
 def _read_area_map(path: str) -> dict[str, str]:
+    """tower -> area; a blank area is absent, so the tower is in no area."""
     header, rows = _side_rows(path, ("area",), key="tower")
     t, a = header.index("tower"), header.index("area")
-    return {r[t]: r[a] for _, r in rows}
+    return {r[t]: r[a] for _, r in rows if r[a].strip()}
 
 
 def _read_area_values(path: str) -> dict[str, float]:
     """area -> value; a blank value is absent and skipped."""
     header, rows = _side_rows(path, ("value",), key="area")
     a, v = header.index("area"), header.index("value")
-    return {r[a]: ingest.number(path, n, r[v]) for n, r in rows if r[v] != ""}
+    return {r[a]: ingest.number(path, n, r[v]) for n, r in rows if r[v].strip()}
 
 
 def _read_id_list(path: str) -> list[str]:
@@ -173,18 +171,26 @@ def _read_adopters(path: str) -> dict[str, int | None]:
     out: dict[str, int | None] = {}
     for n, r in rows:
         day = r[d] if d is not None and d < len(r) else ""
-        out[r[s]] = ingest.number(path, n, day, int) if day != "" else None
+        out[r[s]] = ingest.number(path, n, day, int) if day.strip() else None
     return out
 
 
-def _read_feature_table(path: str) -> tuple[list[str], list[str], list[list]]:
-    """features.csv -> (ids, numeric column names, rows with None for blank cells)."""
-    header, rows = _side_rows(path, None, key="subscriber")
-    id_j = header.index("subscriber")
-    numeric_cols = [(j, name) for j, name in enumerate(header) if j != id_j and name != "home_tower"]
-    ids = [r[id_j] for _, r in rows]
-    data = [[None if r[j] == "" else ingest.number(path, n, r[j]) for j, _ in numeric_cols] for n, r in rows]
-    return ids, [name for _, name in numeric_cols], data
+def _read_numeric_table(path: str, required=(), key: str | None = None, skip=()):
+    """(key cells, column names, X): X holds every column but key and skip as float64, nan for a blank cell.
+
+    A row too short to reach one of those columns, and a bad number in one, is an error naming path:line.
+    """
+    import numpy as np
+
+    header, rows = _side_rows(path, required, key)
+    cols = [j for j, name in enumerate(header) if name != key and name not in skip]
+    last, X = max(cols, default=-1), np.empty((len(rows), len(cols)))
+    for i, (n, r) in enumerate(rows):
+        if len(r) <= last:
+            raise ValueError(f"{path}:{n}: wrong field count")
+        X[i] = [ingest.number(path, n, r[j]) if r[j].strip() else math.nan for j in cols]
+    keys = [r[header.index(key)] for _, r in rows] if key else []
+    return keys, [header[j] for j in cols], X
 
 
 def _dataset_paths(args, cfg) -> dict[str, str | None]:
@@ -500,9 +506,7 @@ def _cmd_anomaly(args, ctx: RunContext) -> dict:
             r.entity[1]: {"flags": len(r.flags)}
             for r in reports if r.entity[0] == "tower" and r.flags
         }
-        doc = spatial.points_geojson(
-            {t: (ds.towers[t].lon, ds.towers[t].lat) for t in flagged}, flagged
-        )
+        doc = spatial.points_geojson({t: ds.towers[t] for t in flagged}, flagged)
         doc["_meta"] = ctx.meta()
         ingest.write_json(ctx.outputs.stage("anomalies.geojson"), doc, indent=2)
     print(f"anomaly: {flagged_total} flags across {len(reports)} series "
@@ -626,10 +630,10 @@ def _cmd_voronoi(args, ctx: RunContext) -> dict:
         if not (x0 < x1 and y0 < y1):
             raise ValueError(f"--clip: expected lon_min < lon_max and lat_min < lat_max, got {args.clip!r}")
     else:
-        lons, lats = [t.lon for t in towers.values()], [t.lat for t in towers.values()]
+        lons, lats = zip(*towers.values())
         x0, y0, x1, y1 = min(lons) - 0.1, min(lats) - 0.1, max(lons) + 0.1, max(lats) + 0.1
     clip = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-    cells = spatial.voronoi_partition({t: (tw.lon, tw.lat) for t, tw in towers.items()}, clip)
+    cells = spatial.voronoi_partition(towers, clip)
     doc = spatial.voronoi_geojson(cells)
     doc["_meta"] = ctx.meta()
     ingest.write_json(ctx.outputs.stage("voronoi.geojson"), doc, indent=2)
@@ -648,7 +652,13 @@ def _cmd_idw(args, ctx: RunContext) -> dict:
     unknown = set(values) - set(towers)
     if unknown:
         raise ValueError(f"sample areas are not tower ids: {sorted(unknown)[:5]}")
-    samples = {(towers[t].lon, towers[t].lat): v for t, v in values.items()}
+    first: dict[tuple[float, float], str] = {}
+    for t in values:
+        other = first.setdefault(towers[t], t)
+        if other != t:
+            raise ValueError(f"--samples: towers {other!r} and {t!r} share the point {towers[t]}; "
+                             "give one sample per point")
+    samples = {towers[t]: v for t, v in values.items()}
     s = ctx.cfg["spatial"]
     raster = spatial.idw_interpolate(
         samples, s["grid_nrows"], s["grid_ncols"], s["grid_xll"], s["grid_yll"],
@@ -686,18 +696,18 @@ def _cmd_correlate(args, ctx: RunContext) -> dict:
     return {"r": r, "n": n}
 
 
-def _labeled_table(path, ids, columns, rows, labels, na_policy):
+def _labeled_table(path, ids, columns, X, labels, na_policy):
     """mlkit.data.LabeledTable.from_records, with its errors naming the features file."""
     from .mlkit import data
 
     try:
-        return data.LabeledTable.from_records(ids, columns, rows, labels, na_policy=na_policy)
+        return data.LabeledTable.from_records(ids, columns, X, labels, na_policy=na_policy)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc} (na_policy={na_policy})") from None
 
 
 def _model_table(args, ctx: RunContext):
-    ids, columns, rows = _read_feature_table(args.features)
+    ids, columns, X = _read_numeric_table(args.features, key="subscriber", skip=("home_tower",))
     if not args.labels:
         raise ValueError("need --labels")
     labels, _ = ingest.parse_labels_file(args.labels)
@@ -706,7 +716,7 @@ def _model_table(args, ctx: RunContext):
     if not keep:
         raise ValueError("no feature rows have labels")
     na_policy = ctx.cfg["model"]["na_policy"]
-    table = _labeled_table(args.features, [ids[i] for i in keep], columns, [rows[i] for i in keep],
+    table = _labeled_table(args.features, [ids[i] for i in keep], columns, X[keep],
                            [1.0 if labels[ids[i]] == pos else 0.0 for i in keep], na_policy)
     if not len(table):
         raise ValueError(f"{args.features}: every one of the {len(keep)} labeled rows has a blank feature "
@@ -767,30 +777,20 @@ def _cmd_select_covariates(args, ctx: RunContext) -> dict:
     from .mlkit import selection
 
     path = args.table
-    header, rows = _side_rows(path, (args.response,))
-    skip = {args.response, "id", "subscriber", "area", "home_tower"}
-    columns = [c for c in header if c not in skip]
-    resp_j = header.index(args.response)
-    col_j = [header.index(c) for c in columns]
-    X, y = [], []
-    incomplete = 0
-    for n, r in rows:
-        if len(r) <= max(col_j + [resp_j]):
-            raise ValueError(f"{path}:{n}: wrong field count")
-        cells = [r[j] for j in col_j] + [r[resp_j]]
-        if any(c.strip() == "" for c in cells):
-            incomplete += 1     # absent feature: drop the row, like na_policy=drop
-            continue
-        X.append([ingest.number(path, n, r[j]) for j in col_j])
-        y.append(ingest.number(path, n, r[resp_j]))
-    if not X:
+    _, names, table = _read_numeric_table(path, (args.response,),
+                                          skip={"id", "subscriber", "area", "home_tower"} - {args.response})
+    resp_j = names.index(args.response)
+    columns = [c for c in names if c != args.response]
+    complete = ~np.isnan(table).any(axis=1)    # absent feature: drop the row, like na_policy=drop
+    X, y = np.delete(table[complete], resp_j, axis=1), table[complete, resp_j]
+    if not len(y):
         raise ValueError(f"{path}: no complete rows for the requested columns")
-    if min(y) == max(y):
-        raise ValueError(f"{path}: response column {args.response!r} is constant ({y[0]!r}) "
+    if y.min() == y.max():
+        raise ValueError(f"{path}: response column {args.response!r} is constant ({float(y[0])!r}) "
                          f"over its {len(y)} complete rows; r2 and AIC are undefined")
     sel = ctx.cfg["select"]
     result = selection.select_covariates(
-        np.array(X), np.array(y), columns,
+        X, y, columns,
         r_cut=sel["r_cut"],
         priority=list(sel["priority"]) or None,
         exhaustive=sel["exhaustive"] or args.exhaustive,
@@ -807,7 +807,7 @@ def _cmd_select_covariates(args, ctx: RunContext) -> dict:
                      records, ctx.header)
     print(f"select-covariates: kept {len(result.kept_after_pruning)}/{len(columns)} "
           f"after pruning; selected {result.selected}")
-    return {"candidates": len(columns), "rows": len(y), "incomplete_rows": incomplete,
+    return {"candidates": len(columns), "rows": len(y), "incomplete_rows": len(complete) - len(y),
             "pruned": len(result.dropped_by_pruning),
             "selected": result.selected, "aic": result.model.aic}
 
@@ -822,10 +822,10 @@ def _cmd_campaign(args, ctx: RunContext) -> dict:
     if size < 1:
         raise ValueError(f"{what} must be >= 1, got {size}")
     model = models.load_model(args.model)
-    ids, columns, rows = _read_feature_table(args.features)
+    ids, columns, X = _read_numeric_table(args.features, key="subscriber", skip=("home_tower",))
     if list(columns) != list(model.columns):
         raise ValueError("feature columns do not match the model schema")
-    table = _labeled_table(args.features, ids, columns, rows, [0.0] * len(ids), ctx.cfg["model"]["na_policy"])
+    table = _labeled_table(args.features, ids, columns, X, [0.0] * len(ids), ctx.cfg["model"]["na_policy"])
     control = _read_id_list(args.control)
     dropped = sorted(set(control) & set(ids) - set(table.ids))
     if dropped:

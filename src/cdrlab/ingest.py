@@ -79,7 +79,6 @@ from .records import (
     CdrTable,
     Dataset,
     TopUpTable,
-    Tower,
     civil_from_days,
     days_from_civil,
     parse_timestamp,
@@ -569,8 +568,8 @@ def parse_topup_file(
 def parse_tower_file(
     path: str,
     reject_cap: float = DEFAULT_REJECT_CAP,
-) -> tuple[dict[str, Tower], RejectReport]:
-    """CSV of id,lon,lat.  Bad coordinates reject; a repeat of an accepted id is fatal.
+) -> tuple[dict[str, tuple[float, float]], RejectReport]:
+    """CSV of id,lon,lat as id -> (lon, lat).  Bad coordinates reject; a repeat of an accepted id is fatal.
 
     The repeat rule follows line order: a line that has the fields and an id
     is an IngestError when an earlier accepted line holds its id, whatever
@@ -599,7 +598,7 @@ def parse_tower_file(
 
     (ids, lon, lat), report = _parse_events(path, ("id", "lon", "lat"), ("id", "lon", "lat"), reject_cap,
                                             (object, np.float64, np.float64), check)
-    return {t: Tower(t, x, y) for t, x, y in zip(ids.tolist(), lon.tolist(), lat.tolist())}, report
+    return dict(zip(ids.tolist(), zip(lon.tolist(), lat.tolist()))), report
 
 
 def parse_labels_file(
@@ -848,9 +847,8 @@ def write_topup_csv(topups: TopUpTable, path: str, header_comment: str | None = 
     _write_events(path, TOPUP_FIELDS, len(topups), cells, plain, header_comment)
 
 
-def write_towers_csv(towers: dict[str, Tower], path: str, header_comment: str | None = None) -> None:
-    ordered = (towers[tid] for tid in sorted(towers))
-    write_csv(path, ["id", "lon", "lat"], ([t.id, t.lon, t.lat] for t in ordered), header_comment)
+def write_towers_csv(towers: dict[str, tuple[float, float]], path: str, header_comment: str | None = None) -> None:
+    write_csv(path, ["id", "lon", "lat"], ([tid, *towers[tid]] for tid in sorted(towers)), header_comment)
 
 
 def write_labels_csv(labels: dict[str, str], path: str, header_comment: str | None = None) -> None:

@@ -59,11 +59,11 @@ class LabeledTable:
         cls,
         ids: list[str],
         columns: list[str],
-        rows: list[list],
+        rows,
         labels: list[float],
         na_policy: str = "drop",
     ) -> "LabeledTable":
-        """Build a table from rows that may contain None.
+        """Build a table from rows (lists or a float matrix) in which None or nan is absent.
 
         na_policy: "drop" removes rows with any absent value, "impute_mean"
         fills absents with the column mean over present values, "error"
@@ -71,11 +71,8 @@ class LabeledTable:
         """
         if na_policy not in ("drop", "impute_mean", "error"):
             raise ValueError(f"unknown na_policy {na_policy!r}")
-        X = np.array(
-            [[np.nan if v is None else float(v) for v in row] for row in rows],
-            dtype=float,
-        ).reshape(len(rows), len(columns))
-        y = np.array([np.nan if v is None else float(v) for v in labels])
+        X = np.array(rows, dtype=float).reshape(len(rows), len(columns))
+        y = np.array(labels, dtype=float)
         bad = ~np.isfinite(X).all(axis=1) | ~np.isfinite(y)
         if bad.any():
             if na_policy == "error":
@@ -95,19 +92,19 @@ class LabeledTable:
 
 
 def _largest_remainder(counts: list[int], fraction: float, total_take: int) -> list[int]:
-    """Allocate total_take across groups proportionally to counts."""
-    exact = [fraction * c for c in counts]
-    take = [min(int(e), c) for e, c in zip(exact, counts)]
-    remaining = total_take - sum(take)
-    order = sorted(range(len(counts)), key=lambda i: (-(exact[i] - take[i]), i))
-    while remaining > 0:
-        for g in order:
-            if remaining > 0 and take[g] < counts[g]:
-                take[g] += 1
-                remaining -= 1
-        if all(t == c for t, c in zip(take, counts)):
-            break
-    return take
+    """Allocate total_take across groups proportionally to counts.
+
+    Each group takes int(fraction * count), then one more per group, largest
+    remainder first (ties to the lower index), until total_take is reached.
+    With 0 < fraction < 1 and total_take = round(fraction * sum(counts)), no
+    group is owed more than one.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    exact = fraction * counts
+    take = exact.astype(np.int64)
+    order = np.argsort(take - exact, kind="stable")
+    take[order[:total_take - take.sum()]] += 1
+    return take.tolist()
 
 
 def split_train_test(table: LabeledTable, fraction: float = 0.75, seed: int = 0) -> tuple[LabeledTable, LabeledTable]:
@@ -122,12 +119,12 @@ def split_train_test(table: LabeledTable, fraction: float = 0.75, seed: int = 0)
     n = len(table)
     n_train = int(round(fraction * n))
     classes = sorted(set(table.y.tolist()))
-    members = {c: [i for i in range(n) if table.y[i] == c] for c in classes}
+    members = {c: np.flatnonzero(table.y == c) for c in classes}
     takes = _largest_remainder([len(members[c]) for c in classes], fraction, n_train)
     train_idx: list[int] = []
     test_idx: list[int] = []
     for c, take in zip(classes, takes):
-        idx = np.array(members[c])
+        idx = members[c]
         order = derive_rng(seed, "split", repr(c)).permutation(len(idx))
         train_idx.extend(idx[order[:take]].tolist())
         test_idx.extend(idx[order[take:]].tolist())

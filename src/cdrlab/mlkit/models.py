@@ -50,9 +50,8 @@ def _sample_weights(y: np.ndarray, class_weight) -> np.ndarray:
         return np.ones(len(y))
     if class_weight != "balanced":
         raise ValueError(f"[model] class_weight must be empty or 'balanced', got {class_weight!r}")
-    classes, counts = np.unique(y, return_counts=True)
-    lut = {c: len(y) / (len(classes) * n) for c, n in zip(classes, counts)}
-    return np.array([lut[v] for v in y])
+    classes, inverse, counts = np.unique(y, return_inverse=True, return_counts=True)
+    return (len(y) / (len(classes) * counts))[inverse]
 
 
 def _standardizer(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

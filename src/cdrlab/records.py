@@ -1,4 +1,4 @@
-"""Core domain types shared by every module: event tables, towers, datasets.
+"""Core domain types shared by every module: event tables and datasets.
 
 Events are held as columns, one numpy array per field, never as one object
 per event.  Subscriber, retailer and tower ids are int32 codes into id
@@ -84,13 +84,6 @@ def is_nocturnal(ts):
     """Whether epoch seconds fall in 22:00-06:00 UTC (an int or an array)."""
     hour = (ts % SECONDS_PER_DAY) // 3600
     return (hour >= NOCTURNAL_START_HOUR) | (hour < NOCTURNAL_END_HOUR)
-
-
-@dataclass(frozen=True, slots=True)
-class Tower:
-    id: str
-    lon: float
-    lat: float
 
 
 def distinct(values: np.ndarray) -> np.ndarray:
@@ -188,7 +181,7 @@ def _grouped_argmax(group: np.ndarray, item: np.ndarray, n_groups: int, n_items:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable bundle of event tables and towers.
+    """Immutable bundle of event tables and towers, each tower id mapped to its (lon, lat).
 
     Building one puts any tables in canonical form.  Both share one sorted
     subscriber id table (every id seen as caller, callee or buyer) and one
@@ -202,7 +195,7 @@ class Dataset:
 
     cdrs: CdrTable
     topups: TopUpTable
-    towers: dict[str, Tower]
+    towers: dict[str, tuple[float, float]]  # id -> (lon, lat)
     window: tuple[int, int]
     _caller_index: Groups | None = field(default=None, repr=False)
     _callee_index: Groups | None = field(default=None, repr=False)
@@ -293,6 +286,5 @@ class Dataset:
     @cached_property
     def tower_coords(self) -> np.ndarray:
         """(lon, lat) rows in tower-code order."""
-        return np.array([(self.towers[t].lon, self.towers[t].lat) for t in self.cdrs.tower_ids],
-                        dtype=np.float64).reshape(-1, 2)
+        return np.array([self.towers[t] for t in self.cdrs.tower_ids], dtype=np.float64).reshape(-1, 2)
 

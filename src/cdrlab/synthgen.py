@@ -24,7 +24,6 @@ from .records import (
     CdrTable,
     Dataset,
     TopUpTable,
-    Tower,
     distinct,
 )
 from .rng import derive_rng, derive_streams
@@ -120,13 +119,13 @@ def tower_ids(n: int) -> list[str]:
     return [f"T{i:0{width}d}" for i in range(n)]
 
 
-def towers_for(cfg: SynthConfig) -> dict[str, Tower]:
-    """Tower layout for a config; same placement in every operation."""
+def towers_for(cfg: SynthConfig) -> dict[str, tuple[float, float]]:
+    """Tower layout for a config, id -> (lon, lat); same placement in every operation."""
     rng = derive_rng(cfg.seed, "towers")
     lon_min, lat_min, lon_max, lat_max = cfg.grid
     lons = rng.uniform(lon_min, lon_max, cfg.n_towers)
     lats = rng.uniform(lat_min, lat_max, cfg.n_towers)
-    return {tid: Tower(tid, float(lon), float(lat)) for tid, lon, lat in zip(tower_ids(cfg.n_towers), lons, lats)}
+    return dict(zip(tower_ids(cfg.n_towers), zip(lons.tolist(), lats.tolist())))
 
 
 def _small_world_edges(n: int, k: int, rewire_p: float, rng) -> set[tuple[int, int]]:
@@ -169,7 +168,7 @@ def generate_population(cfg: SynthConfig) -> tuple[SocialGraph, GroundTruth]:
 
     towers = towers_for(cfg)
     order = sorted(towers)
-    tower_lon, tower_lat = np.array([(towers[t].lon, towers[t].lat) for t in order]).T
+    tower_lon, tower_lat = np.array([towers[t] for t in order]).T
     lon_min, lat_min, lon_max, lat_max = cfg.grid
     cx, cy = (lon_min + lon_max) / 2, (lat_min + lat_max) / 2
     rx, ry = 0.35 * (lon_max - lon_min), 0.35 * (lat_max - lat_min)
@@ -189,9 +188,9 @@ def generate_population(cfg: SynthConfig) -> tuple[SocialGraph, GroundTruth]:
     return g, GroundTruth(home_tower=homes, label=labels)
 
 
-def _visit_cdf(towers: dict[str, Tower], home: str, concentration: float) -> list[float]:
-    lonlat = np.array([(towers[t].lon, towers[t].lat) for t in sorted(towers)])
-    dists = haversine_km_to(towers[home].lon, towers[home].lat, lonlat[:, 0], lonlat[:, 1])
+def _visit_cdf(towers: dict[str, tuple[float, float]], home: str, concentration: float) -> list[float]:
+    lonlat = np.array([towers[t] for t in sorted(towers)])
+    dists = haversine_km_to(*towers[home], lonlat[:, 0], lonlat[:, 1])
     ranks = np.argsort(np.argsort(dists, kind="stable"), kind="stable")
     weights = (1.0 - concentration) ** ranks
     return np.cumsum(weights / weights.sum()).tolist()

@@ -59,10 +59,10 @@ def area_centroids(towers, area_map: dict[str, str]) -> dict[str, tuple[float, f
     for tid, area in area_map.items():
         if tid not in towers:
             continue
-        t = towers[tid]
+        lon, lat = towers[tid]
         acc = sums.setdefault(area, [0.0, 0.0, 0])
-        acc[0] += t.lon
-        acc[1] += t.lat
+        acc[0] += lon
+        acc[1] += lat
         acc[2] += 1
     return {a: (x / c, y / c) for a, (x, y, c) in sums.items() if c}
 
@@ -209,8 +209,8 @@ def distance_activation_matrix(ds: Dataset, epicenter: tuple[float, float], even
     n = len(c.subscriber_ids)
     edges = np.asarray(distance_bins, dtype=float)
     n_bins = len(edges) + 1
-    tower_bin = [int(np.searchsorted(edges, haversine_km(t.lon, t.lat, epicenter[0], epicenter[1]), side="right"))
-                 for t in map(ds.towers.__getitem__, c.tower_ids)]
+    tower_bin = [int(np.searchsorted(edges, haversine_km(*ds.towers[t], *epicenter), side="right"))
+                 for t in c.tower_ids]
     dist_bin = np.array(tower_bin + [-1], dtype=np.int64)[ds.home_towers()]
 
     def day_matrix(day: int) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from cdrlab.anomaly import FlowCounts
-from cdrlab.records import EVENT_KINDS, CdrTable, Dataset, TopUpTable, Tower
+from cdrlab.records import EVENT_KINDS, CdrTable, Dataset, TopUpTable
 from cdrlab.socialgraph import SocialGraph
 
 T0 = 1462060800  # 2016-05-01T00:00:00Z, a Sunday
@@ -90,10 +90,6 @@ def dataset_from_records(cdrs, topups, towers, window) -> Dataset:
     return Dataset(cdr_table(cdrs), topup_table(topups), dict(towers), window)
 
 
-def tower(tid: str, lon: float = 90.0, lat: float = 23.0) -> Tower:
-    return Tower(tid, lon, lat)
-
-
 def voice(caller, callee, tower_id, ts, seconds=60.0):
     return CdrRecord(caller, callee, tower_id, ts, "voice", float(seconds))
 
@@ -115,7 +111,7 @@ def make_dataset(cdrs=(), topups=(), towers=None, window=None) -> Dataset:
         ids = {r.tower for r in cdrs} | {
             t.retailer_tower for t in topups if t.retailer_tower
         } or {"T1"}
-        towers = {tid: tower(tid, 90.0 + 0.1 * i, 23.0) for i, tid in enumerate(sorted(ids))}
+        towers = {tid: (90.0 + 0.1 * i, 23.0) for i, tid in enumerate(sorted(ids))}
     if window is None:
         stamps = [r.timestamp for r in cdrs] + [t.timestamp for t in topups]
         window = (min(stamps), max(stamps) + 1) if stamps else (T0, T0 + DAY)

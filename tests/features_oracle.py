@@ -82,8 +82,7 @@ def extract_features(ds, subscriber: str, denominations=None) -> tuple[str | Non
     home_code = int(ds.home_towers()[code])
     home = None if home_code < 0 else c.tower_ids[home_code]
     if home is not None:
-        values["home_tower_lon"] = ds.towers[home].lon
-        values["home_tower_lat"] = ds.towers[home].lat
+        values["home_tower_lon"], values["home_tower_lat"] = ds.towers[home]
 
     if len(tops):
         amounts = ds.topups.amount[tops].tolist()

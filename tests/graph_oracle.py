@@ -43,7 +43,7 @@ def subgraph_clustering(pairs: list[tuple[int, int]]) -> tuple[int, int]:
 
 def nearest_tower(lon: float, lat: float, towers) -> str:
     """Id of the tower closest to (lon, lat); the smaller id wins a tie."""
-    return min(sorted(towers), key=lambda tid: (haversine_km(lon, lat, towers[tid].lon, towers[tid].lat), tid))
+    return min(sorted(towers), key=lambda tid: (haversine_km(lon, lat, *towers[tid]), tid))
 
 
 def union_find_groups(g) -> list[set[str]]:

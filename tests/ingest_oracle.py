@@ -25,7 +25,7 @@ from cdrlab.ingest import (
     open_text,
     write_csv,
 )
-from cdrlab.records import EVENT_KINDS, Tower, parse_timestamp
+from cdrlab.records import EVENT_KINDS, parse_timestamp
 
 from conftest import CdrRecord, TopUpRecord
 
@@ -190,9 +190,9 @@ def parse_topup_file(
 def parse_tower_file(
     path: str,
     reject_cap: float = DEFAULT_REJECT_CAP,
-) -> tuple[dict[str, Tower], RejectReport]:
+) -> tuple[dict[str, tuple[float, float]], RejectReport]:
     """CSV of id,lon,lat, one row at a time.  Duplicate ids are fatal; bad coordinates reject."""
-    towers: dict[str, Tower] = {}
+    towers: dict[str, tuple[float, float]] = {}
     rejects: list[tuple[int, str]] = []
     total = 0
     with open_text(path) as fh:
@@ -225,7 +225,7 @@ def parse_tower_file(
             if not -90.0 <= lat <= 90.0:
                 rejects.append((line_no, "lat out of range"))
                 continue
-            towers[tid] = Tower(tid, lon, lat)
+            towers[tid] = (lon, lat)
     report = RejectReport(str(path), rejects, total)
     check_cap(report, reject_cap)
     return towers, report

@@ -8,6 +8,10 @@ looked for exact hits cell by cell, and ``write_grid`` formatted one value at
 a time; ``cdrlab.spatial`` must give the same raster and the same text.
 ``auc_score`` walked each run of tied scores to give it its midrank;
 ``cdrlab.mlkit.metrics`` must return the same AUC, bit for bit.
+``largest_remainder`` handed out the leftover rows of a stratified split in
+rounds until none was left, and ``sample_weights`` looked each label's
+balanced weight up in a dict; ``cdrlab.mlkit.data`` must allocate the same
+rows, and ``cdrlab.mlkit.models`` give the same weights, bit for bit.
 
 ``adopter_mask`` and ``edge_positions`` turn subscriber ids into the node
 mask and edge positions the kappa and p_k functions take.
@@ -165,3 +169,26 @@ def idw_interpolate(samples, nrows, ncols, xllcorner, yllcorner, cellsize, power
 def grid_body(raster: GridRaster) -> str:
     """The value lines of write_grid, one numpy value at a time."""
     return "".join(" ".join(repr(float(v)) for v in row) + "\n" for row in raster.values)
+
+
+def largest_remainder(counts: list[int], fraction: float, total_take: int) -> list[int]:
+    """Allocate total_take across groups proportionally to counts, one round of leftovers at a time."""
+    exact = [fraction * c for c in counts]
+    take = [min(int(e), c) for e, c in zip(exact, counts)]
+    remaining = total_take - sum(take)
+    order = sorted(range(len(counts)), key=lambda i: (-(exact[i] - take[i]), i))
+    while remaining > 0:
+        for g in order:
+            if remaining > 0 and take[g] < counts[g]:
+                take[g] += 1
+                remaining -= 1
+        if all(t == c for t, c in zip(take, counts)):
+            break
+    return take
+
+
+def sample_weights(y: np.ndarray) -> np.ndarray:
+    """Balanced per-row weights, n / (classes * class count), each row's looked up in a dict."""
+    classes, counts = np.unique(y, return_counts=True)
+    lut = {c: len(y) / (len(classes) * n) for c, n in zip(classes, counts)}
+    return np.array([lut[v] for v in y])

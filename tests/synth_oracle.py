@@ -36,8 +36,7 @@ def generate_population(cfg):
 
     towers = towers_for(cfg)
     order = sorted(towers)
-    tower_lon = np.array([towers[t].lon for t in order])
-    tower_lat = np.array([towers[t].lat for t in order])
+    tower_lon, tower_lat = np.array([towers[t] for t in order]).T
     lon_min, lat_min, lon_max, lat_max = cfg.grid
     cx, cy = (lon_min + lon_max) / 2, (lat_min + lat_max) / 2
     rx, ry = 0.35 * (lon_max - lon_min), 0.35 * (lat_max - lat_min)
@@ -52,8 +51,7 @@ def generate_population(cfg):
     u = label_rng.random(cfg.n_subscribers)
     labels: dict[str, str] = {}
     for i, s in enumerate(subs):
-        t = towers[homes[s]]
-        frac_east = (t.lon - lon_min) / (lon_max - lon_min)
+        frac_east = (towers[homes[s]][0] - lon_min) / (lon_max - lon_min)
         p_low = min(0.95, max(0.05, cfg.label_low_fraction + 0.45 * (0.5 - frac_east) * 2))
         labels[s] = "low" if u[i] < p_low else "high"
     return g, GroundTruth(home_tower=homes, label=labels)
@@ -61,8 +59,7 @@ def generate_population(cfg):
 
 def _visit_cdf(cfg, towers, home, concentration):
     order = sorted(towers)
-    h = towers[home]
-    dists = np.array([haversine_km(h.lon, h.lat, towers[t].lon, towers[t].lat) for t in order])
+    dists = np.array([haversine_km(*towers[home], *towers[t]) for t in order])
     ranks = np.argsort(np.argsort(dists, kind="stable"), kind="stable")
     weights = (1.0 - concentration) ** ranks
     cdf = np.cumsum(weights / weights.sum())

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdrlab import anomaly as an
-from cdrlab.records import Tower, day_start
+from cdrlab.records import day_start
 
 import anomaly_oracle
 from geo_oracle import haversine_km
@@ -127,7 +127,7 @@ def test_grouped_bin_series_matches_per_entity_loop(calls, tops, bin_width, meas
     cdrs = [voice("A", "B", t, T0 + off) if kind == "voice" else sms("A", "B", t, T0 + off)
             for t, off, kind in calls]
     ds = make_dataset(cdrs, [topup("A", T0 + off, amt, retailer_tower=t) for t, off, amt in tops],
-                      towers={t: Tower(t, 90.0, 23.0) for t in TOWERS}, window=(T0, T0 + SPAN))
+                      towers={t: (90.0, 23.0) for t in TOWERS}, window=(T0, T0 + SPAN))
     # unmapped: T3 is missing from the area map, which district series reject
     area_map = dict(zip(TOWERS if mapped else TOWERS[:2], areas))
     entities = [("global",)] + [("tower", t) for t in TOWERS]
@@ -251,9 +251,9 @@ def test_detect_anomalies_matches_the_former_per_bin_cells(values, start, bin_wi
 # -- flows -------------------------------------------------------------------------
 
 AREA_TOWERS = {
-    "T1": Tower("T1", 90.0, 23.0),
-    "T2": Tower("T2", 91.0, 23.0),   # ~102 km east of T1
-    "T3": Tower("T3", 90.02, 23.0),  # ~2 km east of T1
+    "T1": (90.0, 23.0),
+    "T2": (91.0, 23.0),   # ~102 km east of T1
+    "T3": (90.02, 23.0),  # ~2 km east of T1
 }
 AREA_MAP = {"T1": "west", "T2": "east", "T3": "near"}
 
@@ -309,7 +309,7 @@ def test_build_flow_network_filters():
 # month end and start and end inside a day.
 
 MONTH_END = T0 + 30 * DAY  # 2016-05-31
-GRID = {f"T{i}": Tower(f"T{i}", 90.0 + 0.09 * i, 23.0 + 0.04 * (i % 3)) for i in range(6)}
+GRID = {f"T{i}": (90.0 + 0.09 * i, 23.0 + 0.04 * (i % 3)) for i in range(6)}
 TRIP = st.tuples(st.sampled_from("ABCDEF"), st.sampled_from("ABCDEF"), st.sampled_from(sorted(GRID)),
                  st.integers(0, 2 * DAY - 1))
 FLOW_TRIP = st.tuples(st.sampled_from("ABC"), st.sampled_from("ABC"), st.sampled_from(sorted(GRID)),
@@ -570,7 +570,7 @@ def test_rank_activation_curves_bins_must_tile_a_day():
 # -- distance matrix --------------------------------------------------------------------
 
 def test_distance_activation_matrix():
-    towers = {"T1": Tower("T1", 90.0, 23.0), "T2": Tower("T2", 91.0, 23.0)}
+    towers = {"T1": (90.0, 23.0), "T2": (91.0, 23.0)}
     hour = 10 * 3600
     cdrs = [
         # homes: A and B call from T1 only; C's one outgoing event is a night data session at T2;
@@ -613,13 +613,13 @@ def test_distance_activation_matrix():
 # examples' edges are exact tower distances from T0, or the next floats up, so
 # a distance one bit off falls in another bin.
 
-ON_EDGE = sorted(haversine_km(t.lon, t.lat, 90.0, 23.0) for t in GRID.values())[1:4]
+ON_EDGE = sorted(haversine_km(lon, lat, 90.0, 23.0) for lon, lat in GRID.values())[1:4]
 ALL_DAY = [(c, "A", f"T{i}", DAY + 3600 * i) for i, c in enumerate("ABCDEF")] + [("C", "A", "T2", 60)]  # homes T0..T5
 
 
 @settings(max_examples=150, deadline=None)
 @given(trips=st.lists(TRIP, max_size=40),
-       epicenter=st.one_of(st.sampled_from([(t.lon, t.lat) for t in GRID.values()]),
+       epicenter=st.one_of(st.sampled_from(list(GRID.values())),
                            st.tuples(st.floats(89.5, 91.0), st.floats(22.5, 23.5))),
        bins=st.lists(st.floats(0.01, 80.0), min_size=1, max_size=4, unique=True).map(sorted),
        hours=st.sampled_from([(0, 24), (8, 12), (0, 1)]))

@@ -419,6 +419,15 @@ def test_area_map_rejects_repeated_tower(synth_dir, tmp_path, capsys):
     assert not (tmp_path / "d" / "anomalies.csv").exists()
 
 
+@pytest.mark.parametrize("blank", ["", " "], ids=["empty", "whitespace"])
+def test_area_map_blank_area_leaves_the_tower_out(synth_dir, tmp_path, capsys, blank):
+    towers = tower_ids(synth_dir)
+    areas = tmp_path / "areas.csv"
+    areas.write_text("tower,area\n" + "".join(f"{t},{blank if i == 1 else 'D0'}\n" for i, t in enumerate(towers)))
+    assert cli.main(["flows", *dataset_args(synth_dir), "--areas", str(areas), "--outdir", str(tmp_path / "f")]) == 2
+    assert f"tower '{towers[1]}' missing from area_map" in capsys.readouterr().err
+
+
 def test_rank_curves_and_distance_matrix(synth_dir, tmp_path):
     rc = cli.main(["rank-curves", *dataset_args(synth_dir),
                    "--event-time", str(T0 + 3 * DAY + 8 * 3600),
@@ -1045,10 +1054,12 @@ SIDE_FILE_CASES = [
     ("samples", "missing column", "area,val\nx,1\n", ": expected column(s) value"),
     ("samples", "blank row", "area,value\nx,1\n,\ny,2\nz,4\n", None),
     ("samples", "blank value", "area,value\nx,1\ny,\nz,4\nw,2\n", None),
+    ("samples", "whitespace value", "area,value\nx,1\ny, \nz,4\nw,2\n", None),
     ("adopters", "blank key", "subscriber,day\n{s0},3\n,4\n", ":3: missing subscriber"),
     ("adopters", "repeated key", "subscriber,day\n{s0},3\n{s0},4\n", ":3: repeated subscriber '{s0}'"),
     ("adopters", "bad number", "subscriber,day\n{s0},3\n{s1},inf\n", ":3: bad number 'inf'"),
     ("adopters", "blank row", "subscriber,day\n{s0},3\n,\n{s1},4\n", None),
+    ("adopters", "whitespace day", "subscriber,day\n{s0},3\n{s1}, \n", None),
     ("features", "blank key", "subscriber,f1\ns1,0.9\n,0.8\ns3,0.8\ns4,0.5\ns5,0.3\ns6,0.1\n",
      ":3: missing subscriber"),
     ("features", "repeated key", "subscriber,f1\ns1,0.9\ns2,0.8\ns3,0.8\ns4,0.5\ns5,0.3\ns6,0.1\ns2,0.2\n",
@@ -1061,6 +1072,10 @@ SIDE_FILE_CASES = [
      ":3: wrong field count"),
     ("features", "blank row", "subscriber,f1\ns1,0.9\ns2,0.8\n,\ns3,0.8\ns4,0.5\ns5,0.3\ns6,0.1\n", None),
     ("features", "blank cell", "subscriber,f1\ns1,0.9\ns2,\ns3,0.8\ns4,0.5\ns5,0.3\ns6,0.1\n", None),
+    ("features", "whitespace cell", "subscriber,f1\ns1,0.9\ns2, \ns3,0.8\ns4,0.5\ns5,0.3\ns6,0.1\n", None),
+    # a row need not reach home_tower, which no model reads
+    ("features", "short of an unread column",
+     "subscriber,f1,home_tower\ns1,0.9,T1\ns2,0.8\ns3,0.8,T1\ns4,0.5,T1\ns5,0.3,T1\ns6,0.1,T1\n", None),
     ("control", "blank key", "subscriber,note\ns1,a\n,b\ns5,c\n", ":3: missing subscriber"),
     ("control", "repeated key", "subscriber\ns1\ns5\ns1\n", ":4: repeated subscriber 's1'"),
     ("control", "blank row", "subscriber,note\ns1,a\n,\ns5,c\n", None),
@@ -1079,6 +1094,7 @@ SIDE_FILE_CASES = [
     # non-finite cells: test_select_covariates_non_finite_cell_exits_2
     ("table", "short row", "id,resp,x1\nr0,1.0,2.0\nr1,3.0\n", ":3: wrong field count"),
     ("table", "bad number", "id,resp,x1\nr0,1.0,2.0\nr1,3.0,?\n", ":3: bad number '?'"),
+    ("table", "bad number beside a blank", SIDE_FILES["table"] + "r99,,?,1\n", ":8: bad number '?'"),
     ("table", "missing column", "id,res,x1\nr0,1.0,2.0\n", ": expected column(s) resp"),
     ("table", "blank row", SIDE_FILES["table"] + ",,\n", None),
 ]
@@ -1104,6 +1120,16 @@ def test_idw_sample_without_value_exits_2(synth_dir, tmp_path, capsys):
     assert cli.main(["idw", "--towers", str(synth_dir / "towers.csv"), "--samples", str(samples),
                      "--outdir", str(tmp_path / "idw")]) == 2
     assert f"{samples}:3: wrong field count" in capsys.readouterr().err
+    assert not (tmp_path / "idw" / "grid.txt").exists()
+
+
+def test_idw_samples_at_one_point_exit_2(tmp_path, capsys):
+    towers, samples = tmp_path / "towers.csv", tmp_path / "samples.csv"
+    towers.write_text("id,lon,lat\nT1,91.0,24.0\nT2,91.0,24.0\nT3,90.0,23.0\n")
+    samples.write_text("area,value\nT1,1\nT2,5\nT3,3\n")
+    assert cli.main(["idw", "--towers", str(towers), "--samples", str(samples),
+                     "--outdir", str(tmp_path / "idw")]) == 2
+    assert "--samples: towers 'T1' and 'T2' share the point (91.0, 24.0)" in capsys.readouterr().err
     assert not (tmp_path / "idw" / "grid.txt").exists()
 
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from cdrlab import features as feat
 from cdrlab.geo import EARTH_RADIUS_KM, haversine_km_to
-from cdrlab.records import Tower
 
 import features_oracle as oracle
 from geo_oracle import haversine_km
@@ -64,7 +63,7 @@ def radii(visit_lists):
     for s, visits in enumerate(visit_lists):
         for lon, lat in visits:  # one tower per distinct point, 0.0 and -0.0 apart
             tid = ids.setdefault((lon.hex(), lat.hex()), f"T{len(ids)}")
-            towers[tid] = Tower(tid, lon, lat)
+            towers[tid] = (lon, lat)
             cdrs.append(data(f"S{s:04d}", tid, T0 + len(cdrs)))
     rows = table(make_dataset(cdrs, towers=towers))
     return [rows[f"S{s:04d}"][1]["radius_of_gyration"] for s in range(len(visit_lists))]
@@ -133,7 +132,7 @@ def test_spending_speed_inclusive_span():
 
 @pytest.fixture
 def rich_ds():
-    towers = {"T1": Tower("T1", 90.0, 23.0), "T2": Tower("T2", 90.2, 23.0)}
+    towers = {"T1": (90.0, 23.0), "T2": (90.2, 23.0)}
     cdrs = [
         voice("A", "B", "T1", T0 + 10 * 3600, 120),
         voice("A", "B", "T2", T0 + 23 * 3600, 60),
@@ -292,14 +291,14 @@ def per_subscriber_home_tower(ds, subscriber):
                 max_size=40))
 def test_grouped_home_towers_match_per_subscriber_scan(events):
     ds = make_dataset([voice(a, b, t, T0 + off) for a, b, t, off in events],
-                      towers={t: Tower(t, 90.0, 23.0) for t in ("T1", "T2", "T10", "T3")},
+                      towers={t: (90.0, 23.0) for t in ("T1", "T2", "T10", "T3")},
                       window=(T0, T0 + 2 * DAY))
     got = homes(ds)
     for sub in ds.subscribers():
         assert (got[sub] or None) == per_subscriber_home_tower(ds, sub)
 
 
-TOWERS = {"T1": Tower("T1", 90.0, 23.0), "T2": Tower("T2", 90.21, 23.4), "T3": Tower("T3", -0.0, 0.5)}
+TOWERS = {"T1": (90.0, 23.0), "T2": (90.21, 23.4), "T3": (-0.0, 0.5)}
 KINDS = ("voice", "sms", "data", "video", "mms")
 MAGNITUDES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 60.0, 0.1]), st.floats(0, 1e6))
 CDRS = st.lists(st.tuples(st.sampled_from("ABC"), st.sampled_from(["A", "B", "C", "D", None]),

@@ -2,10 +2,12 @@
 
 A small synthetic extract (300 subscribers, 20 towers, 14 days from
 2016-05-25, so the window crosses the May/June month end) runs through every
-subcommand in process; the side files that `idw`, `correlate`,
-`select-covariates`, `campaign` and the `--areas` steps read are written
-here.  A change that
-alters any output byte fails with the first file that differs.
+subcommand in process, and `train` and `eval` run once per model family.
+The side files that `idw`, `correlate`, `campaign` and the `--areas` steps
+read are written here, and so is `table.csv`, the `select-covariates
+--table` input with a text column and a blank and a whitespace-only cell.
+A change that alters any output byte fails with the first file that
+differs.
 
 The workload runs three ways: with an empty parse-snapshot cache (the first
 parsing step parses, later ones read its snapshots), with the cache off, and
@@ -63,11 +65,18 @@ STEPS = [
                   "--control", "control.csv", "--outcomes", "outcomes.csv", "--treatment-size", "40"]),
     ("anomaly_district", ["anomaly", "--entity", "district:D1", "--areas", "areas.csv", *DATA]),
     ("flows_district", ["flows", "--areas", "areas.csv", *DATA]),
+    ("train_stumps", ["train", "--family", "bagged_stumps", "--seed", "2", *MODEL_IO]),
+    ("eval_stumps", ["eval", *MODEL_IO, "--model", "train_stumps/model.json",
+                     "--test-ids", "train_stumps/test_ids.csv"]),
+    ("train_mlp", ["train", "--family", "mlp", "--seed", "2", *MODEL_IO]),
+    ("eval_mlp", ["eval", *MODEL_IO, "--model", "train_mlp/model.json", "--test-ids", "train_mlp/test_ids.csv"]),
+    ("select_table", ["select-covariates", "--table", "table.csv", "--response", "resp"]),
+    ("select_table_exhaustive", ["select-covariates", "--table", "table.csv", "--response", "resp", "--exhaustive"]),
 ]
 
 
 def _side_files(work: Path) -> None:
-    """The inputs of idw, correlate, campaign and the district steps, derived from synth's towers and labels."""
+    """The inputs of idw, correlate, campaign, the district steps and select_table, from synth's towers and labels."""
     towers = [ln.split(",")[0] for ln in (work / "synth" / "towers.csv").read_text().splitlines()[2:]]
     subs = [ln.split(",")[0] for ln in (work / "synth" / "labels.csv").read_text().splitlines()[2:]]
     (work / "samples.csv").write_text("area,value\n" + "".join(f"{t},{i % 7 + 0.5}\n" for i, t in enumerate(towers)))
@@ -76,6 +85,13 @@ def _side_files(work: Path) -> None:
     (work / "control.csv").write_text("subscriber\n" + "".join(f"{s}\n" for s in subs[::5]))
     (work / "outcomes.csv").write_text("subscriber,converted,renewed\n"
                                        + "".join(f"{s},{i % 3 == 0:d},{i % 4 == 0:d}\n" for i, s in enumerate(subs)))
+    # x3 follows x1 closely enough to be pruned; row 7 has a blank x2 and row 11 a whitespace-only resp
+    table = []
+    for i, s in enumerate(subs[:60]):
+        x1, x2, x4 = i % 7 + 0.25 * (i % 3), i * i % 11, i * 5 % 13
+        resp = 1.5 * x1 - 0.4 * x4 + 0.3 * (i % 5)
+        table.append([s, f"D{i % 4}", " " if i == 11 else resp, x1, "" if i == 7 else x2, 2 * x1 + 0.1 * (i % 4), x4])
+    (work / "table.csv").write_text("id,area,resp,x1,x2,x3,x4\n" + "".join(",".join(map(str, r)) + "\n" for r in table))
 
 
 def run_workload(work: Path) -> dict[str, str]:

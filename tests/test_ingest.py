@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdrlab import cli, ingest
-from cdrlab.records import EVENT_KINDS, CdrTable, Dataset, TopUpTable, Tower
+from cdrlab.records import EVENT_KINDS, CdrTable, Dataset, TopUpTable
 
 import ingest_oracle
 from conftest import (T0, CdrRecord, TopUpRecord, cdr_rows, cdr_table, dataset_from_records, make_dataset, sms,
@@ -186,7 +186,7 @@ def test_duplicate_tower_is_fatal(tmp_path):
 def test_a_repeat_of_a_rejected_tower_line_is_not_fatal(tmp_path):
     p = write(tmp_path / "towers.csv", ["id,lon,lat", "T1,x,23", "T1,90,23", "T2,91", "T2,91,23", ",5,5", ",6,6"])
     towers, report = ingest.parse_tower_file(p, reject_cap=1.0)
-    assert towers == {"T1": Tower("T1", 90.0, 23.0), "T2": Tower("T2", 91.0, 23.0)}
+    assert towers == {"T1": (90.0, 23.0), "T2": (91.0, 23.0)}
     assert report.rejects == [(2, "bad coordinate"), (4, "wrong field count"), (6, "missing id"), (7, "missing id")]
 
 
@@ -248,7 +248,7 @@ def test_gzip_round_trip(tmp_path):
 def test_writers_round_trip(tmp_path):
     cdrs = [voice("A", "B", "T1", T0 + 600, 120), sms("B", "A", "T2", T0 + 700)]
     tops = [topup("A", T0 + 800, 50.0, retailer_tower="T2")]
-    towers = {"T1": Tower("T1", 90.25, 23.5), "T2": Tower("T2", 90.5, 23.75)}
+    towers = {"T1": (90.25, 23.5), "T2": (90.5, 23.75)}
     c, t, w = tmp_path / "c.csv", tmp_path / "t.csv", tmp_path / "w.csv"
     written = make_dataset(cdrs, tops, towers=towers)
     ingest.write_cdr_csv(written.cdrs, str(c), header_comment="# test")
@@ -663,7 +663,7 @@ CDR_LINES = oracle_lines(
 TOPUP_LINES = oracle_lines(
     (ORACLE_ID, ORACLE_ID, ORACLE_TOWER, ORACLE_STAMP, ORACLE_NUMBER),
     (CLEAN_ID, CLEAN_ID, st.sampled_from(KNOWN + ("",)), CLEAN_STAMP, CLEAN_NUMBER))
-TOWERS = {t: Tower(t, 90.0, 23.0) for t in KNOWN}
+TOWERS = {t: (90.0, 23.0) for t in KNOWN}
 
 
 @settings(max_examples=300, deadline=None)

@@ -4,8 +4,9 @@ reporting.
 
 Oracles: scipy BFGS for the logistic optimum, a brute-force split search
 for stumps, central finite differences for network gradients, and the
-normal survival function for the two-proportion test.  ``auc_score``
-has the former tie-walking loop in ``stats_oracle`` as its oracle.
+normal survival function for the two-proportion test.  ``auc_score``,
+the split's largest-remainder allocation and the balanced sample weights
+have their former loops in ``stats_oracle`` as their oracles.
 """
 
 import json
@@ -116,6 +117,15 @@ def test_largest_remainder_allocation():
     assert _largest_remainder([1, 9], 0.9, 9) == [1, 8]
 
 
+@settings(max_examples=300, deadline=None)
+@given(counts=st.lists(st.integers(1, 3000), min_size=1, max_size=6),
+       fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_largest_remainder_matches_the_round_by_round_oracle(counts, fraction):
+    total_take = round(fraction * sum(counts))
+    assert _largest_remainder(counts, fraction, total_take) == stats_oracle.largest_remainder(counts, fraction,
+                                                                                              total_take)
+
+
 def test_split_is_disjoint_exhaustive_and_sized():
     tab = blob_table(n=40, seed=1)
     train, test = split_train_test(tab, fraction=0.75, seed=0)
@@ -199,6 +209,13 @@ def test_sample_weights_balanced_and_dict():
         with pytest.raises(ValueError, match=r"\[model\] class_weight must be empty or 'balanced'"):
             md._sample_weights(y, other)
     assert md._sample_weights(y, None).tolist() == [1.0] * 100
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(2, 200), k=st.sampled_from([2, 3]))
+def test_balanced_weights_match_the_dict_oracle_bit_for_bit(data, n, k):
+    y = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0][:k]), min_size=n, max_size=n)))
+    assert md._sample_weights(y, "balanced").tobytes() == stats_oracle.sample_weights(y).tobytes()
 
 
 def test_logistic_separates_blobs():

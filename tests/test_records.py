@@ -8,7 +8,7 @@ from cdrlab.records import (
     parse_timestamp,
 )
 
-from conftest import T0, DAY, cdr_rows, make_dataset, sms, topup, tower, voice
+from conftest import T0, DAY, cdr_rows, make_dataset, sms, topup, voice
 from ingest_oracle import format_timestamp
 
 
@@ -88,7 +88,7 @@ def test_dataset_rejects_events_outside_its_window():
 
 
 def test_dataset_rejects_events_at_unknown_towers():
-    towers = {"T1": tower("T1")}
+    towers = {"T1": (90.0, 23.0)}
     make_dataset([voice("A", "B", "T1", T0)], [topup("A", T0, 5.0, retailer_tower="T1")], towers=towers)
     with pytest.raises(ValueError, match="cdr tower 'TX' not in towers"):
         make_dataset([voice("A", "B", "TX", T0)], towers=towers)

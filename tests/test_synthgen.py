@@ -79,8 +79,8 @@ def test_towers_inside_grid_and_deterministic():
     cfg = small_cfg()
     towers = syn.towers_for(cfg)
     assert len(towers) == 6
-    for t in towers.values():
-        assert GRID[0] <= t.lon <= GRID[2] and GRID[1] <= t.lat <= GRID[3]
+    for lon, lat in towers.values():
+        assert GRID[0] <= lon <= GRID[2] and GRID[1] <= lat <= GRID[3]
     assert syn.towers_for(cfg) == towers
 
 
