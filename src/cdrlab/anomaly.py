@@ -31,47 +31,37 @@ FLOW_MODES = ("first_last", "per_transition")
 
 @dataclass
 class TimeSeries:
-    entity: tuple
+    entities: list[tuple]
     bin_width: int
     start: int
-    values: np.ndarray
-
-
-@dataclass
-class AnomalyFlag:
-    index: int
-    start: int
-    value: float
-    baseline_mean: float
-    baseline_std: float
-    z: float | None  # None when the baseline cell is degenerate (zero variance)
-    direction: str  # "increase" or "decrease"
-
-
-def _flag(index: int, start: int, value: float, mean: float, sigma: float,
-          threshold_sigma: float) -> AnomalyFlag | None:
-    """The flag for one value against its baseline, or None when it is normal.
-
-    A zero sigma is a degenerate baseline: any value off its mean flags,
-    with no z-score.  Every number is stored as a plain Python float.
-    """
-    value, mean, sigma = float(value), float(mean), float(sigma)
-    direction = "increase" if value > mean else "decrease"
-    if sigma == 0.0:
-        if value != mean:
-            return AnomalyFlag(index, start, value, mean, sigma, None, direction)
-    elif abs(value - mean) > threshold_sigma * sigma:
-        return AnomalyFlag(index, start, value, mean, sigma, (value - mean) / sigma, direction)
-    return None
+    values: np.ndarray  # one row of bins per entity
 
 
 @dataclass
 class AnomalyReport:
-    entity: tuple
-    flags: list[AnomalyFlag]
+    """The flags of a matrix of series, row after row, each row's in bin order."""
 
-    def flagged(self) -> set[int]:
-        return {f.index for f in self.flags}
+    entities: list[tuple]  # per row of the matrix
+    starts: np.ndarray  # per bin, its start, epoch seconds
+    row: np.ndarray  # per flag, its row
+    index: np.ndarray  # per flag, its bin
+    value: np.ndarray
+    baseline_mean: np.ndarray
+    baseline_std: np.ndarray
+    z: np.ndarray  # nan where the baseline sigma is 0
+
+
+def _sigma_flags(entities: list[tuple], starts: np.ndarray, values: np.ndarray, mean: np.ndarray,
+                 sigma: np.ndarray, threshold_sigma: float) -> AnomalyReport:
+    """The report of the values (rows x bins) further than threshold_sigma sigmas from their means.
+
+    mean and sigma give each value's baseline; a zero sigma flags any value off its mean.
+    """
+    sigma = np.broadcast_to(sigma, values.shape)
+    hit = np.where(sigma == 0.0, values != mean, np.abs(values - mean) > threshold_sigma * sigma)
+    row, index = np.nonzero(hit)
+    value, m, s = values[row, index], mean[row, index], sigma[row, index]
+    return AnomalyReport(entities, starts, row, index, value, m, s, (value - m) / np.where(s == 0.0, np.nan, s))
 
 
 @dataclass
@@ -96,13 +86,13 @@ def bin_series(
     bin_width: int,
     measure: str = "call_count",
     area_map: dict[str, str] | None = None,
-) -> list[TimeSeries]:
+) -> TimeSeries:
     """Aggregate each entity's events into contiguous bins over the window.
 
     An entity is ("global",), ("tower", id), or ("district", id) with an
     area_map; call_count counts voice events, the recharge measures use
     top-ups located at the retailer tower.  One pass over the events fills
-    every series; they come back in the order given.
+    every series; their rows come in the order given.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
@@ -138,10 +128,11 @@ def bin_series(
         series.update((("tower", tid), row) for tid, row in zip(tower_ids, cells.reshape(-1, n_bins)))
     if any(entity[0] == "district" for entity in entities):
         districts, area = _area_codes(tower_ids, area_map, tower)
-        cells = np.bincount(area[located] * n_bins + bins[located],
+        cells = np.bincount(area[located].astype(np.int64) * n_bins + bins[located],
                             weights=amount[located], minlength=len(districts) * n_bins)
         series.update((("district", d), row) for d, row in zip(districts, cells.reshape(-1, n_bins)))
-    return [TimeSeries(tuple(e), bin_width, start, series[tuple(e)]) for e in entities]
+    entities = [tuple(e) for e in entities]
+    return TimeSeries(entities, bin_width, start, np.array([series[e] for e in entities]).reshape(-1, n_bins))
 
 
 def _area_codes(tower_ids: tuple[str, ...], area_map: dict[str, str],
@@ -152,7 +143,7 @@ def _area_codes(tower_ids: tuple[str, ...], area_map: dict[str, str],
     """
     areas = sorted(set(area_map.values()))
     index = {a: i for i, a in enumerate(areas)}
-    area = np.array([index.get(area_map.get(tid), -1) for tid in tower_ids] + [-1], dtype=np.int64)[tower]
+    area = np.array([index.get(area_map.get(tid), -1) for tid in tower_ids] + [-1], dtype=np.int32)[tower]
     missing = np.flatnonzero((area < 0) & (tower >= 0))
     if len(missing):
         raise ValueError(f"tower {tower_ids[tower[missing[0]]]!r} missing from area_map")
@@ -164,7 +155,7 @@ def detect_anomalies(
     baseline: str = "hour_of_day",
     threshold_sigma: float = DEFAULT_THRESHOLD_SIGMA,
 ) -> AnomalyReport:
-    """Flag bins where |value - cell mean| exceeds threshold_sigma cell stddevs.
+    """Flag bins where |value - cell mean| exceeds threshold_sigma cell stddevs, every series at once.
 
     Cell statistics include the bin under test (the baseline is the whole
     period).  A zero-variance cell is degenerate: any value different from
@@ -172,7 +163,7 @@ def detect_anomalies(
     """
     if baseline not in BASELINES:
         raise ValueError(f"unknown baseline {baseline!r}")
-    starts = ts.start + ts.bin_width * np.arange(len(ts.values), dtype=np.int64)
+    starts = ts.start + ts.bin_width * np.arange(ts.values.shape[1], dtype=np.int64)
     hour = starts % SECONDS_PER_DAY // 3600
     cell = {"global_mean": np.zeros_like(hour), "hour_of_day": hour, "weekday_hour": _weekdays(starts) * 24 + hour}[baseline]
     counts = np.bincount(cell)
@@ -181,12 +172,15 @@ def detect_anomalies(
         c = int(cell[small[0]])
         key = divmod(c, 24) if baseline == "weekday_hour" else c
         raise ValueError(f"baseline cell {key!r} has {counts[c]} sample(s); need at least 2")
-    # each cell's values in bin order, cell after cell; a cell no bin falls in is empty and has no stats
-    by_cell = np.split(ts.values[np.argsort(cell, kind="stable")], np.cumsum(counts)[:-1])
-    stats = [(float(vals.mean()), float(vals.std(ddof=1))) if len(vals) else None for vals in by_cell]
-    flags = [_flag(i, start, v, *stats[c], threshold_sigma)
-             for i, (start, v, c) in enumerate(zip(starts.tolist(), ts.values, cell.tolist()))]
-    return AnomalyReport(ts.entity, [f for f in flags if f is not None])
+    # Each cell's columns in bin order, gathered C-contiguous, so that a row's
+    # mean and std sum in the order they do for that row alone.  A cell no bin
+    # falls in is empty and has no stats.
+    mean, sigma = np.zeros((2, len(ts.values), len(counts)))
+    for c, at in enumerate(np.split(np.argsort(cell, kind="stable"), np.cumsum(counts)[:-1])):
+        if len(at):
+            block = ts.values.take(at, axis=1)
+            mean[:, c], sigma[:, c] = block.mean(axis=1), block.std(axis=1, ddof=1)
+    return _sigma_flags(ts.entities, starts, ts.values, mean[:, cell], sigma[:, cell], threshold_sigma)
 
 
 def area_centroids(towers, area_map: dict[str, str]) -> dict[str, tuple[float, float]]:
@@ -221,26 +215,30 @@ def build_flow_network(
     days = np.arange(first, ds.window[1], SECONDS_PER_DAY, dtype=np.int64)
     c = ds.cdrs
     rows = ds.cdrs_between(first, first + len(days) * SECONDS_PER_DAY)
+    # Each SIM's areas in time order, per day: the rows are in time order, so a
+    # stable sort by caller alone groups them by (caller, day).  Codes of 16 bits
+    # or fewer sort by radix.  Every array is as long as the window's rows, so
+    # the days come before the order exists, and the gathers go one at a time.
+    day = ((c.ts[rows] - first) // SECONDS_PER_DAY).astype(np.min_scalar_type(len(days)))
     areas, area = _area_codes(c.tower_ids, area_map, c.tower[rows])
-    # Each SIM's areas in time order, per day: day after day, SIM after SIM.
-    subs = len(c.subscriber_ids)
-    key = (c.ts[rows] - first) // SECONDS_PER_DAY * subs + c.caller[rows]
-    order = np.argsort(key, kind="stable")
-    # one gather at a time: each array is as long as the window's rows
-    key = key[order]
+    caller = c.caller[rows].astype(np.min_scalar_type(max(len(c.subscriber_ids) - 1, 0)))
+    order = np.argsort(caller, kind="stable")
+    caller = caller[order]
+    day = day[order]
     area = area[order]
-    same = key[1:] == key[:-1]
+    del order
+    same = (caller[1:] == caller[:-1]) & (day[1:] == day[:-1])
     if mode == "first_last":
-        head = np.ones(len(key), dtype=bool)
+        head = np.ones(len(day), dtype=bool)
         head[1:] = ~same
-        tail = np.ones(len(key), dtype=bool)
+        tail = np.ones(len(day), dtype=bool)
         tail[:-1] = ~same
-        key, origin, dest = key[head], area[head], area[tail]
+        day, origin, dest = day[head], area[head], area[tail]
     else:
-        key, origin, dest = key[1:][same], area[:-1][same], area[1:][same]
+        day, origin, dest = day[1:][same], area[:-1][same], area[1:][same]
     moved = origin != dest
     n = len(areas)
-    flows, counts = np.unique((key[moved] // subs * n + origin[moved]) * n + dest[moved], return_counts=True)
+    flows, counts = np.unique((day[moved].astype(np.int64) * n + origin[moved]) * n + dest[moved], return_counts=True)
     flows, counts = flows[counts >= min_count], counts[counts >= min_count]
     day, pair = np.divmod(flows, n * n)
     # Every area that a row's tower maps to has a centroid; NaN stands for the others.
@@ -267,14 +265,15 @@ def detect_flow_anomalies(
     flows: FlowCounts,
     threshold_sigma: float = DEFAULT_THRESHOLD_SIGMA,
     baseline_days: int = 0,
-) -> dict[tuple[str, str], AnomalyReport]:
-    """Per-directed-pair weekday-baseline anomaly test over daily flows.
+) -> AnomalyReport:
+    """Per-directed-pair weekday-baseline anomaly test over daily flows, one row per tested pair.
 
-    Only pairs with flow on every day are tested.  The baseline is the
-    first baseline_days days (0: all days); its mean is per weekday, and
-    sigma pools the residuals about those weekday means across the pair's
-    baseline days, because a per-weekday sigma from a handful of samples
-    cannot exceed its own 3-sigma band even for a huge surge.
+    Only pairs with flow on every day are tested, in (origin, dest) order, each
+    row's entity ("pair", origin, dest).  The baseline is the first
+    baseline_days days (0: all days); its mean is per weekday, and sigma pools
+    the residuals about those weekday means across the pair's baseline days,
+    because a per-weekday sigma from a handful of samples cannot exceed its own
+    3-sigma band even for a huge surge.
     """
     n_days = len(flows.days)
     if not n_days:
@@ -292,20 +291,20 @@ def detect_flow_anomalies(
     pairs, at, days_with_flow = np.unique(flows.pair, return_inverse=True, return_counts=True)
     series = np.zeros((len(pairs), n_days))
     series[at, flows.day] = flows.count
-    days = flows.days.tolist()
-    reports = {}
-    for p in np.flatnonzero(days_with_flow == n_days).tolist():
-        in_base = series[p, :len(base)]
-        mu = np.zeros(7)
-        for w in np.unique(base).tolist():
-            mu[w] = in_base[base == w].mean()
-        # each residual squared by itself, as pow() rounds it, not numpy's array square
-        sigma = math.sqrt(sum(r ** 2 for r in in_base - mu[base]) / dof)
-        flags = [_flag(i, days[i], v, mu[weekday[i]], sigma, threshold_sigma) for i, v in enumerate(series[p])]
-        origin, dest = divmod(int(pairs[p]), len(flows.areas))
-        pair = (flows.areas[origin], flows.areas[dest])
-        reports[pair] = AnomalyReport(("pair",) + pair, [f for f in flags if f is not None])
-    return reports
+    tested = np.flatnonzero(days_with_flow == n_days)
+    series = series[tested]
+    # each weekday's baseline columns gathered C-contiguous, as for detect_anomalies
+    mu = np.zeros((len(series), 7))
+    for w in np.unique(base).tolist():
+        mu[:, w] = series.take(np.flatnonzero(base == w), axis=1).mean(axis=1)
+    # each residual squared by itself, as pow() rounds it, not numpy's array
+    # square, and the squares summed left to right
+    resid = series[:, :len(base)] - mu[:, base]
+    squares = np.array([r ** 2 for r in resid.ravel()]).reshape(resid.shape)
+    sigma = np.sqrt(np.cumsum(squares, axis=1)[:, -1] / dof)
+    origin, dest = np.divmod(pairs[tested], len(flows.areas))
+    entities = [("pair", flows.areas[a], flows.areas[b]) for a, b in zip(origin.tolist(), dest.tolist())]
+    return _sigma_flags(entities, flows.days, series, mu[:, weekday], sigma[:, None], threshold_sigma)
 
 
 def _top_contacts(ds: Dataset, window: tuple[int, int], max_rank: int) -> tuple[np.ndarray, np.ndarray]:
@@ -467,13 +466,15 @@ def distance_activation_matrix(
     return ratio, event
 
 
-def write_anomalies_csv(reports, path: str, header_comment: str | None = None) -> None:
-    """reports: iterable of AnomalyReport."""
-    rows = (
-        [":".join(str(p) for p in report.entity), f.start, f.value, f.baseline_mean, f.baseline_std, f.z, f.direction]
-        for report in reports
-        for f in report.flags
-    )
+def write_anomalies_csv(report: AnomalyReport | None, path: str, header_comment: str | None = None) -> None:
+    """One row per flag; None, where no series was tested, writes the header alone."""
+    rows = []
+    if report is not None:
+        names = [":".join(str(p) for p in entity) for entity in report.entities]
+        direction = np.where(report.value > report.baseline_mean, "increase", "decrease")
+        rows = zip([names[r] for r in report.row.tolist()], report.starts[report.index].tolist(),
+                   report.value.tolist(), report.baseline_mean.tolist(), report.baseline_std.tolist(),
+                   report.z.tolist(), direction.tolist())
     write_csv(path, ["entity", "bin_start", "value", "baseline_mean", "baseline_std", "z", "direction"],
               rows, header_comment)
 

@@ -170,7 +170,9 @@ def _read_adopters(path: str) -> dict[str, int | None]:
     s, d = header.index("subscriber"), header.index("day") if "day" in header else None
     out: dict[str, int | None] = {}
     for n, r in rows:
-        day = r[d] if d is not None and d < len(r) else ""
+        if d is not None and len(r) <= d:
+            raise ValueError(f"{path}:{n}: wrong field count")
+        day = r[d] if d is not None else ""
         out[r[s]] = ingest.number(path, n, day, int) if day.strip() else None
     return out
 
@@ -492,26 +494,24 @@ def _cmd_anomaly(args, ctx: RunContext) -> dict:
         entities = [_parse_entity(args.entity)]
     series = anomaly.bin_series(ds, entities, a["bin_width"], measure=a["measure"], area_map=area_map)
     try:
-        reports = [anomaly.detect_anomalies(ts, baseline=a["baseline"], threshold_sigma=a["threshold_sigma"])
-                   for ts in series]
+        report = anomaly.detect_anomalies(series, baseline=a["baseline"], threshold_sigma=a["threshold_sigma"])
     except ValueError as exc:
         raise ValueError(f"[anomaly] baseline = {a['baseline']}: {exc}") from None
-    anomaly.write_anomalies_csv(reports, ctx.outputs.stage("anomalies.csv"),
-                                header_comment=ctx.header)
-    flagged_total = sum(len(r.flags) for r in reports)
+    anomaly.write_anomalies_csv(report, ctx.outputs.stage("anomalies.csv"), header_comment=ctx.header)
     if args.geojson:
+        from collections import Counter
+
         from . import spatial
 
-        flagged = {
-            r.entity[1]: {"flags": len(r.flags)}
-            for r in reports if r.entity[0] == "tower" and r.flags
-        }
+        # every entity is a tower under --per-tower; a global or district one has no point
+        flagged = {entities[r][1]: {"flags": n} for r, n in Counter(report.row.tolist()).items()
+                   if entities[r][0] == "tower"}
         doc = spatial.points_geojson({t: ds.towers[t] for t in flagged}, flagged)
         doc["_meta"] = ctx.meta()
         ingest.write_json(ctx.outputs.stage("anomalies.geojson"), doc, indent=2)
-    print(f"anomaly: {flagged_total} flags across {len(reports)} series "
+    print(f"anomaly: {len(report.row)} flags across {len(entities)} series "
           f"(baseline={a['baseline']}, sigma={a['threshold_sigma']})")
-    return {"series": len(reports), "flags": flagged_total,
+    return {"series": len(entities), "flags": len(report.row),
             "baseline": a["baseline"], "measure": a["measure"]}
 
 
@@ -539,16 +539,13 @@ def _cmd_flows(args, ctx: RunContext) -> dict:
         params["symmetry_r"] = None
         params["symmetry_note"] = str(exc)
     try:
-        reports = anomaly.detect_flow_anomalies(flows, threshold_sigma=ctx.cfg["anomaly"]["threshold_sigma"],
-                                                baseline_days=f["baseline_days"])
+        report = anomaly.detect_flow_anomalies(flows, threshold_sigma=ctx.cfg["anomaly"]["threshold_sigma"],
+                                               baseline_days=f["baseline_days"])
     except ValueError as exc:
-        reports = {}
+        report = None
         params["anomaly_note"] = str(exc)
-    anomaly.write_anomalies_csv(
-        [reports[p] for p in sorted(reports)], ctx.outputs.stage("flow_anomalies.csv"),
-        header_comment=ctx.header,
-    )
-    flags = sum(len(r.flags) for r in reports.values())
+    anomaly.write_anomalies_csv(report, ctx.outputs.stage("flow_anomalies.csv"), header_comment=ctx.header)
+    flags = 0 if report is None else len(report.row)
     sym = params["symmetry_r"]
     print(f"flows: {n_days} days, symmetry r={sym if sym is None else round(sym, 4)}, "
           f"{flags} flow anomalies")
@@ -707,6 +704,7 @@ def _labeled_table(path, ids, columns, X, labels, na_policy):
 
 
 def _model_table(args, ctx: RunContext):
+    """The labeled feature table under [model] na_policy, and the ids of every labeled feature row."""
     ids, columns, X = _read_numeric_table(args.features, key="subscriber", skip=("home_tower",))
     if not args.labels:
         raise ValueError("need --labels")
@@ -716,18 +714,19 @@ def _model_table(args, ctx: RunContext):
     if not keep:
         raise ValueError("no feature rows have labels")
     na_policy = ctx.cfg["model"]["na_policy"]
-    table = _labeled_table(args.features, [ids[i] for i in keep], columns, X[keep],
+    labeled = [ids[i] for i in keep]
+    table = _labeled_table(args.features, labeled, columns, X[keep],
                            [1.0 if labels[ids[i]] == pos else 0.0 for i in keep], na_policy)
     if not len(table):
         raise ValueError(f"{args.features}: every one of the {len(keep)} labeled rows has a blank feature "
                          f"cell, and na_policy={na_policy} drops them all")
-    return table
+    return table, labeled
 
 
 def _cmd_train(args, ctx: RunContext) -> dict:
     from .mlkit import data, models
 
-    table = _model_table(args, ctx)
+    table, _ = _model_table(args, ctx)
     if len(set(table.y.tolist())) < 2:
         side = "positive" if table.y[0] == 1.0 else "negative"
         raise ValueError(f"{args.labels}: all {len(table)} labeled feature rows are {side} "
@@ -753,14 +752,21 @@ def _cmd_eval(args, ctx: RunContext) -> dict:
     from .mlkit import metrics, models
 
     model = models.load_model(args.model)
-    table = _model_table(args, ctx)
+    table, labeled = _model_table(args, ctx)
     if list(table.columns) != list(model.columns):
         raise ValueError("feature columns do not match the model schema")
     if args.test_ids:
         wanted = set(_read_id_list(args.test_ids))
+        skipped = wanted - set(table.ids)
+        dropped = sorted(skipped & set(labeled))
+        if dropped:
+            raise ValueError(f"{args.features}: test ids {dropped[:5]} have a blank feature cell, and "
+                             f"na_policy={ctx.cfg['model']['na_policy']} drops their rows")
+        if skipped:
+            raise ValueError(f"{args.test_ids}: test ids {sorted(skipped)[:5]} are not labeled rows of {args.features}")
         idx = [i for i, sid in enumerate(table.ids) if sid in wanted]
         if not idx:
-            raise ValueError("no test ids present in the feature table")
+            raise ValueError(f"{args.test_ids}: no test ids")
         table = table.take(idx)
     report = metrics.evaluate(model, table, threshold=ctx.cfg["model"]["threshold"])
     metrics.write_eval_csv(report, ctx.outputs.stage("eval.csv"), header_comment=ctx.header)

@@ -14,7 +14,6 @@ the interpreter's `sum` rounds.
 from __future__ import annotations
 
 import math
-import statistics
 
 import numpy as np
 
@@ -146,11 +145,9 @@ def extract_features(ds: Dataset, denominations: tuple[float, ...] | None = None
         col["recharge_count"] = np.where(has, count, nan)
         col["recharge_total"] = np.where(has, total, nan)
         col["recharge_amount_mean"] = mean
-        # statistics.stdev is exact (Fractions); no array form has its bits.
         cv = np.full(n, nan)
-        amounts = t.amount[rows]
-        for s in np.flatnonzero((count >= 2) & (mean > 0)).tolist():
-            cv[s] = statistics.stdev(amounts[offsets[s]:offsets[s + 1]].tolist()) / mean[s]
+        varied = np.flatnonzero((count >= 2) & (mean > 0))
+        cv[varied] = _sample_stdevs(t.amount[rows], offsets, varied) / mean[varied]
         col["recharge_amount_cv"] = cv
         # Spending speed: the total over the inclusive span, (last - first)/86400 + 1 days.
         ts = t.ts[rows]
@@ -173,6 +170,45 @@ def extract_features(ds: Dataset, denominations: tuple[float, ...] | None = None
         median[k > 0] = (gap[lo[k > 0]] + gap[hi[k > 0]]) / 2
         col["median_days_between_refills"] = median
     return {name: col[name] for name in FEATURE_ORDER}
+
+
+def _sample_stdevs(x: np.ndarray, offsets: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """The sample standard deviation of x[offsets[g]:offsets[g + 1]] for each g in groups (2 or more values each),
+    correctly rounded, as statistics.stdev rounds it from Python 3.11 on.
+
+    A group's exact variance is the integer fraction (n * sum(a^2) - sum(a)^2) / (n (n - 1) d^2) of its values a / d,
+    d the largest denominator of their float.as_integer_ratio.  Whole values whose squares sum within int64 take
+    their sums from int64 arrays; any others go one group at a time through Python ints.
+    """
+    lo, hi = offsets[groups], offsets[groups + 1]
+    n = (hi - lo).tolist()
+    if len(x) and np.all(x == np.floor(x)) and np.abs(x).max() < math.sqrt(2.0 ** 62 / len(x)):
+        a = x.astype(np.int64)
+        sx, sxx = ((c[hi] - c[lo]).tolist() for c in (np.cumsum(np.append(0, a)), np.cumsum(np.append(0, a * a))))
+        d = [1] * len(n)
+    else:
+        sx, sxx, d = [], [], []
+        for i, j in zip(lo.tolist(), hi.tolist()):
+            ratios = [v.as_integer_ratio() for v in x[i:j].tolist()]
+            d.append(max(b for _, b in ratios))
+            a = [p * (d[-1] // b) for p, b in ratios]
+            sx.append(sum(a))
+            sxx.append(sum(v * v for v in a))
+    return np.array([_sqrt_of_fraction(k * q - s * s, k * (k - 1) * e * e) for k, s, q, e in zip(n, sx, sxx, d)])
+
+
+def _sqrt_of_fraction(n: int, m: int) -> float:
+    """sqrt(n / m) correctly rounded, for ints n >= 0 and m > 0.
+
+    The integer square root of n / m, scaled to 2 * 53 + 3 bits or more and
+    rounded to odd, then one division, as CPython 3.11's statistics module
+    takes it (_float_sqrt_of_frac).
+    """
+    q = (n.bit_length() - m.bit_length() - (2 * 53 + 3)) // 2
+    num, den = n << max(-2 * q, 0), m << max(2 * q, 0)
+    root = math.isqrt(num // den)
+    root |= root * root * den != num  # round to odd
+    return (root << max(q, 0)) / (1 << max(-q, 0))
 
 
 def write_features_csv(ds: Dataset, columns: dict[str, np.ndarray], path: str,

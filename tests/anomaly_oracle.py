@@ -13,21 +13,24 @@ with one; the array forms in ``anomaly`` must give the same centroids, flows
 and matrices, bit for bit.
 
 ``flow_symmetry`` and ``detect_flow_anomalies`` read those per-day dicts, a
-list of (day start, {(origin, dest): count}), and ``detect_anomalies`` keyed
-each bin's baseline cell one bin at a time; ``anomaly`` reads the flows of the
-whole window from one ``FlowCounts`` and takes every bin's cell from one array
-expression, and must give the same reports, every float to the bit, and the
-same errors.
+list of (day start, {(origin, dest): count}), and tested one pair at a time;
+``detect_anomalies`` tested one series at a time and keyed each bin's baseline
+cell one bin at a time, and both built one ``AnomalyFlag`` per flagged bin
+through ``_flag``.  ``anomaly`` reads the flows of the whole window from one
+``FlowCounts``, flags every row of a (series x bins) matrix at once into one
+``AnomalyReport`` of array columns, and must give the same flags in the same
+order, every float to the bit, and the same errors.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
-from cdrlab.anomaly import BASELINES, AnomalyReport, TimeSeries, _flag
+from cdrlab.anomaly import BASELINES
 from cdrlab.records import SECONDS_PER_DAY, VOICE, Dataset, day_start, distinct
 from cdrlab.spatial import pearson_r
 
@@ -125,6 +128,48 @@ def flow_symmetry(flows: list[tuple[int, dict]]) -> float:
     return pearson_r(np.asarray(xs), np.asarray(ys), "degenerate flow variance; correlation undefined")
 
 
+@dataclass
+class TimeSeries:
+    entity: tuple
+    bin_width: int
+    start: int
+    values: np.ndarray
+
+
+@dataclass
+class AnomalyFlag:
+    index: int
+    start: int
+    value: float
+    baseline_mean: float
+    baseline_std: float
+    z: float | None  # None when the baseline cell is degenerate (zero variance)
+    direction: str  # "increase" or "decrease"
+
+
+@dataclass
+class AnomalyReport:
+    entity: tuple
+    flags: list[AnomalyFlag]
+
+
+def _flag(index: int, start: int, value: float, mean: float, sigma: float,
+          threshold_sigma: float) -> AnomalyFlag | None:
+    """The flag for one value against its baseline, or None when it is normal.
+
+    A zero sigma is a degenerate baseline: any value off its mean flags,
+    with no z-score.  Every number is stored as a plain Python float.
+    """
+    value, mean, sigma = float(value), float(mean), float(sigma)
+    direction = "increase" if value > mean else "decrease"
+    if sigma == 0.0:
+        if value != mean:
+            return AnomalyFlag(index, start, value, mean, sigma, None, direction)
+    elif abs(value - mean) > threshold_sigma * sigma:
+        return AnomalyFlag(index, start, value, mean, sigma, (value - mean) / sigma, direction)
+    return None
+
+
 def _weekday(ts: int) -> int:
     # Monday = 0; epoch day 0 (1970-01-01) was a Thursday.
     return (int(ts) // SECONDS_PER_DAY + 3) % 7
@@ -181,7 +226,8 @@ def _baseline_cell_key(ts: TimeSeries, baseline: str, index: int):
 
 
 def detect_anomalies(ts: TimeSeries, baseline: str = "hour_of_day", threshold_sigma: float = 3.0) -> AnomalyReport:
-    """Flag bins where |value - cell mean| exceeds threshold_sigma cell stddevs, each bin's cell keyed on its own."""
+    """Flag bins of one series where |value - cell mean| exceeds threshold_sigma cell stddevs, each bin's cell keyed
+    on its own."""
     if baseline not in BASELINES:
         raise ValueError(f"unknown baseline {baseline!r}")
     cells: dict = {}

@@ -3,20 +3,35 @@
 ``extract_features(ds, subscriber)`` computed one subscriber's 22 features
 from its CSR groups; ``cdrlab.features`` must write the same text for every
 subscriber.  Sums run as explicit left-to-right loops, which is what the
-builtin ``sum`` did before CPython 3.12 made it compensated, so the oracle
-does not depend on the interpreter either.
+builtin ``sum`` did before CPython 3.12 made it compensated, and the
+recharge stdev is the correctly rounded root of the exact variance through
+``decimal``, which ``statistics.stdev`` gives from CPython 3.11 on but not
+before, so the oracle does not depend on the interpreter either.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
 from cdrlab.features import _IS_COMM, FEATURE_ORDER
 from cdrlab.geo import haversine_km_to
 from cdrlab.records import DATA, SECONDS_PER_DAY, SMS, VOICE, is_nocturnal
+
+
+def stdev(values: list[float]) -> float:
+    """The sample standard deviation of two or more floats: the exact variance as a Fraction, its square root in
+    decimal at 200 digits, then rounded to the nearest float."""
+    xs = [Fraction(v) for v in values]
+    mean = sum(xs) / len(xs)
+    var = sum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
+    with localcontext() as ctx:
+        ctx.prec = 200
+        return float((Decimal(var.numerator) / Decimal(var.denominator)).sqrt())
 
 
 def lsum(values):
@@ -93,7 +108,7 @@ def extract_features(ds, subscriber: str, denominations=None) -> tuple[str | Non
         values["recharge_total"] = lsum(amounts)
         values["recharge_amount_mean"] = mean
         if n >= 2 and mean > 0:
-            values["recharge_amount_cv"] = statistics.stdev(amounts) / mean
+            values["recharge_amount_cv"] = stdev(amounts) / mean
         span_days = (stamps[-1] - stamps[0]) / SECONDS_PER_DAY + 1.0
         values["spending_speed"] = lsum(amounts) / span_days
         bounds = denominations or (float(ds.topups.amount.min()), float(ds.topups.amount.max()))

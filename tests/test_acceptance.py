@@ -231,8 +231,8 @@ def test_c06_sigma_flagging_noise_free_and_poisson():
     vals = np.tile(pattern, days)
     planted = [d * 24 + h for d, h in zip((1, 4, 6, 9, 12), (2, 7, 11, 16, 21))]
     vals[planted] *= 3.0
-    report = detect_anomalies(TimeSeries(("g",), 3600, T0, vals), "hour_of_day")
-    assert report.flagged() == set(planted)
+    report = detect_anomalies(TimeSeries([("g",)], 3600, T0, vals.reshape(1, -1)), "hour_of_day")
+    assert set(report.index.tolist()) == set(planted)
 
     # (b) Poisson baseline, multiplier 3, 100 seeds: pooled precision/recall
     tp = fp = fn = 0
@@ -244,8 +244,8 @@ def test_c06_sigma_flagging_noise_free_and_poisson():
         bump_days = rng.integers(0, n_days, 20)
         idx = bump_days * 24 + hours
         series[idx] *= 3.0
-        rep = detect_anomalies(TimeSeries(("g",), 3600, T0, series), "hour_of_day")
-        got = rep.flagged()
+        rep = detect_anomalies(TimeSeries([("g",)], 3600, T0, series.reshape(1, -1)), "hour_of_day")
+        got = set(rep.index.tolist())
         want = set(int(i) for i in idx)
         tp += len(got & want)
         fp += len(got - want)
@@ -278,10 +278,10 @@ def test_c07_flow_symmetry_and_evacuation_day():
     r = flow_symmetry(flow_counts(nets[:28]))
     assert r >= 0.99, f"baseline symmetry r = {r}"
 
-    reports = detect_flow_anomalies(flow_counts(nets))
-    assert ("a0", "a1") in reports
-    flags = [(pair, f.index, f.direction)
-             for pair, rep in sorted(reports.items()) for f in rep.flags]
+    report = detect_flow_anomalies(flow_counts(nets))
+    assert ("pair", "a0", "a1") in report.entities
+    flags = [(report.entities[r][1:], i, "increase" if v > m else "decrease")
+             for r, i, v, m in zip(report.row.tolist(), report.index.tolist(), report.value, report.baseline_mean)]
     assert flags == [(("a0", "a1"), 28, "increase")], f"flags: {flags}"
     print(f"criterion 07 (flow symmetry + evacuation): PASS r={r:.5f}, "
           f"only the planted pair/day flagged")

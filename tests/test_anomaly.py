@@ -15,8 +15,33 @@ from conftest import (T0, DAY, CdrRecord, cdr_rows, data, flow_counts, flow_dict
 
 
 def series(values, bin_width=3600, start=T0, entity=("global",)):
-    return an.TimeSeries(entity=entity, bin_width=bin_width, start=start,
-                         values=np.asarray(values, dtype=float))
+    """One series as a one-row matrix."""
+    return an.TimeSeries(entities=[entity], bin_width=bin_width, start=start,
+                         values=np.asarray(values, dtype=float).reshape(1, -1))
+
+
+def former(report):
+    """The report as the former per-series reports, one per entity, each flag an anomaly_oracle.AnomalyFlag of plain
+    floats with z None where it is nan.  The flags must come row after row, each row's in bin order."""
+    at = list(zip(report.row.tolist(), report.index.tolist()))
+    assert at == sorted(set(at))
+    reports = [anomaly_oracle.AnomalyReport(entity, []) for entity in report.entities]
+    starts = report.starts.tolist()
+    for (r, i), v, m, s, z in zip(at, report.value.tolist(), report.baseline_mean.tolist(),
+                                  report.baseline_std.tolist(), report.z.tolist()):
+        reports[r].flags.append(anomaly_oracle.AnomalyFlag(i, starts[i], v, m, s, None if math.isnan(z) else z,
+                                                           "increase" if v > m else "decrease"))
+    return reports
+
+
+def single(report):
+    """The flags of a one-series report, as a former report."""
+    one, = former(report)
+    return one
+
+
+def flagged(report) -> set[int]:
+    return {f.index for f in report.flags}
 
 
 # -- binning -----------------------------------------------------------------------
@@ -30,11 +55,10 @@ def test_bin_series_counts_voice_only():
         voice("A", "B", "T1", T0 + 3700),        # second bin
     ]
     ds = make_dataset(cdrs, window=(T0, T0 + 2 * 3600))
-    ts, tower = an.bin_series(ds, [("global",), ("tower", "T1")], 3600)
-    assert list(ts.values) == [2.0, 1.0]
+    ts = an.bin_series(ds, [("global",), ("tower", "T1")], 3600)
+    assert ts.values.tolist() == [[2.0, 1.0], [1.0, 1.0]]
     assert (ts.start, ts.bin_width) == (T0, 3600)
-    assert tower.entity == ("tower", "T1")
-    assert list(tower.values) == [1.0, 1.0]
+    assert ts.entities == [("global",), ("tower", "T1")]
 
 
 def test_bin_series_district_and_recharges():
@@ -46,14 +70,12 @@ def test_bin_series_district_and_recharges():
     ]
     ds = make_dataset(cdrs, tops, window=(T0, T0 + 3600))
     area_map = {"T1": "D1", "T2": "D2"}
-    d1, = an.bin_series(ds, [("district", "D1")], 3600, area_map=area_map)
-    assert list(d1.values) == [1.0]
-    amt, = an.bin_series(ds, [("district", "D1")], 3600, measure="recharge_amount", area_map=area_map)
-    assert list(amt.values) == [50.0]
+    assert an.bin_series(ds, [("district", "D1")], 3600, area_map=area_map).values.tolist() == [[1.0]]
+    amt = an.bin_series(ds, [("district", "D1")], 3600, measure="recharge_amount", area_map=area_map)
+    assert amt.values.tolist() == [[50.0]]
     # unlocated top-ups count globally but belong to no tower or district
-    g, cnt = an.bin_series(ds, [("global",), ("tower", "T2")], 3600, measure="recharge_count")
-    assert list(g.values) == [3.0]
-    assert list(cnt.values) == [1.0]
+    cnt = an.bin_series(ds, [("global",), ("tower", "T2")], 3600, measure="recharge_count")
+    assert cnt.values.tolist() == [[3.0], [1.0]]
 
 
 def test_bin_series_validation():
@@ -69,7 +91,7 @@ def test_bin_series_validation():
     with pytest.raises(ValueError, match="missing from area_map"):
         an.bin_series(ds, [("district", "D1")], 3600, area_map={"TX": "D1"})
     # ragged tail still gets its own bin
-    assert len(an.bin_series(ds, [("global",)], 3600)[0].values) == 2
+    assert an.bin_series(ds, [("global",)], 3600).values.shape == (1, 2)
 
 
 def test_bin_series_rejects_unknown_entities():
@@ -140,28 +162,28 @@ def test_grouped_bin_series_matches_per_entity_loop(calls, tops, bin_width, meas
         expected = [per_entity_series(ds, e, bin_width, measure, area_map) for e in entities]
         districts = []
     got = an.bin_series(ds, entities + districts, bin_width, measure, area_map)
-    assert [ts.entity for ts in got] == entities + districts
-    assert [ts.values.tobytes() for ts in got] == [v.tobytes() for v in expected]
+    assert got.entities == entities + districts
+    assert [row.tobytes() for row in got.values] == [v.tobytes() for v in expected]
 
 
 # -- sigma rule ----------------------------------------------------------------------
 
 def test_detect_anomalies_global_mean_hand_computed():
     ts = series([10.0] * 20 + [100.0])
-    report = an.detect_anomalies(ts, baseline="global_mean", threshold_sigma=3.0)
-    assert report.flagged() == {20}
+    report = single(an.detect_anomalies(ts, baseline="global_mean", threshold_sigma=3.0))
+    assert flagged(report) == {20}
     flag = report.flags[0]
     assert flag.direction == "increase" and flag.z is not None
     assert flag.baseline_mean == pytest.approx(100 / 7)
     assert flag.baseline_std == pytest.approx(math.sqrt(18900) / 7)
     assert flag.z == pytest.approx(600 / math.sqrt(18900), abs=1e-12)
     # the same spike hides from a looser threshold
-    assert an.detect_anomalies(ts, baseline="global_mean", threshold_sigma=5.0).flags == []
+    assert single(an.detect_anomalies(ts, baseline="global_mean", threshold_sigma=5.0)).flags == []
 
 
 def test_detect_anomalies_decrease_direction():
     ts = series([50.0] * 20 + [0.0])
-    report = an.detect_anomalies(ts, baseline="global_mean", threshold_sigma=3.0)
+    report = single(an.detect_anomalies(ts, baseline="global_mean", threshold_sigma=3.0))
     assert [f.direction for f in report.flags] == ["decrease"]
 
 
@@ -170,9 +192,9 @@ def test_detect_anomalies_hour_of_day_isolates_cells():
     values = np.tile(np.arange(24, dtype=float) + 10.0, 12)
     values[11 * 24 + 5] = 500.0
     ts = series(values)
-    report = an.detect_anomalies(ts, baseline="hour_of_day", threshold_sigma=3.0)
+    report = single(an.detect_anomalies(ts, baseline="hour_of_day", threshold_sigma=3.0))
     # every other cell is constant across days, hence degenerate but quiet
-    assert report.flagged() == {11 * 24 + 5}
+    assert flagged(report) == {11 * 24 + 5}
 
 
 def test_detect_anomalies_inclusive_baseline_absorbs_small_cells():
@@ -180,13 +202,13 @@ def test_detect_anomalies_inclusive_baseline_absorbs_small_cells():
     # three-sample cell cannot clear 3 sigma and de-degenerates its cell
     values = [7.0] * 24 * 3
     values[30] = 7.5
-    report = an.detect_anomalies(series(values), baseline="hour_of_day")
+    report = single(an.detect_anomalies(series(values), baseline="hour_of_day"))
     assert report.flags == []
 
 
 def test_detect_anomalies_weekday_hour_constant_series():
     values = [3.0] * 24 * 14  # two full weeks, hourly
-    report = an.detect_anomalies(series(values), baseline="weekday_hour")
+    report = single(an.detect_anomalies(series(values), baseline="weekday_hour"))
     assert report.flags == []
 
 
@@ -202,12 +224,12 @@ def test_detect_anomalies_affine_invariance():
     base = rng.integers(0, 100, size=24 * 12).astype(float)
     base[100] = 10_000.0
     ts = series(base)
-    ref = an.detect_anomalies(ts, baseline="hour_of_day")
+    ref = single(an.detect_anomalies(ts, baseline="hour_of_day"))
     # powers of two scale exactly; z-scores and flag sets must not move
     for a, b in [(2.0, 0.0), (0.5, 100.0), (4.0, -7.0)]:
         scaled = series(base * a + b)
-        rep = an.detect_anomalies(scaled, baseline="hour_of_day")
-        assert rep.flagged() == ref.flagged()
+        rep = single(an.detect_anomalies(scaled, baseline="hour_of_day"))
+        assert flagged(rep) == flagged(ref)
         for f, g in zip(rep.flags, ref.flags):
             assert f.z == g.z and f.direction == g.direction
 
@@ -229,23 +251,35 @@ def outcome(fn, *args):
         return "error", str(exc)
 
 
-# Each bin's baseline cell from one array expression against the former
+VALUE = st.one_of(st.integers(0, 12).map(float), st.floats(-1e9, 1e9))
+
+
+def value_rows(n_bins):
+    """One to five rows of n_bins values; a row may be one value throughout, whose every cell is degenerate."""
+    row = st.one_of(st.lists(VALUE, min_size=n_bins, max_size=n_bins), VALUE.map(lambda v: [v] * n_bins))
+    return st.lists(row, min_size=1, max_size=5)
+
+
+# Every row of a matrix flagged at once, each bin's baseline cell from one
+# array expression, against the former detector, one series at a time with
 # per-bin cell keys: starts on both sides of the epoch's weekday boundaries,
 # bin widths that do and do not divide an hour or a day, and series too short
 # for some cells, which must fail with the same message.
 @settings(max_examples=200, deadline=None)
-@given(values=st.lists(st.one_of(st.integers(0, 12).map(float), st.floats(-1e9, 1e9)), min_size=1, max_size=400),
+@given(rows=st.integers(1, 400).flatmap(value_rows),
        start=st.integers(T0 - 9 * DAY, T0 + 9 * DAY),
        bin_width=st.one_of(st.sampled_from([600, 3600, 4 * 3600, 5400, DAY]), st.integers(1, 2 * DAY)),
        baseline=st.sampled_from(an.BASELINES), threshold=st.floats(0.5, 4.0))
-def test_detect_anomalies_matches_the_former_per_bin_cells(values, start, bin_width, baseline, threshold):
-    ts = series(values, bin_width=bin_width, start=start)
-    kind, want = outcome(anomaly_oracle.detect_anomalies, ts, baseline, threshold)
+def test_detect_anomalies_matches_the_former_per_bin_cells(rows, start, bin_width, baseline, threshold):
+    entities = [("tower", f"T{i}") for i in range(len(rows))]
+    ts = an.TimeSeries(entities, bin_width, start, np.array(rows, dtype=float))
+    want = [outcome(anomaly_oracle.detect_anomalies, anomaly_oracle.TimeSeries(e, bin_width, start, ts.values[i]),
+                    baseline, threshold) for i, e in enumerate(entities)]
     got = outcome(an.detect_anomalies, ts, baseline, threshold)
-    if kind == "error":
-        assert got == (kind, want)
+    if want[0][0] == "error":
+        assert got == want[0]
     else:
-        assert got[0] == "ok" and report_bits(got[1]) == report_bits(want)
+        assert got[0] == "ok" and [report_bits(r) for r in former(got[1])] == [report_bits(r) for _, r in want]
 
 
 # -- flows -------------------------------------------------------------------------
@@ -352,6 +386,27 @@ def test_flows_match_the_former_per_pair_loop(trips, lead, span, amap, min_count
     assert got == [(day, list(od.items())) for day, od in want]
 
 
+@pytest.mark.parametrize("mode", an.FLOW_MODES)
+def test_flows_group_callers_past_16_bit_codes(mode):
+    # 70,000 subscribers, each calling the next once from T0; S00001 and S65537,
+    # whose codes are equal in 16 bits, move in opposite directions with their
+    # rows interleaved, and S69999 moves on the second day.
+    n = 70_000
+    ids = [f"S{i:05d}" for i in range(n)]
+    cdrs = [voice(ids[i], ids[(i + 1) % n], "T0", MONTH_END + i % 3600) for i in range(n)]
+    cdrs += [voice("S00001", "S00002", "T0", MONTH_END + 4000), voice("S65537", "S00002", "T4", MONTH_END + 4001),
+             voice("S00001", "S00002", "T4", MONTH_END + 4002), voice("S65537", "S00002", "T5", MONTH_END + 4003),
+             voice("S00001", "S00002", "T2", MONTH_END + 4004),
+             voice("S69999", "S00002", "T5", MONTH_END + DAY + 10), voice("S69999", "S00002", "T1", MONTH_END + DAY + 20)]
+    ds = make_dataset(cdrs, towers=GRID, window=(MONTH_END, MONTH_END + 2 * DAY))
+    assert len(ds.cdrs.subscriber_ids) == n
+    amap = {t: t for t in GRID}
+    got = [(day, list(od.items())) for day, od in flow_dicts(an.build_flow_network(ds, amap, 1, 0.0, mode))]
+    want = [anomaly_oracle.build_flow_network(ds, day, amap, 1, 0.0, mode) for day in (MONTH_END, MONTH_END + DAY)]
+    assert got == [(day, list(od.items())) for day, od in want]
+    assert [len(od) for _, od in want] == [2 if mode == "first_last" else 3, 1]
+
+
 def test_flow_symmetry():
     fn1 = (T0, {("a", "b"): 10, ("b", "a"): 10, ("a", "c"): 30, ("c", "a"): 28})
     fn2 = (T0 + DAY, {("a", "b"): 12, ("b", "a"): 12, ("a", "c"): 30, ("c", "a"): 32})
@@ -379,10 +434,9 @@ def test_detect_flow_anomalies_pooled_sigma_hand_computed():
     # residual 2 twice: pooled sigma = sqrt(56 / (14 - 7)) = sqrt(8)
     vals = [8, 12] * 7 + [50]
     flows = flows_from({("a", "b"): vals, ("a", "c"): [8] * 14 + [0]}, 15)
-    reports = an.detect_flow_anomalies(flows, threshold_sigma=3.0, baseline_days=14)
-    assert set(reports) == {("a", "b")}  # the other pair has a zero-flow day
-    rep = reports[("a", "b")]
-    assert rep.flagged() == {14}
+    rep, = former(an.detect_flow_anomalies(flows, threshold_sigma=3.0, baseline_days=14))
+    assert rep.entity == ("pair", "a", "b")  # the other pair has a zero-flow day
+    assert flagged(rep) == {14}
     f = rep.flags[0]
     assert f.baseline_mean == pytest.approx(10.0)  # weekday-6 mean of days 0 and 7
     assert f.baseline_std == pytest.approx(math.sqrt(8.0))
@@ -393,9 +447,10 @@ def test_detect_flow_anomalies_pooled_sigma_hand_computed():
 def test_detect_flow_anomalies_degenerate_baseline():
     vals = [10] * 14 + [50]
     flows = flows_from({("a", "b"): vals, ("b", "a"): vals}, 15)
-    reports = an.detect_flow_anomalies(flows, baseline_days=14)
-    rep = reports[("a", "b")]
-    assert rep.flagged() == {14} and rep.flags[0].z is None
+    reports = former(an.detect_flow_anomalies(flows, baseline_days=14))
+    rep = reports[0]
+    assert rep.entity == ("pair", "a", "b")
+    assert flagged(rep) == {14} and rep.flags[0].z is None
 
 
 def test_detect_flow_anomalies_validation():
@@ -440,8 +495,8 @@ def test_flow_reports_match_the_former_per_day_dicts(series, n_days, first, base
     if kind == "error":
         assert got == (kind, want)
     else:
-        assert got[0] == "ok" and list(got[1]) == list(want)
-        assert [report_bits(r) for r in got[1].values()] == [report_bits(r) for r in want.values()]
+        assert got[0] == "ok" and [r.entity for r in former(got[1])] == [("pair",) + p for p in want]
+        assert [report_bits(r) for r in former(got[1])] == [report_bits(r) for r in want.values()]
 
 
 # -- rank curves ----------------------------------------------------------------------
@@ -639,7 +694,7 @@ def test_writers(tmp_path):
     ts = series([10.0] * 20 + [100.0])
     report = an.detect_anomalies(ts, baseline="global_mean")
     p1 = tmp_path / "anoms.csv"
-    an.write_anomalies_csv([report], str(p1), header_comment="# a")
+    an.write_anomalies_csv(report, str(p1), header_comment="# a")
     lines = p1.read_text().splitlines()
     assert lines[0] == "# a"
     assert lines[1].startswith("entity,bin_start")

@@ -809,7 +809,8 @@ def test_outputs_hold_no_numpy_reprs(synth_dir, features_dir, tmp_path):
 def test_side_file_stray_quote_damages_only_its_line(synth_dir, tmp_path, capsys):
     ids = subscriber_ids(synth_dir)
     adopters = tmp_path / "adopters.csv"
-    adopters.write_text(f'subscriber,day\n"{ids[1]},3\n{ids[2]},4\n{ids[3]},5\n')
+    # no day column, so the damaged row, one cell long, still reaches every column that adoption reads
+    adopters.write_text(f'subscriber,note\n"{ids[1]},3\n{ids[2]},4\n{ids[3]},5\n')
     rc = cli.main(["adoption", *dataset_args(synth_dir), "--adopters", str(adopters),
                    "--outdir", str(tmp_path / "out")])
     assert rc == 2
@@ -1060,6 +1061,7 @@ SIDE_FILE_CASES = [
     ("adopters", "bad number", "subscriber,day\n{s0},3\n{s1},inf\n", ":3: bad number 'inf'"),
     ("adopters", "blank row", "subscriber,day\n{s0},3\n,\n{s1},4\n", None),
     ("adopters", "whitespace day", "subscriber,day\n{s0},3\n{s1}, \n", None),
+    ("adopters", "short row", "subscriber,day\n{s0},3\n{s1}\n", ":3: wrong field count"),
     ("features", "blank key", "subscriber,f1\ns1,0.9\n,0.8\ns3,0.8\ns4,0.5\ns5,0.3\ns6,0.1\n",
      ":3: missing subscriber"),
     ("features", "repeated key", "subscriber,f1\ns1,0.9\ns2,0.8\ns3,0.8\ns4,0.5\ns5,0.3\ns6,0.1\ns2,0.2\n",
@@ -1091,6 +1093,7 @@ SIDE_FILE_CASES = [
     ("test-ids", "blank key", "subscriber,note\ns1,a\n,b\n", ":3: missing subscriber"),
     ("test-ids", "repeated key", "subscriber\ns1\ns2\ns5\ns1\n", ":5: repeated subscriber 's1'"),
     ("test-ids", "blank row", "subscriber,note\ns1,a\ns2,b\n,\ns5,c\ns6,d\n", None),
+    ("test-ids", "absent id", "subscriber\ns1\nNOPE2\ns2\nNOPE1\n", ": test ids ['NOPE1', 'NOPE2'] are not labeled rows"),
     # non-finite cells: test_select_covariates_non_finite_cell_exits_2
     ("table", "short row", "id,resp,x1\nr0,1.0,2.0\nr1,3.0\n", ":3: wrong field count"),
     ("table", "bad number", "id,resp,x1\nr0,1.0,2.0\nr1,3.0,?\n", ":3: bad number '?'"),
@@ -1111,6 +1114,28 @@ def test_side_file_rules(synth_dir, tmp_path, capsys, kind, rule, body, want):
         assert rc == 2
         assert f"{path}{want.format(**ids)}" in err
         assert not list((tmp_path / "out").glob("*"))
+
+
+def test_eval_names_the_test_ids_it_cannot_evaluate(tmp_path, capsys):
+    # under the default na_policy = drop, s2's blank cell drops its row; s7 has no label, and NOPE is no row
+    features, labels, model, ids = (tmp_path / name for name in ("features.csv", "labels.csv", "model.json", "ids.csv"))
+    features.write_text("subscriber,f1\ns1,0.9\ns2,\ns3,0.8\ns4,0.5\ns5,0.3\ns6,0.1\ns7,0.4\n")
+    labels.write_text("subscriber,label\ns1,low\ns2,low\ns3,high\ns4,high\ns5,high\ns6,low\n")
+    save_model(LogisticModel(columns=["f1"], mean=np.zeros(1), scale=np.ones(1), coef=np.array([1.0]), bias=0.0,
+                             seed=0), str(model))
+    for test_ids, want in [("s1\ns2\ns5\n", f"{features}: test ids ['s2'] have a blank feature cell, and "
+                                             f"na_policy=drop drops their rows"),
+                           ("s1\ns7\nNOPE\ns5\n", f"{ids}: test ids ['NOPE', 's7'] are not labeled rows of {features}"),
+                           ("", f"{ids}: no test ids")]:
+        ids.write_text("subscriber\n" + test_ids)
+        assert cli.main(["eval", "--features", str(features), "--labels", str(labels), "--model", str(model),
+                         "--test-ids", str(ids), "--outdir", str(tmp_path / "out")]) == 2
+        assert f"cdrlab: error: {want}\n" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*"))
+    ids.write_text("subscriber\ns6\ns1\ns5\n")
+    assert cli.main(["eval", "--features", str(features), "--labels", str(labels), "--model", str(model),
+                     "--test-ids", str(ids), "--outdir", str(tmp_path / "out")]) == 0
+    assert json.loads((tmp_path / "out" / "manifest_eval.json").read_text())["params"]["rows"] == 3
 
 
 def test_idw_sample_without_value_exits_2(synth_dir, tmp_path, capsys):

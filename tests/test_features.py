@@ -1,12 +1,14 @@
 import csv
 import math
+import statistics
+import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdrlab import features as feat
@@ -321,3 +323,27 @@ def test_grouped_table_matches_the_per_subscriber_oracle(cdrs, topups, denominat
     ds = make_dataset(records, [topup(b, T0 + off, amount) for b, off, amount in topups],
                       towers=TOWERS, window=(T0, T0 + 6 * DAY))
     assert written_rows(ds, denominations) == oracle.feature_rows(ds, denominations)
+
+
+# Each group's sample standard deviation of its amounts: whole or not, huge,
+# tiny or subnormal, and all equal; groups of fewer than two amounts are left
+# out.  Whole amounts whose squares sum within int64 take the int64 sums.
+AMOUNT = st.one_of(st.sampled_from([10.0, 20.0, 50.0, 300.0, 0.1, 5e-324, 2.0 ** 62]),
+                   st.integers(-10 ** 6, 10 ** 6).map(float), st.floats(-1e300, 1e300), st.floats(-1e-300, 1e-300))
+GROUP = st.one_of(st.lists(AMOUNT, max_size=30), st.tuples(AMOUNT, st.integers(2, 30)).map(lambda t: [t[0]] * t[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(GROUP, min_size=1, max_size=4))
+@example([[10.0, 20.0, 20.0, 50.0], [7.0], [300.0, 10.0]])
+@example([[10.0, 20.0, 20.0, 50.0], [0.1, 0.2], [1e300, -1e300, 3.0]])
+def test_recharge_stdev_is_correctly_rounded(groups):
+    x = np.array([v for g in groups for v in g], dtype=float)
+    offsets = np.cumsum([0] + [len(g) for g in groups])
+    varied = [i for i, g in enumerate(groups) if len(g) >= 2]
+    got = feat._sample_stdevs(x, offsets, np.array(varied, dtype=np.int64)).tolist()
+    want = [oracle.stdev(groups[i]) for i in varied]
+    assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
+    if sys.version_info >= (3, 11):
+        assert want == [statistics.stdev(groups[i]) for i in varied]
+

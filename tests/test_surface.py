@@ -22,10 +22,10 @@ from conftest import dataset_from_records
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "cdrlab"
-# The acceptance tests build and inspect graphs and anomaly reports through
-# these; no subcommand needs them.
+# The acceptance tests build and inspect graphs through these; no subcommand
+# needs them.
 TEST_ONLY = {"cdrlab.socialgraph.SocialGraph.from_edges", "cdrlab.socialgraph.SocialGraph.sorted_nodes",
-             "cdrlab.socialgraph.adjacent_link_count", "cdrlab.anomaly.AnomalyReport.flagged",
+             "cdrlab.socialgraph.adjacent_link_count",
              # the per-subscriber oracles group rows through these, and perfbench/tracer.py
              # INDEXES wraps both by name to time the index builds
              "cdrlab.records.Dataset.cdrs_by_caller", "cdrlab.records.Dataset.cdrs_by_callee"}
