@@ -177,23 +177,17 @@ def _sample_stdevs(x: np.ndarray, offsets: np.ndarray, groups: np.ndarray) -> np
     correctly rounded, as statistics.stdev rounds it from Python 3.11 on.
 
     A group's exact variance is the integer fraction (n * sum(a^2) - sum(a)^2) / (n (n - 1) d^2) of its values a / d,
-    d the largest denominator of their float.as_integer_ratio.  Whole values whose squares sum within int64 take
-    their sums from int64 arrays; any others go one group at a time through Python ints.
+    d the largest denominator of their float.as_integer_ratio, with the sums taken in Python ints.
     """
     lo, hi = offsets[groups], offsets[groups + 1]
     n = (hi - lo).tolist()
-    if len(x) and np.all(x == np.floor(x)) and np.abs(x).max() < math.sqrt(2.0 ** 62 / len(x)):
-        a = x.astype(np.int64)
-        sx, sxx = ((c[hi] - c[lo]).tolist() for c in (np.cumsum(np.append(0, a)), np.cumsum(np.append(0, a * a))))
-        d = [1] * len(n)
-    else:
-        sx, sxx, d = [], [], []
-        for i, j in zip(lo.tolist(), hi.tolist()):
-            ratios = [v.as_integer_ratio() for v in x[i:j].tolist()]
-            d.append(max(b for _, b in ratios))
-            a = [p * (d[-1] // b) for p, b in ratios]
-            sx.append(sum(a))
-            sxx.append(sum(v * v for v in a))
+    sx, sxx, d = [], [], []
+    for i, j in zip(lo.tolist(), hi.tolist()):
+        ratios = [v.as_integer_ratio() for v in x[i:j].tolist()]
+        d.append(max(b for _, b in ratios))
+        a = [p * (d[-1] // b) for p, b in ratios]
+        sx.append(sum(a))
+        sxx.append(sum(v * v for v in a))
     return np.array([_sqrt_of_fraction(k * q - s * s, k * (k - 1) * e * e) for k, s, q, e in zip(n, sx, sxx, d)])
 
 

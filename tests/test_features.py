@@ -327,7 +327,7 @@ def test_grouped_table_matches_the_per_subscriber_oracle(cdrs, topups, denominat
 
 # Each group's sample standard deviation of its amounts: whole or not, huge,
 # tiny or subnormal, and all equal; groups of fewer than two amounts are left
-# out.  Whole amounts whose squares sum within int64 take the int64 sums.
+# out.
 AMOUNT = st.one_of(st.sampled_from([10.0, 20.0, 50.0, 300.0, 0.1, 5e-324, 2.0 ** 62]),
                    st.integers(-10 ** 6, 10 ** 6).map(float), st.floats(-1e300, 1e300), st.floats(-1e-300, 1e-300))
 GROUP = st.one_of(st.lists(AMOUNT, max_size=30), st.tuples(AMOUNT, st.integers(2, 30)).map(lambda t: [t[0]] * t[1]))
