@@ -50,45 +50,32 @@ class KappaResult:
 
 
 @dataclass
-class PkPoint:
-    k: int
-    n_k: int
-    a_k: int
-    p_k: float | None
-    reliable: bool
-
-
-@dataclass
 class PkCurve:
-    points: list[PkPoint]
-    uplift: dict[int, float]
+    """Per k in 0..k_max, indexed by k; nan where a ratio is undefined."""
+
+    n_k: np.ndarray  # nodes with exactly k adopting friends
+    a_k: np.ndarray  # adopters among them
+    p_k: np.ndarray  # a_k / n_k
+    uplift: np.ndarray  # p_k / p_0, undefined for every k when p_0 is undefined or 0
+    reliable: np.ndarray  # n_k >= min_support
 
 
-def component_evolution(snapshots) -> list[dict]:
-    """Per adoption network: fraction of adopters in isolate / pair / mid / monster buckets.
+def component_evolution(snapshots) -> tuple[np.ndarray, np.ndarray]:
+    """Per adoption network, its adopters and the fractions of them in isolate / pair / mid / monster buckets.
 
-    mid means components of 3..1000 nodes; the monster bucket is the largest
-    component only when it exceeds 1000 nodes.
+    One row of four fractions per network, all 0 for a network without
+    adopters.  mid means components of 3..1000 nodes; the monster bucket is
+    the largest component only when it exceeds 1000 nodes.
     """
-    rows = []
-    for i, net in enumerate(snapshots):
+    adopters = np.array([net.node_count() for net in snapshots], dtype=np.int64)
+    counts = np.zeros((len(snapshots), 4), dtype=np.int64)
+    for row, net in zip(counts, snapshots):
         report = connected_components(net)
         sizes = report.sizes
-        total = net.node_count()
         monster = sizes[0] if sizes and sizes[0] > MONSTER_THRESHOLD else 0
-        def frac(x):
-            return x / total if total else 0.0
-        rows.append(
-            {
-                "snapshot": i,
-                "adopters": total,
-                "frac_isolates": frac(report.isolate_count),
-                "frac_pairs": frac(2 * sizes.count(2)),
-                "frac_mid": frac(sum(size for size in sizes if size >= 3) - monster),
-                "frac_monster": frac(monster),
-            }
-        )
-    return rows
+        mid = sum(size for size in sizes if size >= 3) - monster
+        row[:] = report.isolate_count, 2 * sizes.count(2), mid, monster
+    return adopters, np.divide(counts, adopters[:, None], out=np.zeros(counts.shape), where=adopters[:, None] > 0)
 
 
 def _ci(empirical: float, mean: float, std: float, replicates: int) -> tuple[float, float]:
@@ -241,11 +228,10 @@ def adoption_probability_curve(
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     n = g.node_count()
     k = np.bincount(g.u[adopted[g.v]], minlength=n) + np.bincount(g.v[adopted[g.u]], minlength=n)
-    n_k, a_k = (np.bincount(x, minlength=k_max + 1)[:k_max + 1].tolist() for x in (k, k[adopted]))
-    points = [PkPoint(kk, nk, ak, ak / nk if nk else None, nk >= min_support)
-              for kk, (nk, ak) in enumerate(zip(n_k, a_k))]
-    p0 = points[0].p_k
-    return PkCurve(points, {pt.k: pt.p_k / p0 for pt in points if pt.p_k is not None} if p0 else {})
+    n_k, a_k = (np.bincount(x, minlength=k_max + 1)[:k_max + 1] for x in (k, k[adopted]))
+    p_k = np.divide(a_k, n_k, out=np.full(k_max + 1, np.nan), where=n_k > 0)
+    uplift = p_k / p_k[0] if p_k[0] > 0 else np.full(k_max + 1, np.nan)
+    return PkCurve(n_k, a_k, p_k, uplift, n_k >= min_support)
 
 
 def write_kappa_csv(results: dict[str, KappaResult | None], path: str, header_comment: str | None = None) -> None:
@@ -261,12 +247,17 @@ def write_kappa_csv(results: dict[str, KappaResult | None], path: str, header_co
 
 def write_pk_csv(curve: PkCurve, path: str, header_comment: str | None = None,
                  k_max: int = 0, min_support: int = 30) -> None:
-    """One row per point of curve, then k,0,0,,,int(0 >= min_support) per k past them up to k_max, streamed."""
-    rows = ([pt.k, pt.n_k, pt.a_k, pt.p_k, curve.uplift.get(pt.k), int(pt.reliable)] for pt in curve.points)
-    empty = ([k, 0, 0, None, None, int(0 >= min_support)] for k in range(len(curve.points), k_max + 1))
+    """One row per k of curve, then k,0,0,,,int(0 >= min_support) per k past them up to k_max, streamed."""
+    n = len(curve.n_k)
+    rows = zip(range(n), curve.n_k.tolist(), curve.a_k.tolist(), curve.p_k.tolist(), curve.uplift.tolist(),
+               curve.reliable.astype(int).tolist())
+    empty = ([k, 0, 0, None, None, int(0 >= min_support)] for k in range(n, k_max + 1))
     write_csv(path, ["k", "n_k", "a_k", "p_k", "uplift", "reliable"], itertools.chain(rows, empty), header_comment)
 
 
-def write_component_evolution_csv(rows: list[dict], path: str, header_comment: str | None = None) -> None:
-    columns = ["snapshot", "adopters", "frac_isolates", "frac_pairs", "frac_mid", "frac_monster"]
-    write_csv(path, columns, ([row[c] for c in columns] for row in rows), header_comment)
+def write_component_evolution_csv(snapshots, adopters: np.ndarray, fractions: np.ndarray, path: str,
+                                  header_comment: str | None = None) -> None:
+    """One row per snapshot label in snapshots: its adopters and its row of fractions."""
+    rows = ([snapshot, count, *row] for snapshot, count, row in zip(snapshots, adopters.tolist(), fractions.tolist()))
+    write_csv(path, ["snapshot", "adopters", "frac_isolates", "frac_pairs", "frac_mid", "frac_monster"],
+              rows, header_comment)

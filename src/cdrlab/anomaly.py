@@ -283,7 +283,7 @@ def detect_flow_anomalies(
     weekday = _weekdays(flows.days)
     base = weekday[:baseline_days or n_days]
     base_counts = np.bincount(base, minlength=7)
-    for w in np.unique(weekday).tolist():
+    for w in distinct(weekday).tolist():
         if base_counts[w] < 2:
             raise ValueError(f"weekday {w} has {base_counts[w]} baseline day(s); need at least 2")
     # each weekday the window holds has 2 or more baseline days, so dof >= 1
@@ -295,7 +295,7 @@ def detect_flow_anomalies(
     series = series[tested]
     # each weekday's baseline columns gathered C-contiguous, as for detect_anomalies
     mu = np.zeros((len(series), 7))
-    for w in np.unique(base).tolist():
+    for w in distinct(base).tolist():
         mu[:, w] = series.take(np.flatnonzero(base == w), axis=1).mean(axis=1)
     # each residual squared by itself, as pow() rounds it, not numpy's array
     # square, and the squares summed left to right
@@ -336,14 +336,13 @@ def _top_contacts(ds: Dataset, window: tuple[int, int], max_rank: int) -> tuple[
 
 @dataclass
 class RankCurves:
+    """Row k - 1 of each matrix is rank k, column i the bin at offset i * bin_width into the day."""
+
     event_day: int
     bin_width: int
-    offsets: list[int]
-    # rank -> per-bin event-day fraction, comparison mean, and their ratio
-    # (None where the comparison mean is 0)
-    event_fraction: dict[int, list[float]]
-    comparison_mean: dict[int, list[float]]
-    ratio: dict[int, list[float | None]]
+    event_fraction: np.ndarray  # (max_rank, bins)
+    comparison_mean: np.ndarray  # (max_rank, bins)
+    ratio: np.ndarray  # event_fraction / comparison_mean, nan where the mean is 0
 
 
 def _day_fraction_curves(
@@ -351,12 +350,12 @@ def _day_fraction_curves(
     day: int,
     rank_keys: np.ndarray,
     rank_values: np.ndarray,
-    ranks: tuple[int, ...],
+    max_rank: int,
     bin_width: int,
-) -> dict[int, np.ndarray]:
-    """Per rank: fraction of that day's active subscribers calling their
-    rank-k contact in each bin.  rank_keys (sorted) are caller * n + contact
-    codes, rank_values their ranks."""
+) -> np.ndarray:
+    """Per rank 1..max_rank (rows) and bin: the fraction of that day's active
+    subscribers calling their rank-k contact.  rank_keys (sorted) are
+    caller * n + contact codes, rank_values their ranks."""
     n_bins = SECONDS_PER_DAY // bin_width
     c = ds.cdrs
     n = len(c.subscriber_ids)
@@ -370,18 +369,18 @@ def _day_fraction_curves(
     hit = rank_keys[at] == key if len(rank_keys) else np.zeros(len(key), dtype=bool)
     # a caller counts once per (rank, bin)
     hits = distinct((rank_values[at[hit]] * n_bins + bins[hit]) * n + caller[hit])
-    counts = np.bincount(hits // n, minlength=(max(ranks) + 1) * n_bins).reshape(-1, n_bins)
-    return {k: counts[k] / denom for k in ranks}
+    counts = np.bincount(hits // n, minlength=(max_rank + 1) * n_bins).reshape(-1, n_bins)
+    return counts[1:] / denom
 
 
 def rank_activation_curves(
     ds: Dataset,
     event_time: int,
-    ranks: tuple[int, ...] = (1, 2, 3, 4, 5),
+    max_rank: int = 5,
     bin_width: int = 300,
     comparison_days: list[int] = (),
 ) -> RankCurves:
-    """Double-normalized calling curves toward each subscriber's top contacts.
+    """Double-normalized calling curves toward each subscriber's top max_rank contacts.
 
     Contact ranks come from everything before the event day.  Per day and
     bin, the statistic is the fraction of that day's active subscribers
@@ -391,32 +390,24 @@ def rank_activation_curves(
     """
     if bin_width <= 0 or SECONDS_PER_DAY % bin_width:
         raise ValueError(f"bin_width must be a positive divisor of {SECONDS_PER_DAY} seconds, got {bin_width}")
-    if not ranks:
-        raise ValueError("need at least one rank")
+    if max_rank < 1:
+        raise ValueError(f"need at least one rank: max_rank must be >= 1, got {max_rank}")
     if not comparison_days:
         raise ValueError("need at least one comparison day")
     event_day = day_start(event_time)
     if ds.window[0] >= event_day:
         raise ValueError("empty rank window")
-    rank_keys, rank_values = _top_contacts(ds, (ds.window[0], event_day), max(ranks))
+    rank_keys, rank_values = _top_contacts(ds, (ds.window[0], event_day), max_rank)
 
-    event_curves = _day_fraction_curves(ds, event_day, rank_keys, rank_values, tuple(ranks), bin_width)
-    comp_curves = [
-        _day_fraction_curves(ds, day_start(d), rank_keys, rank_values, tuple(ranks), bin_width)
-        for d in comparison_days
-    ]
-    n_bins = SECONDS_PER_DAY // bin_width
-    offsets = [i * bin_width for i in range(n_bins)]
-    event_fraction = {}
-    comparison_mean = {}
-    ratio: dict[int, list[float | None]] = {}
-    for k in ranks:
-        ev = event_curves[k]
-        cm = np.mean([c[k] for c in comp_curves], axis=0)
-        event_fraction[k] = ev.tolist()
-        comparison_mean[k] = cm.tolist()
-        ratio[k] = [float(e / m) if m > 0 else None for e, m in zip(ev, cm)]
-    return RankCurves(event_day, bin_width, offsets, event_fraction, comparison_mean, ratio)
+    def day_curves(day: int) -> np.ndarray:
+        return _day_fraction_curves(ds, day_start(day), rank_keys, rank_values, max_rank, bin_width)
+
+    event = day_curves(event_day)
+    # Each rank's days x bins block is averaged over its days, as for one rank alone:
+    # numpy sums one bin's days pairwise, but several bins' days in day order.
+    mean = np.mean(np.stack([day_curves(d) for d in comparison_days], axis=1), axis=1)
+    ratio = np.divide(event, mean, out=np.full(mean.shape, np.nan), where=mean > 0)
+    return RankCurves(event_day, bin_width, event, mean, ratio)
 
 
 def distance_activation_matrix(
@@ -488,11 +479,10 @@ def write_flows_csv(flows: FlowCounts, day_position: int, path: str, header_comm
 
 
 def write_rank_curves_csv(curves: RankCurves, path: str, header_comment: str | None = None) -> None:
-    rows = (
-        [k, off, curves.event_fraction[k][i], curves.comparison_mean[k][i], curves.ratio[k][i]]
-        for k in sorted(curves.ratio)
-        for i, off in enumerate(curves.offsets)
-    )
+    """One row per rank and bin, rank after rank; a nan ratio is an empty cell."""
+    rank, offset = np.indices(curves.ratio.shape)
+    rows = zip((rank + 1).ravel().tolist(), (offset * curves.bin_width).ravel().tolist(),
+               *(m.ravel().tolist() for m in (curves.event_fraction, curves.comparison_mean, curves.ratio)))
     write_csv(path, ["rank", "offset_seconds", "event_fraction", "comparison_mean", "ratio"],
               rows, header_comment)
 

@@ -388,16 +388,12 @@ def _cmd_adoption(args, ctx: RunContext) -> dict:
                      ([g.ids[i], None if d < 0 else days[d]]
                       for i, d in zip(np.flatnonzero(adopted).tolist(), day_pos[adopted].tolist())), ctx.header)
     snapshots = [g.induced((day_pos >= 0) & (day_pos <= i)) for i in range(len(days))] or [g.induced(adopted)]
-    rows = adoption.component_evolution(snapshots)
-    for row, day in zip(rows, days or [0]):
-        row["snapshot"] = day
-    adoption.write_component_evolution_csv(rows, ctx.outputs.stage("adoption_components.csv"),
-                                           header_comment=ctx.header)
-    final = rows[-1] if rows else {}
+    adopters, fractions = adoption.component_evolution(snapshots)
+    adoption.write_component_evolution_csv(days or [0], adopters, fractions,
+                                           ctx.outputs.stage("adoption_components.csv"), header_comment=ctx.header)
     count = int(adopted.sum())
-    print(f"adoption: {count} adopters from {source}; "
-          f"final isolate fraction {final.get('frac_isolates', 0.0):.3f}")
-    return {"adopters": count, "source": source, "snapshots": len(rows)}
+    print(f"adoption: {count} adopters from {source}; final isolate fraction {fractions[-1, 0]:.3f}")
+    return {"adopters": count, "source": source, "snapshots": len(snapshots)}
 
 
 def _cmd_kappa(args, ctx: RunContext) -> dict:
@@ -461,12 +457,10 @@ def _cmd_pk(args, ctx: RunContext) -> dict:
     curve = adoption.adoption_probability_curve(g, adopted, k_max=top, min_support=args.min_support)
     adoption.write_pk_csv(curve, ctx.outputs.stage("pk.csv"), header_comment=ctx.header,
                           k_max=args.k_max, min_support=args.min_support)
-    shown = ", ".join(
-        f"p_{p.k}={p.p_k:.4f}" for p in curve.points if p.p_k is not None and p.k <= 3
-    )
+    shown = ", ".join(f"p_{k}={p:.4f}" for k, p in enumerate(curve.p_k[:4].tolist()) if not math.isnan(p))
     print(f"pk: {shown}")
     return {"adopters": int(adopted.sum()), "source": source,
-            "uplift": {str(k): v for k, v in curve.uplift.items()}}
+            "uplift": {str(k): u for k, u in enumerate(curve.uplift.tolist()) if not math.isnan(u)}}
 
 
 def _parse_entity(text: str) -> tuple:
@@ -569,7 +563,7 @@ def _cmd_rank_curves(args, ctx: RunContext) -> dict:
     _check_days(ds.window, ("--event-time", [event_time]), (key, comparison))
     curves = anomaly.rank_activation_curves(
         ds, event_time,
-        ranks=tuple(range(1, rc["max_rank"] + 1)),
+        max_rank=rc["max_rank"],
         bin_width=rc["bin_width"],
         comparison_days=comparison,
     )

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cdrlab import adoption as ad
 from cdrlab import socialgraph as sg
 
+import curve_oracle
 import graph_oracle
 import stats_oracle
 from conftest import graph_from, random_graph
@@ -18,6 +19,19 @@ from stats_oracle import adopter_mask, edge_positions
 
 def paw():
     return graph_from([("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")])
+
+
+def evolution_rows(result):
+    """component_evolution's adopters and fractions as the former list of dicts, one per snapshot."""
+    adopters, fractions = result
+    assert adopters.dtype == np.int64 and fractions.shape == (len(adopters), 4)
+    names = ("frac_isolates", "frac_pairs", "frac_mid", "frac_monster")
+    return [{"snapshot": i, "adopters": a, **dict(zip(names, row))}
+            for i, (a, row) in enumerate(zip(adopters.tolist(), fractions.tolist()))]
+
+
+def nan_as_none(values: np.ndarray) -> list:
+    return [None if math.isnan(v) else v for v in values.tolist()]
 
 
 # -- adoption networks ------------------------------------------------------------
@@ -38,7 +52,7 @@ def test_component_report_and_evolution_buckets():
     assert report.sizes == [3, 2]
     assert report.isolate_count == 1
 
-    rows = ad.component_evolution([net])
+    rows = evolution_rows(ad.component_evolution([net]))
     row = rows[0]
     assert row["adopters"] == 6
     assert row["frac_isolates"] == pytest.approx(1 / 6)
@@ -57,7 +71,7 @@ def test_component_evolution_matches_the_set_based_oracle(seed, n, p, fractions)
     rng = np.random.default_rng(seed)
     g = random_graph(rng, n, p)
     adopter_sets = [{x for x in g.ids if rng.random() < f} for f in fractions]
-    got = ad.component_evolution([g.induced(adopter_mask(g, a)) for a in adopter_sets])
+    got = evolution_rows(ad.component_evolution([g.induced(adopter_mask(g, a)) for a in adopter_sets]))
     assert got == graph_oracle.component_evolution(g, adopter_sets)
 
 
@@ -65,7 +79,7 @@ def test_component_evolution_monster_bucket():
     chain = [(f"n{i:04d}", f"n{i + 1:04d}") for i in range(1001)]  # 1002-node path
     g = graph_from(chain + [("p1", "p2")])
     net = g.induced(np.ones(g.node_count(), dtype=bool))
-    row = ad.component_evolution([net])[0]
+    row = evolution_rows(ad.component_evolution([net]))[0]
     assert [row] == graph_oracle.component_evolution(g, [g.ids])
     assert row["adopters"] == 1004
     assert row["frac_monster"] == pytest.approx(1002 / 1004)
@@ -77,7 +91,7 @@ def test_component_evolution_mid_at_threshold_stays_mid():
     chain = [(f"n{i:04d}", f"n{i + 1:04d}") for i in range(999)]  # exactly 1000 nodes
     g = graph_from(chain)
     net = g.induced(np.ones(g.node_count(), dtype=bool))
-    row = ad.component_evolution([net])[0]
+    row = evolution_rows(ad.component_evolution([net]))[0]
     assert row["frac_monster"] == 0.0 and row["frac_mid"] == 1.0
 
 
@@ -316,23 +330,21 @@ def test_kappa_rejects_replicates_below_one(monkeypatch, fn, arg, replicates):
 def test_pk_curve_hand_case():
     g = graph_from([("a", "b"), ("b", "c"), ("c", "d")])
     curve = ad.adoption_probability_curve(g, adopter_mask(g, {"a"}), k_max=2, min_support=1)
-    by_k = {pt.k: pt for pt in curve.points}
-    assert (by_k[0].n_k, by_k[0].a_k) == (3, 1)  # a, c, d have no adopting friends
-    assert by_k[0].p_k == pytest.approx(1 / 3)
-    assert (by_k[1].n_k, by_k[1].a_k) == (1, 0)  # b neighbors the adopter
-    assert by_k[1].p_k == 0.0
-    assert by_k[2].n_k == 0 and by_k[2].p_k is None
-    assert curve.uplift == {0: pytest.approx(1.0), 1: 0.0}
+    assert (curve.n_k[0], curve.a_k[0]) == (3, 1)  # a, c, d have no adopting friends
+    assert curve.p_k[0] == pytest.approx(1 / 3)
+    assert (curve.n_k[1], curve.a_k[1]) == (1, 0)  # b neighbors the adopter
+    assert curve.p_k[1] == 0.0
+    assert curve.n_k[2] == 0 and math.isnan(curve.p_k[2])
+    assert nan_as_none(curve.uplift) == [pytest.approx(1.0), 0.0, None]
 
 
 def test_pk_curve_support_flag_and_zero_p0():
     g = graph_from([("a", "b"), ("b", "c"), ("a", "c")], nodes=["d"])
     curve = ad.adoption_probability_curve(g, adopter_mask(g, {"a", "b"}), k_max=2, min_support=2)
-    by_k = {pt.k: pt for pt in curve.points}
-    assert by_k[0].n_k == 1 and by_k[0].p_k == 0.0 and not by_k[0].reliable
-    assert by_k[1].n_k == 2 and by_k[1].p_k == 1.0 and by_k[1].reliable
-    assert by_k[2].n_k == 1 and by_k[2].p_k == 0.0  # c saw both adopters, stayed out
-    assert curve.uplift == {}  # p0 is zero: uplift undefined
+    assert curve.n_k[0] == 1 and curve.p_k[0] == 0.0 and not curve.reliable[0]
+    assert curve.n_k[1] == 2 and curve.p_k[1] == 1.0 and curve.reliable[1]
+    assert curve.n_k[2] == 1 and curve.p_k[2] == 0.0  # c saw both adopters, stayed out
+    assert np.isnan(curve.uplift).all()  # p0 is zero: uplift undefined
 
 
 def test_pk_counts_partition_all_nodes():
@@ -340,8 +352,8 @@ def test_pk_counts_partition_all_nodes():
     g = random_graph(rng, 30, 0.1)
     adopted = np.arange(g.node_count()) < 9
     curve = ad.adoption_probability_curve(g, adopted, k_max=29, min_support=5)
-    assert sum(pt.n_k for pt in curve.points) == 30
-    assert sum(pt.a_k for pt in curve.points) == 9
+    assert curve.n_k.sum() == 30
+    assert curve.a_k.sum() == 9
 
 
 @settings(max_examples=100, deadline=None)
@@ -357,12 +369,34 @@ def test_pk_points_match_a_per_node_count(seed, n, p, fraction, k_max, min_suppo
         friends[v].add(u)
     k = {x: len(friends[x] & adopters) for x in g.ids}
     curve = ad.adoption_probability_curve(g, adopter_mask(g, adopters), k_max=k_max, min_support=min_support)
-    assert [pt.k for pt in curve.points] == list(range(k_max + 1))
-    for pt in curve.points:
-        assert pt.n_k == sum(1 for x in g.ids if k[x] == pt.k)
-        assert pt.a_k == sum(1 for x in adopters if k[x] == pt.k)
-        assert pt.p_k == (pt.a_k / pt.n_k if pt.n_k else None)
-        assert pt.reliable == (pt.n_k >= min_support)
+    assert all(len(column) == k_max + 1 for column in (curve.n_k, curve.a_k, curve.p_k, curve.uplift, curve.reliable))
+    for kk, (n_k, a_k, p_k, reliable) in enumerate(zip(curve.n_k.tolist(), curve.a_k.tolist(),
+                                                       nan_as_none(curve.p_k), curve.reliable.tolist())):
+        assert n_k == sum(1 for x in g.ids if k[x] == kk)
+        assert a_k == sum(1 for x in adopters if k[x] == kk)
+        assert p_k == (a_k / n_k if n_k else None)
+        assert reliable == (n_k >= min_support)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), p=st.floats(0.0, 0.5), fraction=st.floats(0.0, 1.0),
+       k_max=st.integers(0, 12), min_support=st.integers(0, 5), past=st.integers(0, 3))
+def test_pk_columns_match_the_former_points(tmp_path_factory, seed, n, p, fraction, k_max, min_support, past):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n, p)
+    adopted = rng.random(g.node_count()) < fraction
+    got = ad.adoption_probability_curve(g, adopted, k_max=k_max, min_support=min_support)
+    want = curve_oracle.adoption_probability_curve(g, adopted, k_max=k_max, min_support=min_support)
+    assert got.n_k.tolist() == [pt.n_k for pt in want.points]
+    assert got.a_k.tolist() == [pt.a_k for pt in want.points]
+    assert nan_as_none(got.p_k) == [pt.p_k for pt in want.points]
+    assert got.reliable.tolist() == [pt.reliable for pt in want.points]
+    # an uplift is nan exactly where the former dict had no entry
+    assert {k: u for k, u in enumerate(got.uplift.tolist()) if not math.isnan(u)} == want.uplift
+    out = tmp_path_factory.mktemp("pk")
+    ad.write_pk_csv(got, str(out / "got.csv"), "# h", k_max=k_max + past, min_support=min_support)
+    curve_oracle.write_pk_csv(want, str(out / "want.csv"), "# h", k_max=k_max + past, min_support=min_support)
+    assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
 
 
 def test_pk_rejects_a_negative_k_max():
@@ -389,5 +423,5 @@ def test_writers(tmp_path):
 
     net = g.induced(adopter_mask(g, {"a", "b"}))
     ep = tmp_path / "evo.csv"
-    ad.write_component_evolution_csv(ad.component_evolution([net]), str(ep))
+    ad.write_component_evolution_csv([0], *ad.component_evolution([net]), str(ep))
     assert ep.read_text().splitlines()[1].startswith("0,2,")

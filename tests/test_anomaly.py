@@ -9,6 +9,7 @@ from cdrlab import anomaly as an
 from cdrlab.records import day_start
 
 import anomaly_oracle
+import curve_oracle
 from geo_oracle import haversine_km
 from conftest import (T0, DAY, CdrRecord, cdr_rows, data, flow_counts, flow_dicts, make_dataset, sms, topup, topup_rows,
                       voice)
@@ -575,28 +576,28 @@ def test_rank_activation_curves_quantitative():
     curves = an.rank_activation_curves(
         ds,
         event_time=T0 + DAY + 11 * 3600,
-        ranks=(1, 2),
+        max_rank=2,
         bin_width=3600,
         comparison_days=[T0 + 2 * DAY],
     )
     assert curves.event_day == T0 + DAY
-    assert len(curves.offsets) == 24 and curves.offsets[10] == 36000
-    assert curves.event_fraction[1][10] == pytest.approx(1.0)   # A and C both
-    assert curves.comparison_mean[1][10] == pytest.approx(0.5)  # only A
-    assert curves.ratio[1][10] == pytest.approx(2.0)
-    assert curves.ratio[2][10] == pytest.approx(0.0)  # C ignored their #2
-    assert curves.ratio[1][0] is None  # nobody calls at midnight either day
+    assert curves.ratio.shape == (2, 24) and 10 * curves.bin_width == 36000
+    assert curves.event_fraction[0, 10] == pytest.approx(1.0)   # A and C both (rank 1)
+    assert curves.comparison_mean[0, 10] == pytest.approx(0.5)  # only A
+    assert curves.ratio[0, 10] == pytest.approx(2.0)
+    assert curves.ratio[1, 10] == pytest.approx(0.0)  # C ignored their #2
+    assert math.isnan(curves.ratio[0, 0])  # nobody calls at midnight either day
 
 
 def test_rank_activation_curves_flat_traffic_gives_unit_ratio():
     cdrs = [voice("A", "B", "T1", T0 + d * DAY + 12 * 3600) for d in range(3)]
     ds = make_dataset(cdrs, window=(T0, T0 + 3 * DAY))
     curves = an.rank_activation_curves(
-        ds, event_time=T0 + 2 * DAY, ranks=(1,), bin_width=3600,
+        ds, event_time=T0 + 2 * DAY, max_rank=1, bin_width=3600,
         comparison_days=[T0, T0 + DAY],
     )
-    assert curves.ratio[1][12] == pytest.approx(1.0)
-    assert all(r is None for i, r in enumerate(curves.ratio[1]) if i != 12)
+    assert curves.ratio[0, 12] == pytest.approx(1.0)
+    assert all(math.isnan(r) for i, r in enumerate(curves.ratio[0].tolist()) if i != 12)
 
 
 def test_rank_activation_curves_validation():
@@ -617,9 +618,51 @@ def test_rank_activation_curves_bins_must_tile_a_day():
         with pytest.raises(ValueError, match=f"bin_width must be a positive divisor of 86400 seconds, got {width}$"):
             an.rank_activation_curves(ds, T0 + 2 * DAY, bin_width=width, comparison_days=[T0 + DAY])
     with pytest.raises(ValueError, match="at least one rank"):
-        an.rank_activation_curves(ds, T0 + 2 * DAY, ranks=(), comparison_days=[T0 + DAY])
-    curves = an.rank_activation_curves(ds, T0 + 2 * DAY, ranks=(1,), bin_width=8, comparison_days=[T0 + DAY])
-    assert curves.event_fraction[1][-1] == 1.0 and sum(curves.event_fraction[1]) == 1.0
+        an.rank_activation_curves(ds, T0 + 2 * DAY, max_rank=0, comparison_days=[T0 + DAY])
+    curves = an.rank_activation_curves(ds, T0 + 2 * DAY, max_rank=1, bin_width=8, comparison_days=[T0 + DAY])
+    assert curves.event_fraction[0, -1] == 1.0 and sum(curves.event_fraction[0].tolist()) == 1.0
+
+
+RANK_EVENT = st.tuples(st.sampled_from("ABCDEFG"), st.sampled_from(["A", "B", "C", "D", "E", "F", "G", "H", None]),
+                       st.integers(0, 8 * DAY - 1), st.sampled_from(["voice", "voice", "voice", "sms", "data"]))
+
+
+def two_ranks_daily():
+    """A ranks B first and C second and calls both every day, while 0-4 others text, so each day's
+    fractions are 1/1..1/5: twelve days of them sum to other bits pairwise than in day order."""
+    events = [("A", "B", 100, "voice"), ("A", "B", 200, "voice"), ("A", "C", 300, "voice")]
+    for d in range(7):
+        events += [("A", "B", d * DAY + 1000, "voice"), ("A", "C", d * DAY + 2000, "voice")]
+        events += [(x, "H", d * DAY + 3000, "sms") for x in "DEFG"[:d % 5]]
+    return events
+
+
+@settings(max_examples=150, deadline=None)
+@given(events=st.lists(RANK_EVENT, min_size=20, max_size=150), event_day=st.integers(1, 7),
+       comparison=st.lists(st.integers(0, 7), min_size=1, max_size=12),
+       bin_width=st.sampled_from([600, 3600, 7200, 21600, DAY]), max_rank=st.integers(1, 6))
+@example(events=two_ranks_daily(), event_day=7, comparison=[5, 4, 3, 2, 5, 2, 2, 6, 1, 1, 4, 4], bin_width=DAY,
+         max_rank=2)  # one bin: the former mean summed its days pairwise
+def test_rank_curves_match_the_former_rank_lists(tmp_path_factory, events, event_day, comparison, bin_width,
+                                                  max_rank):
+    # Up to twelve comparison days: numpy sums eight or more values pairwise along a contiguous axis.
+    ds = make_dataset([CdrRecord(a, None if kind == "data" else b, "T1", T0 + off, kind, 30.0)
+                       for a, b, off, kind in events], window=(T0, T0 + 8 * DAY))
+    event_time, days = T0 + event_day * DAY + 3600, [T0 + d * DAY + 60 for d in comparison]
+    got = an.rank_activation_curves(ds, event_time, max_rank=max_rank, bin_width=bin_width, comparison_days=days)
+    want = curve_oracle.rank_activation_curves(ds, event_time, ranks=tuple(range(1, max_rank + 1)),
+                                               bin_width=bin_width, comparison_days=days)
+    assert (got.event_day, got.bin_width) == (want.event_day, want.bin_width)
+    assert got.ratio.shape == got.event_fraction.shape == got.comparison_mean.shape == (max_rank, DAY // bin_width)
+    assert [i * got.bin_width for i in range(got.ratio.shape[1])] == want.offsets
+    for k in range(1, max_rank + 1):
+        assert got.event_fraction[k - 1].tolist() == want.event_fraction[k]
+        assert got.comparison_mean[k - 1].tolist() == want.comparison_mean[k]
+        assert [None if math.isnan(r) else r for r in got.ratio[k - 1].tolist()] == want.ratio[k]
+    out = tmp_path_factory.mktemp("rank")
+    an.write_rank_curves_csv(got, str(out / "got.csv"), "# h")
+    curve_oracle.write_rank_curves_csv(want, str(out / "want.csv"), "# h")
+    assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
 
 
 # -- distance matrix --------------------------------------------------------------------

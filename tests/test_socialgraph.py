@@ -305,6 +305,19 @@ def test_evc_near_tie_stalls_then_matches_dense_oracle(monkeypatch):
         sg.eigenvector_centrality(g)
 
 
+@pytest.mark.xfail(strict=True, raises=RuntimeError,
+                   reason="power iteration stalls above the dense cap (ROADMAP item 5)")
+def test_evc_converges_on_a_long_path_above_the_dense_cap():
+    # The spectral gap of a path shrinks like 1/n^2; its top eigenvector is sin(pi i / (n + 1)), i = 1..n.
+    n = 2500
+    assert n > sg.DENSE_EVC_MAX_NODES
+    g = sg.SocialGraph.from_edges((f"n{i:04d}", f"n{i + 1:04d}") for i in range(n - 1))
+    scores = sg.eigenvector_centrality(g)
+    want = np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
+    want /= np.linalg.norm(want)
+    assert [scores[f"n{i:04d}"] for i in range(n)] == pytest.approx(want.tolist(), abs=1e-8)
+
+
 # -- clustering and adjacent pairs ----------------------------------------------
 
 def brute_adjacent_pairs(g):

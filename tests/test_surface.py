@@ -148,6 +148,20 @@ def test_every_class_field_is_read_by_the_package():
     assert sorted(q for q, name in declared.items() if name not in read) == sorted(UNREAD_FIELDS)
 
 
+def test_every_np_unique_call_asks_for_a_returned_array():
+    # numpy 2.4's bare np.unique imports numpy.ma, about 10 ms of a subcommand's start-up;
+    # records.distinct stands in for it, and every other call passes a return_* keyword.
+    calls, bare = 0, []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "unique"
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"):
+                calls += 1
+                if not any(kw.arg and kw.arg.startswith("return_") for kw in node.keywords):
+                    bare.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert calls and bare == []
+
+
 def test_the_scan_sees_the_entry_points():
     keys, reached = _scan()
     assert {"main", "_cmd_train", "train_logistic", ".predict_proba", "Dataset"} <= reached

@@ -2,7 +2,11 @@
 
 import importlib.util
 import json
+import os
+import signal
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -63,3 +67,50 @@ def test_each_chain_runs_from_an_equal_length_copy_with_its_own_empty_cache(tmp_
         assert [(cache, seen) for _, _, cache, seen in chain] == [(f"{work}/cache", False), (f"{work}/cache", True)]
     assert len({cwd for _, cwd, _, _ in runs}) == 4
     assert [c["runs"][0]["one"]["exit"] for c in json.loads(out.read_text())["checkouts"]] == [0, 0]
+
+
+# A stand-in for cdrlab.cli that logs its pid and then sleeps far past the test.
+SLEEPING_CLI = """import os, time
+with open(LOG, "w") as fh:
+    fh.write(str(os.getpid()))
+time.sleep(120)
+"""
+
+
+def _gone(pid: int) -> bool:
+    """Whether pid has exited (a zombie that no one has reaped yet counts as exited)."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+def test_sigterm_removes_the_temporary_trees_and_stops_the_step(tmp_path):
+    log, tmp = tmp_path / "pid.txt", tmp_path / "tmp"
+    tmp.mkdir()
+    checkout = tmp_path / "checkout"
+    (checkout / "src" / "cdrlab").mkdir(parents=True)
+    (checkout / "src" / "cdrlab" / "__init__.py").write_text("")
+    (checkout / "src" / "cdrlab" / "cli.py").write_text(f"LOG = {str(log)!r}\n" + SLEEPING_CLI)
+    script = Path(__file__).parents[1] / "tools" / "baseline.py"
+    proc = subprocess.Popen([sys.executable, str(script), "--src", str(checkout), "--out", str(tmp_path / "out.json")],
+                            env=dict(os.environ, TMPDIR=str(tmp)), stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 60
+        while not log.exists() or not log.read_text():
+            assert proc.poll() is None and time.monotonic() < deadline, "the step never started"
+            time.sleep(0.05)
+        assert sorted(p.name.split("-")[1] for p in tmp.iterdir()) == ["baseline", "src"]
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 128 + signal.SIGTERM, proc.stderr.read().decode()
+    finally:
+        proc.kill()
+        proc.wait()
+    assert list(tmp.iterdir()) == []
+    assert not (tmp_path / "out.json").exists()
+    step = int(log.read_text())
+    deadline = time.monotonic() + 10
+    while not _gone(step) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _gone(step)

@@ -34,18 +34,22 @@ parses cold, the later steps read its snapshots, and no run reads another
 checkout's.  The JSON holds the machine, the workload and, per checkout, its
 commit, every run's wall time, peak RSS and exit code per step, and the sha256
 of each step's output files, which shows whether two checkouts wrote the same
-bytes.  Outputs go to a temporary directory that is removed at the end.
+bytes.  Outputs go to a temporary directory that is removed at the end, also
+when the script is stopped by SIGTERM or Ctrl-C: each launcher leads its own
+process group, which is killed with the step in it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
 import platform
 import re
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -109,9 +113,23 @@ print(time.perf_counter() - start, usage.ru_maxrss, os.waitstatus_to_exitcode(st
 
 
 def launch(cmd, **popen) -> tuple[float, int, int]:
-    """(wall seconds, peak RSS in KiB, exit code) of cmd, started through LAUNCHER; popen goes to subprocess.run."""
-    out = subprocess.run([sys.executable, "-S", "-c", LAUNCHER, *cmd], stdout=subprocess.PIPE, check=True, **popen)
-    wall, rss_kib, code = out.stdout.split()
+    """(wall seconds, peak RSS in KiB, exit code) of cmd, started through LAUNCHER; popen goes to subprocess.Popen.
+
+    An exception while the launcher runs (SystemExit from SIGTERM, KeyboardInterrupt) kills
+    the launcher's process group, so that no step outlives the script or writes into a
+    directory being removed.
+    """
+    argv = [sys.executable, "-S", "-c", LAUNCHER, *cmd]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, start_new_session=True, **popen) as proc:
+        try:
+            out = proc.communicate()[0]
+        except BaseException:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, argv)
+    wall, rss_kib, code = out.split()
     return float(wall), int(rss_kib), int(code)
 
 
@@ -198,4 +216,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # SIGTERM as SystemExit, so that the temporary directories are removed on the way out
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     sys.exit(main())
