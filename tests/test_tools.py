@@ -1,5 +1,6 @@
 """tools/baseline.py: the launcher that times each Baseline step."""
 
+import contextlib
 import importlib.util
 import json
 import os
@@ -104,13 +105,15 @@ def test_sigterm_removes_the_temporary_trees_and_stops_the_step(tmp_path):
         assert sorted(p.name.split("-")[1] for p in tmp.iterdir()) == ["baseline", "src"]
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=30) == 128 + signal.SIGTERM, proc.stderr.read().decode()
+        assert list(tmp.iterdir()) == []
+        assert not (tmp_path / "out.json").exists()
+        deadline = time.monotonic() + 10
+        while not _gone(int(log.read_text())) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _gone(int(log.read_text()))
     finally:
         proc.kill()
         proc.wait()
-    assert list(tmp.iterdir()) == []
-    assert not (tmp_path / "out.json").exists()
-    step = int(log.read_text())
-    deadline = time.monotonic() + 10
-    while not _gone(step) and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert _gone(step)
+        if log.exists() and log.read_text():  # a step left behind must not sleep on after a failure
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(int(log.read_text()), signal.SIGKILL)
