@@ -26,7 +26,7 @@ import numpy as np
 
 from .ingest import write_csv
 from .rng import derive_choices
-from .socialgraph import SocialGraph, connected_components, global_clustering_coefficient, triangle_counts
+from .socialgraph import SocialGraph, _component_labels, global_clustering_coefficient, triangle_counts
 
 Z95 = 1.959963984540054
 
@@ -60,21 +60,25 @@ class PkCurve:
     reliable: np.ndarray  # n_k >= min_support
 
 
-def component_evolution(snapshots) -> tuple[np.ndarray, np.ndarray]:
-    """Per adoption network, its adopters and the fractions of them in isolate / pair / mid / monster buckets.
+def component_evolution(g: SocialGraph, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the (snapshots x nodes) adopter mask, its adopters and the fractions of them in
+    isolate / pair / mid / monster buckets.
 
-    One row of four fractions per network, all 0 for a network without
-    adopters.  mid means components of 3..1000 nodes; the monster bucket is
-    the largest component only when it exceeds 1000 nodes.
+    A snapshot's adoption network is its adopters and the edges of g between
+    two of them.  One row of four fractions per snapshot, all 0 for a
+    snapshot without adopters.  mid means components of 3..1000 nodes; the
+    monster bucket is the largest component only when it exceeds 1000 nodes.
     """
-    adopters = np.array([net.node_count() for net in snapshots], dtype=np.int64)
-    counts = np.zeros((len(snapshots), 4), dtype=np.int64)
-    for row, net in zip(counts, snapshots):
-        report = connected_components(net)
-        sizes = report.sizes
-        monster = sizes[0] if sizes and sizes[0] > MONSTER_THRESHOLD else 0
-        mid = sum(size for size in sizes if size >= 3) - monster
-        row[:] = report.isolate_count, 2 * sizes.count(2), mid, monster
+    n = g.node_count()
+    adopters = np.count_nonzero(masks, axis=1).astype(np.int64)
+    counts = np.zeros((len(masks), 4), dtype=np.int64)
+    for row, keep, total in zip(counts, masks, adopters.tolist()):
+        sel = keep[g.u] & keep[g.v]
+        sizes = np.bincount(_component_labels(n, g.u[sel], g.v[sel]))
+        sizes = sizes[sizes > 1]  # a node on none of the kept edges is a component of one
+        largest = int(sizes.max(initial=0))
+        monster = largest if largest > MONSTER_THRESHOLD else 0
+        row[:] = total - sizes.sum(), 2 * np.count_nonzero(sizes == 2), sizes[sizes > 2].sum() - monster, monster
     return adopters, np.divide(counts, adopters[:, None], out=np.zeros(counts.shape), where=adopters[:, None] > 0)
 
 

@@ -19,8 +19,7 @@ import numpy as np
 
 from .geo import haversine_km_to
 from .ingest import write_csv
-from .records import SECONDS_PER_DAY, VOICE, Dataset, day_start, distinct
-from .spatial import pearson_r
+from .records import SECONDS_PER_DAY, VOICE, Dataset, day_start, distinct, pearson_r
 
 DEFAULT_THRESHOLD_SIGMA = 3.0
 

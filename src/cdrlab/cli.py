@@ -88,6 +88,13 @@ def _parse_ts(flag: str, text: str) -> int:
         raise ValueError(f"{flag}: {exc}") from None
 
 
+def _given(flag: str, value: str | None) -> str | None:
+    """A path flag's value, None when the flag is absent; an empty value is an error naming the flag."""
+    if value == "":
+        raise ValueError(f"{flag}: expected a file path, got ''")
+    return value
+
+
 def _numbers(flag: str, text: str, count: int = 0) -> list[float]:
     """A flag's comma-separated finite numbers, count of them when count > 0; else an error naming the flag."""
     try:
@@ -197,12 +204,7 @@ def _read_numeric_table(path: str, required=(), key: str | None = None, skip=())
 
 def _dataset_paths(args, cfg) -> dict[str, str | None]:
     d = cfg["dataset"]
-    return {
-        "cdr": getattr(args, "cdr", None) or d["cdr"] or None,
-        "topups": getattr(args, "topups", None) or d["topups"] or None,
-        "towers": getattr(args, "towers", None) or d["towers"] or None,
-        "labels": getattr(args, "labels", None) or d["labels"] or None,
-    }
+    return {k: _given(f"--{k}", getattr(args, k, None)) or d[k] or None for k in ("cdr", "topups", "towers", "labels")}
 
 
 def _load_dataset(args, cfg):
@@ -239,8 +241,9 @@ def _adopters(args, graph, ctx) -> tuple["np.ndarray", "np.ndarray", list[int], 
     from . import synthgen
 
     n = graph.node_count()
-    if getattr(args, "adopters", None):
-        table = _read_adopters(args.adopters)
+    path = _given("--adopters", getattr(args, "adopters", None))
+    if path is not None:
+        table = _read_adopters(path)
         pos = graph.index(table)
         if (pos < 0).any():
             unknown = {sub for sub, p in zip(table, pos.tolist()) if p < 0}
@@ -250,7 +253,7 @@ def _adopters(args, graph, ctx) -> tuple["np.ndarray", "np.ndarray", list[int], 
         adopted, day_pos = np.zeros(n, dtype=bool), np.full(n, -1)
         adopted[pos] = True
         day_pos[pos] = [at.get(d, -1) for d in table.values()]
-        return adopted, day_pos, days, f"file:{args.adopters}"
+        return adopted, day_pos, days, f"file:{path}"
     a = ctx.cfg["adoption"]
     if a["mechanism"] == "random":
         mech = synthgen.ContagionAdoption(a["p"], 0.0)
@@ -348,7 +351,7 @@ def _cmd_features(args, ctx: RunContext) -> dict:
     from . import features
 
     ds, _, _ = _load_dataset(args, ctx.cfg)
-    denoms = tuple(_numbers("--denominations", args.denominations)) if args.denominations else None
+    denoms = tuple(_numbers("--denominations", args.denominations)) if args.denominations is not None else None
     columns = features.extract_features(ds, denominations=denoms)
     features.write_features_csv(ds, columns, ctx.outputs.stage("features.csv"), header_comment=ctx.header)
     n = len(ds.subscribers())
@@ -369,8 +372,8 @@ def _cmd_graph(args, ctx: RunContext) -> dict:
               "components": len(report.sizes), "isolates": report.isolate_count}
     if args.evc:
         scores = socialgraph.eigenvector_centrality(g)
-        ingest.write_csv(ctx.outputs.stage("evc.csv"), ["subscriber", "score"],
-                         ([sub, scores[sub]] for sub in sorted(scores)), ctx.header)
+        ingest.write_csv(ctx.outputs.stage("evc.csv"), ["subscriber", "score"], zip(g.ids, scores.tolist()),
+                         ctx.header)
     print(f"graph: {params['nodes']} nodes, {params['edges']} edges, "
           f"{params['components']} components")
     return params
@@ -387,13 +390,14 @@ def _cmd_adoption(args, ctx: RunContext) -> dict:
     ingest.write_csv(ctx.outputs.stage("adopters.csv"), ["subscriber", "day"],
                      ([g.ids[i], None if d < 0 else days[d]]
                       for i, d in zip(np.flatnonzero(adopted).tolist(), day_pos[adopted].tolist())), ctx.header)
-    snapshots = [g.induced((day_pos >= 0) & (day_pos <= i)) for i in range(len(days))] or [g.induced(adopted)]
-    adopters, fractions = adoption.component_evolution(snapshots)
+    # one mask per adoption day, of who had adopted by then; without days, one mask of the adopters
+    masks = (day_pos >= 0) & (day_pos <= np.arange(len(days))[:, None]) if days else adopted[None]
+    adopters, fractions = adoption.component_evolution(g, masks)
     adoption.write_component_evolution_csv(days or [0], adopters, fractions,
                                            ctx.outputs.stage("adoption_components.csv"), header_comment=ctx.header)
     count = int(adopted.sum())
     print(f"adoption: {count} adopters from {source}; final isolate fraction {fractions[-1, 0]:.3f}")
-    return {"adopters": count, "source": source, "snapshots": len(snapshots)}
+    return {"adopters": count, "source": source, "snapshots": len(masks)}
 
 
 def _cmd_kappa(args, ctx: RunContext) -> dict:
@@ -481,7 +485,8 @@ def _cmd_anomaly(args, ctx: RunContext) -> dict:
     if a["bin_width"] <= 0:
         raise ValueError(f"[anomaly] bin_width = {a['bin_width']}: bin_width must be positive")
     ds, _, _ = _load_dataset(args, ctx.cfg)
-    area_map = _read_area_map(args.areas) if args.areas else None
+    areas = _given("--areas", args.areas)
+    area_map = _read_area_map(areas) if areas is not None else None
     if args.per_tower:
         entities = [("tower", t) for t in sorted(ds.towers)]
     else:
@@ -518,7 +523,8 @@ def _cmd_flows(args, ctx: RunContext) -> dict:
     if f["baseline_days"] < 0:
         raise ValueError(f"[flows] baseline_days = {f['baseline_days']}: baseline_days must be >= 0")
     ds, _, _ = _load_dataset(args, ctx.cfg)
-    area_map = _read_area_map(args.areas) if args.areas else {t: t for t in ds.towers}
+    areas = _given("--areas", args.areas)
+    area_map = _read_area_map(areas) if areas is not None else {t: t for t in ds.towers}
     flows = anomaly.build_flow_network(ds, area_map, min_count=f["min_count"],
                                        min_distance_km=f["min_distance_km"], mode=f["mode"])
     n_days = len(flows.days)
@@ -616,7 +622,7 @@ def _cmd_voronoi(args, ctx: RunContext) -> dict:
     towers, _ = ingest.parse_tower_file(paths["towers"])
     if not towers:
         raise ValueError(f"{paths['towers']}: no towers")
-    if args.clip:
+    if args.clip is not None:
         x0, y0, x1, y1 = _numbers("--clip", args.clip, 4)
         if not (x0 < x1 and y0 < y1):
             raise ValueError(f"--clip: expected lon_min < lon_max and lat_min < lat_max, got {args.clip!r}")
@@ -720,6 +726,8 @@ def _model_table(args, ctx: RunContext):
 def _cmd_train(args, ctx: RunContext) -> dict:
     from .mlkit import data, models
 
+    if not 0.0 < args.split_fraction < 1.0:
+        raise ValueError(f"--split-fraction: fraction must be in (0, 1), got {args.split_fraction}")
     table, _ = _model_table(args, ctx)
     if len(set(table.y.tolist())) < 2:
         side = "positive" if table.y[0] == 1.0 else "negative"
@@ -749,7 +757,7 @@ def _cmd_eval(args, ctx: RunContext) -> dict:
     table, labeled = _model_table(args, ctx)
     if list(table.columns) != list(model.columns):
         raise ValueError("feature columns do not match the model schema")
-    if args.test_ids:
+    if _given("--test-ids", args.test_ids) is not None:
         wanted = set(_read_id_list(args.test_ids))
         skipped = wanted - set(table.ids)
         dropped = sorted(skipped & set(labeled))
@@ -1007,7 +1015,7 @@ def main(argv=None) -> int:
 
     outputs = None
     try:
-        cfg = load_config(args.config or os.environ.get(CONFIG_ENV_VAR) or None)
+        cfg = load_config(_given("--config", args.config) or os.environ.get(CONFIG_ENV_VAR) or None)
         if args.seed is not None:
             cfg["run"]["seed"] = args.seed
         if args.threads is not None:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -94,6 +93,14 @@ def distinct(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
+def pearson_r(x: np.ndarray, y: np.ndarray, degenerate: str = "constant input; correlation undefined") -> float:
+    """Population Pearson r of two equal-length arrays; a zero spread is ValueError(degenerate)."""
+    sx, sy = x.std(), y.std()
+    if sx == 0 or sy == 0:
+        raise ValueError(degenerate)
+    return float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
+
+
 def recode(codes: np.ndarray, old_ids, new_ids) -> np.ndarray:
     """codes into old_ids as codes into new_ids (which hold every id used); -1 stays."""
     index = dict(zip(new_ids, range(len(new_ids))))
@@ -149,12 +156,9 @@ class TopUpTable(_Table):
     COLUMNS = ("ts", "buyer", "retailer", "tower", "amount")
 
 
-class Groups(NamedTuple):
-    """Row numbers grouped by a code: rows[offsets[c]:offsets[c + 1]] are the
-    rows of code c, in dataset order."""
-
-    rows: np.ndarray
-    offsets: np.ndarray
+# Row numbers grouped by a code, as (rows, offsets): rows[offsets[c]:offsets[c + 1]]
+# are the rows of code c, in dataset order.
+Groups = tuple[np.ndarray, np.ndarray]
 
 
 def _group_rows(codes: np.ndarray, n: int) -> Groups:
@@ -162,7 +166,7 @@ def _group_rows(codes: np.ndarray, n: int) -> Groups:
     rows = np.argsort(codes, kind="stable")
     counts = np.bincount(codes[codes >= 0], minlength=n)
     rows = rows[len(codes) - int(counts.sum()):]
-    return Groups(rows, np.concatenate(([0], np.cumsum(counts))))
+    return rows, np.concatenate(([0], np.cumsum(counts)))
 
 
 def _grouped_argmax(group: np.ndarray, item: np.ndarray, n_groups: int, n_items: int) -> np.ndarray:

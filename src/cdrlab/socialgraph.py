@@ -5,9 +5,8 @@ sms events define both the edges and the weights; the default weight counts
 voice per second of duration and one text as 60 (one text, one minute).
 
 A `SocialGraph` is one immutable set of arrays over its sorted node ids:
-every edge once as an index pair u < v, lexsorted, with its weight, plus a
-CSR adjacency over both directions.  Components, centrality and clustering
-all read these arrays.
+every edge once as an index pair u < v, lexsorted, with its weight.
+Components, centrality and clustering all read these edge arrays.
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ class SocialGraph:
     """Undirected weighted graph over sorted subscriber ids.
 
     `ids` are the sorted node ids.  Edge i joins nodes `u[i] < v[i]` with
-    weight `w[i]`; the edges are lexsorted by (u, v).  The neighbours of
-    node k are `nbrs[offsets[k]:offsets[k + 1]]`, ascending.
+    weight `w[i]`; the edges are lexsorted by (u, v).
     """
 
     def __init__(self, ids, u, v, w):
@@ -42,11 +40,6 @@ class SocialGraph:
         self.u = np.asarray(u, dtype=np.int64)
         self.v = np.asarray(v, dtype=np.int64)
         self.w = np.asarray(w, dtype=np.float64)
-        ends = np.concatenate((self.u, self.v))
-        other = np.concatenate((self.v, self.u))
-        self.nbrs = other[np.lexsort((other, ends))]
-        self.offsets = np.zeros(len(self.ids) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ends, minlength=len(self.ids)), out=self.offsets[1:])
 
     @classmethod
     def from_edges(cls, edges, nodes=()) -> "SocialGraph":
@@ -73,16 +66,13 @@ class SocialGraph:
         return len(self.u)
 
     def degrees(self) -> np.ndarray:
-        return np.diff(self.offsets)
+        return np.bincount(np.concatenate((self.u, self.v)), minlength=len(self.ids))
 
     def edges(self):
         """Canonical (u, v, w) triples with u < v, sorted."""
         ids = self.ids
         for a, b, x in zip(self.u.tolist(), self.v.tolist(), self.w.tolist()):
             yield (ids[a], ids[b], x)
-
-    def sorted_nodes(self) -> list[str]:
-        return list(self.ids)
 
     @cached_property
     def _position(self) -> dict[str, int]:
@@ -92,13 +82,6 @@ class SocialGraph:
         """Position of each name in `ids`, -1 for a name that is not a node."""
         pos = self._position
         return np.array([pos.get(x, -1) for x in names], dtype=np.int64)
-
-    def induced(self, keep: np.ndarray) -> "SocialGraph":
-        """The subgraph on the nodes where the boolean mask `keep` is set."""
-        sel = keep[self.u] & keep[self.v]
-        new = np.cumsum(keep) - 1
-        return SocialGraph([self.ids[i] for i in np.flatnonzero(keep).tolist()],
-                           new[self.u[sel]], new[self.v[sel]], self.w[sel])
 
 
 @dataclass
@@ -151,17 +134,17 @@ def build_graph(
                        node[pairs[keep] // n_ids], node[pairs[keep] % n_ids], weights[keep])
 
 
-def _component_labels(g: SocialGraph) -> np.ndarray:
-    """Per node, the smallest node index in its component.
+def _component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per node 0..n-1, the smallest node index in its component along the edges (u[i], v[i]).
 
     Min-label propagation along the edges, with pointer jumping so that a
     long path settles in a logarithmic number of rounds.
     """
-    label = np.arange(g.node_count())
+    label = np.arange(n)
     while True:
         nxt = label.copy()
-        np.minimum.at(nxt, g.u, label[g.v])
-        np.minimum.at(nxt, g.v, label[g.u])
+        np.minimum.at(nxt, u, label[v])
+        np.minimum.at(nxt, v, label[u])
         nxt = nxt[nxt]
         if np.array_equal(nxt, label):
             return label
@@ -171,12 +154,12 @@ def _component_labels(g: SocialGraph) -> np.ndarray:
 def connected_components(g: SocialGraph) -> ComponentReport:
     """Sizes of the exact components of two or more nodes; isolates are nodes with no edge."""
     linked = g.degrees() > 0
-    sizes = np.unique(_component_labels(g)[linked], return_counts=True)[1]
+    sizes = np.unique(_component_labels(g.node_count(), g.u, g.v)[linked], return_counts=True)[1]
     return ComponentReport(sorted(sizes.tolist(), reverse=True), int(np.count_nonzero(~linked)))
 
 
-def eigenvector_centrality(g: SocialGraph) -> dict[str, float]:
-    """Principal eigenvector of the weighted adjacency, per component.
+def eigenvector_centrality(g: SocialGraph) -> np.ndarray:
+    """Principal eigenvector of the weighted adjacency, per component, by node position.
 
     Each component's score block has unit Euclidean norm and non-negative
     entries.  Power iteration runs on A/w_max + I: the shift guarantees
@@ -187,7 +170,7 @@ def eigenvector_centrality(g: SocialGraph) -> dict[str, float]:
     instead; a connected component with non-negative weights has a simple
     top eigenvalue, so that vector is unique.  Isolated nodes score 1.0.
     """
-    label = _component_labels(g)
+    label = _component_labels(g.node_count(), g.u, g.v)
     scores = np.ones(g.node_count())
     edge_label = label[g.u]
     for root in distinct(edge_label).tolist():
@@ -220,7 +203,7 @@ def eigenvector_centrality(g: SocialGraph) -> dict[str, float]:
             x = np.abs(np.linalg.eigh(a)[1][:, -1])
             x /= np.linalg.norm(x)
         scores[members] = x
-    return dict(zip(g.ids, scores.tolist()))
+    return scores
 
 
 def triangle_counts(u: np.ndarray, v: np.ndarray, n: int, copies: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -259,11 +242,6 @@ def global_clustering_coefficient(g: SocialGraph) -> float:
     """3 x closed triangles over adjacent link pairs; 0 when no pairs exist."""
     closed, pairs = triangle_counts(g.u, g.v, g.node_count())
     return int(closed[0]) / int(pairs[0]) if pairs[0] else 0.0
-
-
-def adjacent_link_count(g: SocialGraph) -> int:
-    """Number of unordered pairs of edges sharing an endpoint: sum C(k_i, 2)."""
-    return int(triangle_counts(g.u, g.v, g.node_count())[1][0])
 
 
 def write_edges_csv(g: SocialGraph, path: str, header_comment: str | None = None) -> None:

@@ -14,6 +14,7 @@ import numpy as np
 
 from .geo import LocalProjection, haversine_km_rows
 from .ingest import number, open_text
+from .records import pearson_r
 
 NODATA_DEFAULT = -9999.0
 COINCIDENT_JITTER_DEG = 1e-6
@@ -174,14 +175,6 @@ def idw_interpolate(
         exact = hit.any(axis=1)
         row[exact] = s_val[np.argmax(hit[exact], axis=1)]
     return GridRaster(xllcorner, yllcorner, cellsize, values, nodata)
-
-
-def pearson_r(x: np.ndarray, y: np.ndarray, degenerate: str = "constant input; correlation undefined") -> float:
-    """Population Pearson r of two equal-length arrays; a zero spread is ValueError(degenerate)."""
-    sx, sy = x.std(), y.std()
-    if sx == 0 or sy == 0:
-        raise ValueError(degenerate)
-    return float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
 
 
 def pearson_correlation(a: dict[str, float], b: dict[str, float]) -> tuple[float, int]:

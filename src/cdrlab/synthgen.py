@@ -227,7 +227,12 @@ def generate_events(cfg: SynthConfig, graph: SocialGraph, gt: GroundTruth) -> Da
     cdf_index: dict[tuple[str, float], int] = {}
     visit = [cdf_index.setdefault((gt.home_tower[s], concentration[k]), len(cdf_index)) for s, k in zip(subs, low)]
     cdfs = [_visit_cdf(towers, home, c) for home, c in cdf_index]
-    degree = np.diff(graph.offsets).tolist()
+    # Each subscriber's neighbours, ascending, in one array: callee j of code c is nbrs[start[c] + j].
+    ends, other = np.concatenate((graph.u, graph.v)), np.concatenate((graph.v, graph.u))
+    nbrs = other[np.lexsort((other, ends))]
+    counts = graph.degrees()
+    start = np.cumsum(counts) - counts
+    degree = counts.tolist()
 
     events = derive_streams(cfg.seed, "events", subs)
     topups = derive_streams(cfg.seed, "topups", subs)
@@ -278,7 +283,7 @@ def generate_events(cfg: SynthConfig, graph: SocialGraph, gt: GroundTruth) -> Da
             n = sum(len(p[1]) for p in comm)
             kind_u, callee_j = (np.concatenate(col) for col in list(zip(*comm))[5:7])
             kind[:n] = np.where(kind_u < cfg.sms_fraction, SMS, VOICE)
-            callee[:n] = graph.nbrs[graph.offsets[caller[:n]] + callee_j]
+            callee[:n] = nbrs[start[caller[:n]] + callee_j]
             magnitude[:n] = np.where(kind[:n] == VOICE, np.maximum(1, magnitude[:n]), 1.0)
         blocks.append((ts, caller.astype(np.int32), callee, tower, kind, magnitude))
 

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cdrlab.anomaly import BASELINES
-from cdrlab.records import SECONDS_PER_DAY, VOICE, Dataset, day_start, distinct
-from cdrlab.spatial import pearson_r
+from cdrlab.records import SECONDS_PER_DAY, VOICE, Dataset, day_start, distinct, pearson_r
 
 from geo_oracle import haversine_km
 

@@ -81,6 +81,11 @@ def generate_events(cfg, graph, gt):
 
     if graph.ids != tuple(subs):
         raise ValueError("graph nodes must be the config's subscribers")
+    neighbor_lists = [[] for _ in subs]
+    for a, b in zip(graph.u.tolist(), graph.v.tolist()):
+        neighbor_lists[a].append(b)
+        neighbor_lists[b].append(a)
+    neighbor_lists = [sorted(x) for x in neighbor_lists]
     visit_cache = {}
     callers, cdr_cols, top_rows = [], [], []
     for code, s in enumerate(subs):
@@ -97,7 +102,7 @@ def generate_events(cfg, graph, gt):
         cdf = visit_cache[key]
 
         rng = derive_rng(cfg.seed, "events", s)
-        neighbors = graph.nbrs[graph.offsets[code]:graph.offsets[code + 1]]
+        neighbors = np.array(neighbor_lists[code], dtype=np.int64)
         n_comm = int(rng.poisson(cfg.event_rate * cfg.days * rate_mult)) if len(neighbors) else 0
         if n_comm:
             days = np.searchsorted(day_cdf, rng.random(n_comm))

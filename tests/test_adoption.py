@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdrlab import adoption as ad
@@ -37,22 +37,21 @@ def nan_as_none(values: np.ndarray) -> list:
 # -- adoption networks ------------------------------------------------------------
 
 def test_adoption_network_node_attribute():
+    # the network of a, b and d is the edge a-b and the isolate d; c's edges leave it
     g = graph_from([("a", "b"), ("b", "c"), ("a", "c")], nodes=["d"])
-    net = g.induced(adopter_mask(g, {"a", "b", "d"}))
-    assert net.ids == ("a", "b", "d")
-    assert list(net.edges()) == [("a", "b", 1.0)]
-    assert [net.ids[i] for i in np.flatnonzero(net.degrees() == 0).tolist()] == ["d"]
+    row, = evolution_rows(ad.component_evolution(g, adopter_mask(g, {"a", "b", "d"})[None]))
+    assert row["adopters"] == 3
+    assert (row["frac_isolates"], row["frac_pairs"], row["frac_mid"]) == (1 / 3, 2 / 3, 0.0)
 
 
 def test_component_report_and_evolution_buckets():
     edges = [("a", "b"), ("b", "c"), ("d", "e")]
     g = graph_from(edges, nodes=["lone"])
-    net = g.induced(adopter_mask(g, {"a", "b", "c", "d", "e", "lone"}))
-    report = sg.connected_components(net)
+    report = sg.connected_components(g)
     assert report.sizes == [3, 2]
     assert report.isolate_count == 1
 
-    rows = evolution_rows(ad.component_evolution([net]))
+    rows = evolution_rows(ad.component_evolution(g, adopter_mask(g, {"a", "b", "c", "d", "e", "lone"})[None]))
     row = rows[0]
     assert row["adopters"] == 6
     assert row["frac_isolates"] == pytest.approx(1 / 6)
@@ -67,19 +66,22 @@ def test_component_report_and_evolution_buckets():
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), p=st.floats(0.0, 0.3),
        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+@example(seed=0, n=12, p=0.2, fractions=[0.0])  # one mask, no adopters
+@example(seed=1, n=12, p=0.2, fractions=[0.5])  # one mask, as --adopters without days gives
+@example(seed=2, n=12, p=0.2, fractions=[0.0, 0.0, 1.0])
 def test_component_evolution_matches_the_set_based_oracle(seed, n, p, fractions):
+    # nested masks, as adoption days give: each snapshot's adopters include the former's
     rng = np.random.default_rng(seed)
     g = random_graph(rng, n, p)
-    adopter_sets = [{x for x in g.ids if rng.random() < f} for f in fractions]
-    got = evolution_rows(ad.component_evolution([g.induced(adopter_mask(g, a)) for a in adopter_sets]))
-    assert got == graph_oracle.component_evolution(g, adopter_sets)
+    masks = rng.random(n) < np.sort(fractions)[:, None]
+    got = evolution_rows(ad.component_evolution(g, masks))
+    assert got == graph_oracle.component_evolution(g, [{g.ids[i] for i in np.flatnonzero(m).tolist()} for m in masks])
 
 
 def test_component_evolution_monster_bucket():
     chain = [(f"n{i:04d}", f"n{i + 1:04d}") for i in range(1001)]  # 1002-node path
     g = graph_from(chain + [("p1", "p2")])
-    net = g.induced(np.ones(g.node_count(), dtype=bool))
-    row = evolution_rows(ad.component_evolution([net]))[0]
+    row = evolution_rows(ad.component_evolution(g, np.ones((1, g.node_count()), dtype=bool)))[0]
     assert [row] == graph_oracle.component_evolution(g, [g.ids])
     assert row["adopters"] == 1004
     assert row["frac_monster"] == pytest.approx(1002 / 1004)
@@ -90,8 +92,7 @@ def test_component_evolution_monster_bucket():
 def test_component_evolution_mid_at_threshold_stays_mid():
     chain = [(f"n{i:04d}", f"n{i + 1:04d}") for i in range(999)]  # exactly 1000 nodes
     g = graph_from(chain)
-    net = g.induced(np.ones(g.node_count(), dtype=bool))
-    row = evolution_rows(ad.component_evolution([net]))[0]
+    row = evolution_rows(ad.component_evolution(g, np.ones((1, g.node_count()), dtype=bool)))[0]
     assert row["frac_monster"] == 0.0 and row["frac_mid"] == 1.0
 
 
@@ -421,7 +422,6 @@ def test_writers(tmp_path):
     ad.write_pk_csv(curve, str(pk))
     assert pk.read_text().splitlines()[0] == "k,n_k,a_k,p_k,uplift,reliable"
 
-    net = g.induced(adopter_mask(g, {"a", "b"}))
     ep = tmp_path / "evo.csv"
-    ad.write_component_evolution_csv([0], *ad.component_evolution([net]), str(ep))
+    ad.write_component_evolution_csv([0], *ad.component_evolution(g, adopter_mask(g, {"a", "b"})[None]), str(ep))
     assert ep.read_text().splitlines()[1].startswith("0,2,")

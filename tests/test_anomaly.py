@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -749,3 +752,12 @@ def test_writers(tmp_path):
     assert p2.read_text().splitlines()[1:] == ["e,w,2", "w,e,3"]
     an.write_flows_csv(flows, 2, str(p2))
     assert p2.read_text().splitlines()[1:] == []
+
+
+def test_anomaly_does_not_import_spatial():
+    # cdrlab.spatial costs about 5 ms of start-up that anomaly, flows, rank-curves and distance-matrix do not use
+    code = "import sys\nimport cdrlab.anomaly\nprint('cdrlab.spatial' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(an.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.stdout.splitlines() == ["False"], done.stderr

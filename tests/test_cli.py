@@ -1316,6 +1316,34 @@ def _sweep_run(name, argv, outdir, capsys):
     return rc, err, problems
 
 
+@pytest.mark.parametrize("step, argv, message", [
+    ("eval", ["--test-ids", ""], "--test-ids: expected a file path, got ''"),
+    ("kappa", ["--adopters", ""], "--adopters: expected a file path, got ''"),
+    ("voronoi", ["--clip", ""], "--clip: expected 4 comma-separated finite numbers, got ''"),
+    ("features", ["--denominations", ""], "--denominations: expected one or more comma-separated finite numbers"),
+    ("features", ["--topups", ""], "--topups: expected a file path, got ''"),
+    ("flows", ["--areas", ""], "--areas: expected a file path, got ''"),
+    ("anomaly", ["--areas", ""], "--areas: expected a file path, got ''"),
+    ("synth", ["--config", ""], "--config: expected a file path, got ''"),
+    ("train", ["--split-fraction", "1.5"], "--split-fraction: fraction must be in (0, 1), got 1.5"),
+])
+def test_an_empty_or_out_of_range_flag_value_exits_2_naming_the_flag(tmp_path, capsys, step, argv, message):
+    # an empty value is a bad value, not an absent flag that falls back to a default
+    d = tmp_path / "in"
+    data = _write_degenerate(d, "ring")
+    features, labels, model = d / "features.csv", d / "labels.csv", d / "model.json"
+    features.write_text("subscriber,f1\n" + "".join(f"{s},{i}\n" for i, s in enumerate(RING_LABELS)))
+    save_model(LogisticModel(columns=["f1"], mean=np.zeros(1), scale=np.ones(1), coef=np.array([1.0]), bias=0.0,
+                             seed=0), str(model))
+    model_io = ["--features", str(features), "--labels", str(labels)]
+    inputs = {"synth": [], "voronoi": ["--towers", str(d / "towers.csv")], "train": model_io,
+              "eval": [*model_io, "--model", str(model)]}.get(step, data)
+    rc, err, problems = _sweep_run(step, [step, *inputs, *argv], tmp_path / "out", capsys)
+    assert (rc, problems) == (2, [])
+    assert message in err
+    assert not list((tmp_path / "out").glob("*"))
+
+
 def test_kappa_single_undefined_mode_exits_2(tmp_path, capsys):
     # on the ring the two given adopters' one link pairs in no null replicate
     d = tmp_path / "in"

@@ -44,17 +44,12 @@ def test_add_edge_overwrites_weight():
 
 def test_arrays_match_edges():
     g = graph_from([("c", "b", 4.0), ("a", "b", 2.0)], nodes=["z"])
-    assert g.sorted_nodes() == ["a", "b", "c", "z"]
+    assert g.ids == ("a", "b", "c", "z")
     rebuilt = [(g.ids[i], g.ids[j], x) for i, j, x in zip(g.u.tolist(), g.v.tolist(), g.w.tolist())]
     assert rebuilt == list(g.edges()) == [("a", "b", 2.0), ("b", "c", 4.0)]
     assert g.u.dtype == g.v.dtype == np.int64 and g.w.dtype == np.float64
-    # CSR over both directions, neighbours ascending
-    assert g.offsets.tolist() == [0, 1, 3, 4, 4]
-    assert g.nbrs.tolist() == [1, 0, 2, 1]
     assert g.degrees().tolist() == [1, 2, 1, 0]
     assert g.index(["c", "zz", "a"]).tolist() == [2, -1, 0]
-    sub = g.induced(np.array([False, True, True, True]))
-    assert list(sub.edges()) == [("b", "c", 4.0)] and sub.sorted_nodes() == ["b", "c", "z"]
 
 
 def edge_weights(g):
@@ -173,7 +168,7 @@ def test_build_graph_is_order_independent():
 def label_partition(g):
     """The components that `_component_labels` gives, as a set of frozensets of ids."""
     groups: dict[int, set[str]] = {}
-    for name, label in zip(g.ids, sg._component_labels(g).tolist()):
+    for name, label in zip(g.ids, sg._component_labels(g.node_count(), g.u, g.v).tolist()):
         groups.setdefault(label, set()).add(name)
     return {frozenset(c) for c in groups.values()}
 
@@ -234,22 +229,29 @@ def dense_evc(g):
     return scores
 
 
+def evc(g):
+    """eigenvector_centrality's scores by node id."""
+    scores = sg.eigenvector_centrality(g)
+    assert scores.dtype == np.float64 and scores.shape == (g.node_count(),)
+    return dict(zip(g.ids, scores.tolist()))
+
+
 def test_evc_complete_graph_is_uniform():
     g = graph_from([(f"n{i}", f"n{j}") for i in range(4) for j in range(i + 1, 4)])
-    scores = sg.eigenvector_centrality(g)
+    scores = evc(g)
     for v in scores.values():
         assert v == pytest.approx(0.5, abs=1e-10)
 
 
 def test_evc_star_and_single_edge():
     star = graph_from([("hub", f"leaf{i}") for i in range(4)])
-    scores = sg.eigenvector_centrality(star)
+    scores = evc(star)
     assert scores["hub"] == pytest.approx(1 / math.sqrt(2), abs=1e-9)
     for i in range(4):
         assert scores[f"leaf{i}"] == pytest.approx(1 / math.sqrt(8), abs=1e-9)
     # a single edge is bipartite; the shift keeps power iteration convergent
     pair = graph_from([("a", "b")])
-    s = sg.eigenvector_centrality(pair)
+    s = evc(pair)
     assert s["a"] == pytest.approx(1 / math.sqrt(2), abs=1e-10)
 
 
@@ -257,7 +259,7 @@ def test_evc_matches_dense_eigensolver():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         g = random_connected_graph(rng, 30, extra=0.08, weighted=True)
-        got = sg.eigenvector_centrality(g)
+        got = evc(g)
         want = dense_evc(g)
         assert got.keys() == want.keys()
         for n in want:
@@ -266,10 +268,10 @@ def test_evc_matches_dense_eigensolver():
 
 def test_evc_isolates_score_one_and_weight_scale_invariance():
     g = graph_from([("a", "b", 2.0), ("b", "c", 1.0)], nodes=["iso"])
-    scores = sg.eigenvector_centrality(g)
+    scores = evc(g)
     assert scores["iso"] == 1.0
     scaled = graph_from([("a", "b", 14.0), ("b", "c", 7.0)], nodes=["iso"])
-    scores7 = sg.eigenvector_centrality(scaled)
+    scores7 = evc(scaled)
     for n in scores:
         assert scores7[n] == pytest.approx(scores[n], abs=1e-12)
 
@@ -279,7 +281,7 @@ def test_evc_falls_back_to_dense_solver_when_iteration_stalls(monkeypatch):
     for seed in range(6):
         rng = np.random.default_rng(seed)
         g = random_connected_graph(rng, 40, extra=0.08, weighted=seed % 2 == 1)
-        got = sg.eigenvector_centrality(g)
+        got = evc(g)
         want = dense_evc(g)
         for n in want:
             assert got[n] == pytest.approx(want[n], abs=1e-8)
@@ -294,7 +296,7 @@ def near_tie_graph():
 
 def test_evc_near_tie_stalls_then_matches_dense_oracle(monkeypatch):
     g = near_tie_graph()
-    scores = sg.eigenvector_centrality(g)
+    scores = evc(g)
     want = dense_evc(g)
     assert scores.keys() == want.keys() and scores["iso"] == 1.0
     for n in want:
@@ -312,7 +314,7 @@ def test_evc_converges_on_a_long_path_above_the_dense_cap():
     n = 2500
     assert n > sg.DENSE_EVC_MAX_NODES
     g = sg.SocialGraph.from_edges((f"n{i:04d}", f"n{i + 1:04d}") for i in range(n - 1))
-    scores = sg.eigenvector_centrality(g)
+    scores = evc(g)
     want = np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
     want /= np.linalg.norm(want)
     assert [scores[f"n{i:04d}"] for i in range(n)] == pytest.approx(want.tolist(), abs=1e-8)
@@ -392,7 +394,7 @@ def test_adjacent_link_count_matches_brute_force():
     for seed in range(10):
         rng = np.random.default_rng(seed)
         g = random_graph(rng, 25, 0.12)
-        assert sg.adjacent_link_count(g) == brute_adjacent_pairs(g)
+        assert sg.triangle_counts(g.u, g.v, g.node_count())[1].tolist() == [brute_adjacent_pairs(g)]
 
 
 def test_writers(tmp_path):

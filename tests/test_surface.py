@@ -24,8 +24,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "cdrlab"
 # The acceptance tests build and inspect graphs through these; no subcommand
 # needs them.
-TEST_ONLY = {"cdrlab.socialgraph.SocialGraph.from_edges", "cdrlab.socialgraph.SocialGraph.sorted_nodes",
-             "cdrlab.socialgraph.adjacent_link_count",
+TEST_ONLY = {"cdrlab.socialgraph.SocialGraph.from_edges",
              # the per-subscriber oracles group rows through these, and perfbench/tracer.py
              # INDEXES wraps both by name to time the index builds
              "cdrlab.records.Dataset.cdrs_by_caller", "cdrlab.records.Dataset.cdrs_by_callee"}
