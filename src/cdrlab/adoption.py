@@ -10,11 +10,14 @@ Carlo error, so under the null it covers 1 at roughly the nominal rate.
 Every function takes the graph's arrays, never subscriber ids: adopters
 are a boolean node mask, active links are sorted positions in the
 canonical edge arrays, and a replicate is one draw of node or edge
-positions.  Replicates are drawn
-(`rng.derive_choices`) and counted a block at a time, a block's rows
-standing as disjoint copies of the graph.  Clustering counts triangles and
-adjacent pairs exactly with `socialgraph.triangle_counts`, so a coefficient
-is a ratio of two integers and keeps its bits.
+positions.  Each test computes only its empirical statistic and its count
+over a block of draws; one function, `_null_test`, holds the rules the
+three share: the replicate check, the empty-set error, the exact result of
+a full draw, and the null replicates, drawn (`rng.derive_choices`) and
+counted a block at a time, a block's rows standing as disjoint copies of
+the graph.  Clustering counts triangles and adjacent pairs exactly with
+`socialgraph.triangle_counts`, so a coefficient is a ratio of two integers
+and keeps its bits.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .ingest import write_csv
 from .rng import derive_choices
-from .socialgraph import SocialGraph, _component_labels, global_clustering_coefficient, triangle_counts
+from .socialgraph import SocialGraph, _component_labels, triangle_counts
 
 Z95 = 1.959963984540054
 
@@ -116,21 +119,27 @@ def _kappa_result(empirical: float, values) -> KappaResult:
     )
 
 
-def _check_replicates(replicates: int) -> None:
+def _null_test(g: SocialGraph, name: str, empirical, population: int, m: int, count, replicates: int,
+               seed: int, empty: str, degenerate: str) -> KappaResult:
+    """Kappa of `empirical` against `replicates` draws of m of the `population` node or edge positions.
+
+    Row r of a block of picks is derive_rng(seed, name, r).choice(population, m)
+    without replacement, and `count` returns one value per row.  An empty
+    draw (m == 0) raises `empty`; a full draw is exact, kappa 1 with no
+    sampling, unless the empirical value is 0 (`degenerate`).
+    """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
-
-
-def _null_values(g: SocialGraph, seed: int, name: str, replicates: int, population: int, m: int,
-                 count) -> np.ndarray:
-    """count(picks) for every replicate, one block of rows of picks at a time.
-
-    Row r of `picks` is derive_rng(seed, name, r).choice(population, m)
-    without replacement; `count` returns one value per row.
-    """
+    if m == 0:
+        raise ValueError(empty)
+    if m == population:
+        if empirical == 0:
+            raise ValueError("reference degenerate: " + degenerate)
+        return KappaResult(1.0, empirical, float(empirical), 0.0, 0, (1.0, 1.0))
     rows = max(1, BLOCK_CELLS // max(g.node_count(), g.edge_count()))
-    return np.concatenate([count(derive_choices(seed, name, lo, min(lo + rows, replicates), population, m))
-                           for lo in range(0, replicates, rows)])
+    return _kappa_result(empirical, np.concatenate([
+        count(derive_choices(seed, name, lo, min(lo + rows, replicates), population, m))
+        for lo in range(0, replicates, rows)]))
 
 
 def _edge_copies(g: SocialGraph, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,29 +152,20 @@ def node_kappa(g: SocialGraph, adopted: np.ndarray, replicates: int = 200, seed:
     """B-link count of the adopters (a boolean node mask) vs uniform random placement.
 
     A B-link is an edge whose two endpoints both adopted.  Full adoption is
-    exact: every placement yields every edge, so kappa is 1 with a
-    degenerate CI and no sampling.
+    exact: every placement yields every edge.
     """
-    _check_replicates(replicates)
     n = g.node_count()
-    m = int(np.count_nonzero(adopted))
-    if m == 0:
-        raise ValueError(
-            "kappa undefined for an empty adopter set: "
-            "random_mean equals empirical by construction only at full adoption"
-        )
-    empirical = int(np.count_nonzero(adopted[g.u] & adopted[g.v]))
-    if m == n:
-        if empirical == 0:
-            raise ValueError("reference degenerate: graph has no edges")
-        return KappaResult(1.0, empirical, float(empirical), 0.0, 0, (1.0, 1.0))
 
     def b_links(picks: np.ndarray) -> np.ndarray:
         mask = np.zeros((len(picks), n), dtype=bool)
         mask[np.arange(len(picks))[:, None], picks] = True
         return np.count_nonzero(mask[:, g.u] & mask[:, g.v], axis=1)
 
-    return _kappa_result(empirical, _null_values(g, seed, "node_kappa", replicates, n, m, b_links))
+    empirical = int(np.count_nonzero(adopted[g.u] & adopted[g.v]))
+    return _null_test(g, "node_kappa", empirical, n, int(np.count_nonzero(adopted)), b_links, replicates, seed,
+                      "kappa undefined for an empty adopter set: "
+                      "random_mean equals empirical by construction only at full adoption",
+                      "graph has no edges")
 
 
 def link_kappa(g: SocialGraph, active: np.ndarray, replicates: int = 200, seed: int = 0) -> KappaResult:
@@ -174,26 +174,18 @@ def link_kappa(g: SocialGraph, active: np.ndarray, replicates: int = 200, seed: 
     The null draws the same number of edges uniformly without replacement
     from the graph's edge set; adjacent pairs are counted from the degree
     sequence of the activated subgraph (sum of C(k,2))."""
-    _check_replicates(replicates)
     n = g.node_count()
-    m = len(active)
-    if m == 0:
-        raise ValueError("kappa undefined for an empty active-link set")
 
     def adjacent(u: np.ndarray, v: np.ndarray, copies: int = 1) -> np.ndarray:
         deg = np.bincount(np.concatenate((u, v)), minlength=copies * n).reshape(copies, n)
         return (deg * (deg - 1)).sum(axis=1) // 2
 
-    empirical = int(adjacent(g.u[active], g.v[active])[0])
-    if m == g.edge_count():
-        if empirical == 0:
-            raise ValueError("reference degenerate: full activation has no adjacent pairs")
-        return KappaResult(1.0, empirical, float(empirical), 0.0, 0, (1.0, 1.0))
-
     def pairs(picks: np.ndarray) -> np.ndarray:
         return adjacent(*_edge_copies(g, picks), len(picks))
 
-    return _kappa_result(empirical, _null_values(g, seed, "link_kappa", replicates, g.edge_count(), m, pairs))
+    empirical = int(adjacent(g.u[active], g.v[active])[0])
+    return _null_test(g, "link_kappa", empirical, g.edge_count(), len(active), pairs, replicates, seed,
+                      "kappa undefined for an empty active-link set", "full activation has no adjacent pairs")
 
 
 def clustering_kappa(g: SocialGraph, active: np.ndarray, replicates: int = 200, seed: int = 0) -> KappaResult:
@@ -201,24 +193,17 @@ def clustering_kappa(g: SocialGraph, active: np.ndarray, replicates: int = 200, 
 
     Replicates whose activated subgraph has no adjacent pairs carry no
     coefficient; they are excluded from the mean and counted."""
-    _check_replicates(replicates)
     n = g.node_count()
-    m = len(active)
-    if m == 0:
-        raise ValueError("kappa undefined for an empty active-link set")
-    closed, adjacent = triangle_counts(g.u[active], g.v[active], n)
-    c_emp = int(closed[0]) / int(adjacent[0]) if adjacent[0] else 0.0
-    if m == g.edge_count():
-        if global_clustering_coefficient(g) == 0.0:
-            raise ValueError("reference degenerate: graph has no adjacent pairs")
-        return KappaResult(1.0, c_emp, c_emp, 0.0, 0, (1.0, 1.0))
 
     def coefficients(picks: np.ndarray) -> np.ndarray:
         closed, adjacent = triangle_counts(*_edge_copies(g, picks), n, len(picks))
         return np.divide(closed, adjacent, out=np.full(len(picks), np.nan), where=adjacent > 0)
 
-    return _kappa_result(c_emp, _null_values(g, seed, "clustering_kappa", replicates, g.edge_count(), m,
-                                             coefficients))
+    closed, adjacent = triangle_counts(g.u[active], g.v[active], n)
+    empirical = int(closed[0]) / int(adjacent[0]) if adjacent[0] else 0.0
+    return _null_test(g, "clustering_kappa", empirical, g.edge_count(), len(active), coefficients, replicates, seed,
+                      "kappa undefined for an empty active-link set",
+                      "full activation closes no adjacent pairs into a triangle")
 
 
 def adoption_probability_curve(

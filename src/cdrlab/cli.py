@@ -88,11 +88,10 @@ def _parse_ts(flag: str, text: str) -> int:
         raise ValueError(f"{flag}: {exc}") from None
 
 
-def _given(flag: str, value: str | None) -> str | None:
-    """A path flag's value, None when the flag is absent; an empty value is an error naming the flag."""
-    if value == "":
-        raise ValueError(f"{flag}: expected a file path, got ''")
-    return value
+# The dests of every flag that names a file or a directory: an empty value
+# is an error naming the flag, not an absent flag that falls back to a default.
+_PATH_FLAGS = ("config", "outdir", "cdr", "topups", "towers", "labels", "adopters", "areas", "samples", "a", "b",
+              "features", "model", "test_ids", "table", "control", "outcomes")
 
 
 def _numbers(flag: str, text: str, count: int = 0) -> list[float]:
@@ -204,7 +203,7 @@ def _read_numeric_table(path: str, required=(), key: str | None = None, skip=())
 
 def _dataset_paths(args, cfg) -> dict[str, str | None]:
     d = cfg["dataset"]
-    return {k: _given(f"--{k}", getattr(args, k, None)) or d[k] or None for k in ("cdr", "topups", "towers", "labels")}
+    return {k: getattr(args, k, None) or d[k] or None for k in ("cdr", "topups", "towers", "labels")}
 
 
 def _load_dataset(args, cfg):
@@ -241,7 +240,7 @@ def _adopters(args, graph, ctx) -> tuple["np.ndarray", "np.ndarray", list[int], 
     from . import synthgen
 
     n = graph.node_count()
-    path = _given("--adopters", getattr(args, "adopters", None))
+    path = getattr(args, "adopters", None)
     if path is not None:
         table = _read_adopters(path)
         pos = graph.index(table)
@@ -256,12 +255,12 @@ def _adopters(args, graph, ctx) -> tuple["np.ndarray", "np.ndarray", list[int], 
         return adopted, day_pos, days, f"file:{path}"
     a = ctx.cfg["adoption"]
     if a["mechanism"] == "random":
-        mech = synthgen.ContagionAdoption(a["p"], 0.0)
+        p0, beta = a["p"], 0.0
     elif a["mechanism"] == "contagion":
-        mech = synthgen.ContagionAdoption(a["p0"], a["beta"])
+        p0, beta = a["p0"], a["beta"]
     else:
         raise ValueError(f"unknown adoption mechanism {a['mechanism']!r}")
-    first = synthgen.simulate_adoption(graph, mech, a["days"], seed=ctx.seed)
+    first = synthgen.simulate_adoption(graph, p0, beta, a["days"], seed=ctx.seed)
     adopted = first >= 0
     days = distinct(first[adopted])
     day_pos = np.where(adopted, np.searchsorted(days, first), -1)
@@ -415,18 +414,16 @@ def _cmd_kappa(args, ctx: RunContext) -> dict:
     g = _build_graph(ds, ctx.cfg)
     adopted, _, _, source = _adopters(args, g, ctx)
     active = np.flatnonzero(adopted[g.u] & adopted[g.v])
-    modes = ("node", "link", "clustering") if args.mode == "all" else (args.mode,)
+    tests = {"node": (adoption.node_kappa, adopted), "link": (adoption.link_kappa, active),
+             "clustering": (adoption.clustering_kappa, active)}
+    modes = tuple(tests) if args.mode == "all" else (args.mode,)
     results, undefined = {}, {}
     # Under --mode all, a mode whose null or reference is undefined is an
     # absent row; a single mode that is undefined is an error.
     for mode in modes:
+        test, arg = tests[mode]
         try:
-            if mode == "node":
-                results[mode] = adoption.node_kappa(g, adopted, replicates=replicates, seed=ctx.seed)
-            elif mode == "link":
-                results[mode] = adoption.link_kappa(g, active, replicates=replicates, seed=ctx.seed)
-            else:
-                results[mode] = adoption.clustering_kappa(g, active, replicates=replicates, seed=ctx.seed)
+            results[mode] = test(g, arg, replicates=replicates, seed=ctx.seed)
         except ValueError as exc:
             if len(modes) == 1:
                 raise
@@ -485,8 +482,7 @@ def _cmd_anomaly(args, ctx: RunContext) -> dict:
     if a["bin_width"] <= 0:
         raise ValueError(f"[anomaly] bin_width = {a['bin_width']}: bin_width must be positive")
     ds, _, _ = _load_dataset(args, ctx.cfg)
-    areas = _given("--areas", args.areas)
-    area_map = _read_area_map(areas) if areas is not None else None
+    area_map = _read_area_map(args.areas) if args.areas is not None else None
     if args.per_tower:
         entities = [("tower", t) for t in sorted(ds.towers)]
     else:
@@ -523,8 +519,7 @@ def _cmd_flows(args, ctx: RunContext) -> dict:
     if f["baseline_days"] < 0:
         raise ValueError(f"[flows] baseline_days = {f['baseline_days']}: baseline_days must be >= 0")
     ds, _, _ = _load_dataset(args, ctx.cfg)
-    areas = _given("--areas", args.areas)
-    area_map = _read_area_map(areas) if areas is not None else {t: t for t in ds.towers}
+    area_map = _read_area_map(args.areas) if args.areas is not None else {t: t for t in ds.towers}
     flows = anomaly.build_flow_network(ds, area_map, min_count=f["min_count"],
                                        min_distance_km=f["min_distance_km"], mode=f["mode"])
     n_days = len(flows.days)
@@ -706,8 +701,6 @@ def _labeled_table(path, ids, columns, X, labels, na_policy):
 def _model_table(args, ctx: RunContext):
     """The labeled feature table under [model] na_policy, and the ids of every labeled feature row."""
     ids, columns, X = _read_numeric_table(args.features, key="subscriber", skip=("home_tower",))
-    if not args.labels:
-        raise ValueError("need --labels")
     labels, _ = ingest.parse_labels_file(args.labels)
     pos = args.positive_label
     keep = [i for i, sid in enumerate(ids) if sid in labels]
@@ -757,7 +750,7 @@ def _cmd_eval(args, ctx: RunContext) -> dict:
     table, labeled = _model_table(args, ctx)
     if list(table.columns) != list(model.columns):
         raise ValueError("feature columns do not match the model schema")
-    if _given("--test-ids", args.test_ids) is not None:
+    if args.test_ids is not None:
         wanted = set(_read_id_list(args.test_ids))
         skipped = wanted - set(table.ids)
         dropped = sorted(skipped & set(labeled))
@@ -1015,7 +1008,10 @@ def main(argv=None) -> int:
 
     outputs = None
     try:
-        cfg = load_config(_given("--config", args.config) or os.environ.get(CONFIG_ENV_VAR) or None)
+        for dest in _PATH_FLAGS:
+            if getattr(args, dest, None) == "":
+                raise ValueError(f"--{dest.replace('_', '-')}: expected a file path, got ''")
+        cfg = load_config(args.config or os.environ.get(CONFIG_ENV_VAR) or None)
         if args.seed is not None:
             cfg["run"]["seed"] = args.seed
         if args.threads is not None:

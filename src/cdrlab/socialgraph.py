@@ -238,12 +238,6 @@ def triangle_counts(u: np.ndarray, v: np.ndarray, n: int, copies: int = 1) -> tu
     return 3 * closed, adjacent
 
 
-def global_clustering_coefficient(g: SocialGraph) -> float:
-    """3 x closed triangles over adjacent link pairs; 0 when no pairs exist."""
-    closed, pairs = triangle_counts(g.u, g.v, g.node_count())
-    return int(closed[0]) / int(pairs[0]) if pairs[0] else 0.0
-
-
 def write_edges_csv(g: SocialGraph, path: str, header_comment: str | None = None) -> None:
     write_csv(path, ["u", "v", "w"], g.edges(), header_comment)
 

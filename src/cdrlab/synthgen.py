@@ -41,12 +41,6 @@ class SmallWorld:
 
 
 @dataclass(frozen=True)
-class ContagionAdoption:
-    p0: float
-    beta: float
-
-
-@dataclass(frozen=True)
 class SynthConfig:
     seed: int
     n_subscribers: int
@@ -346,17 +340,19 @@ def inject_shock(
 
 def simulate_adoption(
     graph: SocialGraph,
-    mechanism: ContagionAdoption,
+    p0: float,
+    beta: float,
     days: int,
     seed: int = 0,
 ) -> np.ndarray:
     """Daily synchronous adoption; each node's first adoption day, -1 for never.
 
-    A node's daily hazard is p0 * (1 + beta)^(adopting neighbors), capped
-    at 1, evaluated against the adopter set at the start of the day; beta = 0
-    is independent adoption with probability p0.
+    p0, in [0, 1], is a node's daily adoption probability with no adopting
+    neighbor, and beta >= 0 the uplift each adopting neighbor multiplies in:
+    the daily hazard is p0 * (1 + beta)^(adopting neighbors), capped at 1,
+    evaluated against the adopter set at the start of the day.  beta = 0 is
+    independent adoption with probability p0.
     """
-    p0, beta = mechanism.p0, mechanism.beta
     if not 0 <= p0 <= 1:
         raise ValueError("adoption probability must be in [0,1]")
     if beta < 0:

@@ -25,7 +25,7 @@ import numpy as np
 
 from cdrlab.adoption import KappaResult, _kappa_result
 from cdrlab.rng import derive_rng
-from cdrlab.socialgraph import global_clustering_coefficient, triangle_counts
+from cdrlab.socialgraph import triangle_counts
 from cdrlab.spatial import EXACT_HIT_KM, NODATA_DEFAULT, GridRaster
 
 from geo_oracle import haversine_km
@@ -125,8 +125,8 @@ def clustering_kappa(g, active, replicates=200, seed=0) -> KappaResult:
     closed, adjacent = _clustering(g, active)
     c_emp = closed / adjacent if adjacent else 0.0
     if m == g.edge_count():
-        if global_clustering_coefficient(g) == 0.0:
-            raise ValueError("reference degenerate: graph has no adjacent pairs")
+        if c_emp == 0.0:
+            raise ValueError("reference degenerate: full activation closes no adjacent pairs into a triangle")
         return KappaResult(1.0, c_emp, c_emp, 0.0, 0, (1.0, 1.0))
 
     def one(r: int) -> float:

@@ -159,7 +159,7 @@ def generate_events(cfg, graph, gt):
     return Dataset(cdrs=cdrs, topups=topups, towers=towers, window=window)
 
 
-def adopters_by_day(graph, mechanism, days, seed=0) -> dict[int, frozenset[str]]:
+def adopters_by_day(graph, p0, beta, days, seed=0) -> dict[int, frozenset[str]]:
     ui, vi = graph.u, graph.v
     n = graph.node_count()
     adopted = np.zeros(n, dtype=bool)
@@ -167,7 +167,7 @@ def adopters_by_day(graph, mechanism, days, seed=0) -> dict[int, frozenset[str]]
     by_day = {}
     for day in range(days):
         k = np.bincount(ui[adopted[vi]], minlength=n) + np.bincount(vi[adopted[ui]], minlength=n)
-        hazard = np.minimum(1.0, mechanism.p0 * (1.0 + mechanism.beta) ** k)
+        hazard = np.minimum(1.0, p0 * (1.0 + beta) ** k)
         draws = rng.random(n)
         adopted |= (~adopted) & (draws < hazard)
         by_day[day] = frozenset(graph.ids[i] for i in np.flatnonzero(adopted).tolist())

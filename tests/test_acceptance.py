@@ -28,7 +28,7 @@ from cdrlab.mlkit.data import LabeledTable, split_train_test
 from cdrlab.rng import derive_rng
 from cdrlab.socialgraph import SocialGraph, eigenvector_centrality, triangle_counts
 from cdrlab.spatial import idw_interpolate
-from cdrlab.synthgen import ContagionAdoption, _small_world_edges, simulate_adoption
+from cdrlab.synthgen import _small_world_edges, simulate_adoption
 
 from conftest import DAY, T0, flow_counts, graph_from, make_dataset, random_connected_graph, random_graph, voice
 from stats_oracle import adopter_mask
@@ -93,7 +93,7 @@ def test_c02_node_kappa_null_calibration():
 
     excludes = 0
     for trial in range(100):
-        adopters = simulate_adoption(g, ContagionAdoption(0.01, 1.0), days=10, seed=trial) >= 0
+        adopters = simulate_adoption(g, 0.01, 1.0, days=10, seed=trial) >= 0
         assert 0 < adopters.sum() < n
         res = node_kappa(g, adopters, replicates=200, seed=1000 + trial)
         if not (res.ci95[0] <= 1.0 <= res.ci95[1]):

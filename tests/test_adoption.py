@@ -326,6 +326,36 @@ def test_kappa_rejects_replicates_below_one(monkeypatch, fn, arg, replicates):
         fn(g, arg, replicates=replicates, seed=1)
 
 
+NODE_EMPTY = ("kappa undefined for an empty adopter set: "
+              "random_mean equals empirical by construction only at full adoption")
+LINK_EMPTY = "kappa undefined for an empty active-link set"
+
+
+@pytest.mark.parametrize("fn, empty, message, full, empirical", [
+    (ad.node_kappa, np.zeros(4, dtype=bool), NODE_EMPTY, np.ones(4, dtype=bool), 4),  # paw: 4 B-links
+    (ad.link_kappa, np.arange(0), LINK_EMPTY, np.arange(4), 5),  # paw: 5 adjacent pairs
+    (ad.clustering_kappa, np.arange(0), LINK_EMPTY, np.arange(4), 3 / 5),  # paw: 3 closed of 5 pairs
+])
+def test_kappa_empty_set_and_full_draw(monkeypatch, fn, empty, message, full, empirical):
+    # each test's own empty-set message; a full draw is exact and draws nothing
+    def no_draw(*args):
+        raise AssertionError("drew replicates")
+    monkeypatch.setattr(ad, "derive_choices", no_draw)
+    g = paw()
+    with pytest.raises(ValueError) as exc:
+        fn(g, empty, replicates=50, seed=1)
+    assert str(exc.value) == message
+    assert fn(g, full, replicates=50, seed=1) == ad.KappaResult(1.0, empirical, float(empirical), 0.0, 0, (1.0, 1.0))
+
+
+def test_clustering_kappa_full_activation_of_a_path_closes_no_triangle():
+    # a-b-c-d has two adjacent pairs, and neither closes into a triangle
+    g = graph_from([("a", "b"), ("b", "c"), ("c", "d")])
+    with pytest.raises(ValueError) as exc:
+        ad.clustering_kappa(g, np.arange(g.edge_count()), replicates=50, seed=1)
+    assert str(exc.value) == "reference degenerate: full activation closes no adjacent pairs into a triangle"
+
+
 # -- adoption probability curve ------------------------------------------------------
 
 def test_pk_curve_hand_case():

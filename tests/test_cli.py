@@ -1301,7 +1301,8 @@ def _degenerate_steps(d, data):
 def _sweep_run(name, argv, outdir, capsys):
     """(exit code, stderr, what is wrong: an exit other than 0 or 2, a traceback, a nan or inf in outdir)."""
     try:
-        rc = cli.main([*argv, "--outdir", str(outdir)])
+        # a step's own --outdir comes later, so it wins
+        rc = cli.main([argv[0], "--outdir", str(outdir), *argv[1:]])
     except Exception as exc:  # anything cli.main lets through is a traceback
         return None, "", [f"{name}: raised {type(exc).__name__}: {exc}"]
     err = capsys.readouterr().err
@@ -1326,6 +1327,16 @@ def _sweep_run(name, argv, outdir, capsys):
     ("anomaly", ["--areas", ""], "--areas: expected a file path, got ''"),
     ("synth", ["--config", ""], "--config: expected a file path, got ''"),
     ("train", ["--split-fraction", "1.5"], "--split-fraction: fraction must be in (0, 1), got 1.5"),
+    ("voronoi", ["--outdir", ""], "--outdir: expected a file path, got ''"),
+    ("idw", ["--samples", ""], "--samples: expected a file path, got ''"),
+    ("correlate", ["--a", ""], "--a: expected a file path, got ''"),
+    ("correlate", ["--b", ""], "--b: expected a file path, got ''"),
+    ("eval", ["--features", ""], "--features: expected a file path, got ''"),
+    ("train", ["--labels", ""], "--labels: expected a file path, got ''"),
+    ("campaign", ["--model", ""], "--model: expected a file path, got ''"),
+    ("campaign", ["--control", ""], "--control: expected a file path, got ''"),
+    ("campaign", ["--outcomes", ""], "--outcomes: expected a file path, got ''"),
+    ("select-covariates", ["--table", ""], "--table: expected a file path, got ''"),
 ])
 def test_an_empty_or_out_of_range_flag_value_exits_2_naming_the_flag(tmp_path, capsys, step, argv, message):
     # an empty value is a bad value, not an absent flag that falls back to a default
@@ -1336,8 +1347,12 @@ def test_an_empty_or_out_of_range_flag_value_exits_2_naming_the_flag(tmp_path, c
     save_model(LogisticModel(columns=["f1"], mean=np.zeros(1), scale=np.ones(1), coef=np.array([1.0]), bias=0.0,
                              seed=0), str(model))
     model_io = ["--features", str(features), "--labels", str(labels)]
+    samples = str(d / "samples.csv")
     inputs = {"synth": [], "voronoi": ["--towers", str(d / "towers.csv")], "train": model_io,
-              "eval": [*model_io, "--model", str(model)]}.get(step, data)
+              "eval": [*model_io, "--model", str(model)], "correlate": ["--a", samples, "--b", samples],
+              "idw": ["--towers", str(d / "towers.csv")], "select-covariates": ["--response", "resp"],
+              "campaign": [*data, "--model", str(model), "--features", str(features),
+                           "--control", str(d / "control.csv"), "--outcomes", str(d / "outcomes.csv")]}.get(step, data)
     rc, err, problems = _sweep_run(step, [step, *inputs, *argv], tmp_path / "out", capsys)
     assert (rc, problems) == (2, [])
     assert message in err

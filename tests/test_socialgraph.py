@@ -333,14 +333,17 @@ def brute_adjacent_pairs(g):
 
 
 def test_clustering_hand_cases():
-    triangle = graph_from([("a", "b"), ("b", "c"), ("a", "c")])
-    assert sg.global_clustering_coefficient(triangle) == 1.0
-    path = graph_from([("a", "b"), ("b", "c")])
-    assert sg.global_clustering_coefficient(path) == 0.0
-    paw = graph_from([("a", "b"), ("b", "c"), ("a", "c"), ("a", "d")])
-    assert sg.global_clustering_coefficient(paw) == pytest.approx(3 / 5)
-    empty = graph_from([], nodes=["a", "b"])
-    assert sg.global_clustering_coefficient(empty) == 0.0
+    # (3 x closed triangles, adjacent link pairs), and their ratio, the graph's clustering coefficient
+    for edges, nodes, counts, coefficient in [
+        ([("a", "b"), ("b", "c"), ("a", "c")], (), (3, 3), 1.0),  # triangle
+        ([("a", "b"), ("b", "c")], (), (0, 1), 0.0),  # path
+        ([("a", "b"), ("b", "c"), ("a", "c"), ("a", "d")], (), (3, 5), 3 / 5),  # paw
+        ([], ("a", "b"), (0, 0), None),  # no adjacent pairs: no coefficient
+    ]:
+        g = graph_from(edges, nodes=nodes)
+        closed, adjacent = sg.triangle_counts(g.u, g.v, g.node_count())
+        assert (int(closed[0]), int(adjacent[0])) == counts
+        assert (int(closed[0]) / int(adjacent[0]) if adjacent[0] else None) == coefficient
 
 
 @st.composite

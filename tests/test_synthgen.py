@@ -323,13 +323,12 @@ def ring_graph(n):
 
 def test_adoption_sets_are_cumulative_and_deterministic():
     g = ring_graph(40)
-    mech = syn.ContagionAdoption(p0=0.05, beta=1.0)
     for seed in range(9, 14):
-        first = syn.simulate_adoption(g, mech, days=12, seed=seed)
+        first = syn.simulate_adoption(g, 0.05, 1.0, days=12, seed=seed)
         assert first.min() >= -1 and first.max() < 12
-        assert np.array_equal(syn.simulate_adoption(g, mech, days=12, seed=seed), first)
+        assert np.array_equal(syn.simulate_adoption(g, 0.05, 1.0, days=12, seed=seed), first)
         # day d's cumulative adopter set is every node adopted by day d
-        assert oracle.adopters_by_day(g, mech, days=12, seed=seed) == {
+        assert oracle.adopters_by_day(g, 0.05, 1.0, days=12, seed=seed) == {
             d: frozenset(g.ids[i] for i in np.flatnonzero((first >= 0) & (first <= d)).tolist())
             for d in range(12)
         }
@@ -337,17 +336,17 @@ def test_adoption_sets_are_cumulative_and_deterministic():
 
 def test_adoption_extremes():
     g = ring_graph(10)
-    all_in = syn.simulate_adoption(g, syn.ContagionAdoption(p0=1.0, beta=0.0), days=1, seed=0)
+    all_in = syn.simulate_adoption(g, p0=1.0, beta=0.0, days=1, seed=0)
     assert all_in.tolist() == [0] * 10
-    none = syn.simulate_adoption(g, syn.ContagionAdoption(p0=0.0, beta=5.0), days=5, seed=0)
+    none = syn.simulate_adoption(g, p0=0.0, beta=5.0, days=5, seed=0)
     assert none.tolist() == [-1] * 10
 
 
 def test_adoption_validation():
     g = ring_graph(6)
     with pytest.raises(ValueError):
-        syn.simulate_adoption(g, syn.ContagionAdoption(p0=1.5, beta=0.0), days=3)
+        syn.simulate_adoption(g, p0=1.5, beta=0.0, days=3)
     with pytest.raises(ValueError):
-        syn.simulate_adoption(g, syn.ContagionAdoption(p0=0.1, beta=-0.5), days=3)
+        syn.simulate_adoption(g, p0=0.1, beta=-0.5, days=3)
     with pytest.raises(ValueError):
-        syn.simulate_adoption(g, syn.ContagionAdoption(p0=0.1, beta=0.0), days=0)
+        syn.simulate_adoption(g, p0=0.1, beta=0.0, days=0)
