@@ -11,7 +11,9 @@ differs.
 
 The workload runs three ways: with an empty parse-snapshot cache (the first
 parsing step parses, later ones read its snapshots), with the cache off, and
-with a warm cache, where no step parses a CDR or top-up file at all.
+with a warm cache, where no step parses a CDR or top-up file at all.  The
+steps whose numbers pass through BLAS run once more, in fresh processes under
+one and under two OpenBLAS threads.
 
 A change that alters outputs on purpose regenerates the file in the same
 commit and names the changed files:
@@ -21,6 +23,9 @@ commit and names the changed files:
 
 import hashlib
 import json
+import os
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -144,8 +149,44 @@ def test_outputs_match_their_pinned_digests_with_the_cache_off_or_warm(tmp_path,
     assert snapshot_cache.exists() == (cache == "warm")
 
 
+# The steps that reach BLAS: model training for each family, its evaluation,
+# covariate selection, campaign scoring and eigenvector centrality.
+BLAS_STEPS = ("graph", "train", "eval", "select_covariates", "campaign", "train_stumps", "train_mlp")
+RUN_STEPS = """import json, sys
+from cdrlab import cli
+for argv in json.loads(sys.argv[1]):
+    if cli.main(argv):
+        sys.exit(f"{argv[0]} failed")
+"""
+
+
+def test_steps_that_reach_blas_match_their_pinned_digests_under_one_and_two_threads(tmp_path, monkeypatch, capsys):
+    # OpenBLAS reads its thread count when numpy loads it, so each count needs a fresh process.
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    base = tmp_path / "base"
+    base.mkdir()
+    monkeypatch.chdir(base)
+    (base / "run.ini").write_text(CONFIG)
+    argv = {name: [*args, "--config", "run.ini", "--outdir", name] for name, args in STEPS}
+    for name in ("synth", "features"):
+        assert cli.main(argv[name]) == 0
+    _side_files(base)
+    want = {name: digest for name, digest in json.loads(GOLDEN.read_text()).items()
+            if name.split("/")[0] in BLAS_STEPS}
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    for threads in ("1", "2"):
+        work = shutil.copytree(base, tmp_path / f"threads{threads}")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads, "XDG_CACHE_HOME": str(work / "cache")}
+        done = subprocess.run([sys.executable, "-c", RUN_STEPS, json.dumps([argv[name] for name in BLAS_STEPS])],
+                              cwd=work, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        got = {f"{name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+               for name in BLAS_STEPS for path in sorted((work / name).iterdir())}
+        assert got == want, f"{threads} threads: {sorted(k for k in {**got, **want} if got.get(k) != want.get(k))}"
+
+
 if __name__ == "__main__":
-    import os
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:

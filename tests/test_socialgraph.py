@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -249,16 +252,17 @@ def test_evc_star_and_single_edge():
     assert scores["hub"] == pytest.approx(1 / math.sqrt(2), abs=1e-9)
     for i in range(4):
         assert scores[f"leaf{i}"] == pytest.approx(1 / math.sqrt(8), abs=1e-9)
-    # a single edge is bipartite; the shift keeps power iteration convergent
+    # a single edge is bipartite: its eigenvalues are +1 and -1
     pair = graph_from([("a", "b")])
     s = evc(pair)
     assert s["a"] == pytest.approx(1 / math.sqrt(2), abs=1e-10)
 
 
 def test_evc_matches_dense_eigensolver():
-    for seed in range(5):
-        rng = np.random.default_rng(seed)
-        g = random_connected_graph(rng, 30, extra=0.08, weighted=True)
+    graphs = [random_connected_graph(np.random.default_rng(seed), 30, extra=0.08, weighted=True) for seed in range(5)]
+    graphs += [random_connected_graph(np.random.default_rng(seed), 40, extra=0.08, weighted=seed % 2 == 1)
+               for seed in range(6)]
+    for g in graphs:
         got = evc(g)
         want = dense_evc(g)
         assert got.keys() == want.keys()
@@ -276,17 +280,6 @@ def test_evc_isolates_score_one_and_weight_scale_invariance():
         assert scores7[n] == pytest.approx(scores[n], abs=1e-12)
 
 
-def test_evc_falls_back_to_dense_solver_when_iteration_stalls(monkeypatch):
-    monkeypatch.setattr(sg, "EVC_MAX_ITER", 5)
-    for seed in range(6):
-        rng = np.random.default_rng(seed)
-        g = random_connected_graph(rng, 40, extra=0.08, weighted=seed % 2 == 1)
-        got = evc(g)
-        want = dense_evc(g)
-        for n in want:
-            assert got[n] == pytest.approx(want[n], abs=1e-8)
-
-
 def near_tie_graph():
     """Two five-cliques, one a hair lighter, joined by one light edge."""
     a = [(f"a{i}", f"a{j}", 1.0) for i in range(5) for j in range(i + 1, 5)]
@@ -301,23 +294,85 @@ def test_evc_near_tie_stalls_then_matches_dense_oracle(monkeypatch):
     assert scores.keys() == want.keys() and scores["iso"] == 1.0
     for n in want:
         assert scores[n] == pytest.approx(want[n], abs=1e-8)
-    # above the dense cap the stall is still an error
-    monkeypatch.setattr(sg, "DENSE_EVC_MAX_NODES", 9)
-    with pytest.raises(RuntimeError, match="did not converge in 10000 iterations"):
+    # the 10-node component needs 4 Lanczos steps; a cap of 3 is an error naming its size and last residual
+    monkeypatch.setattr(sg, "EVC_MAX_ITER", 3)
+    with pytest.raises(RuntimeError, match=r"did not converge in 3 Lanczos steps \(component size 10, "
+                                           r"last Ritz residual \d\.\d{3}e[-+]\d+\)") as err:
         sg.eigenvector_centrality(g)
+    assert float(str(err.value).rsplit(" ", 1)[1].rstrip(")")) > sg.EVC_TOL
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeError,
-                   reason="power iteration stalls above the dense cap (ROADMAP item 5)")
 def test_evc_converges_on_a_long_path_above_the_dense_cap():
     # The spectral gap of a path shrinks like 1/n^2; its top eigenvector is sin(pi i / (n + 1)), i = 1..n.
+    # From the uniform start, Lanczos stays in the n / 2 dimensions symmetric about the middle.
     n = 2500
-    assert n > sg.DENSE_EVC_MAX_NODES
     g = sg.SocialGraph.from_edges((f"n{i:04d}", f"n{i + 1:04d}") for i in range(n - 1))
     scores = evc(g)
     want = np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
     want /= np.linalg.norm(want)
     assert [scores[f"n{i:04d}"] for i in range(n)] == pytest.approx(want.tolist(), abs=1e-8)
+
+
+def test_evc_on_a_long_path_with_uneven_weights_matches_dense_eigensolver():
+    n = 3000
+    w = np.random.default_rng(9).uniform(1, 600, n - 1)
+    g = sg.SocialGraph([f"n{i:04d}" for i in range(n)], np.arange(n - 1), np.arange(1, n), w)
+    a = np.diag(w, 1)
+    want = np.abs(np.linalg.eigh(a + a.T)[1][:, -1])
+    assert sg.eigenvector_centrality(g) == pytest.approx(want / np.linalg.norm(want), abs=1e-8)
+
+
+# The sha256 of the scores' repr on a 12,000-node connected graph: a spanning path plus 3n random pairs, weights
+# uniform in 1 to 600.
+EVC_DIGEST = """import hashlib
+import numpy as np
+from cdrlab import socialgraph as sg
+n = 12_000
+rng = np.random.default_rng(36)
+a = np.concatenate((np.arange(n - 1), rng.integers(0, n, 3 * n)))
+b = np.concatenate((np.arange(1, n), rng.integers(0, n, 3 * n)))
+pair = np.unique(np.minimum(a, b)[a != b] * n + np.maximum(a, b)[a != b])
+g = sg.SocialGraph([f"n{i:05d}" for i in range(n)], pair // n, pair % n, rng.uniform(1, 600, len(pair)))
+print(hashlib.sha256(repr(sg.eigenvector_centrality(g).tolist()).encode()).hexdigest())
+"""
+
+
+def test_evc_bytes_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a long dot product or norm across its threads, which changes how it rounds
+    src = os.path.dirname(os.path.dirname(sg.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", EVC_DIGEST], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout)
+    assert digests[0] == digests[1]
+
+
+@st.composite
+def component_unions(draw):
+    """A weighted graph of 1 to 4 components of 2 to 9 nodes, some bipartite, and 0 to 2 isolates."""
+    edges = []
+    for c in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(2, 9))
+        # a bipartite component joins odd to even nodes only
+        ok = (lambda a, b: (a - b) % 2 == 1) if draw(st.booleans()) else (lambda a, b: True)
+        pairs = {(draw(st.sampled_from([a for a in range(b) if ok(a, b)])), b) for b in range(1, n)}  # a tree
+        pairs |= {(a, b) for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+                  if a < b and ok(a, b)}
+        weight = st.sampled_from([1.0, 2.5]) if draw(st.booleans()) else st.floats(0.01, 600)
+        edges += [(f"c{c}n{a}", f"c{c}n{b}", draw(weight)) for a, b in sorted(pairs)]
+    return graph_from(edges, nodes=[f"iso{i}" for i in range(draw(st.integers(0, 2)))])
+
+
+@settings(max_examples=150, deadline=None)
+@given(component_unions())
+def test_evc_matches_dense_eigensolver_on_several_components(g):
+    got, want = evc(g), dense_evc(g)
+    assert got.keys() == want.keys()
+    for n in want:
+        assert got[n] == pytest.approx(want[n], abs=1e-8)
 
 
 # -- clustering and adjacent pairs ----------------------------------------------

@@ -56,6 +56,9 @@ def test_each_chain_runs_from_an_equal_length_copy_with_its_own_empty_cache(tmp_
         (checkout / "src" / "cdrlab" / "__init__.py").write_text("")
         (checkout / "src" / "cdrlab" / "cli.py").write_text(f"LOG = {str(log)!r}\n" + PROBE_CLI)
     monkeypatch.setattr(baseline, "STEPS", (("one", ("one",)), ("two", ("two",))))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     out = tmp_path / "bench.json"
     assert baseline.main([*(arg for c in checkouts for arg in ("--src", str(c))), "--repeat", "2", "--out", str(out)]) == 0
     runs = [json.loads(line) for line in log.read_text().splitlines()]
@@ -67,7 +70,9 @@ def test_each_chain_runs_from_an_equal_length_copy_with_its_own_empty_cache(tmp_
         (work,) = {cwd for _, cwd, _, _ in chain}
         assert [(cache, seen) for _, _, cache, seen in chain] == [(f"{work}/cache", False), (f"{work}/cache", True)]
     assert len({cwd for _, cwd, _, _ in runs}) == 4
-    assert [c["runs"][0]["one"]["exit"] for c in json.loads(out.read_text())["checkouts"]] == [0, 0]
+    doc = json.loads(out.read_text())
+    assert [c["runs"][0]["one"]["exit"] for c in doc["checkouts"]] == [0, 0]
+    assert [doc["machine"][name] for name in baseline.BLAS_THREAD_VARS] == ["2", "1", None]
 
 
 # A stand-in for cdrlab.cli that logs its pid and then sleeps far past the test.

@@ -31,9 +31,10 @@ cdrlab from, and at the same RSS from two directories of equal length.  Each
 run of the chain has its own empty parse-snapshot cache (``XDG_CACHE_HOME``)
 in its temporary directory, so ``ingest-check``, the first step that parses,
 parses cold, the later steps read its snapshots, and no run reads another
-checkout's.  The JSON holds the machine, the workload and, per checkout, its
-commit, every run's wall time, peak RSS and exit code per step, and the sha256
-of each step's output files, which shows whether two checkouts wrote the same
+checkout's.  The JSON holds the machine, with the BLAS thread variables the
+steps inherit (null when unset), the workload and, per checkout, its commit,
+every run's wall time, peak RSS and exit code per step, and the sha256 of
+each step's output files, which shows whether two checkouts wrote the same
 bytes.  Outputs go to a temporary directory that is removed at the end, also
 when the script is stopped by SIGTERM or Ctrl-C: each launcher leads its own
 process group, which is killed with the step in it.
@@ -58,6 +59,8 @@ from pathlib import Path
 
 import numpy
 
+# The environment variables that set the thread counts of OpenBLAS, OpenMP and MKL.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CONFIG = "[synth]\nsubscribers = 5000\ntowers = 60\ndays = 28\nevent_rate = 6.0\n"
 DATA = ("--cdr", "synth/cdr.csv", "--topups", "synth/topups.csv", "--towers", "synth/towers.csv")
 FEATURES = ("--features", "features/features.csv", "--labels", "synth/labels.csv")
@@ -201,7 +204,8 @@ def main(argv=None) -> int:
                       file=sys.stderr)
     doc = {
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
-                    "python": platform.python_version(), "numpy": numpy.__version__},
+                    "python": platform.python_version(), "numpy": numpy.__version__,
+                    **{name: os.environ.get(name) for name in BLAS_THREAD_VARS}},
         "workload": {"config": CONFIG, "steps": {name: list(argv) for name, argv in STEPS}},
         "checkouts": [
             {"commit": _commit(src),
