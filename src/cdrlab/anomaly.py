@@ -372,6 +372,12 @@ def _day_fraction_curves(
     return counts[1:] / denom
 
 
+def check_bin_width(bin_width: int) -> None:
+    """The rank curves' bins tile each day exactly, so bin_width must divide a day."""
+    if bin_width <= 0 or SECONDS_PER_DAY % bin_width:
+        raise ValueError(f"bin_width must be a positive divisor of {SECONDS_PER_DAY} seconds, got {bin_width}")
+
+
 def rank_activation_curves(
     ds: Dataset,
     event_time: int,
@@ -387,8 +393,7 @@ def rank_activation_curves(
     divided bin-wise by the comparison-day mean.  The bins tile each day
     exactly, so bin_width must divide a day.
     """
-    if bin_width <= 0 or SECONDS_PER_DAY % bin_width:
-        raise ValueError(f"bin_width must be a positive divisor of {SECONDS_PER_DAY} seconds, got {bin_width}")
+    check_bin_width(bin_width)
     if max_rank < 1:
         raise ValueError(f"need at least one rank: max_rank must be >= 1, got {max_rank}")
     if not comparison_days:

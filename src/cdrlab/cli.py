@@ -220,6 +220,8 @@ def _build_graph(ds, cfg):
     from . import socialgraph
 
     g = cfg["graph"]
+    if g["sms_weight"] < 0:
+        raise ValueError(f"[graph] sms_weight = {g['sms_weight']}: sms_weight must be >= 0")
     return socialgraph.build_graph(
         ds,
         sms_weight=g["sms_weight"],
@@ -255,41 +257,20 @@ def _adopters(args, graph, ctx) -> tuple["np.ndarray", "np.ndarray", list[int], 
         return adopted, day_pos, days, f"file:{path}"
     a = ctx.cfg["adoption"]
     if a["mechanism"] == "random":
-        p0, beta = a["p"], 0.0
+        p0_key, beta = "p", 0.0
     elif a["mechanism"] == "contagion":
-        p0, beta = a["p0"], a["beta"]
+        p0_key, beta = "p0", a["beta"]
     else:
         raise ValueError(f"unknown adoption mechanism {a['mechanism']!r}")
-    first = synthgen.simulate_adoption(graph, p0, beta, a["days"], seed=ctx.seed)
+    for key, ok, rule in ((p0_key, 0 <= a[p0_key] <= 1, "must be in [0, 1]"), ("beta", beta >= 0, "must be >= 0"),
+                          ("days", a["days"] >= 1, "must be >= 1")):
+        if not ok:
+            raise ValueError(f"[adoption] {key} = {a[key]}: {key} {rule}")
+    first = synthgen.simulate_adoption(graph, a[p0_key], beta, a["days"], seed=ctx.seed)
     adopted = first >= 0
     days = distinct(first[adopted])
     day_pos = np.where(adopted, np.searchsorted(days, first), -1)
     return adopted, day_pos, days.tolist(), f"simulated:{a['mechanism']}"
-
-
-def _synth_config(args, cfg):
-    from . import synthgen
-
-    s = cfg["synth"]
-    if s["graph_model"] != "small_world":
-        raise ValueError("synth.graph_model: small_world is the only model")
-    return synthgen.SynthConfig(
-        seed=args.effective_seed,
-        n_subscribers=s["subscribers"],
-        n_towers=s["towers"],
-        grid=tuple(s["grid"]),
-        graph_model=synthgen.SmallWorld(s["sw_k"], s["sw_rewire"]),
-        days=s["days"],
-        recharge_denominations=tuple(s["denominations"]),
-        event_rate=s["event_rate"],
-        start=_parse_ts("[synth] start", s["start"]),
-        sms_fraction=s["sms_fraction"],
-        data_rate=s["data_rate"],
-        topup_gap_days=s["topup_gap_days"],
-        visit_concentration=s["visit_concentration"],
-        label_low_fraction=s["label_low_fraction"],
-        label_effect=s["label_effect"],
-    )
 
 
 # ---------------------------------------------------------------- handlers
@@ -298,7 +279,11 @@ def _synth_config(args, cfg):
 def _cmd_synth(args, ctx: RunContext) -> dict:
     from . import synthgen
 
-    scfg = _synth_config(args, ctx.cfg)
+    s = dict(ctx.cfg["synth"])
+    model = s.pop("graph_model")
+    if model != "small_world":
+        raise ValueError(f"[synth] graph_model = {model}: small_world is the only model")
+    scfg = synthgen.SynthConfig(**dict(s, seed=ctx.seed, start=_parse_ts("[synth] start", s["start"])))
     if args.shock_multiplier is not None:
         if not (math.isfinite(args.shock_multiplier) and args.shock_multiplier >= 0):
             raise ValueError(f"--shock-multiplier must be a finite number >= 0, got {args.shock_multiplier}")
@@ -325,9 +310,9 @@ def _cmd_synth(args, ctx: RunContext) -> dict:
     ingest.write_labels_csv(gt.label, ctx.outputs.stage("labels.csv"), header_comment=ctx.header)
     ingest.write_json(ctx.outputs.stage("ground_truth.json"), {**gt.to_dict(), "_meta": ctx.meta()}, indent=0)
     print(f"synth: {len(ds.cdrs)} events, {len(ds.topups)} top-ups, "
-          f"{len(ds.towers)} towers, {scfg.n_subscribers} subscribers")
+          f"{len(ds.towers)} towers, {scfg.subscribers} subscribers")
     return {"events": len(ds.cdrs), "topups": len(ds.topups),
-            "subscribers": scfg.n_subscribers, "days": scfg.days}
+            "subscribers": scfg.subscribers, "days": scfg.days}
 
 
 def _cmd_ingest_check(args, ctx: RunContext) -> dict:
@@ -554,6 +539,10 @@ def _cmd_rank_curves(args, ctx: RunContext) -> dict:
     rc = ctx.cfg["rank_curves"]
     if rc["max_rank"] < 1:
         raise ValueError(f"[rank_curves] max_rank must be >= 1, got {rc['max_rank']}")
+    try:
+        anomaly.check_bin_width(rc["bin_width"])
+    except ValueError as exc:
+        raise ValueError(f"[rank_curves] bin_width = {rc['bin_width']}: {exc}") from None
     event_time = _parse_ts("--event-time", args.event_time)
     given = args.comparison_days is not None  # an empty flag is a bad value, not an absent one
     key = "--comparison-days" if given else "[rank_curves] comparison_days"
@@ -1024,7 +1013,6 @@ def main(argv=None) -> int:
             raise ConfigError("run.seed must be >= 0")
         outdir = cfg["run"]["outdir"]
         os.makedirs(outdir, exist_ok=True)
-        args.effective_seed = cfg["run"]["seed"]
         outputs = Outputs(outdir)
         ctx = RunContext(
             cfg=cfg,

@@ -33,26 +33,15 @@ class LabeledTable:
             raise ValueError("ids, X, and y lengths disagree")
         if len(self.columns) != k:
             raise ValueError("column names do not match X width")
-        if len(set(self.ids)) != n:
-            raise ValueError("duplicate ids")
         if not np.isfinite(self.X).all() or not np.isfinite(self.y).all():
             raise ValueError("non-finite values in table; impute or drop first")
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def take(self, indices, id_suffix: str | None = None) -> "LabeledTable":
+    def take(self, indices) -> "LabeledTable":
         indices = list(indices)
-        ids = [self.ids[i] for i in indices]
-        if id_suffix is not None:
-            seen: dict[str, int] = {}
-            out = []
-            for i in ids:
-                c = seen.get(i, 0)
-                out.append(i if c == 0 else f"{i}{id_suffix}{c}")
-                seen[i] = c + 1
-            ids = out
-        return LabeledTable(ids, list(self.columns), self.X[indices], self.y[indices])
+        return LabeledTable([self.ids[i] for i in indices], list(self.columns), self.X[indices], self.y[indices])
 
     @classmethod
     def from_records(
@@ -134,8 +123,8 @@ def split_train_test(table: LabeledTable, fraction: float = 0.75, seed: int = 0)
 def upsample_minority(train: LabeledTable, seed: int = 0) -> LabeledTable:
     """Resample the minority class with replacement up to the majority size.
 
-    The majority rows are untouched; appended duplicates get a "#r<i>" id
-    suffix to keep ids unique.  A balanced table comes back unchanged.
+    The majority rows are untouched; appended copies keep their row's id.  A
+    balanced table comes back unchanged.
     """
     classes, counts = np.unique(train.y, return_counts=True)
     if len(classes) != 2:
@@ -146,4 +135,4 @@ def upsample_minority(train: LabeledTable, seed: int = 0) -> LabeledTable:
     deficit = int(abs(counts[0] - counts[1]))
     pool = np.flatnonzero(train.y == minority)
     extra = derive_rng(seed, "upsample").choice(pool, size=deficit, replace=True)
-    return train.take(list(range(len(train))) + extra.tolist(), id_suffix="#r")
+    return train.take(list(range(len(train))) + extra.tolist())

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import default_config
 from .geo import haversine_km_to
 from .records import (
     DATA,
@@ -25,63 +26,93 @@ from .records import (
     Dataset,
     TopUpTable,
     distinct,
+    parse_timestamp,
 )
 from .rng import derive_rng, derive_streams
 from .socialgraph import SocialGraph
 
-DEFAULT_START = 1462060800  # 2016-05-01T00:00:00Z
 # Subscribers per grouped pass of generate_events: it bounds the draws held at once.
 BLOCK = 256
 
 
 @dataclass(frozen=True)
+class SynthConfig:
+    """The [synth] section under its key names, plus the run's seed.
+
+    start is in epoch seconds, and graph_model is left out: the small world is
+    the only model.  config.SCHEMA holds every default.
+    """
+
+    seed: int
+    subscribers: int
+    towers: int
+    days: int
+    event_rate: float
+    sw_k: int  # the small-world lattice degree and rewiring probability
+    sw_rewire: float
+    start: int
+    grid: tuple[float, ...]  # lon_min, lat_min, lon_max, lat_max
+    denominations: tuple[float, ...]
+    sms_fraction: float
+    data_rate: float
+    topup_gap_days: float
+    visit_concentration: float
+    label_low_fraction: float
+    # 0 keeps labels independent of behavior; larger values make low-label
+    # subscribers call less, top up smaller amounts, and roam less.
+    label_effect: float
+
+    def __post_init__(self):
+        def check(key, ok, rule):
+            if not ok:
+                raise ValueError(f"[synth] {key} = {getattr(self, key)!r}: {rule}")
+
+        check("subscribers", self.subscribers >= 2, "must be >= 2")
+        check("towers", self.towers >= 1, "must be >= 1")
+        check("days", self.days >= 1, "must be >= 1")
+        check("event_rate", self.event_rate >= 0, "must be >= 0")
+        check("data_rate", self.data_rate >= 0, "must be >= 0")
+        check("sms_fraction", 0 <= self.sms_fraction <= 1, "must be in [0, 1]")
+        check("sw_k", self.sw_k % 2 == 0, "must be even")
+        check("sw_k", 0 <= self.sw_k < self.subscribers, "must be >= 0 and smaller than subscribers")
+        check("sw_rewire", 0 <= self.sw_rewire <= 1, "must be in [0, 1]")
+        d, g = self.denominations, self.grid
+        check("denominations", d and d[0] > 0 and all(a < b for a, b in zip(d, d[1:])),
+              "must be one or more positive numbers, strictly increasing")
+        check("grid", len(g) == 4 and g[0] < g[2] and g[1] < g[3],
+              "must be lon_min, lat_min, lon_max, lat_max, each min below its max")
+        check("topup_gap_days", self.topup_gap_days > 0, "must be > 0")
+        check("visit_concentration", 0 < self.visit_concentration < 1, "must be in (0, 1)")
+        check("label_low_fraction", 0 <= self.label_low_fraction <= 1, "must be in [0, 1]")
+        check("label_effect", 0 <= self.label_effect <= 2, "must be in [0, 2]")
+
+
+@dataclass(frozen=True)
 class SmallWorld:
+    """SynthConfig's older graph_model argument: the lattice degree and rewiring probability."""
+
     k: int
     rewire_p: float
 
 
-@dataclass(frozen=True)
-class SynthConfig:
-    seed: int
-    n_subscribers: int
-    n_towers: int
-    grid: tuple[float, float, float, float]  # lon_min, lat_min, lon_max, lat_max
-    graph_model: SmallWorld
-    days: int
-    recharge_denominations: tuple[float, ...] = (10.0, 20.0, 50.0, 100.0, 300.0)
-    event_rate: float = 3.0
-    start: int = DEFAULT_START
-    sms_fraction: float = 0.3
-    data_rate: float = 0.0
-    topup_gap_days: float = 3.0
-    visit_concentration: float = 0.6
-    label_low_fraction: float = 0.5
-    # 0 keeps labels independent of behavior; larger values make low-label
-    # subscribers call less, top up smaller amounts, and roam less.
-    label_effect: float = 0.0
+def _with_older_names(init):
+    """SynthConfig.__init__ that also takes the older spelling perfbench/selftest.py uses (ROADMAP item 1).
 
-    def __post_init__(self):
-        if self.n_subscribers < 2:
-            raise ValueError("need at least two subscribers")
-        if self.n_towers < 1:
-            raise ValueError("need at least one tower")
-        if self.days < 1:
-            raise ValueError("days must be >= 1")
-        if self.event_rate < 0 or self.data_rate < 0:
-            raise ValueError("rates must be >= 0")
-        if list(self.recharge_denominations) != sorted(set(self.recharge_denominations)):
-            raise ValueError("denominations must be strictly increasing")
-        if not self.recharge_denominations:
-            raise ValueError("need at least one recharge denomination")
-        if any(d <= 0 for d in self.recharge_denominations):
-            raise ValueError("denominations must be positive")
-        lon_min, lat_min, lon_max, lat_max = self.grid
-        if not (lon_min < lon_max and lat_min < lat_max):
-            raise ValueError("grid must be (lon_min, lat_min, lon_max, lat_max)")
-        if not 0 < self.visit_concentration < 1:
-            raise ValueError("visit_concentration must be in (0,1)")
-        if not 0 <= self.label_low_fraction <= 1:
-            raise ValueError("label_low_fraction must be in [0,1]")
+    SynthConfig(seed=, n_subscribers=, n_towers=, grid=, graph_model=SmallWorld(k, rewire_p), days=,
+    event_rate=) takes config.SCHEMA's defaults for the keys it leaves out.
+    """
+
+    def __init__(self, *, n_subscribers=None, n_towers=None, graph_model=None, **kw):
+        if graph_model is not None:
+            s = {k: v for k, v in default_config()["synth"].items() if k != "graph_model"}
+            kw = {**s, "start": parse_timestamp(s["start"]), "subscribers": n_subscribers, "towers": n_towers,
+                  "sw_k": graph_model.k, "sw_rewire": graph_model.rewire_p, **kw}
+        init(self, **kw)
+
+    return __init__
+
+
+SynthConfig.__init__ = _with_older_names(SynthConfig.__init__)
 
 
 @dataclass
@@ -117,16 +148,13 @@ def towers_for(cfg: SynthConfig) -> dict[str, tuple[float, float]]:
     """Tower layout for a config, id -> (lon, lat); same placement in every operation."""
     rng = derive_rng(cfg.seed, "towers")
     lon_min, lat_min, lon_max, lat_max = cfg.grid
-    lons = rng.uniform(lon_min, lon_max, cfg.n_towers)
-    lats = rng.uniform(lat_min, lat_max, cfg.n_towers)
-    return dict(zip(tower_ids(cfg.n_towers), zip(lons.tolist(), lats.tolist())))
+    lons = rng.uniform(lon_min, lon_max, cfg.towers)
+    lats = rng.uniform(lat_min, lat_max, cfg.towers)
+    return dict(zip(tower_ids(cfg.towers), zip(lons.tolist(), lats.tolist())))
 
 
 def _small_world_edges(n: int, k: int, rewire_p: float, rng) -> set[tuple[int, int]]:
-    if k % 2 != 0:
-        raise ValueError("small_world k must be even")
-    if k >= n:
-        raise ValueError("small_world k must be smaller than n")
+    """Watts-Strogatz edges over n nodes of even lattice degree 0 <= k < n, as (low, high) pairs."""
     lattice = [(i, (i + j) % n) for i in range(n) for j in range(1, k // 2 + 1)]
     edges = {(min(e), max(e)) for e in lattice}
     if rewire_p <= 0:
@@ -154,9 +182,9 @@ def generate_population(cfg: SynthConfig) -> tuple[SocialGraph, GroundTruth]:
     grid, so lattice neighbors live near each other; labels follow a planted
     west-to-east gradient over home-tower longitude (west poorer).
     """
-    n = cfg.n_subscribers
+    n = cfg.subscribers
     subs = subscriber_ids(n)
-    edges = _small_world_edges(n, cfg.graph_model.k, cfg.graph_model.rewire_p, derive_rng(cfg.seed, "graph"))
+    edges = _small_world_edges(n, cfg.sw_k, cfg.sw_rewire, derive_rng(cfg.seed, "graph"))
     pairs = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
     g = SocialGraph(subs, pairs[:, 0], pairs[:, 1], np.ones(len(pairs)))
 
@@ -200,14 +228,14 @@ def generate_events(cfg: SynthConfig, graph: SocialGraph, gt: GroundTruth) -> Da
     """
     towers = towers_for(cfg)
     tower_order = sorted(towers)
-    subs = subscriber_ids(cfg.n_subscribers)
+    subs = subscriber_ids(cfg.subscribers)
     window = (cfg.start, cfg.start + cfg.days * SECONDS_PER_DAY)
     if graph.ids != tuple(subs):
         raise ValueError("graph nodes must be the config's subscribers")
 
     day_cdf = np.cumsum(np.ones(cfg.days) / cfg.days)
     hour_cdf = np.cumsum(np.ones(24) / 24)
-    drawn_retailers = [f"R{i:03d}" for i in range(max(5, cfg.n_towers // 2))]
+    drawn_retailers = [f"R{i:03d}" for i in range(max(5, cfg.towers // 2))]
     retailers = tuple(sorted(drawn_retailers))
     retailer_code = [retailers.index(r) for r in drawn_retailers]
 
@@ -216,7 +244,7 @@ def generate_events(cfg: SynthConfig, graph: SocialGraph, gt: GroundTruth) -> Da
     low = [int(gt.label.get(s) == "low" and cfg.label_effect > 0) for s in subs]
     rates = [(cfg.event_rate * cfg.days * m, cfg.data_rate * cfg.days * m) for m in (1.0, 1.0 - 0.5 * cfg.label_effect)]
     concentration = (cfg.visit_concentration, min(0.95, cfg.visit_concentration + 0.3 * cfg.label_effect))
-    weights = [b ** np.arange(len(cfg.recharge_denominations)) for b in (0.6, 0.6 - 0.25 * cfg.label_effect)]
+    weights = [b ** np.arange(len(cfg.denominations)) for b in (0.6, 0.6 - 0.25 * cfg.label_effect)]
     denom_cdfs = [np.cumsum(w / w.sum()).tolist() for w in weights]
     cdf_index: dict[tuple[str, float], int] = {}
     visit = [cdf_index.setdefault((gt.home_tower[s], concentration[k]), len(cdf_index)) for s, k in zip(subs, low)]
@@ -251,7 +279,7 @@ def generate_events(cfg: SynthConfig, graph: SocialGraph, gt: GroundTruth) -> Da
             gap_days = float(trng.lognormal(math.log(cfg.topup_gap_days), 0.5))
             t = cfg.start + trng.exponential(gap_days) * SECONDS_PER_DAY
             while t < window[1]:
-                amount = float(cfg.recharge_denominations[bisect_left(denom_cdfs[low[code]], trng.random())])
+                amount = float(cfg.denominations[bisect_left(denom_cdfs[low[code]], trng.random())])
                 retailer = retailer_code[int(trng.integers(0, len(retailers)))]
                 top_rows.append((int(t), code, retailer, bisect_left(cdfs[visit[code]], trng.random()), amount))
                 t += trng.exponential(gap_days) * SECONDS_PER_DAY

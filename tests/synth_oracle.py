@@ -27,9 +27,9 @@ from geo_oracle import haversine_km
 
 
 def generate_population(cfg):
-    subs = subscriber_ids(cfg.n_subscribers)
+    subs = subscriber_ids(cfg.subscribers)
     rng = derive_rng(cfg.seed, "graph")
-    edges = _small_world_edges(cfg.n_subscribers, cfg.graph_model.k, cfg.graph_model.rewire_p, rng)
+    edges = _small_world_edges(cfg.subscribers, cfg.sw_k, cfg.sw_rewire, rng)
 
     pairs = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
     g = SocialGraph(subs, pairs[:, 0], pairs[:, 1], np.ones(len(pairs)))
@@ -42,13 +42,13 @@ def generate_population(cfg):
     rx, ry = 0.35 * (lon_max - lon_min), 0.35 * (lat_max - lat_min)
     homes: dict[str, str] = {}
     for i, s in enumerate(subs):
-        theta = 2 * math.pi * i / cfg.n_subscribers
+        theta = 2 * math.pi * i / cfg.subscribers
         lon = cx + rx * math.cos(theta)
         lat = cy + ry * math.sin(theta)
         homes[s] = order[int(np.argmin(haversine_km_to(tower_lon, tower_lat, lon, lat)))]
 
     label_rng = derive_rng(cfg.seed, "labels")
-    u = label_rng.random(cfg.n_subscribers)
+    u = label_rng.random(cfg.subscribers)
     labels: dict[str, str] = {}
     for i, s in enumerate(subs):
         frac_east = (towers[homes[s]][0] - lon_min) / (lon_max - lon_min)
@@ -69,14 +69,14 @@ def _visit_cdf(cfg, towers, home, concentration):
 def generate_events(cfg, graph, gt):
     towers = towers_for(cfg)
     tower_order = sorted(towers)
-    subs = subscriber_ids(cfg.n_subscribers)
+    subs = subscriber_ids(cfg.subscribers)
     window = (cfg.start, cfg.start + cfg.days * SECONDS_PER_DAY)
 
     day_cdf = np.cumsum(np.ones(cfg.days) / cfg.days)
     hour_cdf = np.cumsum(np.ones(24) / 24)
 
-    denoms = np.asarray(cfg.recharge_denominations, dtype=float)
-    drawn_retailers = [f"R{i:03d}" for i in range(max(5, cfg.n_towers // 2))]
+    denoms = np.asarray(cfg.denominations, dtype=float)
+    drawn_retailers = [f"R{i:03d}" for i in range(max(5, cfg.towers // 2))]
     retailers = tuple(sorted(drawn_retailers))
 
     if graph.ids != tuple(subs):

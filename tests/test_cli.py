@@ -189,6 +189,21 @@ def test_synth_shock_that_plants_nothing_exits_2(tmp_path, capsys, monkeypatch, 
     assert not outdir.exists() or not any(outdir.iterdir())
 
 
+@pytest.mark.parametrize("key, value", [
+    ("subscribers", "1"), ("towers", "0"), ("days", "0"), ("event_rate", "-1"), ("data_rate", "-0.5"),
+    ("sms_fraction", "1.5"), ("sw_k", "5"), ("sw_k", "500"), ("sw_rewire", "-1"), ("grid", "1,2,3"),
+    ("grid", "92.5,22,90,26"), ("denominations", "50,10"), ("topup_gap_days", "0"), ("visit_concentration", "1"), ("label_low_fraction", "1.5"), ("label_effect", "3"),
+    ("graph_model", "erdos_renyi"),
+])
+def test_synth_bad_value_exits_2_naming_its_key(tmp_path, capsys, key, value):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[synth]\n{key} = {value}\n")  # each is checked before anything is generated
+    outdir = tmp_path / "bad"
+    assert cli.main(["synth", "--config", str(cfg), "--outdir", str(outdir), "--seed", "4"]) == 2
+    assert f"[synth] {key} = " in capsys.readouterr().err
+    assert not outdir.exists() or not any(outdir.iterdir())
+
+
 def test_synth_past_year_9999_exits_2(tmp_path, capsys):
     # 28 days from 9999-12-20 run past 9999-12-31, which no timestamp text can carry
     cfg = tmp_path / "run.ini"
@@ -942,21 +957,30 @@ def test_malformed_model_file_exits_2(tmp_path, capsys, command, doc, named):
     ("train", "[model]\nfamily = mlp\nhidden = 0\n", "hidden and batch_size must be >= 1, got hidden=0"),
     ("train", "[model]\nfamily = mlp\nbatch_size = 0\n", "hidden and batch_size must be >= 1, got hidden=64, batch_size=0"),
     ("train", "[model]\nfamily = svm\n", "[model] family: unknown family 'svm'"),
-    ("synth", "[synth]\ndenominations =\n", "need at least one recharge denomination"),
+    ("synth", "[synth]\ndenominations =\n", "[synth] denominations = (): must be one or more positive numbers"),
     ("graph", "[graph]\nsms_weight = nan\n", "bad value for graph.sms_weight: not a finite number: 'nan'"),
     ("synth", "[DEFAULT]\nsubscribers = 7\n[synth]\ntowers = 5\n", "unknown config section [DEFAULT]"),
     ("flows", "[flows]\nbaseline_days = -3\n", "[flows] baseline_days = -3: baseline_days must be >= 0"),
     ("flows", "[flows]\nmode = hourly\n", "[flows] mode = hourly: unknown mode 'hourly'"),
     ("anomaly", "[anomaly]\nmeasure = sms\n", "[anomaly] measure = sms: unknown measure 'sms'"),
     ("anomaly", "[anomaly]\nbin_width = 0\n", "[anomaly] bin_width = 0: bin_width must be positive"),
+    ("rank-curves", "[rank_curves]\nbin_width = 0\n", "[rank_curves] bin_width = 0: bin_width must be a positive"),
+    ("adoption", "[adoption]\np0 = 2\n", "[adoption] p0 = 2.0: p0 must be in [0, 1]"),
+    ("adoption", "[adoption]\nmechanism = random\np = 2\n", "[adoption] p = 2.0: p must be in [0, 1]"),
+    ("adoption", "[adoption]\nbeta = -1\n", "[adoption] beta = -1.0: beta must be >= 0"),
+    ("adoption", "[adoption]\ndays = 0\n", "[adoption] days = 0: days must be >= 1"),
+    ("graph", "[graph]\nsms_weight = -1\n", "[graph] sms_weight = -1.0: sms_weight must be >= 0"),
 ], ids=["class_weight 5", "class_weight 12", "hidden 0", "batch_size 0", "family", "no denominations", "nan weight",
-        "DEFAULT section", "negative baseline_days", "flow mode", "measure", "bin_width 0"])
+        "DEFAULT section", "negative baseline_days", "flow mode", "measure", "bin_width 0", "rank bin_width 0",
+        "p0 2", "random p 2", "beta -1", "adoption days 0", "sms_weight -1"])
 def test_bad_config_value_exits_2(synth_dir, features_dir, tmp_path, capsys, command, ini, named):
     cfg = tmp_path / "run.ini"
     cfg.write_text(ini)
+    rank = ["--event-time", str(T0 + 3 * DAY + 8 * 3600), "--comparison-days", str(T0 + DAY)]
     inputs = {"train": ["--features", str(features_dir / "features.csv"), "--labels", str(synth_dir / "labels.csv")],
               "synth": [], "graph": dataset_args(synth_dir), "anomaly": dataset_args(synth_dir),
-              "flows": dataset_args(synth_dir)}[command]
+              "flows": dataset_args(synth_dir), "adoption": dataset_args(synth_dir),
+              "rank-curves": [*dataset_args(synth_dir), *rank]}[command]
     assert cli.main([command, *inputs, "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 2
     assert named in capsys.readouterr().err
     assert not list((tmp_path / "out").glob("*"))

@@ -70,17 +70,8 @@ def test_labeled_table_validation():
         LabeledTable(["a"], ["x"], np.zeros((2, 1)), np.zeros(2))
     with pytest.raises(ValueError, match="column names"):
         LabeledTable(["a", "b"], ["x", "y"], np.zeros((2, 1)), np.zeros(2))
-    with pytest.raises(ValueError, match="duplicate ids"):
-        LabeledTable(["a", "a"], ["x"], np.zeros((2, 1)), np.zeros(2))
     with pytest.raises(ValueError, match="non-finite"):
         LabeledTable(["a", "b"], ["x"], np.array([[1.0], [np.nan]]), np.zeros(2))
-
-
-def test_take_id_suffix_numbers_repeats():
-    tab = LabeledTable(["a", "b"], ["x"], [[1.0], [2.0]], [0.0, 1.0])
-    out = tab.take([0, 0, 1], id_suffix="#r")
-    assert out.ids == ["a", "a#r1", "b"]
-    assert out.X.tolist() == [[1.0], [1.0], [2.0]]
 
 
 def test_from_records_na_policies():
@@ -171,7 +162,7 @@ def test_split_fraction_validation():
             split_train_test(tab, fraction=bad)
 
 
-def test_upsample_minority_balances_with_suffixed_copies():
+def test_upsample_minority_balances_with_repeated_ids():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(100, 3))
     y = np.array([0.0] * 90 + [1.0] * 10)
@@ -179,12 +170,11 @@ def test_upsample_minority_balances_with_suffixed_copies():
     up = upsample_minority(tab, seed=3)
     assert len(up) == 180
     assert int((up.y == 0).sum()) == 90 and int((up.y == 1).sum()) == 90
-    assert len(set(up.ids)) == 180
-    minority_rows = {tuple(row) for row in X[y == 1.0]}
+    assert up.ids[:100] == tab.ids and len(set(up.ids)) == 100
     for i in range(100, 180):
-        assert "#r" in up.ids[i]
-        assert up.y[i] == 1.0
-        assert tuple(up.X[i]) in minority_rows
+        row = tab.ids.index(up.ids[i])  # a copy keeps the id of the row it copies
+        assert up.y[i] == y[row] == 1.0
+        assert up.X[i].tolist() == X[row].tolist()
 
 
 def test_upsample_balanced_table_is_unchanged():

@@ -27,7 +27,9 @@ SRC = ROOT / "src" / "cdrlab"
 TEST_ONLY = {"cdrlab.socialgraph.SocialGraph.from_edges",
              # the per-subscriber oracles group rows through these, and perfbench/tracer.py
              # INDEXES wraps both by name to time the index builds
-             "cdrlab.records.Dataset.cdrs_by_caller", "cdrlab.records.Dataset.cdrs_by_callee"}
+             "cdrlab.records.Dataset.cdrs_by_caller", "cdrlab.records.Dataset.cdrs_by_callee",
+             # perfbench/selftest.py's dirty-input fixture passes one as SynthConfig's graph_model
+             "cdrlab.synthgen.SmallWorld"}
 # Class fields that no package code reads, each with the reader that needs it.
 UNREAD_FIELDS = {
     "cdrlab.adoption.KappaResult.excluded_replicates": "perfbench/tracer.py _counts reports it per kappa call",

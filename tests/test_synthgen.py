@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synth_oracle as oracle
+from cdrlab import config
 from cdrlab import synthgen as syn
-from cdrlab.records import SECONDS_PER_DAY
+from cdrlab.records import SECONDS_PER_DAY, parse_timestamp
 from cdrlab.rng import derive_rng
 
 from conftest import T0, DAY, cdr_rows, topup_rows
@@ -18,39 +20,47 @@ GRID = (90.0, 22.0, 92.5, 26.0)
 
 
 def small_cfg(**kw):
-    base = dict(
-        seed=11,
-        n_subscribers=24,
-        n_towers=6,
-        grid=GRID,
-        graph_model=syn.SmallWorld(k=4, rewire_p=0.1),
-        days=7,
-        event_rate=4.0,
-    )
-    base.update(kw)
-    return syn.SynthConfig(**base)
+    """config.SCHEMA's [synth] defaults at a small size, as a SynthConfig."""
+    s = config.default_config()["synth"]
+    del s["graph_model"]
+    base = dict(s, seed=11, start=parse_timestamp(s["start"]), subscribers=24, towers=6, sw_k=4, days=7,
+                event_rate=4.0)
+    return syn.SynthConfig(**{**base, **kw})
 
 
 # -- config validation ---------------------------------------------------------
 
+def test_older_spelling_takes_the_schema_defaults():
+    # perfbench/selftest.py's dirty-input fixture builds its config this way
+    older = syn.SynthConfig(seed=2, n_subscribers=80, n_towers=12, grid=GRID, graph_model=syn.SmallWorld(6, 0.1),
+                            days=7, event_rate=6.0)
+    assert older == small_cfg(seed=2, subscribers=80, towers=12, sw_k=6, sw_rewire=0.1, days=7, event_rate=6.0)
+
+
 @pytest.mark.parametrize(
     "kw",
     [
-        dict(n_subscribers=1),
-        dict(n_towers=0),
+        dict(subscribers=1),
+        dict(towers=0),
         dict(days=0),
         dict(event_rate=-1.0),
-        dict(recharge_denominations=(50.0, 10.0)),
-        dict(recharge_denominations=(10.0, 10.0)),
-        dict(recharge_denominations=(-5.0, 10.0)),
+        dict(denominations=(50.0, 10.0)),
+        dict(denominations=(10.0, 10.0)),
+        dict(denominations=(-5.0, 10.0)),
         dict(grid=(92.5, 22.0, 90.0, 26.0)),
         dict(visit_concentration=1.0),
         dict(label_low_fraction=1.5),
-        dict(recharge_denominations=()),
+        dict(denominations=()),
+        dict(grid=(90.0, 22.0, 92.5)),
+        dict(data_rate=-0.5),
+        dict(topup_gap_days=0.0),
+        dict(label_effect=2.5),
+        dict(label_effect=-0.1),
     ],
 )
 def test_config_rejects_bad_values(kw):
-    with pytest.raises(ValueError):
+    ((key, value),) = kw.items()
+    with pytest.raises(ValueError, match=rf"^\[synth\] {key} = {re.escape(repr(value))}: must be "):
         small_cfg(**kw)
 
 
@@ -105,14 +115,17 @@ def test_small_world_rewiring_preserves_edge_count():
 
 
 def test_small_world_parameter_validation():
-    with pytest.raises(ValueError, match="even"):
-        syn._small_world_edges(10, 3, 0.1, derive_rng(0, "x"))
-    with pytest.raises(ValueError, match="smaller than n"):
-        syn._small_world_edges(4, 4, 0.1, derive_rng(0, "x"))
+    with pytest.raises(ValueError, match=r"^\[synth\] sw_k = 3: must be even$"):
+        small_cfg(subscribers=10, sw_k=3)
+    with pytest.raises(ValueError, match=r"^\[synth\] sw_k = 4: must be >= 0 and smaller than subscribers$"):
+        small_cfg(subscribers=4, sw_k=4)
+    with pytest.raises(ValueError, match=r"^\[synth\] sw_k = -2: must be >= 0"):
+        small_cfg(sw_k=-2)
+    assert small_cfg(subscribers=5, sw_k=4).sw_k == 4
 
 
 def test_generate_population_small_world():
-    cfg = small_cfg(graph_model=syn.SmallWorld(k=4, rewire_p=0.0))
+    cfg = small_cfg(sw_rewire=0.0)
     g, gt = syn.generate_population(cfg)
     subs = syn.subscriber_ids(24)
     assert list(g.ids) == subs
@@ -127,12 +140,12 @@ def test_generate_population_small_world():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_generate_population_homes_match_scalar_nearest_tower(seed):
-    cfg = small_cfg(seed=seed, n_subscribers=90, n_towers=40)
+    cfg = small_cfg(seed=seed, subscribers=90, towers=40)
     _, gt = syn.generate_population(cfg)
     towers = syn.towers_for(cfg)
     lon_min, lat_min, lon_max, lat_max = cfg.grid
-    for i, s in enumerate(syn.subscriber_ids(cfg.n_subscribers)):
-        theta = 2 * math.pi * i / cfg.n_subscribers
+    for i, s in enumerate(syn.subscriber_ids(cfg.subscribers)):
+        theta = 2 * math.pi * i / cfg.subscribers
         lon = (lon_min + lon_max) / 2 + 0.35 * (lon_max - lon_min) * math.cos(theta)
         lat = (lat_min + lat_max) / 2 + 0.35 * (lat_max - lat_min) * math.sin(theta)
         assert gt.home_tower[s] == nearest_tower(lon, lat, towers)
@@ -141,7 +154,7 @@ def test_generate_population_homes_match_scalar_nearest_tower(seed):
 def test_generate_events_needs_the_population_graph():
     cfg = small_cfg()
     g, gt = syn.generate_population(cfg)
-    other, _ = syn.generate_population(small_cfg(n_subscribers=25))
+    other, _ = syn.generate_population(small_cfg(subscribers=25))
     with pytest.raises(ValueError, match="subscribers"):
         syn.generate_events(cfg, other, gt)
 
@@ -181,7 +194,7 @@ def test_generate_events_data_and_topups():
     ds = syn.generate_events(cfg, g, gt)
     data = [r for r in cdr_rows(ds.cdrs) if r.kind == "data"]
     assert data and all(r.callee is None and r.magnitude > 0 for r in data)
-    denoms = set(cfg.recharge_denominations)
+    denoms = set(cfg.denominations)
     assert len(ds.topups) and all(t.amount in denoms for t in topup_rows(ds.topups))
     assert all(t.retailer_tower in ds.towers for t in topup_rows(ds.topups))
 
@@ -198,13 +211,13 @@ def small_configs(draw):
     """Configs of 2-60 subscribers, 1-10 towers and 1-5 days, with data sessions and a label effect."""
     n = draw(st.integers(2, 60))
     unit = st.floats(0.0, 1.0)
-    return syn.SynthConfig(
+    return small_cfg(
         seed=draw(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70))),
-        n_subscribers=n, n_towers=draw(st.integers(1, 10)), grid=GRID,
-        graph_model=syn.SmallWorld(k=2 * draw(st.integers(0, (n - 1) // 2)), rewire_p=draw(unit)),
+        subscribers=n, towers=draw(st.integers(1, 10)),
+        sw_k=2 * draw(st.integers(0, (n - 1) // 2)), sw_rewire=draw(unit),
         days=draw(st.integers(1, 5)),
-        recharge_denominations=tuple(draw(st.lists(st.sampled_from([5.0, 10.0, 20.0, 50.0, 100.0]),
-                                                   min_size=1, unique=True).map(sorted))),
+        denominations=tuple(draw(st.lists(st.sampled_from([5.0, 10.0, 20.0, 50.0, 100.0]),
+                                          min_size=1, unique=True).map(sorted))),
         event_rate=draw(st.floats(0.0, 5.0)), sms_fraction=draw(unit),
         data_rate=draw(st.floats(0.01, 3.0)), topup_gap_days=draw(st.floats(0.2, 4.0)),
         visit_concentration=draw(st.floats(0.05, 0.95)), label_low_fraction=draw(unit),
@@ -235,7 +248,7 @@ def test_grouped_synthesis_matches_the_per_subscriber_oracle(cfg):
 
 def test_grouped_synthesis_spans_blocks():
     # more subscribers than one block, some with low labels that change their streams
-    cfg = small_cfg(n_subscribers=2 * syn.BLOCK + 3, n_towers=12, days=2, data_rate=1.0, label_effect=0.5)
+    cfg = small_cfg(subscribers=2 * syn.BLOCK + 3, towers=12, days=2, data_rate=1.0, label_effect=0.5)
     g, gt = syn.generate_population(cfg)
     ds, expected = syn.generate_events(cfg, g, gt), oracle.generate_events(cfg, g, gt)
     assert_same_table(ds.cdrs, expected.cdrs)

@@ -75,6 +75,29 @@ def test_each_chain_runs_from_an_equal_length_copy_with_its_own_empty_cache(tmp_
     assert [doc["machine"][name] for name in baseline.BLAS_THREAD_VARS] == ["2", "1", None]
 
 
+# A stand-in for cdrlab.cli that appends the config it was given to LOG.
+CONFIG_CLI = """import os, sys
+with open(LOG, "a") as fh:
+    fh.write(open(sys.argv[sys.argv.index("--config") + 1]).read())
+os.makedirs(sys.argv[sys.argv.index("--outdir") + 1])
+"""
+
+
+@pytest.mark.parametrize("flag, subscribers", [([], 5000), (["--subscribers", "40"], 40)], ids=["default", "40"])
+def test_subscribers_sizes_the_synth_workload_and_is_recorded(tmp_path, monkeypatch, flag, subscribers):
+    log = tmp_path / "log.txt"
+    checkout = tmp_path / "checkout"
+    (checkout / "src" / "cdrlab").mkdir(parents=True)
+    (checkout / "src" / "cdrlab" / "__init__.py").write_text("")
+    (checkout / "src" / "cdrlab" / "cli.py").write_text(f"LOG = {str(log)!r}\n" + CONFIG_CLI)
+    monkeypatch.setattr(baseline, "STEPS", (("synth", ("synth",)),))
+    out = tmp_path / "bench.json"
+    assert baseline.main(["--src", str(checkout), *flag, "--out", str(out)]) == 0
+    config = json.loads(out.read_text())["workload"]["config"]
+    assert config.startswith(f"[synth]\nsubscribers = {subscribers}\ntowers = 60\n")
+    assert log.read_text() == config
+
+
 # A stand-in for cdrlab.cli that logs its pid and then sleeps far past the test.
 SLEEPING_CLI = """import os, time
 with open(LOG, "w") as fh:

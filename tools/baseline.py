@@ -2,7 +2,8 @@
 
 The workload is the ROADMAP's pinned Baseline: ``[synth]`` 5,000 subscribers,
 60 towers, 28 days and ``event_rate`` 6.0, seed 11, which gives about 839k
-CDRs.  Every step runs as ``python3 -m cdrlab.cli`` with ``PYTHONPATH`` set to
+CDRs.  ``--subscribers N`` sets the subscribers and keeps the rest (20,000 is
+the 4x rung), and the JSON's ``workload.config`` records the number.  Every step runs as ``python3 -m cdrlab.cli`` with ``PYTHONPATH`` set to
 a copy of the ``src`` of the checkout being measured.  The steps run in order,
 because later steps read what ``synth``, ``features`` and ``train`` wrote.
 The side files that ``idw``, ``correlate`` and ``campaign`` read are written
@@ -61,7 +62,7 @@ import numpy
 
 # The environment variables that set the thread counts of OpenBLAS, OpenMP and MKL.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-CONFIG = "[synth]\nsubscribers = 5000\ntowers = 60\ndays = 28\nevent_rate = 6.0\n"
+CONFIG = "[synth]\nsubscribers = {subscribers}\ntowers = 60\ndays = 28\nevent_rate = 6.0\n"
 DATA = ("--cdr", "synth/cdr.csv", "--topups", "synth/topups.csv", "--towers", "synth/towers.csv")
 FEATURES = ("--features", "features/features.csv", "--labels", "synth/labels.csv")
 STEPS = (
@@ -163,12 +164,12 @@ def _commit(src: Path) -> str:
     return head + ("-dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
 
 
-def _chain(src: Path) -> tuple[dict, dict]:
+def _chain(src: Path, config: str) -> tuple[dict, dict]:
     """(step -> measurement, step -> output digests) of one run of the chain, importing cdrlab from src."""
     with tempfile.TemporaryDirectory(prefix="cdrlab-baseline-") as tmp:
         work = Path(tmp)
         env = dict(os.environ, PYTHONPATH=str(src), XDG_CACHE_HOME=str(work / "cache"))
-        (work / "run.ini").write_text(CONFIG)
+        (work / "run.ini").write_text(config)
         steps, digests = {}, {}
         for name, argv in STEPS:
             steps[name] = _run(env, work, name, argv)
@@ -184,10 +185,12 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=Path, action="append", required=True,
                         help="a checkout to measure; give it once per checkout")
     parser.add_argument("--repeat", type=int, default=1, help="runs of the chain per checkout")
+    parser.add_argument("--subscribers", type=int, default=5000, help="[synth] subscribers of the workload")
     parser.add_argument("--out", type=Path, required=True, help="the JSON file to write")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be >= 1")
+    config = CONFIG.format(subscribers=args.subscribers)
     srcs = [src.resolve() for src in args.src]
     runs: dict[Path, list[dict]] = {src: [] for src in srcs}
     digests: dict[Path, dict] = {}
@@ -198,7 +201,7 @@ def main(argv=None) -> int:
             shutil.copytree(src / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
         for i in range(args.repeat):
             for src in srcs[::-1] if i % 2 else srcs:
-                steps, digests[src] = _chain(copies[src])
+                steps, digests[src] = _chain(copies[src], config)
                 runs[src].append(steps)
                 print(_commit(src), {name: (s["wall_s"], s["peak_rss_mb"], s["exit"]) for name, s in steps.items()},
                       file=sys.stderr)
@@ -206,7 +209,7 @@ def main(argv=None) -> int:
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
                     "python": platform.python_version(), "numpy": numpy.__version__,
                     **{name: os.environ.get(name) for name in BLAS_THREAD_VARS}},
-        "workload": {"config": CONFIG, "steps": {name: list(argv) for name, argv in STEPS}},
+        "workload": {"config": config, "steps": {name: list(argv) for name, argv in STEPS}},
         "checkouts": [
             {"commit": _commit(src),
              "median": {name: {key: statistics.median(run[name][key] for run in runs[src])
